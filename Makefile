@@ -8,6 +8,8 @@
 #   make bench-json  gated hot-path benchmarks -> BENCH_latest.json
 #   make bench-check bench-json + fail on >25% ns/op regression vs
 #                    the committed BENCH_baseline.json (tools/benchdiff)
+#   make bench-harness vet + short tests of the bench/ module (BENCHMARK.json's
+#                    harness; its own go.mod, so `go test ./...` never sees it)
 #   make fuzz        short coverage-guided fuzz pass over the two bank
 #                    codecs (bankfmt/v3 frame, bankfmt/v4 segment container)
 #   make figures     quick-scale figure regeneration through the bank cache
@@ -26,7 +28,7 @@ GO         ?= go
 CACHE_DIR  ?= $(HOME)/.cache/noisyeval-banks
 SERVE_ADDR ?= 127.0.0.1:8723
 
-.PHONY: build lint test race bench bench-json bench-check fuzz figures serve serve-smoke cluster-smoke crash-smoke clean
+.PHONY: build lint test race bench bench-json bench-check bench-harness fuzz figures serve serve-smoke cluster-smoke crash-smoke clean
 
 build:
 	$(GO) build ./...
@@ -43,7 +45,7 @@ race:
 		-run 'TestScheduler|TestBankStore|TestBankKey|TestBuildBank|TestSuite|TestRunKey|TestRunTune' \
 		./internal/core ./internal/exper
 	NOISYEVAL_CACHE_DIR=$(CACHE_DIR) $(GO) test -race \
-		-run 'TestAskTell|TestSession' ./internal/hpo ./internal/serve
+		-run 'TestAskTell|TestSession|TestProposeMatchesReference' ./internal/hpo ./internal/serve
 	NOISYEVAL_CACHE_DIR=$(CACHE_DIR) $(GO) test -race ./internal/serve ./internal/dist ./internal/obs
 
 bench:
@@ -53,19 +55,28 @@ bench:
 # The gated benchmarks run at a real -benchtime (unlike the 1x smoke pass)
 # so their ns/op is stable enough to diff against the committed baseline.
 bench-json:
-	NOISYEVAL_CACHE_DIR=$(CACHE_DIR) $(GO) test -bench 'BenchmarkFederatedRound$$|BenchmarkBankBuild$$|BenchmarkBankEncode$$|BenchmarkBankDecode$$|BenchmarkBankOpenMmap$$|BenchmarkOracleTrials$$|BenchmarkOracleTrialsMapped$$|BenchmarkOracleEvaluateMulti$$|BenchmarkObsOverhead$$' -benchmem -benchtime 2s -run '^$$' . | tee bench-gated.out
+	NOISYEVAL_CACHE_DIR=$(CACHE_DIR) $(GO) test -bench 'BenchmarkFederatedRound$$|BenchmarkBankBuild$$|BenchmarkBankEncode$$|BenchmarkBankDecode$$|BenchmarkBankOpenMmap$$|BenchmarkOracleTrials$$|BenchmarkOracleTrialsMapped$$|BenchmarkOracleEvaluateMulti$$|BenchmarkObsOverhead$$|BenchmarkMethodTrials$$' -benchmem -benchtime 2s -run '^$$' . | tee bench-gated.out
 	$(GO) run ./tools/bench2json < bench-gated.out > BENCH_latest.json
 
 # ns/op and B/op gate at 25% over the committed baseline (refreshed when a
 # perf PR lands); allocs/op may grow at most 25% — and a baseline pinned at
 # 0 allocs/op (the batched training round, the blocked-oracle row sweep)
 # fails on the FIRST allocation, machine-independently. trials/s (the
-# blocked oracle's throughput metric) may drop at most 25%. See
-# tools/benchdiff.
+# blocked oracle's and the per-method trial benchmarks' throughput metric)
+# may drop at most 25%. See tools/benchdiff.
 bench-check: bench-json
 	$(GO) run ./tools/benchdiff -baseline BENCH_baseline.json -latest BENCH_latest.json \
-		-bench BenchmarkFederatedRound,BenchmarkBankBuild,BenchmarkBankEncode,BenchmarkBankDecode,BenchmarkBankOpenMmap,BenchmarkOracleTrials,BenchmarkOracleTrialsMapped,BenchmarkOracleEvaluateMulti,BenchmarkObsOverhead \
+		-bench BenchmarkFederatedRound,BenchmarkBankBuild,BenchmarkBankEncode,BenchmarkBankDecode,BenchmarkBankOpenMmap,BenchmarkOracleTrials,BenchmarkOracleTrialsMapped,BenchmarkOracleEvaluateMulti,BenchmarkObsOverhead,BenchmarkMethodTrials/tpe,BenchmarkMethodTrials/hb,BenchmarkMethodTrials/bohb \
 		-max-regress 0.25 -max-allocs-frac 1.25 -metrics trials/s -max-metric-drop 0.25
+
+# bench/ is a module of its own (BENCHMARK.json's harness: `bash bench/run.sh`
+# builds it against this tree through a replace directive), so neither
+# `go build ./...` nor `go test ./...` compiles it. This target does: an
+# internal/hpo or internal/core API change that would break the benchmark
+# fails here first. -short skips the traced end-to-end case.
+bench-harness:
+	$(GO) -C bench vet .
+	$(GO) -C bench test -short .
 
 # Coverage-guided fuzzing of the two bank codecs, 15s each: the v3
 # monolithic frame (FuzzBankDecode) and the v4 segment container

@@ -579,6 +579,39 @@ func BenchmarkOracleTrialsMapped(b *testing.B) {
 	b.ReportMetric(float64(100*b.N)/b.Elapsed().Seconds(), "trials/s")
 }
 
+// BenchmarkMethodTrials measures 64 bootstrap trials of each model-based or
+// multi-fidelity method at the paper's budget (16 × 405 rounds: 16
+// evaluations per TPE trial, 190 per HB/BOHB trial) against the 64-config
+// bench bank. BenchmarkOracleTrials covers RS, where the scheduler and the
+// row kernel are the whole cost; here the method's own proposal code is, so
+// this is the gate on the Parzen engine (DESIGN.md §15). HB shares BOHB's
+// brackets and evaluations but has no model: bohb − hb is the engine's cost.
+func BenchmarkMethodTrials(b *testing.B) {
+	oracle, err := core.NewBankOracle(codecBenchBank, 0, noisyeval.SchemeWithCount(10), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, name := range []string{"tpe", "hb", "bohb"} {
+		b.Run(name, func(b *testing.B) {
+			m, err := hpo.MethodByName(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tn := core.Tuner{Method: m, Space: hpo.DefaultSpace(), Settings: hpo.DefaultSettings()}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				results := tn.RunTrials(oracle, 64, rng.New(uint64(i)).Split("bench-methods"))
+				if len(results) != 64 {
+					b.Fatal("short trial batch")
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(64*b.N)/b.Elapsed().Seconds(), "trials/s")
+		})
+	}
+}
+
 // --- Ablation benchmarks (DESIGN.md §5) ---
 
 // runRSTrials is the shared ablation harness: bootstrap RS over the

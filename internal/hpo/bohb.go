@@ -1,8 +1,6 @@
 package hpo
 
 import (
-	"sort"
-
 	"noisyeval/internal/fl"
 	"noisyeval/internal/rng"
 )
@@ -37,51 +35,75 @@ func (b BOHB) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History {
 		b.MinPoints = 6
 	}
 	h := &History{MethodName: "BOHB"}
-	state := &bohbState{cfg: b, tpe: b.TPE.normalize(), byFidelity: map[int][]scoredConfig{}}
+	state := &bohbState{cfg: b, model: newParzenModel(b.TPE.normalize(), o, space), top: -1, gSub: rng.New(0)}
 	runHyperbandLoop(o, space, s, g, h, state)
 	return h
 }
 
 // bohbState accumulates rung observations per fidelity and proposes configs.
 type bohbState struct {
-	cfg        BOHB
-	tpe        TPE
-	byFidelity map[int][]scoredConfig
+	cfg   BOHB
+	model *parzenModel
+	// levels holds one observation list per distinct fidelity, in first-seen
+	// order; top is the level with the highest fidelity among those holding
+	// at least MinPoints observations (BOHB's model-selection rule), or -1.
+	// Lists only grow, so observe keeps top current without a rescan.
+	levels []fidelityObs
+	top    int
+	// fitLevel and fitN name the observation set the model is fit on; the
+	// model is refit only when a rung report changes the selected set.
+	fitLevel, fitN int
+	rows           []int    // feature row of each config of the current bracket
+	gSub           *rng.RNG // scratch for the per-proposal sub-stream
 }
 
-// observe records a rung's noisy scores (SHA callback).
-func (st *bohbState) observe(fidelity int, cfgs []fl.HParams, noisy []float64) {
-	for i, c := range cfgs {
-		st.byFidelity[fidelity] = append(st.byFidelity[fidelity], scoredConfig{cfg: c, err: noisy[i]})
+type fidelityObs struct {
+	fidelity int
+	obs      []parzenObs
+}
+
+// observe records a rung's noisy scores (SHA callback); alive are the
+// survivors' positions in the bracket.
+func (st *bohbState) observe(fidelity int, alive []int, noisy []float64) {
+	li := 0
+	for li < len(st.levels) && st.levels[li].fidelity != fidelity {
+		li++
+	}
+	if li == len(st.levels) {
+		st.levels = append(st.levels, fidelityObs{fidelity: fidelity})
+	}
+	lv := &st.levels[li]
+	for i, pos := range alive {
+		lv.obs = append(lv.obs, parzenObs{row: st.rows[pos], err: noisy[i]})
+	}
+	if len(lv.obs) >= st.cfg.MinPoints && (st.top < 0 || fidelity > st.levels[st.top].fidelity) {
+		st.top = li
 	}
 }
 
-// propose returns the next candidate: random with probability
-// RandomFraction or when no fidelity has enough observations, otherwise a
-// TPE proposal fit on the highest adequately-observed fidelity.
-func (st *bohbState) propose(o Oracle, space Space, g *rng.RNG) fl.HParams {
+// propose returns the next candidate and records its feature row: random
+// with probability RandomFraction or when no fidelity has enough
+// observations, otherwise a TPE proposal from the model of the highest
+// adequately-observed fidelity.
+func (st *bohbState) propose(g *rng.RNG) fl.HParams {
+	label := "tpe"
 	if g.Bool(st.cfg.RandomFraction) {
-		return sampleConfig(o, space, g.Split("random"))
+		label = "random"
+	} else if st.top < 0 {
+		label = "fallback"
 	}
-	obs := st.modelObservations()
-	if len(obs) < st.cfg.MinPoints {
-		return sampleConfig(o, space, g.Split("fallback"))
-	}
-	return st.tpe.propose(obs, o, space, g.Split("tpe"))
-}
-
-// modelObservations returns the observations at the largest fidelity with at
-// least MinPoints of them (BOHB's model-selection rule).
-func (st *bohbState) modelObservations() []scoredConfig {
-	fidelities := make([]int, 0, len(st.byFidelity))
-	for f := range st.byFidelity {
-		fidelities = append(fidelities, f)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(fidelities)))
-	for _, f := range fidelities {
-		if len(st.byFidelity[f]) >= st.cfg.MinPoints {
-			return st.byFidelity[f]
+	g.SplitInto(st.gSub, label)
+	var cfg fl.HParams
+	var row int
+	if label != "tpe" {
+		cfg, row = st.model.sample(st.gSub)
+	} else {
+		if obs := st.levels[st.top].obs; st.fitN != len(obs) || st.fitLevel != st.top {
+			st.model.fit(obs)
+			st.fitLevel, st.fitN = st.top, len(obs)
 		}
+		cfg, row = st.model.propose(st.gSub)
 	}
-	return nil
+	st.rows = append(st.rows, row)
+	return cfg
 }

@@ -108,11 +108,20 @@ func TestParzenPositiveDensityProperty(t *testing.T) {
 	space := DefaultSpace()
 	f := func(seed uint8) bool {
 		n := int(seed%10) + 1
-		configs := space.SampleN(n, g.Splitf("cfgs-%d", seed))
-		p := newParzen(space, configs)
-		probe := space.Sample(g.Splitf("probe-%d", seed))
-		ld := p.logDensity(probe)
-		return !math.IsNaN(ld) && !math.IsInf(ld, 0)
+		m := newParzenModel(TPE{}.normalize(), newTestOracle(0), space)
+		obs := make([]parzenObs, n)
+		for i := range obs {
+			_, row := m.sample(g.Splitf("cfgs-%d/sample-%d", seed, i))
+			obs[i] = parzenObs{row: row, err: float64(i)}
+		}
+		m.fit(obs)
+		probe := m.features(space.Sample(g.Splitf("probe-%d", seed)))
+		for _, ld := range []float64{m.good.logDensity(&probe), m.bad.logDensity(&probe)} {
+			if math.IsNaN(ld) || math.IsInf(ld, 0) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

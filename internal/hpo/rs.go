@@ -52,7 +52,8 @@ func (RandomSearch) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History 
 			// Split consumes no parent randomness and a non-private Release
 			// is the identity, so skipping both off the private path leaves
 			// every stream byte-identical.
-			observed = dpp.Release(observed, o.SampleSize(), g.Splitf("dp-%d", i))
+			g.SplitIntInto(gSub, "dp-", i)
+			observed = dpp.Release(observed, o.SampleSize(), gSub)
 		}
 		h.Add(Observation{
 			Config:    cfg,
@@ -112,11 +113,13 @@ func (gs GridSearch) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History
 	batch := EvalBatch{Configs: grid[:m], EvalIDs: ids, SameRounds: maxR, Out: make([]float64, m)}
 	EvaluateAll(o, &batch)
 	cum = 0
+	gSub := rng.New(0)
 	for i, cfg := range grid[:m] {
 		cum += maxR
 		observed := batch.Out[i]
 		if dpp.Private() {
-			observed = dpp.Release(observed, o.SampleSize(), g.Splitf("dp-%d", i))
+			g.SplitIntInto(gSub, "dp-", i)
+			observed = dpp.Release(observed, o.SampleSize(), gSub)
 		}
 		h.Add(Observation{
 			Config:    cfg,

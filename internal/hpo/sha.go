@@ -16,6 +16,7 @@ type shaParams struct {
 	epsilon    float64
 	totalRungs int // T across the whole run, for one-shot top-k calibration
 	label      string
+	noiseG     *rng.RNG // scratch the per-rung DP noise stream is split onto
 }
 
 // rungLadder returns the fidelity ladder {r0, r0·η, ..., maxR}.
@@ -39,11 +40,19 @@ func rungLadder(r0, maxR, eta int) []int {
 // Training cost is incremental (checkpoint reuse): advancing a survivor from
 // rung r to rung r' charges r'−r rounds. The bracket truncates cleanly when
 // the run's total budget cannot cover the next rung. onRung, when non-nil,
-// receives each rung's noisy scores (BOHB uses this to update its model).
+// receives each rung's noisy scores with the survivors' positions in cfgs
+// (BOHB uses this to update its model).
 func runSHA(o Oracle, cfgs []fl.HParams, p shaParams, totalBudget int, cum *int, h *History,
-	g *rng.RNG, onRung func(fidelity int, cfgs []fl.HParams, noisy []float64)) {
+	g *rng.RNG, onRung func(fidelity int, alive []int, noisy []float64)) {
 
 	survivors := append([]fl.HParams(nil), cfgs...)
+	var alive []int
+	if onRung != nil {
+		alive = make([]int, len(cfgs))
+		for i := range alive {
+			alive[i] = i
+		}
+	}
 	trained := 0
 	for rung, r := range rungLadder(p.r0, p.maxR, p.eta) {
 		if len(survivors) == 0 {
@@ -73,7 +82,8 @@ func runSHA(o Oracle, cfgs []fl.HParams, p shaParams, totalBudget int, cum *int,
 			// The split is only derived when noise is actually drawn: Split
 			// consumes no parent randomness and OneShotNoisy at scale 0 never
 			// touches its RNG, so the non-private stream is unchanged.
-			noiseG = g.Splitf("%s-noise-%d", p.label, rung)
+			noiseG = p.noiseG
+			g.SplitIntInto(noiseG, p.label+"-noise-", rung)
 		}
 		noisy := dp.OneShotNoisy(errs, scale, noiseG)
 
@@ -85,7 +95,7 @@ func runSHA(o Oracle, cfgs []fl.HParams, p shaParams, totalBudget int, cum *int,
 			})
 		}
 		if onRung != nil {
-			onRung(r, survivors, noisy)
+			onRung(r, alive, noisy)
 		}
 		if r >= p.maxR {
 			return
@@ -96,6 +106,12 @@ func runSHA(o Oracle, cfgs []fl.HParams, p shaParams, totalBudget int, cum *int,
 			next[i] = survivors[idx]
 		}
 		survivors = next
+		if onRung != nil {
+			for i, idx := range keep {
+				keep[i] = alive[idx] // keep is BottomK's fresh slice: it becomes the next alive
+			}
+			alive = keep
+		}
 		trained = r
 	}
 }
@@ -140,6 +156,7 @@ func (sh SuccessiveHalving) Run(o Oracle, space Space, s Settings, g *rng.RNG) *
 		epsilon:    s.Epsilon,
 		totalRungs: len(rungLadder(r0, maxR, s.Eta)),
 		label:      "sha",
+		noiseG:     gSub,
 	}
 	cum := 0
 	runSHA(o, cfgs, p, s.Budget.TotalRounds, &cum, h, g, nil)
@@ -200,29 +217,32 @@ func runHyperbandLoop(o Oracle, space Space, s Settings, g *rng.RNG, h *History,
 	}
 
 	cum := 0
-	gSub := rng.New(0)
+	gSub, gBracket := rng.New(0), rng.New(0)
 	for bi, plan := range plans {
+		var onRung func(int, []int, []float64)
+		if bohb != nil {
+			onRung = bohb.observe
+			bohb.rows = bohb.rows[:0]
+		}
 		cfgs := make([]fl.HParams, plan.n)
 		for i := range cfgs {
 			g.SplitInt2Into(gSub, "bracket-", bi, "-cfg-", i)
 			if bohb != nil {
-				cfgs[i] = bohb.propose(o, space, gSub)
+				cfgs[i] = bohb.propose(gSub)
 			} else {
 				cfgs[i] = sampleConfig(o, space, gSub)
 			}
-		}
-		var onRung func(int, []fl.HParams, []float64)
-		if bohb != nil {
-			onRung = bohb.observe
 		}
 		p := shaParams{
 			r0: plan.r0, maxR: maxR, eta: s.Eta,
 			epsilon:    s.Epsilon,
 			totalRungs: totalRungs,
 			label:      "hb-bracket-" + strconv.Itoa(bi),
+			noiseG:     gSub, // idle once the bracket's configs are drawn
 		}
 		before := cum
-		runSHA(o, cfgs, p, s.Budget.TotalRounds, &cum, h, g.Splitf("bracket-%d", bi), onRung)
+		g.SplitIntInto(gBracket, "bracket-", bi)
+		runSHA(o, cfgs, p, s.Budget.TotalRounds, &cum, h, gBracket, onRung)
 		if cum == before {
 			return // no budget left for even the first rung
 		}

@@ -43,30 +43,34 @@ func (t TPE) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History {
 	dpp := dp.Params{Epsilon: s.Epsilon, TotalEvals: k}
 
 	gSub := rng.New(0) // reseeded per iteration; same streams as Splitf
-	var observed []scoredConfig
+	m := newParzenModel(t, o, space)
+	observed := make([]parzenObs, 0, k)
 	cum := 0
 	for i := 0; i < k; i++ {
 		if cum+maxR > s.Budget.TotalRounds {
 			break
 		}
 		var cfg fl.HParams
+		var row int
 		if i < t.NStartup || len(observed) < t.NStartup {
 			g.SplitIntInto(gSub, "startup-", i)
-			cfg = sampleConfig(o, space, gSub)
+			cfg, row = m.sample(gSub)
 		} else {
 			g.SplitIntInto(gSub, "propose-", i)
-			cfg = t.propose(observed, o, space, gSub)
+			m.fit(observed) // the set grew by one: refit into the model's scratch
+			cfg, row = m.propose(gSub)
 		}
 		cum += maxR
 		obs := o.Evaluate(cfg, maxR, tpeEvalIDs.ID(i))
 		if dpp.Private() {
-			obs = dpp.Release(obs, o.SampleSize(), g.Splitf("dp-%d", i))
+			g.SplitIntInto(gSub, "dp-", i)
+			obs = dpp.Release(obs, o.SampleSize(), gSub)
 		}
 		h.Add(Observation{
 			Config: cfg, Rounds: maxR, Observed: obs,
 			True: o.TrueError(cfg, maxR), CumRounds: cum,
 		})
-		observed = append(observed, scoredConfig{cfg: cfg, err: obs})
+		observed = append(observed, parzenObs{row: row, err: obs})
 	}
 	return h
 }
@@ -84,85 +88,187 @@ func (t TPE) normalize() TPE {
 	return t
 }
 
-type scoredConfig struct {
-	cfg fl.HParams
+// parzenObs is one scored configuration: its row in the model's feature
+// table and the (noisy) error the densities are fit on.
+type parzenObs struct {
+	row int
 	err float64
 }
 
-// propose builds ℓ and g densities from the observations and returns the
-// candidate with the highest ℓ/g among NCandidates draws (from ℓ in
-// continuous mode, from the pool in bank mode).
-func (t TPE) propose(obs []scoredConfig, o Oracle, space Space, g *rng.RNG) fl.HParams {
-	sorted := append([]scoredConfig(nil), obs...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].err < sorted[j].err })
-	nGood := int(t.Gamma * float64(len(sorted)))
+// features are the coordinates the densities see: the five continuous
+// dimensions of configVec and the batch-size index.
+type features struct {
+	v     [5]float64
+	batch int
+}
+
+// parzenModel is the proposal engine shared by TPE and BOHB: the ℓ/g density
+// pair fit on one observation set, plus everything a Run reuses across fits.
+// fit is called once per observation set, not per proposal; in bank mode
+// every candidate is a pool index, so ℓ−g is computed at most once per pool
+// member per fit and repeat draws read the memo (DESIGN.md §15).
+//
+// The arithmetic is frozen: every expression that reaches a comparison keeps
+// the operand order of the per-proposal refit it replaced (kept as the
+// reference in reference_test.go), because histories must stay bit-identical.
+type parzenModel struct {
+	space  Space
+	pool   []fl.HParams // nil in continuous mode
+	lo, hi [5]float64
+	gamma  float64
+	nCand  int
+
+	// rows is the feature table: one row per pool member in bank mode; in
+	// continuous mode one row appended per sampled or proposed config.
+	rows []features
+
+	good, bad parzen
+	order     errOrder  // fit scratch: observation indices sorted by error
+	centers   []float64 // fit scratch: 5 columns of len(obs) sorted coordinates
+	counts    []float64 // fit scratch: batch counts, good side then bad
+
+	// Memo of ℓ−g per pool index, valid where stamp equals gen; fit bumps
+	// gen, so a refit invalidates every entry at once.
+	score []float64
+	stamp []uint32
+	gen   uint32
+}
+
+func newParzenModel(t TPE, o Oracle, space Space) *parzenModel {
+	nb := len(space.BatchSizes)
+	m := &parzenModel{space: space, pool: o.Pool(), gamma: t.Gamma, nCand: t.NCandidates,
+		counts: make([]float64, 2*nb)}
+	m.lo, m.hi = spaceBounds(space)
+	m.good.logBatch, m.bad.logBatch = make([]float64, nb), make([]float64, nb)
+	m.rows = make([]features, len(m.pool))
+	for i, c := range m.pool {
+		m.rows[i] = m.features(c)
+	}
+	m.score = make([]float64, len(m.pool))
+	m.stamp = make([]uint32, len(m.pool))
+	return m
+}
+
+func (m *parzenModel) features(c fl.HParams) features {
+	return features{v: configVec(c), batch: batchIndex(m.space, c.BatchSize)}
+}
+
+// sample draws a random candidate exactly as sampleConfig does and returns
+// it with its feature row.
+func (m *parzenModel) sample(g *rng.RNG) (fl.HParams, int) {
+	if len(m.pool) > 0 {
+		i := g.IntN(len(m.pool))
+		return m.pool[i], i
+	}
+	cfg := m.space.Sample(g)
+	m.rows = append(m.rows, m.features(cfg))
+	return cfg, len(m.rows) - 1
+}
+
+// errOrder sorts observation indices by error. sort.Stable runs the same
+// insertion-sort/symMerge sequence sort.SliceStable ran over the copied
+// observations, so ties (and NaNs) land where they always did.
+type errOrder struct {
+	idx []int
+	obs []parzenObs
+}
+
+func (s *errOrder) Len() int           { return len(s.idx) }
+func (s *errOrder) Less(i, j int) bool { return s.obs[s.idx[i]].err < s.obs[s.idx[j]].err }
+func (s *errOrder) Swap(i, j int)      { s.idx[i], s.idx[j] = s.idx[j], s.idx[i] }
+
+// fit builds ℓ over the best γ-fraction of obs and g over the rest, and
+// invalidates the score memo.
+func (m *parzenModel) fit(obs []parzenObs) {
+	n := len(obs)
+	m.order.obs, m.order.idx = obs, m.order.idx[:0]
+	for i := range obs {
+		m.order.idx = append(m.order.idx, i)
+	}
+	sort.Stable(&m.order)
+	nGood := int(m.gamma * float64(n))
 	if nGood < 1 {
 		nGood = 1
 	}
-	good := newParzen(space, configsOf(sorted[:nGood]))
-	bad := newParzen(space, configsOf(sorted[nGood:]))
-
-	var candidates []fl.HParams
-	if pool := o.Pool(); len(pool) > 0 {
-		for i := 0; i < t.NCandidates; i++ {
-			candidates = append(candidates, pool[g.IntN(len(pool))])
+	if len(m.centers) < 5*n {
+		m.centers = make([]float64, 10*n) // room for the set to double
+	}
+	nb := len(m.space.BatchSizes)
+	clear(m.counts)
+	for i, oi := range m.order.idx {
+		f := &m.rows[obs[oi].row]
+		for d := 0; d < 5; d++ {
+			m.centers[d*n+i] = f.v[d]
 		}
-	} else {
-		for i := 0; i < t.NCandidates; i++ {
-			candidates = append(candidates, good.sample(g.Splitf("cand-%d", i)))
+		if i < nGood {
+			m.counts[f.batch]++
+		} else {
+			m.counts[nb+f.batch]++
 		}
 	}
-	best := candidates[0]
-	bestScore := math.Inf(-1)
-	for _, c := range candidates {
-		score := good.logDensity(c) - bad.logDensity(c)
-		if score > bestScore {
-			bestScore = score
-			best = c
-		}
+	for d := 0; d < 5; d++ {
+		col := m.centers[d*n : (d+1)*n]
+		m.good.dims[d] = newKDE(col[:nGood], m.lo[d], m.hi[d])
+		m.bad.dims[d] = newKDE(col[nGood:], m.lo[d], m.hi[d])
 	}
-	return best
+	m.good.setBatch(m.counts[:nb])
+	m.bad.setBatch(m.counts[nb:])
+	m.gen++
 }
 
-func configsOf(sc []scoredConfig) []fl.HParams {
-	out := make([]fl.HParams, len(sc))
-	for i, s := range sc {
-		out[i] = s.cfg
+// propose returns the candidate with the highest ℓ/g among NCandidates draws
+// — pool indices in bank mode, samples from ℓ in continuous mode — and its
+// feature row. The first draw wins ties and non-finite scores.
+func (m *parzenModel) propose(g *rng.RNG) (fl.HParams, int) {
+	bestScore := math.Inf(-1)
+	if len(m.pool) > 0 {
+		best := -1
+		for i := 0; i < m.nCand; i++ {
+			c := g.IntN(len(m.pool))
+			if m.stamp[c] != m.gen {
+				m.stamp[c], m.score[c] = m.gen, m.good.logDensity(&m.rows[c])-m.bad.logDensity(&m.rows[c])
+			}
+			if best < 0 {
+				best = c
+			}
+			if m.score[c] > bestScore {
+				best, bestScore = c, m.score[c]
+			}
+		}
+		return m.pool[best], best
 	}
-	return out
+	var best fl.HParams
+	var bestF features
+	for i := 0; i < m.nCand; i++ {
+		c := m.sampleGood(g.Splitf("cand-%d", i))
+		f := m.features(c)
+		score := m.good.logDensity(&f) - m.bad.logDensity(&f)
+		if i == 0 {
+			best, bestF = c, f
+		}
+		if score > bestScore {
+			best, bestF, bestScore = c, f, score
+		}
+	}
+	m.rows = append(m.rows, bestF)
+	return best, len(m.rows) - 1
 }
 
 // parzen is the per-dimension kernel density model of one TPE side. The
 // five continuous dimensions (log server lr, β1, β2, log client lr,
 // momentum) use Gaussian kernels mixed with a uniform prior; batch size
-// uses a smoothed categorical.
+// uses a smoothed categorical whose log-probabilities are taken once per fit.
 type parzen struct {
-	space Space
-	dims  [5]kde1d
-	batch catKDE
+	dims     [5]kde1d
+	batch    catKDE
+	logBatch []float64
 }
 
-func newParzen(space Space, configs []fl.HParams) *parzen {
-	n := len(configs)
-	cols := make([][]float64, 5)
-	for d := range cols {
-		cols[d] = make([]float64, n)
+func (p *parzen) setBatch(counts []float64) {
+	p.batch = catKDE{counts: counts}
+	for i := range counts {
+		p.logBatch[i] = math.Log(p.batch.prob(i))
 	}
-	batchCounts := make([]float64, len(space.BatchSizes))
-	for i, c := range configs {
-		v := configVec(c)
-		for d := 0; d < 5; d++ {
-			cols[d][i] = v[d]
-		}
-		batchCounts[batchIndex(space, c.BatchSize)]++
-	}
-	lo, hi := spaceBounds(space)
-	p := &parzen{space: space}
-	for d := 0; d < 5; d++ {
-		p.dims[d] = newKDE(cols[d], lo[d], hi[d])
-	}
-	p.batch = catKDE{counts: batchCounts}
-	return p
 }
 
 // configVec maps a configuration to the 5 continuous coordinates.
@@ -197,92 +303,86 @@ func batchIndex(s Space, b int) int {
 	return best
 }
 
-// logDensity returns the model's log density at the configuration.
-func (p *parzen) logDensity(c fl.HParams) float64 {
-	v := configVec(c)
+// logDensity returns the model's log density at the feature row.
+func (p *parzen) logDensity(f *features) float64 {
 	sum := 0.0
 	for d := 0; d < 5; d++ {
-		sum += p.dims[d].logDensity(v[d])
+		sum += p.dims[d].logDensity(f.v[d])
 	}
-	sum += math.Log(p.batch.prob(batchIndex(p.space, c.BatchSize)))
+	sum += p.logBatch[f.batch]
 	return sum
 }
 
-// sample draws a configuration from the model (used to generate EI
-// candidates in continuous mode).
-func (p *parzen) sample(g *rng.RNG) fl.HParams {
+// sampleGood draws a configuration from ℓ (the EI candidate generator of
+// continuous mode).
+func (m *parzenModel) sampleGood(g *rng.RNG) fl.HParams {
 	var v [5]float64
 	for d := 0; d < 5; d++ {
-		v[d] = p.dims[d].sample(g.Splitf("dim-%d", d))
+		v[d] = m.good.dims[d].sample(g.Splitf("dim-%d", d))
 	}
-	bs := p.space.BatchSizes[p.batch.sample(g.Split("batch"))]
+	bs := m.space.BatchSizes[m.good.batch.sample(g.Split("batch"))]
 	return fl.HParams{
 		ServerLR:       math.Pow(10, v[0]),
 		Beta1:          v[1],
 		Beta2:          v[2],
-		LRDecay:        p.space.LRDecay,
+		LRDecay:        m.space.LRDecay,
 		ClientLR:       math.Pow(10, v[3]),
 		ClientMomentum: v[4],
-		WeightDecay:    p.space.WeightDecay,
+		WeightDecay:    m.space.WeightDecay,
 		BatchSize:      bs,
-		Epochs:         p.space.Epochs,
+		Epochs:         m.space.Epochs,
 	}
 }
 
 // kde1d is a 1-D Gaussian kernel density with a uniform prior component over
 // [lo, hi], following the Parzen construction of Bergstra et al. (2011).
+//
+// span and norm (bw·√2π) are the loop invariants of logDensity, computed once
+// per fit; they stay divisors so every quotient rounds as it always did.
 type kde1d struct {
-	lo, hi  float64
-	centers []float64
-	bw      float64
+	lo, hi, span float64
+	centers      []float64
+	bw, norm     float64
 }
 
 func newKDE(values []float64, lo, hi float64) kde1d {
-	k := kde1d{lo: lo, hi: hi, centers: values}
 	span := hi - lo
 	if span <= 0 {
 		span = 1
 	}
-	n := float64(len(values))
-	if n == 0 {
-		k.bw = span
-		return k
+	bw := span
+	if n := float64(len(values)); n > 0 {
+		// Scott's rule with floors to keep densities proper on tiny samples.
+		sd := stddev(values)
+		bw = 1.06 * sd * math.Pow(n, -0.2)
+		if bw < span/50 {
+			bw = span / 50
+		}
+		if bw > span {
+			bw = span
+		}
 	}
-	// Scott's rule with floors to keep densities proper on tiny samples.
-	sd := stddev(values)
-	bw := 1.06 * sd * math.Pow(n, -0.2)
-	if bw < span/50 {
-		bw = span / 50
-	}
-	if bw > span {
-		bw = span
-	}
-	k.bw = bw
-	return k
+	return kde1d{lo: lo, hi: hi, span: span, centers: values, bw: bw, norm: bw * math.Sqrt(2*math.Pi)}
 }
 
 // logDensity mixes the uniform prior with the kernels:
 // p(x) = (prior + Σ_i N(x; c_i, bw)) / (n + 1).
-func (k kde1d) logDensity(x float64) float64 {
-	span := k.hi - k.lo
-	if span <= 0 {
-		span = 1
-	}
+func (k *kde1d) logDensity(x float64) float64 {
 	// The uniform prior is supported only on [lo, hi].
 	prior := 0.0
 	if x >= k.lo && x <= k.hi {
-		prior = 1 / span
+		prior = 1 / k.span
 	}
 	sum := prior
 	for _, c := range k.centers {
 		z := (x - c) / k.bw
-		sum += math.Exp(-0.5*z*z) / (k.bw * math.Sqrt(2*math.Pi))
+		sum += math.Exp(-0.5*z*z) / k.norm
 	}
 	return math.Log(sum / float64(len(k.centers)+1))
 }
 
 // sample draws from the mixture and clamps to the range.
-func (k kde1d) sample(g *rng.RNG) float64 {
+func (k *kde1d) sample(g *rng.RNG) float64 {
 	i := g.IntN(len(k.centers) + 1)
 	var x float64
 	if i == len(k.centers) {

@@ -174,13 +174,32 @@ func (g *RNG) Reseed(seed uint64) {
 	g.deferred = false
 }
 
-// splitLabelInto reseeds dst to the stream g.Split(string(label)) returns,
+// startLabel begins a child label in dst's buffer. When g's own path is still
+// deferred the buffer starts with g's pending label and a '/', so the child
+// defers both levels against g's parent path and g.Path() is never
+// materialized — a scratch stream split off another scratch stream (BOHB's
+// per-proposal "tpe" stream under "bracket-B-cfg-I") costs no allocation.
+// The child label proper starts at the returned offset.
+func (g *RNG) startLabel(dst *RNG) (buf []byte, at int) {
+	buf = dst.labelBuf[:0]
+	if g.deferred {
+		buf = append(append(buf, g.labelBuf...), '/')
+	}
+	return buf, len(buf)
+}
+
+// splitLabelInto reseeds dst to the stream g.Split(string(buf[at:])) returns,
 // with dst's path kept in deferred (unmaterialized) form so the call is
-// allocation-free once dst's label buffer is warm. label must alias
-// dst.labelBuf (the callers below build it there).
-func (g *RNG) splitLabelInto(dst *RNG, label []byte) {
-	seed := g.deriveSeed(label)
-	dst.parentPath = g.Path()
+// allocation-free once dst's label buffer is warm. buf was started by
+// startLabel and aliases dst.labelBuf.
+func (g *RNG) splitLabelInto(dst *RNG, buf []byte, at int) {
+	seed := g.deriveSeed(buf[at:])
+	if g.deferred {
+		dst.parentPath = g.parentPath
+	} else {
+		dst.parentPath = g.path
+	}
+	dst.labelBuf = buf
 	dst.deferred = true
 	dst.path = ""
 	dst.reseed(seed)
@@ -191,28 +210,23 @@ func (g *RNG) splitLabelInto(dst *RNG, label []byte) {
 // have been created by New and must not be g itself; its previous stream is
 // abandoned.
 func (g *RNG) SplitInto(dst *RNG, label string) {
-	dst.labelBuf = append(dst.labelBuf[:0], label...)
-	g.splitLabelInto(dst, dst.labelBuf)
+	buf, at := g.startLabel(dst)
+	g.splitLabelInto(dst, append(buf, label...), at)
 }
 
 // SplitIntInto is SplitInto with label prefix+itoa(n): it reseeds dst to the
 // stream g.Splitf(prefix+"%d", n) returns, without the fmt allocations.
 func (g *RNG) SplitIntInto(dst *RNG, prefix string, n int) {
-	buf := append(dst.labelBuf[:0], prefix...)
-	buf = appendDecimal(buf, n)
-	dst.labelBuf = buf
-	g.splitLabelInto(dst, buf)
+	buf, at := g.startLabel(dst)
+	g.splitLabelInto(dst, appendDecimal(append(buf, prefix...), n), at)
 }
 
 // SplitInt2Into is SplitInto with label p1+itoa(a)+p2+itoa(b): it reseeds dst
 // to the stream g.Splitf(p1+"%d"+p2+"%d", a, b) returns.
 func (g *RNG) SplitInt2Into(dst *RNG, p1 string, a int, p2 string, b int) {
-	buf := append(dst.labelBuf[:0], p1...)
-	buf = appendDecimal(buf, a)
-	buf = append(buf, p2...)
-	buf = appendDecimal(buf, b)
-	dst.labelBuf = buf
-	g.splitLabelInto(dst, buf)
+	buf, at := g.startLabel(dst)
+	buf = appendDecimal(append(buf, p1...), a)
+	g.splitLabelInto(dst, appendDecimal(append(buf, p2...), b), at)
 }
 
 // appendDecimal appends the base-10 representation of n (matching %d);

@@ -143,3 +143,36 @@ func TestSplitIntoAllocationFree(t *testing.T) {
 		t.Fatalf("hot-path split helpers allocate %.1f/op, want 0", allocs)
 	}
 }
+
+// TestSplitIntoNestedScratch chains scratch streams — each split off the
+// previous one while that one's path is still deferred — against the same
+// chain of Splitf calls, past the inline label buffer, and asserts the chain
+// allocates nothing once the buffers are warm: a deferred parent contributes
+// its pending label to the child instead of materializing its path.
+func TestSplitIntoNestedScratch(t *testing.T) {
+	root := New(8).Split("fedtune")
+	a, b, c := New(0), New(0), New(0)
+	for i := 0; i < 40; i++ {
+		root.SplitInt2Into(a, "bracket-", i%5, "-cfg-", i)
+		a.SplitInto(b, "tpe")
+		b.SplitIntInto(c, "a-label-long-enough-to-leave-the-inline-buffer-", i)
+		wantA := root.Splitf("bracket-%d-cfg-%d", i%5, i)
+		wantB := wantA.Split("tpe")
+		wantC := wantB.Splitf("a-label-long-enough-to-leave-the-inline-buffer-%d", i)
+		// Deepest first: checking a stream materializes its path.
+		assertSameStream(t, wantC, c, fmt.Sprintf("depth 3, i=%d", i))
+		assertSameStream(t, wantB, b, fmt.Sprintf("depth 2, i=%d", i))
+		assertSameStream(t, wantA, a, fmt.Sprintf("depth 1, i=%d", i))
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		root.SplitInt2Into(a, "bracket-", i%5, "-cfg-", i%100)
+		a.SplitInto(b, "tpe")
+		b.SplitIntInto(c, "a-label-long-enough-to-leave-the-inline-buffer-", i%100)
+		c.IntN(64)
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("nested scratch splits allocate %.1f/op, want 0", allocs)
+	}
+}
