@@ -55,7 +55,7 @@ bench:
 # The gated benchmarks run at a real -benchtime (unlike the 1x smoke pass)
 # so their ns/op is stable enough to diff against the committed baseline.
 bench-json:
-	NOISYEVAL_CACHE_DIR=$(CACHE_DIR) $(GO) test -bench 'BenchmarkFederatedRound$$|BenchmarkBankBuild$$|BenchmarkBankEncode$$|BenchmarkBankDecode$$|BenchmarkBankOpenMmap$$|BenchmarkOracleTrials$$|BenchmarkOracleTrialsMapped$$|BenchmarkOracleEvaluateMulti$$|BenchmarkObsOverhead$$|BenchmarkMethodTrials$$' -benchmem -benchtime 2s -run '^$$' . | tee bench-gated.out
+	NOISYEVAL_CACHE_DIR=$(CACHE_DIR) $(GO) test -bench 'BenchmarkFederatedRound$$|BenchmarkBankBuild$$|BenchmarkBankEncode$$|BenchmarkBankDecode$$|BenchmarkBankOpenMmap$$|BenchmarkOracleTrials$$|BenchmarkOracleTrialsMapped$$|BenchmarkOracleEvaluateMulti$$|BenchmarkObsOverhead$$|BenchmarkMethodTrials$$|BenchmarkServeRun$$|BenchmarkServeList$$' -benchmem -benchtime 2s -run '^$$' . | tee bench-gated.out
 	$(GO) run ./tools/bench2json < bench-gated.out > BENCH_latest.json
 
 # ns/op and B/op gate at 25% over the committed baseline (refreshed when a
@@ -63,11 +63,14 @@ bench-json:
 # 0 allocs/op (the batched training round, the blocked-oracle row sweep)
 # fails on the FIRST allocation, machine-independently. trials/s (the
 # blocked oracle's and the per-method trial benchmarks' throughput metric)
-# may drop at most 25%. See tools/benchdiff.
+# and req/s (the daemon's dedup POST) may drop at most 25%. BenchmarkServeList
+# pages a 10 000-run registry: its ns/op and allocs/op are those of 20 rows,
+# so a change that makes listing scale with history again fails here. See
+# tools/benchdiff.
 bench-check: bench-json
 	$(GO) run ./tools/benchdiff -baseline BENCH_baseline.json -latest BENCH_latest.json \
-		-bench BenchmarkFederatedRound,BenchmarkBankBuild,BenchmarkBankEncode,BenchmarkBankDecode,BenchmarkBankOpenMmap,BenchmarkOracleTrials,BenchmarkOracleTrialsMapped,BenchmarkOracleEvaluateMulti,BenchmarkObsOverhead,BenchmarkMethodTrials/tpe,BenchmarkMethodTrials/hb,BenchmarkMethodTrials/bohb \
-		-max-regress 0.25 -max-allocs-frac 1.25 -metrics trials/s -max-metric-drop 0.25
+		-bench BenchmarkFederatedRound,BenchmarkBankBuild,BenchmarkBankEncode,BenchmarkBankDecode,BenchmarkBankOpenMmap,BenchmarkOracleTrials,BenchmarkOracleTrialsMapped,BenchmarkOracleEvaluateMulti,BenchmarkObsOverhead,BenchmarkMethodTrials/tpe,BenchmarkMethodTrials/hb,BenchmarkMethodTrials/bohb,BenchmarkServeRun,BenchmarkServeList \
+		-max-regress 0.25 -max-allocs-frac 1.25 -metrics trials/s,req/s -max-metric-drop 0.25
 
 # bench/ is a module of its own (BENCHMARK.json's harness: `bash bench/run.sh`
 # builds it against this tree through a replace directive), so neither

@@ -15,6 +15,7 @@ import (
 	"context"
 	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -210,12 +211,9 @@ func BenchmarkDistAssemble(b *testing.B) {
 	b.ReportMetric(float64(b.N*len(shards))/b.Elapsed().Seconds(), "shards/s")
 }
 
-// BenchmarkServeRun measures warm-cache throughput of the noisyevald serving
-// path: after one run completes, every identical POST /v1/runs is absorbed
-// by the content-addressed run key and answered from the cached result bytes
-// — the requests/sec a tuning service sustains on its hot path (no bank
-// training, no tuning, full HTTP round trip).
-func BenchmarkServeRun(b *testing.B) {
+// serveBenchManager boots a serving manager over a miniature scale (banks
+// build in tens of milliseconds) and shuts it down with the benchmark.
+func serveBenchManager(b *testing.B) *serve.Manager {
 	cfg := exper.Quick()
 	cfg.Scales = map[string]float64{"cifar10": 0.06, "femnist": 0.02, "stackoverflow": 0.002, "reddit": 0.0008}
 	cfg.CapExamples, cfg.BankConfigs, cfg.MaxRounds, cfg.K = 30, 6, 9, 4
@@ -231,11 +229,21 @@ func BenchmarkServeRun(b *testing.B) {
 		Store: store, Workers: 2,
 		Scales: map[string]exper.Config{"quick": cfg},
 	})
-	defer func() {
+	b.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		defer cancel()
 		mgr.Shutdown(ctx)
-	}()
+	})
+	return mgr
+}
+
+// BenchmarkServeRun measures warm-cache throughput of the noisyevald serving
+// path: after one run completes, every identical POST /v1/runs is absorbed
+// by the content-addressed run key and answered from the cached result bytes
+// — the requests/sec a tuning service sustains on its hot path (no bank
+// training, no tuning, full HTTP round trip).
+func BenchmarkServeRun(b *testing.B) {
+	mgr := serveBenchManager(b)
 	ts := httptest.NewServer(serve.NewServer(mgr))
 	defer ts.Close()
 
@@ -275,6 +283,42 @@ func BenchmarkServeRun(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
 	if n := mgr.BankBuilds(); n > 1 {
 		b.Fatalf("warm-cache benchmark trained %d banks", n)
+	}
+}
+
+// BenchmarkServeList measures one filtered page of GET /v1/runs
+// (?state=done&limit=20) over a registry retaining 10 000 finished runs, on a
+// recorder — the request a dashboard polls. The registry keeps runs in ID
+// order and the walk stops when the page is full, so ns/op and allocs/op
+// are those of 20 rows, whatever the daemon retains (DESIGN.md §16).
+func BenchmarkServeList(b *testing.B) {
+	const retained = 10000
+	mgr := serveBenchManager(b)
+	for seed := uint64(1); seed <= retained; seed++ {
+		req := serve.RunRequest{Dataset: "cifar10", Method: "rs", Trials: 1, Seed: seed}
+		_, _, err := mgr.Submit(req)
+		for errors.Is(err, serve.ErrQueueFull) {
+			time.Sleep(time.Millisecond)
+			_, _, err = mgr.Submit(req)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	for mgr.Counters().RunsCompleted < retained {
+		time.Sleep(time.Millisecond)
+	}
+	srv := serve.NewServer(mgr)
+	get := httptest.NewRequest(http.MethodGet, "/v1/runs?state=done&limit=20", nil)
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, get)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("list status = %d", rec.Code)
+		}
 	}
 }
 

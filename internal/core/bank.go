@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"noisyeval/internal/data"
 	"noisyeval/internal/fl"
@@ -45,7 +46,11 @@ type Bank struct {
 	// Diverged[c] reports whether config c's training hit NaN.
 	Diverged []bool
 
-	index map[fl.HParams]int
+	// index and fastIndex are built on first use under indexOnce, so a
+	// hand-assembled Bank literal is safe to share across goroutines before
+	// its first lookup (decoded and assembled banks build them eagerly).
+	indexOnce sync.Once
+	index     map[fl.HParams]int
 	// fastIndex is an open-addressing table keyed by the raw bits of each
 	// config, probed before the Go map on the ConfigIndex hot path. Float
 	// bits and float equality differ only around NaN and ±0, so the table
@@ -117,8 +122,11 @@ func BuildBank(pop *data.Population, opts BuildOptions, seed uint64) (*Bank, err
 	return AssembleBank(plan, []*BankShard{shard})
 }
 
-// buildIndex (re)creates the config lookup map (needed after decoding) and,
-// when safe, the bit-keyed fast table probed before it.
+// ensureIndex builds the config lookup index exactly once.
+func (b *Bank) ensureIndex() { b.indexOnce.Do(b.buildIndex) }
+
+// buildIndex creates the config lookup map and, when safe, the bit-keyed
+// fast table probed before it.
 func (b *Bank) buildIndex() {
 	b.index = make(map[fl.HParams]int, len(b.Configs))
 	for i, c := range b.Configs {
@@ -182,9 +190,7 @@ func hashHParams(c fl.HParams) uint64 {
 // ConfigIndex returns the pool index of cfg, or an error if the config is
 // not a bank member (bank oracles only serve pool configs).
 func (b *Bank) ConfigIndex(cfg fl.HParams) (int, error) {
-	if b.index == nil {
-		b.buildIndex()
-	}
+	b.ensureIndex()
 	if mask := b.fastMask; mask != 0 {
 		for slot := hashHParams(cfg) & mask; ; slot = (slot + 1) & mask {
 			i := b.fastIndex[slot]

@@ -269,7 +269,7 @@ func assembleBankV4(f *bankseg.File, verifyPayloads, zeroCopy bool) (b *Bank, re
 	if err := bank.Validate(); err != nil {
 		return nil, false, v4Corrupt(path, commitIdx, commit.Offset, "%w", err)
 	}
-	bank.buildIndex()
+	bank.ensureIndex()
 	return bank, refs, nil
 }
 

@@ -137,6 +137,6 @@ func decodeBank(r io.Reader) (*Bank, error) {
 	if err := b.Validate(); err != nil {
 		return nil, fmt.Errorf("core: loaded bank invalid: %w", err)
 	}
-	b.buildIndex()
+	b.ensureIndex()
 	return b, nil
 }

@@ -226,6 +226,6 @@ func AssembleBank(p *BuildPlan, shards []*BankShard) (*Bank, error) {
 	if err := b.Validate(); err != nil {
 		return nil, fmt.Errorf("core: assemble: %w", err)
 	}
-	b.buildIndex()
+	b.ensureIndex()
 	return b, nil
 }

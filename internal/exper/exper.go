@@ -168,6 +168,11 @@ type Suite struct {
 	// grownPools overrides the shared pool per dataset once GrowBank has
 	// extended its bank (the union pool defines the new content address).
 	grownPools map[string][]fl.HParams
+	// bankKeys memoises bankKeyFor per dataset. Only GrowBank and SetBank
+	// change a key after first use: both call invalidateBankKeyLocked, whose
+	// keyGen bump keeps a key computed across them from being stored.
+	bankKeys map[string]string
+	keyGen   uint64
 
 	// growMu serializes GrowBank per suite (growth is train-then-swap).
 	growMu sync.Mutex
@@ -194,6 +199,7 @@ func NewSuite(cfg Config) *Suite {
 		installed:  map[string]bool{},
 		ready:      map[string]bool{},
 		grownPools: map[string][]fl.HParams{},
+		bankKeys:   map[string]string{},
 	}
 }
 
@@ -367,6 +373,7 @@ func (s *Suite) SetBank(name string, b *core.Bank) {
 	s.banks[name] = e
 	s.installed[name] = true
 	s.ready[name] = true
+	s.invalidateBankKeyLocked(name)
 	if s.pool == nil {
 		s.pool = b.Configs
 	}

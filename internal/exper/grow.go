@@ -97,6 +97,7 @@ func (s *Suite) GrowBank(name string, add int) (*core.Bank, GrowResult, error) {
 	s.grownPools[name] = union
 	s.banks[name] = e
 	s.ready[name] = true
+	s.invalidateBankKeyLocked(name)
 	s.mu.Unlock()
 
 	return grown, GrowResult{

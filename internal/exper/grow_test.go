@@ -2,9 +2,12 @@ package exper
 
 import (
 	"os"
+	"slices"
+	"sync"
 	"testing"
 
 	"noisyeval/internal/core"
+	"noisyeval/internal/hpo"
 )
 
 func TestSuiteGrowBank(t *testing.T) {
@@ -93,5 +96,130 @@ func TestSuiteGrowBank(t *testing.T) {
 	}
 	if res2.OldKey != res.NewKey || res2.NewKey == res.NewKey || res2.Total != oldN+3 {
 		t.Fatalf("second grow = %+v", res2)
+	}
+}
+
+// unmemoisedBankKey recomputes a dataset's bank address from scratch — what
+// bankKeyFor did on every call before it kept a memo.
+func unmemoisedBankKey(s *Suite, name string) string {
+	if b, ok := s.installedBank(name); ok {
+		return "installed-" + core.BankFingerprint(b)
+	}
+	return core.BankKey(s.BankBuildInputs(name))
+}
+
+// TestSuiteBankKeyMemo: the memoised address is the un-memoised one — before
+// and after GrowBank and SetBank replace what it is derived from — and run
+// keys follow it.
+func TestSuiteBankKeyMemo(t *testing.T) {
+	s := NewSuite(tinyConfig())
+	req := TuneRequest{Dataset: "cifar10", Method: hpo.RandomSearch{}, Noise: core.Noise{SampleCount: 2}, Trials: 2, Seed: 5}
+	check := func(when string) string {
+		t.Helper()
+		for _, name := range DatasetNames {
+			want := unmemoisedBankKey(s, name)
+			for i := 0; i < 2; i++ { // the computing call and the memo hit
+				if got := s.BankKeyFor(name); got != want {
+					t.Fatalf("%s: BankKeyFor(%s) = %s, want %s", when, name, got, want)
+				}
+			}
+		}
+		bankKey := unmemoisedBankKey(s, req.Dataset)
+		settings := req.Noise.Settings(hpo.Settings{Budget: s.Cfg.Budget()})
+		want := core.RunKey(bankKey, methodKey(req.Method), req.Noise, settings, req.Trials, req.Seed)
+		if got, err := s.RunKeyFor(req); err != nil || got != want {
+			t.Fatalf("%s: RunKeyFor = %s, %v; want %s", when, got, err, want)
+		}
+		return bankKey
+	}
+	fresh := check("fresh suite")
+	if _, _, err := s.GrowBank("cifar10", 1); err != nil {
+		t.Fatal(err)
+	}
+	grown := check("after GrowBank")
+	if grown == fresh {
+		t.Fatal("GrowBank left the address where it was")
+	}
+	other := NewSuite(tinyConfig())
+	s.SetBank("femnist", other.Bank("femnist"))
+	check("after SetBank")
+	s.SetBank("femnist", other.Bank("reddit")) // a different artifact under the same name
+	check("after a second SetBank")
+	if got := s.BankKeyFor("cifar10"); got != grown {
+		t.Fatalf("SetBank(femnist) moved cifar10's address: %s → %s", grown, got)
+	}
+}
+
+// TestSuiteBankKeyMemoConcurrentGrow: runs racing a sequence of grows never
+// report one generation's address with another generation's bank. Each
+// result is checked against a reference suite grown serially, looked up by
+// the address the result claims.
+func TestSuiteBankKeyMemoConcurrentGrow(t *testing.T) {
+	const grows = 4
+	req := TuneRequest{Dataset: "cifar10", Method: hpo.RandomSearch{}, Noise: core.Noise{SampleCount: 2}, Trials: 3, Seed: 11}
+	ref := NewSuite(tinyConfig())
+	want := map[string]*TuneResult{} // by bank key
+	for g := 0; g <= grows; g++ {
+		if g > 0 {
+			if _, _, err := ref.GrowBank(req.Dataset, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := ref.RunTune(req, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[res.BankKey] = res
+	}
+	if len(want) != grows+1 {
+		t.Fatalf("%d grows produced %d distinct addresses", grows, len(want))
+	}
+
+	s := NewSuite(tinyConfig())
+	s.Bank(req.Dataset)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				res, err := s.RunTune(req, nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				exp, ok := want[res.BankKey]
+				if !ok {
+					t.Errorf("run reports bank key %s, which no generation has", res.BankKey)
+					return
+				}
+				if res.RunKey != exp.RunKey || !slices.Equal(res.Finals, exp.Finals) {
+					t.Errorf("bank key %s paired with another generation's bank: finals %v, want %v",
+						res.BankKey, res.Finals, exp.Finals)
+					return
+				}
+			}
+		}()
+	}
+	for g := 0; g < grows; g++ {
+		if _, _, err := s.GrowBank(req.Dataset, 1); err != nil {
+			t.Error(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	// At rest, the suite is on the last generation under its own address.
+	res, err := s.RunTune(req, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.BankKey != unmemoisedBankKey(s, req.Dataset) || !slices.Equal(res.Finals, want[res.BankKey].Finals) {
+		t.Fatalf("after the grows: bank key %s, finals %v", res.BankKey, res.Finals)
 	}
 }

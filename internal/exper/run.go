@@ -94,12 +94,36 @@ func (s *Suite) tuneKeys(req TuneRequest) (bankKey, runKey string, err error) {
 // fingerprint of the installed content. Without the distinction, two runs
 // against different -bank files of one dataset would share a run key while
 // producing different results.
+//
+// Either hash is a pass over the whole pool (or the whole bank), so the key
+// is computed once per dataset, outside s.mu, and reused until GrowBank or
+// SetBank replaces its inputs (the generation check drops a key they overtook).
 func (s *Suite) bankKeyFor(name string) string {
-	if b, ok := s.installedBank(name); ok {
-		return "installed-" + core.BankFingerprint(b)
+	s.mu.Lock()
+	key, ok := s.bankKeys[name]
+	gen := s.keyGen
+	s.mu.Unlock()
+	if ok {
+		return key
 	}
-	spec, opts, seed := s.BankBuildInputs(name)
-	return core.BankKey(spec, opts, seed)
+	if b, ok := s.installedBank(name); ok {
+		key = "installed-" + core.BankFingerprint(b)
+	} else {
+		key = core.BankKey(s.BankBuildInputs(name))
+	}
+	s.mu.Lock()
+	if s.keyGen == gen {
+		s.bankKeys[name] = key
+	}
+	s.mu.Unlock()
+	return key
+}
+
+// invalidateBankKeyLocked forgets name's memoised key; callers hold s.mu and
+// have just replaced the bank or pool the key was derived from.
+func (s *Suite) invalidateBankKeyLocked(name string) {
+	delete(s.bankKeys, name)
+	s.keyGen++
 }
 
 // BankKeyFor exposes the bank content address a run against name records —
@@ -178,6 +202,15 @@ func (s *Suite) RunTuneCtx(ctx context.Context, req TuneRequest, onTrial func(Tr
 	}()
 
 	bank := s.BankCtx(ctx, req.Dataset)
+	// The address and the bank are two reads; a GrowBank or SetBank landing
+	// between them would pair the old address with the new bank. Keys only
+	// ever advance, so an unchanged key brackets an unchanged bank.
+	for s.bankKeyFor(req.Dataset) != bankKey {
+		if bankKey, runKey, err = s.tuneKeys(req); err != nil {
+			return nil, err
+		}
+		bank = s.BankCtx(ctx, req.Dataset)
+	}
 
 	oracle, err := core.NewBankOracle(bank, req.Noise.HeterogeneityP, req.Noise.Scheme(), req.Seed)
 	if err != nil {

@@ -34,11 +34,6 @@ func proposeBank() *core.Bank {
 		n := counts[i%clients]
 		b.Errs.Data[i] = float64(g.IntN(n+1)) / float64(n)
 	}
-	// A hand-assembled bank builds its config index on first lookup; do that
-	// here, before concurrent trials share the bank.
-	if _, err := b.ConfigIndex(b.Configs[0]); err != nil {
-		panic(err)
-	}
 	return b
 }
 

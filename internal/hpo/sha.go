@@ -45,6 +45,9 @@ func rungLadder(r0, maxR, eta int) []int {
 func runSHA(o Oracle, cfgs []fl.HParams, p shaParams, totalBudget int, cum *int, h *History,
 	g *rng.RNG, onRung func(fidelity int, alive []int, noisy []float64)) {
 
+	if len(cfgs) == 0 {
+		return
+	}
 	survivors := append([]fl.HParams(nil), cfgs...)
 	var alive []int
 	if onRung != nil {
@@ -53,11 +56,18 @@ func runSHA(o Oracle, cfgs []fl.HParams, p shaParams, totalBudget int, cum *int,
 			alive[i] = i
 		}
 	}
+	// Reserve the bracket's whole observation count once (n, then
+	// max(⌊n/η⌋, 1) per later rung) rather than regrowing the history exact-fit
+	// at every rung.
+	ladder := rungLadder(p.r0, p.maxR, p.eta)
+	total, n := 0, len(cfgs)
+	for range ladder {
+		total += n
+		n = max(n/p.eta, 1)
+	}
+	h.Grow(total)
 	trained := 0
-	for rung, r := range rungLadder(p.r0, p.maxR, p.eta) {
-		if len(survivors) == 0 {
-			return
-		}
+	for rung, r := range ladder {
 		cost := (r - trained) * len(survivors)
 		if *cum+cost > totalBudget {
 			return // budget exhausted; the bracket truncates here
@@ -87,7 +97,6 @@ func runSHA(o Oracle, cfgs []fl.HParams, p shaParams, totalBudget int, cum *int,
 		}
 		noisy := dp.OneShotNoisy(errs, scale, noiseG)
 
-		h.Grow(len(survivors))
 		for i, cfg := range survivors {
 			h.Add(Observation{
 				Config: cfg, Rounds: r, Observed: noisy[i],

@@ -209,20 +209,24 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Location", "/v1/runs/"+run.ID)
-	if created {
-		st, _, _ := run.Snapshot()
-		writeJSON(w, http.StatusAccepted, st)
-		return
+	code := http.StatusAccepted
+	if !created {
+		code = http.StatusOK
+		if body, etag := run.Cached(); body != nil {
+			w.Header().Set("ETag", etag)
+			writeCached(w, body)
+			return
+		}
 	}
-	st, body, etag := run.Snapshot()
-	if body != nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("ETag", etag)
-		w.WriteHeader(http.StatusOK)
-		w.Write(body)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
+	st, _, _ := run.Snapshot()
+	writeJSON(w, code, st)
+}
+
+// writeCached answers 200 with a terminal run's cached response bytes.
+func writeCached(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(body)
 }
 
 // etagMatches implements If-None-Match per RFC 9110 §13.1.2: a
@@ -266,22 +270,25 @@ func encodeCursor(lastID string) string {
 	return base64.RawURLEncoding.EncodeToString([]byte(cursorPrefix + lastID))
 }
 
-// decodeCursor inverts encodeCursor.
-func decodeCursor(c string) (lastID string, err error) {
+// decodeCursor inverts encodeCursor down to the run's sequence number, the
+// position Registry.Page resumes after.
+func decodeCursor(c string) (after int, err error) {
 	raw, err := base64.RawURLEncoding.DecodeString(c)
-	if err != nil || !strings.HasPrefix(string(raw), cursorPrefix) {
-		return "", codef(CodeInvalidCursor, "invalid cursor %q", c)
+	id, ok := strings.CutPrefix(string(raw), cursorPrefix)
+	if after = runSeq(id); err != nil || !ok || after == 0 {
+		return 0, codef(CodeInvalidCursor, "invalid cursor %q", c)
 	}
-	return strings.TrimPrefix(string(raw), cursorPrefix), nil
+	return after, nil
 }
 
 // handleList implements GET /v1/runs with filtering and keyset pagination:
 // ?state= keeps one lifecycle state, ?limit= bounds the page (default 100,
 // cap 1000), ?cursor= resumes after the previous page's last run. Run IDs
-// are assigned in increasing order and List returns them sorted, so the
-// cursor is a stable keyset position: runs finishing or expiring between
-// pages never shift the window, and next_cursor appears only when more
-// matching runs remain.
+// are assigned in increasing order and the registry keeps runs in that order,
+// so the cursor is a stable keyset position: runs finishing or expiring
+// between pages never shift the window, and next_cursor appears only when
+// more matching runs remain. The walk binary-searches the cursor and stops
+// once the page is full — a page costs the runs it reads, not the registry.
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	var stateFilter State
@@ -304,36 +311,29 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = min(n, maxListLimit)
 	}
-	after := ""
+	after := 0
 	if v := q.Get("cursor"); v != "" {
-		id, err := decodeCursor(v)
-		if err != nil {
+		var err error
+		if after, err = decodeCursor(v); err != nil {
 			s.writeAPIError(w, err)
 			return
 		}
-		after = id
 	}
 
 	out := make([]runListItem, 0, limit)
 	more := false
-	for _, run := range s.mgr.Registry().List() {
-		if run.ID <= after {
-			continue
-		}
-		st, _, _ := run.Snapshot()
-		if stateFilter != "" && st.State != stateFilter {
-			continue
+	s.mgr.Registry().Page(after, func(run *Run) bool {
+		item := run.listItem()
+		if stateFilter != "" && item.State != stateFilter {
+			return true
 		}
 		if len(out) == limit {
 			more = true
-			break
+			return false
 		}
-		out = append(out, runListItem{
-			ID: st.ID, Key: st.Key, State: st.State,
-			Dataset: st.Request.Dataset, Method: st.Request.Method, Scale: st.Request.Scale,
-			TrialsDone: st.TrialsDone, Trials: st.TrialsTotal,
-		})
-	}
+		out = append(out, item)
+		return true
+	})
 	resp := map[string]any{"runs": out}
 	if more {
 		resp["next_cursor"] = encodeCursor(out[len(out)-1].ID)
@@ -357,8 +357,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, CodeNotFound, "no run %q (expired or never submitted)", r.PathValue("id"))
 		return
 	}
-	st, body, etag := run.Snapshot()
+	body, etag := run.Cached()
 	if body == nil {
+		st, _, _ := run.Snapshot()
 		writeJSON(w, http.StatusOK, st)
 		return
 	}
@@ -367,9 +368,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(body)
+	writeCached(w, body)
 }
 
 // handleEvents streams a run's event history plus live events until the

@@ -70,19 +70,28 @@ func TestMetricsEndpoint(t *testing.T) {
 	_, st := ts.submit(t, `{"dataset":"cifar10","method":"rs","trials":2,"scale":"quick"}`)
 	ts.streamEvents(t, st.ID)
 
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	// The terminal event is published inside Run.finish; the worker observes
+	// run_exec_seconds just after it returns, so a scrape racing the end of
+	// the stream may be one sample short. Wait for the sample, not the stream.
+	var body string
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /metrics = %d", resp.StatusCode)
+		}
+		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+			t.Fatalf("content-type = %q", ct)
+		}
+		body = string(raw)
+		if strings.Contains(body, "run_exec_seconds_count 1") || time.Now().After(deadline) {
+			break
+		}
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /metrics = %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
-		t.Fatalf("content-type = %q", ct)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	body := string(raw)
 
 	// Exact values where this manager's traffic determines them.
 	for _, want := range []string{

@@ -99,6 +99,7 @@ type Run struct {
 	Key string
 	Req RunRequest
 
+	seq  int               // numeric suffix of ID: the registry's sort key
 	treq exper.TuneRequest // resolved at submit time
 
 	mu         sync.Mutex
@@ -122,7 +123,7 @@ type Run struct {
 
 func newRun(id, key string, req RunRequest, treq exper.TuneRequest, now time.Time) *Run {
 	r := &Run{
-		ID: id, Key: key, Req: req, treq: treq,
+		ID: id, Key: key, Req: req, seq: runSeq(id), treq: treq,
 		state:   StateQueued,
 		subs:    map[chan Event]struct{}{},
 		created: now,
@@ -313,6 +314,26 @@ func (r *Run) Snapshot() (st RunStatus, body []byte, etag string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.statusLocked(), r.body, r.etag
+}
+
+// Cached returns a terminal run's response bytes and strong ETag (nil bytes
+// while the run is live) without building a RunStatus — the GET, 304 and
+// dedup paths serve these bytes as they are.
+func (r *Run) Cached() (body []byte, etag string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.body, r.etag
+}
+
+// listItem returns the run's row of GET /v1/runs.
+func (r *Run) listItem() runListItem {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return runListItem{
+		ID: r.ID, Key: r.Key, State: r.state,
+		Dataset: r.Req.Dataset, Method: r.Req.Method, Scale: r.Req.Scale,
+		TrialsDone: r.trialsDone, Trials: r.Req.Trials,
+	}
 }
 
 func (r *Run) statusLocked() RunStatus {

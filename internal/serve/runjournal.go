@@ -311,7 +311,10 @@ func (rj *RunJournal) compactLocked(reg *Registry) error {
 		records = append(records, journal.Record{Kind: kind, Data: data})
 		return nil
 	}
-	for _, run := range reg.List() {
+	// Gather under the registry lock, encode outside it.
+	var runs []*Run
+	reg.Page(0, func(r *Run) bool { runs = append(runs, r); return true })
+	for _, run := range runs {
 		rr := run.recoveryState()
 		if err := add(jkSubmit, submitRecord{
 			ID: rr.ID, Key: rr.Key, Request: rr.Request, CreatedNs: rr.Created.UnixNano(),
