@@ -25,6 +25,22 @@ const (
 	goldenTrainerHash   = "903447d28d0ae7adb2b04af6cdc04ca0e1bdc250064c04ab375cd1beee4b8989"
 )
 
+// The batched twins were recorded on the scalar Go GEMM kernels (the commit
+// before the AVX2 ones landed), on the same fixtures. The batched engine is
+// the one that builds every default bank, and banks are content-addressed
+// on it: a kernel that changes one bit here silently invalidates every warm
+// cache and the benchmark's results_digest. They must hold on the AVX2 path
+// and on the portable one alike. (At this fixture scale the two engines'
+// error rates coincide — a misclassification count absorbs a last-ulp
+// difference — so the bank hashes equal the per-sample ones; the weight
+// hashes are the sharp pins.)
+const (
+	goldenBatchedImageBankHash   = "34a46f7f94b37931d5f4d08a3ca9fe4dfb974c6b5a382c8abacf394e6140f333"
+	goldenBatchedTextBankHash    = "00cb380e80f40ced97ac9a37d84e857dbe6140e1f95cae9073c3d85d541b1b0c"
+	goldenBatchedTrainerHash     = "43ef8893eb1bf311ee13a5fa7b05bb11ad4b137e876a6cd4256b87d913326282"
+	goldenBatchedTextTrainerHash = "b0be59f5492b78c4730feac71f2d7274a85373ea54d5e282270b238f09007134"
+)
+
 func hashFloats(h interface{ Write([]byte) (int, error) }, xs []float64) {
 	var buf [8]byte
 	for _, x := range xs {
@@ -77,57 +93,101 @@ func goldenImagePop(t testing.TB) *data.Population {
 	return pop
 }
 
-// TestPerSampleBankBitIdentical is the end-to-end byte-identity test: a
-// BatchEval=false bank build must reproduce the pre-refactor seed path's
-// recorded errors bit for bit, on both task families.
-func TestPerSampleBankBitIdentical(t *testing.T) {
+func goldenTextPop(t testing.TB) *data.Population {
+	t.Helper()
+	pop, err := data.Generate(data.StackOverflowLike().Scaled(0.004, 30), rng.New(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pop
+}
+
+// goldenBankHashes builds the image and the text golden bank on the chosen
+// engine and returns their content hashes.
+func goldenBankHashes(t *testing.T, batchEval bool) (image, text string) {
+	t.Helper()
 	opts := DefaultBuildOptions()
 	opts.NumConfigs = 3
 	opts.MaxRounds = 9
 	opts.Partitions = []float64{0.5}
-	opts.BatchEval = false
+	opts.BatchEval = batchEval
 	b, err := BuildBank(goldenImagePop(t), opts, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := hashBankContent(b); got != goldenImageBankHash {
-		t.Errorf("image bank content drifted from the pre-refactor engine:\n got %s\nwant %s", got, goldenImageBankHash)
-	}
 
-	txt := data.StackOverflowLike().Scaled(0.004, 30)
-	popT, err := data.Generate(txt, rng.New(12))
-	if err != nil {
-		t.Fatal(err)
-	}
+	popT := goldenTextPop(t)
 	optsT := DefaultBuildOptions()
 	optsT.NumConfigs = 2
 	optsT.MaxRounds = 9
-	optsT.BatchEval = false
+	optsT.BatchEval = batchEval
 	bT, err := BuildBank(popT, optsT, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := hashBankContent(bT); got != goldenTextBankHash {
-		t.Errorf("text bank content drifted from the pre-refactor engine:\n got %s\nwant %s", got, goldenTextBankHash)
-	}
+	return hashBankContent(b), hashBankContent(bT)
 }
 
-// TestPerSampleTrainerBitIdentical pins the trainer weights themselves (a
-// sharper check than recorded error rates, which could mask compensating
-// drift).
-func TestPerSampleTrainerBitIdentical(t *testing.T) {
+// goldenTrainerWeightsHash trains pop for five rounds on the chosen engine
+// and hashes the server weights (a sharper check than recorded error rates,
+// which could mask compensating drift).
+func goldenTrainerWeightsHash(t *testing.T, pop *data.Population, batchEval bool) string {
+	t.Helper()
 	hp := fl.HParams{ServerLR: 0.01, Beta1: 0.9, Beta2: 0.99, ClientLR: 0.1, ClientMomentum: 0.5, BatchSize: 8}
 	opts := fl.DefaultOptions()
-	opts.BatchEval = false
-	tr, err := fl.NewTrainer(goldenImagePop(t), hp, opts, rng.New(21))
+	opts.BatchEval = batchEval
+	tr, err := fl.NewTrainer(pop, hp, opts, rng.New(21))
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr.TrainTo(5)
 	h := sha256.New()
 	hashFloats(h, tr.Weights())
-	if got := fmt.Sprintf("%x", h.Sum(nil)); got != goldenTrainerHash {
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestPerSampleBankBitIdentical is the end-to-end byte-identity test: a
+// BatchEval=false bank build must reproduce the pre-refactor seed path's
+// recorded errors bit for bit, on both task families.
+func TestPerSampleBankBitIdentical(t *testing.T) {
+	image, text := goldenBankHashes(t, false)
+	if image != goldenImageBankHash {
+		t.Errorf("image bank content drifted from the pre-refactor engine:\n got %s\nwant %s", image, goldenImageBankHash)
+	}
+	if text != goldenTextBankHash {
+		t.Errorf("text bank content drifted from the pre-refactor engine:\n got %s\nwant %s", text, goldenTextBankHash)
+	}
+}
+
+// TestPerSampleTrainerBitIdentical pins the per-sample trainer weights.
+func TestPerSampleTrainerBitIdentical(t *testing.T) {
+	if got := goldenTrainerWeightsHash(t, goldenImagePop(t), false); got != goldenTrainerHash {
 		t.Errorf("per-sample trainer weights drifted from the pre-refactor engine:\n got %s\nwant %s", got, goldenTrainerHash)
+	}
+}
+
+// TestBatchedBankBitIdentical pins the default (batched) engine's banks on
+// both task families to the scalar kernels' recorded bits.
+func TestBatchedBankBitIdentical(t *testing.T) {
+	image, text := goldenBankHashes(t, true)
+	if image != goldenBatchedImageBankHash {
+		t.Errorf("batched image bank content drifted from the scalar kernels:\n got %s\nwant %s", image, goldenBatchedImageBankHash)
+	}
+	if text != goldenBatchedTextBankHash {
+		t.Errorf("batched text bank content drifted from the scalar kernels:\n got %s\nwant %s", text, goldenBatchedTextBankHash)
+	}
+}
+
+// TestBatchedTrainerBitIdentical pins the batched trainer's weights — the
+// golden image fixture, and the text one (whose embedding front-end is the
+// only consumer of the first layer's input-gradient GEMM over ReLU-masked,
+// half-zero gradients: the skip path of tensor.MatMul).
+func TestBatchedTrainerBitIdentical(t *testing.T) {
+	if got := goldenTrainerWeightsHash(t, goldenImagePop(t), true); got != goldenBatchedTrainerHash {
+		t.Errorf("batched image trainer weights drifted from the scalar kernels:\n got %s\nwant %s", got, goldenBatchedTrainerHash)
+	}
+	if got := goldenTrainerWeightsHash(t, goldenTextPop(t), true); got != goldenBatchedTextTrainerHash {
+		t.Errorf("batched text trainer weights drifted from the scalar kernels:\n got %s\nwant %s", got, goldenBatchedTextTrainerHash)
 	}
 }
 
