@@ -34,6 +34,7 @@ import (
 	"noisyeval/internal/rng"
 	"noisyeval/internal/serve"
 	"noisyeval/internal/stats"
+	"noisyeval/internal/tensor"
 )
 
 var (
@@ -173,6 +174,76 @@ func BenchmarkBankBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := noisyeval.BuildBank(pop, opts, uint64(i)); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGEMM measures the three batched GEMM forms at the layer shapes of
+// the study's models (in→hidden→classes, minibatch 32; reddit shares
+// stackoverflow's shape), through the calls nn.Linear makes: nt is the two
+// forward products X·Wᵀ, nn the input-gradient product G·W of the output
+// layer (and, for the text model, of the hidden layer below its embedding),
+// tnacc the two weight-gradient accumulations Gᵀ·X. Hidden activations and
+// hidden-layer gradients are ReLU-masked (half zeros), as in training.
+// ns/mac is the number DESIGN.md §17 and the bench ledger's
+// tensor.matmul_nt_ns_per_mac quote.
+func BenchmarkGEMM(b *testing.B) {
+	const batch = 32
+	for _, shape := range []struct {
+		name            string
+		in, hidden, out int
+		embedded        bool
+	}{
+		{"cifar10", 24, 48, 10, false},
+		{"femnist", 24, 48, 62, false},
+		{"stackoverflow", 16, 32, 64, true},
+	} {
+		g := rng.New(15)
+		mat := func(rows, cols int, zeroFrac float64) *tensor.Mat {
+			m := tensor.NewMat(rows, cols)
+			for i := range m.Data {
+				if !g.Bool(zeroFrac) {
+					m.Data[i] = g.Normal(0, 1)
+				}
+			}
+			return m
+		}
+		x, h := mat(batch, shape.in, 0), mat(batch, shape.hidden, 0.5)
+		w1, w2 := mat(shape.hidden, shape.in, 0), mat(shape.out, shape.hidden, 0)
+		g1, g2 := mat(batch, shape.hidden, 0.5), mat(batch, shape.out, 0)
+		out1, out2 := tensor.NewMat(batch, shape.hidden), tensor.NewMat(batch, shape.out)
+		gin1, gin2 := tensor.NewMat(batch, shape.in), tensor.NewMat(batch, shape.hidden)
+		dw1, dw2 := tensor.NewMat(shape.hidden, shape.in), tensor.NewMat(shape.out, shape.hidden)
+		layerMACs := batch * (shape.in*shape.hidden + shape.hidden*shape.out)
+		nnMACs, nnRun := batch*shape.hidden*shape.out, func() { tensor.MatMul(g2, w2, gin2) }
+		if shape.embedded {
+			nnMACs, nnRun = layerMACs, func() {
+				tensor.MatMul(g2, w2, gin2)
+				tensor.MatMul(g1, w1, gin1)
+			}
+		}
+		forms := []struct {
+			name string
+			macs int
+			run  func()
+		}{
+			{"nt", layerMACs, func() {
+				tensor.MatMulNT(x, w1, out1)
+				tensor.MatMulNT(h, w2, out2)
+			}},
+			{"nn", nnMACs, nnRun},
+			{"tnacc", layerMACs, func() {
+				tensor.MatMulTNAcc(g2, h, dw2)
+				tensor.MatMulTNAcc(g1, x, dw1)
+			}},
+		}
+		for _, form := range forms {
+			b.Run(form.name+"/"+shape.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					form.run()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*form.macs), "ns/mac")
+			})
 		}
 	}
 }

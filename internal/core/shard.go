@@ -152,7 +152,7 @@ func (p *BuildPlan) TrainRange(lo, hi, workers int) (*BankShard, error) {
 			for ri, r := range p.rounds {
 				tr.TrainTo(r)
 				for pi := range p.parts {
-					copy(sh.Errs.Row(pi, ci-lo, ri), tr.EvalClients(p.pools[pi]))
+					tr.EvalClientsInto(sh.Errs.Row(pi, ci-lo, ri), p.pools[pi])
 				}
 			}
 			sh.Diverged[ci-lo] = tr.Diverged()

@@ -390,24 +390,34 @@ func (t *Trainer) evalWrongBatched(client *data.Client) int {
 
 // EvalClients returns the per-client error vector over a client pool. This
 // vector is the raw material for every noisy-evaluation model in the study
-// (subsampling, reweighting, biased selection, DP perturbation). The server
-// weights are loaded into the model once for the whole pool.
+// (subsampling, reweighting, biased selection, DP perturbation).
 func (t *Trainer) EvalClients(clients []*data.Client) []float64 {
 	errs := make([]float64, len(clients))
-	if t.diverged {
-		for i, c := range clients {
-			errs[i] = t.EvalClient(c)
-		}
-		return errs
-	}
-	t.model.SetParams(t.weights)
-	for i, c := range clients {
-		if len(c.Examples) == 0 {
-			continue
-		}
-		errs[i] = t.evalClientErr(c)
-	}
+	t.EvalClientsInto(errs, clients)
 	return errs
+}
+
+// EvalClientsInto is EvalClients writing into dst, which must have one slot
+// per client — the bank builder hands it the shard arena row, so a
+// checkpoint allocates nothing. The server weights are loaded into the model
+// once for the whole pool.
+func (t *Trainer) EvalClientsInto(dst []float64, clients []*data.Client) {
+	if len(dst) != len(clients) {
+		panic(fmt.Sprintf("fl: EvalClientsInto dst has %d slots for %d clients", len(dst), len(clients)))
+	}
+	if !t.diverged {
+		t.model.SetParams(t.weights)
+	}
+	for i, c := range clients {
+		switch {
+		case len(c.Examples) == 0:
+			dst[i] = 0
+		case t.diverged:
+			dst[i] = t.EvalClient(c)
+		default:
+			dst[i] = t.evalClientErr(c)
+		}
+	}
 }
 
 // FullValidationError evaluates Eq. 2 over the whole validation pool with

@@ -1,9 +1,21 @@
 // Batched (minibatch) kernels: the GEMM forms and the row-wise loss kernel
-// that the nn batched forward/backward path is built on. These kernels own
-// the training hot loop, so their inner loops are unrolled four wide with
-// independent accumulators — unlike the per-sample kernels in tensor.go they
-// carry no bit-compatibility obligation (the batched path is a different
-// summation order by construction, keyed separately in the bank cache).
+// that the nn batched forward/backward path is built on.
+//
+// Bit-compatibility contract. The batched engine builds every default bank,
+// banks are content-addressed on it (core.BankKey) and the benchmark pins
+// their digest, so the three GEMMs — MatMulNT, MatMul, MatMulTNAcc — owe
+// every output element exactly the reduction the portable Go kernels in
+// gemm_generic.go perform: the same products, added in the same order, each
+// product rounded before it is added (no FMA), with the same zero skips. On
+// amd64 with AVX2 (probed once at init; no option selects it) they run as
+// assembly in gemm_amd64.s whose four lanes lie along the contiguous output
+// dimension — lanes split outputs, never a sum — and are pinned to the Go
+// kernels bit for bit by TestKernelsMatchGeneric. One exception, which
+// nothing can observe: when a result is NaN, which NaN payload survives
+// depends on x86 operand order; HasNaN freezes a trainer on any NaN and
+// ArgMax compares false on all of them, so no payload is ever read. The
+// per-sample kernels in tensor.go carry their own, older pin
+// (TestPerSampleBankBitIdentical).
 package tensor
 
 import (
@@ -37,69 +49,18 @@ func MatMulNT(a, b, c *Mat) {
 	if c.Rows != a.Rows || c.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulNT out shape %dx%d, want %dx%d", c.Rows, c.Cols, a.Rows, b.Rows))
 	}
-	k := a.Cols
-	// 2×2 register tiling: each pass computes a 2-row × 2-column output
-	// tile, so every loaded a-row and b-row element feeds two multiply
-	// chains and the four accumulators give the FPU independent work.
-	i := 0
-	for ; i+2 <= a.Rows; i += 2 {
-		arow0 := a.Data[i*k : (i+1)*k : (i+1)*k]
-		arow1 := a.Data[(i+1)*k : (i+2)*k : (i+2)*k]
-		crow0 := c.Data[i*c.Cols : (i+1)*c.Cols]
-		crow1 := c.Data[(i+1)*c.Cols : (i+2)*c.Cols]
-		o := 0
-		for ; o+2 <= b.Rows; o += 2 {
-			brow0 := b.Data[o*k : (o+1)*k : (o+1)*k]
-			brow1 := b.Data[(o+1)*k : (o+2)*k : (o+2)*k]
-			arow1 := arow1[:len(arow0)]
-			brow0 = brow0[:len(arow0)]
-			brow1 = brow1[:len(arow0)]
-			var s00, s01, s10, s11 float64
-			for j, a0 := range arow0 {
-				a1 := arow1[j]
-				b0, b1 := brow0[j], brow1[j]
-				s00 += a0 * b0
-				s01 += a0 * b1
-				s10 += a1 * b0
-				s11 += a1 * b1
-			}
-			crow0[o], crow0[o+1] = s00, s01
-			crow1[o], crow1[o+1] = s10, s11
-		}
-		for ; o < b.Rows; o++ {
-			brow := b.Data[o*k : (o+1)*k : (o+1)*k]
-			var s0, s1 float64
-			for j, bv := range brow {
-				s0 += arow0[j] * bv
-				s1 += arow1[j] * bv
-			}
-			crow0[o], crow1[o] = s0, s1
-		}
+	n, k, m := a.Rows, a.Cols, b.Rows
+	if panelShape(c) && k > 0 {
+		gemmNTAVX2(&a.Data[:n*k][0], &b.Data[:m*k][0], &c.Data[:n*m][0], n, k, m)
+		return
 	}
-	for ; i < a.Rows; i++ {
-		arow := a.Data[i*k : (i+1)*k : (i+1)*k]
-		crow := c.Data[i*c.Cols : (i+1)*c.Cols]
-		o := 0
-		for ; o+2 <= b.Rows; o += 2 {
-			brow0 := b.Data[o*k : (o+1)*k : (o+1)*k]
-			brow1 := b.Data[(o+1)*k : (o+2)*k : (o+2)*k]
-			var s0, s1 float64
-			for j, av := range arow {
-				s0 += av * brow0[j]
-				s1 += av * brow1[j]
-			}
-			crow[o], crow[o+1] = s0, s1
-		}
-		for ; o < b.Rows; o++ {
-			brow := b.Data[o*k : (o+1)*k : (o+1)*k]
-			s := 0.0
-			for j, av := range arow {
-				s += av * brow[j]
-			}
-			crow[o] = s
-		}
-	}
+	matMulNTGeneric(a, b, c)
 }
+
+// panelShape reports whether the AVX2 tile kernels take an output of c's
+// shape: at least one full 4×8 register tile (smaller outputs are not worth
+// a second set of tail kernels) on a CPU that has the lanes.
+func panelShape(c *Mat) bool { return useAVX2 && c.Rows >= 4 && c.Cols >= 8 }
 
 // MatMulTNAcc accumulates c += aᵀ * b. Shapes: a is n×k, b is n×m, c must be
 // k×m. This is the batched weight-gradient form dW += Gᵀ·X (G = n×out
@@ -112,48 +73,12 @@ func MatMulTNAcc(a, b, c *Mat) {
 	if c.Rows != a.Cols || c.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulTNAcc out shape %dx%d, want %dx%d", c.Rows, c.Cols, a.Cols, b.Cols))
 	}
-	k, m := a.Cols, b.Cols
-	// Output-stationary with 4-wide batch blocking: each c row is loaded and
-	// stored once per four batch rows, and the four products per element form
-	// independent multiply chains. Branching on individual zero gradients
-	// (ReLU-masked rows are ~half zeros, sign-random) mispredicts too often
-	// to pay for the skipped work, so only the all-four-zero case — rare and
-	// cheap to test — short-circuits.
-	for o := 0; o < k; o++ {
-		crow := c.Data[o*m : (o+1)*m : (o+1)*m]
-		i := 0
-		for ; i+4 <= a.Rows; i += 4 {
-			g0 := a.Data[i*k+o]
-			g1 := a.Data[(i+1)*k+o]
-			g2 := a.Data[(i+2)*k+o]
-			g3 := a.Data[(i+3)*k+o]
-			if g0 == 0 && g1 == 0 && g2 == 0 && g3 == 0 {
-				continue
-			}
-			brow0 := b.Data[i*m : (i+1)*m : (i+1)*m]
-			brow1 := b.Data[(i+1)*m : (i+2)*m : (i+2)*m]
-			brow2 := b.Data[(i+2)*m : (i+3)*m : (i+3)*m]
-			brow3 := b.Data[(i+3)*m : (i+4)*m : (i+4)*m]
-			brow1 = brow1[:len(brow0)]
-			brow2 = brow2[:len(brow0)]
-			brow3 = brow3[:len(brow0)]
-			crow := crow[:len(brow0)]
-			for j := range brow0 {
-				crow[j] += g0*brow0[j] + g1*brow1[j] + g2*brow2[j] + g3*brow3[j]
-			}
-		}
-		for ; i < a.Rows; i++ {
-			g := a.Data[i*k+o]
-			if g == 0 {
-				continue
-			}
-			brow := b.Data[i*m : (i+1)*m : (i+1)*m]
-			crow := crow[:len(brow)]
-			for j := range brow {
-				crow[j] += g * brow[j]
-			}
-		}
+	n, k, m := a.Rows, a.Cols, b.Cols
+	if useAVX2 && m >= 8 && n > 0 && k > 0 {
+		gemmTNAccAVX2(&a.Data[:n*k][0], &b.Data[:n*m][0], &c.Data[:k*m][0], n, k, m)
+		return
 	}
+	matMulTNAccGeneric(a, b, c)
 }
 
 // AddRowVec adds v to every row of m (bias broadcast). v must have length

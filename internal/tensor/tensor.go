@@ -350,51 +350,12 @@ func MatMul(a, b, c *Mat) {
 	if c.Rows != a.Rows || c.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMul out shape %dx%d, want %dx%d", c.Rows, c.Cols, a.Rows, b.Cols))
 	}
-	c.Zero()
-	n := c.Cols
-	// 2-wide blocking over output rows: each b row is loaded once per row
-	// pair. Blocking the output dimension leaves every element's reduction
-	// order over k unchanged, so results stay bit-identical to the scalar
-	// triple loop.
-	i := 0
-	for ; i+2 <= a.Rows; i += 2 {
-		arow0 := a.Data[i*a.Cols : (i+1)*a.Cols]
-		arow1 := a.Data[(i+1)*a.Cols : (i+2)*a.Cols]
-		crow0 := c.Data[i*n : (i+1)*n : (i+1)*n]
-		crow1 := c.Data[(i+1)*n : (i+2)*n : (i+2)*n]
-		for k, av0 := range arow0 {
-			av1 := arow1[k]
-			brow := b.Data[k*n : (k+1)*n : (k+1)*n]
-			switch {
-			case av0 != 0 && av1 != 0:
-				for j := range brow {
-					crow0[j] += av0 * brow[j]
-					crow1[j] += av1 * brow[j]
-				}
-			case av0 != 0:
-				for j := range brow {
-					crow0[j] += av0 * brow[j]
-				}
-			case av1 != 0:
-				for j := range brow {
-					crow1[j] += av1 * brow[j]
-				}
-			}
-		}
+	n, k, m := a.Rows, a.Cols, b.Cols
+	if panelShape(c) && k > 0 {
+		gemmSkipAVX2(&a.Data[:n*k][0], &b.Data[:k*m][0], &c.Data[:n*m][0], n, k, m)
+		return
 	}
-	for ; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		crow := c.Data[i*n : (i+1)*n : (i+1)*n]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[k*n : (k+1)*n : (k+1)*n]
-			for j := range brow {
-				crow[j] += av * brow[j]
-			}
-		}
-	}
+	matMulGeneric(a, b, c)
 }
 
 // HasNaN reports whether the matrix contains NaN or Inf.
