@@ -3,15 +3,16 @@
 #   make build       compile everything
 #   make lint        gofmt + go vet, plus the no-assembly (arm64) cross-build
 #   make test        full test suite (bank cache at $(CACHE_DIR))
-#   make race        race-detector run over the concurrency-heavy packages
+#   make race        the full test suite under the race detector
 #   make bench       benchmark smoke run -> bench.out + BENCH_smoke.json
 #   make bench-json  gated hot-path benchmarks -> BENCH_latest.json
 #   make bench-check bench-json + fail on >25% ns/op regression vs
 #                    the committed BENCH_baseline.json (tools/benchdiff)
 #   make bench-harness vet + short tests of the bench/ module (BENCHMARK.json's
 #                    harness; its own go.mod, so `go test ./...` never sees it)
-#   make fuzz        short coverage-guided fuzz pass over the two bank
-#                    codecs (bankfmt/v3 frame, bankfmt/v4 segment container)
+#   make fuzz        short coverage-guided fuzz pass over the two decoders
+#                    that read bank bytes from disk or the wire (bankfmt/v4
+#                    bank image, dist shard upload)
 #   make figures     quick-scale figure regeneration through the bank cache
 #   make serve       run the noisyevald tuning daemon on $(SERVE_ADDR)
 #   make serve-smoke boot noisyevald, drive runs + an ask/tell session via pkg/client
@@ -43,13 +44,7 @@ test: build
 	NOISYEVAL_CACHE_DIR=$(CACHE_DIR) $(GO) test ./...
 
 race:
-	NOISYEVAL_CACHE_DIR=$(CACHE_DIR) $(GO) test -race \
-		-run 'TestScheduler|TestBankStore|TestBankKey|TestBuildBank|TestSuite|TestRunKey|TestRunTune' \
-		./internal/core ./internal/exper
-	NOISYEVAL_CACHE_DIR=$(CACHE_DIR) $(GO) test -race \
-		-run 'TestAskTell|TestSession|TestProposeMatchesReference' ./internal/hpo ./internal/serve
-	NOISYEVAL_CACHE_DIR=$(CACHE_DIR) $(GO) test -race ./internal/serve ./internal/dist ./internal/obs
-	$(GO) test -race ./internal/tensor ./internal/nn ./internal/fl
+	NOISYEVAL_CACHE_DIR=$(CACHE_DIR) $(GO) test -race ./...
 
 bench:
 	NOISYEVAL_CACHE_DIR=$(CACHE_DIR) $(GO) test -bench=. -benchtime=1x -run '^$$' . | tee bench.out
@@ -58,7 +53,7 @@ bench:
 # The gated benchmarks run at a real -benchtime (unlike the 1x smoke pass)
 # so their ns/op is stable enough to diff against the committed baseline.
 bench-json:
-	NOISYEVAL_CACHE_DIR=$(CACHE_DIR) $(GO) test -bench 'BenchmarkFederatedRound$$|BenchmarkBankBuild$$|BenchmarkBankEncode$$|BenchmarkBankDecode$$|BenchmarkBankOpenMmap$$|BenchmarkOracleTrials$$|BenchmarkOracleTrialsMapped$$|BenchmarkOracleEvaluateMulti$$|BenchmarkObsOverhead$$|BenchmarkMethodTrials$$|BenchmarkServeRun$$|BenchmarkServeList$$|BenchmarkGEMM$$' -benchmem -benchtime 2s -run '^$$' . | tee bench-gated.out
+	NOISYEVAL_CACHE_DIR=$(CACHE_DIR) $(GO) test -bench 'BenchmarkFederatedRound$$|BenchmarkBankBuild$$|BenchmarkBankOpenMmap$$|BenchmarkOracleTrials$$|BenchmarkOracleTrialsMapped$$|BenchmarkOracleEvaluateMulti$$|BenchmarkObsOverhead$$|BenchmarkMethodTrials$$|BenchmarkServeRun$$|BenchmarkServeList$$|BenchmarkGEMM$$' -benchmem -benchtime 2s -run '^$$' . | tee bench-gated.out
 	$(GO) run ./tools/bench2json < bench-gated.out > BENCH_latest.json
 
 # ns/op and B/op gate at 25% over the committed baseline (refreshed when a
@@ -76,7 +71,7 @@ bench-json:
 # end. See tools/benchdiff.
 bench-check: bench-json
 	$(GO) run ./tools/benchdiff -baseline BENCH_baseline.json -latest BENCH_latest.json \
-		-bench BenchmarkFederatedRound,BenchmarkBankBuild,BenchmarkBankEncode,BenchmarkBankDecode,BenchmarkBankOpenMmap,BenchmarkOracleTrials,BenchmarkOracleTrialsMapped,BenchmarkOracleEvaluateMulti,BenchmarkObsOverhead,BenchmarkMethodTrials/tpe,BenchmarkMethodTrials/hb,BenchmarkMethodTrials/bohb,BenchmarkServeRun,BenchmarkServeList \
+		-bench BenchmarkFederatedRound,BenchmarkBankBuild,BenchmarkBankOpenMmap,BenchmarkOracleTrials,BenchmarkOracleTrialsMapped,BenchmarkOracleEvaluateMulti,BenchmarkObsOverhead,BenchmarkMethodTrials/tpe,BenchmarkMethodTrials/hb,BenchmarkMethodTrials/bohb,BenchmarkServeRun,BenchmarkServeList \
 		-max-regress 0.25 -max-allocs-frac 1.25 -metrics trials/s,req/s -max-metric-drop 0.25
 
 # bench/ is a module of its own (BENCHMARK.json's harness: `bash bench/run.sh`
@@ -88,13 +83,15 @@ bench-harness:
 	$(GO) -C bench vet .
 	$(GO) -C bench test -short .
 
-# Coverage-guided fuzzing of the two bank codecs, 15s each: the v3
-# monolithic frame (FuzzBankDecode) and the v4 segment container
-# (FuzzBankV4, seeded with torn-segment / CRC-flip / duplicate-segment
-# corpora). A crash writes its input to testdata/fuzz for triage.
+# Coverage-guided fuzzing of the decoders that face disk and the wire, 15s
+# each: the bankfmt/v4 bank image (FuzzBankV4, seeded with torn-segment /
+# CRC-flip / duplicate-segment corpora plus the retired generations, which
+# must classify as stale) and the dist shard upload (FuzzShardDecode, seeded
+# with every hostile payload the complete endpoint refuses). A crash writes
+# its input to testdata/fuzz for triage.
 fuzz:
-	$(GO) test -run '^$$' -fuzz 'FuzzBankDecode$$' -fuzztime 15s ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzBankV4$$' -fuzztime 15s ./internal/core
+	$(GO) test -run '^$$' -fuzz 'FuzzShardDecode$$' -fuzztime 15s ./internal/dist
 
 figures:
 	$(GO) run ./cmd/figures -quick -cache-dir $(CACHE_DIR) -out results
@@ -111,14 +108,14 @@ serve-smoke: build
 	./tools/serve_smoke.sh $(SERVE_ADDR) $(CACHE_DIR)
 
 # Cluster end to end: coordinator + 2 workers build quick banks cold via
-# sharded leases (expvar-asserted on both workers), then a warm rerun must
+# sharded leases (asserted on both workers' /metrics), then a warm rerun must
 # train nothing. Uses its own cache dir so "cold" is guaranteed.
 cluster-smoke: build
 	./tools/cluster_smoke.sh
 
 # Fault-injected durability end to end: journal boot, concurrent load,
-# kill -9 + torn WAL tail, recovery boot asserted via expvar
-# (journal_replayed / journal_torn_tail / runs_recovered) and loadgen verify
+# kill -9 + torn WAL tail, recovery boot asserted via /metrics
+# (journal_replayed_total / journal_torn_tail_total / runs_recovered_total) and loadgen verify
 # against an uninterrupted reference daemon.
 crash-smoke: build
 	./tools/crash_smoke.sh

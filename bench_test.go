@@ -10,10 +10,7 @@
 package noisyeval_test
 
 import (
-	"bytes"
-	"compress/gzip"
 	"context"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"io"
@@ -393,14 +390,13 @@ func BenchmarkServeList(b *testing.B) {
 	}
 }
 
-// --- Bank codec and oracle-trial benchmarks (DESIGN.md §9) ---
+// --- Bank open and oracle-trial benchmarks (DESIGN.md §9) ---
 
 // codecBenchBank builds a synthetic bank shaped like a mid-scale artifact
 // (3 partitions x 64 configs x 5 checkpoints x 400 clients ≈ 3 MB arena)
 // without any training: the error values are small-denominator fractions,
-// mimicking the compressibility of real recorded errors. Used by the
-// encode/decode benchmarks so their numbers do not depend on trainer speed
-// or the bank cache.
+// like real recorded errors. Used by the open and oracle benchmarks so their
+// numbers do not depend on trainer speed or the bank cache.
 var codecBenchBank = func() *core.Bank {
 	const parts, configs, ckpts, clients = 3, 64, 5, 400
 	g := rng.New(42)
@@ -427,99 +423,6 @@ var codecBenchBank = func() *core.Bank {
 	}
 	return b
 }()
-
-// BenchmarkBankEncode measures rendering a bank to its bankfmt/v3 bytes —
-// the store Put / peer-serve write path.
-func BenchmarkBankEncode(b *testing.B) {
-	var buf bytes.Buffer
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := core.EncodeBank(&buf, codecBenchBank); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(buf.Len()), "encoded_bytes")
-}
-
-// BenchmarkBankDecode measures loading a bank from its bankfmt/v3 bytes —
-// the cache-hit and peer-transfer hot path (header parse + one bulk read
-// into the arena).
-func BenchmarkBankDecode(b *testing.B) {
-	var buf bytes.Buffer
-	if err := core.EncodeBank(&buf, codecBenchBank); err != nil {
-		b.Fatal(err)
-	}
-	raw := buf.Bytes()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.DecodeBank(bytes.NewReader(raw)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// legacyGobBank mirrors the pre-arena bank layout; the legacy benchmarks
-// below keep the old gob+gzip codec measurable so the README's before/after
-// table regenerates from the same machine.
-type legacyGobBank struct {
-	SpecName      string
-	Seed          uint64
-	Configs       []noisyeval.HParams
-	Rounds        []int
-	Partitions    []float64
-	Errs          [][][][]float64
-	ExampleCounts [][]int
-	Diverged      []bool
-}
-
-func legacyGobBytes(b *testing.B) []byte {
-	src := codecBenchBank
-	lb := legacyGobBank{
-		SpecName: src.SpecName, Seed: src.Seed, Configs: src.Configs,
-		Rounds: src.Rounds, Partitions: src.Partitions,
-		ExampleCounts: src.ExampleCounts, Diverged: src.Diverged,
-	}
-	lb.Errs = make([][][][]float64, src.Errs.Parts)
-	for pi := range lb.Errs {
-		lb.Errs[pi] = make([][][]float64, src.Errs.Configs)
-		for ci := range lb.Errs[pi] {
-			lb.Errs[pi][ci] = make([][]float64, src.Errs.Checkpoints)
-			for ri := range lb.Errs[pi][ci] {
-				lb.Errs[pi][ci][ri] = src.Errs.Row(pi, ci, ri)
-			}
-		}
-	}
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	if err := gob.NewEncoder(zw).Encode(&lb); err != nil {
-		b.Fatal(err)
-	}
-	if err := zw.Close(); err != nil {
-		b.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// BenchmarkBankDecodeLegacyGob is the pre-refactor decode baseline (gob of
-// nested slices inside gzip) over the same bank content, for the README's
-// speed/allocation comparison. Not CI-gated.
-func BenchmarkBankDecodeLegacyGob(b *testing.B) {
-	raw := legacyGobBytes(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		zr, err := gzip.NewReader(bytes.NewReader(raw))
-		if err != nil {
-			b.Fatal(err)
-		}
-		var lb legacyGobBank
-		if err := gob.NewDecoder(zr).Decode(&lb); err != nil {
-			b.Fatal(err)
-		}
-		zr.Close()
-	}
-}
 
 // BenchmarkOracleTrials measures 100 bootstrap tuning trials against a warm
 // bank — the workload every figure, noisyevald run, and ablation resolves

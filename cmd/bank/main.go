@@ -1,8 +1,9 @@
 // Command bank builds a config bank (the study's reusable training
 // artifact) for one dataset and writes it to disk for cmd/figures and
-// cmd/fedtune to reuse. It can also inspect a bank file of any format
-// generation and grow an existing bank in place with freshly trained
-// configs.
+// cmd/fedtune to reuse (bankfmt/v4, the one format banks take). It can also
+// inspect a bank file — a file in a retired format is named, with the
+// rebuild that replaces it — and grow an existing bank in place with freshly
+// trained configs.
 //
 // Usage:
 //
@@ -117,7 +118,7 @@ func main() {
 		log.Printf("built in %s", time.Since(start).Round(time.Second))
 	}
 
-	if err := core.SaveBank(bank, path); err != nil {
+	if err := core.SaveBankV4(bank, path); err != nil {
 		log.Fatal(err)
 	}
 	fi, _ := os.Stat(path)
@@ -132,19 +133,15 @@ func printInfo(path string) error {
 	if bi == nil {
 		return err
 	}
-	format := map[int]string{
-		0: "legacy gob+gzip",
-		3: "bankfmt/v3",
-		4: "bankfmt/v4 (segmented, mmap-served)",
-	}[bi.Version]
-	if format == "" {
-		format = fmt.Sprintf("unknown (version %d)", bi.Version)
+	format := "bankfmt/v4 (segmented, mmap-served)"
+	switch {
+	case bi.Version == 0:
+		format = "gob+gzip (retired)"
+	case bi.Version != 4:
+		format = fmt.Sprintf("bankfmt/v%d (not readable by this build)", bi.Version)
 	}
 	fmt.Printf("bank:      %s\n", bi.Path)
 	fmt.Printf("format:    %s\n", format)
-	if len(bi.Flags) > 0 {
-		fmt.Printf("flags:     %s\n", strings.Join(bi.Flags, ","))
-	}
 	if bi.SpecName != "" {
 		fmt.Printf("spec:      %s (seed %d)\n", bi.SpecName, bi.Seed)
 	}
@@ -154,14 +151,7 @@ func printInfo(path string) error {
 	}
 	fmt.Printf("on disk:   %d bytes\n", bi.FileBytes)
 	if bi.ArenaBytes > 0 {
-		how := "decoded to heap on load"
-		if bi.Version == 4 {
-			how = "mapped zero-copy on open"
-		}
-		fmt.Printf("arena:     %d bytes (%s)\n", bi.ArenaBytes, how)
-	}
-	if bi.Version == 3 {
-		fmt.Printf("metadata:  %d bytes; bulk %d floats\n", bi.MetaBytes, bi.FloatCount)
+		fmt.Printf("arena:     %d bytes (mapped zero-copy on open)\n", bi.ArenaBytes)
 	}
 	if len(bi.Segments) > 0 {
 		fmt.Printf("segments:\n")
@@ -189,25 +179,15 @@ func printInfo(path string) error {
 
 // growBank extends the bank at path by add freshly trained configs: exactly
 // the new index range is trained, then appended in place as bankfmt/v4
-// segments (a v3 file is rewritten as v4 first). The extra configs derive
-// deterministically from the bank's own seed, spec, and pool size, so a
-// retried grow converges to the same bytes and the grown bank matches a
-// cold build over the union pool. The remaining flags must repeat the
-// original build's inputs — Extend verifies them against the bank.
+// segments. The extra configs derive deterministically from the bank's own
+// seed, spec, and pool size, so a retried grow converges to the same bytes
+// and the grown bank matches a cold build over the union pool. The remaining
+// flags must repeat the original build's inputs — Extend verifies them
+// against the bank.
 func growBank(path string, pop *data.Population, opts core.BuildOptions, seed uint64, add, workers int) error {
 	old, err := core.LoadBank(path)
 	if err != nil {
 		return err
-	}
-	bi, err := core.InspectBank(path)
-	if err != nil {
-		return err
-	}
-	if bi.Version != 4 {
-		log.Printf("rewriting %s as segmented bankfmt/v4 (was version %d)...", path, bi.Version)
-		if err := core.SaveBankV4(old, path); err != nil {
-			return err
-		}
 	}
 	cur := old.Configs
 	extra := opts.Space.SampleN(add, rng.New(old.Seed).Splitf("grow-%s-%d", old.SpecName, len(cur)))

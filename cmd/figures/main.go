@@ -72,7 +72,7 @@ func main() {
 		store.Log = obs.NewLogger(os.Stderr, obs.LevelInfo).Named("bankstore")
 		suite.SetStore(store)
 		log.Printf("bank cache at %s", store.Dir())
-		core.BoundCache(store, *cacheMaxBytes, log.Printf)
+		core.BoundCache(store, *cacheMaxBytes, store.Log)
 	}
 
 	var peers []string

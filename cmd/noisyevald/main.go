@@ -21,7 +21,6 @@
 //	curl -s localhost:8723/v1/banks
 //	curl -s localhost:8723/v1/runs/run-000001/trace
 //	curl -s localhost:8723/metrics
-//	curl -s localhost:8723/debug/vars
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: in-flight runs drain, then the
 // listener closes. With -journal-dir the run lifecycle is durable: queued
@@ -72,7 +71,7 @@ func main() {
 		journalComp   = flag.Int64("journal-compact-bytes", 0, "WAL size that triggers background compaction into a snapshot (0 = budget/4)")
 		shedThreshold = flag.Float64("shed-threshold", 0, "shed cold-bank submissions once the queue holds this fraction of -queue (e.g. 0.5; <= 0 disables shedding)")
 		execDelay     = flag.Duration("exec-delay", 0, "fault injection: pad every run's execution by this duration so crash/load harnesses can catch runs in flight (0 = off)")
-		mmapBanks     = flag.Bool("mmap-banks", false, "serve cached banks zero-copy from mmap'd bankfmt/v4 files instead of decoding to heap (requires -cache-dir)")
+		mmapBanks     = flag.Bool("mmap-banks", false, "serve cached banks zero-copy from mmap'd files instead of decoding to heap (requires -cache-dir)")
 		mmapWarm      = flag.Bool("mmap-warm", false, "pre-touch each mapped bank at open (madvise + page walk) so first-sweep reads pay no major faults (requires -mmap-banks)")
 		blockedTrials = flag.Bool("blocked-trials", true, "run bootstrap trials through the blocked row-sweep scheduler; false falls back to the legacy goroutine-per-trial path (results are bit-identical)")
 		logLevel      = flag.String("log-level", "info", "structured log level: debug|info|warn|error")
@@ -101,11 +100,11 @@ func main() {
 		}
 		store.Log = logger.Named("bankstore")
 		log.Printf("bank cache at %s", store.Dir())
-		core.BoundCache(store, *cacheMaxBytes, obs.LogfSink(logger.Named("bankstore")))
+		core.BoundCache(store, *cacheMaxBytes, store.Log)
 		if *mmapBanks {
 			store.SetMapped(true)
 			store.SetMappedWarm(*mmapWarm)
-			log.Printf("bank cache mmap mode: v4 banks served zero-copy, writes use bankfmt/v4 (warm=%v)", *mmapWarm)
+			log.Printf("bank cache mmap mode: banks served zero-copy (warm=%v)", *mmapWarm)
 		} else if *mmapWarm {
 			log.Fatal("-mmap-warm requires -mmap-banks")
 		}
@@ -155,7 +154,7 @@ func main() {
 			Dir:             *journalDir,
 			MaxBytes:        *journalMax,
 			CompactWALBytes: *journalComp,
-			Logf:            obs.LogfSink(logger.Named("journal")),
+			Log:             logger.Named("journal"),
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -184,19 +183,7 @@ func main() {
 	daemon := serve.NewDaemon(*addr, mgr)
 	if coord != nil {
 		coord.Register(daemon.Server().Mux())
-		daemon.Server().AddVars(func(set func(string, int64)) {
-			st := coord.Stats()
-			set("dist_builds_started", st.BuildsStarted)
-			set("dist_builds_completed", st.BuildsCompleted)
-			set("dist_shards_pending", st.ShardsPending)
-			set("dist_shards_leased", st.ShardsLeased)
-			set("dist_shards_completed", st.ShardsCompleted)
-			set("dist_shards_requeued", st.ShardsRequeued)
-			set("dist_shards_duplicate", st.ShardsDuplicate)
-			set("dist_shards_self_built", st.ShardsSelfBuilt)
-			set("dist_workers_seen", st.WorkersSeen)
-		})
-		// The same coordinator counters as Prometheus views, so one /metrics
+		// The coordinator's counters as Prometheus views, so one /metrics
 		// scrape covers the fleet-build plane too.
 		reg := mgr.Metrics()
 		reg.CounterFunc("dist_builds_started_total", "Sharded bank builds started.",

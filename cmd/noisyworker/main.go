@@ -8,8 +8,7 @@
 //	noisyworker -coordinator http://host:8723 -addr :8724
 //
 //	curl -s localhost:8724/healthz      # liveness + coordinator URL
-//	curl -s localhost:8724/metrics      # Prometheus exposition (train histogram + counters)
-//	curl -s localhost:8724/debug/vars   # lease/shard counters
+//	curl -s localhost:8724/metrics      # Prometheus exposition (train histogram, lease/shard counters)
 //
 // SIGINT/SIGTERM drain gracefully: the shard in flight finishes and uploads
 // before the process exits, so its lease never has to expire.
@@ -79,12 +78,6 @@ func main() {
 				"coordinator": *coordinator,
 				"uptime":      time.Since(start).Round(time.Millisecond).String(),
 			})
-		})
-		mux.HandleFunc("GET /debug/vars", func(rw http.ResponseWriter, r *http.Request) {
-			rw.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(rw)
-			enc.SetIndent("", "  ")
-			enc.Encode(w.Counters())
 		})
 		mux.HandleFunc("GET /metrics", func(rw http.ResponseWriter, r *http.Request) {
 			rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

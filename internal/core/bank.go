@@ -72,13 +72,6 @@ type BuildOptions struct {
 	Partitions []float64
 	// Train configures the federated trainer.
 	Train fl.Options
-	// BatchEval selects the batched training engine (minibatch GEMM
-	// forward/backward, batched client evaluation) for every trainer the
-	// build runs; it overrides Train.BatchEval. Batched summation order
-	// legitimately changes numerics, so the flag participates in the
-	// BankStore cache key: a BatchEval=false build reproduces the original
-	// per-sample engine bit for bit, under a distinct key.
-	BatchEval bool
 	// Workers bounds build parallelism (0 = GOMAXPROCS). It never affects
 	// bank content, only wall-clock.
 	Workers int
@@ -98,7 +91,6 @@ func DefaultBuildOptions() BuildOptions {
 		Eta:        3,
 		Levels:     5,
 		Train:      fl.DefaultOptions(),
-		BatchEval:  true,
 		Space:      hpo.DefaultSpace(),
 	}
 }

@@ -1,205 +1,89 @@
 package core
 
 import (
-	"bufio"
-	"bytes"
-	"compress/gzip"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"math"
-	"sort"
-	"unsafe"
 
+	"noisyeval/internal/core/bankseg"
 	"noisyeval/internal/fl"
 )
 
-// This file implements bankfmt/v3, the versioned binary encoding of banks and
-// bank shards. It replaces the original gob+gzip codec on every path a bank
-// is stored or shipped: BankStore entries, SaveBank/LoadBank artifacts, the
-// dist shard wire format, and peer bank transfers.
-//
-// Layout (all integers little-endian):
-//
-//	header (48 bytes, fixed, never compressed):
-//	  [ 0: 6]  magic  "NEBANK" (banks) / "NESHRD" (shards)
-//	  [ 6: 8]  format version, uint16 (currently 3)
-//	  [ 8:12]  flags, uint32 (bits: gzip payload, dict bulk, packed indices)
-//	  [12:16]  metadata section length, uint32 (uncompressed bytes)
-//	  [16:24]  float count, uint64 (number of float64s in the bulk section)
-//	  [24:28]  CRC-32C of the metadata section
-//	  [28:32]  CRC-32C of the bulk section's raw little-endian bytes
-//	  [32:48]  reserved, must be zero on encode, ignored on decode
-//	payload:
-//	  metadata section: hand-rolled binary (appendBankMeta/parseBankMeta)
-//	  bulk section, one of:
-//	    raw:         the ErrMatrix arena as little-endian float64s
-//	    dictionary:  u32 table length, the sorted distinct values as
-//	                 little-endian float64s, then one index per element —
-//	                 uint16 each, or bit-packed at the minimal width when
-//	                 the packed flag is set
-//	  The gzip flag wraps the payload in one gzip member — except the
-//	  packed index stream, which always follows the member raw (its entropy
-//	  defeats flate; inflating it would dominate decode for no size win).
-//
-// The encoder renders the dictionary candidates and keeps the smallest
-// encoding, so the artifact is never larger than the old whole-bank gzip.
-// Decode is a header parse, a small metadata parse, and a single bulk read
-// straight into the arena — near-zero allocations beyond the arena itself.
-// On little-endian machines the bulk read lands directly in the arena's
-// memory (zero-copy); a portable chunked-conversion path covers big-endian
-// hosts.
-//
-// Version policy: the version field is bumped on any incompatible layout
-// change. Decoders reject unknown versions and unknown flag bits with
-// ErrUnknownBankVersion, and recognize the old gob+gzip encoding (gzip magic
-// in the header position) as ErrLegacyBankFormat; the BankStore treats both
-// as stale cache entries to evict and rebuild, never as user-facing errors.
+// This file holds the byte-level pieces of bankfmt/v4 that are not segment
+// framing (internal/core/bankseg owns that): the hand-rolled binary encoding
+// of a bank's metadata — the body of a v4 commit segment, see bankv4.go —
+// and the 8-byte sniff that recognises the retired encodings (the gob+gzip
+// original and the monolithic bankfmt/v3 frame). Nothing reads those any
+// more: a stale file is named, never decoded, and cmd/bank reproduces its
+// bank bit for bit from the flags that built it.
 
-const (
-	bankfmtVersion   = 3
-	bankfmtHeaderLen = 48
+// maxBankFloatBytes bounds the arena a bank (a store entry or a peer
+// transfer) may demand. A paper-scale bank (3 partitions x 128 configs x 6
+// checkpoints x 10k clients) is ~184 MB; 8 GB is the same
+// two-orders-of-magnitude headroom the dist wire caps use.
+const maxBankFloatBytes = 8 << 30
 
-	// flagPayloadGzip marks a gzip-compressed payload (metadata + bulk
-	// section in one member). Encoders compress by default: the old
-	// whole-artifact gzip must not be beaten on size.
-	flagPayloadGzip = 1 << 0
-	// flagDictFloats marks a dictionary-coded bulk section: a sorted table
-	// of the distinct float64 values followed by one uint16 index per
-	// element, instead of raw floats. Recorded errors are small-denominator
-	// fractions (k misclassified of n examples), so a whole bank typically
-	// holds a few hundred distinct values — the index stream is 4x smaller
-	// than the raw image, which makes the decode-side inflate (the dominant
-	// warm-path cost) proportionally cheaper. Encoders fall back to raw
-	// floats automatically when the value set exceeds the table range.
-	flagDictFloats = 1 << 1
-	// flagPackedIndices marks dictionary indices bit-packed at the minimal
-	// width for the table size, stored raw AFTER the gzip member (packed
-	// bits are near-incompressible, and skipping inflate for the dominant
-	// section is what makes big-bank decode a bulk memory read).
-	flagPackedIndices = 1 << 2
-	knownFlags        = flagPayloadGzip | flagDictFloats | flagPackedIndices
-
-	// maxDictSize is the value-table capacity of dictionary mode (uint16
-	// index space).
-	maxDictSize = 1 << 16
-
-	// maxBankMetaBytes bounds the metadata allocation a hostile or corrupt
-	// header can demand. Real metadata is a few KB (configs + rounds +
-	// example counts); 64 MB leaves orders of magnitude of headroom.
-	maxBankMetaBytes = 64 << 20
-
-	// maxBankFloatBytes bounds the arena allocation for full banks (peer
-	// transfers and store entries). A paper-scale bank (3 partitions x 128
-	// configs x 6 checkpoints x 10k clients) is ~184 MB; 8 GB is the same
-	// two-orders-of-magnitude headroom the dist wire caps use.
-	maxBankFloatBytes = 8 << 30
-)
+// MaxBankImageBytes bounds a whole bankfmt/v4 image: the arena cap plus room
+// for metadata and segment framing. Readers of bank bytes from outside the
+// process (internal/dist's peer fetch) inflate no further than this.
+const MaxBankImageBytes = maxBankFloatBytes + 64<<20
 
 var (
-	bankMagic  = [6]byte{'N', 'E', 'B', 'A', 'N', 'K'}
-	shardMagic = [6]byte{'N', 'E', 'S', 'H', 'R', 'D'}
-
-	castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-	// ErrLegacyBankFormat reports bytes in the pre-v3 gob+gzip encoding.
-	ErrLegacyBankFormat = errors.New("core: legacy bank encoding (pre-bankfmt/v3 gob+gzip)")
-	// ErrUnknownBankVersion reports a bankfmt stream from a future (or
-	// corrupted-into-unknown) format version or with unknown flag bits.
+	// ErrLegacyBankFormat reports bytes in a retired encoding: the original
+	// gob+gzip, or a bankfmt generation older than v4.
+	ErrLegacyBankFormat = errors.New("core: retired bank encoding")
+	// ErrUnknownBankVersion reports a bankfmt stream from a future format
+	// version.
 	ErrUnknownBankVersion = errors.New("core: unknown bank format version")
 )
 
 // IsStaleBankFormat reports whether err means "valid artifact, wrong
-// encoding generation" — a legacy gob+gzip entry or a future format version.
+// encoding generation" — a retired encoding or a future format version.
 // The BankStore evicts and rebuilds such entries instead of erroring.
 func IsStaleBankFormat(err error) bool {
 	return errors.Is(err, ErrLegacyBankFormat) || errors.Is(err, ErrUnknownBankVersion)
 }
 
-// nativeLittleEndian selects the zero-copy bulk path: on little-endian hosts
-// the arena's memory already is the wire image.
-var nativeLittleEndian = func() bool {
-	x := uint16(0x0102)
-	return *(*byte)(unsafe.Pointer(&x)) == 0x02
-}()
-
-// float64Bytes views a float64 slice as its in-memory bytes (no copy).
-func float64Bytes(f []float64) []byte {
-	if len(f) == 0 {
-		return nil
+// sniffBankGeneration classifies a bank image by its first 8 bytes: the
+// format generation (0 for the gob+gzip original) and, for every generation
+// but v4, the stale-format error naming it and the fix. Bytes that belong
+// to no generation report v4 with a nil error — the segment layer then
+// locates what is wrong with them.
+func sniffBankGeneration(prefix []byte) (version int, err error) {
+	const fix = "rebuild it with cmd/bank (the flags that built it reproduce it bit for bit)"
+	switch {
+	case len(prefix) >= 2 && prefix[0] == 0x1f && prefix[1] == 0x8b:
+		return 0, fmt.Errorf("%w (gob+gzip): %s", ErrLegacyBankFormat, fix)
+	case len(prefix) >= 8 && string(prefix[:6]) == "NEBANK":
+		switch v := int(binary.LittleEndian.Uint16(prefix[6:8])); {
+		case v < bankseg.Version:
+			return v, fmt.Errorf("%w (bankfmt/v%d): %s", ErrLegacyBankFormat, v, fix)
+		case v > bankseg.Version:
+			return v, fmt.Errorf("%w: bankfmt/v%d (this build reads v%d)", ErrUnknownBankVersion, v, bankseg.Version)
+		}
 	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(f))), len(f)*8)
+	return bankseg.Version, nil
 }
 
-// floatConvChunk is the portable path's conversion buffer size, in floats.
-const floatConvChunk = 8192
-
-// crcFloats returns the CRC-32C of data's little-endian byte image.
-func crcFloats(data []float64) uint32 {
-	if nativeLittleEndian {
-		return crc32.Update(0, castagnoli, float64Bytes(data))
-	}
-	var crc uint32
-	buf := make([]byte, floatConvChunk*8)
-	for len(data) > 0 {
-		n := min(floatConvChunk, len(data))
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(data[i]))
-		}
-		crc = crc32.Update(crc, castagnoli, buf[:n*8])
-		data = data[n:]
-	}
-	return crc
-}
-
-// writeFloats writes data to w as little-endian float64s in one run.
-func writeFloats(w io.Writer, data []float64) error {
-	if nativeLittleEndian {
-		_, err := w.Write(float64Bytes(data))
-		return err
-	}
-	buf := make([]byte, floatConvChunk*8)
-	for len(data) > 0 {
-		n := min(floatConvChunk, len(data))
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(data[i]))
-		}
-		if _, err := w.Write(buf[:n*8]); err != nil {
-			return err
-		}
-		data = data[n:]
-	}
-	return nil
-}
-
-// readFloats fills data from r's little-endian float64 stream in one run.
-func readFloats(r io.Reader, data []float64) error {
-	if nativeLittleEndian {
-		_, err := io.ReadFull(r, float64Bytes(data))
-		return err
-	}
-	buf := make([]byte, floatConvChunk*8)
-	for len(data) > 0 {
-		n := min(floatConvChunk, len(data))
-		if _, err := io.ReadFull(r, buf[:n*8]); err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
-			data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-		}
-		data = data[n:]
-	}
-	return nil
-}
-
-// --- metadata section primitives ---
+// --- metadata primitives ---
 
 func appendU32(b []byte, v uint32) []byte  { return binary.LittleEndian.AppendUint32(b, v) }
 func appendU64(b []byte, v uint64) []byte  { return binary.LittleEndian.AppendUint64(b, v) }
 func appendI64(b []byte, v int64) []byte   { return appendU64(b, uint64(v)) }
 func appendF64(b []byte, v float64) []byte { return appendU64(b, math.Float64bits(v)) }
+
+// appendBools appends one byte per flag.
+func appendBools(b []byte, flags []bool) []byte {
+	for _, f := range flags {
+		if f {
+			b = append(b, 1)
+		} else {
+			b = append(b, 0)
+		}
+	}
+	return b
+}
 
 // metaReader parses a metadata section with a sticky error: after the first
 // truncation every subsequent read returns zero values, and the caller checks
@@ -263,6 +147,16 @@ func (r *metaReader) str(what string) string {
 	return string(r.take(n, what))
 }
 
+// bools reads n one-byte flags (the encoding of appendBools).
+func (r *metaReader) bools(n int, what string) []bool {
+	raw := r.take(n, what)
+	out := make([]bool, len(raw))
+	for i, v := range raw {
+		out[i] = v != 0
+	}
+	return out
+}
+
 func (r *metaReader) done() error {
 	if r.err == nil && r.off != len(r.b) {
 		return fmt.Errorf("core: bankfmt metadata has %d trailing bytes", len(r.b)-r.off)
@@ -286,20 +180,6 @@ func appendHParams(b []byte, c fl.HParams) []byte {
 	b = appendI64(b, int64(c.BatchSize))
 	b = appendI64(b, int64(c.Epochs))
 	return b
-}
-
-func (r *metaReader) hparams() fl.HParams {
-	return fl.HParams{
-		ServerLR:       r.f64("config"),
-		Beta1:          r.f64("config"),
-		Beta2:          r.f64("config"),
-		LRDecay:        r.f64("config"),
-		ClientLR:       r.f64("config"),
-		ClientMomentum: r.f64("config"),
-		WeightDecay:    r.f64("config"),
-		BatchSize:      int(r.i64("config")),
-		Epochs:         int(r.i64("config")),
-	}
 }
 
 func appendBankMeta(buf []byte, b *Bank) []byte {
@@ -330,14 +210,7 @@ func appendBankMeta(buf []byte, b *Bank) []byte {
 		}
 	}
 	buf = appendU32(buf, uint32(len(b.Diverged)))
-	for _, d := range b.Diverged {
-		if d {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-	}
-	return buf
+	return appendBools(buf, b.Diverged)
 }
 
 // parseBankMeta rebuilds the bank skeleton (everything but the error arena)
@@ -391,358 +264,11 @@ func parseBankMeta(meta []byte) (*Bank, error) {
 			b.ExampleCounts[i] = flat[i*cols : (i+1)*cols]
 		}
 	}
-	nd := r.count(1, "diverged")
-	b.Diverged = make([]bool, nd)
-	for i, v := range r.take(nd, "diverged") {
-		b.Diverged[i] = v != 0
-	}
+	b.Diverged = r.bools(r.count(1, "diverged"), "diverged")
 	if err := r.done(); err != nil {
 		return nil, err
 	}
 	return b, nil
-}
-
-// --- shard metadata ---
-
-func appendShardMeta(buf []byte, sh *BankShard) []byte {
-	buf = appendI64(buf, int64(sh.Lo))
-	buf = appendI64(buf, int64(sh.Hi))
-	buf = appendU32(buf, uint32(sh.Errs.Parts))
-	buf = appendU32(buf, uint32(sh.Errs.Checkpoints))
-	buf = appendU32(buf, uint32(sh.Errs.Clients))
-	buf = appendU32(buf, uint32(len(sh.Diverged)))
-	for _, d := range sh.Diverged {
-		if d {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-	}
-	return buf
-}
-
-func parseShardMeta(meta []byte) (*BankShard, error) {
-	r := &metaReader{b: meta}
-	sh := &BankShard{}
-	sh.Lo = int(r.i64("lo"))
-	sh.Hi = int(r.i64("hi"))
-	parts := int(r.u32("parts"))
-	checkpoints := int(r.u32("checkpoints"))
-	clients := int(r.u32("clients"))
-	nd := r.count(1, "diverged")
-	sh.Diverged = make([]bool, nd)
-	for i, v := range r.take(nd, "diverged") {
-		sh.Diverged[i] = v != 0
-	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	if sh.Lo < 0 || sh.Hi <= sh.Lo {
-		return nil, fmt.Errorf("core: shard range [%d, %d) invalid", sh.Lo, sh.Hi)
-	}
-	n := sh.Hi - sh.Lo
-	if len(sh.Diverged) != n {
-		return nil, fmt.Errorf("core: shard diverged length %d, want %d", len(sh.Diverged), n)
-	}
-	if parts < 0 || checkpoints < 0 || clients < 0 {
-		return nil, fmt.Errorf("core: shard dims %dx%dx%dx%d invalid", parts, n, checkpoints, clients)
-	}
-	sh.Errs = ErrMatrix{Parts: parts, Configs: n, Checkpoints: checkpoints, Clients: clients}
-	return sh, nil
-}
-
-// --- framing ---
-
-func encodeHeader(magic [6]byte, flags uint32, metaLen int, floatCount int, metaCRC, floatCRC uint32) [bankfmtHeaderLen]byte {
-	var h [bankfmtHeaderLen]byte
-	copy(h[0:6], magic[:])
-	binary.LittleEndian.PutUint16(h[6:8], bankfmtVersion)
-	binary.LittleEndian.PutUint32(h[8:12], flags)
-	binary.LittleEndian.PutUint32(h[12:16], uint32(metaLen))
-	binary.LittleEndian.PutUint64(h[16:24], uint64(floatCount))
-	binary.LittleEndian.PutUint32(h[24:28], metaCRC)
-	binary.LittleEndian.PutUint32(h[28:32], floatCRC)
-	return h
-}
-
-// tryBuildDict returns a deterministic sorted value table plus a
-// bits-to-index lookup when data holds at most maxDictSize distinct values,
-// or (nil, nil) to signal the raw-float fallback. The table is sorted by
-// float bit pattern, never by map iteration order, so the encoding stays a
-// pure function of content (byte-identity across processes).
-func tryBuildDict(data []float64) ([]float64, map[uint64]uint16) {
-	lut := make(map[uint64]uint16, 1024)
-	for _, v := range data {
-		b := math.Float64bits(v)
-		if _, ok := lut[b]; !ok {
-			if len(lut) >= maxDictSize {
-				return nil, nil
-			}
-			lut[b] = 0
-		}
-	}
-	keys := make([]uint64, 0, len(lut))
-	for k := range lut {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	table := make([]float64, len(keys))
-	for i, k := range keys {
-		table[i] = math.Float64frombits(k)
-		lut[k] = uint16(i)
-	}
-	return table, lut
-}
-
-// indexWidth returns the packed bit width for a table of n values: the
-// smallest w with 2^w >= n (0 when every element is the single table value).
-func indexWidth(n int) int {
-	w := 0
-	for 1<<w < n {
-		w++
-	}
-	return w
-}
-
-// writeU16Indices writes one little-endian uint16 dictionary index per
-// element (chunked, no per-element writes).
-func writeU16Indices(w io.Writer, data []float64, lut map[uint64]uint16) error {
-	buf := make([]byte, floatConvChunk*2)
-	for len(data) > 0 {
-		c := min(floatConvChunk, len(data))
-		for i := 0; i < c; i++ {
-			binary.LittleEndian.PutUint16(buf[i*2:], lut[math.Float64bits(data[i])])
-		}
-		if _, err := w.Write(buf[:c*2]); err != nil {
-			return err
-		}
-		data = data[c:]
-	}
-	return nil
-}
-
-// readU16Indices expands a uint16 index stream into the arena, bounds-
-// checking every index against the table.
-func readU16Indices(src io.Reader, arena, table []float64, kind string) error {
-	n := uint32(len(table))
-	buf := make([]byte, floatConvChunk*2)
-	for len(arena) > 0 {
-		c := min(floatConvChunk, len(arena))
-		if _, err := io.ReadFull(src, buf[:c*2]); err != nil {
-			return fmt.Errorf("core: %s index stream truncated: %w", kind, err)
-		}
-		for i := 0; i < c; i++ {
-			ix := binary.LittleEndian.Uint16(buf[i*2:])
-			if uint32(ix) >= n {
-				return fmt.Errorf("core: %s index %d outside %d-value dictionary", kind, ix, n)
-			}
-			arena[i] = table[ix]
-		}
-		arena = arena[c:]
-	}
-	return nil
-}
-
-// appendPackedIndices appends data's dictionary indices bit-packed LSB-first
-// at the given width.
-func appendPackedIndices(buf []byte, data []float64, lut map[uint64]uint16, width int) []byte {
-	if width == 0 {
-		return buf
-	}
-	var acc uint64
-	nbits := 0
-	for _, v := range data {
-		acc |= uint64(lut[math.Float64bits(v)]) << nbits
-		nbits += width
-		for nbits >= 8 {
-			buf = append(buf, byte(acc))
-			acc >>= 8
-			nbits -= 8
-		}
-	}
-	if nbits > 0 {
-		buf = append(buf, byte(acc))
-	}
-	return buf
-}
-
-// readPackedIndices fills the arena from a bit-packed index stream — the
-// big-bank fast path: one bulk read plus shift-mask expansion, no inflate.
-func readPackedIndices(r io.Reader, arena, table []float64, kind string) error {
-	width := indexWidth(len(table))
-	if width == 0 {
-		if len(table) == 0 {
-			if len(arena) == 0 {
-				return nil
-			}
-			return fmt.Errorf("core: %s dictionary empty for %d elements", kind, len(arena))
-		}
-		v := table[0]
-		for i := range arena {
-			arena[i] = v
-		}
-		return nil
-	}
-	total := (len(arena)*width + 7) / 8
-	buf := make([]byte, min(max(total, 1), floatConvChunk*2))
-	var acc uint64
-	nbits := 0
-	mask := uint64(1)<<width - 1
-	ai := 0
-	for total > 0 {
-		c := min(total, len(buf))
-		if _, err := io.ReadFull(r, buf[:c]); err != nil {
-			return fmt.Errorf("core: %s index stream truncated: %w", kind, err)
-		}
-		total -= c
-		for _, b := range buf[:c] {
-			acc |= uint64(b) << nbits
-			nbits += 8
-			for nbits >= width && ai < len(arena) {
-				ix := acc & mask
-				if ix >= uint64(len(table)) {
-					return fmt.Errorf("core: %s index %d outside %d-value dictionary", kind, ix, len(table))
-				}
-				arena[ai] = table[ix]
-				ai++
-				acc >>= width
-				nbits -= width
-			}
-		}
-	}
-	if ai != len(arena) {
-		return fmt.Errorf("core: %s index stream short: %d of %d elements", kind, ai, len(arena))
-	}
-	return nil
-}
-
-// encodeFrame renders one complete bankfmt stream. When the content is
-// dictionary-codable it renders both dictionary variants — packed-raw
-// indices and gzipped uint16 indices — and keeps the smaller (ties prefer
-// packed, the faster decode); otherwise the raw floats go through the gzip
-// member. Pure function of (magic, meta, data): re-encoding identical
-// content yields identical bytes.
-func encodeFrame(magic [6]byte, meta []byte, data []float64) ([]byte, error) {
-	metaCRC := crc32.Checksum(meta, castagnoli)
-	floatCRC := crcFloats(data)
-	table, lut := tryBuildDict(data)
-
-	render := func(flags uint32) ([]byte, error) {
-		var buf bytes.Buffer
-		h := encodeHeader(magic, flags, len(meta), len(data), metaCRC, floatCRC)
-		buf.Write(h[:])
-		var dst io.Writer = &buf
-		var zw *gzip.Writer
-		if flags&flagPayloadGzip != 0 {
-			zw = gzip.NewWriter(&buf)
-			dst = zw
-		}
-		if _, err := dst.Write(meta); err != nil {
-			return nil, err
-		}
-		var err error
-		if flags&flagDictFloats != 0 {
-			var n [4]byte
-			binary.LittleEndian.PutUint32(n[:], uint32(len(table)))
-			if _, err = dst.Write(n[:]); err != nil {
-				return nil, err
-			}
-			if err = writeFloats(dst, table); err != nil {
-				return nil, err
-			}
-			if flags&flagPackedIndices == 0 {
-				err = writeU16Indices(dst, data, lut)
-			}
-		} else {
-			err = writeFloats(dst, data)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if zw != nil {
-			if err := zw.Close(); err != nil {
-				return nil, err
-			}
-		}
-		if flags&flagPackedIndices != 0 {
-			// The packed index stream always sits outside the gzip member.
-			buf.Write(appendPackedIndices(nil, data, lut, indexWidth(len(table))))
-		}
-		return buf.Bytes(), nil
-	}
-
-	if table == nil {
-		return render(flagPayloadGzip)
-	}
-	packed, err := render(flagPayloadGzip | flagDictFloats | flagPackedIndices)
-	if err != nil {
-		return nil, err
-	}
-	zipped, err := render(flagPayloadGzip | flagDictFloats)
-	if err != nil {
-		return nil, err
-	}
-	if len(zipped) < len(packed) {
-		return zipped, nil
-	}
-	return packed, nil
-}
-
-// writeFrame writes one complete bankfmt stream to w.
-func writeFrame(w io.Writer, magic [6]byte, meta []byte, data []float64) error {
-	raw, err := encodeFrame(magic, meta, data)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(raw)
-	return err
-}
-
-// frameHeader is the parsed fixed header of one bankfmt stream.
-type frameHeader struct {
-	flags      uint32
-	metaLen    int
-	floatCount int
-	metaCRC    uint32
-	floatCRC   uint32
-}
-
-// readHeader parses and validates the fixed header, distinguishing stale
-// formats (legacy gob+gzip, future versions) from corruption.
-func readHeader(r io.Reader, magic [6]byte, kind string) (frameHeader, error) {
-	var h [bankfmtHeaderLen]byte
-	if _, err := io.ReadFull(r, h[:]); err != nil {
-		if h[0] == 0x1f && h[1] == 0x8b {
-			return frameHeader{}, fmt.Errorf("%w (short stream)", ErrLegacyBankFormat)
-		}
-		return frameHeader{}, fmt.Errorf("core: %s header truncated: %w", kind, err)
-	}
-	if h[0] == 0x1f && h[1] == 0x8b {
-		return frameHeader{}, ErrLegacyBankFormat
-	}
-	if [6]byte(h[0:6]) != magic {
-		return frameHeader{}, fmt.Errorf("core: not a %s stream (magic %x)", kind, h[0:6])
-	}
-	if v := binary.LittleEndian.Uint16(h[6:8]); v != bankfmtVersion {
-		return frameHeader{}, fmt.Errorf("%w: %s v%d (this build reads v%d)", ErrUnknownBankVersion, kind, v, bankfmtVersion)
-	}
-	fh := frameHeader{
-		flags:      binary.LittleEndian.Uint32(h[8:12]),
-		metaLen:    int(binary.LittleEndian.Uint32(h[12:16])),
-		floatCount: int(binary.LittleEndian.Uint64(h[16:24])),
-		metaCRC:    binary.LittleEndian.Uint32(h[24:28]),
-		floatCRC:   binary.LittleEndian.Uint32(h[28:32]),
-	}
-	if fh.flags&^uint32(knownFlags) != 0 {
-		return frameHeader{}, fmt.Errorf("%w: %s flags %#x", ErrUnknownBankVersion, kind, fh.flags)
-	}
-	if fh.metaLen < 0 || fh.metaLen > maxBankMetaBytes {
-		return frameHeader{}, fmt.Errorf("core: %s metadata length %d out of range", kind, fh.metaLen)
-	}
-	if fh.floatCount < 0 {
-		return frameHeader{}, fmt.Errorf("core: %s float count %d negative", kind, fh.floatCount)
-	}
-	return fh, nil
 }
 
 // dimsProduct multiplies tensor dimensions with overflow protection, so a
@@ -760,239 +286,4 @@ func dimsProduct(dims ...int) (int, error) {
 		p *= d
 	}
 	return p, nil
-}
-
-// EncodeBank writes b to w in bankfmt/v3 (the encoding SaveBank persists,
-// the BankStore caches, and peers serve). The encoding is deterministic in
-// the bank's content, which is what keeps sharded-vs-local builds
-// byte-identical on disk and on the wire.
-func EncodeBank(w io.Writer, b *Bank) error {
-	if err := b.Validate(); err != nil {
-		return fmt.Errorf("core: refusing to encode invalid bank: %w", err)
-	}
-	if err := writeFrame(w, bankMagic, appendBankMeta(nil, b), b.Errs.Arena()); err != nil {
-		return fmt.Errorf("core: encode bank: %w", err)
-	}
-	return nil
-}
-
-// v3Corrupt wraps a v3 frame failure into the coded CorruptError, naming
-// the section and its starting offset so a truncated or bit-rotted file
-// reports where it failed instead of a bare CRC mismatch. Stale-format
-// errors (legacy gob+gzip, future version) pass through unwrapped — they
-// are lifecycle events, not corruption.
-func v3Corrupt(section string, offset int64, err error) error {
-	if IsStaleBankFormat(err) {
-		return err
-	}
-	return &CorruptError{Section: section, Segment: -1, Offset: offset, Err: err}
-}
-
-// decodeBankBinary reads one EncodeBank stream.
-func decodeBankBinary(r io.Reader) (*Bank, error) {
-	br := bufio.NewReaderSize(r, 32<<10)
-	fh, err := readHeader(br, bankMagic, "bank")
-	if err != nil {
-		return nil, v3Corrupt("header", 0, err)
-	}
-	if int64(fh.floatCount) > maxBankFloatBytes/8 {
-		return nil, fmt.Errorf("core: bank bulk section of %d floats exceeds the %d-byte cap", fh.floatCount, int64(maxBankFloatBytes))
-	}
-	p, err := openPayload(br, fh, "bank")
-	if err != nil {
-		return nil, v3Corrupt("metadata", bankfmtHeaderLen, err)
-	}
-	meta, err := p.meta()
-	if err != nil {
-		return nil, v3Corrupt("metadata", bankfmtHeaderLen, err)
-	}
-	b, err := parseBankMeta(meta)
-	if err != nil {
-		return nil, v3Corrupt("metadata", bankfmtHeaderLen, err)
-	}
-	clients := 0
-	if len(b.ExampleCounts) > 0 {
-		clients = len(b.ExampleCounts[0])
-	}
-	dims := ErrMatrix{
-		Parts:       len(b.Partitions),
-		Configs:     len(b.Configs),
-		Checkpoints: len(b.Rounds),
-		Clients:     clients,
-	}
-	want, err := dimsProduct(dims.Parts, dims.Configs, dims.Checkpoints, dims.Clients)
-	if err != nil {
-		return nil, err
-	}
-	if fh.floatCount != want {
-		return nil, fmt.Errorf("core: bank bulk section has %d floats, metadata implies %d", fh.floatCount, want)
-	}
-	dims.Data = make([]float64, want)
-	if err := p.bulk(dims.Data); err != nil {
-		return nil, v3Corrupt("bulk", int64(bankfmtHeaderLen+fh.metaLen), err)
-	}
-	b.Errs = dims
-	return b, nil
-}
-
-// payloadReader streams one frame's payload section after a validated
-// header, transparently inflating when the compression flag is set. raw is
-// an io.ByteReader-backed stream (flate then consumes exactly one member,
-// leaving raw positioned at any packed index tail).
-type payloadReader struct {
-	raw  *bufio.Reader
-	src  io.Reader
-	zr   *gzip.Reader
-	fh   frameHeader
-	kind string
-}
-
-func openPayload(r *bufio.Reader, fh frameHeader, kind string) (*payloadReader, error) {
-	p := &payloadReader{raw: r, src: r, fh: fh, kind: kind}
-	if fh.flags&flagPayloadGzip != 0 {
-		zr, err := gzip.NewReader(r)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s payload: %w", kind, err)
-		}
-		zr.Multistream(false)
-		p.src, p.zr = zr, zr
-	}
-	return p, nil
-}
-
-// finishMember verifies the gzip member (when present) ends exactly where
-// the payload says it should — catching both trailing garbage and trailer
-// truncation even when every content byte arrived — and positions the raw
-// stream just past it.
-func (p *payloadReader) finishMember() error {
-	if p.zr == nil {
-		return nil
-	}
-	var one [1]byte
-	n, err := p.zr.Read(one[:])
-	if n != 0 {
-		return fmt.Errorf("core: %s payload longer than declared %d floats", p.kind, p.fh.floatCount)
-	}
-	if err != nil && err != io.EOF {
-		return fmt.Errorf("core: %s payload corrupt: %w", p.kind, err)
-	}
-	if err := p.zr.Close(); err != nil {
-		return fmt.Errorf("core: %s payload: %w", p.kind, err)
-	}
-	return nil
-}
-
-// meta reads and checksums the metadata section.
-func (p *payloadReader) meta() ([]byte, error) {
-	meta := make([]byte, p.fh.metaLen)
-	if _, err := io.ReadFull(p.src, meta); err != nil {
-		return nil, fmt.Errorf("core: %s metadata truncated: %w", p.kind, err)
-	}
-	if crc := crc32.Checksum(meta, castagnoli); crc != p.fh.metaCRC {
-		return nil, fmt.Errorf("core: %s metadata checksum mismatch (%08x != %08x)", p.kind, crc, p.fh.metaCRC)
-	}
-	return meta, nil
-}
-
-// bulk fills the arena from the bulk section, verifies the payload ends
-// exactly where declared, and checks the content CRC.
-func (p *payloadReader) bulk(arena []float64) error {
-	fl := p.fh.flags
-	if fl&flagPackedIndices != 0 && fl&flagDictFloats == 0 {
-		return fmt.Errorf("core: %s packed indices without a dictionary", p.kind)
-	}
-	if fl&flagDictFloats != 0 {
-		var nb [4]byte
-		if _, err := io.ReadFull(p.src, nb[:]); err != nil {
-			return fmt.Errorf("core: %s dictionary truncated: %w", p.kind, err)
-		}
-		n := binary.LittleEndian.Uint32(nb[:])
-		if n > maxDictSize || (n == 0 && len(arena) > 0) {
-			return fmt.Errorf("core: %s dictionary has %d values for %d elements", p.kind, n, len(arena))
-		}
-		table := make([]float64, n)
-		if err := readFloats(p.src, table); err != nil {
-			return fmt.Errorf("core: %s dictionary truncated: %w", p.kind, err)
-		}
-		if fl&flagPackedIndices != 0 {
-			// The gzip member ends after the table; packed bits follow raw.
-			if err := p.finishMember(); err != nil {
-				return err
-			}
-			if err := readPackedIndices(p.raw, arena, table, p.kind); err != nil {
-				return err
-			}
-		} else {
-			if err := readU16Indices(p.src, arena, table, p.kind); err != nil {
-				return err
-			}
-			if err := p.finishMember(); err != nil {
-				return err
-			}
-		}
-	} else {
-		if err := readFloats(p.src, arena); err != nil {
-			return fmt.Errorf("core: %s bulk section truncated: %w", p.kind, err)
-		}
-		if err := p.finishMember(); err != nil {
-			return err
-		}
-	}
-	if crc := crcFloats(arena); crc != p.fh.floatCRC {
-		return fmt.Errorf("core: %s bulk checksum mismatch (%08x != %08x)", p.kind, crc, p.fh.floatCRC)
-	}
-	return nil
-}
-
-// EncodeShard writes sh to w in bankfmt/v3 shard framing — the dist wire
-// format workers upload and coordinators decode straight into an arena the
-// assembly step block-copies from.
-func EncodeShard(w io.Writer, sh *BankShard) error {
-	if err := sh.Errs.Validate(); err != nil {
-		return fmt.Errorf("core: encode shard: %w", err)
-	}
-	if err := writeFrame(w, shardMagic, appendShardMeta(nil, sh), sh.Errs.Data); err != nil {
-		return fmt.Errorf("core: encode shard: %w", err)
-	}
-	return nil
-}
-
-// DecodeShard reads one EncodeShard stream. maxFloatBytes bounds the arena a
-// hostile length field can demand (<= 0 applies the bank-level default cap).
-func DecodeShard(r io.Reader, maxFloatBytes int64) (*BankShard, error) {
-	if maxFloatBytes <= 0 {
-		maxFloatBytes = maxBankFloatBytes
-	}
-	br := bufio.NewReaderSize(r, 32<<10)
-	fh, err := readHeader(br, shardMagic, "shard")
-	if err != nil {
-		return nil, err
-	}
-	if int64(fh.floatCount) > maxFloatBytes/8 {
-		return nil, fmt.Errorf("core: shard bulk section of %d floats exceeds the %d-byte cap", fh.floatCount, maxFloatBytes)
-	}
-	p, err := openPayload(br, fh, "shard")
-	if err != nil {
-		return nil, err
-	}
-	meta, err := p.meta()
-	if err != nil {
-		return nil, err
-	}
-	sh, err := parseShardMeta(meta)
-	if err != nil {
-		return nil, err
-	}
-	want, err := dimsProduct(sh.Errs.Parts, sh.Errs.Configs, sh.Errs.Checkpoints, sh.Errs.Clients)
-	if err != nil {
-		return nil, err
-	}
-	if fh.floatCount != want {
-		return nil, fmt.Errorf("core: shard bulk section has %d floats, metadata implies %d", fh.floatCount, want)
-	}
-	sh.Errs.Data = make([]float64, want)
-	if err := p.bulk(sh.Errs.Data); err != nil {
-		return nil, err
-	}
-	return sh, nil
 }

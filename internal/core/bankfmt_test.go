@@ -3,62 +3,30 @@ package core
 import (
 	"bytes"
 	"compress/gzip"
-	"encoding/binary"
 	"encoding/gob"
 	"errors"
-	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"noisyeval/internal/data"
-	"noisyeval/internal/fl"
+	"noisyeval/internal/core/bankseg"
 	"noisyeval/internal/obs"
-	"noisyeval/internal/rng"
 )
 
-// gobBankV2 mirrors the pre-bankfmt bank layout: nested error slices,
-// serialized as gzipped gob. Tests use it to plant legacy cache entries and
-// to pin the size and speed comparisons the refactor claims.
-type gobBankV2 struct {
-	SpecName      string
-	Seed          uint64
-	Configs       []fl.HParams
-	Rounds        []int
-	Partitions    []float64
-	Errs          [][][][]float64
-	ExampleCounts [][]int
-	Diverged      []bool
+// v3FrameHeader is the fixed 48-byte header a bankfmt/v3 file opened with:
+// magic, version 3, then flags, lengths and CRCs nothing reads any more.
+func v3FrameHeader() []byte {
+	return append([]byte("NEBANK\x03\x00\x01\x00\x00\x00"), make([]byte, 36)...)
 }
 
-// legacyEncode renders b exactly as the old SaveBank did: gob of the
-// nested-slice struct, wrapped in one gzip member.
-func legacyEncode(t testing.TB, b *Bank) []byte {
+// gobGzipMember renders what the original SaveBank wrote: a gob value inside
+// one gzip member.
+func gobGzipMember(t testing.TB) []byte {
 	t.Helper()
-	lb := gobBankV2{
-		SpecName:      b.SpecName,
-		Seed:          b.Seed,
-		Configs:       b.Configs,
-		Rounds:        b.Rounds,
-		Partitions:    b.Partitions,
-		ExampleCounts: b.ExampleCounts,
-		Diverged:      b.Diverged,
-	}
-	lb.Errs = make([][][][]float64, b.Errs.Parts)
-	for pi := range lb.Errs {
-		lb.Errs[pi] = make([][][]float64, b.Errs.Configs)
-		for ci := range lb.Errs[pi] {
-			lb.Errs[pi][ci] = make([][]float64, b.Errs.Checkpoints)
-			for ri := range lb.Errs[pi][ci] {
-				lb.Errs[pi][ci][ri] = append([]float64(nil), b.Errs.Row(pi, ci, ri)...)
-			}
-		}
-	}
 	var buf bytes.Buffer
 	zw := gzip.NewWriter(&buf)
-	if err := gob.NewEncoder(zw).Encode(&lb); err != nil {
+	if err := gob.NewEncoder(zw).Encode(struct{ SpecName string }{"cifar10"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := zw.Close(); err != nil {
@@ -67,135 +35,138 @@ func legacyEncode(t testing.TB, b *Bank) []byte {
 	return buf.Bytes()
 }
 
-func encodeBankBytes(t testing.TB, b *Bank) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := EncodeBank(&buf, b); err != nil {
-		t.Fatal(err)
+// TestStaleGenerationsSelfHeal plants files of both retired encodings under a
+// live key, in both open modes: each is evicted, counted as a stale format
+// (not as corruption), rebuilt, and re-read as bankfmt/v4 — and reading the
+// same bytes as a file names the generation and the fix.
+func TestStaleGenerationsSelfHeal(t *testing.T) {
+	b := storeBank(t)
+	key := BankKey(tinySpec(), tinyBuildOptions(), 7)
+	stale := map[string][]byte{
+		"bankfmt/v3": v3FrameHeader(),
+		"gob+gzip":   gobGzipMember(t),
 	}
-	return buf.Bytes()
-}
+	for generation, planted := range stale {
+		for _, mapped := range []bool{false, true} {
+			name := generation + "/heap"
+			if mapped {
+				name = generation + "/mapped"
+			}
+			t.Run(name, func(t *testing.T) {
+				store, err := NewBankStore(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer store.Close()
+				store.SetMapped(mapped)
+				var logBuf bytes.Buffer
+				store.Log = obs.NewLogger(&logBuf, obs.LevelInfo).Named("bankstore")
 
-func TestBankCodecRoundTrip(t *testing.T) {
-	b, _ := tinyBank(t)
-	raw := encodeBankBytes(t, b)
-	got, err := DecodeBank(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.SpecName != b.SpecName || got.Seed != b.Seed {
-		t.Error("metadata lost in round trip")
-	}
-	if len(got.Configs) != len(b.Configs) || got.Configs[3] != b.Configs[3] {
-		t.Error("configs lost in round trip")
-	}
-	if fmt.Sprint(got.Rounds) != fmt.Sprint(b.Rounds) || fmt.Sprint(got.Partitions) != fmt.Sprint(b.Partitions) {
-		t.Error("rounds/partitions lost in round trip")
-	}
-	if fmt.Sprint(got.ExampleCounts) != fmt.Sprint(b.ExampleCounts) {
-		t.Error("example counts lost in round trip")
-	}
-	if !bytes.Equal(float64Bytes(got.Errs.Data), float64Bytes(b.Errs.Data)) {
-		t.Error("error arena changed in round trip")
-	}
-	// Deterministic: encoding the same content twice yields the same bytes
-	// (what byte-identity of sharded vs local builds rests on).
-	if !bytes.Equal(raw, encodeBankBytes(t, b)) {
-		t.Error("bank encoding is not deterministic")
-	}
-}
+				if err := os.WriteFile(store.Path(key), planted, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if got, err := store.Get(key); err != nil || got != nil {
+					t.Fatalf("stale-format Get = %v, %v; want clean miss", got, err)
+				}
+				if _, err := os.Stat(store.Path(key)); !os.IsNotExist(err) {
+					t.Error("stale-format entry not evicted")
+				}
+				if st := store.Stats(); st.StaleFormat != 1 || st.Evicted != 1 || st.CorruptSegment != 0 {
+					t.Errorf("stats = %+v, want StaleFormat=1 Evicted=1 CorruptSegment=0", st)
+				}
+				if line := logBuf.String(); strings.Count(line, "event=bank_evict") != 1 ||
+					!strings.Contains(line, "reason=stale_format") {
+					t.Errorf("stale eviction not logged: %q", line)
+				}
 
-// TestBankCodecRobustness drives every corruption class through DecodeBank
-// and requires a clean error — never a panic, never a silently wrong bank.
-func TestBankCodecRobustness(t *testing.T) {
-	b, _ := tinyBank(t)
-	raw := encodeBankBytes(t, b)
+				builds := 0
+				got, err := store.GetOrBuild(key, func() (*Bank, error) {
+					builds++
+					return b, nil
+				})
+				if err != nil || got == nil || builds != 1 {
+					t.Fatalf("rebuild after stale format: bank=%v err=%v builds=%d", got != nil, err, builds)
+				}
+				raw, err := os.ReadFile(store.Path(key))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bankseg.SniffV4(raw) {
+					t.Error("rebuilt entry is not bankfmt/v4")
+				}
+				again, err := store.Get(key)
+				if err != nil || again == nil || hashBankContent(again) != hashBankContent(b) {
+					t.Fatalf("re-read of the rebuilt entry: bank=%v err=%v", again != nil, err)
+				}
+				if st := store.Stats(); st.Hits != 1 || st.StaleFormat != 1 {
+					t.Errorf("stats after re-read = %+v, want Hits=1 StaleFormat=1", st)
+				}
 
-	mutate := func(f func(c []byte) []byte) []byte {
-		c := append([]byte(nil), raw...)
-		return f(c)
-	}
-	cases := map[string][]byte{
-		"empty":            {},
-		"truncated header": raw[:bankfmtHeaderLen-7],
-		"truncated meta":   raw[:bankfmtHeaderLen+3],
-		"truncated floats": raw[:len(raw)-9],
-		"wrong magic": mutate(func(c []byte) []byte {
-			copy(c[0:6], "XXBANK")
-			return c
-		}),
-		"shard magic on bank path": mutate(func(c []byte) []byte {
-			copy(c[0:6], shardMagic[:])
-			return c
-		}),
-		"corrupted header (meta length)": mutate(func(c []byte) []byte {
-			binary.LittleEndian.PutUint32(c[12:16], 1<<30)
-			return c
-		}),
-		"corrupted header (float count mismatch)": mutate(func(c []byte) []byte {
-			binary.LittleEndian.PutUint64(c[16:24], 7)
-			return c
-		}),
-		"corrupted header (meta CRC)": mutate(func(c []byte) []byte {
-			c[25] ^= 0xff
-			return c
-		}),
-		"corrupted payload (early)": mutate(func(c []byte) []byte {
-			c[bankfmtHeaderLen+16] ^= 0xff
-			return c
-		}),
-		"corrupted payload (late)": mutate(func(c []byte) []byte {
-			c[len(c)-20] ^= 0xff
-			return c
-		}),
-		"trailing truncation to header only": raw[:bankfmtHeaderLen],
-	}
-	for name, payload := range cases {
-		if _, err := DecodeBank(bytes.NewReader(payload)); err == nil {
-			t.Errorf("%s: decode accepted corrupt payload", name)
+				// A genuinely corrupt entry still evicts without the stale stat moving.
+				store.Close() // drop the mapping before clobbering the file under it
+				if err := os.WriteFile(store.Path(key), []byte("garbage"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if got, err := store.Get(key); err != nil || got != nil {
+					t.Fatalf("corrupt Get = %v, %v; want clean miss", got, err)
+				}
+				if st := store.Stats(); st.StaleFormat != 1 || st.Evicted != 2 || st.CorruptSegment != 1 {
+					t.Errorf("stats after corruption = %+v, want StaleFormat=1 Evicted=2 CorruptSegment=1", st)
+				}
+			})
+		}
+
+		// The same bytes as a file: every reader names the generation and the
+		// fix instead of decoding or calling it corrupt.
+		path := filepath.Join(t.TempDir(), "stale.bank")
+		if err := os.WriteFile(path, planted, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, loadErr := LoadBank(path)
+		_, _, openErr := OpenBankMapped(path)
+		info, infoErr := InspectBank(path)
+		for reader, err := range map[string]error{"LoadBank": loadErr, "OpenBankMapped": openErr, "InspectBank": infoErr} {
+			if !IsStaleBankFormat(err) || !errors.Is(err, ErrLegacyBankFormat) {
+				t.Errorf("%s: %s = %v, want a stale-format error", generation, reader, err)
+				continue
+			}
+			if !strings.Contains(err.Error(), generation) || !strings.Contains(err.Error(), "cmd/bank") {
+				t.Errorf("%s: %s error %q does not name the generation and cmd/bank", generation, reader, err)
+			}
+		}
+		if info == nil || info.Version == bankseg.Version || info.FileBytes != int64(len(planted)) {
+			t.Errorf("%s: InspectBank report = %+v", generation, info)
 		}
 	}
 }
 
-func TestBankCodecFormatGenerations(t *testing.T) {
-	b, _ := tinyBank(t)
-
-	// Legacy gob+gzip bytes must be recognized as a stale format, not as
-	// generic corruption: the BankStore rebuilds them silently.
-	if _, err := DecodeBank(bytes.NewReader(legacyEncode(t, b))); !errors.Is(err, ErrLegacyBankFormat) {
-		t.Errorf("legacy bytes: err = %v, want ErrLegacyBankFormat", err)
-	}
-	if !IsStaleBankFormat(ErrLegacyBankFormat) || !IsStaleBankFormat(ErrUnknownBankVersion) {
-		t.Error("IsStaleBankFormat must cover both stale generations")
-	}
-	if IsStaleBankFormat(errors.New("core: bank metadata checksum mismatch")) {
-		t.Error("corruption misclassified as stale format")
-	}
-
-	raw := encodeBankBytes(t, b)
-	// Version 4 is the segmented format (bankv4.go), so the first FUTURE
-	// generation is 5: it must classify as stale, not as corruption.
-	future := append([]byte(nil), raw...)
-	binary.LittleEndian.PutUint16(future[6:8], bankfmtVersion+2)
-	if _, err := DecodeBank(bytes.NewReader(future)); !errors.Is(err, ErrUnknownBankVersion) {
+// TestBankFormatGenerations pins the rest of the taxonomy: a future
+// generation is stale (not corrupt), and bytes that merely claim to be v4 are
+// located corruption (not stale).
+func TestBankFormatGenerations(t *testing.T) {
+	future := append([]byte("NEBANK\x05\x00"), make([]byte, 120)...)
+	if _, err := DecodeBank(future); !errors.Is(err, ErrUnknownBankVersion) || !IsStaleBankFormat(err) {
 		t.Errorf("future version: err = %v, want ErrUnknownBankVersion", err)
 	}
-	// A v3 frame restamped as v4 routes to the segment layer and fails its
-	// header checksum — located corruption, not a stale format.
-	fakeV4 := append([]byte(nil), raw...)
-	binary.LittleEndian.PutUint16(fakeV4[6:8], bankfmtVersion+1)
 	var ce *CorruptError
-	if _, err := DecodeBank(bytes.NewReader(fakeV4)); !errors.As(err, &ce) || IsStaleBankFormat(err) {
-		t.Errorf("v3 frame restamped v4: err = %v, want CorruptError", err)
+	claimsV4 := append([]byte("NEBANK\x04\x00"), make([]byte, 120)...)
+	if _, err := DecodeBank(claimsV4); !errors.As(err, &ce) || IsStaleBankFormat(err) {
+		t.Errorf("zeroed v4 header: err = %v, want *CorruptError", err)
 	}
-	flagged := append([]byte(nil), raw...)
-	binary.LittleEndian.PutUint32(flagged[8:12], knownFlags|0x80)
-	if _, err := DecodeBank(bytes.NewReader(flagged)); !errors.Is(err, ErrUnknownBankVersion) {
-		t.Errorf("unknown flag: err = %v, want ErrUnknownBankVersion", err)
+	for name, data := range map[string][]byte{"empty": nil, "short": []byte("NEB"), "foreign": bytes.Repeat([]byte("x"), 200)} {
+		if _, err := DecodeBank(data); !errors.As(err, &ce) || IsStaleBankFormat(err) {
+			t.Errorf("%s: err = %v, want *CorruptError", name, err)
+		}
+	}
+	if IsStaleBankFormat(errors.New("core: payload CRC mismatch")) {
+		t.Error("corruption misclassified as stale format")
 	}
 }
 
-func TestShardCodecRoundTripAndRobustness(t *testing.T) {
+// TestShardImageRoundTripAndRobustness covers the v4 shard image dist workers
+// upload: a round trip is exact and deterministic, and every way the two
+// segments can disagree with each other or their checksums is refused.
+func TestShardImageRoundTripAndRobustness(t *testing.T) {
 	pop, opts, seed := shardTestInputs(t)
 	plan, err := NewBuildPlan(pop, opts, seed)
 	if err != nil {
@@ -205,12 +176,15 @@ func TestShardCodecRoundTripAndRobustness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := EncodeShard(&buf, sh); err != nil {
+	sh.Diverged[1] = true
+	img, err := MarshalShardV4(sh)
+	if err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
-	back, err := DecodeShard(bytes.NewReader(raw), 0)
+	if again, _ := MarshalShardV4(sh); !bytes.Equal(img, again) {
+		t.Error("shard image is not deterministic")
+	}
+	back, err := UnmarshalShardV4(img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,194 +194,80 @@ func TestShardCodecRoundTripAndRobustness(t *testing.T) {
 	if err := back.Validate(plan); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(float64Bytes(back.Errs.Data), float64Bytes(sh.Errs.Data)) {
+	if !bytes.Equal(bankseg.AppendFloat64s(nil, back.Errs.Data), bankseg.AppendFloat64s(nil, sh.Errs.Data)) {
 		t.Error("shard arena changed in round trip")
 	}
+	if !back.Diverged[1] || back.Diverged[0] || back.Diverged[2] {
+		t.Errorf("divergence flags changed in round trip: %v", back.Diverged)
+	}
 
-	if _, err := DecodeShard(bytes.NewReader(raw[:len(raw)-5]), 0); err == nil {
-		t.Error("truncated shard accepted")
-	}
-	small := int64(sh.Errs.Parts*sh.Errs.Configs*sh.Errs.Checkpoints*sh.Errs.Clients*8 - 8)
-	if _, err := DecodeShard(bytes.NewReader(raw), small); err == nil {
-		t.Error("shard exceeding the arena cap accepted")
-	}
-	wrongKind := append([]byte(nil), raw...)
-	copy(wrongKind[0:6], bankMagic[:])
-	if _, err := DecodeShard(bytes.NewReader(wrongKind), 0); err == nil {
-		t.Error("bank magic accepted on the shard path")
-	}
-}
-
-// TestEncodedBankNotLargerThanLegacy pins the size acceptance criterion:
-// bankfmt/v3 must not regress the on-disk footprint relative to the gob+gzip
-// format it replaces (measured on a real trained bank).
-func TestEncodedBankNotLargerThanLegacy(t *testing.T) {
-	b, _ := tinyBank(t)
-	newLen, oldLen := len(encodeBankBytes(t, b)), len(legacyEncode(t, b))
-	t.Logf("bankfmt/v3 %d bytes, legacy gob+gzip %d bytes (%.2fx)", newLen, oldLen, float64(newLen)/float64(oldLen))
-	if newLen > oldLen {
-		t.Errorf("bankfmt/v3 encoding (%d bytes) larger than legacy gob+gzip (%d bytes)", newLen, oldLen)
-	}
-}
-
-func TestBankStoreStaleFormatEvictedAndRebuilt(t *testing.T) {
-	b := storeBank(t)
-	store, err := NewBankStore(t.TempDir())
+	other, err := plan.TrainRange(0, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var logBuf bytes.Buffer
-	store.Log = obs.NewLogger(&logBuf, obs.LevelInfo).Named("bankstore")
-	key := BankKey(tinySpec(), tinyBuildOptions(), 7)
-
-	// Plant a legacy v2 gob+gzip entry exactly where the current key lives —
-	// what a cache dir left over from a pre-refactor build looks like.
-	if err := os.WriteFile(store.Path(key), legacyEncode(t, b), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := store.Get(key)
-	if err != nil || got != nil {
-		t.Fatalf("stale-format Get = %v, %v; want clean miss", got, err)
-	}
-	if _, err := os.Stat(store.Path(key)); !os.IsNotExist(err) {
-		t.Error("stale-format entry not evicted")
-	}
-	st := store.Stats()
-	if st.StaleFormat != 1 || st.Evicted != 1 {
-		t.Errorf("stats = %+v, want StaleFormat=1 Evicted=1", st)
-	}
-	if logLine := logBuf.String(); strings.Count(logLine, "event=bank_evict") != 1 ||
-		!strings.Contains(logLine, "reason=stale_format") {
-		t.Errorf("stale eviction not logged: %q", logLine)
-	}
-
-	// GetOrBuild transparently rebuilds and re-stores in the new format.
-	builds := 0
-	got, err = store.GetOrBuild(key, func() (*Bank, error) {
-		builds++
-		return b, nil
-	})
-	if err != nil || got == nil || builds != 1 {
-		t.Fatalf("rebuild after stale format: bank=%v err=%v builds=%d", got != nil, err, builds)
-	}
-	raw, err := os.ReadFile(store.Path(key))
+	otherImg, err := MarshalShardV4(other)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(raw, bankMagic[:]) {
-		t.Error("rebuilt entry not in bankfmt/v3")
-	}
-
-	// A genuinely corrupt entry still evicts without the stale stat moving.
-	if err := os.WriteFile(store.Path(key), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := store.Get(key); err != nil || got != nil {
-		t.Fatalf("corrupt Get = %v, %v; want clean miss", got, err)
-	}
-	if st := store.Stats(); st.StaleFormat != 1 || st.Evicted != 2 {
-		t.Errorf("stats after corruption = %+v, want StaleFormat=1 Evicted=2", st)
-	}
-}
-
-// failAfterWriter passes through n bytes, then fails every write.
-type failAfterWriter struct {
-	w    io.Writer
-	left int
-}
-
-func (f *failAfterWriter) Write(p []byte) (int, error) {
-	if f.left <= 0 {
-		return 0, fmt.Errorf("injected write failure")
-	}
-	if len(p) > f.left {
-		n, _ := f.w.Write(p[:f.left])
-		f.left = 0
-		return n, fmt.Errorf("injected write failure")
-	}
-	f.left -= len(p)
-	return f.w.Write(p)
-}
-
-func TestSaveBankFailureCleansUpTemp(t *testing.T) {
-	b := storeBank(t)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bank.bank")
-
-	// Establish a good artifact first: a failed re-save must not disturb it.
-	if err := SaveBank(b, path); err != nil {
-		t.Fatal(err)
-	}
-	before, err := os.ReadFile(path)
+	sf, err := bankseg.Parse(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	saveWriterHook = func(w io.Writer) io.Writer { return &failAfterWriter{w: w, left: 100} }
-	defer func() { saveWriterHook = nil }()
-	if err := SaveBank(b, path); err == nil {
-		t.Fatal("SaveBank succeeded through a failing writer")
+	flagsStart := sf.Segments()[1].Offset
+	flip := func(at int64) []byte {
+		c := append([]byte(nil), img...)
+		c[at] ^= 0x01
+		return c
 	}
-	saveWriterHook = nil
-
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
+	bad := map[string][]byte{
+		"truncated":               img[:len(img)-70],
+		"arena only":              img[:flagsStart],
+		"arena payload CRC flip":  flip(bankseg.FileHeaderLen + bankseg.SegmentHeaderLen + 3),
+		"flags payload CRC flip":  flip(flagsStart + bankseg.SegmentHeaderLen + 13),
+		"other shard's flags":     append(append([]byte(nil), img[:flagsStart]...), otherImg[len(otherImg)-(len(img)-int(flagsStart)):]...),
+		"trailing third segment":  bankseg.AppendSegment(append([]byte(nil), img...), segKindArena, 3, arenaTag(1, 4), nil),
+		"bank file, not a shard":  bankImage(t, plan),
+		"v3 NESHRD frame":         append([]byte("NESHRD\x03\x00"), make([]byte, 120)...),
+		"not a container at all":  []byte("garbage"),
+		"empty":                   nil,
+		"header only":             bankseg.NewImage(),
+		"flags then arena (swap)": swapSegments(img, flagsStart),
 	}
-	for _, e := range entries {
-		if e.Name() != "bank.bank" {
-			t.Errorf("leftover file after failed save: %s", e.Name())
+	for name, data := range bad {
+		var ce *CorruptError
+		if _, err := UnmarshalShardV4(data); !errors.As(err, &ce) {
+			t.Errorf("%s: err = %v, want *CorruptError", name, err)
 		}
 	}
-	after, err := os.ReadFile(path)
-	if err != nil || !bytes.Equal(before, after) {
-		t.Errorf("failed save disturbed the existing artifact (err=%v)", err)
-	}
-
-	// And a clean save still round-trips.
-	if err := SaveBank(b, path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadBank(path); err != nil {
-		t.Fatal(err)
-	}
 }
 
-// FuzzBankDecode asserts DecodeBank never panics and never returns a bank
-// that fails validation, whatever bytes arrive. The seed corpus (testdata)
-// covers a valid encoding plus every mutation class the robustness test
-// exercises.
-func FuzzBankDecode(f *testing.F) {
-	opts := tinyBuildOptions()
-	opts.NumConfigs, opts.MaxRounds = 2, 3
-	// A tiny real bank as the valid seed (fuzzing mutates from here).
-	pop := data.MustGenerate(tinySpec(), rng.New(1))
-	b, err := BuildBank(pop, opts, 3)
+// bankImage renders a one-shard bank file (arena + commit), which a shard
+// decoder must refuse: it has no flags segment.
+func bankImage(t *testing.T, plan *BuildPlan) []byte {
+	t.Helper()
+	full, err := plan.TrainRange(0, plan.NumConfigs(), 0)
 	if err != nil {
-		f.Fatal(err)
+		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := EncodeBank(&buf, b); err != nil {
-		f.Fatal(err)
+	b, err := AssembleBank(plan, []*BankShard{full})
+	if err != nil {
+		t.Fatal(err)
 	}
-	raw := buf.Bytes()
-	f.Add(raw)
-	f.Add(raw[:bankfmtHeaderLen])
-	f.Add(raw[:len(raw)/2])
-	f.Add([]byte{})
-	f.Add([]byte{0x1f, 0x8b, 0x08, 0x00}) // legacy gzip magic
-	corrupt := append([]byte(nil), raw...)
-	corrupt[9] ^= 0x40
-	f.Add(corrupt)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		b, err := DecodeBank(bytes.NewReader(data))
-		if err == nil {
-			if b == nil {
-				t.Fatal("nil bank without error")
-			}
-			if verr := b.Validate(); verr != nil {
-				t.Fatalf("decoded bank fails validation: %v", verr)
-			}
-		}
-	})
+	path := filepath.Join(t.TempDir(), "bank.bank")
+	if err := SaveBankV4(b, path); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// swapSegments reorders a two-segment image so the second segment's bytes
+// come first (their sequence numbers then run backwards).
+func swapSegments(img []byte, secondStart int64) []byte {
+	out := append([]byte(nil), img[:bankseg.FileHeaderLen]...)
+	out = append(out, img[secondStart:]...)
+	return append(out, img[bankseg.FileHeaderLen:secondStart]...)
 }

@@ -34,6 +34,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
 const (
@@ -155,7 +156,7 @@ func parseFileHeader(path string, data []byte) error {
 	return nil
 }
 
-// --- segment header ---
+// --- segment framing ---
 
 func encodeSegmentHeader(kind uint32, seq uint64, tag [16]byte, payload []byte) []byte {
 	h := make([]byte, SegmentHeaderLen)
@@ -167,6 +168,24 @@ func encodeSegmentHeader(kind uint32, seq uint64, tag [16]byte, payload []byte) 
 	binary.LittleEndian.PutUint32(h[40:44], crc32.Checksum(payload, castagnoli))
 	binary.LittleEndian.PutUint32(h[60:64], crc32.Checksum(h[:60], castagnoli))
 	return h
+}
+
+// NewImage starts an in-memory v4 container (the file header alone) for
+// AppendSegment to extend — how a container is rendered for the wire, where
+// there is no file to append to. Parse reads the result back.
+func NewImage() []byte { return encodeFileHeader() }
+
+// AppendSegment appends one framed segment — header, payload, zero padding
+// to the next aligned boundary, the bytes Writer.Append puts in a file — to
+// img, which must end on an aligned boundary (a NewImage, or the result of
+// earlier AppendSegments). Sequence numbers must increase strictly from one
+// segment to the next. (Writer.Append does not render through this: a bank
+// arena is large, and a file needs no second copy of it.)
+func AppendSegment(img []byte, kind uint32, seq uint64, tag [16]byte, payload []byte) []byte {
+	img = slices.Grow(img, SegmentHeaderLen+len(payload)+Align)
+	img = append(img, encodeSegmentHeader(kind, seq, tag, payload)...)
+	img = append(img, payload...)
+	return append(img, make([]byte, alignUp(int64(len(img)))-int64(len(img)))...)
 }
 
 // --- reading ---

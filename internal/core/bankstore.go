@@ -20,22 +20,20 @@ import (
 	"noisyeval/internal/obs"
 )
 
-// bankKeyVersion is bumped whenever the meaning of any hashed field changes,
-// invalidating all previously cached entries.
-// v2: BuildOptions.BatchEval joined the key (the batched engine's summation
-// order legitimately changes recorded errors).
+// bankKeyVersion is bumped whenever the set or meaning of the hashed fields
+// changes, invalidating all previously cached entries.
+// v3: the engine-selection knob left fl.Options and BuildOptions (the batched
+// engine is the only one), which changes the hashed %#v image of the options.
 // Pure encoding changes do NOT bump the key: the key addresses bank content
-// (build inputs), and the on-disk format carries its own version header
-// (bankfmt.go), so a stale-format entry under a current key is detected on
-// load, evicted, and rebuilt (StoreStats.StaleFormat).
-const bankKeyVersion = "bankstore-v2"
+// (build inputs), and the on-disk format carries its own version header, so
+// a stale-format entry under a current key is detected on load, evicted,
+// and rebuilt (StoreStats.StaleFormat).
+const bankKeyVersion = "bankstore-v3"
 
 // normalizeBuildOptions applies the same defaulting BuildBank performs, so
 // that two option values which build identical banks hash identically.
 // Workers is zeroed: parallelism does not affect bank content
-// (TestBuildBankDeterministicAcrossParallelism). Train.BatchEval is forced
-// to the authoritative BuildOptions.BatchEval so the two spellings of the
-// knob can never produce distinct keys for the same build.
+// (TestBuildBankDeterministicAcrossParallelism).
 func normalizeBuildOptions(opts BuildOptions) BuildOptions {
 	if opts.Eta < 2 {
 		opts.Eta = 3
@@ -46,7 +44,6 @@ func normalizeBuildOptions(opts BuildOptions) BuildOptions {
 	if opts.Train.ClientsPerRound == 0 {
 		opts.Train = DefaultBuildOptions().Train
 	}
-	opts.Train.BatchEval = opts.BatchEval
 	if err := opts.Space.Validate(); err != nil {
 		opts.Space = DefaultBuildOptions().Space
 	}
@@ -68,7 +65,6 @@ func BankKey(spec data.Spec, opts BuildOptions, seed uint64) string {
 		opts.NumConfigs, opts.MaxRounds, opts.Eta, opts.Levels)
 	fmt.Fprintf(h, "partitions %v\n", opts.Partitions)
 	fmt.Fprintf(h, "train %#v\n", opts.Train)
-	fmt.Fprintf(h, "batcheval %v\n", opts.BatchEval)
 	fmt.Fprintf(h, "space %#v\n", opts.Space)
 	fmt.Fprintf(h, "pool %d\n", len(opts.Configs))
 	for _, c := range opts.Configs {
@@ -113,7 +109,7 @@ type StoreStats struct {
 	Builds  int64 // banks built and written through GetOrBuild
 	Evicted int64 // entries removed: corrupt or stale on load, or pruned
 	// StaleFormat counts evictions whose cause was a format-generation
-	// mismatch (legacy gob+gzip entry, or one written by a future build)
+	// mismatch (a retired encoding, or an entry written by a future build)
 	// rather than corruption. Such entries are valid artifacts in a dead
 	// encoding; they rebuild transparently and this counter is the only
 	// trace. Included in Evicted.
@@ -125,9 +121,9 @@ type StoreStats struct {
 	CorruptSegment int64
 }
 
-// BankStore is a content-addressed on-disk bank cache. Entries are the
-// bankfmt/v3 encoding of SaveBank, stored as <dir>/<key>.bank where key comes
-// from BankKey. Writes go through a temp file plus fsync plus atomic rename,
+// BankStore is a content-addressed on-disk bank cache. Entries are bankfmt/v4
+// files (SaveBankV4), stored as <dir>/<key>.bank where key comes from
+// BankKey. Writes go through a temp file plus fsync plus atomic rename,
 // so a crashed or concurrent writer can never leave a partial entry visible;
 // corrupt entries (truncation, bit rot) and stale-format entries (a previous
 // encoding generation) are detected on load, evicted, and rebuilt. A nil
@@ -148,7 +144,7 @@ type BankStore struct {
 
 	maxBytes atomic.Int64 // size bound enforced after each Put (0 = unlimited)
 
-	// mapMode switches Get/Put onto the bankfmt/v4 mmap path (SetMapped).
+	// mapMode makes Get serve entries through mmap (SetMapped).
 	mapMode atomic.Bool
 	// mapWarm pre-touches each mapping at open (SetMappedWarm, -mmap-warm).
 	mapWarm atomic.Bool
@@ -228,13 +224,12 @@ func (s *BankStore) Get(key string) (*Bank, error) {
 		return s.getMapped(key)
 	}
 	path := s.Path(key)
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		s.misses.Add(1)
 		return nil, nil
 	}
-	defer f.Close()
-	b, err := decodeBankAuto(f)
+	b, err := DecodeBank(data)
 	if err != nil {
 		s.evictBroken(key, path, err)
 		return nil, nil
@@ -269,11 +264,12 @@ func (s *BankStore) evictBroken(key, path string, err error) {
 	}
 }
 
-// SetMapped switches the store into memory-mapped serving mode: Put writes
-// bankfmt/v4 entries (SaveBankV4) and Get serves them through OpenBankMapped
-// — mmap'd, zero-copy, open cost O(segment count). Mapped entries stay
-// resident (and Prune never unlinks them) until Close. v3 entries and
-// platforms without mmap degrade to a heap decode transparently. Flip the
+// SetMapped selects how Get opens an entry. Off (the default), every Get
+// reads the file, verifies every segment CRC and decodes onto the heap
+// (DecodeBank). On, Get serves through OpenBankMapped — mmap'd, zero-copy,
+// open cost O(segment count) — and mapped entries stay resident (Prune never
+// unlinks them) until Close; platforms without mmap degrade to the heap
+// decode transparently. The bytes on disk are the same either way. Flip the
 // mode before concurrent use.
 func (s *BankStore) SetMapped(on bool) {
 	if s == nil {
@@ -377,20 +373,15 @@ func (s *BankStore) Close() error {
 	return first
 }
 
-// Put writes the bank under key atomically (temp-file + fsync + rename), so
-// readers only ever observe complete, durable entries. In mapped mode the
-// entry is written in bankfmt/v4 (SaveBankV4) and any previously mapped
-// bank for the key is retired: existing readers keep their (old) mapping,
-// new Gets map the new file.
+// Put writes the bank under key atomically (SaveBankV4: temp-file + fsync +
+// rename), so readers only ever observe complete, durable entries. Any
+// previously mapped bank for the key is retired: existing readers keep
+// their (old) mapping, new Gets map the new file.
 func (s *BankStore) Put(key string, b *Bank) error {
 	if s == nil {
 		return fmt.Errorf("core: Put on nil bank store")
 	}
-	save := SaveBank
-	if s.mapMode.Load() {
-		save = SaveBankV4
-	}
-	if err := save(b, s.Path(key)); err != nil {
+	if err := SaveBankV4(b, s.Path(key)); err != nil {
 		return err
 	}
 	s.mapMu.Lock()
@@ -539,11 +530,11 @@ func (s *BankStore) GetOrBuild(key string, build func() (*Bank, error)) (*Bank, 
 
 // BoundCache applies a -cache-max-bytes style flag to a store: it installs
 // the write-through size bound and prunes immediately, reporting results and
-// failures through logf (a log.Printf-shaped sink). maxBytes <= 0 or a nil
-// store is a no-op — callers pass the flag through unconditionally. The
-// three CLIs (noisyevald, fedtune, figures) share this so prune errors are
-// never silently dropped.
-func BoundCache(store *BankStore, maxBytes int64, logf func(format string, args ...any)) {
+// failures through log (nil = silent). maxBytes <= 0 or a nil store is a
+// no-op — callers pass the flag through unconditionally. The three CLIs
+// (noisyevald, fedtune, figures) share this so prune errors are never
+// silently dropped.
+func BoundCache(store *BankStore, maxBytes int64, log *obs.Logger) {
 	if store == nil || maxBytes <= 0 {
 		return
 	}
@@ -551,9 +542,9 @@ func BoundCache(store *BankStore, maxBytes int64, logf func(format string, args 
 	evicted, freed, err := store.Prune(maxBytes)
 	switch {
 	case err != nil:
-		logf("cache prune: %v", err)
+		log.Error("cache prune failed", "err", err)
 	case evicted > 0:
-		logf("cache pruned to %d bytes: %d entries (%d bytes) evicted", maxBytes, evicted, freed)
+		log.Info("cache pruned", "max_bytes", maxBytes, "evicted", evicted, "freed_bytes", freed)
 	}
 }
 

@@ -279,15 +279,6 @@ func TestBankStoreMappedMode(t *testing.T) {
 	if err := st.Put("aaaa", b); err != nil {
 		t.Fatal(err)
 	}
-	// Mapped-mode Put writes bankfmt/v4.
-	raw, err := os.ReadFile(st.Path("aaaa"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bankseg.SniffV4(raw[:8]) {
-		t.Fatal("mapped-mode Put did not write a v4 entry")
-	}
-
 	got, err := st.Get("aaaa")
 	if err != nil || got == nil {
 		t.Fatalf("mapped get: %v, %v", got, err)
@@ -301,18 +292,18 @@ func TestBankStoreMappedMode(t *testing.T) {
 		t.Fatal("mapped entry not pinned across Gets")
 	}
 
-	// A v3 entry degrades to a heap decode transparently.
-	if err := SaveBank(b, st.Path("bbbb")); err != nil {
+	// An entry another process wrote (no Put here) maps on first Get.
+	if err := SaveBankV4(b, st.Path("bbbb")); err != nil {
 		t.Fatal(err)
 	}
-	v3got, err := st.Get("bbbb")
-	if err != nil || v3got == nil || hashBankContent(v3got) != hashBankContent(b) {
-		t.Fatalf("v3 entry under mapped mode: %v, %v", v3got, err)
+	foreign, err := st.Get("bbbb")
+	if err != nil || foreign == nil || hashBankContent(foreign) != hashBankContent(b) {
+		t.Fatalf("foreign entry under mapped mode: %v, %v", foreign, err)
 	}
 
 	// Prune never unlinks mapped entries, however tight the bound; the
 	// cold (never-opened) entry goes first.
-	if err := SaveBank(b, st.Path("cold")); err != nil {
+	if err := SaveBankV4(b, st.Path("cold")); err != nil {
 		t.Fatal(err)
 	}
 	old := time.Now().Add(-time.Hour)

@@ -1,16 +1,15 @@
 package core
 
-// bankfmt/v4: the segmented bank container behind memory-mapped serving and
-// incremental growth. Where bankfmt/v3 (bankfmt.go) renders one monolithic
-// compressed frame that must be fully decoded onto the heap, v4 stores the
-// bank as CRC-framed, 64-byte-aligned segments (internal/core/bankseg):
+// bankfmt/v4: the one encoding a bank or a bank shard ever takes — store
+// entries, cmd/bank artifacts, peer transfers and dist shard uploads alike.
+// A bank is a container of CRC-framed, 64-byte-aligned segments
+// (internal/core/bankseg):
 //
 //	file header (64 B, magic "NEBANK", version 4)
 //	arena segment    configs [lo,hi): raw little-endian float64s laid out
 //	                 [partition][config-lo][checkpoint][client] (BankShard
 //	                 order — for the full range this IS the canonical arena)
-//	commit segment   segment directory + bank metadata (bankfmt/v3's meta
-//	                 encoding, reused verbatim)
+//	commit segment   segment directory + bank metadata (bankfmt.go)
 //
 // The commit segment is written last and names, by sequence number, exactly
 // the arena segments that constitute the bank — so growth appends arenas
@@ -19,6 +18,10 @@ package core
 // Because arena payloads are raw aligned LE float64s, a v4 file opens via
 // mmap and serves oracle reads zero-copy; open cost is O(segment count),
 // not O(file size), since mapped opens verify only the header chain.
+//
+// A shard on the wire (MarshalShardV4) is the same container holding the
+// arena segment a grow would append for its range, followed by a flags
+// segment (dimensions + divergence flags) in place of a commit.
 
 import (
 	"errors"
@@ -32,18 +35,19 @@ import (
 
 // v4 segment kinds.
 const (
-	segKindCommit = 1 // segment directory + bank metadata; the commit point
-	segKindArena  = 2 // error sub-arena for configs [lo, hi)
+	segKindCommit     = 1 // segment directory + bank metadata; the commit point
+	segKindArena      = 2 // error sub-arena for configs [lo, hi)
+	segKindShardFlags = 3 // shard images only: tensor dims + divergence flags of [lo, hi)
 )
 
-// CorruptError locates bank-content corruption: which section (v3) or
-// segment (v4) of the file failed, and at what byte offset. The BankStore
-// counts these under StoreStats.CorruptSegment; cmd/bank -info prints them.
+// CorruptError locates bank-content corruption: which part of the image
+// failed, and at what byte offset. The BankStore counts these under
+// StoreStats.CorruptSegment; cmd/bank -info prints them.
 type CorruptError struct {
 	Path    string // file path when known
-	Section string // "header" | "metadata" | "bulk" (v3) | "segment" (v4)
-	Segment int    // v4 segment index; -1 for v3 sections
-	Offset  int64  // byte offset of the failing section/segment start
+	Section string // "header" (not a v4 file header at all) | "segment"
+	Segment int    // segment index; -1 for the header
+	Offset  int64  // byte offset of the failing header/segment start
 	Err     error
 }
 
@@ -61,11 +65,14 @@ func (e *CorruptError) Error() string {
 func (e *CorruptError) Unwrap() error { return e.Err }
 
 // wrapSegmentErr lifts a bankseg structural failure into the coded
-// CorruptError callers branch on; other errors pass through.
+// CorruptError callers branch on; other errors (I/O) pass through.
 func wrapSegmentErr(path string, err error) error {
 	var se *bankseg.CorruptError
-	if errors.As(err, &se) {
+	switch {
+	case errors.As(err, &se):
 		return &CorruptError{Path: path, Section: "segment", Segment: se.Segment, Offset: se.Offset, Err: err}
+	case errors.Is(err, bankseg.ErrNotSegmented):
+		return &CorruptError{Path: path, Section: "header", Segment: -1, Err: err}
 	}
 	return err
 }
@@ -99,7 +106,7 @@ type v4DirEntry struct {
 }
 
 // appendV4Commit renders a commit segment payload: the arena directory
-// followed by the bank's metadata in the v3 meta encoding.
+// followed by the bank's metadata.
 func appendV4Commit(buf []byte, dir []v4DirEntry, b *Bank) []byte {
 	buf = appendU32(buf, uint32(len(dir)))
 	for _, e := range dir {
@@ -133,8 +140,9 @@ func parseV4Commit(payload []byte) ([]v4DirEntry, *Bank, error) {
 
 // SaveBankV4 writes the bank to path in bankfmt/v4: one full-range arena
 // segment plus one commit segment, built behind a temp file and published
-// with fsync + atomic rename (the same discipline as SaveBank). The write
-// is deterministic — equal bank content yields equal file bytes.
+// with fsync + atomic rename, so readers only ever see complete, durable
+// files. The write is deterministic — equal bank content yields equal file
+// bytes.
 func SaveBankV4(b *Bank, path string) error {
 	if err := b.Validate(); err != nil {
 		return fmt.Errorf("core: refusing to save invalid bank: %w", err)
@@ -256,8 +264,8 @@ func assembleBankV4(f *bankseg.File, verifyPayloads, zeroCopy bool) (b *Bank, re
 		// plain heap-shaped matrix (Data set) whether mapped or copied.
 		bank.Errs = ErrMatrix{Parts: parts, Configs: nConfigs, Checkpoints: ckpts, Clients: clients, Data: msegs[0].data}
 	case !refs:
-		// Heap loads canonicalize multi-segment banks into one arena so
-		// every existing Data-facing code path sees the v3 shape.
+		// Heap loads canonicalize multi-segment banks into one arena, the
+		// shape every Data-facing code path expects.
 		m := newSegmentedMatrix(parts, nConfigs, ckpts, clients, msegs)
 		if err := m.Validate(); err != nil {
 			return nil, false, v4Corrupt(path, commitIdx, commit.Offset, "%w", err)
@@ -274,7 +282,7 @@ func assembleBankV4(f *bankseg.File, verifyPayloads, zeroCopy bool) (b *Bank, re
 }
 
 // nopCloser is the Closer OpenBankMapped returns when the bank holds no
-// reference to a mapping (v3 fallback, heap fallback, copied floats).
+// reference to a mapping (heap fallback, copied floats).
 type nopCloser struct{}
 
 func (nopCloser) Close() error { return nil }
@@ -283,9 +291,10 @@ func (nopCloser) Close() error { return nil }
 // is mmap'd and its error matrix backed directly by the mapped arena
 // segments, so open cost is O(segment count) regardless of bank size. The
 // returned Closer owns the mapping — Close only after every reader of the
-// bank is done; oracle reads through a closed mapping fault. Non-v4 files
-// and platforms without mmap degrade to a heap load with a no-op Closer, so
-// call sites need no platform branches.
+// bank is done; oracle reads through a closed mapping fault. Platforms
+// without mmap degrade to a fully verified heap load with a no-op Closer, so
+// call sites need no platform branches. Errors classify exactly as
+// LoadBank's do.
 func OpenBankMapped(path string) (*Bank, io.Closer, error) {
 	return openBankMapped(path, false)
 }
@@ -301,14 +310,14 @@ func OpenBankMappedWarm(path string) (*Bank, io.Closer, error) {
 
 func openBankMapped(path string, warm bool) (*Bank, io.Closer, error) {
 	f, err := bankseg.Open(path)
-	if errors.Is(err, bankseg.ErrNotSegmented) {
-		b, err := LoadBank(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		return b, nopCloser{}, nil
-	}
 	if err != nil {
+		// What the segment layer rejects may be a valid artifact of a retired
+		// generation: classify it before calling it corrupt.
+		if prefix, perr := bankFilePrefix(path); perr == nil {
+			if _, serr := sniffBankGeneration(prefix); serr != nil {
+				return nil, nil, serr
+			}
+		}
 		return nil, nil, wrapSegmentErr(path, err)
 	}
 	b, refs, err := assembleBankV4(f, !f.Mapped(), f.Mapped())
@@ -324,6 +333,99 @@ func openBankMapped(path string, warm bool) (*Bank, io.Closer, error) {
 		metricsInstruments().MappedWarmTotal.Inc()
 	}
 	return b, f, nil
+}
+
+// bankFilePrefix returns the first (up to) 8 bytes of the file at path, the
+// input of sniffBankGeneration.
+func bankFilePrefix(path string) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	var prefix [8]byte
+	n, _ := io.ReadFull(f, prefix[:])
+	return prefix[:n], nil
+}
+
+// MarshalShardV4 renders a shard as a bankfmt/v4 image, the bytes a dist
+// worker uploads: the arena segment ExtendBankV4 would append for [Lo, Hi),
+// then a flags segment under the same tag carrying the tensor dimensions
+// and the per-config divergence flags. Deterministic in the shard's content.
+func MarshalShardV4(sh *BankShard) ([]byte, error) {
+	n := sh.Hi - sh.Lo
+	if sh.Lo < 0 || n <= 0 || sh.Errs.Configs != n || len(sh.Diverged) != n {
+		return nil, fmt.Errorf("core: marshal shard: range [%d, %d) with %d configs, %d flags",
+			sh.Lo, sh.Hi, sh.Errs.Configs, len(sh.Diverged))
+	}
+	if err := sh.Errs.Validate(); err != nil {
+		return nil, fmt.Errorf("core: marshal shard: %w", err)
+	}
+	tag := arenaTag(sh.Lo, sh.Hi)
+	flags := appendU32(nil, uint32(sh.Errs.Parts))
+	flags = appendU32(flags, uint32(sh.Errs.Checkpoints))
+	flags = appendU32(flags, uint32(sh.Errs.Clients))
+	flags = appendBools(flags, sh.Diverged)
+	img := bankseg.AppendSegment(bankseg.NewImage(), segKindArena, 1, tag, bankseg.AppendFloat64s(nil, sh.Errs.Data))
+	return bankseg.AppendSegment(img, segKindShardFlags, 2, tag, flags), nil
+}
+
+// UnmarshalShardV4 reads one MarshalShardV4 image. The bytes come off the
+// wire from anything that can reach a coordinator, so it fails closed: the
+// image must be exactly an arena segment and a flags segment with intact
+// CRCs, agreeing tags, and an arena sized for the declared dimensions —
+// anything else is a *CorruptError. It allocates nothing beyond the flags
+// (the arena is a view into img on little-endian hosts), so bounding len(img)
+// bounds the decode.
+func UnmarshalShardV4(img []byte) (*BankShard, error) {
+	sf, err := bankseg.Parse(img)
+	if err != nil {
+		return nil, wrapSegmentErr("", err)
+	}
+	if torn := sf.Torn(); torn != nil {
+		return nil, wrapSegmentErr("", torn)
+	}
+	segs := sf.Segments()
+	if len(segs) != 2 || segs[0].Kind != segKindArena || segs[1].Kind != segKindShardFlags {
+		return nil, v4Corrupt("", 0, bankseg.FileHeaderLen, "shard image is not one arena segment followed by one flags segment")
+	}
+	arena, flags := &segs[0], &segs[1]
+	for i := range segs {
+		if err := segs[i].VerifyPayload(); err != nil {
+			return nil, v4Corrupt("", i, segs[i].Offset, "%w", err)
+		}
+	}
+	lo, hi := arenaTagRange(arena.Tag)
+	if flags.Tag != arena.Tag {
+		flo, fhi := arenaTagRange(flags.Tag)
+		return nil, v4Corrupt("", 1, flags.Offset, "arena segment tagged [%d,%d), flags segment [%d,%d)", lo, hi, flo, fhi)
+	}
+	if lo < 0 || hi <= lo {
+		return nil, v4Corrupt("", 0, arena.Offset, "shard range [%d,%d) invalid", lo, hi)
+	}
+	r := &metaReader{b: flags.Payload}
+	parts, ckpts, clients := int(r.u32("parts")), int(r.u32("checkpoints")), int(r.u32("clients"))
+	diverged := r.bools(hi-lo, "diverged")
+	if err := r.done(); err != nil {
+		return nil, v4Corrupt("", 1, flags.Offset, "flags segment: %w", err)
+	}
+	want, err := dimsProduct(parts, hi-lo, ckpts, clients)
+	if err != nil {
+		return nil, v4Corrupt("", 1, flags.Offset, "%w", err)
+	}
+	if len(arena.Payload) != want*8 {
+		return nil, v4Corrupt("", 0, arena.Offset, "arena segment has %d payload bytes, dimensions %dx%dx%dx%d imply %d",
+			len(arena.Payload), parts, hi-lo, ckpts, clients, want*8)
+	}
+	data, ok := bankseg.Float64s(arena.Payload)
+	if !ok {
+		data = bankseg.CopyFloat64s(arena.Payload)
+	}
+	return &BankShard{
+		Lo: lo, Hi: hi,
+		Errs:     ErrMatrix{Parts: parts, Configs: hi - lo, Checkpoints: ckpts, Clients: clients, Data: data},
+		Diverged: diverged,
+	}, nil
 }
 
 // Extend returns a new bank covering the plan's full config pool, of which
@@ -381,16 +483,6 @@ var extendAbortStage string
 // last intact commit, so a retried grow after a crash converges to the same
 // file bytes. Returns the grown bank.
 func ExtendBankV4(path string, p *BuildPlan, shards []*BankShard) (*Bank, error) {
-	pf, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("core: extend bank: %w", err)
-	}
-	var prefix [8]byte
-	pn, _ := io.ReadFull(pf, prefix[:])
-	pf.Close()
-	if !bankseg.SniffV4(prefix[:pn]) {
-		return nil, fmt.Errorf("core: extend bank %s: %w (rewrite it with SaveBankV4 first)", path, bankseg.ErrNotSegmented)
-	}
 	old, err := LoadBank(path)
 	if err != nil {
 		return nil, fmt.Errorf("core: extend bank: %w", err)

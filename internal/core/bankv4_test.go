@@ -55,40 +55,20 @@ func TestSaveBankV4RoundTrip(t *testing.T) {
 	}
 }
 
-func TestOpenBankMappedFallsBackForV3(t *testing.T) {
-	b, _ := tinyBank(t)
-	path := filepath.Join(t.TempDir(), "v3.bank")
-	if err := SaveBank(b, path); err != nil {
-		t.Fatal(err)
-	}
-	got, closer, err := OpenBankMapped(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closer.Close()
-	if hashBankContent(got) != hashBankContent(b) {
-		t.Fatal("v3 fallback path corrupted the bank")
-	}
-}
-
 // TestMappedOracleBitIdentical is the golden mapped-serving test: every
-// BankOracle read against the v4-mapped bank must be bit-identical to the
-// same read against the heap-decoded v3 bank.
+// BankOracle read against the mapped bank must be bit-identical to the same
+// read against the heap load of the same file.
 func TestMappedOracleBitIdentical(t *testing.T) {
 	b, _ := tinyBank(t)
-	dir := t.TempDir()
-	p3, p4 := filepath.Join(dir, "v3.bank"), filepath.Join(dir, "v4.bank")
-	if err := SaveBank(b, p3); err != nil {
+	path := filepath.Join(t.TempDir(), "v4.bank")
+	if err := SaveBankV4(b, path); err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveBankV4(b, p4); err != nil {
-		t.Fatal(err)
-	}
-	heap, err := LoadBank(p3)
+	heap, err := LoadBank(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapped, closer, err := OpenBankMapped(p4)
+	mapped, closer, err := OpenBankMapped(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,10 +337,13 @@ func TestLoadBankCorruptionIsLocated(t *testing.T) {
 	check("shortcommit.bank", raw[:commit.Offset+bankseg.SegmentHeaderLen+int64(len(commit.Payload))-1])
 }
 
-// FuzzBankV4 asserts the v4 decode path never panics and only ever returns
-// validated banks, whatever bytes arrive. Seeds cover the corpus the crash
-// and corruption tests exercise: a valid file, a torn segment, a payload
-// CRC flip, and a duplicated (replayed) segment.
+// FuzzBankV4 asserts the one bank decoder — it faces disk and the wire —
+// never panics, only ever returns validated banks, and fails in exactly two
+// ways: a stale-format classification or a located *CorruptError. Seeds
+// cover the corpus the crash and corruption tests exercise (a valid file, a
+// torn segment, a payload CRC flip, a duplicated segment); testdata adds the
+// retired generations (v3 frames whole, truncated and bit-flipped, a gzip
+// magic), which must classify as stale without being decoded.
 func FuzzBankV4(f *testing.F) {
 	opts := tinyBuildOptions()
 	opts.NumConfigs, opts.MaxRounds = 2, 3
@@ -386,14 +369,22 @@ func FuzzBankV4(f *testing.F) {
 	f.Add(append(append([]byte(nil), raw...), raw[bankseg.FileHeaderLen:]...)) // duplicate segments
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		b, err := DecodeBank(bytes.NewReader(data))
-		if err == nil {
-			if b == nil {
-				t.Fatal("nil bank without error")
+		b, err := DecodeBank(data)
+		if err != nil {
+			var ce *CorruptError
+			if !IsStaleBankFormat(err) && !errors.As(err, &ce) {
+				t.Fatalf("error is neither stale-format nor *CorruptError: %v", err)
 			}
-			if verr := b.Validate(); verr != nil {
-				t.Fatalf("decoded bank fails validation: %v", verr)
+			if retired := bytes.HasPrefix(data, []byte("NEBANK\x03\x00")) || bytes.HasPrefix(data, []byte{0x1f, 0x8b}); retired && !IsStaleBankFormat(err) {
+				t.Fatalf("retired-generation bytes not classified stale: %v", err)
 			}
+			return
+		}
+		if b == nil {
+			t.Fatal("nil bank without error")
+		}
+		if verr := b.Validate(); verr != nil {
+			t.Fatalf("decoded bank fails validation: %v", verr)
 		}
 	})
 }

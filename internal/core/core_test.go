@@ -148,7 +148,7 @@ func TestBankPartitionIndex(t *testing.T) {
 func TestBankSaveLoadRoundTrip(t *testing.T) {
 	b, _ := tinyBank(t)
 	path := filepath.Join(t.TempDir(), "bank.gob.gz")
-	if err := SaveBank(b, path); err != nil {
+	if err := SaveBankV4(b, path); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadBank(path)

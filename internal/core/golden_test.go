@@ -12,27 +12,14 @@ import (
 	"noisyeval/internal/rng"
 )
 
-// The constants below were recorded by running the pre-refactor per-sample
-// training engine (the seed code path, before the batched engine landed) on
-// the exact populations and options constructed in the tests. They pin the
-// BatchEval=false contract: the per-sample engine — including the in-place
-// optimizer steps, reused SGD state, and allocation-free RNG splits that
-// replaced its internals — must keep producing byte-identical banks, or
-// every previously cached artifact silently loses its meaning.
-const (
-	goldenImageBankHash = "34a46f7f94b37931d5f4d08a3ca9fe4dfb974c6b5a382c8abacf394e6140f333"
-	goldenTextBankHash  = "00cb380e80f40ced97ac9a37d84e857dbe6140e1f95cae9073c3d85d541b1b0c"
-	goldenTrainerHash   = "903447d28d0ae7adb2b04af6cdc04ca0e1bdc250064c04ab375cd1beee4b8989"
-)
-
-// The batched twins were recorded on the scalar Go GEMM kernels (the commit
-// before the AVX2 ones landed), on the same fixtures. The batched engine is
-// the one that builds every default bank, and banks are content-addressed
-// on it: a kernel that changes one bit here silently invalidates every warm
-// cache and the benchmark's results_digest. They must hold on the AVX2 path
-// and on the portable one alike. (At this fixture scale the two engines'
-// error rates coincide — a misclassification count absorbs a last-ulp
-// difference — so the bank hashes equal the per-sample ones; the weight
+// The constants below were recorded on the scalar Go GEMM kernels (the commit
+// before the AVX2 ones landed), on the exact populations and options
+// constructed in the tests. The batched engine builds every bank, and banks
+// are content-addressed on it: a kernel that changes one bit here silently
+// invalidates every warm cache and the benchmark's results_digest. They must
+// hold on the AVX2 path and on the portable one alike. (The bank hashes also
+// equal what the retired per-sample engine recorded on these fixtures — a
+// misclassification count absorbs a last-ulp difference — so the weight
 // hashes are the sharp pins.)
 const (
 	goldenBatchedImageBankHash   = "34a46f7f94b37931d5f4d08a3ca9fe4dfb974c6b5a382c8abacf394e6140f333"
@@ -102,15 +89,14 @@ func goldenTextPop(t testing.TB) *data.Population {
 	return pop
 }
 
-// goldenBankHashes builds the image and the text golden bank on the chosen
-// engine and returns their content hashes.
-func goldenBankHashes(t *testing.T, batchEval bool) (image, text string) {
+// goldenBankHashes builds the image and the text golden bank and returns
+// their content hashes.
+func goldenBankHashes(t *testing.T) (image, text string) {
 	t.Helper()
 	opts := DefaultBuildOptions()
 	opts.NumConfigs = 3
 	opts.MaxRounds = 9
 	opts.Partitions = []float64{0.5}
-	opts.BatchEval = batchEval
 	b, err := BuildBank(goldenImagePop(t), opts, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +106,6 @@ func goldenBankHashes(t *testing.T, batchEval bool) (image, text string) {
 	optsT := DefaultBuildOptions()
 	optsT.NumConfigs = 2
 	optsT.MaxRounds = 9
-	optsT.BatchEval = batchEval
 	bT, err := BuildBank(popT, optsT, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -128,15 +113,13 @@ func goldenBankHashes(t *testing.T, batchEval bool) (image, text string) {
 	return hashBankContent(b), hashBankContent(bT)
 }
 
-// goldenTrainerWeightsHash trains pop for five rounds on the chosen engine
-// and hashes the server weights (a sharper check than recorded error rates,
-// which could mask compensating drift).
-func goldenTrainerWeightsHash(t *testing.T, pop *data.Population, batchEval bool) string {
+// goldenTrainerWeightsHash trains pop for five rounds and hashes the server
+// weights (a sharper check than recorded error rates, which could mask
+// compensating drift).
+func goldenTrainerWeightsHash(t *testing.T, pop *data.Population) string {
 	t.Helper()
 	hp := fl.HParams{ServerLR: 0.01, Beta1: 0.9, Beta2: 0.99, ClientLR: 0.1, ClientMomentum: 0.5, BatchSize: 8}
-	opts := fl.DefaultOptions()
-	opts.BatchEval = batchEval
-	tr, err := fl.NewTrainer(pop, hp, opts, rng.New(21))
+	tr, err := fl.NewTrainer(pop, hp, fl.DefaultOptions(), rng.New(21))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,30 +129,10 @@ func goldenTrainerWeightsHash(t *testing.T, pop *data.Population, batchEval bool
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// TestPerSampleBankBitIdentical is the end-to-end byte-identity test: a
-// BatchEval=false bank build must reproduce the pre-refactor seed path's
-// recorded errors bit for bit, on both task families.
-func TestPerSampleBankBitIdentical(t *testing.T) {
-	image, text := goldenBankHashes(t, false)
-	if image != goldenImageBankHash {
-		t.Errorf("image bank content drifted from the pre-refactor engine:\n got %s\nwant %s", image, goldenImageBankHash)
-	}
-	if text != goldenTextBankHash {
-		t.Errorf("text bank content drifted from the pre-refactor engine:\n got %s\nwant %s", text, goldenTextBankHash)
-	}
-}
-
-// TestPerSampleTrainerBitIdentical pins the per-sample trainer weights.
-func TestPerSampleTrainerBitIdentical(t *testing.T) {
-	if got := goldenTrainerWeightsHash(t, goldenImagePop(t), false); got != goldenTrainerHash {
-		t.Errorf("per-sample trainer weights drifted from the pre-refactor engine:\n got %s\nwant %s", got, goldenTrainerHash)
-	}
-}
-
-// TestBatchedBankBitIdentical pins the default (batched) engine's banks on
-// both task families to the scalar kernels' recorded bits.
+// TestBatchedBankBitIdentical pins the engine's banks on both task families
+// to the scalar kernels' recorded bits.
 func TestBatchedBankBitIdentical(t *testing.T) {
-	image, text := goldenBankHashes(t, true)
+	image, text := goldenBankHashes(t)
 	if image != goldenBatchedImageBankHash {
 		t.Errorf("batched image bank content drifted from the scalar kernels:\n got %s\nwant %s", image, goldenBatchedImageBankHash)
 	}
@@ -183,29 +146,11 @@ func TestBatchedBankBitIdentical(t *testing.T) {
 // only consumer of the first layer's input-gradient GEMM over ReLU-masked,
 // half-zero gradients: the skip path of tensor.MatMul).
 func TestBatchedTrainerBitIdentical(t *testing.T) {
-	if got := goldenTrainerWeightsHash(t, goldenImagePop(t), true); got != goldenBatchedTrainerHash {
+	if got := goldenTrainerWeightsHash(t, goldenImagePop(t)); got != goldenBatchedTrainerHash {
 		t.Errorf("batched image trainer weights drifted from the scalar kernels:\n got %s\nwant %s", got, goldenBatchedTrainerHash)
 	}
-	if got := goldenTrainerWeightsHash(t, goldenTextPop(t), true); got != goldenBatchedTextTrainerHash {
+	if got := goldenTrainerWeightsHash(t, goldenTextPop(t)); got != goldenBatchedTextTrainerHash {
 		t.Errorf("batched text trainer weights drifted from the scalar kernels:\n got %s\nwant %s", got, goldenBatchedTextTrainerHash)
-	}
-}
-
-// TestBatchEvalChangesCacheKey verifies the knob participates in the bank
-// content address (batched numerics must never be served for a per-sample
-// request or vice versa), while Workers stays excluded.
-func TestBatchEvalChangesCacheKey(t *testing.T) {
-	spec := data.CIFAR10Like()
-	a := DefaultBuildOptions()
-	b := DefaultBuildOptions()
-	b.BatchEval = false
-	if BankKey(spec, a, 1) == BankKey(spec, b, 1) {
-		t.Error("BatchEval flip did not change the bank key")
-	}
-	c := DefaultBuildOptions()
-	c.Workers = 7
-	if BankKey(spec, a, 1) != BankKey(spec, c, 1) {
-		t.Error("Workers changed the bank key; parallelism must not affect content addressing")
 	}
 }
 

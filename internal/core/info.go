@@ -5,10 +5,7 @@ package core
 // inspecting a large v4 bank costs one mmap plus per-segment CRC sweeps.
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 
 	"noisyeval/internal/core/bankseg"
@@ -26,12 +23,12 @@ type SegmentInfo struct {
 	Live   bool   // named by the authoritative commit (or is that commit)
 }
 
-// BankInfo is the inspection report for one bank file of any generation.
+// BankInfo is the inspection report for one bank file. A file of a retired
+// generation reports only Path, Version and FileBytes.
 type BankInfo struct {
 	Path    string
-	Version int      // 0 = legacy gob+gzip, 3, or 4
-	Flags   []string // v3 flag names
-	Dims    [4]int   // partitions, configs, checkpoints, clients
+	Version int    // format generation: 4, or a retired one (0 = gob+gzip)
+	Dims    [4]int // partitions, configs, checkpoints, clients
 
 	SpecName string
 	Seed     uint64
@@ -39,76 +36,29 @@ type BankInfo struct {
 	FileBytes  int64 // on-disk size
 	ArenaBytes int64 // mapped/decoded error-arena size (dims product × 8)
 
-	MetaBytes  int   // v3: metadata section length
-	FloatCount int64 // v3: bulk section float count
-
-	Segments []SegmentInfo // v4: full segment table
-	Torn     string        // v4: where the segment walk stopped early, if it did
+	Segments []SegmentInfo // full segment table
+	Torn     string        // where the segment walk stopped early, if it did
 }
 
-// InspectBank reads path's headers (and, for v4, its segment table with
-// per-segment CRC status) without requiring the bank to be loadable — a
-// torn or corrupt file still yields a report describing what is intact.
+// InspectBank reads path's segment table with per-segment CRC status
+// without requiring the bank to be loadable — a torn or corrupt file still
+// yields a report describing what is intact, next to the error. A file of a
+// retired generation yields its version next to the stale-format error
+// naming the fix.
 func InspectBank(path string) (*BankInfo, error) {
-	f, err := os.Open(path)
+	fi, err := os.Stat(path)
 	if err != nil {
 		return nil, fmt.Errorf("core: inspect bank: %w", err)
 	}
-	defer f.Close()
-	fi, err := f.Stat()
+	prefix, err := bankFilePrefix(path)
 	if err != nil {
 		return nil, fmt.Errorf("core: inspect bank: %w", err)
 	}
 	info := &BankInfo{Path: path, FileBytes: fi.Size()}
-	var prefix [8]byte
-	n, _ := io.ReadFull(f, prefix[:])
-	switch {
-	case n >= 2 && prefix[0] == 0x1f && prefix[1] == 0x8b:
-		info.Version = 0 // legacy gob+gzip: opaque beyond the magic
-		return info, nil
-	case bankseg.SniffV4(prefix[:n]):
-		f.Close()
-		return inspectV4(info)
-	default:
-		return inspectV3(info, f)
+	if info.Version, err = sniffBankGeneration(prefix); err != nil {
+		return info, err
 	}
-}
-
-func inspectV3(info *BankInfo, f *os.File) (*BankInfo, error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("core: inspect bank: %w", err)
-	}
-	var h [bankfmtHeaderLen]byte
-	if _, err := io.ReadFull(f, h[:]); err != nil {
-		return nil, fmt.Errorf("core: inspect bank: header truncated: %w", err)
-	}
-	if [6]byte(h[0:6]) != bankMagic {
-		return nil, fmt.Errorf("core: inspect bank: not a bank file (magic %x)", h[0:6])
-	}
-	info.Version = int(binary.LittleEndian.Uint16(h[6:8]))
-	flags := binary.LittleEndian.Uint32(h[8:12])
-	for _, fl := range []struct {
-		bit  uint32
-		name string
-	}{{flagPayloadGzip, "gzip"}, {flagDictFloats, "dict"}, {flagPackedIndices, "packed"}} {
-		if flags&fl.bit != 0 {
-			info.Flags = append(info.Flags, fl.name)
-		}
-	}
-	info.MetaBytes = int(binary.LittleEndian.Uint32(h[12:16]))
-	info.FloatCount = int64(binary.LittleEndian.Uint64(h[16:24]))
-	info.ArenaBytes = info.FloatCount * 8
-	// Dimensions live in the (possibly compressed) metadata; a full decode
-	// is the only honest way to read them, and doubles as a CRC check.
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("core: inspect bank: %w", err)
-	}
-	b, err := decodeBank(bufio.NewReaderSize(f, 1<<20))
-	if err != nil {
-		return info, fmt.Errorf("core: inspect bank: %w", err)
-	}
-	fillBankDims(info, b)
-	return info, nil
+	return inspectV4(info)
 }
 
 func inspectV4(info *BankInfo) (*BankInfo, error) {
@@ -117,7 +67,6 @@ func inspectV4(info *BankInfo) (*BankInfo, error) {
 		return nil, wrapSegmentErr(info.Path, err)
 	}
 	defer sf.Close()
-	info.Version = bankseg.Version
 	if torn := sf.Torn(); torn != nil {
 		info.Torn = torn.Error()
 	}
@@ -171,9 +120,4 @@ func inspectV4(info *BankInfo) (*BankInfo, error) {
 	info.Dims = [4]int{len(b.Partitions), len(b.Configs), len(b.Rounds), clients}
 	info.ArenaBytes = int64(len(b.Partitions)) * int64(len(b.Configs)) * int64(len(b.Rounds)) * int64(clients) * 8
 	return info, nil
-}
-
-func fillBankDims(info *BankInfo, b *Bank) {
-	info.SpecName, info.Seed = b.SpecName, b.Seed
-	info.Dims = [4]int{b.Errs.Parts, b.Errs.Configs, b.Errs.Checkpoints, b.Errs.Clients}
 }

@@ -69,7 +69,7 @@ func TestShardedBuildByteIdentical(t *testing.T) {
 	encode := func(name string, b *Bank) []byte {
 		t.Helper()
 		path := filepath.Join(dir, name)
-		if err := SaveBank(b, path); err != nil {
+		if err := SaveBankV4(b, path); err != nil {
 			t.Fatal(err)
 		}
 		raw, err := os.ReadFile(path)

@@ -94,7 +94,7 @@ func (b *Builder) fetchFromPeers(key string) *core.Bank {
 		client = &http.Client{Timeout: 5 * time.Second}
 	}
 	for _, peer := range b.Peers {
-		bank, err := fetchBank(client, peer, key)
+		bank, err := fetchBank(client, peer, key, core.MaxBankImageBytes)
 		if err != nil {
 			b.peerMisses.Add(1)
 			continue
@@ -105,8 +105,11 @@ func (b *Builder) fetchFromPeers(key string) *core.Bank {
 	return nil
 }
 
-// fetchBank downloads and decodes one bank from a peer.
-func fetchBank(client *http.Client, peer, key string) (*core.Bank, error) {
+// fetchBank downloads and decodes one bank from a peer, inflating no more
+// than limit bytes: a peer is another process's output, so a body that runs
+// past the bound (or is not a gzipped bankfmt/v4 image at all) is a miss,
+// not an allocation.
+func fetchBank(client *http.Client, peer, key string, limit int64) (*core.Bank, error) {
 	resp, err := client.Get(peer + "/v1/banks/" + key)
 	if err != nil {
 		return nil, err
@@ -121,7 +124,11 @@ func fetchBank(client *http.Client, peer, key string) (*core.Bank, error) {
 	if got := resp.Header.Get("X-Bank-Key"); got != "" && got != key {
 		return nil, fmt.Errorf("dist: peer %s: bank %s grown into %s", peer, key, got)
 	}
-	// The wire bytes are the store's on-disk encoding; DecodeBank validates
-	// before the bank is trusted or persisted.
-	return core.DecodeBank(resp.Body)
+	// The wire bytes are the store's file, gzipped; DecodeBank verifies every
+	// segment before the bank is trusted or persisted.
+	img, err := inflateBytes(resp.Body, limit)
+	if err != nil {
+		return nil, fmt.Errorf("dist: peer %s: %w", peer, err)
+	}
+	return core.DecodeBank(img)
 }

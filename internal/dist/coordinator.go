@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"compress/gzip"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -64,7 +65,8 @@ type CoordinatorOptions struct {
 }
 
 // CoordinatorStats is a snapshot of the coordinator's operational counters
-// (GET /v1/work/stats, and noisyevald's /debug/vars in cluster mode).
+// (GET /v1/work/stats; the dist_* series of noisyevald's /metrics in cluster
+// mode).
 type CoordinatorStats struct {
 	BuildsStarted     int64 `json:"builds_started"`
 	BuildsCompleted   int64 `json:"builds_completed"`
@@ -134,6 +136,9 @@ type build struct {
 // concurrent use.
 type Coordinator struct {
 	opts CoordinatorOptions
+	// maxShardBytes bounds what one shard upload may inflate to
+	// (maxShardDecodedBytes; a field so tests can exercise the bound cheaply).
+	maxShardBytes int64
 
 	mu      sync.Mutex
 	builds  map[string]*build // by bank key (in-flight only)
@@ -191,6 +196,8 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 		workers:  map[string]bool{},
 		wake:     make(chan struct{}, 1),
 		selfStop: make(chan struct{}),
+
+		maxShardBytes: maxShardDecodedBytes,
 	}
 	for i := 0; i < opts.SelfBuild; i++ {
 		c.selfWG.Add(1)
@@ -672,7 +679,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "missing job parameter")
 		return
 	}
-	sh, err := DecodeShard(io.LimitReader(r.Body, MaxShardBodyBytes))
+	sh, err := DecodeShard(io.LimitReader(r.Body, MaxShardBodyBytes), c.maxShardBytes)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "decode shard: %v", err)
 		return
@@ -734,13 +741,13 @@ func safeKey(key string) bool {
 	return true
 }
 
-// handleBank serves a cached bank's raw bytes — the artifact exactly as the
-// store persisted it (bankfmt/v3 or v4), streamed without decoding or
-// re-encoding — so warm peers can seed cold ones (the read-through tier of
-// dist.Builder). A key whose bank has been grown resolves through its store
-// alias; the X-Bank-Key header names the entry actually served, so callers
-// that need the exact requested content (the builder does — its cache key
-// promises a specific config pool) can tell a moved bank from a hit.
+// handleBank serves a cached bank — the file exactly as the store persisted
+// it, streamed through gzip without decoding — so warm peers can seed cold
+// ones (the read-through tier of dist.Builder). A key whose bank has been
+// grown resolves through its store alias; the X-Bank-Key header names the
+// entry actually served, so callers that need the exact requested content
+// (the builder does — its cache key promises a specific config pool) can
+// tell a moved bank from a hit.
 func (c *Coordinator) handleBank(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if !safeKey(key) {
@@ -766,5 +773,10 @@ func (c *Coordinator) handleBank(w http.ResponseWriter, r *http.Request) {
 	c.bankFetches.Add(1)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Bank-Key", resolved)
-	io.Copy(w, f)
+	zw := gzip.NewWriter(w)
+	// A failed copy leaves the member without its trailer, which the
+	// fetcher's inflate rejects; nothing more can be said on this connection.
+	if _, err := io.Copy(zw, f); err == nil {
+		zw.Close()
+	}
 }

@@ -23,15 +23,15 @@
 //     through the interface, so cmd/figures and noisyevald run in cluster
 //     mode unchanged.
 //
-// Protocol (JSON envelopes; shard and bank payloads use the bankfmt/v3
-// binary framing from core — fixed header, bulk little-endian float section
-// decoded straight into a contiguous arena; populations remain gzipped gob):
+// Protocol (JSON envelopes; every bulk payload is one gzip member — shards
+// and banks as bankfmt/v4 images, see core/bankv4.go, populations as gob —
+// and every receiver inflates through one bounded helper):
 //
 //	POST /v1/work/lease              {"worker":"w1"} → 200 {job} | 204 no work
-//	POST /v1/work/complete?job=&worker=   shard bytes → 200 {"status":"ok"|"duplicate"|"stale"}
-//	GET  /v1/work/populations/{key}  population bytes for a leased job
+//	POST /v1/work/complete?job=&worker=   gzipped shard image → 200 {"status":"ok"|"duplicate"|"stale"}
+//	GET  /v1/work/populations/{key}  gzipped population for a leased job
 //	GET  /v1/work/stats              coordinator counters
-//	GET  /v1/banks/{key}             gzipped bank bytes from the store
+//	GET  /v1/banks/{key}             gzipped bank file from the store
 //
 // Trace propagation: a Job carries the trace ID of the build that spawned it
 // (also echoed in the lease response's X-Trace-Id header), and a worker's
@@ -51,6 +51,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 
 	"noisyeval/internal/core"
 	"noisyeval/internal/data"
@@ -99,11 +100,11 @@ type completeResponse struct {
 	Status string `json:"status"`
 }
 
-// encodeGz writes v as gzipped gob.
-func encodeGz(v any) ([]byte, error) {
+// gzipMember wraps write's output in one gzip member.
+func gzipMember(write func(io.Writer) error) ([]byte, error) {
 	var buf bytes.Buffer
 	zw := gzip.NewWriter(&buf)
-	if err := gob.NewEncoder(zw).Encode(v); err != nil {
+	if err := write(zw); err != nil {
 		return nil, fmt.Errorf("dist: encode: %w", err)
 	}
 	if err := zw.Close(); err != nil {
@@ -113,57 +114,77 @@ func encodeGz(v any) ([]byte, error) {
 }
 
 // Wire safety bounds. A full-scale shard (3 partitions × 8 configs × ~5
-// rungs × 10k clients × 8 bytes) decompresses to tens of MB; the caps leave
-// two orders of magnitude of headroom while keeping a hostile payload — the
-// complete endpoint is reachable by anything that can reach the daemon —
-// from inflating into an unbounded allocation. The bankfmt framing declares
-// its arena size in the header, so the decoded cap is enforced before a
-// single float is read.
+// rungs × 10k clients × 8 bytes) is tens of MB; the caps leave two orders of
+// magnitude of headroom while keeping a hostile payload — the complete
+// endpoint is reachable by anything that can reach the daemon — from
+// inflating into an unbounded allocation.
 const (
 	// MaxShardBodyBytes bounds the compressed shard upload a coordinator
 	// reads from one POST /v1/work/complete.
 	MaxShardBodyBytes = 256 << 20
-	// maxShardDecodedBytes bounds the error-arena allocation one decoded
-	// shard may demand.
+	// maxShardDecodedBytes bounds what one shard upload may inflate to (the
+	// image is the error arena plus a few hundred bytes of framing).
 	maxShardDecodedBytes = 1 << 30
 )
 
-// decodeGz reads one gzipped gob value from r into v, refusing to inflate
-// more than limit decompressed bytes (limit <= 0 = unbounded, for payloads
-// from trusted in-process sources).
-func decodeGz(r io.Reader, v any, limit int64) error {
+// inflate hands read the inflated content of r's gzip stream and fails if
+// the stream holds more than limit inflated bytes — before read can have
+// buffered more than that (limit <= 0 = unbounded, for payloads from a
+// source the caller chose to trust).
+func inflate(r io.Reader, limit int64, read func(io.Reader) error) error {
 	zr, err := gzip.NewReader(r)
 	if err != nil {
 		return fmt.Errorf("dist: decode: %w", err)
 	}
 	defer zr.Close()
-	var src io.Reader = zr
-	if limit > 0 {
-		src = io.LimitReader(zr, limit)
+	if limit <= 0 {
+		limit = math.MaxInt64 - 1
 	}
-	if err := gob.NewDecoder(src).Decode(v); err != nil {
+	src := &io.LimitedReader{R: zr, N: limit + 1}
+	if err := read(src); err != nil {
 		return fmt.Errorf("dist: decode: %w", err)
+	}
+	if src.N == 0 {
+		return fmt.Errorf("dist: decode: payload inflates past the %d-byte bound", limit)
 	}
 	return nil
 }
 
-// EncodeShard renders a shard for the wire: bankfmt/v3 shard framing, whose
-// bulk section is the shard's contiguous error arena (written in one run,
-// gzip-framed). Workers upload exactly these bytes.
-func EncodeShard(sh *core.BankShard) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := core.EncodeShard(&buf, sh); err != nil {
-		return nil, fmt.Errorf("dist: encode shard: %w", err)
-	}
-	return buf.Bytes(), nil
+// inflateBytes reads the whole inflated content of r's gzip stream, bounded
+// like inflate.
+func inflateBytes(r io.Reader, limit int64) (data []byte, err error) {
+	err = inflate(r, limit, func(src io.Reader) error {
+		data, err = io.ReadAll(src)
+		return err
+	})
+	return data, err
 }
 
-// DecodeShard reads one EncodeShard payload straight into a fresh arena the
-// coordinator's reassembly block-copies from. The arena allocation is
-// bounded by the header's declared size: a payload claiming more than
-// maxShardDecodedBytes fails to decode instead of exhausting memory.
-func DecodeShard(r io.Reader) (*core.BankShard, error) {
-	sh, err := core.DecodeShard(r, maxShardDecodedBytes)
+// EncodeShard renders a shard for the wire: its bankfmt/v4 image
+// (core.MarshalShardV4) inside one gzip member. Workers upload exactly
+// these bytes.
+func EncodeShard(sh *core.BankShard) ([]byte, error) {
+	img, err := core.MarshalShardV4(sh)
+	if err != nil {
+		return nil, fmt.Errorf("dist: encode shard: %w", err)
+	}
+	return gzipMember(func(w io.Writer) error {
+		_, err := w.Write(img)
+		return err
+	})
+}
+
+// DecodeShard reads one EncodeShard payload. The inflate stops at limit
+// bytes (coordinators pass maxShardDecodedBytes) and the decoded arena is a
+// view into the inflated image, so a payload claiming more fails instead of
+// exhausting memory; anything but an intact two-segment v4 shard image is
+// refused undecoded.
+func DecodeShard(r io.Reader, limit int64) (*core.BankShard, error) {
+	img, err := inflateBytes(r, limit)
+	if err != nil {
+		return nil, err
+	}
+	sh, err := core.UnmarshalShardV4(img)
 	if err != nil {
 		return nil, fmt.Errorf("dist: decode shard: %w", err)
 	}
@@ -171,14 +192,16 @@ func DecodeShard(r io.Reader) (*core.BankShard, error) {
 }
 
 // EncodePopulation renders a population for the wire (gzipped gob).
-func EncodePopulation(p *data.Population) ([]byte, error) { return encodeGz(p) }
+func EncodePopulation(p *data.Population) ([]byte, error) {
+	return gzipMember(func(w io.Writer) error { return gob.NewEncoder(w).Encode(p) })
+}
 
 // DecodePopulation reads one EncodePopulation payload (workers only decode
 // populations from the coordinator they chose to pull from, so the stream
 // is unbounded).
 func DecodePopulation(r io.Reader) (*data.Population, error) {
 	var p data.Population
-	if err := decodeGz(r, &p, 0); err != nil {
+	if err := inflate(r, 0, func(src io.Reader) error { return gob.NewDecoder(src).Decode(&p) }); err != nil {
 		return nil, err
 	}
 	return &p, nil

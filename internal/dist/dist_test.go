@@ -227,7 +227,11 @@ func TestPeerBankAliasMiss(t *testing.T) {
 	if got := resp.Header.Get("X-Bank-Key"); got != newKey {
 		t.Fatalf("X-Bank-Key = %q, want %q", got, newKey)
 	}
-	served, err := core.DecodeBank(resp.Body)
+	img, err := inflateBytes(resp.Body, core.MaxBankImageBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, err := core.DecodeBank(img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +318,8 @@ func TestConcurrentBuildsCoalesce(t *testing.T) {
 	}
 }
 
-// TestWireRoundTrips pins the gob+gzip wire encodings.
+// TestWireRoundTrips pins the wire encodings (gzipped v4 shard image,
+// gzipped gob population, gob options).
 func TestWireRoundTrips(t *testing.T) {
 	pop, opts, seed := testPop(t), testOpts(), uint64(5)
 	plan, err := core.NewBuildPlan(pop, opts, seed)
@@ -329,7 +334,7 @@ func TestWireRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeShard(bytesReader(raw))
+	back, err := DecodeShard(bytesReader(raw), maxShardDecodedBytes)
 	if err != nil {
 		t.Fatal(err)
 	}

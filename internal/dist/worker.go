@@ -38,9 +38,9 @@ type WorkerOptions struct {
 	Metrics *obs.Registry
 }
 
-// WorkerCounters is a snapshot of one worker's lifetime counters, surfaced
-// at cmd/noisyworker's /debug/vars (the CI cluster job asserts on
-// shards_built).
+// WorkerCounters is a snapshot of one worker's lifetime counters (the
+// worker_* series of cmd/noisyworker's /metrics read the same atomics; the
+// CI cluster job asserts on worker_shards_built_total).
 type WorkerCounters struct {
 	Leases        int64 `json:"leases"`         // successful leases
 	LeaseEmpty    int64 `json:"lease_empty"`    // polls that found no work

@@ -85,18 +85,11 @@ type Options struct {
 	// diverge and collapse to degenerate predictors (the lower-right points
 	// of Figure 7); 0 (the default) preserves that behaviour.
 	ClipNorm float64
-	// BatchEval selects the batched training engine: each minibatch runs as
-	// one GEMM forward/backward and client evaluation is batched too. The
-	// per-example arithmetic is equivalent but summation order differs, so
-	// results are close but not bitwise equal to the per-sample path; banks
-	// key on this flag (core.BankKey). false reproduces the original
-	// per-sample engine bit for bit.
-	BatchEval bool
 }
 
-// DefaultOptions returns the paper's settings on the batched engine.
+// DefaultOptions returns the paper's settings.
 func DefaultOptions() Options {
-	return Options{ClientsPerRound: 10, WeightedAggregation: true, BatchEval: true}
+	return Options{ClientsPerRound: 10, WeightedAggregation: true}
 }
 
 // Trainer runs federated training of one configuration on one population.
@@ -220,11 +213,9 @@ func (t *Trainer) Round() {
 // minibatch SGD with momentum and weight decay starting from the server
 // weights. The trained weights are left in the model's parameter storage.
 //
-// Every step runs in place over the model's flat parameter and gradient
-// views — the per-step FlattenGrads/FlattenParams/SetParams full-vector
-// copies of the original engine are gone on both the batched and the
-// per-sample path (the in-place form performs the identical elementwise
-// arithmetic, so the per-sample path stays bit-compatible with seed banks).
+// Each minibatch is one batched forward/backward (trainStepBatched), and every
+// optimizer step runs in place over the model's flat parameter and gradient
+// views — no per-step full-vector copies.
 func (t *Trainer) localTrain(client *data.Client) {
 	w, g := t.model.ParamsVec(), t.model.GradsVec()
 	copy(w, t.weights)
@@ -246,14 +237,7 @@ func (t *Trainer) localTrain(client *data.Client) {
 				end = n
 			}
 			t.model.ZeroGrad()
-			if t.Opts.BatchEval {
-				t.trainStepBatched(client, order[start:end])
-			} else {
-				for _, i := range order[start:end] {
-					ex := client.Examples[i]
-					t.model.LossAndBackward(ex.Input(), ex.Label)
-				}
-			}
+			t.trainStepBatched(client, order[start:end])
 			g.Scale(1 / float64(end-start))
 			t.clientOpt.Step(w, g)
 		}
@@ -335,17 +319,7 @@ func (t *Trainer) EvalClient(client *data.Client) float64 {
 // evalClientErr evaluates one client assuming the model already holds the
 // server weights and training has not diverged.
 func (t *Trainer) evalClientErr(client *data.Client) float64 {
-	wrong := 0
-	if t.Opts.BatchEval {
-		wrong = t.evalWrongBatched(client)
-	} else {
-		for _, ex := range client.Examples {
-			if t.model.Predict(ex.Input()) != ex.Label {
-				wrong++
-			}
-		}
-	}
-	return float64(wrong) / float64(len(client.Examples))
+	return float64(t.evalWrongBatched(client)) / float64(len(client.Examples))
 }
 
 // evalWrongBatched counts misclassifications with batched forward passes

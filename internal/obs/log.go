@@ -133,22 +133,15 @@ func (l *Logger) Warn(msg string, kv ...any) { l.log(LevelWarn, msg, kv) }
 // Error logs at error level.
 func (l *Logger) Error(msg string, kv ...any) { l.log(LevelError, msg, kv) }
 
-// Logf is the printf bridge for legacy injectable sinks (journal Logf,
-// BoundCache): the formatted string becomes the msg of an info-level line.
-// A nil logger's Logf is still callable as a method value would not be, so
-// call sites pass l.Logf only when l is non-nil (use LogfSink for fields).
+// Logf logs a printf-formatted message at info level (the journal's
+// operational lines are prose, not key=value events). Nil-safe like every
+// other method, and a silent logger returns before formatting: the journal
+// calls this on every compaction.
 func (l *Logger) Logf(format string, args ...any) {
-	l.log(LevelInfo, fmt.Sprintf(format, args...), nil)
-}
-
-// LogfSink adapts a logger to the log.Printf-shaped func sinks older layers
-// inject (journal Options.Logf, core.BoundCache). A nil logger yields a
-// discard sink, never a nil func.
-func LogfSink(l *Logger) func(format string, args ...any) {
-	if l == nil || l.out == nil {
-		return func(string, ...any) {}
+	if l == nil || l.out == nil || LevelInfo < Level(l.out.lvl.Load()) {
+		return
 	}
-	return l.Logf
+	l.log(LevelInfo, fmt.Sprintf(format, args...), nil)
 }
 
 func (l *Logger) log(lvl Level, msg string, kv []any) {

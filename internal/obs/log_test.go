@@ -75,14 +75,17 @@ func TestLoggerNilSafe(t *testing.T) {
 	l.Info("ignored", "k", "v")
 	l.Warn("ignored")
 	l.Logf("ignored %d", 1)
+	// A silent logger must not pay for formatting (the journal logs on every
+	// compaction, with or without a logger).
+	if n := testing.AllocsPerRun(10, func() { l.Logf("ignored %s", "x") }); n != 0 {
+		t.Errorf("Logf on a nil logger allocates %v times, want 0", n)
+	}
 	if got := l.Named("x"); got != nil {
 		t.Fatalf("Named on nil = %v, want nil", got)
 	}
 	if got := l.With("k", "v"); got != nil {
 		t.Fatalf("With on nil = %v, want nil", got)
 	}
-	sink := LogfSink(nil)
-	sink("still callable %d", 1)
 }
 
 func TestLoggerNamedNestingAndWith(t *testing.T) {

@@ -149,9 +149,8 @@ func (g *Gauge) writeProm(w io.Writer) {
 }
 
 // funcMetric exposes an externally owned value (an existing atomic counter,
-// a cache stat) without copying it into the registry. This is how the
-// pre-obs expvar counters become Prometheus series while staying the single
-// source of truth.
+// a cache stat) without copying it into the registry: the owner's atomic
+// stays the single source of truth and the series is a view of it.
 type funcMetric struct {
 	nm, help, kind string
 	fn             func() int64

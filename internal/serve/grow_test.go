@@ -77,21 +77,10 @@ func TestBankGrowEndpoint(t *testing.T) {
 	}
 
 	// Counters and health surface the growth.
-	vresp, err := http.Get(ts.URL + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer vresp.Body.Close()
-	var vars map[string]any
-	if err := json.NewDecoder(vresp.Body).Decode(&vars); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := vars["bank_grow_total"].(float64); got != 2 {
-		t.Errorf("bank_grow_total = %v, want 2", vars["bank_grow_total"])
-	}
-	for _, name := range []string{"bank_mapped_files", "bank_mapped_bytes", "bank_cache_corrupt_segment"} {
-		if _, ok := vars[name]; !ok {
-			t.Errorf("/debug/vars missing %s", name)
+	metrics := ts.scrapeMetrics(t)
+	for _, series := range []string{"\nbank_grow_total 2\n", "\nbank_mapped_files ", "\nbank_mapped_bytes ", "\nbank_cache_corrupt_segment_total "} {
+		if !strings.Contains(metrics, series) {
+			t.Errorf("/metrics missing %q", strings.TrimSpace(series))
 		}
 	}
 

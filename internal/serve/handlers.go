@@ -4,13 +4,11 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -38,9 +36,8 @@ import (
 //	GET    /v1/runs/{id}/trace     per-run span timeline (trace ID, queue wait,
 //	                               bank tiers, worker shards, trials, encode)
 //	GET    /metrics                Prometheus text exposition (counters, gauges,
-//	                               latency histograms; expvar names kept as views)
+//	                               latency histograms) — the one metric surface
 //	GET    /healthz                liveness + queue depth + bank-store state
-//	GET    /debug/vars             expvar counters (runs, sessions, bank cache, HTTP)
 //
 // Every non-2xx response carries the {"error":{"code","message"}} envelope
 // (errors.go holds the code table).
@@ -48,13 +45,9 @@ type Server struct {
 	mgr     *Manager
 	mux     *http.ServeMux
 	start   time.Time
-	vars    *expvar.Map // runs_*/bank_cache_*/http_* counters, JSON at /debug/vars
 	inFl    atomic.Int64
 	total   atomic.Int64
 	maxBody int64
-
-	varsMu    sync.Mutex
-	extraVars []func(set func(name string, v int64))
 }
 
 // NewServer wires the routes for a manager.
@@ -63,7 +56,6 @@ func NewServer(m *Manager) *Server {
 		mgr:     m,
 		mux:     http.NewServeMux(),
 		start:   time.Now(),
-		vars:    new(expvar.Map).Init(),
 		maxBody: 1 << 20,
 	}
 	s.mux.HandleFunc("POST /v1/runs", s.handleSubmit)
@@ -82,15 +74,14 @@ func NewServer(m *Manager) *Server {
 	s.mux.HandleFunc("POST /v1/banks/{key}/grow", s.handleBankGrow)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
-	s.mux.HandleFunc("GET /debug/vars", s.handleVars)
 	s.registerMetricViews()
 	return s
 }
 
-// registerMetricViews folds the pre-obs operational counters into the
-// manager's metrics registry as read-only views: the atomics stay the single
-// source of truth (expvar at /debug/vars reads the same ones), and /metrics
-// renders them in Prometheus form with conventional _total suffixes.
+// registerMetricViews folds the manager's and store's operational counters
+// into the metrics registry as read-only views: the atomics stay the single
+// source of truth, and /metrics renders them in Prometheus form with
+// conventional _total suffixes.
 // Registration is idempotent by name, so a second server over one manager is
 // harmless.
 func (s *Server) registerMetricViews() {
@@ -162,15 +153,6 @@ func (s *Server) handleRunTrace(w http.ResponseWriter, r *http.Request) {
 // dist coordinator's /v1/work/* and /v1/banks/{key} in cluster mode) can be
 // mounted alongside the run API; mount before serving traffic.
 func (s *Server) Mux() *http.ServeMux { return s.mux }
-
-// AddVars registers a counter source folded into /debug/vars on every
-// request (cluster mode adds the dist coordinator's shard counters this
-// way). fn receives a setter and must be safe for concurrent use.
-func (s *Server) AddVars(fn func(set func(name string, v int64))) {
-	s.varsMu.Lock()
-	defer s.varsMu.Unlock()
-	s.extraVars = append(s.extraVars, fn)
-}
 
 // ServeHTTP implements http.Handler with in-flight/total accounting.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -553,65 +535,4 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	payload["banks"] = banks
 	writeJSON(w, http.StatusOK, payload)
-}
-
-// handleVars serves the expvar counter map. Counters are refreshed into the
-// map on each request (the map is per-server, not the process-global expvar
-// registry, so multiple servers — e.g. in tests — never collide).
-func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
-	c := s.mgr.Counters()
-	setInt := func(name string, v int64) {
-		n := new(expvar.Int)
-		n.Set(v)
-		s.vars.Set(name, n)
-	}
-	setInt("runs_started", c.RunsStarted)
-	setInt("runs_completed", c.RunsCompleted)
-	setInt("runs_failed", c.RunsFailed)
-	setInt("runs_cancelled", c.RunsCancelled)
-	setInt("runs_deduped", c.RunsDeduped)
-	setInt("runs_active", c.RunsActive)
-	setInt("runs_queued", c.RunsQueued)
-	setInt("runs_retained", c.RunsRetained)
-	setInt("runs_recovered", c.RunsRecovered)
-	setInt("runs_parked", c.RunsParked)
-	setInt("runs_shed_cold", c.RunsShedCold)
-	if jr := s.mgr.Journal(); jr != nil {
-		jst := jr.Stats()
-		setInt("journal_enabled", 1)
-		setInt("journal_replayed", jst.Replayed)
-		setInt("journal_torn_tail", jst.TornTails)
-		setInt("journal_appends", jst.Appends)
-		setInt("journal_compactions", jst.Compactions)
-		setInt("journal_bytes", jst.SnapshotBytes+jst.WALBytes)
-		setInt("journal_snapshot_bytes", jst.SnapshotBytes)
-		setInt("journal_dropped_records", jr.Dropped())
-	} else {
-		setInt("journal_enabled", 0)
-	}
-	setInt("sessions_open", c.SessionsOpen)
-	setInt("sessions_opened", c.SessionsOpened)
-	setInt("sessions_reaped", c.SessionsReaped)
-	st := s.mgr.Store().Stats() // nil-safe: zero stats without a store
-	setInt("bank_cache_hits", st.Hits)
-	setInt("bank_cache_misses", st.Misses)
-	setInt("bank_cache_builds", st.Builds)
-	setInt("bank_cache_evicted", st.Evicted)
-	setInt("bank_cache_stale_format", st.StaleFormat)
-	setInt("bank_cache_corrupt_segment", st.CorruptSegment)
-	setInt("bank_builds_trained", s.mgr.BankBuilds())
-	ms := s.mgr.Store().Mapped() // nil-safe: zero stats without a store
-	setInt("bank_mapped_files", ms.Files)
-	setInt("bank_mapped_bytes", ms.Bytes)
-	setInt("bank_grow_total", c.BankGrows)
-	setInt("http_requests_in_flight", s.inFl.Load())
-	setInt("http_requests_total", s.total.Load())
-	s.varsMu.Lock()
-	extra := append([]func(func(string, int64)){}, s.extraVars...)
-	s.varsMu.Unlock()
-	for _, fn := range extra {
-		fn(setInt)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintln(w, s.vars.String())
 }

@@ -33,6 +33,8 @@ import (
 	"path/filepath"
 	"sync"
 	"time"
+
+	"noisyeval/internal/obs"
 )
 
 // ErrBudget reports an append that would push the journal past
@@ -81,9 +83,9 @@ type Options struct {
 	// NoSync skips fsync on appends and snapshots. Tests only: a kill -9
 	// under NoSync may lose acknowledged records.
 	NoSync bool
-	// Logf, when set, receives operational log lines (torn-tail truncation,
+	// Log, when set, receives operational log lines (torn-tail truncation,
 	// compactions).
-	Logf func(format string, args ...any)
+	Log *obs.Logger
 }
 
 // DefaultMaxBytes is the journal byte budget when Options.MaxBytes is 0.
@@ -125,12 +127,6 @@ type Journal struct {
 	closed        bool
 }
 
-func (j *Journal) logf(format string, args ...any) {
-	if j.opts.Logf != nil {
-		j.opts.Logf(format, args...)
-	}
-}
-
 // Open opens (creating if necessary) the journal in opts.Dir and replays it:
 // the returned records are the snapshot's followed by the WAL's, with any
 // torn tail truncated off the files on disk before returning.
@@ -152,7 +148,7 @@ func Open(opts Options) (*Journal, []Record, error) {
 		}
 		if torn {
 			j.tornTails++
-			j.logf("journal: %s: torn tail truncated to %d bytes (%d records kept)", name, goodLen, len(recs))
+			j.opts.Log.Logf("journal: %s: torn tail truncated to %d bytes (%d records kept)", name, goodLen, len(recs))
 			if err := os.Truncate(path, goodLen); err != nil {
 				return nil, nil, fmt.Errorf("journal: truncate torn %s: %w", name, err)
 			}
@@ -373,7 +369,7 @@ func (j *Journal) Compact(records []Record) error {
 	j.snapshotBytes = snapBytes
 	j.compactions++
 	j.lastCompact = time.Now()
-	j.logf("journal: compacted to %d records (%d snapshot bytes)", len(records), snapBytes)
+	j.opts.Log.Logf("journal: compacted to %d records (%d snapshot bytes)", len(records), snapBytes)
 	return nil
 }
 

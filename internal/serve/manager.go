@@ -101,8 +101,8 @@ type Options struct {
 	execGate func(*Run)
 }
 
-// Counters is a snapshot of the manager's operational counters, surfaced at
-// /debug/vars.
+// Counters is a snapshot of the manager's operational counters (/metrics
+// renders the same atomics; /healthz reads this snapshot).
 type Counters struct {
 	RunsStarted   int64 `json:"runs_started"`
 	RunsCompleted int64 `json:"runs_completed"`
@@ -261,7 +261,7 @@ func (m *Manager) Sessions() *SessionRegistry { return m.sessions }
 func (m *Manager) Store() *core.BankStore { return m.opts.Store }
 
 // Journal returns the durability journal (nil when the daemon runs without
-// one); handlers surface its stats at /debug/vars and /healthz.
+// one); handlers surface its stats at /metrics and /healthz.
 func (m *Manager) Journal() *RunJournal { return m.opts.Journal }
 
 // ScaleNames returns the accepted scale names, sorted small-to-large by
@@ -527,10 +527,10 @@ func (m *Manager) journalTerminal(run *Run) {
 		return
 	}
 	if err := jr.recordTerminal(m.reg, run); err != nil {
-		jr.logf("journal: terminal record for %s: %v", run.ID, err)
+		jr.log.Logf("journal: terminal record for %s: %v", run.ID, err)
 	}
 	if err := jr.maybeCompact(m.reg); err != nil {
-		jr.logf("journal: compact: %v", err)
+		jr.log.Logf("journal: compact: %v", err)
 	}
 }
 
@@ -556,7 +556,7 @@ func (m *Manager) janitor() {
 				// snapshot too — journal growth tracks retention, not
 				// lifetime traffic.
 				if err := jr.maybeCompact(m.reg); err != nil {
-					jr.logf("journal: janitor compact: %v", err)
+					jr.log.Logf("journal: janitor compact: %v", err)
 				}
 			}
 		case <-m.janitorStop:
@@ -652,10 +652,10 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 			// and close it. The parked runs are re-admitted next boot.
 			if jr := m.opts.Journal; jr != nil {
 				if err := jr.maybeCompact(m.reg); err != nil {
-					jr.logf("journal: shutdown compact: %v", err)
+					jr.log.Logf("journal: shutdown compact: %v", err)
 				}
 				if err := jr.Close(); err != nil {
-					jr.logf("journal: close: %v", err)
+					jr.log.Logf("journal: close: %v", err)
 				}
 			}
 			close(done)

@@ -165,7 +165,7 @@ func TestFoldTransitionOrderings(t *testing.T) {
 // openTestJournal opens a RunJournal on dir with fsyncs disabled (tests).
 func openTestJournal(t *testing.T, dir string) *RunJournal {
 	t.Helper()
-	jr, err := OpenRunJournal(JournalOptions{Dir: dir, NoSync: true, Logf: t.Logf})
+	jr, err := OpenRunJournal(JournalOptions{Dir: dir, NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"noisyeval/internal/exper"
+	"noisyeval/internal/obs"
 	"noisyeval/internal/serve/journal"
 )
 
@@ -89,8 +90,8 @@ type JournalOptions struct {
 	CompactWALBytes int64
 	// NoSync skips fsyncs (tests only).
 	NoSync bool
-	// Logf receives operational log lines.
-	Logf func(format string, args ...any)
+	// Log receives operational log lines (nil = silent).
+	Log *obs.Logger
 }
 
 // RunJournal owns the journal files plus the replayed fold from boot. Its
@@ -100,18 +101,11 @@ type JournalOptions struct {
 type RunJournal struct {
 	j          *journal.Journal
 	compactWAL int64
-	log        func(format string, args ...any)
+	log        *obs.Logger
 
 	mu        sync.Mutex
 	recovered []RecoveredRun
 	dropped   int64 // malformed or orphaned records skipped at replay
-}
-
-// logf forwards to the configured logger (no-op when none).
-func (rj *RunJournal) logf(format string, args ...any) {
-	if rj.log != nil {
-		rj.log(format, args...)
-	}
 }
 
 // OpenRunJournal opens the journal directory and folds its records. The
@@ -130,12 +124,12 @@ func OpenRunJournal(opts JournalOptions) (*RunJournal, error) {
 		Dir:      opts.Dir,
 		MaxBytes: opts.MaxBytes,
 		NoSync:   opts.NoSync,
-		Logf:     opts.Logf,
+		Log:      opts.Log,
 	})
 	if err != nil {
 		return nil, err
 	}
-	rj := &RunJournal{j: j, compactWAL: opts.CompactWALBytes, log: opts.Logf}
+	rj := &RunJournal{j: j, compactWAL: opts.CompactWALBytes, log: opts.Log}
 	rj.recovered = rj.fold(records)
 	return rj, nil
 }

@@ -75,6 +75,22 @@ func newTestServer(t *testing.T, opts Options) *testServer {
 	return &testServer{Server: ts, mgr: mgr}
 }
 
+// scrapeMetrics returns the body of GET /metrics, prefixed with a newline so
+// "\nname value\n" matches whole sample lines.
+func (ts *testServer) scrapeMetrics(t *testing.T) string {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metrics = %d, %v", resp.StatusCode, err)
+	}
+	return "\n" + string(raw)
+}
+
 func (ts *testServer) submit(t *testing.T, body string) (*http.Response, RunStatus) {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
@@ -395,21 +411,13 @@ func TestHealthVarsAndBanks(t *testing.T) {
 		t.Fatalf("healthz = %d", resp.StatusCode)
 	}
 
-	vresp, err := http.Get(ts.URL + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer vresp.Body.Close()
-	var vars map[string]int64
-	if err := json.NewDecoder(vresp.Body).Decode(&vars); err != nil {
-		t.Fatal(err)
-	}
-	if vars["runs_started"] != 1 || vars["runs_completed"] != 1 {
-		t.Errorf("vars = %v", vars)
-	}
-	for _, key := range []string{"runs_failed", "runs_deduped", "bank_cache_hits", "bank_cache_misses", "http_requests_total"} {
-		if _, ok := vars[key]; !ok {
-			t.Errorf("vars missing %q", key)
+	metrics := ts.scrapeMetrics(t)
+	for _, series := range []string{
+		"\nruns_started_total 1\n", "\nruns_completed_total 1\n",
+		"\nruns_failed_total ", "\nruns_deduped_total ", "\nbank_cache_hits_total ", "\nbank_cache_misses_total ", "\nhttp_requests_total ",
+	} {
+		if !strings.Contains(metrics, series) {
+			t.Errorf("/metrics missing %q", strings.TrimSpace(series))
 		}
 	}
 

@@ -14,12 +14,11 @@
 //   - the ConfigBank protocol (train once, bootstrap many trials) plus one
 //     experiment driver per table/figure of the paper.
 //
-// Training runs on a batched engine by default (minibatch GEMM
-// forward/backward, zero-copy in-place client steps, batched evaluation; see
-// DESIGN.md §6). BuildOptions.BatchEval / TrainerOptions.BatchEval select
-// it; setting them false reproduces the original per-sample engine bit for
-// bit, and the flag participates in the BankStore cache key because batched
-// summation order changes float results.
+// Training runs on one batched engine (minibatch GEMM forward/backward,
+// zero-copy in-place client steps, batched evaluation; see DESIGN.md §6).
+// Banks are stored and shipped in one format, bankfmt/v4 (SaveBank writes
+// it, LoadBank verifies and reads it, DecodeBank reads the same bytes from
+// memory; DESIGN.md §9).
 //
 // This facade re-exports the library's primary types so downstream users
 // interact with one import path; packages under internal/ hold the
@@ -202,9 +201,8 @@ var (
 	AssembleBank          = core.AssembleBank
 	ShardRanges           = core.ShardRanges
 	NewErrMatrix          = core.NewErrMatrix
-	SaveBank              = core.SaveBank
+	SaveBank              = core.SaveBankV4
 	LoadBank              = core.LoadBank
-	EncodeBank            = core.EncodeBank
 	DecodeBank            = core.DecodeBank
 	IsStaleBankFormat     = core.IsStaleBankFormat
 	NewBankOracle         = core.NewBankOracle

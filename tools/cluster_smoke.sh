@@ -2,8 +2,8 @@
 # End-to-end cluster smoke test, shared by `make cluster-smoke` and CI's
 # cluster job: boot a coordinator daemon (noisyevald -cluster, no self-build)
 # plus two noisyworker processes, build the quick-scale banks cold through
-# sharded fleet leases — asserting via each worker's expvar counters that
-# BOTH workers trained shards — then restart the daemon against the same
+# sharded fleet leases — asserting via each worker's /metrics that BOTH
+# workers trained shards — then restart the daemon against the same
 # cache and re-run warm, asserting zero banks trained.
 #
 # Usage: tools/cluster_smoke.sh [addr] [cache-dir]
@@ -26,6 +26,10 @@ wait_health() { # url label
   done
 }
 
+metric() { # addr name — one sample of the Prometheus text exposition
+  curl -sf --max-time 30 "http://$1/metrics" | sed -n "s/^$2 \([0-9][0-9]*\)\$/\1/p" | head -n 1
+}
+
 submit_and_wait() { # body
   ID=$(curl -sf --max-time 30 -X POST "http://$ADDR/v1/runs" -d "$1" |
     sed -n 's/.*"id": "\(run-[0-9]*\)".*/\1/p')
@@ -36,7 +40,7 @@ submit_and_wait() { # body
 
 # --- Cold pass: coordinator + two workers, no self-build ----------------
 # Every shard must be trained by the external fleet (-self-build 0), so the
-# per-worker expvar assertion below is meaningful. One config per shard
+# per-worker assertion below is meaningful. One config per shard
 # spreads the work across both workers.
 DPID= W1PID= W2PID= # pre-set: the EXIT trap must expand cleanly under set -u
 /tmp/noisyevald-cluster -addr "$ADDR" -cache-dir "$CACHE" -cluster \
@@ -60,11 +64,10 @@ submit_and_wait '{"dataset":"femnist","method":"rs","trials":3,"seed":11,"noise"
 echo "femnist run done"
 
 # Cold run trained banks, and every shard came through the fleet.
-curl -sf --max-time 30 "http://$ADDR/debug/vars" | grep -q '"dist_builds_completed": 2' ||
-  { echo "expected 2 sharded builds"; curl -s "http://$ADDR/debug/vars"; exit 1; }
+[ "$(metric "$ADDR" dist_builds_completed_total)" = 2 ] ||
+  { echo "expected 2 sharded builds"; curl -s "http://$ADDR/metrics" | grep '^dist_'; exit 1; }
 
-shards() { curl -sf --max-time 10 "http://$1/debug/vars" | sed -n 's/.*"shards_built": \([0-9]*\).*/\1/p'; }
-S1=$(shards "$W1_ADDR"); S2=$(shards "$W2_ADDR")
+S1=$(metric "$W1_ADDR" worker_shards_built_total); S2=$(metric "$W2_ADDR" worker_shards_built_total)
 echo "worker shards: w1=$S1 w2=$S2"
 [ "${S1:-0}" -ge 1 ] || { echo "worker 1 built no shards"; exit 1; }
 [ "${S2:-0}" -ge 1 ] || { echo "worker 2 built no shards"; exit 1; }
@@ -87,9 +90,9 @@ wait_health "http://$ADDR" daemon
 submit_and_wait '{"dataset":"cifar10","method":"rs","trials":3,"seed":11,"noise":{"sample_count":2}}'
 submit_and_wait '{"dataset":"femnist","method":"rs","trials":3,"seed":11,"noise":{"sample_count":2}}'
 
-curl -sf --max-time 30 "http://$ADDR/debug/vars" | grep -q '"bank_builds_trained": 0' ||
-  { echo "warm rerun trained banks"; curl -s "http://$ADDR/debug/vars"; exit 1; }
-curl -sf --max-time 30 "http://$ADDR/debug/vars" | grep -q '"dist_builds_started": 0' ||
+[ "$(metric "$ADDR" bank_builds_trained_total)" = 0 ] ||
+  { echo "warm rerun trained banks"; curl -s "http://$ADDR/metrics" | grep '^bank_'; exit 1; }
+[ "$(metric "$ADDR" dist_builds_started_total)" = 0 ] ||
   { echo "warm rerun scheduled sharded builds"; exit 1; }
 echo "warm pass: 0 banks trained, 0 sharded builds"
 

@@ -8,9 +8,10 @@
 #      queued — and append garbage to the WAL to simulate a torn final
 #      record from the crash;
 #   3. restart the daemon on the same journal and assert recovery: the
-#      journal replayed (expvar journal_replayed > 0), the torn tail was
-#      truncated and counted (journal_torn_tail = 1), interrupted runs were
-#      re-admitted (runs_recovered > 0), and loadgen verify finds ZERO lost
+#      journal replayed (/metrics journal_replayed_total > 0), the torn
+#      tail was truncated and counted (journal_torn_tail_total = 1),
+#      interrupted runs were re-admitted (runs_recovered_total > 0), and
+#      loadgen verify finds ZERO lost
 #      runs — every acknowledged run reaches done, resubmissions dedup onto
 #      the recorded IDs (no duplicate execution), and every result matches
 #      an uninterrupted reference daemon byte for byte.
@@ -46,8 +47,8 @@ wait_health() {
     done
 }
 
-expvar() { # expvar <addr> <name> — the map renders as one-line JSON
-    curl -fsS "http://$1/debug/vars" | tr ',{}' '\n\n\n' | sed -n "s/^ *\"$2\": \([0-9][0-9]*\)*$/\1/p" | head -n 1
+metric() { # metric <addr> <name> — one sample of the Prometheus text exposition
+    curl -fsS "http://$1/metrics" | sed -n "s/^$2 \([0-9][0-9]*\)\$/\1/p" | head -n 1
 }
 
 # Phase 1: boot with a journal and load it up. Oracle-backed runs finish in
@@ -79,13 +80,13 @@ RPID=$!
 wait_health "$ADDR"
 wait_health "$REF_ADDR"
 
-replayed="$(expvar "$ADDR" journal_replayed)"
-torn="$(expvar "$ADDR" journal_torn_tail)"
-recovered="$(expvar "$ADDR" runs_recovered)"
-echo "after restart: journal_replayed=$replayed journal_torn_tail=$torn runs_recovered=$recovered"
-[ "${replayed:-0}" -gt 0 ] || { echo "FAIL: journal_replayed = $replayed, want > 0"; exit 1; }
-[ "${torn:-0}" -eq 1 ] || { echo "FAIL: journal_torn_tail = $torn, want 1"; exit 1; }
-[ "${recovered:-0}" -gt 0 ] || { echo "FAIL: runs_recovered = $recovered, want > 0 (crash left nothing in flight?)"; exit 1; }
+replayed="$(metric "$ADDR" journal_replayed_total)"
+torn="$(metric "$ADDR" journal_torn_tail_total)"
+recovered="$(metric "$ADDR" runs_recovered_total)"
+echo "after restart: journal_replayed_total=$replayed journal_torn_tail_total=$torn runs_recovered_total=$recovered"
+[ "${replayed:-0}" -gt 0 ] || { echo "FAIL: journal_replayed_total = $replayed, want > 0"; exit 1; }
+[ "${torn:-0}" -eq 1 ] || { echo "FAIL: journal_torn_tail_total = $torn, want 1"; exit 1; }
+[ "${recovered:-0}" -gt 0 ] || { echo "FAIL: runs_recovered_total = $recovered, want > 0 (crash left nothing in flight?)"; exit 1; }
 
 "$WORK/loadgen" -base "http://$ADDR" -mode verify -state "$STATE" -ref-base "http://$REF_ADDR" -conc 12
 
