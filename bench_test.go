@@ -449,33 +449,6 @@ func BenchmarkOracleTrials(b *testing.B) {
 	b.ReportMetric(float64(100*b.N)/b.Elapsed().Seconds(), "trials/s")
 }
 
-// BenchmarkOracleTrialsSequential is BenchmarkOracleTrials with the blocked
-// scheduler disabled (the -blocked-trials=false escape hatch): the legacy
-// goroutine-per-trial path, kept measurable so the README's before/after
-// table and the blocked/sequential speedup regenerate from one machine.
-// Not CI-gated.
-func BenchmarkOracleTrialsSequential(b *testing.B) {
-	oracle, err := core.NewBankOracle(codecBenchBank, 0, noisyeval.SchemeWithCount(10), 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tn := core.Tuner{
-		Method:           hpo.RandomSearch{},
-		Space:            hpo.DefaultSpace(),
-		Settings:         hpo.Settings{Budget: hpo.Budget{TotalRounds: 8 * 405, MaxPerConfig: 405, K: 8}}.Normalize(),
-		SequentialTrials: true,
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		results := tn.RunTrials(oracle, 100, rng.New(uint64(i)).Split("bench-trials"))
-		if len(results) != 100 {
-			b.Fatal("short trial batch")
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(100*b.N)/b.Elapsed().Seconds(), "trials/s")
-}
-
 // BenchmarkOracleEvaluateMulti measures the row-sweep kernel the block
 // scheduler bottoms out in: one arena row evaluated for a 64-cohort wave
 // with warm scratch. The benchdiff gate pins allocs/op at 0 — the steady

@@ -41,7 +41,6 @@ func main() {
 		trials        = flag.Int("trials", 8, "bootstrap trials")
 		seed          = flag.Uint64("seed", 1, "RNG seed")
 		quick         = flag.Bool("quick", true, "quick-scale bank when none is supplied")
-		blockedTrials = flag.Bool("blocked-trials", true, "run bootstrap trials through the blocked row-sweep scheduler; false falls back to the legacy goroutine-per-trial path (results are bit-identical)")
 	)
 	flag.Parse()
 
@@ -55,7 +54,6 @@ func main() {
 		cfg = exper.Quick()
 	}
 	cfg.Seed = *seed
-	cfg.SequentialTrials = !*blockedTrials
 	suite := exper.NewSuite(cfg)
 
 	if dir := cacheDirOrEnv(*cacheDir); dir != "" {

@@ -73,7 +73,6 @@ func main() {
 		execDelay     = flag.Duration("exec-delay", 0, "fault injection: pad every run's execution by this duration so crash/load harnesses can catch runs in flight (0 = off)")
 		mmapBanks     = flag.Bool("mmap-banks", false, "serve cached banks zero-copy from mmap'd files instead of decoding to heap (requires -cache-dir)")
 		mmapWarm      = flag.Bool("mmap-warm", false, "pre-touch each mapped bank at open (madvise + page walk) so first-sweep reads pay no major faults (requires -mmap-banks)")
-		blockedTrials = flag.Bool("blocked-trials", true, "run bootstrap trials through the blocked row-sweep scheduler; false falls back to the legacy goroutine-per-trial path (results are bit-identical)")
 		logLevel      = flag.String("log-level", "info", "structured log level: debug|info|warn|error")
 		pprofAddr     = flag.String("pprof-addr", "", "listen address for net/http/pprof profiling endpoints (empty = disabled)")
 	)
@@ -176,7 +175,6 @@ func main() {
 		MaxSessions:      *maxSessions,
 		Journal:          journal,
 		ShedColdFraction: *shedThreshold,
-		SequentialTrials: !*blockedTrials,
 		ExecDelay:        *execDelay,
 		Log:              logger,
 	})

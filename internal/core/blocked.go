@@ -22,10 +22,9 @@ var blockWorkersOverride int
 // EvalStream proxy intercepts Evaluate, so it is never called here), while
 // TrueError caches the full-pool error per arena row. TrueError is a pure
 // function of the row — FullError over read-only bank data — so one cached
-// value serves every trial bit-identically; the legacy path recomputed the
-// full weighted sum once per observation per trial. All TrueError calls
-// happen during the scheduler's serial resume phase, so the cache and the
-// cur memo need no locking.
+// value serves every trial bit-identically. All TrueError calls happen
+// during the scheduler's serial resume phase, so the cache and the cur memo
+// need no locking.
 type blockOracle struct {
 	*BankOracle
 	nCkpt   int
@@ -73,7 +72,6 @@ func (b *blockOracle) rowTrueError(k int) float64 {
 type trialState struct {
 	stream  *hpo.EvalStream
 	saltPfx rng.FNV64a // evalSeedPrefix("trial-<i>")
-	inBatch bool       // the pending asks came from an EvalBatch
 
 	// Row-resolution memo: configs repeat across a trial's consecutive asks
 	// (rung ladders) and fidelities repeat almost always.
@@ -92,8 +90,7 @@ type trialState struct {
 }
 
 // waveAsk is one pending evaluation ask: which arena row it needs, the
-// cohort seed, and where the answer goes (a trial's single-answer slot or an
-// EvalBatch.Out element).
+// cohort seed, and the EvalBatch.Out element the answer goes to.
 type waveAsk struct {
 	row  int32
 	seed uint64
@@ -107,20 +104,25 @@ type blockScratch struct {
 	asks  []int32
 }
 
-// runTrialsBlocked is the block-scheduler implementation of
-// RunTrialsProgress (DESIGN.md §14). All n trials run concurrently as
-// EvalStream coroutines on the scheduler's goroutine; each wave collects
-// every live trial's pending asks — a whole EvalBatch at a time for batching
-// methods — groups them by (config, checkpoint) arena row, evaluates each
-// row once for all cohorts touching it (BankOracle.EvaluateRows), and
-// resumes the trials with their answers.
+// RunTrialsProgress is RunTrials with per-trial progress reporting: onTrial
+// (when non-nil) is invoked once per finished trial — in completion order,
+// serialized, so the callback needs no synchronization of its own — with
+// that trial's result and the number of trials completed so far. Progress
+// observation never perturbs results.
 //
-// Results are bit-identical to the sequential path: a trial's method runs
-// against the same RNG stream (g.Splitf("trial-i")), every ask is answered
-// with exactly the value Evaluate would produce — the cohort seed is the
-// same pure function of (seed, trial salt, evalID) — and TrueError returns
-// the same FullError bits, so no method can observe which path executed it.
-func (t Tuner) runTrialsBlocked(oracle *BankOracle, n int, g *rng.RNG, onTrial func(res TrialResult, completed int)) []TrialResult {
+// This is the block scheduler (DESIGN.md §14). All n trials run concurrently
+// as EvalStream coroutines on the scheduler's goroutine; each wave collects
+// every live trial's pending EvalBatch, groups the asks by (config,
+// checkpoint) arena row, evaluates each row once for all cohorts touching it
+// (BankOracle.EvaluateRows), and resumes the trials with their answers.
+//
+// Results are bit-identical to running each trial alone on
+// oracle.WithTrial(i): a trial's method runs against the same RNG stream
+// (g.Splitf("trial-i")), every ask is answered with exactly the value
+// Evaluate would produce — the cohort seed is the same pure function of
+// (seed, trial salt, evalID) — and TrueError returns the same FullError
+// bits, so no method can observe that it was interleaved.
+func (t Tuner) RunTrialsProgress(oracle *BankOracle, n int, g *rng.RNG, onTrial func(res TrialResult, completed int)) []TrialResult {
 	results := make([]TrialResult, n)
 	if n == 0 {
 		return results
@@ -152,7 +154,7 @@ func (t Tuner) runTrialsBlocked(oracle *BankOracle, n int, g *rng.RNG, onTrial f
 	rowsBacking := make([]int32, n*rowsCap)
 	for i := range trials {
 		tg := rng.New(0)
-		g.SplitIntInto(tg, "trial-", i) // the sequential path's g.Splitf("trial-%d", i) stream
+		g.SplitIntInto(tg, "trial-", i) // the g.Splitf("trial-%d", i) stream
 		trials[i].stream = hpo.NewEvalStream(t.Method, bo, t.Space, t.Settings, tg)
 		trials[i].saltPfx = oracle.evalSeedPrefix(trialSalts.ID(i))
 		trials[i].lastRounds = -1
@@ -177,8 +179,6 @@ func (t Tuner) runTrialsBlocked(oracle *BankOracle, n int, g *rng.RNG, onTrial f
 		}
 	}
 
-	// answers holds single (non-batch) asks' replies, indexed by trial.
-	answers := make([]float64, n)
 	asks := make([]waveAsk, 0, 2*n)
 	nextAsks := make([]waveAsk, 0, 2*n)
 	fill := &asks // advance appends the resumed trial's new asks here
@@ -197,52 +197,33 @@ func (t Tuner) runTrialsBlocked(oracle *BankOracle, n int, g *rng.RNG, onTrial f
 		return int32(ts.lastCI*nCkpt + ts.lastRI)
 	}
 
-	// advance resumes trial i (answering its pending asks first) until its
-	// next ask or batch of asks, appending them to *fill. It reports false
-	// when the trial finished instead.
-	advance := func(i int, tell bool) bool {
+	// advance resumes trial i — its previous batch's Out slots hold the
+	// answers — until its next batch of asks, appending one wave entry per
+	// ask to *fill. It reports false when the trial finished instead.
+	advance := func(i int) bool {
 		ts := &trials[i]
 		bo.cur = ts
-		if tell {
-			if ts.inBatch {
-				ts.inBatch = false
-				ts.stream.FinishBatch()
-			} else {
-				ts.stream.Tell(answers[i])
-			}
-		}
-		req, ok := ts.stream.Next()
+		b, ok := ts.stream.Next()
 		if !ok {
 			finalize(i)
 			return false
 		}
-		if b := ts.stream.Batch(); b != nil {
-			// The method suspended with a whole batch: one wave entry per ask,
-			// answered directly into the batch's Out slots.
-			ts.inBatch = true
-			ts.lastBatch, ts.rows, ts.teCur = b, ts.rows[:0], 0
-			for j := range b.Configs {
-				row := rowOf(ts, b.Configs[j], b.RoundsAt(j))
-				ts.rows = append(ts.rows, row)
-				*fill = append(*fill, waveAsk{
-					row:  row,
-					seed: ts.saltPfx.String(b.EvalIDAt(j)).Sum(),
-					out:  &b.Out[j],
-				})
-			}
-			return true
+		ts.lastBatch, ts.rows, ts.teCur = b, ts.rows[:0], 0
+		for j := range b.Configs {
+			row := rowOf(ts, b.Configs[j], b.RoundsAt(j))
+			ts.rows = append(ts.rows, row)
+			*fill = append(*fill, waveAsk{
+				row:  row,
+				seed: ts.saltPfx.String(b.EvalIDAt(j)).Sum(),
+				out:  &b.Out[j],
+			})
 		}
-		*fill = append(*fill, waveAsk{
-			row:  rowOf(ts, req.Config, req.Rounds),
-			seed: ts.saltPfx.String(req.EvalID).Sum(),
-			out:  &answers[i],
-		})
 		return true
 	}
 
 	live := make([]int, 0, n)
 	for i := 0; i < n; i++ {
-		if advance(i, false) {
+		if advance(i) {
 			live = append(live, i)
 		}
 	}
@@ -330,7 +311,7 @@ func (t Tuner) runTrialsBlocked(oracle *BankOracle, n int, g *rng.RNG, onTrial f
 		fill = &nextAsks
 		nextLive := live[:0]
 		for _, i := range live {
-			if advance(i, true) {
+			if advance(i) {
 				nextLive = append(nextLive, i)
 			}
 		}
@@ -339,10 +320,9 @@ func (t Tuner) runTrialsBlocked(oracle *BankOracle, n int, g *rng.RNG, onTrial f
 		fill = &asks
 	}
 
-	// TrialSeconds in blocked mode: trials interleave on one goroutine, so
-	// per-trial wall time is not observable; record the batch mean so the
-	// histogram's count matches TrialsTotal and its sum stays the batch wall
-	// time, like a sequential single-worker run.
+	// TrialSeconds: trials interleave on one goroutine, so per-trial wall
+	// time is not observable; record the batch mean so the histogram's count
+	// matches TrialsTotal and its sum stays the batch wall time.
 	perTrial := time.Since(start).Seconds() / float64(n)
 	for i := 0; i < n; i++ {
 		m.TrialSeconds.Observe(perTrial)

@@ -31,11 +31,27 @@ func blockedTestSettings(n Noise) hpo.Settings {
 	})
 }
 
+// referenceTrials is the definition RunTrials must reproduce: trial i is one
+// plain Tuner.Run on the oracle's WithTrial(i) copy, drawing from the
+// g.Splitf("trial-%d", i) stream — no scheduler, no coroutine, no row
+// grouping.
+func referenceTrials(t Tuner, o *BankOracle, n int, g *rng.RNG) []TrialResult {
+	results := make([]TrialResult, n)
+	for i := range results {
+		h := t.Run(o.WithTrial(i), g.Splitf("trial-%d", i))
+		results[i] = TrialResult{Trial: i, History: h, FinalTrue: 1}
+		if rec, ok := h.Recommend(); ok {
+			results[i].FinalTrue = rec.True
+		}
+	}
+	return results
+}
+
 // TestRunTrialsBlockedMatchesSequential is the scheduler's central contract:
 // for every registered tuning method and every noise family, the block
-// scheduler produces results bit-identical to the legacy
-// goroutine-per-trial path — same histories, same recommendations, same
-// final true errors, observation for observation.
+// scheduler produces results bit-identical to referenceTrials — same
+// histories, same recommendations, same final true errors, observation for
+// observation.
 func TestRunTrialsBlockedMatchesSequential(t *testing.T) {
 	b, _ := tinyBank(t)
 	for _, name := range hpo.Methods() {
@@ -51,15 +67,13 @@ func TestRunTrialsBlockedMatchesSequential(t *testing.T) {
 				}
 				tn := Tuner{Method: m, Space: hpo.DefaultSpace(), Settings: blockedTestSettings(noise)}
 
-				seq := tn
-				seq.SequentialTrials = true
-				want := seq.RunTrials(o, 6, rng.New(5).Split("parity"))
+				want := referenceTrials(tn, o, 6, rng.New(5).Split("parity"))
 				got := tn.RunTrials(o, 6, rng.New(5).Split("parity"))
 
 				if !reflect.DeepEqual(want, got) {
 					for i := range want {
 						if !reflect.DeepEqual(want[i], got[i]) {
-							t.Fatalf("trial %d diverges: sequential %d obs final %v, blocked %d obs final %v",
+							t.Fatalf("trial %d diverges: reference %d obs final %v, blocked %d obs final %v",
 								i, len(want[i].History.Observations), want[i].FinalTrue,
 								len(got[i].History.Observations), got[i].FinalTrue)
 						}
@@ -72,9 +86,8 @@ func TestRunTrialsBlockedMatchesSequential(t *testing.T) {
 }
 
 // TestSchedulerBlockedRace drives the block scheduler's row-group fan-out at
-// 64 workers (far above this machine's GOMAXPROCS) under the race detector —
-// the name matches the `make race` run filter — and re-checks parity so a
-// data race cannot hide behind a lucky schedule.
+// 64 workers (far above this machine's GOMAXPROCS) under the race detector
+// and re-checks parity so a data race cannot hide behind a lucky schedule.
 func TestSchedulerBlockedRace(t *testing.T) {
 	b, _ := tinyBank(t)
 	noise := Noise{SampleCount: 5, Bias: 1}
@@ -90,11 +103,9 @@ func TestSchedulerBlockedRace(t *testing.T) {
 	got := tn.RunTrials(o, 32, rng.New(11).Split("race"))
 	blockWorkersOverride = prev
 
-	seq := tn
-	seq.SequentialTrials = true
-	want := seq.RunTrials(o, 32, rng.New(11).Split("race"))
+	want := referenceTrials(tn, o, 32, rng.New(11).Split("race"))
 	if !reflect.DeepEqual(want, got) {
-		t.Fatal("64-worker blocked run diverges from sequential")
+		t.Fatal("64-worker blocked run diverges from the reference")
 	}
 }
 

@@ -182,7 +182,8 @@ func (o *BankOracle) evalSeed(evalID string) uint64 {
 // derives cohort seeds for many trials through one shared base oracle, so
 // the salt is a parameter instead of WithTrial copy state. evalSeed is a
 // pure function of (seed, trialSalt, evalID) — this is what makes blocked
-// execution bit-identical to sequential regardless of scheduling.
+// execution bit-identical to one WithTrial run per trial regardless of
+// scheduling.
 func (o *BankOracle) evalSeedFor(trialSalt, evalID string) uint64 {
 	return o.evalSeedPrefix(trialSalt).String(evalID).Sum()
 }

@@ -2,9 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"time"
 
 	"noisyeval/internal/dp"
 	"noisyeval/internal/eval"
@@ -85,11 +82,6 @@ type Tuner struct {
 	Method   hpo.Method
 	Space    hpo.Space
 	Settings hpo.Settings
-	// SequentialTrials forces the legacy one-goroutine-per-trial execution
-	// of RunTrials instead of the block scheduler (DESIGN.md §14). The two
-	// paths produce bit-identical results — this is an operational escape
-	// hatch (-blocked-trials=false on the daemons), not a semantic knob.
-	SequentialTrials bool
 }
 
 // Run executes a single tuning run.
@@ -108,59 +100,13 @@ type TrialResult struct {
 
 // RunTrials runs n independent bootstrap trials of the tuner on a bank
 // oracle. Trial i draws its method randomness from the RNG stream
-// g.Split("trial-i") and its evaluation cohorts from the "trial-i" salt, so
-// results are deterministic and independent of scheduling. By default trials
-// execute on the block scheduler (runTrialsBlocked), which drives all n
-// method coroutines in waves and evaluates each touched arena row once per
-// wave; SequentialTrials selects the legacy per-trial-goroutine path. Both
-// produce bit-identical results (TestRunTrialsBlockedMatchesSequential).
+// g.Split("trial-i") and its evaluation cohorts from the "trial-i" salt —
+// result i is what t.Run(oracle.WithTrial(i), g.Splitf("trial-%d", i))
+// returns (TestRunTrialsBlockedMatchesSequential) — so results are
+// deterministic and independent of scheduling. Execution is the block
+// scheduler (RunTrialsProgress, blocked.go).
 func (t Tuner) RunTrials(oracle *BankOracle, n int, g *rng.RNG) []TrialResult {
 	return t.RunTrialsProgress(oracle, n, g, nil)
-}
-
-// RunTrialsProgress is RunTrials with per-trial progress reporting: onTrial
-// (when non-nil) is invoked once per finished trial — in completion order,
-// serialized, so the callback needs no synchronization of its own — with
-// that trial's result and the number of trials completed so far. The
-// returned slice is identical to RunTrials: progress observation never
-// perturbs results.
-func (t Tuner) RunTrialsProgress(oracle *BankOracle, n int, g *rng.RNG, onTrial func(res TrialResult, completed int)) []TrialResult {
-	if !t.SequentialTrials {
-		return t.runTrialsBlocked(oracle, n, g, onTrial)
-	}
-	results := make([]TrialResult, n)
-	workers := runtime.GOMAXPROCS(0)
-	m := metricsInstruments()
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	var progressMu sync.Mutex
-	completed := 0
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			o := oracle.WithTrial(i)
-			start := time.Now()
-			h := t.Run(o, g.Splitf("trial-%d", i))
-			m.TrialSeconds.Observe(time.Since(start).Seconds())
-			m.TrialsTotal.Inc()
-			res := TrialResult{Trial: i, History: h, FinalTrue: 1}
-			if rec, ok := h.Recommend(); ok {
-				res.FinalTrue = rec.True
-			}
-			results[i] = res
-			if onTrial != nil {
-				progressMu.Lock()
-				completed++
-				onTrial(res, completed)
-				progressMu.Unlock()
-			}
-		}(i)
-	}
-	wg.Wait()
-	return results
 }
 
 // FinalErrors extracts the per-trial final true errors.

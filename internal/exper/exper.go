@@ -53,11 +53,6 @@ type Config struct {
 	Fig13Datasets []string
 	// Fig13Configs is the pool size per decade bank (paper: 128).
 	Fig13Configs int
-	// SequentialTrials disables the blocked trial scheduler (the
-	// -blocked-trials=false escape hatch): tuning runs fall back to the
-	// legacy goroutine-per-trial path. Pure execution knob — results are
-	// bit-identical either way, so it is not part of any run key.
-	SequentialTrials bool
 }
 
 // Default returns figure-scale configuration.
@@ -463,8 +458,7 @@ func subsampleCounts(name string, nVal int) []int {
 
 // rsTuner builds the paper's RS tuner for the config.
 func (c Config) rsTuner() core.Tuner {
-	return core.Tuner{Method: hpo.RandomSearch{}, Space: hpo.DefaultSpace(), Settings: c.Settings(),
-		SequentialTrials: c.SequentialTrials}
+	return core.Tuner{Method: hpo.RandomSearch{}, Space: hpo.DefaultSpace(), Settings: c.Settings()}
 }
 
 // runRSOnBank runs bootstrap RS trials against a bank under the noise

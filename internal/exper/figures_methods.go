@@ -30,8 +30,7 @@ func (s *Suite) runMethodTrials(name string, m hpo.Method, noise core.Noise, see
 	if err != nil {
 		panic(err)
 	}
-	tn := core.Tuner{Method: m, Space: hpo.DefaultSpace(), Settings: noise.Settings(s.Cfg.Settings()),
-		SequentialTrials: s.Cfg.SequentialTrials}
+	tn := core.Tuner{Method: m, Space: hpo.DefaultSpace(), Settings: noise.Settings(s.Cfg.Settings())}
 	return tn.RunTrials(oracle, s.Cfg.MethodTrials, rng.New(s.Cfg.Seed).Split(seedLabel))
 }
 

@@ -176,8 +176,7 @@ func Figure12(s *Suite) Result {
 			if err != nil {
 				panic(err)
 			}
-			tn := core.Tuner{Method: hpo.RandomSearch{}, Space: hpo.DefaultSpace(), Settings: noise.Settings(s.Cfg.Settings()),
-				SequentialTrials: s.Cfg.SequentialTrials}
+			tn := core.Tuner{Method: hpo.RandomSearch{}, Space: hpo.DefaultSpace(), Settings: noise.Settings(s.Cfg.Settings())}
 			results := tn.RunTrials(oracle, s.Cfg.Trials, rng.New(s.Cfg.Seed).Splitf("fig12-%s-%v", client, eps))
 			ser := plot.Series{Label: label}
 			for _, b := range budgets {

@@ -274,8 +274,7 @@ func Figure13(s *Suite) Result {
 					panic(err)
 				}
 				// Large-K RS: the paper uses K = 128 (the full pool).
-				tn := core.Tuner{Method: hpo.RandomSearch{}, Space: hpo.DefaultSpace().WithServerLRDecades(float64(d)),
-					SequentialTrials: s.Cfg.SequentialTrials}
+				tn := core.Tuner{Method: hpo.RandomSearch{}, Space: hpo.DefaultSpace().WithServerLRDecades(float64(d))}
 				k := len(bank.Configs)
 				tn.Settings = setting.noise.Settings(hpo.Settings{
 					Budget: hpo.Budget{TotalRounds: k * s.Cfg.MaxRounds, MaxPerConfig: s.Cfg.MaxRounds, K: k},

@@ -217,8 +217,7 @@ func (s *Suite) RunTuneCtx(ctx context.Context, req TuneRequest, onTrial func(Tr
 		return nil, err
 	}
 	settings := req.Noise.Settings(hpo.Settings{Budget: s.Cfg.Budget()})
-	tn := core.Tuner{Method: req.Method, Space: hpo.DefaultSpace(), Settings: settings,
-		SequentialTrials: s.Cfg.SequentialTrials}
+	tn := core.Tuner{Method: req.Method, Space: hpo.DefaultSpace(), Settings: settings}
 
 	var progress func(core.TrialResult, int)
 	if onTrial != nil {

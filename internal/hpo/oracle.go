@@ -71,10 +71,11 @@ func (b *EvalBatch) EvalIDAt(i int) string {
 	return b.SameEvalID
 }
 
-// BatchOracle is an optional Oracle extension: an oracle that can accept many
-// independent asks per suspension implements it to amortize per-ask transfer
-// cost (the EvalStream proxy pays one coroutine round-trip per batch instead
-// of one per evaluation).
+// BatchOracle is an optional Oracle extension for an oracle that can take
+// many independent asks at once. The one implementation is the EvalStream
+// proxy, which suspends the method once per batch and hands the batch to its
+// consumer as it is — the unit the block scheduler groups by arena row and a
+// session serves item by item.
 type BatchOracle interface {
 	Oracle
 	EvaluateBatch(b *EvalBatch)

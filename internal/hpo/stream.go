@@ -11,46 +11,38 @@ import (
 // stream is closed before it finishes.
 type errEvalStreamClosed struct{}
 
-// EvalStream is the synchronous, single-goroutine form of the AskTellDriver
-// coroutine inversion: the method runs as an iter.Pull coroutine against a
-// proxy oracle whose Evaluate yields an EvalRequest and suspends. Next
-// resumes the method until its next ask (or completion); Tell supplies the
-// answer the suspended Evaluate call will return.
+// EvalStream inverts a Method's control flow: m.Run executes as an iter.Pull
+// coroutine against a proxy oracle whose evaluation calls suspend it. Next
+// resumes the method until it wants evaluations answered and returns them as
+// one EvalBatch — whatever the method handed EvaluateAll, or a one-element
+// batch for a lone Evaluate; the consumer fills Out and calls Next again.
+// Caller and method switch directly on the caller's goroutine (no scheduler
+// wakeup), and filling every Out with the real oracle's Evaluate result
+// reproduces m.Run(o, space, s, g) observation for observation.
+// Non-evaluation oracle calls (TrueError, Pool, …) forward synchronously to
+// o. This is what lets the block scheduler interleave hundreds of trials and
+// noisyevald expose any registered Method as an ask/tell session (DESIGN.md
+// §10, §14).
 //
-// Where AskTellDriver pays two channel handshakes — four scheduler wakeups —
-// per evaluation to serve concurrent session callers, EvalStream switches
-// directly between caller and method on one goroutine, which is what the
-// block scheduler needs to drive hundreds of trials at sub-microsecond
-// per-eval cost. The protocol and semantics are AskTellDriver's: the same
-// EvalRequest type, sequential IDs from 0, one pending ask at a time, and
-// answering every ask with the real oracle's Evaluate result reproduces
-// m.Run(o, space, s, g) observation for observation. Non-Evaluate oracle
-// calls (TrueError, Pool, …) forward synchronously to o.
-//
-// An EvalStream belongs to one goroutine; distinct streams are independent.
+// A stream is used by one goroutine at a time; distinct streams are
+// independent.
 type EvalStream struct {
-	next    func() (EvalRequest, bool)
-	stop    func()
-	hist    *History
-	reply   float64
-	nextID  int
-	pending bool // an ask is outstanding and unanswered
-	done    bool
+	next func() (*EvalBatch, bool)
+	stop func()
+	hist *History
+	done bool
 
-	// A method that calls EvaluateAll against the proxy suspends once with a
-	// whole EvalBatch; Next/Tell then serve the batch one flattened ask at a
-	// time without resuming the coroutine until every item is answered. The
-	// consumer observes the identical ask sequence either way — batching
-	// only removes coroutine switches.
-	batch    *EvalBatch
-	batchPos int
+	// one is the scratch batch a lone Evaluate surfaces as.
+	one    EvalBatch
+	oneCfg [1]fl.HParams
+	oneOut [1]float64
 }
 
 // NewEvalStream prepares m.Run(o, space, s, g) for stepwise execution. The
 // method does not start running until the first Next call.
 func NewEvalStream(m Method, o Oracle, space Space, s Settings, g *rng.RNG) *EvalStream {
 	st := &EvalStream{}
-	st.next, st.stop = iter.Pull(func(yield func(EvalRequest) bool) {
+	st.next, st.stop = iter.Pull(func(yield func(*EvalBatch) bool) {
 		defer func() {
 			// Close unwinds the coroutine with the sentinel; swallow it so
 			// stop() returns cleanly. Genuine method panics propagate to
@@ -67,38 +59,27 @@ func NewEvalStream(m Method, o Oracle, space Space, s Settings, g *rng.RNG) *Eva
 	return st
 }
 
-// streamOracle is the proxy handed to the driven method: Evaluate suspends
+// streamOracle is the proxy handed to the driven method: evaluations suspend
 // the coroutine, everything else forwards.
 type streamOracle struct {
 	o     Oracle
 	st    *EvalStream
-	yield func(EvalRequest) bool
+	yield func(*EvalBatch) bool
 }
 
 func (p *streamOracle) Evaluate(cfg fl.HParams, rounds int, evalID string) float64 {
 	st := p.st
-	id := st.nextID
-	st.nextID++
-	if !p.yield(EvalRequest{ID: id, Config: cfg, PoolIndex: -1, Rounds: rounds, EvalID: evalID}) {
-		panic(errEvalStreamClosed{})
-	}
-	return st.reply
+	st.oneCfg[0] = cfg
+	st.one = EvalBatch{Configs: st.oneCfg[:], SameRounds: rounds, SameEvalID: evalID, Out: st.oneOut[:]}
+	p.EvaluateBatch(&st.one)
+	return st.oneOut[0]
 }
 
-// EvaluateBatch suspends once for the whole batch; EvalStream.Next flattens
-// it into the usual one-ask-at-a-time protocol on the consumer side, so the
-// only observable difference from looping Evaluate is one coroutine
-// round-trip instead of len(b.Configs).
+// EvaluateBatch suspends once for the whole batch.
 func (p *streamOracle) EvaluateBatch(b *EvalBatch) {
-	if len(b.Configs) == 0 {
-		return
-	}
-	st := p.st
-	st.batch, st.batchPos = b, 0
-	if !p.yield(EvalRequest{}) {
+	if len(b.Configs) > 0 && !p.yield(b) {
 		panic(errEvalStreamClosed{})
 	}
-	st.batch = nil
 }
 func (p *streamOracle) TrueError(cfg fl.HParams, rounds int) float64 {
 	return p.o.TrueError(cfg, rounds)
@@ -107,99 +88,31 @@ func (p *streamOracle) SampleSize() int    { return p.o.SampleSize() }
 func (p *streamOracle) Pool() []fl.HParams { return p.o.Pool() }
 func (p *streamOracle) MaxRounds() int     { return p.o.MaxRounds() }
 
-// Next resumes the method until it asks for an evaluation or finishes. ok is
-// false when the method has returned (History is then valid). The previous
-// ask must have been answered with Tell; requests carry PoolIndex -1 (the
-// block scheduler resolves configs against the bank's own index instead).
-func (s *EvalStream) Next() (EvalRequest, bool) {
+// Next resumes the method — which reads the previous batch's Out as its
+// answers — until it asks for more evaluations or finishes. ok is false when
+// the method has returned (History is then valid). The batch is the method's
+// own (or the stream's scratch) and is valid until the following Next.
+func (s *EvalStream) Next() (*EvalBatch, bool) {
 	if s.done {
-		return EvalRequest{}, false
+		return nil, false
 	}
-	if s.pending {
-		panic("hpo: EvalStream.Next with an unanswered ask (call Tell first)")
-	}
-	if s.batch != nil {
-		if s.batchPos < len(s.batch.Configs) {
-			return s.serveBatchItem()
-		}
-		s.batch = nil // batch fully answered: resume the coroutine below
-	}
-	req, ok := s.next()
+	b, ok := s.next()
 	if !ok {
-		s.done = true
-		s.stop()
-		return EvalRequest{}, false
+		s.Close()
 	}
-	if s.batch != nil {
-		// The coroutine suspended with a whole EvalBatch (the yielded request
-		// is a placeholder): serve its first item instead.
-		return s.serveBatchItem()
-	}
-	s.pending = true
-	return req, true
+	return b, ok
 }
 
-func (s *EvalStream) serveBatchItem() (EvalRequest, bool) {
-	b, i := s.batch, s.batchPos
-	id := s.nextID
-	s.nextID++
-	s.pending = true
-	return EvalRequest{ID: id, Config: b.Configs[i], PoolIndex: -1, Rounds: b.RoundsAt(i), EvalID: b.EvalIDAt(i)}, true
-}
-
-// Batch exposes the method's whole pending batch when the ask the last Next
-// returned is its first item, and nil otherwise. A batch-aware consumer (the
-// block scheduler) answers wholesale — fill every Out element, call
-// FinishBatch instead of Tell, and Next as usual — skipping the per-item
-// flattening; the method observes the identical answers either way.
-func (s *EvalStream) Batch() *EvalBatch {
-	if s.batch != nil && s.pending && s.batchPos == 0 {
-		return s.batch
-	}
-	return nil
-}
-
-// FinishBatch marks every item of the pending batch answered (the caller
-// filled Out directly). The ask IDs the flattened items would have consumed
-// are still burned, so the ID sequence matches the per-item protocol.
-func (s *EvalStream) FinishBatch() {
-	if s.batch == nil || !s.pending || s.batchPos != 0 {
-		panic("hpo: FinishBatch without a whole pending batch")
-	}
-	s.nextID += len(s.batch.Configs) - 1 // item 0's ID was assigned by Next
-	s.batchPos = len(s.batch.Configs)
-	s.pending = false
-}
-
-// Tell records the observed error the suspended Evaluate call returns when
-// Next resumes the method.
-func (s *EvalStream) Tell(observed float64) {
-	if !s.pending {
-		panic("hpo: EvalStream.Tell with no pending ask")
-	}
-	if s.batch != nil {
-		s.batch.Out[s.batchPos] = observed
-		s.batchPos++
-	} else {
-		s.reply = observed
-	}
-	s.pending = false
-}
-
-// Done reports whether the method has finished.
-func (s *EvalStream) Done() bool { return s.done }
-
-// History returns the finished method's observation log (nil until Done).
+// History returns the finished method's observation log (nil until Next has
+// reported completion, and after a mid-run Close).
 func (s *EvalStream) History() *History { return s.hist }
 
 // Close releases the stream. A suspended method unwinds without completing;
 // Close after completion (or before the first Next) is a no-op. Callers that
 // abandon a stream mid-run must Close it so the coroutine is collected.
 func (s *EvalStream) Close() {
-	if s.done {
-		return
+	if !s.done {
+		s.done = true
+		s.stop()
 	}
-	s.done = true
-	s.pending = false
-	s.stop()
 }

@@ -9,24 +9,29 @@ import (
 	"noisyeval/internal/rng"
 )
 
-// drainStream answers every ask with ans's evaluation until the method
+// drainStream answers every batch with ans's evaluations until the method
 // finishes, returning its history.
 func drainStream(t *testing.T, st *EvalStream, ans Oracle) *History {
 	t.Helper()
 	for {
-		req, ok := st.Next()
+		b, ok := st.Next()
 		if !ok {
-			if !st.Done() || st.History() == nil {
+			if st.History() == nil {
 				t.Fatal("stream finished without a history")
 			}
 			return st.History()
 		}
-		st.Tell(ans.Evaluate(req.Config, req.Rounds, req.EvalID))
+		if len(b.Configs) == 0 || len(b.Out) != len(b.Configs) {
+			t.Fatalf("batch of %d asks with %d answer slots", len(b.Configs), len(b.Out))
+		}
+		for i, cfg := range b.Configs {
+			b.Out[i] = ans.Evaluate(cfg, b.RoundsAt(i), b.EvalIDAt(i))
+		}
 	}
 }
 
-// TestEvalStreamParity is the synchronous inversion contract: stepping any
-// method through an EvalStream, answering each ask with the real oracle,
+// TestEvalStreamParity is the inversion contract: stepping any method
+// through an EvalStream, answering each batch with the real oracle,
 // reproduces the direct Run observation for observation.
 func TestEvalStreamParity(t *testing.T) {
 	methods := []Method{RandomSearch{}, GridSearch{}, SuccessiveHalving{}, TPE{}, Hyperband{}, FedPop{}, NoisyBO{}, ResampledRS{}}
@@ -49,41 +54,19 @@ func TestEvalStreamParity(t *testing.T) {
 	}
 }
 
-// TestEvalStreamSequentialIDs pins the AskTellDriver-compatible protocol:
-// IDs count up from 0 and every request carries PoolIndex -1.
-func TestEvalStreamSequentialIDs(t *testing.T) {
-	o := newTestOracle(0.01)
-	st := NewEvalStream(RandomSearch{}, o, DefaultSpace(), smallSettings(), rng.New(7))
-	defer st.Close()
-	want := 0
-	for {
-		req, ok := st.Next()
-		if !ok {
-			break
-		}
-		if req.ID != want {
-			t.Fatalf("ask ID = %d, want %d", req.ID, want)
-		}
-		if req.PoolIndex != -1 {
-			t.Fatalf("ask PoolIndex = %d, want -1", req.PoolIndex)
-		}
-		want++
-		st.Tell(0.5)
-	}
-	if want == 0 {
-		t.Fatal("method never asked")
-	}
-}
-
 // TestEvalStreamCloseMidRun proves an abandoned stream unwinds cleanly: no
 // history, no panic escaping Close, and further Next calls report done.
 func TestEvalStreamCloseMidRun(t *testing.T) {
-	st := NewEvalStream(RandomSearch{}, newTestOracle(0.01), DefaultSpace(), smallSettings(), rng.New(7))
-	if _, ok := st.Next(); !ok {
-		t.Fatal("expected a first ask")
+	st := NewEvalStream(SuccessiveHalving{}, newTestOracle(0.01), DefaultSpace(), smallSettings(), rng.New(7))
+	b, ok := st.Next()
+	if !ok {
+		t.Fatal("expected a first batch")
 	}
-	st.Tell(0.5)
+	for i := range b.Out {
+		b.Out[i] = 0.5
+	}
 	st.Close()
+	st.Close() // idempotent
 	if st.History() != nil {
 		t.Fatal("closed mid-run stream should have no history")
 	}

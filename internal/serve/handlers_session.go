@@ -1,18 +1,10 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
-	"time"
 )
-
-// askWait bounds how long one ask blocks waiting for the driven method to
-// post its next evaluation. Methods compute between asks (snapping, DP noise,
-// evolution) in microseconds; the bound only guards a wedged method from
-// pinning a handler goroutine forever.
-const askWait = 30 * time.Second
 
 // sessionListItem is one row of GET /v1/sessions.
 type sessionListItem struct {
@@ -83,9 +75,7 @@ func (s *Server) handleSessionAsk(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), askWait)
-	defer cancel()
-	resp, err := sess.Ask(ctx)
+	resp, err := sess.Ask()
 	if err != nil {
 		s.writeAPIError(w, err)
 		return
@@ -110,9 +100,7 @@ func (s *Server) handleSessionTell(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "tell with neither answers nor evaluate")
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), askWait)
-	defer cancel()
-	resp, err := sess.Tell(ctx, req)
+	resp, err := sess.Tell(req)
 	if err != nil {
 		s.writeAPIError(w, err)
 		return

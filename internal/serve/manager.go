@@ -77,11 +77,6 @@ type Options struct {
 	// while warm-cache submissions keep flowing. <= 0 disables shedding.
 	ShedColdFraction float64
 
-	// SequentialTrials disables the blocked trial scheduler for every suite
-	// this manager creates (the -blocked-trials=false escape hatch).
-	// Results are bit-identical either way; this only changes execution.
-	SequentialTrials bool
-
 	// ExecDelay is a fault-injection hook: each run's execution is padded
 	// by this duration before the tuner starts. Oracle-backed runs finish
 	// in microseconds, so crash/load harnesses (tools/crash_smoke.sh) set
@@ -289,9 +284,6 @@ func (m *Manager) suiteFor(scale string) (*exper.Suite, error) {
 	cfg, ok := m.opts.Scales[scale]
 	if !ok {
 		return nil, fmt.Errorf("%w: unknown scale %q", ErrBadRequest, scale)
-	}
-	if m.opts.SequentialTrials {
-		cfg.SequentialTrials = true
 	}
 	s := exper.NewSuite(cfg)
 	s.SetStore(m.opts.Store)

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -237,27 +236,34 @@ type SessionStatus struct {
 	Error string        `json:"error,omitempty"`
 }
 
-// Session is one stateful ask/tell tuner bound to a warm bank oracle. All
-// oracle evaluations go through mu (the WithTrial scratch is single-owner);
-// the driven method runs on the driver's goroutine and touches only
-// TrueError/Pool/MaxRounds, which are scratch-free and safe concurrently.
+// Session is one stateful ask/tell tuner bound to a warm bank oracle.
+// Everything — oracle evaluations (the WithTrial scratch is single-owner)
+// and the driven method itself, an hpo.EvalStream coroutine resumed on
+// whichever handler goroutine calls Ask or Tell — runs under mu.
 type Session struct {
 	ID  string
 	Key string
 	Req SessionRequest
 
-	oracle   *core.BankOracle   // WithTrial(Req.Trial) copy
-	driver   *hpo.AskTellDriver // nil for external sessions
+	oracle   *core.BankOracle // WithTrial(Req.Trial) copy
 	settings hpo.Settings
 	bankKey  string
 	created  time.Time
 
 	// lastUsed is unix nanoseconds of the last API touch, atomically
-	// readable so the reaper never contends with a blocked handler.
+	// readable so the reaper never contends with a busy handler.
 	lastUsed atomic.Int64
 
-	mu      sync.Mutex
-	state   SessionState
+	mu     sync.Mutex
+	state  SessionState
+	stream *hpo.EvalStream // nil for external sessions
+	// The ask protocol over the stream's batches: batch[pos] is the next
+	// item to serve, pending is the item asked and not yet told (one at a
+	// time), nextID numbers asks from 0.
+	batch   *hpo.EvalBatch
+	pos     int
+	pending *AskItem
+	nextID  int
 	trials  []SessionTrial
 	best    *SessionTrial
 	asked   int
@@ -269,11 +275,11 @@ type Session struct {
 }
 
 func newSession(key string, req SessionRequest, oracle *core.BankOracle,
-	driver *hpo.AskTellDriver, settings hpo.Settings, bankKey string, now time.Time) *Session {
+	stream *hpo.EvalStream, settings hpo.Settings, bankKey string, now time.Time) *Session {
 
 	s := &Session{
 		Key: key, Req: req,
-		oracle: oracle, driver: driver, settings: settings,
+		oracle: oracle, stream: stream, settings: settings,
 		bankKey: bankKey, created: now,
 		state:   SessionActive,
 		trained: map[int]int{},
@@ -288,80 +294,103 @@ func (s *Session) touch(now time.Time) { s.lastUsed.Store(now.UnixNano()) }
 // LastUsed returns the last API touch.
 func (s *Session) LastUsed() time.Time { return time.Unix(0, s.lastUsed.Load()) }
 
-// Ask returns the driven method's next suggestion. It blocks until the
-// method posts one (methods compute between asks), finishes, or ctx expires.
-func (s *Session) Ask(ctx context.Context) (AskResponse, error) {
+// Ask returns the driven method's next suggestion, resuming the method when
+// none is parked.
+func (s *Session) Ask() (AskResponse, error) {
 	s.mu.Lock()
-	if s.driver == nil {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	if s.stream == nil {
 		return AskResponse{}, codef(CodeExternalSession, "session %s is externally driven: it has no method to ask; propose configurations via tell", s.ID)
 	}
-	if s.state.Terminal() {
-		resp := AskResponse{Asks: []AskItem{}, Done: true, State: s.state}
-		s.mu.Unlock()
-		if s.state == SessionDone {
-			return resp, nil
+	switch s.state {
+	case SessionActive:
+		s.asked++
+		if s.advanceLocked(); s.state == SessionFailed {
+			return AskResponse{}, codef(CodeInternal, "session %s failed: %s", s.ID, s.errMsg)
 		}
+	case SessionFailed, SessionClosed:
 		return AskResponse{}, codef(CodeSessionTerminal, "session %s is %s", s.ID, s.state)
 	}
-	s.asked++
-	s.mu.Unlock()
-
-	// Block outside the lock: the method may need many TrueError reads
-	// before its next Evaluate, and a concurrent tell must stay servable.
-	req, ok, err := s.driver.Ask(ctx)
-	if err != nil {
-		if err == hpo.ErrDriverClosed {
-			return AskResponse{}, codef(CodeSessionTerminal, "session %s is closed", s.ID)
-		}
-		return AskResponse{}, err
-	}
-	if !ok {
-		s.finalize()
-		s.mu.Lock()
-		defer s.mu.Unlock()
+	if s.state == SessionDone {
 		return AskResponse{Asks: []AskItem{}, Done: true, State: s.state}, nil
 	}
-	return AskResponse{
-		Asks: []AskItem{{
-			ID: req.ID, ConfigIndex: req.PoolIndex, Config: req.Config,
-			Rounds: req.Rounds, EvalID: req.EvalID,
-		}},
-		Done: false, State: SessionActive,
-	}, nil
+	return AskResponse{Asks: []AskItem{*s.pending}, Done: false, State: SessionActive}, nil
+}
+
+// advanceLocked parks the method's next ask in s.pending unless one is parked
+// already (re-asking is idempotent), resuming the method when its current
+// batch is used up. A method that returns instead leaves the session done
+// with the method's own final recommendation as best (so a completed session
+// reports exactly what /v1/runs would); a method that panics — on this
+// goroutine, like a direct Run — leaves it failed.
+func (s *Session) advanceLocked() {
+	defer func() {
+		if r := recover(); r != nil {
+			s.state, s.errMsg = SessionFailed, fmt.Sprintf("method %s panicked: %v", s.Req.Method, r)
+		}
+	}()
+	for s.pending == nil {
+		if s.batch != nil && s.pos < len(s.batch.Configs) {
+			b, i := s.batch, s.pos
+			s.pending = &AskItem{
+				ID: s.nextID, ConfigIndex: s.configIndex(b.Configs[i]), Config: b.Configs[i],
+				Rounds: b.RoundsAt(i), EvalID: b.EvalIDAt(i),
+			}
+			s.nextID++
+			return
+		}
+		var more bool
+		if s.batch, more = s.stream.Next(); !more {
+			s.state = SessionDone
+			if rec, ok := s.stream.History().Recommend(); ok {
+				s.best = &SessionTrial{
+					Index: -1, Source: "ask", Config: rec.Config, ConfigIndex: s.configIndex(rec.Config),
+					Rounds: rec.Rounds, Observed: rec.Observed, TrueErr: rec.True,
+				}
+			}
+			return
+		}
+		s.pos = 0
+	}
+}
+
+// configIndex is cfg's position in the bank pool, or -1 for a non-member.
+func (s *Session) configIndex(cfg fl.HParams) int {
+	if i, err := s.oracle.Bank().ConfigIndex(cfg); err == nil {
+		return i
+	}
+	return -1
 }
 
 // Tell answers pending asks and/or evaluates caller-proposed configurations.
-func (s *Session) Tell(ctx context.Context, req TellRequest) (TellResponse, error) {
+func (s *Session) Tell(req TellRequest) (TellResponse, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.state.Terminal() {
 		return TellResponse{}, codef(CodeSessionTerminal, "session %s is %s", s.ID, s.state)
 	}
-	if len(req.Answers) > 0 && s.driver == nil {
+	if len(req.Answers) > 0 && s.stream == nil {
 		return TellResponse{}, codef(CodeExternalSession, "session %s is externally driven: there are no asks to answer", s.ID)
 	}
 
 	resp := TellResponse{Results: []SessionTrial{}}
 	for _, a := range req.Answers {
-		pending, ok := s.driver.Pending()
-		if !ok {
+		pending := s.pending
+		if pending == nil {
 			return TellResponse{}, codef(CodeNoPendingAsk, "tell %d: no pending ask (call ask first)", a.AskID)
 		}
 		if pending.ID != a.AskID {
 			return TellResponse{}, codef(CodeAskMismatch, "tell %d: pending ask is %d", a.AskID, pending.ID)
 		}
 		trial := SessionTrial{
-			Source: "ask", ConfigIndex: pending.PoolIndex, Config: pending.Config,
+			Source: "ask", AskID: &pending.ID, ConfigIndex: pending.ConfigIndex, Config: pending.Config,
 			Rounds: pending.Rounds, EvalID: pending.EvalID,
 		}
-		id := a.AskID
-		trial.AskID = &id
 		if a.Observed != nil {
 			trial.Observed = *a.Observed
 			trial.TrueErr = s.oracle.TrueError(pending.Config, pending.Rounds)
-		} else if pending.PoolIndex >= 0 {
-			ev, err := s.oracle.EvaluateIndex(pending.PoolIndex, pending.Rounds, pending.EvalID)
+		} else if pending.ConfigIndex >= 0 {
+			ev, err := s.oracle.EvaluateIndex(pending.ConfigIndex, pending.Rounds, pending.EvalID)
 			if err != nil {
 				return TellResponse{}, codef(CodeInternal, "evaluate ask %d: %v", a.AskID, err)
 			}
@@ -370,12 +399,9 @@ func (s *Session) Tell(ctx context.Context, req TellRequest) (TellResponse, erro
 			trial.Observed = s.oracle.Evaluate(pending.Config, pending.Rounds, pending.EvalID)
 			trial.TrueErr = s.oracle.TrueError(pending.Config, pending.Rounds)
 		}
-		if err := s.driver.Tell(a.AskID, trial.Observed); err != nil {
-			if err == hpo.ErrDriverClosed {
-				return TellResponse{}, codef(CodeSessionTerminal, "session %s is closed", s.ID)
-			}
-			return TellResponse{}, codef(CodeInternal, "tell %d: %v", a.AskID, err)
-		}
+		s.batch.Out[s.pos] = trial.Observed
+		s.pos++
+		s.pending = nil
 		s.told++
 		s.recordLocked(trial)
 	}
@@ -389,14 +415,9 @@ func (s *Session) Tell(ctx context.Context, req TellRequest) (TellResponse, erro
 	}
 
 	// Let the method absorb the answers so the response reports an accurate
-	// done/state. The driver parks the next suggestion for the next ask.
-	if s.driver != nil && len(req.Answers) > 0 {
-		s.mu.Unlock()
-		_, ok, err := s.driver.Ask(ctx)
-		if !ok && err == nil {
-			s.finalize()
-		}
-		s.mu.Lock()
+	// done/state; its next suggestion stays parked for the next ask.
+	if len(req.Answers) > 0 {
+		s.advanceLocked()
 	}
 
 	resp.State = s.state
@@ -480,46 +501,6 @@ func (s *Session) recordLocked(t SessionTrial) {
 	}
 }
 
-// finalize collects the finished driver's history: state, error, and the
-// method's own final recommendation (replacing the running best, so a
-// completed session reports exactly what /v1/runs would).
-func (s *Session) finalize() {
-	if s.driver == nil || !s.driver.Done() {
-		return
-	}
-	hist, err := s.driver.History()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.state.Terminal() {
-		return
-	}
-	if err != nil || hist == nil {
-		s.state = SessionFailed
-		if err != nil {
-			s.errMsg = err.Error()
-		} else {
-			s.errMsg = "method returned no history"
-		}
-		return
-	}
-	s.state = SessionDone
-	if rec, ok := hist.Recommend(); ok {
-		best := SessionTrial{
-			Index: -1, Source: "ask", Config: rec.Config, ConfigIndex: -1,
-			Rounds: rec.Rounds, Observed: rec.Observed, TrueErr: rec.True,
-		}
-		if pool := s.oracle.Pool(); len(pool) > 0 {
-			for i, c := range pool {
-				if c == rec.Config {
-					best.ConfigIndex = i
-					break
-				}
-			}
-		}
-		s.best = &best
-	}
-}
-
 // bestLocked returns a copy of the current best.
 func (s *Session) bestLocked() *SessionTrial {
 	if s.best == nil {
@@ -529,31 +510,28 @@ func (s *Session) bestLocked() *SessionTrial {
 	return &cp
 }
 
-// Close terminates the session (DELETE, idle reaping, shutdown). The driver
-// closes outside the session lock: a handler blocked in Ask holds no lock
-// but only unblocks once the driver closes.
+// Close terminates the session (DELETE, idle reaping, shutdown), unwinding a
+// method suspended mid-run. It never waits on anything but the session lock.
 func (s *Session) Close() {
-	if s.driver != nil {
-		s.driver.Close()
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.stream != nil {
+		s.stream.Close()
+	}
 	if !s.state.Terminal() {
 		s.state = SessionClosed
 	}
 }
 
-// Status snapshots the session for GET. finalize first, so a session whose
-// method finished since the last ask reports done.
+// Status snapshots the session for GET.
 func (s *Session) Status() SessionStatus {
-	s.finalize()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	bank := s.oracle.Bank()
-	st := SessionStatus{
+	return SessionStatus{
 		ID: s.ID, Key: s.Key, State: s.state, Request: s.Req,
 		CreatedAt:    s.created.UTC().Format(time.RFC3339Nano),
-		External:     s.driver == nil,
+		External:     s.stream == nil,
 		Asked:        s.asked,
 		Told:         s.told,
 		Evals:        s.evals,
@@ -567,7 +545,6 @@ func (s *Session) Status() SessionStatus {
 		Best:         s.bestLocked(),
 		Error:        s.errMsg,
 	}
-	return st
 }
 
 // scaleKnown reports membership of scale in scales.
@@ -626,7 +603,7 @@ func (m *Manager) OpenSession(req SessionRequest) (sess *Session, err error) {
 	}
 	oracle = oracle.WithTrial(req.Trial)
 
-	var driver *hpo.AskTellDriver
+	var stream *hpo.EvalStream
 	methodDesc := ExternalMethod
 	if !req.External() {
 		method, err := hpo.MethodByName(req.Method)
@@ -637,15 +614,13 @@ func (m *Manager) OpenSession(req SessionRequest) (sess *Session, err error) {
 		// The "fedtune" label and per-trial split reproduce the exact RNG
 		// stream RunTrials hands trial Req.Trial (exper.RunTune).
 		g := rng.New(req.Seed).Split("fedtune").Splitf("trial-%d", req.Trial)
-		driver = hpo.NewAskTellDriver(method, oracle, hpo.DefaultSpace(), settings, g)
+		stream = hpo.NewEvalStream(method, oracle, hpo.DefaultSpace(), settings, g)
 	}
 
 	key := core.RunKey(bankKey, "session "+methodDesc, noise, settings, req.Trial+1, req.Seed)
-	sess = newSession(key, req, oracle, driver, settings, bankKey, time.Now())
+	sess = newSession(key, req, oracle, stream, settings, bankKey, time.Now())
 	if err := m.sessions.Add(sess); err != nil {
-		if driver != nil {
-			driver.Close()
-		}
+		sess.Close()
 		return nil, err
 	}
 	return sess, nil

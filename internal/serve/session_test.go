@@ -1,13 +1,22 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"noisyeval/internal/core"
+	"noisyeval/internal/exper"
+	"noisyeval/internal/fl"
+	"noisyeval/internal/hpo"
+	"noisyeval/internal/rng"
 )
 
 // doJSON issues one request and decodes the response into out (when non-nil
@@ -73,46 +82,290 @@ func (ts *testServer) driveSession(t *testing.T, id string, maxSteps int) Sessio
 	return SessionStatus{}
 }
 
-// TestSessionParityWithRun pins the tentpole contract: an external client
-// driving a session's ask/tell loop — answering every ask with the server's
-// own bank evaluation — lands on exactly the recommendation the server-driven
-// /v1/runs path computes for the same (dataset, method, noise, seed, trial).
-func TestSessionParityWithRun(t *testing.T) {
-	ts := newTestServer(t, Options{})
-	for _, method := range []string{"rs", "sha"} {
-		t.Run(method, func(t *testing.T) {
-			body := fmt.Sprintf(`{"dataset":"cifar10","method":%q,"trials":1,"seed":5,"noise":{"sample_count":2}}`, method)
-			_, st := ts.submit(t, body)
-			ts.streamEvents(t, st.ID)
-			_, raw := ts.getRun(t, st.ID, nil)
-			var runSt RunStatus
-			if err := json.Unmarshal(raw, &runSt); err != nil {
-				t.Fatal(err)
-			}
-			if runSt.State != StateDone || runSt.Result == nil || runSt.Result.Best == nil {
-				t.Fatalf("run did not finish with a best: %+v", runSt)
-			}
+// evalRecorder is the reference side of TestSessionParityWithRun: a bank
+// oracle that logs every evaluation a directly-run method makes.
+type evalRecorder struct {
+	*core.BankOracle
+	log []evalRecord
+}
 
-			var sess SessionStatus
-			sbody := fmt.Sprintf(`{"dataset":"cifar10","method":%q,"seed":5,"noise":{"sample_count":2}}`, method)
-			if code, env := ts.doJSON(t, "POST", "/v1/sessions", sbody, &sess); code != http.StatusCreated {
-				t.Fatalf("open: status %d (%s: %s)", code, env.Error.Code, env.Error.Message)
-			}
-			final := ts.driveSession(t, sess.ID, 500)
-			if final.State != SessionDone {
-				t.Fatalf("session state = %s (error %q), want done", final.State, final.Error)
-			}
-			if final.Best == nil {
-				t.Fatal("done session has no best")
-			}
-			want := runSt.Result.Best
-			if final.Best.Config != want.Config || final.Best.Rounds != want.Rounds || final.Best.TrueErr != want.TrueErr {
-				t.Errorf("session best = %+v, run best = %+v", *final.Best, *want)
-			}
-			if final.BankKey != runSt.Result.BankKey {
-				t.Errorf("session bank key %q != run bank key %q", final.BankKey, runSt.Result.BankKey)
+type evalRecord struct {
+	cfg      fl.HParams
+	rounds   int
+	evalID   string
+	observed float64
+}
+
+func (r *evalRecorder) Evaluate(cfg fl.HParams, rounds int, evalID string) float64 {
+	v := r.BankOracle.Evaluate(cfg, rounds, evalID)
+	r.log = append(r.log, evalRecord{cfg, rounds, evalID, v})
+	return v
+}
+
+// TestSessionParityWithRun pins the inversion contract at the layer that owns
+// it, for every registered method under subsampling, systems bias and DP: an
+// external client driving a session's ask/tell loop — answering every ask
+// with the server's own bank evaluation — sees, ask for ask, the evaluations
+// a plain Method.Run makes on the same WithTrial oracle and RNG stream (IDs
+// sequential from 0, re-ask idempotent, config_index the bank's own), and
+// lands on exactly that run's recommendation, which is also the one the
+// server-driven /v1/runs path reports for the same inputs.
+func TestSessionParityWithRun(t *testing.T) {
+	// Budget enough for Hyperband's brackets to evaluate something.
+	cfg := tinyConfig()
+	cfg.MaxRounds, cfg.K = 27, 8
+	ts := newTestServer(t, Options{Scales: map[string]exper.Config{"quick": cfg}})
+	const seed = 5
+	noises := []struct {
+		name string
+		req  NoiseRequest
+	}{
+		{"subsample", NoiseRequest{SampleCount: 2}},
+		{"bias", NoiseRequest{SampleCount: 2, Bias: 1}},
+		{"eps", NoiseRequest{SampleCount: 2, Epsilon: 2}},
+	}
+	for _, method := range hpo.Methods() {
+		t.Run(method, func(t *testing.T) {
+			for _, nz := range noises {
+				t.Run(nz.name, func(t *testing.T) {
+					noiseJSON, _ := json.Marshal(nz.req)
+					body := fmt.Sprintf(`{"dataset":"cifar10","method":%q,"trials":1,"seed":%d,"noise":%s}`, method, seed, noiseJSON)
+					_, st := ts.submit(t, body)
+					ts.streamEvents(t, st.ID)
+					_, raw := ts.getRun(t, st.ID, nil)
+					var runSt RunStatus
+					if err := json.Unmarshal(raw, &runSt); err != nil {
+						t.Fatal(err)
+					}
+					if runSt.State != StateDone || runSt.Result == nil || runSt.Result.Best == nil {
+						t.Fatalf("run did not finish with a best: %+v", runSt)
+					}
+
+					// The reference: the method run directly, exactly as
+					// OpenSession documents the wiring.
+					suite, err := ts.mgr.suiteFor(DefaultScale)
+					if err != nil {
+						t.Fatal(err)
+					}
+					bank := suite.Bank("cifar10")
+					noise := nz.req.Noise()
+					oracle, err := core.NewBankOracle(bank, noise.HeterogeneityP, noise.Scheme(), seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					m, err := hpo.MethodByName(method)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ref := &evalRecorder{BankOracle: oracle.WithTrial(0)}
+					hist := m.Run(ref, hpo.DefaultSpace(), noise.Settings(hpo.Settings{Budget: suite.Cfg.Budget()}),
+						rng.New(seed).Split("fedtune").Splitf("trial-%d", 0))
+					if len(ref.log) == 0 {
+						t.Fatal("the direct run evaluated nothing")
+					}
+
+					var sess SessionStatus
+					sbody := fmt.Sprintf(`{"dataset":"cifar10","method":%q,"seed":%d,"noise":%s}`, method, seed, noiseJSON)
+					if code, env := ts.doJSON(t, "POST", "/v1/sessions", sbody, &sess); code != http.StatusCreated {
+						t.Fatalf("open: status %d (%s: %s)", code, env.Error.Code, env.Error.Message)
+					}
+					for i := 0; ; i++ {
+						var ask, again AskResponse
+						if code, env := ts.doJSON(t, "POST", "/v1/sessions/"+sess.ID+"/ask", "", &ask); code != http.StatusOK {
+							t.Fatalf("ask %d: status %d (%s: %s)", i, code, env.Error.Code, env.Error.Message)
+						}
+						if ask.Done {
+							if i != len(ref.log) {
+								t.Fatalf("session finished after %d asks, the direct run made %d evaluations", i, len(ref.log))
+							}
+							break
+						}
+						if i >= len(ref.log) {
+							t.Fatalf("ask %d: the direct run made only %d evaluations", i, len(ref.log))
+						}
+						if i%7 == 0 {
+							ts.doJSON(t, "POST", "/v1/sessions/"+sess.ID+"/ask", "", &again)
+							if !reflect.DeepEqual(ask, again) {
+								t.Fatalf("re-ask %d not idempotent: %+v then %+v", i, ask, again)
+							}
+						}
+						item, want := ask.Asks[0], ref.log[i]
+						if len(ask.Asks) != 1 || item.ID != i {
+							t.Fatalf("ask %d: %d items, first ID %d", i, len(ask.Asks), item.ID)
+						}
+						if ci, err := bank.ConfigIndex(item.Config); err != nil || item.ConfigIndex != ci {
+							t.Fatalf("ask %d: config_index %d, bank says %d (%v)", i, item.ConfigIndex, ci, err)
+						}
+						if item.Config != want.cfg || item.Rounds != want.rounds || item.EvalID != want.evalID {
+							t.Fatalf("ask %d = %+v, the direct run evaluated %+v", i, item, want)
+						}
+						var tell TellResponse
+						if code, env := ts.doJSON(t, "POST", "/v1/sessions/"+sess.ID+"/tell", fmt.Sprintf(`{"answers":[{"ask_id":%d}]}`, i), &tell); code != http.StatusOK {
+							t.Fatalf("tell %d: status %d (%s: %s)", i, code, env.Error.Code, env.Error.Message)
+						}
+						if last := i == len(ref.log)-1; tell.Done != last {
+							t.Fatalf("tell %d of %d reported done=%v", i, len(ref.log), tell.Done)
+						}
+					}
+					var final SessionStatus
+					if code, env := ts.doJSON(t, "GET", "/v1/sessions/"+sess.ID, "", &final); code != http.StatusOK {
+						t.Fatalf("get: status %d (%s)", code, env.Error.Code)
+					}
+					if final.State != SessionDone || final.Best == nil {
+						t.Fatalf("session state = %s (error %q, best %v), want done with a best", final.State, final.Error, final.Best)
+					}
+					if len(final.Trials) != len(ref.log) {
+						t.Fatalf("session logged %d trials, the direct run made %d evaluations", len(final.Trials), len(ref.log))
+					}
+					for i, tr := range final.Trials {
+						want := ref.log[i]
+						if tr.Config != want.cfg || tr.Rounds != bank.Rounds[bank.CheckpointIndex(want.rounds)] || tr.Observed != want.observed {
+							t.Fatalf("trial %d = %+v, the direct run observed %+v", i, tr, want)
+						}
+					}
+
+					rec, _ := hist.Recommend()
+					if b := final.Best; b.Config != rec.Config || b.Rounds != rec.Rounds || b.Observed != rec.Observed || b.TrueErr != rec.True {
+						t.Errorf("session best = %+v, direct run recommends %+v", *b, rec)
+					}
+					want := runSt.Result.Best
+					if final.Best.Config != want.Config || final.Best.Rounds != want.Rounds || final.Best.TrueErr != want.TrueErr {
+						t.Errorf("session best = %+v, run best = %+v", *final.Best, *want)
+					}
+					if final.BankKey != runSt.Result.BankKey {
+						t.Errorf("session bank key %q != run bank key %q", final.BankKey, runSt.Result.BankKey)
+					}
+				})
 			}
 		})
+	}
+}
+
+// failingMethod evaluates once and then panics.
+type failingMethod struct{}
+
+func (failingMethod) Name() string { return "failing" }
+func (failingMethod) Run(o hpo.Oracle, _ hpo.Space, _ hpo.Settings, _ *rng.RNG) *hpo.History {
+	o.Evaluate(o.Pool()[0], o.MaxRounds(), "only")
+	panic("boom")
+}
+
+// TestSessionMethodPanic pins where a method panic lands: on the handler
+// goroutine that resumed the method, which answers 500 naming the method and
+// leaves the session failed; later asks and tells are session_terminal.
+func TestSessionMethodPanic(t *testing.T) {
+	ts := newTestServer(t, Options{})
+	var donor SessionStatus
+	if code, _ := ts.doJSON(t, "POST", "/v1/sessions", `{"dataset":"cifar10","noise":{"sample_count":2}}`, &donor); code != http.StatusCreated {
+		t.Fatalf("open: %d", code)
+	}
+	ext, _ := ts.mgr.Sessions().Get(donor.ID)
+	req := ext.Req
+	req.Method = "failing"
+	stream := hpo.NewEvalStream(failingMethod{}, ext.oracle, hpo.DefaultSpace(), ext.settings, rng.New(1))
+	sess := newSession("k", req, ext.oracle, stream, ext.settings, ext.bankKey, time.Now())
+	if err := ts.mgr.Sessions().Add(sess); err != nil {
+		t.Fatal(err)
+	}
+
+	path := "/v1/sessions/" + sess.ID
+	var ask AskResponse
+	if code, _ := ts.doJSON(t, "POST", path+"/ask", "", &ask); code != http.StatusOK || len(ask.Asks) != 1 {
+		t.Fatalf("first ask: %d %+v", code, ask)
+	}
+	code, env := ts.doJSON(t, "POST", path+"/tell", `{"answers":[{"ask_id":0}]}`, nil)
+	if code != http.StatusInternalServerError || env.Error.Code != CodeInternal || !strings.Contains(env.Error.Message, "method failing panicked: boom") {
+		t.Fatalf("tell that resumes the panic: %d %q %q", code, env.Error.Code, env.Error.Message)
+	}
+	var st SessionStatus
+	if code, _ := ts.doJSON(t, "GET", path, "", &st); code != http.StatusOK || st.State != SessionFailed || !strings.Contains(st.Error, "failing") {
+		t.Fatalf("after panic: %d state %s error %q", code, st.State, st.Error)
+	}
+	if len(st.Trials) != 1 || st.Told != 1 {
+		t.Errorf("the answered ask was not logged: %d trials, told %d", len(st.Trials), st.Told)
+	}
+	for _, call := range [][2]string{{"/ask", ""}, {"/tell", `{"answers":[{"ask_id":1}]}`}} {
+		if code, env := ts.doJSON(t, "POST", path+call[0], call[1], nil); code != http.StatusConflict || env.Error.Code != CodeSessionTerminal {
+			t.Errorf("%s on a failed session: %d %q, want 409 %s", call[0], code, env.Error.Code, CodeSessionTerminal)
+		}
+	}
+}
+
+// TestSessionsLeaveNoGoroutines pins that a session owns nothing that runs
+// by itself: a method suspended mid-batch is unwound by each of the three
+// ways a session ends — close, idle reaping, shutdown's CloseAll — and the
+// process is back at its goroutine baseline afterwards.
+func TestSessionsLeaveNoGoroutines(t *testing.T) {
+	mgr := NewManager(Options{Scales: map[string]exper.Config{"quick": tinyConfig()}, Store: testStore(t), SessionIdleTTL: time.Minute})
+	defer mgr.Shutdown(context.Background())
+	now := time.Now()
+	mgr.Sessions().now = func() time.Time { return now }
+
+	open := func() *Session {
+		t.Helper()
+		sess, err := mgr.OpenSession(SessionRequest{Dataset: "cifar10", Method: "sha", Noise: NoiseRequest{SampleCount: 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// SHA's first rung is one multi-config batch: answer its first item
+		// and leave the method suspended inside the batch.
+		if _, err := sess.Ask(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Tell(TellRequest{Answers: []TellAnswer{{AskID: 0}}}); err != nil {
+			t.Fatal(err)
+		}
+		if sess.batch == nil || len(sess.batch.Configs) < 2 || sess.pos != 1 {
+			t.Fatalf("session is not mid-batch: %+v at %d", sess.batch, sess.pos)
+		}
+		return sess
+	}
+	// goroutines reads the count once it has stopped moving: earlier tests'
+	// servers and the first open's bank build wind down asynchronously.
+	goroutines := func() int {
+		n := runtime.NumGoroutine()
+		for stable := 0; stable < 5; {
+			time.Sleep(2 * time.Millisecond)
+			if m := runtime.NumGoroutine(); m == n {
+				stable++
+			} else {
+				n, stable = m, 0
+			}
+		}
+		return n
+	}
+	open().Close() // the first open builds the bank
+	mgr.Sessions().CloseAll()
+	baseline := goroutines()
+
+	closed, reaped, kept := open(), open(), open()
+	now = now.Add(30 * time.Second)
+	mgr.Sessions().Get(kept.ID) // touch kept at +30s
+	if n := goroutines(); n != baseline+3 {
+		t.Fatalf("%d goroutines with three suspended methods, baseline %d: the count does not see them", n, baseline)
+	}
+
+	if s, ok := mgr.Sessions().Remove(closed.ID); !ok || s != closed {
+		t.Fatal("remove")
+	}
+	closed.Close()
+	now = now.Add(45 * time.Second) // reaped idle 75s, kept 45s
+	mgr.Sessions().Sweep()
+	if got := mgr.Sessions().Reaped(); got != 1 || mgr.Sessions().Len() != 1 {
+		t.Fatalf("sweep reaped %d, %d retained; want 1 and 1", got, mgr.Sessions().Len())
+	}
+	mgr.Sessions().CloseAll()
+
+	for _, s := range []*Session{closed, reaped, kept} {
+		if st := s.Status(); st.State != SessionClosed {
+			t.Errorf("session %s state %s, want closed", s.ID, st.State)
+		}
+		if _, err := s.Ask(); err == nil {
+			t.Errorf("ask on closed session %s succeeded", s.ID)
+		}
+	}
+	if n := goroutines(); n != baseline {
+		t.Errorf("%d goroutines after every session ended, baseline %d", n, baseline)
 	}
 }
 
@@ -269,10 +522,9 @@ func TestSessionCloseAndCapacity(t *testing.T) {
 }
 
 // TestSessionIdleReaping drives the reaper on an injected clock: a session
-// idle past the TTL is swept — its driver goroutine shut down — while a
-// recently touched one survives. A mid-run ask on the reaped session answers
-// 404, and the sweep happens with the driver blocked in its channel
-// handshake (the case -race guards).
+// idle past the TTL is swept — its method unwound mid-run, with an ask
+// pending — while a recently touched one survives, and an expired session a
+// lookup finds before the janitor does is reaped and counted the same way.
 func TestSessionIdleReaping(t *testing.T) {
 	ts := newTestServer(t, Options{SessionIdleTTL: time.Minute})
 	now := time.Now()
@@ -282,7 +534,7 @@ func TestSessionIdleReaping(t *testing.T) {
 	if code, _ := ts.doJSON(t, "POST", "/v1/sessions", `{"dataset":"cifar10","method":"rs","noise":{"sample_count":2}}`, &idle); code != 201 {
 		t.Fatalf("open idle: %d", code)
 	}
-	// Leave idle's method parked mid-handshake on a pending ask.
+	// Leave idle's method suspended on a pending ask.
 	var ask AskResponse
 	if code, _ := ts.doJSON(t, "POST", "/v1/sessions/"+idle.ID+"/ask", "", &ask); code != 200 {
 		t.Fatalf("ask: %d", code)
@@ -313,6 +565,9 @@ func TestSessionIdleReaping(t *testing.T) {
 	now = now.Add(2 * time.Minute)
 	if code, _ := ts.doJSON(t, "GET", "/v1/sessions/"+busy.ID, "", nil); code != 404 {
 		t.Errorf("expired-on-read session GET: %d", code)
+	}
+	if got, left := ts.mgr.Sessions().Reaped(), ts.mgr.Sessions().Len(); got != 2 || left != 0 {
+		t.Errorf("after expiry on lookup: reaped = %d with %d retained, want 2 and 0", got, left)
 	}
 }
 

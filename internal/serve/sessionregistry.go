@@ -11,9 +11,9 @@ import (
 // deduplicated by content key because identical submissions compute the same
 // answer — sessions are stateful conversations, so every open creates a
 // fresh one and the key is reported only for provenance. Sessions idle past
-// ttl (no ask/tell/GET) are reaped: their driver goroutine is closed and the
-// entry dropped, so abandoned external optimizers cannot pin memory or
-// goroutines. The clock is injectable for deterministic reaping tests.
+// ttl (no ask/tell/GET) are reaped: their suspended method is unwound and the
+// entry dropped, so abandoned external optimizers cannot pin memory. The
+// clock is injectable for deterministic reaping tests.
 type SessionRegistry struct {
 	ttl time.Duration
 	max int
@@ -45,13 +45,10 @@ func NewSessionRegistry(ttl time.Duration, max int) *SessionRegistry {
 // rejects with too_many_sessions.
 func (g *SessionRegistry) Add(s *Session) error {
 	g.mu.Lock()
-	if len(g.sessions) >= g.max {
-		expired := g.collectExpiredLocked()
-		g.mu.Unlock()
-		g.closeAll(expired)
-		g.mu.Lock()
-	}
 	defer g.mu.Unlock()
+	if len(g.sessions) >= g.max {
+		g.sweepLocked()
+	}
 	if len(g.sessions) >= g.max {
 		return codef(CodeTooManySessions, "session table full (%d); close or let idle sessions expire", g.max)
 	}
@@ -62,25 +59,20 @@ func (g *SessionRegistry) Add(s *Session) error {
 	return nil
 }
 
-// Get returns the session with the given ID, touching its idle clock.
+// Get returns the session with the given ID, touching its idle clock. A
+// session found idle past the TTL is reaped on the spot.
 func (g *SessionRegistry) Get(id string) (*Session, bool) {
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	s, ok := g.sessions[id]
-	g.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	if g.ttl > 0 && g.now().Sub(s.LastUsed()) > g.ttl {
-		g.Remove(id)
-		s.Close()
+	if !ok || g.reapLocked(s) {
 		return nil, false
 	}
 	s.touch(g.now())
 	return s, true
 }
 
-// Remove drops a session entry without closing it (callers close outside the
-// registry lock).
+// Remove drops a session entry without closing it.
 func (g *SessionRegistry) Remove(id string) (*Session, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -124,46 +116,37 @@ func (g *SessionRegistry) Opened() int64 {
 	return g.opened
 }
 
-// Sweep reaps idle sessions. Expired entries are collected under the lock
-// but closed outside it — Close waits for the driver goroutine, which must
-// never happen while holding the registry lock.
+// Sweep reaps idle sessions.
 func (g *SessionRegistry) Sweep() {
 	g.mu.Lock()
-	expired := g.collectExpiredLocked()
-	g.mu.Unlock()
-	g.closeAll(expired)
+	defer g.mu.Unlock()
+	g.sweepLocked()
 }
 
-func (g *SessionRegistry) collectExpiredLocked() []*Session {
-	if g.ttl <= 0 {
-		return nil
+func (g *SessionRegistry) sweepLocked() {
+	for _, s := range g.sessions {
+		g.reapLocked(s)
 	}
-	cutoff := g.now().Add(-g.ttl)
-	var expired []*Session
-	for id, s := range g.sessions {
-		if s.LastUsed().Before(cutoff) {
-			delete(g.sessions, id)
-			expired = append(expired, s)
-			g.reaped++
-		}
-	}
-	return expired
 }
 
-func (g *SessionRegistry) closeAll(sessions []*Session) {
-	for _, s := range sessions {
-		s.Close()
+// reapLocked drops, closes and counts s if it has idled past the TTL.
+// Session.Close waits for nothing but a handler mid-request on s.
+func (g *SessionRegistry) reapLocked(s *Session) bool {
+	if g.ttl <= 0 || g.now().Sub(s.LastUsed()) <= g.ttl {
+		return false
 	}
+	delete(g.sessions, s.ID)
+	s.Close()
+	g.reaped++
+	return true
 }
 
 // CloseAll drops and closes every session (daemon shutdown).
 func (g *SessionRegistry) CloseAll() {
 	g.mu.Lock()
-	all := make([]*Session, 0, len(g.sessions))
+	defer g.mu.Unlock()
 	for id, s := range g.sessions {
 		delete(g.sessions, id)
-		all = append(all, s)
+		s.Close()
 	}
-	g.mu.Unlock()
-	g.closeAll(all)
 }

@@ -104,11 +104,12 @@ type (
 	OneShotProxyRS    = hpo.OneShotProxyRS
 	FedPop            = hpo.FedPop
 
-	// AskTellDriver inverts a Method's control flow: the caller pulls
-	// evaluation requests (Ask) and answers them (Tell) instead of handing
-	// the method a blocking oracle. EvalRequest is one pending ask.
-	AskTellDriver = hpo.AskTellDriver
-	EvalRequest   = hpo.EvalRequest
+	// EvalStream inverts a Method's control flow: the caller pulls the
+	// method's pending evaluations one EvalBatch at a time (Next), fills in
+	// the answers and pulls again, instead of handing the method a blocking
+	// oracle.
+	EvalStream = hpo.EvalStream
+	EvalBatch  = hpo.EvalBatch
 	// MethodInfo describes one registry entry (name, aliases, settings hints).
 	MethodInfo = hpo.MethodInfo
 )
@@ -178,14 +179,13 @@ var (
 	DefaultSettings = hpo.DefaultSettings
 	RungRounds      = hpo.RungRounds
 	// MethodByName resolves a method (canonical name or alias) from the
-	// registry; MethodInfos lists the catalogue. NewAskTellDriver starts a
+	// registry; MethodInfos lists the catalogue. NewEvalStream puts a
 	// method under ask/tell control; NearestConfig snaps a raw vector to
 	// its closest pool member under the space's geometry.
-	MethodByName     = hpo.MethodByName
-	MethodInfos      = hpo.MethodInfos
-	NewAskTellDriver = hpo.NewAskTellDriver
-	NearestConfig    = hpo.NearestConfig
-	ErrDriverClosed  = hpo.ErrDriverClosed
+	MethodByName  = hpo.MethodByName
+	MethodInfos   = hpo.MethodInfos
+	NewEvalStream = hpo.NewEvalStream
+	NearestConfig = hpo.NearestConfig
 )
 
 // Bank/orchestration constructors.
