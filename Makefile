@@ -12,7 +12,8 @@
 #                    harness; its own go.mod, so `go test ./...` never sees it)
 #   make fuzz        short coverage-guided fuzz pass over the two decoders
 #                    that read bank bytes from disk or the wire (bankfmt/v4
-#                    bank image, dist shard upload)
+#                    bank image, dist shard upload) and the weighted sampler
+#                    against its all-keys reference
 #   make figures     quick-scale figure regeneration through the bank cache
 #   make serve       run the noisyevald tuning daemon on $(SERVE_ADDR)
 #   make serve-smoke boot noisyevald, drive runs + an ask/tell session via pkg/client
@@ -53,7 +54,7 @@ bench:
 # The gated benchmarks run at a real -benchtime (unlike the 1x smoke pass)
 # so their ns/op is stable enough to diff against the committed baseline.
 bench-json:
-	NOISYEVAL_CACHE_DIR=$(CACHE_DIR) $(GO) test -bench 'BenchmarkFederatedRound$$|BenchmarkBankBuild$$|BenchmarkBankOpenMmap$$|BenchmarkOracleTrials$$|BenchmarkOracleTrialsMapped$$|BenchmarkOracleEvaluateMulti$$|BenchmarkObsOverhead$$|BenchmarkMethodTrials$$|BenchmarkServeRun$$|BenchmarkServeList$$|BenchmarkGEMM$$' -benchmem -benchtime 2s -run '^$$' . | tee bench-gated.out
+	NOISYEVAL_CACHE_DIR=$(CACHE_DIR) $(GO) test -bench 'BenchmarkFederatedRound$$|BenchmarkBankBuild$$|BenchmarkBankOpenMmap$$|BenchmarkOracleTrials$$|BenchmarkOracleTrialsMapped$$|BenchmarkOracleEvaluateMulti$$|BenchmarkOracleEvaluateMultiBiased$$|BenchmarkObsOverhead$$|BenchmarkMethodTrials$$|BenchmarkServeRun$$|BenchmarkServeList$$|BenchmarkGEMM$$' -benchmem -benchtime 2s -run '^$$' . | tee bench-gated.out
 	$(GO) run ./tools/bench2json < bench-gated.out > BENCH_latest.json
 
 # ns/op and B/op gate at 25% over the committed baseline (refreshed when a
@@ -61,7 +62,10 @@ bench-json:
 # 0 allocs/op (the batched training round, the blocked-oracle row sweep)
 # fails on the FIRST allocation, machine-independently. trials/s (the
 # blocked oracle's and the per-method trial benchmarks' throughput metric)
-# and req/s (the daemon's dedup POST) may drop at most 25%. BenchmarkServeList
+# and req/s (the daemon's dedup POST) may drop at most 25%, and so may evals/s
+# (the row kernel under the uniform and the biased scheme; bench/'s kernel
+# probes are uniform-only, so BenchmarkOracleEvaluateMultiBiased is the one
+# number CI sees for the weighted sampler). BenchmarkServeList
 # pages a 10 000-run registry: its ns/op and allocs/op are those of 20 rows,
 # so a change that makes listing scale with history again fails here.
 # BenchmarkGEMM (the three training GEMMs at the models' layer shapes) is
@@ -71,8 +75,8 @@ bench-json:
 # end. See tools/benchdiff.
 bench-check: bench-json
 	$(GO) run ./tools/benchdiff -baseline BENCH_baseline.json -latest BENCH_latest.json \
-		-bench BenchmarkFederatedRound,BenchmarkBankBuild,BenchmarkBankOpenMmap,BenchmarkOracleTrials,BenchmarkOracleTrialsMapped,BenchmarkOracleEvaluateMulti,BenchmarkObsOverhead,BenchmarkMethodTrials/tpe,BenchmarkMethodTrials/hb,BenchmarkMethodTrials/bohb,BenchmarkServeRun,BenchmarkServeList \
-		-max-regress 0.25 -max-allocs-frac 1.25 -metrics trials/s,req/s -max-metric-drop 0.25
+		-bench BenchmarkFederatedRound,BenchmarkBankBuild,BenchmarkBankOpenMmap,BenchmarkOracleTrials,BenchmarkOracleTrialsMapped,BenchmarkOracleEvaluateMulti,BenchmarkOracleEvaluateMultiBiased,BenchmarkObsOverhead,BenchmarkMethodTrials/tpe,BenchmarkMethodTrials/hb,BenchmarkMethodTrials/bohb,BenchmarkServeRun,BenchmarkServeList \
+		-max-regress 0.25 -max-allocs-frac 1.25 -metrics trials/s,req/s,evals/s -max-metric-drop 0.25
 
 # bench/ is a module of its own (BENCHMARK.json's harness: `bash bench/run.sh`
 # builds it against this tree through a replace directive), so neither
@@ -87,11 +91,14 @@ bench-harness:
 # each: the bankfmt/v4 bank image (FuzzBankV4, seeded with torn-segment /
 # CRC-flip / duplicate-segment corpora plus the retired generations, which
 # must classify as stale) and the dist shard upload (FuzzShardDecode, seeded
-# with every hostile payload the complete endpoint refuses). A crash writes
-# its input to testdata/fuzz for triage.
+# with every hostile payload the complete endpoint refuses). FuzzWeightedSample
+# is differential instead: bytes become weights, uniforms and k, and the
+# bracketed selection must return what the all-keys loop returns. A crash
+# writes its input to testdata/fuzz for triage.
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzBankV4$$' -fuzztime 15s ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzShardDecode$$' -fuzztime 15s ./internal/dist
+	$(GO) test -run '^$$' -fuzz 'FuzzWeightedSample$$' -fuzztime 15s ./internal/rng
 
 figures:
 	$(GO) run ./cmd/figures -quick -cache-dir $(CACHE_DIR) -out results

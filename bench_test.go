@@ -454,7 +454,19 @@ func BenchmarkOracleTrials(b *testing.B) {
 // with warm scratch. The benchdiff gate pins allocs/op at 0 — the steady
 // state must stay allocation-free no matter how many cohorts share the row.
 func BenchmarkOracleEvaluateMulti(b *testing.B) {
-	oracle, err := core.NewBankOracle(codecBenchBank, 0, noisyeval.SchemeWithCount(10), 1)
+	benchEvaluateRows(b, noisyeval.SchemeWithCount(10))
+}
+
+// BenchmarkOracleEvaluateMultiBiased is the same sweep under systems
+// heterogeneity (3 clients per cohort drawn with weight (acc+δ)^1.5, the
+// Figure 6 family's scheme): the weighted sampler instead of the partial
+// shuffle. Gated on evals/s and 0 allocs/op like its uniform sibling.
+func BenchmarkOracleEvaluateMultiBiased(b *testing.B) {
+	benchEvaluateRows(b, core.Noise{SampleCount: 3, Bias: 1.5}.Scheme())
+}
+
+func benchEvaluateRows(b *testing.B, scheme eval.Scheme) {
+	oracle, err := core.NewBankOracle(codecBenchBank, 0, scheme, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -177,9 +177,9 @@ type Result struct {
 // trial its own). The zero value is ready to use; buffers grow on first use
 // and are reused afterwards.
 type Scratch struct {
-	idx  []int     // subset sample buffer (len >= pool size)
-	bias []float64 // per-client bias weights (biased sampling only)
-	keys []float64 // Efraimidis-Spirakis key buffer (biased sampling only)
+	idx  []int               // subset sample buffer (uniform sampling)
+	bias []float64           // per-client bias weights (biased sampling only)
+	ws   rng.WeightedSampler // biased subset draws over bias
 }
 
 // Evaluate produces one noisy evaluation of the per-client error vector
@@ -252,54 +252,44 @@ func WorstClientError(errs []float64) float64 { return TailError(errs, 1) }
 // systems heterogeneity where well-performing (fast, well-connected) devices
 // participate more often. A non-nil scratch supplies every buffer.
 func (e *Evaluator) sampleSubset(errs []float64, g *rng.RNG, s *Scratch) []int {
+	if s == nil {
+		s = &Scratch{}
+	}
+	if e.scheme.Bias != 0 {
+		s.bias = e.biasWeights(s.bias, errs)
+		s.ws.Reset(s.bias)
+		return s.ws.Sample(g, e.scheme.Count)
+	}
 	n := len(errs)
 	k := e.scheme.Count
-	var idx []int
-	if s != nil {
-		s.idx = growInts(s.idx, n)
-		idx = s.idx
-	} else {
-		idx = make([]int, n)
-	}
-	if k >= n && e.scheme.Bias == 0 {
-		for i := range idx {
-			idx[i] = i
+	s.idx = grow(s.idx, n)
+	if k >= n {
+		for i := range s.idx {
+			s.idx[i] = i
 		}
-		return idx
+		return s.idx
 	}
-	if e.scheme.Bias == 0 {
-		return g.SampleWithoutReplacementInto(n, k, idx)
-	}
-	var w, keys []float64
-	if s != nil {
-		s.bias = growFloats(s.bias, n)
-		s.keys = growFloats(s.keys, n)
-		w, keys = s.bias, s.keys
-	} else {
-		w, keys = make([]float64, n), make([]float64, n)
-	}
+	return g.SampleWithoutReplacementInto(n, k, s.idx)
+}
+
+// biasWeights returns buf, grown to the pool size, holding the sampling
+// weight (accuracy + δ)^b of every client of the row.
+func (e *Evaluator) biasWeights(buf, errs []float64) []float64 {
+	buf = grow(buf, len(errs))
 	for i, err := range errs {
 		acc := 1 - err
 		if acc < 0 {
 			acc = 0
 		}
-		w[i] = math.Pow(acc+e.scheme.BiasDelta, e.scheme.Bias)
+		buf[i] = math.Pow(acc+e.scheme.BiasDelta, e.scheme.Bias)
 	}
-	return g.WeightedSampleWithoutReplacementInto(w, k, keys, idx)
+	return buf
 }
 
-// growInts returns b resized to length n, reallocating only on growth.
-func growInts(b []int, n int) []int {
+// grow returns b resized to length n, reallocating only on growth.
+func grow[T any](b []T, n int) []T {
 	if cap(b) < n {
-		return make([]int, n)
-	}
-	return b[:n]
-}
-
-// growFloats returns b resized to length n, reallocating only on growth.
-func growFloats(b []float64, n int) []float64 {
-	if cap(b) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return b[:n]
 }

@@ -2,7 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"math"
 
 	"noisyeval/internal/fl"
 	"noisyeval/internal/rng"
@@ -14,21 +13,20 @@ import (
 // at a time (the block scheduler gives each worker its own). The zero value
 // is ready to use.
 type MultiScratch struct {
-	g       *rng.RNG  // reseeded once per cohort
-	results []Result  // returned slice, reused across calls
-	idx     []int     // persistent identity permutation (uniform sampling)
-	idxN    int       // prefix of idx currently holding the identity
-	undo    []int     // swap partners of the last partial shuffle (uniform)
-	bias    []float64 // per-row bias weights, shared by all cohorts (biased)
-	keys    []float64 // Efraimidis-Spirakis key buffer (biased)
-	bidx    []int     // subset buffer (biased)
+	g       *rng.RNG            // reseeded once per cohort
+	results []Result            // returned slice, reused across calls
+	idx     []int               // persistent identity permutation (uniform sampling)
+	idxN    int                 // prefix of idx currently holding the identity
+	undo    []int               // swap partners of the last partial shuffle (uniform)
+	bias    []float64           // per-row bias weights, shared by all cohorts (biased)
+	ws      rng.WeightedSampler // per-row sampler state over bias (biased)
 }
 
 // ensureIdentity makes idx[:n] the identity permutation. The uniform path
 // keeps this as an invariant between cohorts (swaps are undone after each
 // draw), so the fill runs only when the pool size changes.
 func (s *MultiScratch) ensureIdentity(n int) {
-	s.idx = growInts(s.idx, n)
+	s.idx = grow(s.idx, n)
 	if s.idxN == n {
 		return
 	}
@@ -88,7 +86,7 @@ func (e *Evaluator) EvaluateMulti(errs []float64, seeds []uint64, s *MultiScratc
 		}
 	case e.scheme.Bias == 0:
 		s.ensureIdentity(n)
-		s.undo = growInts(s.undo, k)
+		s.undo = grow(s.undo, k)
 		idx, undo := s.idx, s.undo
 		for c, seed := range seeds {
 			s.g.Reseed(seed)
@@ -112,22 +110,14 @@ func (e *Evaluator) EvaluateMulti(errs []float64, seeds []uint64, s *MultiScratc
 			out[c] = Result{Observed: observed, Sampled: sampled}
 		}
 	default:
-		// Biased sampling: the (accuracy+δ)^b weights depend only on the
-		// row, not the cohort — compute them once for the whole block.
-		s.bias = growFloats(s.bias, n)
-		s.keys = growFloats(s.keys, n)
-		s.bidx = growInts(s.bidx, n)
-		w := s.bias
-		for i, err := range errs {
-			acc := 1 - err
-			if acc < 0 {
-				acc = 0
-			}
-			w[i] = math.Pow(acc+e.scheme.BiasDelta, e.scheme.Bias)
-		}
+		// Biased sampling: the (accuracy+δ)^b weights, and what the sampler
+		// derives from them, depend only on the row, not the cohort —
+		// compute them once for the whole block.
+		s.bias = e.biasWeights(s.bias, errs)
+		s.ws.Reset(s.bias)
 		for c, seed := range seeds {
 			s.g.Reseed(seed)
-			subset := s.g.WeightedSampleWithoutReplacementInto(w, k, s.keys, s.bidx)
+			subset := s.ws.Sample(s.g, k)
 			sampled := fl.WeightedError(errs, e.weights, subset)
 			observed := sampled
 			if private {

@@ -510,6 +510,26 @@ func TestHyperbandRespectsBudget(t *testing.T) {
 	}
 }
 
+// TestHyperbandReservesHistoryOnce pins the run-wide reservation: the
+// history's capacity is the planned observation count of all five brackets,
+// not what per-bracket reservations leave behind (each of those copies the
+// history so far, and the last bracket, which the paper budget cannot
+// afford, would never have been counted).
+func TestHyperbandReservesHistoryOnce(t *testing.T) {
+	s := smallSettings()
+	want := 0
+	for _, p := range hyperbandPlan(405, s) {
+		want += bracketObservations(p.n, len(rungLadder(p.r0, 405, s.Eta)), s.Eta)
+	}
+	for _, m := range []Method{Hyperband{}, BOHB{}} {
+		h := m.Run(newTestOracle(0.02), DefaultSpace(), s, rng.New(18))
+		if got := cap(h.Observations); got != want || len(h.Observations) >= want {
+			t.Errorf("%s: history capacity %d with %d observations, want %d reserved and the last bracket unaffordable",
+				m.Name(), got, len(h.Observations), want)
+		}
+	}
+}
+
 func TestHyperbandNoiselessQuality(t *testing.T) {
 	o := newTestOracle(0)
 	h := Hyperband{}.Run(o, DefaultSpace(), smallSettings(), rng.New(19))

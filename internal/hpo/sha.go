@@ -41,14 +41,15 @@ func rungLadder(r0, maxR, eta int) []int {
 // rung r to rung r' charges r'−r rounds. The bracket truncates cleanly when
 // the run's total budget cannot cover the next rung. onRung, when non-nil,
 // receives each rung's noisy scores with the survivors' positions in cfgs
-// (BOHB uses this to update its model).
+// (BOHB uses this to update its model). cfgs becomes the bracket's scratch:
+// later rungs' survivors overwrite it.
 func runSHA(o Oracle, cfgs []fl.HParams, p shaParams, totalBudget int, cum *int, h *History,
 	g *rng.RNG, onRung func(fidelity int, alive []int, noisy []float64)) {
 
 	if len(cfgs) == 0 {
 		return
 	}
-	survivors := append([]fl.HParams(nil), cfgs...)
+	survivors := cfgs
 	var alive []int
 	if onRung != nil {
 		alive = make([]int, len(cfgs))
@@ -56,16 +57,13 @@ func runSHA(o Oracle, cfgs []fl.HParams, p shaParams, totalBudget int, cum *int,
 			alive[i] = i
 		}
 	}
-	// Reserve the bracket's whole observation count once (n, then
-	// max(⌊n/η⌋, 1) per later rung) rather than regrowing the history exact-fit
-	// at every rung.
 	ladder := rungLadder(p.r0, p.maxR, p.eta)
-	total, n := 0, len(cfgs)
-	for range ladder {
-		total += n
-		n = max(n/p.eta, 1)
-	}
-	h.Grow(total)
+	h.Grow(bracketObservations(len(cfgs), len(ladder), p.eta))
+	// One score buffer and two survivor buffers (cfgs and spare, swapped at
+	// every elimination) serve every rung: rungs only shrink, and a rung's
+	// survivors are dead once the next rung's have been copied out of them.
+	errs := make([]float64, len(cfgs))
+	var spare []fl.HParams
 	trained := 0
 	for rung, r := range ladder {
 		cost := (r - trained) * len(survivors)
@@ -77,7 +75,7 @@ func runSHA(o Oracle, cfgs []fl.HParams, p shaParams, totalBudget int, cum *int,
 		// Shared evaluation cohort for the rung (Figure 2 of the paper); the
 		// survivors' evaluations are independent, so the rung is one batch.
 		evalID := p.label + "-rung-" + strconv.Itoa(rung)
-		errs := make([]float64, len(survivors))
+		errs = errs[:len(survivors)]
 		batch := EvalBatch{Configs: survivors, SameRounds: r, SameEvalID: evalID, Out: errs}
 		EvaluateAll(o, &batch)
 
@@ -110,11 +108,14 @@ func runSHA(o Oracle, cfgs []fl.HParams, p shaParams, totalBudget int, cum *int,
 			return
 		}
 		keep := dp.BottomK(noisy, k)
-		next := make([]fl.HParams, len(keep))
+		if cap(spare) < len(keep) {
+			spare = make([]fl.HParams, len(keep))
+		}
+		next := spare[:len(keep)]
 		for i, idx := range keep {
 			next[i] = survivors[idx]
 		}
-		survivors = next
+		survivors, spare = next, survivors
 		if onRung != nil {
 			for i, idx := range keep {
 				keep[i] = alive[idx] // keep is BottomK's fresh slice: it becomes the next alive
@@ -123,6 +124,17 @@ func runSHA(o Oracle, cfgs []fl.HParams, p shaParams, totalBudget int, cum *int,
 		}
 		trained = r
 	}
+}
+
+// bracketObservations returns how many observations a bracket of n
+// configurations records over its rungs: n, then max(⌊n/η⌋, 1) per later rung.
+func bracketObservations(n, rungs, eta int) int {
+	total := 0
+	for ; rungs > 0; rungs-- {
+		total += n
+		n = max(n/eta, 1)
+	}
+	return total
 }
 
 // SuccessiveHalving runs a single SHA bracket as a standalone method: N
@@ -220,10 +232,16 @@ func runHyperbandLoop(o Oracle, space Space, s Settings, g *rng.RNG, h *History,
 	plans := hyperbandPlan(maxR, s)
 
 	// Total rung count across all brackets calibrates one-shot top-k noise.
-	totalRungs := 0
+	// The brackets' observation counts are known here too: reserve the run's
+	// history once, so that runSHA's per-bracket reservation never copies
+	// what earlier brackets recorded.
+	totalRungs, totalObs := 0, 0
 	for _, p := range plans {
-		totalRungs += len(rungLadder(p.r0, maxR, s.Eta))
+		rungs := len(rungLadder(p.r0, maxR, s.Eta))
+		totalRungs += rungs
+		totalObs += bracketObservations(p.n, rungs, s.Eta)
 	}
+	h.Grow(totalObs)
 
 	cum := 0
 	gSub, gBracket := rng.New(0), rng.New(0)

@@ -496,71 +496,6 @@ func (g *RNG) SampleWithoutReplacementInto(n, k int, buf []int) []int {
 	return idx[:k]
 }
 
-// WeightedSampleWithoutReplacement returns k distinct indices drawn without
-// replacement with probability at each step proportional to weights[i] among
-// the remaining items. This implements the biased client selection used to
-// model systems heterogeneity (weight (a_k + δ)^b in §3.2 of the paper).
-// Weights must be non-negative with positive sum; k must be in [0, n].
-func (g *RNG) WeightedSampleWithoutReplacement(weights []float64, k int) []int {
-	n := len(weights)
-	if k < 0 || k > n {
-		panic(fmt.Sprintf("rng: WeightedSampleWithoutReplacement k=%d out of range [0, %d]", k, n))
-	}
-	if k == 0 {
-		return nil
-	}
-	return g.WeightedSampleWithoutReplacementInto(weights, k, make([]float64, n), make([]int, n))
-}
-
-// WeightedSampleWithoutReplacementInto is WeightedSampleWithoutReplacement
-// with caller-owned scratch: keyBuf and idxBuf must each have length >= n.
-// The result occupies idxBuf[:k]. It draws from the stream identically to
-// the allocating form (one uniform per positive weight, in index order), so
-// the two are interchangeable without perturbing reproducibility — the
-// hot-path form used by the evaluator's biased client sampling.
-func (g *RNG) WeightedSampleWithoutReplacementInto(weights []float64, k int, keyBuf []float64, idxBuf []int) []int {
-	n := len(weights)
-	if k < 0 || k > n {
-		panic(fmt.Sprintf("rng: WeightedSampleWithoutReplacementInto k=%d out of range [0, %d]", k, n))
-	}
-	if k == 0 {
-		return idxBuf[:0]
-	}
-	// Efraimidis-Spirakis: key = u^(1/w); take the k largest keys.
-	// Zero-weight items get key -inf and are only selected after all
-	// positive-weight items are exhausted.
-	keys, idx := keyBuf[:n], idxBuf[:n]
-	anyPositive := false
-	for i, w := range weights {
-		if w < 0 || math.IsNaN(w) {
-			panic(fmt.Sprintf("rng: weight[%d] must be non-negative, got %g", i, w))
-		}
-		if w > 0 {
-			anyPositive = true
-			keys[i] = math.Pow(g.Float64(), 1/w)
-		} else {
-			keys[i] = math.Inf(-1)
-		}
-		idx[i] = i
-	}
-	if !anyPositive {
-		panic("rng: all weights are zero")
-	}
-	// Partial selection of the k largest keys (same comparisons and swaps
-	// as the historical pair-struct implementation).
-	for i := 0; i < k; i++ {
-		best := i
-		for j := i + 1; j < n; j++ {
-			if keys[j] > keys[best] {
-				best = j
-			}
-		}
-		keys[i], keys[best] = keys[best], keys[i]
-		idx[i], idx[best] = idx[best], idx[i]
-	}
-	return idx[:k]
-}
-
 // Bool returns true with probability p.
 func (g *RNG) Bool(p float64) bool { return g.Float64() < p }
 

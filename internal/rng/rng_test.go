@@ -448,16 +448,17 @@ func maxOf(xs []float64) float64 {
 }
 
 // TestWeightedSampleIntoMatchesAllocating pins stream and output equality of
-// the scratch form against the allocating form (what the evaluator's biased
-// hot path relies on).
+// a reused WeightedSampler against the allocating one-shot form (what the
+// evaluator's biased hot path relies on).
 func TestWeightedSampleIntoMatchesAllocating(t *testing.T) {
 	weights := []float64{0.1, 3, 0, 1.2, 0.7, 0, 2.2, 5, 0.01, 1}
 	n := len(weights)
-	keyBuf, idxBuf := make([]float64, n), make([]int, n)
+	var s WeightedSampler
+	s.Reset(weights)
 	for k := 0; k <= n; k++ {
 		a := New(77).Split("ws").WeightedSampleWithoutReplacement(weights, k)
 		g := New(77).Split("ws")
-		b := g.WeightedSampleWithoutReplacementInto(weights, k, keyBuf, idxBuf)
+		b := s.Sample(g, k)
 		if len(a) != len(b) {
 			t.Fatalf("k=%d: lengths differ: %d vs %d", k, len(a), len(b))
 		}
