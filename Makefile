@@ -2,6 +2,8 @@
 #
 #   make build       compile everything
 #   make lint        gofmt + go vet, plus the no-assembly (arm64) cross-build
+#   make lines       non-test, non-blank Go lines per package outside bench/,
+#                    and the total (the number a simplicity PR reports)
 #   make test        full test suite (bank cache at $(CACHE_DIR))
 #   make race        the full test suite under the race detector
 #   make bench       benchmark smoke run -> bench.out + BENCH_smoke.json
@@ -30,7 +32,7 @@ GO         ?= go
 CACHE_DIR  ?= $(HOME)/.cache/noisyeval-banks
 SERVE_ADDR ?= 127.0.0.1:8723
 
-.PHONY: build lint test race bench bench-json bench-check bench-harness fuzz figures serve serve-smoke cluster-smoke crash-smoke clean
+.PHONY: build lint lines test race bench bench-json bench-check bench-harness fuzz figures serve serve-smoke cluster-smoke crash-smoke clean
 
 build:
 	$(GO) build ./...
@@ -40,6 +42,13 @@ lint:
 	$(GO) vet ./...
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
 	GOOS=linux GOARCH=arm64 $(GO) vet ./internal/tensor
+
+# Comments count, blank lines and _test.go files do not; bench/ is the
+# benchmark's own module and is left out.
+lines:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 \
+		| xargs -0 awk 'NF { d = FILENAME; sub(/\/[^\/]*$$/, "", d); n[d]++ } END { for (d in n) printf "%6d %s\n", n[d], d }' \
+		| sort -k2 | awk '{ print; t += $$1 } END { printf "%6d total\n", t }'
 
 test: build
 	NOISYEVAL_CACHE_DIR=$(CACHE_DIR) $(GO) test ./...

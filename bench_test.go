@@ -64,13 +64,13 @@ func benchSuite(b *testing.B) *exper.Suite {
 
 func benchFigure(b *testing.B, id string) {
 	s := benchSuite(b)
-	driver := exper.AllFigures()[id]
-	if driver == nil {
-		b.Fatalf("unknown figure %s", id)
+	jobs, err := exper.JobsByID([]string{id})
+	if err != nil {
+		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := driver(s)
+		res := jobs[0].Run(s)
 		if len(res.CSVRows) == 0 {
 			b.Fatal("empty result")
 		}

@@ -121,10 +121,7 @@ func main() {
 
 	selected := exper.FigureOrder()
 	if *only != "" {
-		selected = selected[:0]
-		for _, id := range strings.Split(*only, ",") {
-			selected = append(selected, strings.TrimSpace(id))
-		}
+		selected = strings.Split(*only, ",")
 	}
 	jobList, err := exper.JobsByID(selected)
 	if err != nil {

@@ -15,12 +15,7 @@ func TestCalibrationReport(t *testing.T) {
 	}
 	s := quickSuite(t)
 	for _, name := range DatasetNames {
-		b := s.Bank(name)
-		var errs []float64
-		for ci := range b.Configs {
-			e, _ := b.ClientErrors(0, ci, b.MaxRounds())
-			errs = append(errs, weightedMean(e, b.ExampleCounts[0], true))
-		}
+		errs, _ := fullErrors(s.Bank(name))
 		sum := stats.Summarize(errs)
 		t.Logf("%-14s best %5.1f%%  q1 %5.1f%%  median %5.1f%%  q3 %5.1f%%  worst %5.1f%%",
 			name, stats.Min(errs)*100, sum.Q1*100, sum.Median*100, sum.Q3*100, stats.Max(errs)*100)

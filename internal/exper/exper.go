@@ -10,6 +10,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -349,14 +351,7 @@ func (s *Suite) BankCtx(ctx context.Context, name string) *core.Bank {
 }
 
 // KnownDataset reports whether name is one of the study's datasets.
-func KnownDataset(name string) bool {
-	for _, d := range DatasetNames {
-		if d == name {
-			return true
-		}
-	}
-	return false
-}
+func KnownDataset(name string) bool { return slices.Contains(DatasetNames, name) }
 
 // SetBank installs a pre-built bank (cmd/figures loads banks built by
 // cmd/bank). The bank's pool becomes the shared pool if none is set yet.
@@ -412,119 +407,75 @@ type Result struct {
 
 // Text returns the rendering as one string.
 func (r Result) Text() string {
-	out := ""
+	var b strings.Builder
 	for _, l := range r.Lines {
-		out += l + "\n"
+		b.WriteString(l)
+		b.WriteByte('\n')
 	}
-	return out
+	return b.String()
+}
+
+// paperCounts holds the paper's per-dataset raw evaluation-client counts;
+// the last is the full validation pool.
+var paperCounts = map[string][]int{
+	"cifar10":       {1, 3, 9, 27, 100},
+	"femnist":       {1, 3, 9, 27, 81, 360},
+	"stackoverflow": {1, 9, 81, 729, 3678},
+	"reddit":        {1, 9, 81, 729, 10000},
 }
 
 // subsampleCounts returns the paper's per-dataset raw evaluation-client
-// counts scaled to the suite's pool size (deduplicated, ascending, always
-// ending at the full pool).
+// counts scaled to the suite's pool size (deduplicated, ascending, ending at
+// the full pool: the paper's last count is its full pool). name is one of
+// DatasetNames.
 func subsampleCounts(name string, nVal int) []int {
-	paper := map[string][]int{
-		"cifar10":       {1, 3, 9, 27, 100},
-		"femnist":       {1, 3, 9, 27, 81, 360},
-		"stackoverflow": {1, 9, 81, 729, 3678},
-		"reddit":        {1, 9, 81, 729, 10000},
-	}
-	full := map[string]int{"cifar10": 100, "femnist": 360, "stackoverflow": 3678, "reddit": 10000}
-	counts, ok := paper[name]
-	if !ok {
-		counts = []int{1, 3, 9, nVal}
-	}
-	scale := float64(nVal) / float64(full[name])
+	counts := paperCounts[name]
+	scale := float64(nVal) / float64(counts[len(counts)-1])
 	var out []int
 	seen := map[int]bool{}
 	for _, c := range counts {
-		v := int(math.Round(float64(c) * scale))
-		if v < 1 {
-			v = 1
-		}
-		if v > nVal {
-			v = nVal
-		}
+		v := min(max(int(math.Round(float64(c)*scale)), 1), nVal)
 		if !seen[v] {
 			seen[v] = true
 			out = append(out, v)
 		}
 	}
-	if !seen[nVal] {
-		out = append(out, nVal)
-	}
 	return out
 }
 
-// rsTuner builds the paper's RS tuner for the config.
-func (c Config) rsTuner() core.Tuner {
-	return core.Tuner{Method: hpo.RandomSearch{}, Space: hpo.DefaultSpace(), Settings: c.Settings()}
-}
-
-// runRSOnBank runs bootstrap RS trials against a bank under the noise
-// setting and returns per-trial final true errors.
-func (s *Suite) runRSOnBank(name string, noise core.Noise, trials int, seedLabel string) []float64 {
-	bank := s.Bank(name)
-	oracle, err := core.NewBankOracle(bank, noise.HeterogeneityP, noise.Scheme(), s.Cfg.Seed)
-	if err != nil {
-		panic(fmt.Sprintf("exper: %s: %v", name, err))
+// fullErrors returns, per pool config, the full weighted validation error
+// (Eq. 2) on the natural partition at max fidelity — the "Best HPs" line of
+// Figure 3 is its minimum — and the per-client errors it aggregates.
+func fullErrors(b *core.Bank) (full []float64, clients [][]float64) {
+	weights := make([]float64, b.NumClients())
+	for k, n := range b.ExampleCounts[0] {
+		weights[k] = float64(n)
 	}
-	tn := s.Cfg.rsTuner()
-	tn.Settings = noise.Settings(tn.Settings)
-	results := tn.RunTrials(oracle, trials, rng.New(s.Cfg.Seed).Split(seedLabel))
-	return core.FinalErrors(results)
-}
-
-// bestPoolError returns the lowest full-validation error over the pool at
-// max fidelity ("Best HPs" reference line in Figure 3).
-func bestPoolError(b *core.Bank, weighted bool) float64 {
-	best := math.Inf(1)
 	for ci := range b.Configs {
 		errs, err := b.ClientErrors(0, ci, b.MaxRounds())
 		if err != nil {
 			panic(err)
 		}
-		e := weightedMean(errs, b.ExampleCounts[0], weighted)
-		if e < best {
-			best = e
-		}
+		full = append(full, fl.WeightedError(errs, weights, nil))
+		clients = append(clients, errs)
 	}
-	return best
-}
-
-func weightedMean(errs []float64, counts []int, weighted bool) float64 {
-	num, den := 0.0, 0.0
-	for i, e := range errs {
-		w := 1.0
-		if weighted {
-			w = float64(counts[i])
-		}
-		num += w * e
-		den += w
-	}
-	return num / den
+	return full, clients
 }
 
 // pct formats an error as percent.
 func pct(x float64) string { return fmt.Sprintf("%.2f", 100*x) }
 
-// renderSeriesTable builds the numeric table under a chart.
-func renderSeriesTable(title string, xName string, series []plot.Series) ([]string, []string, [][]string) {
-	cols := []string{xName, "series", "median_err_pct", "q1_pct", "q3_pct"}
-	var rows [][]string
+// seriesTable renders the numeric table under a chart.
+func seriesTable(xName string, series []plot.Series) []string {
+	tbl := plot.Table{Columns: []string{xName, "series", "median_err_pct", "q1_pct", "q3_pct"}}
 	for _, ser := range series {
 		for i := range ser.X {
 			lo, hi := ser.Y[i], ser.Y[i]
 			if ser.YLo != nil {
 				lo, hi = ser.YLo[i], ser.YHi[i]
 			}
-			xCell := fmt.Sprintf("%g", ser.X[i])
-			if ser.XTickLabel != nil {
-				xCell = ser.XTickLabel[i]
-			}
-			rows = append(rows, []string{xCell, ser.Label, plot.F(ser.Y[i] * 100), plot.F(lo * 100), plot.F(hi * 100)})
+			tbl.Rows = append(tbl.Rows, []string{fmt.Sprintf("%g", ser.X[i]), ser.Label, plot.F(ser.Y[i] * 100), plot.F(lo * 100), plot.F(hi * 100)})
 		}
 	}
-	tbl := plot.Table{Title: title, Columns: cols, Rows: rows}
-	return tbl.Render(), cols, rows
+	return tbl.Render()
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -77,27 +78,32 @@ func TestDefaultConfigMatchesPaperShape(t *testing.T) {
 }
 
 func TestSubsampleCounts(t *testing.T) {
-	full := subsampleCounts("cifar10", 100)
-	want := []int{1, 3, 9, 27, 100}
-	if len(full) != len(want) {
-		t.Fatalf("counts = %v", full)
-	}
-	for i := range want {
-		if full[i] != want[i] {
-			t.Fatalf("counts = %v, want %v", full, want)
+	// At the paper's pool sizes the counts are the paper's.
+	for name, paper := range paperCounts {
+		if got := subsampleCounts(name, paper[len(paper)-1]); !reflect.DeepEqual(got, paper) {
+			t.Errorf("%s at full scale: counts = %v, want %v", name, got, paper)
 		}
 	}
-	// Scaled pools dedup and stay within range.
-	scaled := subsampleCounts("femnist", 14)
-	prev := 0
-	for _, c := range scaled {
-		if c <= prev || c > 14 {
-			t.Fatalf("scaled counts = %v", scaled)
+	// Scaled pools dedup, ascend, stay within range and end at the full
+	// pool: every dataset at its quick and its default pool size.
+	for _, tc := range []struct {
+		cfg  Config
+		want map[string][]int
+	}{
+		{Quick(), map[string][]int{
+			"cifar10": {1, 3, 12}, "femnist": {1, 3, 14}, "stackoverflow": {1, 3, 15}, "reddit": {1, 12},
+		}},
+		{Default(), map[string][]int{
+			"cifar10": {1, 3, 9, 27, 100}, "femnist": {1, 2, 7, 20, 90},
+			"stackoverflow": {1, 8, 73, 368}, "reddit": {1, 4, 36, 496},
+		}},
+	} {
+		for _, name := range DatasetNames {
+			nVal := tc.cfg.spec(name).EvalClients
+			if got := subsampleCounts(name, nVal); !reflect.DeepEqual(got, tc.want[name]) {
+				t.Errorf("%s pool %d: counts = %v, want %v", name, nVal, got, tc.want[name])
+			}
 		}
-		prev = c
-	}
-	if scaled[len(scaled)-1] != 14 {
-		t.Errorf("must end at full pool: %v", scaled)
 	}
 }
 
@@ -324,15 +330,59 @@ func TestFigure2ScenarioFlipProbability(t *testing.T) {
 	}
 }
 
+// TestAllFiguresRegistryComplete checks the registry is a set: every id is
+// unique (a duplicate would shadow a driver in JobsByID and write its files
+// twice) and resolves to its own entry.
 func TestAllFiguresRegistryComplete(t *testing.T) {
-	reg := AllFigures()
-	for _, id := range FigureOrder() {
-		if _, ok := reg[id]; !ok {
-			t.Errorf("registry missing %s", id)
+	order := FigureOrder()
+	jobs, err := JobsByID(order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != len(order) {
+		t.Fatalf("%d of %d registry ids are distinct: %v", len(jobs), len(order), order)
+	}
+	for i, j := range jobs {
+		if j.ID != order[i] || j.Run == nil {
+			t.Errorf("id %q resolved to job %q (driver set: %v)", order[i], j.ID, j.Run != nil)
 		}
 	}
-	if len(reg) != len(FigureOrder()) {
-		t.Errorf("registry has %d entries, order has %d", len(reg), len(FigureOrder()))
+}
+
+func TestJobsByID(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		ids     []string
+		want    []string
+		wantErr string
+	}{
+		{name: "given order", ids: []string{"figure7", "table1"}, want: []string{"figure7", "table1"}},
+		{name: "trailing comma", ids: []string{"figure3", ""}, want: []string{"figure3"}},
+		{name: "spaces", ids: []string{" figure3", "figure4 ", " "}, want: []string{"figure3", "figure4"}},
+		{name: "repeat keeps first", ids: []string{"figure3", "table1", "figure3"}, want: []string{"figure3", "table1"}},
+		{name: "repeat after trim", ids: []string{"figure3", " figure3"}, want: []string{"figure3"}},
+		{name: "nothing", ids: nil, want: []string{}},
+		{name: "unknown", ids: []string{"figure3", "figure99"}, wantErr: `unknown experiment "figure99"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			jobs, err := JobsByID(tc.ids)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("err = %v, want %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]string, len(jobs))
+			for i, j := range jobs {
+				got[i] = j.ID
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("ids = %v, want %v", got, tc.want)
+			}
+		})
 	}
 }
 

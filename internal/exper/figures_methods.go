@@ -16,22 +16,19 @@ func methodSet() []hpo.Method {
 	return []hpo.Method{hpo.RandomSearch{}, hpo.TPE{}, hpo.Hyperband{}, hpo.BOHB{}}
 }
 
-// noisySetting is the paper's combined-noise configuration for the method
-// comparison figures: 1% client subsampling with ε = 100 evaluation privacy.
-func noisySetting() core.Noise {
-	return core.Noise{SampleFraction: 0.01, Epsilon: 100}
+// evalSetting is one evaluation setting of a noiseless-vs-noisy figure,
+// named label in CSV cells and stream labels and long in legends.
+type evalSetting struct {
+	label, long string
+	noise       core.Noise
 }
 
-// runMethodTrials runs a method for several trials on a bank under a noise
-// setting, returning the per-trial histories.
-func (s *Suite) runMethodTrials(name string, m hpo.Method, noise core.Noise, seedLabel string) []core.TrialResult {
-	bank := s.Bank(name)
-	oracle, err := core.NewBankOracle(bank, noise.HeterogeneityP, noise.Scheme(), s.Cfg.Seed)
-	if err != nil {
-		panic(err)
-	}
-	tn := core.Tuner{Method: m, Space: hpo.DefaultSpace(), Settings: noise.Settings(s.Cfg.Settings())}
-	return tn.RunTrials(oracle, s.Cfg.MethodTrials, rng.New(s.Cfg.Seed).Split(seedLabel))
+// evalSettings is the method-comparison figures' pair: noiseless, and the
+// paper's combined noise — 1% client subsampling with ε = 100 evaluation
+// privacy. Figures 15 and 16 name a setting by long throughout.
+var evalSettings = []evalSetting{
+	{"noiseless", "full eval, non-private", core.Noiseless()},
+	{"noisy", "1% clients, eps=100", core.Noise{SampleFraction: 0.01, Epsilon: 100}},
 }
 
 // Figure8 reproduces the method-comparison budget curves: RS, HB, TPE, BOHB
@@ -42,67 +39,36 @@ func Figure8(s *Suite) Result {
 	res.CSVHeader = []string{"dataset", "setting", "method", "budget_rounds", "median_err_pct", "q1_pct", "q3_pct"}
 	budgets := budgetGrid(s.Cfg)
 	for _, name := range DatasetNames {
-		for _, setting := range []struct {
-			label string
-			noise core.Noise
-		}{
-			{"noiseless", core.Noiseless()},
-			{"noisy", noisySetting()},
-		} {
+		for _, setting := range evalSettings {
 			var series []plot.Series
 			for _, m := range methodSet() {
-				results := s.runMethodTrials(name, m, setting.noise, fmt.Sprintf("fig8-%s-%s-%s", name, setting.label, m.Name()))
-				ser := plot.Series{Label: m.Name()}
-				for _, b := range budgets {
-					vals := core.CurveAt(results, b)
-					sum := stats.Summarize(vals)
-					ser.X = append(ser.X, float64(b))
-					ser.Y = append(ser.Y, sum.Median)
-					ser.YLo = append(ser.YLo, sum.Q1)
-					ser.YHi = append(ser.YHi, sum.Q3)
-					res.CSVRows = append(res.CSVRows, []string{
-						name, setting.label, m.Name(), fmt.Sprintf("%d", b),
-						plot.F(sum.Median * 100), plot.F(sum.Q1 * 100), plot.F(sum.Q3 * 100),
-					})
-				}
-				series = append(series, ser)
+				c := s.cell(s.Bank(name), m, setting.noise, s.Cfg.MethodTrials, fmt.Sprintf("fig8-%s-%s-%s", name, setting.label, m.Name()))
+				series = append(series, budgetCurve(&res, []string{name, setting.label, m.Name()}, m.Name(), c.must(), budgets, true))
 			}
-			ch := plot.Chart{
-				Title:  fmt.Sprintf("%s (%s)", name, setting.label),
-				XLabel: "total training rounds", YLabel: "full validation error",
-				Series: series,
-			}
-			res.Lines = append(res.Lines, ch.Render()...)
-			res.Lines = append(res.Lines, "")
+			res.addChart(plot.Chart{Title: fmt.Sprintf("%s (%s)", name, setting.label), XLabel: budgetAxis, Series: series}, "")
 		}
 	}
 	return res
 }
 
-// methodBars computes the method-comparison bars at a fixed budget under the
-// full-eval and noisy settings (Figures 15/16, and Figure 1's layout).
-func (s *Suite) methodBars(name string, budget int, figLabel string) ([]plot.Bar, [][]string) {
+// methodBars runs every method on one dataset under both evaluation settings
+// and returns one bar per (setting, method): the median error at a fixed
+// budget, tagged with the setting's long or short label (Figures 15/16, and
+// Figure 1's layout). Stream labels are stream-<setting>-<method>.
+func (s *Suite) methodBars(name string, budget int, stream string, long bool) []plot.Bar {
 	var bars []plot.Bar
-	var rows [][]string
-	for _, setting := range []struct {
-		label string
-		noise core.Noise
-	}{
-		{"full eval, non-private", core.Noiseless()},
-		{"1% clients, eps=100", noisySetting()},
-	} {
+	for _, setting := range evalSettings {
+		tag := setting.label
+		if long {
+			tag = setting.long
+		}
 		for _, m := range methodSet() {
-			results := s.runMethodTrials(name, m, setting.noise, fmt.Sprintf("%s-%s-%s-%s", figLabel, name, setting.label, m.Name()))
-			med := stats.Median(curveAtOrFinal(results, budget))
-			bars = append(bars, plot.Bar{Label: m.Name(), Tag: setting.label, Value: med * 100})
-			rows = append(rows, []string{name, setting.label, m.Name(), fmt.Sprintf("%d", budget), plot.F(med * 100)})
+			c := s.cell(s.Bank(name), m, setting.noise, s.Cfg.MethodTrials, fmt.Sprintf("%s-%s-%s", stream, tag, m.Name()))
+			med := stats.Median(core.CurveAt(c.must(), budget))
+			bars = append(bars, plot.Bar{Label: m.Name(), Tag: tag, Value: med * 100})
 		}
 	}
-	return bars, rows
-}
-
-func curveAtOrFinal(results []core.TrialResult, budget int) []float64 {
-	return core.CurveAt(results, budget)
+	return bars
 }
 
 // Figure15 reproduces the method bars at one third of the budget (the paper
@@ -120,8 +86,10 @@ func (s *Suite) methodBarsFigure(id, title string, budget int) Result {
 	res := Result{ID: id, Title: title}
 	res.CSVHeader = []string{"dataset", "setting", "method", "budget_rounds", "median_err_pct"}
 	for _, name := range DatasetNames {
-		bars, rows := s.methodBars(name, budget, id)
-		res.CSVRows = append(res.CSVRows, rows...)
+		bars := s.methodBars(name, budget, id+"-"+name, true)
+		for _, bar := range bars {
+			res.CSVRows = append(res.CSVRows, []string{name, bar.Tag, bar.Label, fmt.Sprintf("%d", budget), plot.F(bar.Value)})
+		}
 		bc := plot.BarChart{Title: fmt.Sprintf("%s @ %d rounds (median %% error)", name, budget), Unit: "%", Bars: bars}
 		res.Lines = append(res.Lines, bc.Render()...)
 		res.Lines = append(res.Lines, "")
@@ -136,64 +104,20 @@ func (s *Suite) methodBarsFigure(id, title string, budget int) Result {
 func Figure1(s *Suite) Result {
 	res := Result{ID: "figure1", Title: "Figure 1: CIFAR10 at 1/3 budget, noiseless vs noisy"}
 	res.CSVHeader = []string{"method", "setting", "median_err_pct"}
-	budget := s.Cfg.K * s.Cfg.MaxRounds / 3
-	name := "cifar10"
-
-	var bars []plot.Bar
-	for _, setting := range []struct {
-		label string
-		noise core.Noise
-	}{
-		{"noiseless", core.Noiseless()},
-		{"noisy", noisySetting()},
-	} {
-		for _, m := range methodSet() {
-			results := s.runMethodTrials(name, m, setting.noise, fmt.Sprintf("fig1-%s-%s", setting.label, m.Name()))
-			med := stats.Median(core.CurveAt(results, budget))
-			bars = append(bars, plot.Bar{Label: m.Name(), Tag: setting.label, Value: med * 100})
-			res.CSVRows = append(res.CSVRows, []string{m.Name(), setting.label, plot.F(med * 100)})
-		}
-	}
+	bars := s.methodBars("cifar10", s.Cfg.K*s.Cfg.MaxRounds/3, "fig1", false)
 	// RS (Proxy): tune on the FEMNIST-like proxy (the matching image task),
 	// train the single winner on CIFAR10 — identical in both settings since
 	// proxy tuning never touches client evaluations.
-	proxyErr := s.oneShotProxyMedian("femnist", name, "fig1-proxy")
-	for _, setting := range []string{"noiseless", "noisy"} {
-		bars = append(bars, plot.Bar{Label: "RS(Proxy)", Tag: setting, Value: proxyErr * 100})
-		res.CSVRows = append(res.CSVRows, []string{"RS(Proxy)", setting, plot.F(proxyErr * 100)})
+	proxyErr := stats.Median(s.proxyTrialFinals("femnist", "cifar10", "fig1-proxy"))
+	for _, setting := range evalSettings {
+		bars = append(bars, plot.Bar{Label: "RS(Proxy)", Tag: setting.label, Value: proxyErr * 100})
+	}
+	for _, bar := range bars {
+		res.CSVRows = append(res.CSVRows, []string{bar.Label, bar.Tag, plot.F(bar.Value)})
 	}
 	bc := plot.BarChart{Title: "CIFAR10 full validation error (median %, 1/3 budget)", Unit: "%", Bars: bars}
 	res.Lines = append(res.Lines, bc.Render()...)
 	return res
-}
-
-// oneShotProxyMedian runs the one-shot proxy RS (tune on proxyName, train on
-// clientName) for Trials bootstrap trials and returns the median final true
-// error on the client dataset.
-func (s *Suite) oneShotProxyMedian(proxyName, clientName, seedLabel string) float64 {
-	proxyBank := s.Bank(proxyName)
-	clientBank := s.Bank(clientName)
-	proxyOracle, err := core.NewBankOracle(proxyBank, 0, core.Noiseless().Scheme(), s.Cfg.Seed)
-	if err != nil {
-		panic(err)
-	}
-	clientOracle, err := core.NewBankOracle(clientBank, 0, core.Noiseless().Scheme(), s.Cfg.Seed)
-	if err != nil {
-		panic(err)
-	}
-	g := rng.New(s.Cfg.Seed).Split(seedLabel)
-	finals := make([]float64, s.Cfg.Trials)
-	m := hpo.OneShotProxyRS{Proxy: proxyOracle}
-	for t := range finals {
-		h := m.Run(clientOracle, hpo.DefaultSpace(), s.Cfg.Settings(), g.Splitf("trial-%d", t))
-		rec, ok := h.Recommend()
-		if !ok {
-			finals[t] = 1
-			continue
-		}
-		finals[t] = rec.True
-	}
-	return stats.Median(finals)
 }
 
 // Figure2Scenario quantifies the schematic of Figure 2: how often noisy
@@ -223,16 +147,15 @@ func Figure2Scenario(s *Suite, name string, gap float64, noise core.Noise, trial
 		better, worse = worse, better
 	}
 	g := rng.New(s.Cfg.Seed).Split("fig2")
-	dpp := noise.Settings(s.Cfg.Settings())
 	flips := 0
 	for t := 0; t < trials; t++ {
 		o := oracle.WithTrial(t)
 		eb := o.Evaluate(better, maxR, fmt.Sprintf("t%d", t))
 		ew := o.Evaluate(worse, maxR, fmt.Sprintf("t%d", t))
 		if noise.Private() {
-			scale := dpp.Epsilon // total budget
-			_ = scale
-			pp := noiseDP(dpp.Epsilon, s.Cfg.K, o.SampleSize())
+			// Per-release Laplace scale M/(ε|S|): the total budget ε split
+			// over the run's M = K releases.
+			pp := float64(s.Cfg.K) / (noise.Epsilon * float64(o.SampleSize()))
 			eb += g.Splitf("b%d", t).Laplace(0, pp)
 			ew += g.Splitf("w%d", t).Laplace(0, pp)
 		}
@@ -241,12 +164,4 @@ func Figure2Scenario(s *Suite, name string, gap float64, noise core.Noise, trial
 		}
 	}
 	return float64(flips) / float64(trials)
-}
-
-// noiseDP returns the per-release Laplace scale M/(ε|S|).
-func noiseDP(epsilon float64, m, sampleSize int) float64 {
-	if math.IsInf(epsilon, 1) {
-		return 0
-	}
-	return float64(m) / (epsilon * float64(sampleSize))
 }

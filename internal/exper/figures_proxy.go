@@ -7,7 +7,6 @@ import (
 	"noisyeval/internal/core"
 	"noisyeval/internal/hpo"
 	"noisyeval/internal/plot"
-	"noisyeval/internal/rng"
 	"noisyeval/internal/stats"
 )
 
@@ -19,18 +18,13 @@ func Figure7(s *Suite) Result {
 	res := Result{ID: "figure7", Title: "Figure 7: full error vs minimum client error (128 configs)"}
 	res.CSVHeader = []string{"dataset", "config", "full_err_pct", "min_client_err_pct"}
 	for _, name := range DatasetNames {
-		bank := s.Bank(name)
+		full, clients := fullErrors(s.Bank(name))
 		var points []plot.ScatterPoint
-		for ci := range bank.Configs {
-			errs, err := bank.ClientErrors(0, ci, bank.MaxRounds())
-			if err != nil {
-				panic(err)
-			}
-			full := weightedMean(errs, bank.ExampleCounts[0], true)
+		for ci, errs := range clients {
 			minC := stats.Min(errs)
-			points = append(points, plot.ScatterPoint{X: full * 100, Y: minC * 100})
+			points = append(points, plot.ScatterPoint{X: full[ci] * 100, Y: minC * 100})
 			res.CSVRows = append(res.CSVRows, []string{
-				name, fmt.Sprintf("%d", ci), plot.F(full * 100), plot.F(minC * 100),
+				name, fmt.Sprintf("%d", ci), plot.F(full[ci] * 100), plot.F(minC * 100),
 			})
 		}
 		sc := plot.Scatter{
@@ -44,15 +38,6 @@ func Figure7(s *Suite) Result {
 	return res
 }
 
-// transferPairs returns the dataset pairs of Figure 10 (matched task types)
-// and Figure 14 (mismatched).
-func transferPairs(figure string) [][2]string {
-	if figure == "figure10" {
-		return [][2]string{{"cifar10", "femnist"}, {"stackoverflow", "reddit"}}
-	}
-	return [][2]string{{"cifar10", "reddit"}, {"femnist", "stackoverflow"}}
-}
-
 // transferScatter renders config error pairs across two datasets (the banks
 // share one config pool, so point i is the same configuration trained
 // separately on each dataset).
@@ -60,26 +45,15 @@ func (s *Suite) transferScatter(id, title string, pairs [][2]string) Result {
 	res := Result{ID: id, Title: title}
 	res.CSVHeader = []string{"dataset_x", "dataset_y", "config", "err_x_pct", "err_y_pct"}
 	for _, pair := range pairs {
-		bx, by := s.Bank(pair[0]), s.Bank(pair[1])
+		xs, _ := fullErrors(s.Bank(pair[0]))
+		ys, _ := fullErrors(s.Bank(pair[1]))
+		n := min(len(xs), len(ys))
+		xs, ys = xs[:n], ys[:n]
 		var points []plot.ScatterPoint
-		var xs, ys []float64
-		n := minIntE(len(bx.Configs), len(by.Configs))
-		for ci := 0; ci < n; ci++ {
-			ex, err := bx.ClientErrors(0, ci, bx.MaxRounds())
-			if err != nil {
-				panic(err)
-			}
-			ey, err := by.ClientErrors(0, ci, by.MaxRounds())
-			if err != nil {
-				panic(err)
-			}
-			fx := weightedMean(ex, bx.ExampleCounts[0], true)
-			fy := weightedMean(ey, by.ExampleCounts[0], true)
-			points = append(points, plot.ScatterPoint{X: fx * 100, Y: fy * 100})
-			xs = append(xs, fx)
-			ys = append(ys, fy)
+		for ci := range xs {
+			points = append(points, plot.ScatterPoint{X: xs[ci] * 100, Y: ys[ci] * 100})
 			res.CSVRows = append(res.CSVRows, []string{
-				pair[0], pair[1], fmt.Sprintf("%d", ci), plot.F(fx * 100), plot.F(fy * 100),
+				pair[0], pair[1], fmt.Sprintf("%d", ci), plot.F(xs[ci] * 100), plot.F(ys[ci] * 100),
 			})
 		}
 		rho := stats.Spearman(xs, ys)
@@ -94,14 +68,15 @@ func (s *Suite) transferScatter(id, title string, pairs [][2]string) Result {
 	return res
 }
 
-// Figure10 reproduces the matched-pair HP transfer scatter.
+// Figure10 reproduces the HP transfer scatter over the pairs of matched
+// task types.
 func Figure10(s *Suite) Result {
-	return s.transferScatter("figure10", "Figure 10: HP transfer across matched dataset pairs", transferPairs("figure10"))
+	return s.transferScatter("figure10", "Figure 10: HP transfer across matched dataset pairs", [][2]string{{"cifar10", "femnist"}, {"stackoverflow", "reddit"}})
 }
 
 // Figure14 reproduces the mismatched-pair transfer scatter (Appendix C).
 func Figure14(s *Suite) Result {
-	return s.transferScatter("figure14", "Figure 14: HP transfer across mismatched pairs", transferPairs("figure14"))
+	return s.transferScatter("figure14", "Figure 14: HP transfer across mismatched pairs", [][2]string{{"cifar10", "reddit"}, {"femnist", "stackoverflow"}})
 }
 
 // Figure11 reproduces the one-shot proxy RS matrix: for every (proxy,
@@ -112,7 +87,8 @@ func Figure11(s *Suite) Result {
 	res.CSVHeader = []string{"client", "proxy", "median_err_pct", "q1_pct", "q3_pct", "self_tuned_pct"}
 	for _, client := range DatasetNames {
 		var bars []plot.Bar
-		selfTuned := stats.Median(s.runRSOnBank(client, core.Noiseless(), s.Cfg.Trials, "fig11-self-"+client))
+		self := s.cell(s.Bank(client), hpo.RandomSearch{}, core.Noiseless(), s.Cfg.Trials, "fig11-self-"+client)
+		selfTuned := stats.Median(core.FinalErrors(self.must()))
 		for _, proxy := range DatasetNames {
 			finals := s.proxyTrialFinals(proxy, client, "fig11-"+proxy+"-"+client)
 			sum := stats.Summarize(finals)
@@ -131,28 +107,16 @@ func Figure11(s *Suite) Result {
 	return res
 }
 
-// proxyTrialFinals runs bootstrap one-shot proxy RS trials.
-func (s *Suite) proxyTrialFinals(proxyName, clientName, seedLabel string) []float64 {
-	proxyOracle, err := core.NewBankOracle(s.Bank(proxyName), 0, core.Noiseless().Scheme(), s.Cfg.Seed)
+// proxyTrialFinals runs bootstrap one-shot proxy RS trials: the cell whose
+// method tunes on proxyName's noiseless oracle and trains the single winner
+// on clientName.
+func (s *Suite) proxyTrialFinals(proxyName, clientName, stream string) []float64 {
+	proxy, err := core.NewBankOracle(s.Bank(proxyName), 0, core.Noiseless().Scheme(), s.Cfg.Seed)
 	if err != nil {
 		panic(err)
 	}
-	clientOracle, err := core.NewBankOracle(s.Bank(clientName), 0, core.Noiseless().Scheme(), s.Cfg.Seed)
-	if err != nil {
-		panic(err)
-	}
-	m := hpo.OneShotProxyRS{Proxy: proxyOracle}
-	g := rng.New(s.Cfg.Seed).Split(seedLabel)
-	finals := make([]float64, s.Cfg.Trials)
-	for t := range finals {
-		h := m.Run(clientOracle, hpo.DefaultSpace(), s.Cfg.Settings(), g.Splitf("trial-%d", t))
-		if rec, ok := h.Recommend(); ok {
-			finals[t] = rec.True
-		} else {
-			finals[t] = 1
-		}
-	}
-	return finals
+	c := s.cell(s.Bank(clientName), hpo.OneShotProxyRS{Proxy: proxy}, core.Noiseless(), s.Cfg.Trials, stream)
+	return core.FinalErrors(c.must())
 }
 
 // Figure12 reproduces the proxy-vs-noisy-evaluation comparison: RS budget
@@ -162,30 +126,13 @@ func Figure12(s *Suite) Result {
 	res := Result{ID: "figure12", Title: "Figure 12: noisy tuning vs one-shot proxy RS"}
 	res.CSVHeader = []string{"client", "series", "budget_rounds", "median_err_pct"}
 	budgets := budgetGrid(s.Cfg)
-	epsilons := []float64{1, 10, math.Inf(1)}
+	epsilons := []sweepSeries{{v: 1, label: "RS eps=1"}, {v: 10, label: "RS eps=10"}, {v: math.Inf(1), label: "RS eps=inf"}}
 	for _, client := range DatasetNames {
 		var series []plot.Series
 		// Noisy-evaluation RS curves.
 		for _, eps := range epsilons {
-			label := fmt.Sprintf("RS eps=%g", eps)
-			if math.IsInf(eps, 1) {
-				label = "RS eps=inf"
-			}
-			noise := core.Noise{SampleFraction: 0.01, Epsilon: eps}
-			oracle, err := core.NewBankOracle(s.Bank(client), 0, noise.Scheme(), s.Cfg.Seed)
-			if err != nil {
-				panic(err)
-			}
-			tn := core.Tuner{Method: hpo.RandomSearch{}, Space: hpo.DefaultSpace(), Settings: noise.Settings(s.Cfg.Settings())}
-			results := tn.RunTrials(oracle, s.Cfg.Trials, rng.New(s.Cfg.Seed).Splitf("fig12-%s-%v", client, eps))
-			ser := plot.Series{Label: label}
-			for _, b := range budgets {
-				med := stats.Median(core.CurveAt(results, b))
-				ser.X = append(ser.X, float64(b))
-				ser.Y = append(ser.Y, med)
-				res.CSVRows = append(res.CSVRows, []string{client, label, fmt.Sprintf("%d", b), plot.F(med * 100)})
-			}
-			series = append(series, ser)
+			c := s.cell(s.Bank(client), hpo.RandomSearch{}, core.Noise{SampleFraction: 0.01, Epsilon: eps.v}, s.Cfg.Trials, fmt.Sprintf("fig12-%s-%v", client, eps.v))
+			series = append(series, budgetCurve(&res, []string{client, eps.label}, eps.label, c.must(), budgets, false))
 		}
 		// Proxy baselines: flat lines at the proxy-chosen config's final
 		// error (a single model trained with the chosen HPs).
@@ -200,20 +147,7 @@ func Figure12(s *Suite) Result {
 			res.CSVRows = append(res.CSVRows, []string{client, "proxy=" + proxy, "final", plot.F(med * 100)})
 			series = append(series, ser)
 		}
-		ch := plot.Chart{
-			Title:  client,
-			XLabel: "total training rounds", YLabel: "full validation error",
-			Series: series,
-		}
-		res.Lines = append(res.Lines, ch.Render()...)
-		res.Lines = append(res.Lines, "")
+		res.addChart(plot.Chart{Title: client, XLabel: budgetAxis, Series: series}, "")
 	}
 	return res
-}
-
-func minIntE(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

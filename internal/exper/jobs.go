@@ -1,6 +1,9 @@
 package exper
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // fig13Decades is the server-lr range grid of the Appendix C experiment,
 // shared by the Figure13 driver and its dependency declaration.
@@ -46,14 +49,23 @@ func AllJobs() []Job {
 	}
 }
 
-// JobsByID resolves ids (in the given order) against the registry.
+// JobsByID resolves ids against the registry, in the given order. Ids are
+// trimmed; an empty id is skipped and a repeated one keeps its first
+// position, so "-only figure3," and "-only figure3,figure3" both run
+// figure3 once.
 func JobsByID(ids []string) ([]Job, error) {
 	byID := map[string]Job{}
 	for _, j := range AllJobs() {
 		byID[j.ID] = j
 	}
 	out := make([]Job, 0, len(ids))
+	seen := map[string]bool{"": true}
 	for _, id := range ids {
+		id = strings.TrimSpace(id)
+		if seen[id] {
+			continue
+		}
+		seen[id] = true
 		j, ok := byID[id]
 		if !ok {
 			return nil, fmt.Errorf("exper: unknown experiment %q", id)
@@ -61,16 +73,6 @@ func JobsByID(ids []string) ([]Job, error) {
 		out = append(out, j)
 	}
 	return out, nil
-}
-
-// AllFigures returns every driver keyed by id (the scheduler-less view of
-// the registry; each entry is independent so callers can select subsets).
-func AllFigures() map[string]func(*Suite) Result {
-	out := map[string]func(*Suite) Result{}
-	for _, j := range AllJobs() {
-		out[j.ID] = j.Run
-	}
-	return out
 }
 
 // FigureOrder lists driver ids in presentation order.

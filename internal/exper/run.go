@@ -10,13 +10,13 @@ package exper
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
 	"noisyeval/internal/core"
 	"noisyeval/internal/hpo"
 	"noisyeval/internal/obs"
-	"noisyeval/internal/rng"
 	"noisyeval/internal/stats"
 )
 
@@ -159,13 +159,7 @@ func (s *Suite) validateTune(req TuneRequest) error {
 			_, opts, _ := s.BankBuildInputs(req.Dataset)
 			recorded = append([]float64{0}, opts.Partitions...)
 		}
-		ok := false
-		for _, rec := range recorded {
-			if rec == p {
-				ok = true
-			}
-		}
-		if !ok {
+		if !slices.Contains(recorded, p) {
 			return fmt.Errorf("exper: heterogeneity p=%g not recorded by the bank (valid: %v)",
 				p, recorded)
 		}
@@ -212,16 +206,12 @@ func (s *Suite) RunTuneCtx(ctx context.Context, req TuneRequest, onTrial func(Tr
 		bank = s.BankCtx(ctx, req.Dataset)
 	}
 
-	oracle, err := core.NewBankOracle(bank, req.Noise.HeterogeneityP, req.Noise.Scheme(), req.Seed)
-	if err != nil {
-		return nil, err
-	}
-	settings := req.Noise.Settings(hpo.Settings{Budget: s.Cfg.Budget()})
-	tn := core.Tuner{Method: req.Method, Space: hpo.DefaultSpace(), Settings: settings}
-
-	var progress func(core.TrialResult, int)
+	// The trial stream label predates this entry point (cmd/fedtune used
+	// "fedtune" directly); keeping it preserves byte-identical results.
+	c := s.cell(bank, req.Method, req.Noise, req.Trials, "fedtune")
+	c.seed = req.Seed
 	if onTrial != nil {
-		progress = func(res core.TrialResult, completed int) {
+		c.progress = func(res core.TrialResult, completed int) {
 			onTrial(TrialUpdate{
 				Trial:     res.Trial,
 				Completed: completed,
@@ -230,12 +220,13 @@ func (s *Suite) RunTuneCtx(ctx context.Context, req TuneRequest, onTrial func(Tr
 			})
 		}
 	}
-	// The trial stream label predates this entry point (cmd/fedtune used
-	// "fedtune" directly); keeping it preserves byte-identical results.
 	sp := obs.TraceFrom(ctx).StartSpan("oracle.trials",
 		"dataset", req.Dataset, "method", req.Method.Name(), "trials", strconv.Itoa(req.Trials))
-	results := tn.RunTrialsProgress(oracle, req.Trials, rng.New(req.Seed).Split("fedtune"), progress)
+	results, err := c.run()
 	sp.End()
+	if err != nil {
+		return nil, err
+	}
 
 	finals := core.FinalErrors(results)
 	out := &TuneResult{
@@ -243,7 +234,7 @@ func (s *Suite) RunTuneCtx(ctx context.Context, req TuneRequest, onTrial func(Tr
 		Method:       req.Method.Name(),
 		Noise:        req.Noise,
 		Trials:       req.Trials,
-		BudgetRounds: settings.Budget.TotalRounds,
+		BudgetRounds: c.settings().Budget.TotalRounds,
 		BankKey:      bankKey,
 		RunKey:       runKey,
 		Finals:       finals,

@@ -175,6 +175,17 @@ func (sch Scheduler) Run(s *Suite, jobs []Job) ([]Result, error) {
 		}
 	}
 
+	// Seed the queue before any worker exists. pending only ever reaches
+	// zero once per task while nothing runs; with workers already draining,
+	// an artifact that finishes mid-loop would enqueue its dependent from
+	// finish and this loop would then see pending == 0 and enqueue it again
+	// (run twice: a negative WaitGroup counter). The buffer holds the whole
+	// graph, so seeding first cannot block.
+	for _, t := range tasks {
+		if t.pending.Load() == 0 {
+			ready <- t
+		}
+	}
 	for w := 0; w < workers; w++ {
 		go func() {
 			for t := range ready {
@@ -199,11 +210,6 @@ func (sch Scheduler) Run(s *Suite, jobs []Job) ([]Result, error) {
 		}()
 	}
 
-	for _, t := range tasks {
-		if t.pending.Load() == 0 {
-			ready <- t
-		}
-	}
 	wg.Wait()
 	close(ready)
 	return results, firstErr

@@ -1,6 +1,7 @@
 package exper
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -189,5 +190,46 @@ func TestSchedulerRunsDriversWithUndeclaredDepsToo(t *testing.T) {
 	}
 	if len(results) != 1 || results[0].ID != "table1" {
 		t.Fatalf("results = %+v", results)
+	}
+}
+
+// TestSchedulerStartsEachTaskOnce pins the seeding order in Run: with every
+// artifact memoised, artifact tasks finish the instant a worker takes them,
+// so a queue seeded while workers already drain it could enqueue a driver
+// twice — once from the finishing artifact, once from the seeding loop.
+func TestSchedulerStartsEachTaskOnce(t *testing.T) {
+	s := NewSuite(schedConfig())
+	for _, name := range DatasetNames {
+		s.Population(name)
+	}
+	var jobs []Job
+	for i := 0; i < 50; i++ {
+		jobs = append(jobs, Job{
+			ID:   fmt.Sprintf("job%d", i),
+			Deps: func(Config) Deps { return Deps{Populations: DatasetNames} },
+			Run:  func(*Suite) Result { return Result{} },
+		})
+	}
+	for round := 0; round < 200; round++ {
+		var mu sync.Mutex
+		starts := map[string]int{}
+		sch := Scheduler{Jobs: 8, OnEvent: func(e Event) {
+			if e.Kind == TaskStart {
+				mu.Lock()
+				starts[e.Task]++
+				mu.Unlock()
+			}
+		}}
+		if _, err := sch.Run(s, jobs); err != nil {
+			t.Fatal(err)
+		}
+		if want := len(jobs) + len(DatasetNames); len(starts) != want {
+			t.Fatalf("round %d: %d tasks started, want %d", round, len(starts), want)
+		}
+		for task, n := range starts {
+			if n != 1 {
+				t.Fatalf("round %d: task %s started %d times", round, task, n)
+			}
+		}
 	}
 }

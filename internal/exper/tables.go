@@ -2,6 +2,7 @@ package exper
 
 import (
 	"fmt"
+	"slices"
 
 	"noisyeval/internal/data"
 	"noisyeval/internal/plot"
@@ -35,22 +36,19 @@ func TableDatasets(s *Suite) Result {
 		all := append(append([]*data.Client{}, pop.Train...), pop.Val...)
 		st := data.PoolStats(all)
 		p := paper[name]
-		row := []string{
+		// The generated statistics are the same eight cells in both outputs;
+		// the paper's five go in one table cell and five CSV cells.
+		cells := []string{
 			name, pop.Spec.Kind.String(),
 			fmt.Sprintf("%d", len(pop.Train)), fmt.Sprintf("%d", len(pop.Val)),
 			fmt.Sprintf("%.0f", st.MeanExamples), fmt.Sprintf("%d", st.MinExamples),
 			fmt.Sprintf("%d", st.MaxExamples), fmt.Sprintf("%d", st.TotalExamples),
-			fmt.Sprintf("%d/%d/%d/%d/%d", p[0], p[1], p[2], p[3], p[4]),
 		}
-		tbl.Rows = append(tbl.Rows, row)
-		res.CSVRows = append(res.CSVRows, []string{
-			name, pop.Spec.Kind.String(),
-			fmt.Sprintf("%d", len(pop.Train)), fmt.Sprintf("%d", len(pop.Val)),
-			fmt.Sprintf("%.0f", st.MeanExamples), fmt.Sprintf("%d", st.MinExamples),
-			fmt.Sprintf("%d", st.MaxExamples), fmt.Sprintf("%d", st.TotalExamples),
+		tbl.Rows = append(tbl.Rows, append(slices.Clone(cells),
+			fmt.Sprintf("%d/%d/%d/%d/%d", p[0], p[1], p[2], p[3], p[4])))
+		res.CSVRows = append(res.CSVRows, append(cells,
 			fmt.Sprintf("%d", p[0]), fmt.Sprintf("%d", p[1]), fmt.Sprintf("%d", p[2]),
-			fmt.Sprintf("%d", p[3]), fmt.Sprintf("%d", p[4]),
-		})
+			fmt.Sprintf("%d", p[3]), fmt.Sprintf("%d", p[4])))
 	}
 	res.Lines = tbl.Render()
 	return res
