@@ -14,8 +14,9 @@
 #                    harness; its own go.mod, so `go test ./...` never sees it)
 #   make fuzz        short coverage-guided fuzz pass over the two decoders
 #                    that read bank bytes from disk or the wire (bankfmt/v4
-#                    bank image, dist shard upload) and the weighted sampler
-#                    against its all-keys reference
+#                    bank image, dist shard upload) and the two certified
+#                    selections against their references (the weighted
+#                    sampler's top-k, the Parzen proposal's argmax)
 #   make figures     quick-scale figure regeneration through the bank cache
 #   make serve       run the noisyevald tuning daemon on $(SERVE_ADDR)
 #   make serve-smoke boot noisyevald, drive runs + an ask/tell session via pkg/client
@@ -102,12 +103,16 @@ bench-harness:
 # must classify as stale) and the dist shard upload (FuzzShardDecode, seeded
 # with every hostile payload the complete endpoint refuses). FuzzWeightedSample
 # is differential instead: bytes become weights, uniforms and k, and the
-# bracketed selection must return what the all-keys loop returns. A crash
-# writes its input to testdata/fuzz for triage.
+# bracketed selection must return what the all-keys loop returns; so is
+# FuzzProposeCertified: bytes become a pool, an observation set and a list of
+# draws, and the engine's argmax must be the selection loop's over the
+# reference model's scores. A crash writes its input to testdata/fuzz for
+# triage.
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzBankV4$$' -fuzztime 15s ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzShardDecode$$' -fuzztime 15s ./internal/dist
 	$(GO) test -run '^$$' -fuzz 'FuzzWeightedSample$$' -fuzztime 15s ./internal/rng
+	$(GO) test -run '^$$' -fuzz 'FuzzProposeCertified$$' -fuzztime 15s ./internal/hpo
 
 figures:
 	$(GO) run ./cmd/figures -quick -cache-dir $(CACHE_DIR) -out results

@@ -80,12 +80,16 @@ func refScores(tpe TPE, obs []refScoredConfig, space Space, pool []fl.HParams) [
 }
 
 // TestProposeMatchesReferenceMemo is the cache-invalidation half of the
-// engine's contract: between rung reports the fitted model and its score memo
-// are reused; a report that changes the selected observation set (same
-// fidelity grown, or a higher fidelity becoming adequate) must refit and drop
-// every memoised score. The candidate draws are identical before and after
-// each report, so an engine serving stale scores returns the old argmax and
-// fails against the reference.
+// engine's contract: between rung reports the fitted model and its two memos
+// (exact scores, approximate ratios) are reused; a report that changes the
+// selected observation set (same fidelity grown, or a higher fidelity
+// becoming adequate) must refit and drop every memoised value. The candidate
+// draws are identical before and after each report, so an engine serving
+// stale values returns the old argmax and fails against the reference. A
+// proposal the approximation decides memoises no exact score at all, so the
+// count that must be positive is the ratios'; every exact score present must
+// still be the reference's to the bit, and every ratio within ratioErr of
+// the exponential of the reference's.
 func TestProposeMatchesReferenceMemo(t *testing.T) {
 	space := DefaultSpace()
 	o := newTestOracle(0)
@@ -123,18 +127,23 @@ func TestProposeMatchesReferenceMemo(t *testing.T) {
 			t.Fatalf("%s: engine proposed %+v, reference %+v", step, got, want)
 		}
 		scores := refScores(tpe, ref.modelObservations(), space, o.pool)
-		memoised := 0
+		exact, ratios := 0, 0
 		for c, s := range scores {
-			if st.model.stamp[c] != st.model.gen {
-				continue
+			if st.model.stamp[c] == st.model.gen {
+				exact++
+				if math.Float64bits(st.model.score[c]) != math.Float64bits(s) {
+					t.Fatalf("%s: memoised score of pool member %d is %v, reference model gives %v", step, c, st.model.score[c], s)
+				}
 			}
-			memoised++
-			if math.Float64bits(st.model.score[c]) != math.Float64bits(s) {
-				t.Fatalf("%s: memoised score of pool member %d is %v, reference model gives %v", step, c, st.model.score[c], s)
+			if st.model.ratioStamp[c] == st.model.gen {
+				ratios++
+				if r := st.model.ratio[c]; math.Abs(r/math.Exp(s)-1) > ratioErr {
+					t.Fatalf("%s: approximate ratio of pool member %d is %v, reference model gives exp(%v) = %v", step, c, r, s, math.Exp(s))
+				}
 			}
 		}
-		if memoised == 0 || memoised > tpe.NCandidates {
-			t.Fatalf("%s: %d memoised scores for %d candidate draws", step, memoised, tpe.NCandidates)
+		if ratios == 0 || ratios > tpe.NCandidates || exact > ratios {
+			t.Fatalf("%s: %d memoised ratios and %d exact scores for %d candidate draws", step, ratios, exact, tpe.NCandidates)
 		}
 		return got
 	}
@@ -191,5 +200,16 @@ func TestProposeMatchesReferenceMemo(t *testing.T) {
 	}
 	if higher == grown {
 		t.Fatal("test has no teeth: fidelity 15's set proposes the same config as fidelity 5's")
+	}
+
+	// One gen serves both memos: force an exact score beside the ratios, refit,
+	// and neither may survive.
+	m := st.model
+	m.stamp[0], m.score[0] = m.gen, 0
+	m.fit(st.levels[st.top].obs)
+	for c := range o.pool {
+		if m.stamp[c] == m.gen || m.ratioStamp[c] == m.gen {
+			t.Fatalf("pool member %d still memoised after a refit", c)
+		}
 	}
 }

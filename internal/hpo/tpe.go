@@ -106,11 +106,15 @@ type features struct {
 // pair fit on one observation set, plus everything a Run reuses across fits.
 // fit is called once per observation set, not per proposal; in bank mode
 // every candidate is a pool index, so ℓ−g is computed at most once per pool
-// member per fit and repeat draws read the memo (DESIGN.md §15).
+// member per fit and repeat draws read the memo (DESIGN.md §15) — and only
+// for the draws a table-built approximation of ℓ/g cannot rule out
+// (DESIGN.md §19).
 //
 // The arithmetic is frozen: every expression that reaches a comparison keeps
 // the operand order of the per-proposal refit it replaced (kept as the
 // reference in reference_test.go), because histories must stay bit-identical.
+// The approximation never reaches one: it only names draws whose exact score
+// cannot be the largest.
 type parzenModel struct {
 	space  Space
 	pool   []fl.HParams // nil in continuous mode
@@ -132,6 +136,17 @@ type parzenModel struct {
 	score []float64
 	stamp []uint32
 	gen   uint32
+
+	// The approximate side of propose: ratio memoises approxRatio per pool
+	// index under the same gen (valid where ratioStamp equals it), batchRatio
+	// is ℓ/g's batch-size factor per fit, draws the candidate indices of one
+	// proposal. sound is false when the fit has a NaN centre or a kernel
+	// outside kde1d.approx's range; every draw is then scored exactly.
+	ratio      []float64
+	ratioStamp []uint32
+	batchRatio []float64
+	draws      []int
+	sound      bool
 }
 
 func newParzenModel(t TPE, o Oracle, space Space) *parzenModel {
@@ -146,6 +161,10 @@ func newParzenModel(t TPE, o Oracle, space Space) *parzenModel {
 	}
 	m.score = make([]float64, len(m.pool))
 	m.stamp = make([]uint32, len(m.pool))
+	m.ratio = make([]float64, len(m.pool))
+	m.ratioStamp = make([]uint32, len(m.pool))
+	m.batchRatio = make([]float64, nb)
+	m.draws = make([]int, m.nCand)
 	return m
 }
 
@@ -178,7 +197,7 @@ func (s *errOrder) Less(i, j int) bool { return s.obs[s.idx[i]].err < s.obs[s.id
 func (s *errOrder) Swap(i, j int)      { s.idx[i], s.idx[j] = s.idx[j], s.idx[i] }
 
 // fit builds ℓ over the best γ-fraction of obs and g over the rest, and
-// invalidates the score memo.
+// invalidates both memos.
 func (m *parzenModel) fit(obs []parzenObs) {
 	n := len(obs)
 	m.order.obs, m.order.idx = obs, m.order.idx[:0]
@@ -195,10 +214,12 @@ func (m *parzenModel) fit(obs []parzenObs) {
 	}
 	nb := len(m.space.BatchSizes)
 	clear(m.counts)
+	m.sound = true
 	for i, oi := range m.order.idx {
 		f := &m.rows[obs[oi].row]
 		for d := 0; d < 5; d++ {
 			m.centers[d*n+i] = f.v[d]
+			m.sound = m.sound && f.v[d] == f.v[d] // approx drops a NaN centre, logDensity does not
 		}
 		if i < nGood {
 			m.counts[f.batch]++
@@ -210,9 +231,13 @@ func (m *parzenModel) fit(obs []parzenObs) {
 		col := m.centers[d*n : (d+1)*n]
 		m.good.dims[d] = newKDE(col[:nGood], m.lo[d], m.hi[d])
 		m.bad.dims[d] = newKDE(col[nGood:], m.lo[d], m.hi[d])
+		m.sound = m.sound && m.good.dims[d].inRange() && m.bad.dims[d].inRange()
 	}
 	m.good.setBatch(m.counts[:nb])
 	m.bad.setBatch(m.counts[nb:])
+	for i := range m.batchRatio {
+		m.batchRatio[i] = m.good.batch.prob(i) / m.bad.batch.prob(i)
+	}
 	m.gen++
 }
 
@@ -220,23 +245,16 @@ func (m *parzenModel) fit(obs []parzenObs) {
 // — pool indices in bank mode, samples from ℓ in continuous mode — and its
 // feature row. The first draw wins ties and non-finite scores.
 func (m *parzenModel) propose(g *rng.RNG) (fl.HParams, int) {
-	bestScore := math.Inf(-1)
 	if len(m.pool) > 0 {
-		best := -1
-		for i := 0; i < m.nCand; i++ {
-			c := g.IntN(len(m.pool))
-			if m.stamp[c] != m.gen {
-				m.stamp[c], m.score[c] = m.gen, m.good.logDensity(&m.rows[c])-m.bad.logDensity(&m.rows[c])
-			}
-			if best < 0 {
-				best = c
-			}
-			if m.score[c] > bestScore {
-				best, bestScore = c, m.score[c]
-			}
+		// The draws are the selection's only use of the stream, so taking them
+		// all first leaves each index and the stream's position what they were.
+		for i := range m.draws {
+			m.draws[i] = g.IntN(len(m.pool))
 		}
+		best := m.argmax()
 		return m.pool[best], best
 	}
+	bestScore := math.Inf(-1)
 	var best fl.HParams
 	var bestF features
 	for i := 0; i < m.nCand; i++ {
@@ -252,6 +270,87 @@ func (m *parzenModel) propose(g *rng.RNG) (fl.HParams, int) {
 	}
 	m.rows = append(m.rows, bestF)
 	return best, len(m.rows) - 1
+}
+
+// argmax returns the pool index among m.draws with the highest ℓ−g: the
+// selection loop as it always was, over the draws contenders cannot rule out.
+func (m *parzenModel) argmax() int {
+	floor, only := m.contenders()
+	if only >= 0 {
+		return only
+	}
+	best, bestScore := -1, math.Inf(-1)
+	for _, c := range m.draws {
+		if m.ratio[c] < floor {
+			continue
+		}
+		if m.stamp[c] != m.gen {
+			m.stamp[c], m.score[c] = m.gen, m.good.logDensity(&m.rows[c])-m.bad.logDensity(&m.rows[c])
+		}
+		if best < 0 {
+			best = c
+		}
+		if m.score[c] > bestScore {
+			best, bestScore = c, m.score[c]
+		}
+	}
+	return best
+}
+
+// ratioMargin is how far below the largest approximate ℓ/g a draw's own must
+// lie for its exact score to be certainly smaller. approxRatio is within
+// 1e-6 of the true ratio (ten densities at 4.1e-8 each) and the exact scores
+// within 1e-12 of its logarithm, so the margin has a hundredfold slack.
+const ratioMargin = 1e-4
+
+// contenders brackets the exact argmax over m.draws without an Exp or a Log:
+// a draw whose approximate ℓ/g is below floor has an exact score strictly
+// below the leading draw's, so the selection loop may skip it, and when one
+// pool index alone reaches floor it is what that loop returns (only, else
+// −1). A floor of 0 skips nothing: the fit is not sound, or some draw's
+// ratio is NaN, and the loop then scores every draw as it always did.
+func (m *parzenModel) contenders() (floor float64, only int) {
+	if !m.sound {
+		return 0, -1
+	}
+	top, only := 0.0, -1
+	for _, c := range m.draws {
+		if m.ratioStamp[c] != m.gen {
+			m.ratioStamp[c], m.ratio[c] = m.gen, m.approxRatio(&m.rows[c])
+		}
+		if r := m.ratio[c]; r > top {
+			top, only = r, c
+		} else if r != r {
+			return 0, -1
+		}
+	}
+	floor = top * (1 - ratioMargin)
+	for _, c := range m.draws {
+		if c != only && m.ratio[c] >= floor {
+			return floor, -1
+		}
+	}
+	return floor, only
+}
+
+// approxRatio returns ℓ(f)/g(f) within a relative 1e-6, or NaN where that
+// cannot be promised: a coordinate outside [lo, hi] (there the prior is 0,
+// and the prior is what bounds the kernels approx drops), or a factor so
+// large or small that the product of five might leave the normal floats.
+func (m *parzenModel) approxRatio(f *features) float64 {
+	r := m.batchRatio[f.batch]
+	for d := 0; d < 5; d++ {
+		x := f.v[d]
+		if !(x >= m.lo[d] && x <= m.hi[d]) {
+			return math.NaN()
+		}
+		q := m.good.dims[d].approx(x) / m.bad.dims[d].approx(x)
+		if !(q > 1e-40 && q < 1e40) {
+			return math.NaN()
+		}
+		r *= q
+	}
+	return r
 }
 
 // parzen is the per-dimension kernel density model of one TPE side. The
@@ -339,10 +438,14 @@ func (m *parzenModel) sampleGood(g *rng.RNG) fl.HParams {
 //
 // span and norm (bw·√2π) are the loop invariants of logDensity, computed once
 // per fit; they stay divisors so every quotient rounds as it always did.
+// scale, kernW and priorW are approx's: √(expStep/2)/bw, so that a scaled
+// distance squared is expStep·½z², and the mixture weights of one kernel,
+// 1/(norm·(n+1)), and of the prior, 1/(span·(n+1)).
 type kde1d struct {
-	lo, hi, span float64
-	centers      []float64
-	bw, norm     float64
+	lo, hi, span         float64
+	centers              []float64
+	bw, norm             float64
+	scale, kernW, priorW float64
 }
 
 func newKDE(values []float64, lo, hi float64) kde1d {
@@ -362,8 +465,44 @@ func newKDE(values []float64, lo, hi float64) kde1d {
 			bw = span
 		}
 	}
-	return kde1d{lo: lo, hi: hi, span: span, centers: values, bw: bw, norm: bw * math.Sqrt(2*math.Pi)}
+	norm, n1 := bw*math.Sqrt(2*math.Pi), float64(len(values)+1)
+	return kde1d{lo: lo, hi: hi, span: span, centers: values, bw: bw, norm: norm,
+		scale: math.Sqrt(expStep/2) / bw, kernW: 1 / (norm * n1), priorW: 1 / (span * n1)}
 }
+
+// expTable[i] is exp(−i/expStep), up to the exponent expCut past which approx
+// drops a kernel: exp(−64) is 1.6e-28, against a prior that is never less
+// than a twentieth of a kernel's peak. Read-only after init.
+const expStep, expCut = 32, 64
+
+var expTable = func() (t [expStep * expCut]float64) {
+	for i := range t {
+		t[i] = math.Exp(-float64(i) / expStep)
+	}
+	return t
+}()
+
+// approx returns the mixture density at x in [lo, hi] — exp(logDensity(x)) —
+// within a relative 4.1e-8 and with no Exp, Log or division: each kernel is
+// a table entry times the cubic Taylor polynomial of exp(−y) over the
+// remainder y < 1/expStep, short by at most y⁴/24 < 4e-8. Every term is
+// positive, so the error of the sum is relative too.
+func (k *kde1d) approx(x float64) float64 {
+	sum := 0.0
+	for _, c := range k.centers {
+		u := (x - c) * k.scale
+		if t := u * u; t < expStep*expCut {
+			i := int(t)
+			y := (t - float64(i)) * (1.0 / expStep)
+			sum += expTable[i] * (1 - y*(1-y*(0.5-y*(1.0/6))))
+		}
+	}
+	return k.priorW + sum*k.kernW
+}
+
+// inRange reports whether approx's products stay normal floats. newKDE keeps
+// span/50 ≤ bw ≤ span, so two comparisons bound both, and a NaN fails them.
+func (k *kde1d) inRange() bool { return k.bw > 1e-100 && k.span < 1e100 }
 
 // logDensity mixes the uniform prior with the kernels:
 // p(x) = (prior + Σ_i N(x; c_i, bw)) / (n + 1).
