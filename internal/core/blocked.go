@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -180,7 +181,6 @@ func (t Tuner) RunTrialsProgress(oracle *BankOracle, n int, g *rng.RNG, onTrial 
 	}
 
 	asks := make([]waveAsk, 0, 2*n)
-	nextAsks := make([]waveAsk, 0, 2*n)
 	fill := &asks // advance appends the resumed trial's new asks here
 
 	rowOf := func(ts *trialState, cfg fl.HParams, rounds int) int32 {
@@ -226,6 +226,11 @@ func (t Tuner) RunTrialsProgress(oracle *BankOracle, n int, g *rng.RNG, onTrial 
 		if advance(i) {
 			live = append(live, i)
 		}
+		if i == 0 {
+			// Every trial runs the same method, so the first trial's opening
+			// batch (81 asks under Hyperband, 1 under RS) sizes the wave.
+			asks = slices.Grow(asks, (n-1)*len(asks))
+		}
 	}
 
 	// Row-group linked lists over the wave's asks, keyed ci*nCkpt+ri. head
@@ -235,7 +240,10 @@ func (t Tuner) RunTrialsProgress(oracle *BankOracle, n int, g *rng.RNG, onTrial 
 	for i := range head {
 		head[i] = -1
 	}
-	nextAsk := make([]int32, 0, 2*n)
+	// The first wave is a run's widest (Hyperband opens on its largest
+	// bracket), so it sizes the second ask buffer and the group links.
+	nextAsks := make([]waveAsk, 0, len(asks))
+	nextAsk := make([]int32, 0, len(asks))
 	touched := make([]int32, 0, n)
 
 	workers := runtime.GOMAXPROCS(0)

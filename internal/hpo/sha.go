@@ -235,13 +235,18 @@ func runHyperbandLoop(o Oracle, space Space, s Settings, g *rng.RNG, h *History,
 	// The brackets' observation counts are known here too: reserve the run's
 	// history once, so that runSHA's per-bracket reservation never copies
 	// what earlier brackets recorded.
-	totalRungs, totalObs := 0, 0
+	totalRungs, totalObs, maxN := 0, 0, 0
 	for _, p := range plans {
 		rungs := len(rungLadder(p.r0, maxR, s.Eta))
 		totalRungs += rungs
 		totalObs += bracketObservations(p.n, rungs, s.Eta)
+		maxN = max(maxN, p.n)
 	}
 	h.Grow(totalObs)
+
+	// One config buffer serves every bracket: runSHA uses its cfgs as scratch
+	// and is done with them when it returns.
+	cfgBuf := make([]fl.HParams, maxN)
 
 	cum := 0
 	gSub, gBracket := rng.New(0), rng.New(0)
@@ -251,7 +256,7 @@ func runHyperbandLoop(o Oracle, space Space, s Settings, g *rng.RNG, h *History,
 			onRung = bohb.observe
 			bohb.rows = bohb.rows[:0]
 		}
-		cfgs := make([]fl.HParams, plan.n)
+		cfgs := cfgBuf[:plan.n]
 		for i := range cfgs {
 			g.SplitInt2Into(gSub, "bracket-", bi, "-cfg-", i)
 			if bohb != nil {
