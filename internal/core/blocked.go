@@ -209,6 +209,12 @@ func (t Tuner) RunTrialsProgress(oracle *BankOracle, n int, g *rng.RNG, onTrial 
 			return false
 		}
 		ts.lastBatch, ts.rows, ts.teCur = b, ts.rows[:0], 0
+		if *fill == nil {
+			// The second buffer, made when a second wave turns out to exist (RS
+			// has none). The first wave is a run's widest — Hyperband opens on
+			// its largest bracket — so its size serves every later one.
+			*fill = make([]waveAsk, 0, len(asks))
+		}
 		for j := range b.Configs {
 			row := rowOf(ts, b.Configs[j], b.RoundsAt(j))
 			ts.rows = append(ts.rows, row)
@@ -240,9 +246,7 @@ func (t Tuner) RunTrialsProgress(oracle *BankOracle, n int, g *rng.RNG, onTrial 
 	for i := range head {
 		head[i] = -1
 	}
-	// The first wave is a run's widest (Hyperband opens on its largest
-	// bracket), so it sizes the second ask buffer and the group links.
-	nextAsks := make([]waveAsk, 0, len(asks))
+	var nextAsks []waveAsk // made by advance, on the first ask of a second wave
 	nextAsk := make([]int32, 0, len(asks))
 	touched := make([]int32, 0, n)
 

@@ -179,7 +179,7 @@ func (p *proposePaths) record(m *parzenModel) {
 		p.contended++
 		seen := map[int]bool{}
 		for _, c := range m.draws {
-			if m.ratio[c] >= floor && !seen[c] {
+			if m.memo[c].ratio >= floor && !seen[c] {
 				seen[c] = true
 				p.contenders++
 			}

@@ -129,16 +129,17 @@ func TestProposeMatchesReferenceMemo(t *testing.T) {
 		scores := refScores(tpe, ref.modelObservations(), space, o.pool)
 		exact, ratios := 0, 0
 		for c, s := range scores {
-			if st.model.stamp[c] == st.model.gen {
+			e := st.model.memo[c]
+			if e.scoreStamp == st.model.gen {
 				exact++
-				if math.Float64bits(st.model.score[c]) != math.Float64bits(s) {
-					t.Fatalf("%s: memoised score of pool member %d is %v, reference model gives %v", step, c, st.model.score[c], s)
+				if math.Float64bits(e.score) != math.Float64bits(s) {
+					t.Fatalf("%s: memoised score of pool member %d is %v, reference model gives %v", step, c, e.score, s)
 				}
 			}
-			if st.model.ratioStamp[c] == st.model.gen {
+			if e.ratioStamp == st.model.gen {
 				ratios++
-				if r := st.model.ratio[c]; math.Abs(r/math.Exp(s)-1) > ratioErr {
-					t.Fatalf("%s: approximate ratio of pool member %d is %v, reference model gives exp(%v) = %v", step, c, r, s, math.Exp(s))
+				if math.Abs(e.ratio/math.Exp(s)-1) > ratioErr {
+					t.Fatalf("%s: approximate ratio of pool member %d is %v, reference model gives exp(%v) = %v", step, c, e.ratio, s, math.Exp(s))
 				}
 			}
 		}
@@ -205,10 +206,10 @@ func TestProposeMatchesReferenceMemo(t *testing.T) {
 	// One gen serves both memos: force an exact score beside the ratios, refit,
 	// and neither may survive.
 	m := st.model
-	m.stamp[0], m.score[0] = m.gen, 0
+	m.memo[0].scoreStamp = m.gen
 	m.fit(st.levels[st.top].obs)
-	for c := range o.pool {
-		if m.stamp[c] == m.gen || m.ratioStamp[c] == m.gen {
+	for c, e := range m.memo {
+		if e.scoreStamp == m.gen || e.ratioStamp == m.gen {
 			t.Fatalf("pool member %d still memoised after a refit", c)
 		}
 	}

@@ -131,39 +131,38 @@ type parzenModel struct {
 	centers   []float64 // fit scratch: 5 columns of len(obs) sorted coordinates
 	counts    []float64 // fit scratch: batch counts, good side then bad
 
-	// Memo of ℓ−g per pool index, valid where stamp equals gen; fit bumps
-	// gen, so a refit invalidates every entry at once.
-	score []float64
-	stamp []uint32
-	gen   uint32
+	// memo holds, per pool index, ℓ−g and approxRatio's ℓ/g, each valid where
+	// its stamp equals gen; fit bumps gen, so a refit invalidates every entry
+	// of both at once.
+	memo []poolMemo
+	gen  uint32
 
-	// The approximate side of propose: ratio memoises approxRatio per pool
-	// index under the same gen (valid where ratioStamp equals it), batchRatio
-	// is ℓ/g's batch-size factor per fit, draws the candidate indices of one
-	// proposal. sound is false when the fit has a NaN centre or a kernel
-	// outside kde1d.approx's range; every draw is then scored exactly.
-	ratio      []float64
-	ratioStamp []uint32
+	// The approximate side of propose: batchRatio is ℓ/g's batch-size factor
+	// per fit, draws the candidate indices of one proposal. sound is false
+	// when the fit has a NaN centre or a kernel outside kde1d.approx's range;
+	// every draw is then scored exactly.
 	batchRatio []float64
 	draws      []int
 	sound      bool
 }
 
+type poolMemo struct {
+	score, ratio           float64
+	scoreStamp, ratioStamp uint32
+}
+
 func newParzenModel(t TPE, o Oracle, space Space) *parzenModel {
 	nb := len(space.BatchSizes)
-	m := &parzenModel{space: space, pool: o.Pool(), gamma: t.Gamma, nCand: t.NCandidates,
-		counts: make([]float64, 2*nb)}
+	m := &parzenModel{space: space, pool: o.Pool(), gamma: t.Gamma, nCand: t.NCandidates}
 	m.lo, m.hi = spaceBounds(space)
-	m.good.logBatch, m.bad.logBatch = make([]float64, nb), make([]float64, nb)
+	perBatch := make([]float64, 5*nb) // one backing for the five per-batch-size tables
+	m.counts, m.good.logBatch, m.bad.logBatch, m.batchRatio =
+		perBatch[:2*nb], perBatch[2*nb:3*nb], perBatch[3*nb:4*nb], perBatch[4*nb:]
 	m.rows = make([]features, len(m.pool))
 	for i, c := range m.pool {
 		m.rows[i] = m.features(c)
 	}
-	m.score = make([]float64, len(m.pool))
-	m.stamp = make([]uint32, len(m.pool))
-	m.ratio = make([]float64, len(m.pool))
-	m.ratioStamp = make([]uint32, len(m.pool))
-	m.batchRatio = make([]float64, nb)
+	m.memo = make([]poolMemo, len(m.pool))
 	m.draws = make([]int, m.nCand)
 	return m
 }
@@ -281,17 +280,18 @@ func (m *parzenModel) argmax() int {
 	}
 	best, bestScore := -1, math.Inf(-1)
 	for _, c := range m.draws {
-		if m.ratio[c] < floor {
+		e := &m.memo[c]
+		if e.ratio < floor {
 			continue
 		}
-		if m.stamp[c] != m.gen {
-			m.stamp[c], m.score[c] = m.gen, m.good.logDensity(&m.rows[c])-m.bad.logDensity(&m.rows[c])
+		if e.scoreStamp != m.gen {
+			e.scoreStamp, e.score = m.gen, m.good.logDensity(&m.rows[c])-m.bad.logDensity(&m.rows[c])
 		}
 		if best < 0 {
 			best = c
 		}
-		if m.score[c] > bestScore {
-			best, bestScore = c, m.score[c]
+		if e.score > bestScore {
+			best, bestScore = c, e.score
 		}
 	}
 	return best
@@ -315,10 +315,11 @@ func (m *parzenModel) contenders() (floor float64, only int) {
 	}
 	top, only := 0.0, -1
 	for _, c := range m.draws {
-		if m.ratioStamp[c] != m.gen {
-			m.ratioStamp[c], m.ratio[c] = m.gen, m.approxRatio(&m.rows[c])
+		e := &m.memo[c]
+		if e.ratioStamp != m.gen {
+			e.ratioStamp, e.ratio = m.gen, m.approxRatio(&m.rows[c])
 		}
-		if r := m.ratio[c]; r > top {
+		if r := e.ratio; r > top {
 			top, only = r, c
 		} else if r != r {
 			return 0, -1
@@ -326,7 +327,7 @@ func (m *parzenModel) contenders() (floor float64, only int) {
 	}
 	floor = top * (1 - ratioMargin)
 	for _, c := range m.draws {
-		if c != only && m.ratio[c] >= floor {
+		if c != only && m.memo[c].ratio >= floor {
 			return floor, -1
 		}
 	}
