@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -23,13 +24,7 @@ var proposeRegimes = []struct {
 	dupPool bool
 	obs     func(g *rng.RNG, n, pool int) []parzenObs
 }{
-	{"random", false, func(g *rng.RNG, n, pool int) []parzenObs {
-		obs := make([]parzenObs, n)
-		for i := range obs {
-			obs[i] = parzenObs{row: g.IntN(pool), err: g.Float64()}
-		}
-		return obs
-	}},
+	{"random", false, randomObs},
 	{"equal", false, func(g *rng.RNG, n, pool int) []parzenObs {
 		obs := make([]parzenObs, n)
 		for i := range obs {
@@ -38,12 +33,9 @@ var proposeRegimes = []struct {
 		return obs
 	}},
 	{"nan", false, func(g *rng.RNG, n, pool int) []parzenObs {
-		obs := make([]parzenObs, n)
-		for i := range obs {
-			obs[i] = parzenObs{row: g.IntN(pool), err: g.Float64()}
-			if i%3 == 1 {
-				obs[i].err = math.NaN()
-			}
+		obs := randomObs(g, n, pool)
+		for i := 1; i < n; i += 3 {
+			obs[i].err = math.NaN()
 		}
 		return obs
 	}},
@@ -57,13 +49,15 @@ var proposeRegimes = []struct {
 		obs[0].row = r1
 		return obs
 	}},
-	{"duppool", true, func(g *rng.RNG, n, pool int) []parzenObs {
-		obs := make([]parzenObs, n)
-		for i := range obs {
-			obs[i] = parzenObs{row: g.IntN(pool), err: g.Float64()}
-		}
-		return obs
-	}},
+	{"duppool", true, randomObs},
+}
+
+func randomObs(g *rng.RNG, n, pool int) []parzenObs {
+	obs := make([]parzenObs, n)
+	for i := range obs {
+		obs[i] = parzenObs{row: g.IntN(pool), err: g.Float64()}
+	}
+	return obs
 }
 
 // proposeGoldenNs are the pinned observation counts: every size from the
@@ -276,16 +270,17 @@ func TestProposeCertifiedAdversarial(t *testing.T) {
 		pc := newProposeCase(space, pool)
 		for rep := 0; rep < 40; rep++ {
 			for _, n := range ns {
-				want := pc.fit(proposeRegimes[0].obs(g, n, len(pool)))
+				want := pc.fit(randomObs(g, n, len(pool)))
 				pc.check(t, "random draws", want, randomDraws(g, 24, len(pool)))
 				// One family of near-copies, in both draw orders.
 				fam := 8 * g.IntN(8)
 				draws := []int{fam + 7, fam + 3, fam, fam + 1, fam + 5, fam + 2, fam + 6, fam + 4}
 				pc.check(t, "one family", want, draws)
-				slicesReverse(draws)
+				slices.Reverse(draws)
 				pc.check(t, "one family, reversed", want, draws)
 			}
 		}
+		t.Logf("%+v", pc.paths)
 		if pc.paths.contended < 500 {
 			t.Errorf("only %d proposals were decided among contenders: %+v", pc.paths.contended, pc.paths)
 		}
@@ -300,7 +295,7 @@ func TestProposeCertifiedAdversarial(t *testing.T) {
 		edgy := 0
 		for rep := 0; rep < 60; rep++ {
 			n := ns[rep%4]
-			obs := proposeRegimes[0].obs(g, n, len(base))
+			obs := randomObs(g, n, len(base))
 			probe := newProposeCase(space, base)
 			probe.fit(obs)
 			k := &probe.m.good.dims[1]
@@ -327,6 +322,7 @@ func TestProposeCertifiedAdversarial(t *testing.T) {
 			}
 			edgy += pc.paths.contended
 		}
+		t.Logf("%d edge proposals decided among contenders", edgy)
 		if edgy < 500 {
 			t.Errorf("only %d edge proposals were decided among contenders", edgy)
 		}
@@ -363,6 +359,7 @@ func TestProposeCertifiedAdversarial(t *testing.T) {
 				outsiderDrawn += pc.paths.exact - before
 			}
 		}
+		t.Logf("%+v", pc.paths)
 		if pc.paths.certified == 0 || pc.paths.contended == 0 || outsiderDrawn != 60*len(ns) {
 			t.Errorf("paths %+v; %d of %d proposals with an outside draw took the all-exact loop",
 				pc.paths, outsiderDrawn, 60*len(ns))
@@ -409,6 +406,7 @@ func TestProposeCertifiedAdversarial(t *testing.T) {
 			}
 			pc.check(t, "clamped bandwidth", want, draws)
 		}
+		t.Logf("%d sides at bw = span, %d at span/50, %+v", atSpan, atFloor, pc.paths)
 		if atSpan < 20 || atFloor < 100 || pc.paths.exact > 0 || len(inside) < 8 {
 			t.Errorf("%d sides at bw = span, %d at span/50, paths %+v, %d members inside", atSpan, atFloor, pc.paths, len(inside))
 		}
@@ -428,7 +426,7 @@ func TestProposeCertifiedAdversarial(t *testing.T) {
 			shrink := math.Pow(10, -e)
 			for rep := 0; rep < 10; rep++ {
 				m := pc.m
-				m.fit(proposeRegimes[0].obs(g, 12, len(pool)))
+				m.fit(randomObs(g, 12, len(pool)))
 				for d := range m.good.dims {
 					k := &m.good.dims[d]
 					k.bw *= shrink
@@ -446,12 +444,6 @@ func TestProposeCertifiedAdversarial(t *testing.T) {
 			}
 		}
 	})
-}
-
-func slicesReverse(s []int) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
 }
 
 // TestProposeCertifiedShare measures, at the bench bank's shape (a 64-config

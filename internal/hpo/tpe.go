@@ -218,7 +218,7 @@ func (m *parzenModel) fit(obs []parzenObs) {
 		f := &m.rows[obs[oi].row]
 		for d := 0; d < 5; d++ {
 			m.centers[d*n+i] = f.v[d]
-			m.sound = m.sound && f.v[d] == f.v[d] // approx drops a NaN centre, logDensity does not
+			m.sound = m.sound && !math.IsNaN(f.v[d]) // approx drops a NaN centre, logDensity does not
 		}
 		if i < nGood {
 			m.counts[f.batch]++
@@ -321,7 +321,7 @@ func (m *parzenModel) contenders() (floor float64, only int) {
 		}
 		if r := e.ratio; r > top {
 			top, only = r, c
-		} else if r != r {
+		} else if math.IsNaN(r) {
 			return 0, -1
 		}
 	}
