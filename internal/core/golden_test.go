@@ -28,6 +28,21 @@ const (
 	goldenBatchedTextTrainerHash = "b0be59f5492b78c4730feac71f2d7274a85373ea54d5e282270b238f09007134"
 )
 
+// A second set, recorded on the commit before the lane-wise exp, the
+// element-wise AVX2 kernels and the pooled evaluation pass landed (scalar
+// softmax, Go loops, one EvalClientsInto per partition), for what the first
+// set leaves out: the 62-way head (15 exp vectors plus a two-element scalar
+// tail per softmax row), partition p = 1 beside p = 0.5, a configuration
+// that diverges part-way (NaN/Inf softmax rows in its last live round, the
+// Label != 0 evaluation after it), and the reddit-like shape (single-example
+// clients, so batches of one row).
+const (
+	goldenFemnistBankHash      = "d05bc93c6486d5b96c93f0508717e064505db51b86c3a5af75864b0eddba0e8d"
+	goldenDivergingTrainerHash = "912058a249bd69e58a8134abcce839373a4e1ec41bcc3850e23a83e466d3f2f1"
+	goldenDivergingFreezeRound = 6
+	goldenRedditTrainerHash    = "144c7f0e2ecc475d9fc0be72748fe21c11b2521ce59c98a4a3363aea571b7a57"
+)
+
 func hashFloats(h interface{ Write([]byte) (int, error) }, xs []float64) {
 	var buf [8]byte
 	for _, x := range xs {
@@ -88,6 +103,29 @@ func goldenTextPop(t testing.TB) *data.Population {
 	}
 	return pop
 }
+
+func goldenFemnistPop(t testing.TB) *data.Population {
+	t.Helper()
+	pop, err := data.Generate(data.FEMNISTLike().Scaled(0.03, 30), rng.New(13))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pop
+}
+
+func goldenRedditPop(t testing.TB) *data.Population {
+	t.Helper()
+	pop, err := data.Generate(data.RedditLike().Scaled(0.002, 30), rng.New(14))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pop
+}
+
+// goldenDivergingHP overflows a client's local solve on goldenFemnistPop
+// after a few healthy rounds: a client learning rate just under the value
+// that blows up in round one.
+var goldenDivergingHP = fl.HParams{ServerLR: 0.1, Beta1: 0.5, Beta2: 0.9, ClientLR: 1.1e17, ClientMomentum: 0.9, BatchSize: 3}
 
 // goldenBankHashes builds the image and the text golden bank and returns
 // their content hashes.
@@ -151,6 +189,59 @@ func TestBatchedTrainerBitIdentical(t *testing.T) {
 	}
 	if got := goldenTrainerWeightsHash(t, goldenTextPop(t)); got != goldenBatchedTextTrainerHash {
 		t.Errorf("batched text trainer weights drifted from the scalar kernels:\n got %s\nwant %s", got, goldenBatchedTextTrainerHash)
+	}
+}
+
+// TestBatchedDivergingBankBitIdentical pins a 62-way bank under partitions
+// 0, 0.5 and 1 whose explicit pool holds a configuration that diverges.
+func TestBatchedDivergingBankBitIdentical(t *testing.T) {
+	opts := DefaultBuildOptions()
+	opts.MaxRounds = 9
+	opts.Partitions = []float64{0.5, 1}
+	opts.Configs = []fl.HParams{
+		{ServerLR: 0.01, Beta1: 0.9, Beta2: 0.99, ClientLR: 0.1, ClientMomentum: 0.5, BatchSize: 5},
+		goldenDivergingHP,
+		{ServerLR: 0.003, Beta1: 0.3, Beta2: 0.999, ClientLR: 0.02, BatchSize: 32},
+	}
+	opts.NumConfigs = len(opts.Configs)
+	b, err := BuildBank(goldenFemnistPop(t), opts, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Diverged[0] || !b.Diverged[1] || b.Diverged[2] {
+		t.Fatalf("fixture: Diverged = %v, want only config 1 to diverge", b.Diverged)
+	}
+	if got := hashBankContent(b); got != goldenFemnistBankHash {
+		t.Errorf("femnist-like bank content drifted from the scalar loops:\n got %s\nwant %s", got, goldenFemnistBankHash)
+	}
+}
+
+// TestBatchedDivergingTrainerBitIdentical pins the diverging run itself: the
+// server weights after its last finite round, and the round that froze it.
+func TestBatchedDivergingTrainerBitIdentical(t *testing.T) {
+	tr, err := fl.NewTrainer(goldenFemnistPop(t), goldenDivergingHP, fl.DefaultOptions(), rng.New(22))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last []float64
+	for !tr.Diverged() && tr.RoundNum() < 30 {
+		last = tr.Weights()
+		tr.Round()
+	}
+	if !tr.Diverged() || tr.RoundNum() != goldenDivergingFreezeRound {
+		t.Fatalf("diverged = %v at round %d, want divergence at round %d", tr.Diverged(), tr.RoundNum(), goldenDivergingFreezeRound)
+	}
+	h := sha256.New()
+	hashFloats(h, last)
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != goldenDivergingTrainerHash {
+		t.Errorf("weights before the diverging round drifted from the scalar loops:\n got %s\nwant %s", got, goldenDivergingTrainerHash)
+	}
+}
+
+// TestBatchedRedditTrainerBitIdentical pins the reddit-like trainer.
+func TestBatchedRedditTrainerBitIdentical(t *testing.T) {
+	if got := goldenTrainerWeightsHash(t, goldenRedditPop(t)); got != goldenRedditTrainerHash {
+		t.Errorf("reddit-like trainer weights drifted from the scalar loops:\n got %s\nwant %s", got, goldenRedditTrainerHash)
 	}
 }
 
