@@ -1,6 +1,9 @@
 package data
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -262,6 +265,56 @@ func TestRepartitionIIDOneHomogenizes(t *testing.T) {
 	}
 	if worstNat < worst {
 		t.Errorf("natural partition (%.3f) should be more skewed than iid (%.3f)", worstNat, worst)
+	}
+}
+
+// hashClients hashes every client's ID and every example's label, feature
+// bits and tokens, in order.
+func hashClients(clients []*Client) string {
+	h := sha256.New()
+	var buf [8]byte
+	w := func(x uint64) {
+		binary.LittleEndian.PutUint64(buf[:], x)
+		h.Write(buf[:])
+	}
+	for _, c := range clients {
+		w(uint64(c.ID))
+		w(uint64(len(c.Examples)))
+		for _, ex := range c.Examples {
+			w(uint64(ex.Label))
+			for _, f := range ex.Features {
+				w(math.Float64bits(f))
+			}
+			for _, tok := range ex.Tokens {
+				w(uint64(tok))
+			}
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestRepartitionSources pins RepartitionIID's output and its stream use to
+// hashes recorded on the loop that copied examples and kept no indices.
+func TestRepartitionSources(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec Spec
+		p    float64
+		want string
+	}{
+		{"image p=0.5", tinyImageSpec(), 0.5, "d2a2ba886a47849a9b9e789cc919e6620a677d3262ad858f2a59395119873603"},
+		{"image p=1", tinyImageSpec(), 1, "97d3a001b8657afa79e68c397680cdff8be5398a3df1b7e51d66f6b3deda6342"},
+		{"text p=0.5", tinyTextSpec(), 0.5, "c75e66d46468cb742271e5b0960c03dd5eab7a57a45fe470cb0441a63e5077c6"},
+		{"text p=0", tinyTextSpec(), 0, "e0de269327fff287c96f4ad4a7653c6d23361b7b5027386ee8bb458ebfc97d13"},
+	} {
+		pop := MustGenerate(tc.spec, rng.New(31))
+		g := rng.New(32)
+		out := RepartitionIID(pop.Val, tc.p, g)
+		// Every draw comes from a labelled split, so g itself has not moved.
+		const wantNext = 7652054832869399581
+		if got, next := hashClients(out), g.Uint64(); got != tc.want || next != wantNext {
+			t.Errorf("%s: clients %s then Uint64 %d, recorded %s then %d", tc.name, got, next, tc.want, uint64(wantNext))
+		}
 	}
 }
 
