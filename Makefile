@@ -14,9 +14,10 @@
 #                    harness; its own go.mod, so `go test ./...` never sees it)
 #   make fuzz        short coverage-guided fuzz pass over the two decoders
 #                    that read bank bytes from disk or the wire (bankfmt/v4
-#                    bank image, dist shard upload) and the two certified
+#                    bank image, dist shard upload), the two certified
 #                    selections against their references (the weighted
-#                    sampler's top-k, the Parzen proposal's argmax)
+#                    sampler's top-k, the Parzen proposal's argmax) and the
+#                    lane-wise exp against math.Exp
 #   make figures     quick-scale figure regeneration through the bank cache
 #   make serve       run the noisyevald tuning daemon on $(SERVE_ADDR)
 #   make serve-smoke boot noisyevald, drive runs + an ask/tell session via pkg/client
@@ -42,7 +43,7 @@ lint:
 	@fmt="$$(gofmt -l .)"; if [ -n "$$fmt" ]; then echo "gofmt needed:" $$fmt; exit 1; fi
 	$(GO) vet ./...
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
-	GOOS=linux GOARCH=arm64 $(GO) vet ./internal/tensor
+	GOOS=linux GOARCH=arm64 $(GO) vet ./internal/tensor ./internal/opt ./internal/nn ./internal/fl
 
 # Comments count, blank lines and _test.go files do not; bench/ is the
 # benchmark's own module and is left out.
@@ -64,7 +65,7 @@ bench:
 # The gated benchmarks run at a real -benchtime (unlike the 1x smoke pass)
 # so their ns/op is stable enough to diff against the committed baseline.
 bench-json:
-	NOISYEVAL_CACHE_DIR=$(CACHE_DIR) $(GO) test -bench 'BenchmarkFederatedRound$$|BenchmarkBankBuild$$|BenchmarkBankOpenMmap$$|BenchmarkOracleTrials$$|BenchmarkOracleTrialsMapped$$|BenchmarkOracleEvaluateMulti$$|BenchmarkOracleEvaluateMultiBiased$$|BenchmarkObsOverhead$$|BenchmarkMethodTrials$$|BenchmarkServeRun$$|BenchmarkServeList$$|BenchmarkGEMM$$' -benchmem -benchtime 2s -run '^$$' . | tee bench-gated.out
+	NOISYEVAL_CACHE_DIR=$(CACHE_DIR) $(GO) test -bench 'BenchmarkFederatedRound$$|BenchmarkBankBuild$$|BenchmarkBankOpenMmap$$|BenchmarkOracleTrials$$|BenchmarkOracleTrialsMapped$$|BenchmarkOracleEvaluateMulti$$|BenchmarkOracleEvaluateMultiBiased$$|BenchmarkObsOverhead$$|BenchmarkMethodTrials$$|BenchmarkServeRun$$|BenchmarkServeList$$|BenchmarkGEMM$$|BenchmarkSoftmaxRows$$|BenchmarkElementwise$$' -benchmem -benchtime 2s -run '^$$' . | tee bench-gated.out
 	$(GO) run ./tools/bench2json < bench-gated.out > BENCH_latest.json
 
 # ns/op and B/op gate at 25% over the committed baseline (refreshed when a
@@ -78,9 +79,11 @@ bench-json:
 # number CI sees for the weighted sampler). BenchmarkServeList
 # pages a 10 000-run registry: its ns/op and allocs/op are those of 20 rows,
 # so a change that makes listing scale with history again fails here.
-# BenchmarkGEMM (the three training GEMMs at the models' layer shapes) is
-# recorded by bench-json but not gated: its ns/op on a runner without AVX2,
-# which correctly takes the portable kernels, is 2.5-3x the baseline's, and
+# BenchmarkGEMM (the three training GEMMs at the models' layer shapes),
+# BenchmarkSoftmaxRows and BenchmarkElementwise (the lane-wise exp and the
+# element-wise kernels at the models' widths) are recorded by bench-json but
+# not gated: their ns/op on a runner without AVX2 (and, for the exp, FMA),
+# which correctly takes the portable loops, is 2.5-6x the baseline's, and
 # BenchmarkFederatedRound and BenchmarkBankBuild gate the same gain end to
 # end. See tools/benchdiff.
 bench-check: bench-json
@@ -106,13 +109,16 @@ bench-harness:
 # bracketed selection must return what the all-keys loop returns; so is
 # FuzzProposeCertified: bytes become a pool, an observation set and a list of
 # draws, and the engine's argmax must be the selection loop's over the
-# reference model's scores. A crash writes its input to testdata/fuzz for
-# triage.
+# reference model's scores; and FuzzExpLanes: bytes become a row of float64
+# bit patterns and the lane-wise exp must return what a math.Exp loop returns
+# (it skips on a machine without AVX2+FMA). A crash writes its input to
+# testdata/fuzz for triage.
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzBankV4$$' -fuzztime 15s ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzShardDecode$$' -fuzztime 15s ./internal/dist
 	$(GO) test -run '^$$' -fuzz 'FuzzWeightedSample$$' -fuzztime 15s ./internal/rng
 	$(GO) test -run '^$$' -fuzz 'FuzzProposeCertified$$' -fuzztime 15s ./internal/hpo
+	$(GO) test -run '^$$' -fuzz 'FuzzExpLanes$$' -fuzztime 15s ./internal/tensor
 
 figures:
 	$(GO) run ./cmd/figures -quick -cache-dir $(CACHE_DIR) -out results

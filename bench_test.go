@@ -17,6 +17,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -27,7 +28,9 @@ import (
 	"noisyeval/internal/eval"
 	"noisyeval/internal/exper"
 	"noisyeval/internal/hpo"
+	"noisyeval/internal/nn"
 	"noisyeval/internal/obs"
+	"noisyeval/internal/opt"
 	"noisyeval/internal/rng"
 	"noisyeval/internal/serve"
 	"noisyeval/internal/stats"
@@ -240,6 +243,81 @@ func BenchmarkGEMM(b *testing.B) {
 					form.run()
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*form.macs), "ns/mac")
+			})
+		}
+	}
+}
+
+// BenchmarkSoftmaxRows measures tensor.SoftmaxCrossEntropyRows on a 32-row
+// minibatch at the three head widths (cifar10's 10, femnist's 62 — fifteen
+// exp vectors and a two-element scalar tail — and the text models' 64),
+// including the copy that restores the logits it overwrites. ns/elem is the
+// number DESIGN.md §20 quotes.
+func BenchmarkSoftmaxRows(b *testing.B) {
+	const batch = 32
+	for _, classes := range []int{10, 62, 64} {
+		b.Run(strconv.Itoa(classes), func(b *testing.B) {
+			g := rng.New(16)
+			src, logits := tensor.NewMat(batch, classes), tensor.NewMat(batch, classes)
+			labels := make([]int, batch)
+			for i := range src.Data {
+				src.Data[i] = g.Normal(0, 3)
+			}
+			for i := range labels {
+				labels[i] = g.IntN(classes)
+			}
+			for i := 0; i < b.N; i++ {
+				copy(logits.Data, src.Data)
+				tensor.SoftmaxCrossEntropyRows(logits, labels)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch*classes), "ns/elem")
+		})
+	}
+}
+
+// BenchmarkElementwise measures the reduction-free passes of a training
+// step through the calls the trainer makes — the client SGD step, the server
+// Adam step and Axpy over a model's flat parameters, ReLU forward plus
+// backward over a 32-row hidden activation — at the three model shapes
+// (reddit shares stackoverflow's), in ns per element touched.
+func BenchmarkElementwise(b *testing.B) {
+	const batch = 32
+	for _, shape := range []struct {
+		name           string
+		params, hidden int
+	}{
+		{"cifar10", 24*48 + 48 + 48*10 + 10, 48},
+		{"femnist", 24*48 + 48 + 48*62 + 62, 48},
+		{"stackoverflow", 64*16 + 16*32 + 32 + 32*64 + 64, 32},
+	} {
+		g := rng.New(17)
+		vec := func(n int) tensor.Vec {
+			v := tensor.NewVec(n)
+			for i := range v {
+				v[i] = g.Normal(0, 0.1)
+			}
+			return v
+		}
+		w, grad := vec(shape.params), vec(shape.params)
+		sgd := opt.NewSGD(shape.params, 0.01, 0.9, 5e-5)
+		adam := opt.NewAdam(shape.params, 0.001, 0.9, 0.99, 1e-8, 0.9999)
+		relu := nn.NewReLU(shape.hidden)
+		act := &tensor.Mat{Rows: batch, Cols: shape.hidden, Data: vec(batch * shape.hidden)}
+		for _, op := range []struct {
+			name  string
+			elems int
+			run   func()
+		}{
+			{"sgd", shape.params, func() { sgd.Step(w, grad) }},
+			{"adam", shape.params, func() { adam.Step(w, grad) }},
+			{"axpy", shape.params, func() { w.Axpy(1e-9, grad) }},
+			{"relu", 2 * batch * shape.hidden, func() { relu.BackwardBatch(relu.ForwardBatch(act)) }},
+		} {
+			b.Run(op.name+"/"+shape.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					op.run()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*op.elems), "ns/elem")
 			})
 		}
 	}

@@ -269,14 +269,6 @@ func (b *Bank) Validate() error {
 	return nil
 }
 
-func exampleCounts(clients []*data.Client) []int {
-	out := make([]int, len(clients))
-	for i, c := range clients {
-		out[i] = c.NumExamples()
-	}
-	return out
-}
-
 func dedupFloats(xs []float64) []float64 {
 	seen := map[float64]bool{}
 	var out []float64

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"noisyeval/internal/data"
 	"noisyeval/internal/fl"
@@ -24,8 +25,8 @@ import (
 // pinned by TestShardedBuildByteIdentical.
 
 // BuildPlan is the precomputed deterministic skeleton of one bank build:
-// checkpoint grid, evaluation pools per partition, and the sampled config
-// pool. Creating a plan is cheap (no training); it exists so shards and the
+// checkpoint grid, the pooled validation examples with each partition's
+// clients as index lists into them, and the sampled config pool. Creating a plan is cheap (no training); it exists so shards and the
 // final assembly agree on every build input. Plans are safe for concurrent
 // TrainRange calls.
 type BuildPlan struct {
@@ -34,7 +35,8 @@ type BuildPlan struct {
 	seed    uint64
 	rounds  []int
 	parts   []float64
-	pools   [][]*data.Client
+	pooled  []data.Example // every validation example once, client by client
+	srcs    [][][]int32    // [partition][client] positions in pooled
 	counts  [][]int
 	configs []fl.HParams
 	root    *rng.RNG
@@ -61,18 +63,21 @@ func NewBuildPlan(pop *data.Population, opts BuildOptions, seed uint64) (*BuildP
 		root:   root,
 	}
 
-	// Evaluation pools: partition 0 is the natural split; others are iid
-	// repartitions (sizes preserved). Streams are labelled by the fraction,
-	// so every process derives identical pools.
-	p.pools = make([][]*data.Client, len(p.parts))
+	// Every partition's clients hold examples of the same pool — partition 0
+	// its natural split, the others iid resamples of it (sizes preserved) —
+	// so the plan keeps the pool once and each partition as positions in it:
+	// a checkpoint forwards every example once and counts per partition
+	// (TrainRange). Streams are labelled by the fraction, so every process
+	// derives identical sources.
+	p.pooled = data.PooledExamples(pop.Val)
+	p.srcs = make([][][]int32, len(p.parts))
 	p.counts = make([][]int, len(p.parts))
 	for pi, frac := range p.parts {
-		if frac == 0 {
-			p.pools[pi] = pop.Val
-		} else {
-			p.pools[pi] = data.RepartitionIID(pop.Val, frac, root.Splitf("repartition-%.3f", frac))
+		p.srcs[pi] = data.RepartitionSources(pop.Val, frac, root.Splitf("repartition-%.3f", frac))
+		p.counts[pi] = make([]int, len(p.srcs[pi]))
+		for k, src := range p.srcs[pi] {
+			p.counts[pi][k] = len(src)
 		}
-		p.counts[pi] = exampleCounts(p.pools[pi])
 	}
 
 	p.configs = opts.Configs
@@ -136,23 +141,34 @@ func (p *BuildPlan) TrainRange(lo, hi, workers int) (*BankShard, error) {
 		wg       sync.WaitGroup
 		sem      = make(chan struct{}, workers)
 		firstErr error
+		failed   atomic.Bool // set with firstErr; stops the launches
 		errOnce  sync.Once
 	)
 	for ci := lo; ci < hi; ci++ {
-		wg.Add(1)
 		sem <- struct{}{}
+		// A configuration that cannot be trained fails the whole range, so
+		// nothing started after it would be kept: stop here instead of
+		// training the rest to MaxRounds first.
+		if failed.Load() {
+			break
+		}
+		wg.Add(1)
 		go func(ci int) {
 			defer wg.Done()
 			defer func() { <-sem }()
 			tr, err := fl.NewTrainer(p.pop, p.configs[ci], p.opts.Train, p.root.Splitf("config-%d", ci))
 			if err != nil {
-				errOnce.Do(func() { firstErr = fmt.Errorf("core: config %d: %w", ci, err) })
+				errOnce.Do(func() {
+					firstErr = fmt.Errorf("core: config %d: %w", ci, err)
+					failed.Store(true)
+				})
 				return
 			}
 			for ri, r := range p.rounds {
 				tr.TrainTo(r)
+				flags := tr.WrongFlags(p.pooled)
 				for pi := range p.parts {
-					tr.EvalClientsInto(sh.Errs.Row(pi, ci-lo, ri), p.pools[pi])
+					fl.ErrorRatesInto(sh.Errs.Row(pi, ci-lo, ri), flags, p.srcs[pi])
 				}
 			}
 			sh.Diverged[ci-lo] = tr.Diverged()

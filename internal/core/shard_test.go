@@ -7,8 +7,10 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"noisyeval/internal/data"
+	"noisyeval/internal/rng"
 )
 
 // shardTestInputs returns the miniature build the shard tests share.
@@ -197,5 +199,42 @@ func TestNewBuildPlanValidates(t *testing.T) {
 		if _, err := plan.TrainRange(r[0], r[1], 0); err == nil {
 			t.Errorf("TrainRange(%d, %d) accepted an invalid range", r[0], r[1])
 		}
+	}
+}
+
+// TestTrainRangeStopsAfterFailure: a configuration that cannot be trained
+// fails the range at once. With one worker and the invalid entry first, no
+// later configuration may start — at this MaxRounds each of the seven would
+// train for minutes, so the bound below separates the two behaviours by
+// orders of magnitude — and the error still names the first failure.
+func TestTrainRangeStopsAfterFailure(t *testing.T) {
+	pop, opts, seed := shardTestInputs(t)
+	opts.MaxRounds = 1 << 21
+	opts.Configs = opts.Space.SampleN(8, rng.New(3))
+	opts.Configs[0].BatchSize = -1
+	opts.NumConfigs = len(opts.Configs)
+	plan, err := NewBuildPlan(pop, opts, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		sh  *BankShard
+		err error
+	}
+	done := make(chan result, 1)
+	start := time.Now()
+	go func() {
+		sh, err := plan.TrainRange(0, plan.NumConfigs(), 1)
+		done <- result{sh, err}
+	}()
+	select {
+	case r := <-done:
+		const want = "core: config 0: fl: batch size -1 / epochs 1 must be >= 1"
+		if r.sh != nil || r.err == nil || r.err.Error() != want {
+			t.Errorf("TrainRange = %v, %v; want nil, %q", r.sh, r.err, want)
+		}
+		t.Logf("failed after %v", time.Since(start))
+	case <-time.After(20 * time.Second):
+		t.Fatal("TrainRange is still training 20 s after its first configuration failed")
 	}
 }

@@ -410,25 +410,53 @@ func PoolStats(clients []*Client) Stats {
 // resampled a fraction p of its local data uniformly from the pooled
 // evaluation data (Caldas et al., 2018, extended with the paper's fractional
 // scheme in §3.2): p=0 leaves clients unchanged (natural non-iid), p=1 makes
-// every client an iid sample of the pool. Client sizes are preserved.
+// every client an iid sample of the pool. Client sizes are preserved. It is
+// RepartitionSources with the indices replaced by the examples they name.
 func RepartitionIID(clients []*Client, p float64, g *rng.RNG) []*Client {
-	if p < 0 || p > 1 {
-		panic(fmt.Sprintf("data: RepartitionIID fraction %g outside [0, 1]", p))
-	}
+	src := RepartitionSources(clients, p, g)
 	pool := PooledExamples(clients)
 	out := make([]*Client, len(clients))
 	for k, c := range clients {
-		cg := g.Splitf("repartition-%d", k)
-		ex := make([]Example, len(c.Examples))
-		copy(ex, c.Examples)
-		for i := range ex {
-			if cg.Bool(p) {
-				ex[i] = pool[cg.IntN(len(pool))]
-			}
+		ex := make([]Example, len(src[k]))
+		for i, at := range src[k] {
+			ex[i] = pool[at]
 		}
 		out[k] = &Client{ID: c.ID, Examples: ex}
 	}
 	return out
+}
+
+// RepartitionSources is the repartition as indices: src[k][i] is the position
+// in PooledExamples(clients) of the example that slot i of client k holds
+// under fraction p — the client's own example where the slot was kept, a
+// uniform draw from the pool where it was resampled. An evaluation that has
+// judged every pooled example once can score any partition from these
+// without forwarding an example again (core.BuildPlan does).
+func RepartitionSources(clients []*Client, p float64, g *rng.RNG) [][]int32 {
+	if p < 0 || p > 1 {
+		panic(fmt.Sprintf("data: RepartitionIID fraction %g outside [0, 1]", p))
+	}
+	total := 0
+	for _, c := range clients {
+		total += len(c.Examples)
+	}
+	if total > math.MaxInt32 {
+		panic(fmt.Sprintf("data: %d pooled examples overflow a source index", total))
+	}
+	src := make([][]int32, len(clients))
+	own := 0 // pooled position of the client's first example
+	for k, c := range clients {
+		cg := g.Splitf("repartition-%d", k)
+		src[k] = make([]int32, len(c.Examples))
+		for i := range src[k] {
+			src[k][i] = int32(own + i)
+			if cg.Bool(p) {
+				src[k][i] = int32(cg.IntN(total))
+			}
+		}
+		own += len(c.Examples)
+	}
+	return src
 }
 
 // PooledExamples flattens all clients' examples into one slice (the shared

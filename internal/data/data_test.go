@@ -294,7 +294,9 @@ func hashClients(clients []*Client) string {
 }
 
 // TestRepartitionSources pins RepartitionIID's output and its stream use to
-// hashes recorded on the loop that copied examples and kept no indices.
+// hashes recorded on the loop that copied examples and kept no indices, and
+// RepartitionSources to it: slot i of client k is the pooled example at
+// src[k][i] — same label, same feature/token backing array — sizes kept.
 func TestRepartitionSources(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -314,6 +316,32 @@ func TestRepartitionSources(t *testing.T) {
 		const wantNext = 7652054832869399581
 		if got, next := hashClients(out), g.Uint64(); got != tc.want || next != wantNext {
 			t.Errorf("%s: clients %s then Uint64 %d, recorded %s then %d", tc.name, got, next, tc.want, uint64(wantNext))
+		}
+
+		src, pool := RepartitionSources(pop.Val, tc.p, rng.New(32)), PooledExamples(pop.Val)
+		if len(src) != len(out) {
+			t.Fatalf("%s: %d source lists for %d clients", tc.name, len(src), len(out))
+		}
+		moved, own := 0, 0 // own: pooled position of client k's first example
+		for k, c := range out {
+			if len(src[k]) != len(c.Examples) || len(c.Examples) != len(pop.Val[k].Examples) {
+				t.Fatalf("%s: client %d has %d sources, %d examples, %d before", tc.name, k, len(src[k]), len(c.Examples), len(pop.Val[k].Examples))
+			}
+			for i, ex := range c.Examples {
+				from := pool[src[k][i]]
+				sameBacking := (len(ex.Features) == 0 || &ex.Features[0] == &from.Features[0]) &&
+					(len(ex.Tokens) == 0 || &ex.Tokens[0] == &from.Tokens[0])
+				if ex.Label != from.Label || len(ex.Features) != len(from.Features) || len(ex.Tokens) != len(from.Tokens) || !sameBacking {
+					t.Fatalf("%s: client %d slot %d is not pooled example %d", tc.name, k, i, src[k][i])
+				}
+				if int(src[k][i]) != own+i {
+					moved++
+				}
+			}
+			own += len(c.Examples)
+		}
+		if (tc.p == 0) != (moved == 0) {
+			t.Errorf("%s: %d slots resampled", tc.name, moved)
 		}
 	}
 }

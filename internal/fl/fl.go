@@ -124,6 +124,7 @@ type Trainer struct {
 	ctxBatch [][]int    // minibatch token contexts (text tasks)
 	labelBuf []int      // minibatch labels
 	predBuf  []int      // batched evaluation predictions
+	flagBuf  []uint8    // pooled evaluation: one wrong flag per pooled example
 }
 
 // NewTrainer initialises a trainer with model weights drawn from g's
@@ -328,38 +329,101 @@ func (t *Trainer) evalWrongBatched(client *data.Client) int {
 	exs := client.Examples
 	wrong := 0
 	for start := 0; start < len(exs); start += evalBatch {
-		end := start + evalBatch
-		if end > len(exs) {
-			end = len(exs)
-		}
-		bsz := end - start
-		if cap(t.predBuf) < bsz {
-			t.predBuf = make([]int, bsz)
-		}
-		preds := t.predBuf[:bsz]
-		if t.model.Embed != nil {
-			if cap(t.ctxBatch) < bsz {
-				t.ctxBatch = make([][]int, bsz)
-			}
-			ctx := t.ctxBatch[:bsz]
-			for j := 0; j < bsz; j++ {
-				ctx[j] = exs[start+j].Tokens
-			}
-			t.model.PredictBatch(nil, ctx, preds)
-		} else {
-			t.xBatch.Resize(bsz, len(exs[start].Features))
-			for j := 0; j < bsz; j++ {
-				copy(t.xBatch.Row(j), exs[start+j].Features)
-			}
-			t.model.PredictBatch(&t.xBatch, nil, preds)
-		}
-		for j := 0; j < bsz; j++ {
-			if preds[j] != exs[start+j].Label {
+		chunk := exs[start:min(start+evalBatch, len(exs))]
+		for j, pred := range t.predictChunk(chunk) {
+			if pred != chunk[j].Label {
 				wrong++
 			}
 		}
 	}
 	return wrong
+}
+
+// predictChunk runs one batched forward pass over at most evalBatch examples
+// and returns the predicted classes (valid until the next call). The model
+// must already hold the server weights.
+func (t *Trainer) predictChunk(exs []data.Example) []int {
+	bsz := len(exs)
+	if cap(t.predBuf) < bsz {
+		t.predBuf = make([]int, bsz)
+	}
+	preds := t.predBuf[:bsz]
+	if t.model.Embed != nil {
+		if cap(t.ctxBatch) < bsz {
+			t.ctxBatch = make([][]int, bsz)
+		}
+		ctx := t.ctxBatch[:bsz]
+		for j := range exs {
+			ctx[j] = exs[j].Tokens
+		}
+		t.model.PredictBatch(nil, ctx, preds)
+		return preds
+	}
+	t.xBatch.Resize(bsz, len(exs[0].Features))
+	for j := range exs {
+		copy(t.xBatch.Row(j), exs[j].Features)
+	}
+	t.model.PredictBatch(&t.xBatch, nil, preds)
+	return preds
+}
+
+// WrongFlags judges every example once: flags[i] is 1 where the current
+// model misclassifies pool[i] and 0 where it is right (a diverged model
+// predicts class 0). It is the per-checkpoint evaluation pass of a bank
+// build: the pool is the validation clients' pooled examples, and every
+// partition's per-client error rate is then a count over these flags
+// (ErrorRatesInto) — an example repartitioning placed in three clients is
+// forwarded once, in full evalBatch chunks. The result equals what
+// EvalClientsInto computes client by client: a logit row does not depend on
+// which rows share its batch, and an error rate is a quotient of integer
+// counts. The returned buffer belongs to the trainer and is valid until the
+// next call.
+func (t *Trainer) WrongFlags(pool []data.Example) []uint8 {
+	if cap(t.flagBuf) < len(pool) {
+		t.flagBuf = make([]uint8, len(pool))
+	}
+	flags := t.flagBuf[:len(pool)]
+	if t.diverged {
+		for i := range pool {
+			flags[i] = b2u(pool[i].Label != 0)
+		}
+		return flags
+	}
+	t.model.SetParams(t.weights)
+	for start := 0; start < len(pool); start += evalBatch {
+		chunk := pool[start:min(start+evalBatch, len(pool))]
+		for j, pred := range t.predictChunk(chunk) {
+			flags[start+j] = b2u(pred != chunk[j].Label)
+		}
+	}
+	return flags
+}
+
+func b2u(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// ErrorRatesInto writes one error rate per client from per-example wrong
+// flags: dst[k] = Σ_i flags[src[k][i]] / len(src[k]), 0 for a client with no
+// examples, where src[k] lists the flag positions of client k's examples
+// (data.RepartitionSources).
+func ErrorRatesInto(dst []float64, flags []uint8, src [][]int32) {
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("fl: ErrorRatesInto dst has %d slots for %d clients", len(dst), len(src)))
+	}
+	for k, idx := range src {
+		wrong := 0
+		for _, at := range idx {
+			wrong += int(flags[at])
+		}
+		dst[k] = 0
+		if len(idx) > 0 {
+			dst[k] = float64(wrong) / float64(len(idx))
+		}
+	}
 }
 
 // EvalClients returns the per-client error vector over a client pool. This

@@ -275,3 +275,46 @@ func TestTextTaskTrains(t *testing.T) {
 		t.Errorf("text training did not reduce error: %.3f -> %.3f", before, after)
 	}
 }
+
+// TestPooledEvalMatchesPerClient pins the bank build's evaluation pass —
+// every pooled example judged once, each partition's rates counted from the
+// flags — to the per-client form it replaced in core.TrainRange,
+// EvalClientsInto over RepartitionIID's copied clients, bit for bit: for an
+// image and a text population (pools longer than one evalBatch chunk), every
+// partition, a healthy and a diverged trainer, one client without examples.
+func TestPooledEvalMatchesPerClient(t *testing.T) {
+	text := data.StackOverflowLike().Scaled(0.003, 40)
+	for name, pop := range map[string]*data.Population{
+		"image": tinyPop(t, 41),
+		"text":  data.MustGenerate(text, rng.New(42)),
+	} {
+		val := append([]*data.Client(nil), pop.Val...)
+		val[1] = &data.Client{ID: val[1].ID}
+		pool := data.PooledExamples(val)
+		if len(pool) <= evalBatch {
+			t.Fatalf("%s: pool of %d examples fits one chunk", name, len(pool))
+		}
+		tr, err := NewTrainer(pop, goodHP(), DefaultOptions(), rng.New(43))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.TrainTo(3)
+		for _, diverged := range []bool{false, true} {
+			tr.diverged = diverged
+			flags := tr.WrongFlags(pool)
+			for _, p := range []float64{0, 0.5, 1} {
+				want := tr.EvalClients(data.RepartitionIID(val, p, rng.New(44)))
+				got := make([]float64, len(val))
+				ErrorRatesInto(got, flags, data.RepartitionSources(val, p, rng.New(44)))
+				for k := range want {
+					if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+						t.Errorf("%s diverged=%v p=%g client %d: pooled %v, per-client %v", name, diverged, p, k, got[k], want[k])
+					}
+				}
+				if got[1] != 0 {
+					t.Errorf("%s: client without examples scored %v, want 0", name, got[1])
+				}
+			}
+		}
+	}
+}

@@ -66,31 +66,44 @@ func (r *ReLU) ForwardBatch(x *tensor.Mat) *tensor.Mat {
 		panic(fmt.Sprintf("nn: ReLU batch dim %d, want %d", x.Cols, r.dim))
 	}
 	r.outB.Resize(x.Rows, x.Cols)
-	out := r.outB.Data[:len(x.Data)]
-	for i, v := range x.Data {
+	reluFrom(tensor.ReLULanes(r.outB.Data, x.Data), r.outB.Data, x.Data)
+	return &r.outB
+}
+
+// reluFrom is the forward loop over elements from..len(x); the AVX2 kernel
+// (tensor.ReLULanes) has taken the whole vectors before it and computes the
+// same integer form.
+func reluFrom(from int, out, x []float64) {
+	out = out[:len(x)]
+	for i := from; i < len(x); i++ {
 		// Branchless max(v, 0): clear all bits when the sign bit is set.
 		// Pre-activations are sign-random, so a compare here mispredicts
 		// half the time and costs more than the whole GEMM row it follows.
-		b := math.Float64bits(v)
+		b := math.Float64bits(x[i])
 		out[i] = math.Float64frombits(b &^ uint64(int64(b)>>63))
 	}
-	return &r.outB
 }
 
 // BackwardBatch implements BatchLayer; the retained outputs double as the
 // activation mask (out > 0 iff the unit fired).
 func (r *ReLU) BackwardBatch(grad *tensor.Mat) *tensor.Mat {
 	r.ginB.Resize(grad.Rows, grad.Cols)
-	out := r.outB.Data[:len(grad.Data)]
-	gin := r.ginB.Data[:len(grad.Data)]
-	for i, g := range grad.Data {
+	reluBackFrom(tensor.ReLUBackLanes(r.ginB.Data, grad.Data, r.outB.Data), r.ginB.Data, grad.Data, r.outB.Data)
+	return &r.ginB
+}
+
+// reluBackFrom is the backward loop over elements from..len(grad), after
+// tensor.ReLUBackLanes.
+func reluBackFrom(from int, gin, grad, out []float64) {
+	out = out[:len(grad)]
+	gin = gin[:len(grad)]
+	for i := from; i < len(grad); i++ {
 		// Branchless select: retained outputs are either +0 (unit off) or
 		// strictly positive, so bits(out)-1 underflows to sign-set exactly
 		// for the off units; that sign masks g to zero.
 		mask := uint64(int64(math.Float64bits(out[i])-1) >> 63)
-		gin[i] = math.Float64frombits(math.Float64bits(g) &^ mask)
+		gin[i] = math.Float64frombits(math.Float64bits(grad[i]) &^ mask)
 	}
-	return &r.ginB
 }
 
 // ForwardBatch implements BatchLayer.

@@ -221,3 +221,52 @@ func TestBatchSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("batched text train step allocates %.1f/op, want 0", allocs)
 	}
 }
+
+// TestElementwiseMatchGeneric pins ReLU's batched forward and backward —
+// the AVX2 kernel over the whole vectors plus the Go loop over the tail — to
+// the Go loops over every element on Float64bits, at every size from 0 to
+// 70: -0, ±Inf, subnormals and NaNs of both signs go through both masks
+// (a sign-bit NaN is cleared forward, a positive one passes and then lets
+// its gradient through), and the backward mask is also fed retained outputs
+// the forward pass never produces (-0, negatives).
+func TestElementwiseMatchGeneric(t *testing.T) {
+	g := rng.New(20240614)
+	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		math.Float64frombits(0xFFF8000000000000), math.Float64frombits(0xFFF0000000000001), 5e-324, -5e-324}
+	draw := func(n int) *tensor.Mat {
+		m := &tensor.Mat{Rows: 1, Cols: n, Data: make([]float64, n+1)[1:]} // odd offset: unaligned
+		for i := range m.Data {
+			if g.Bool(0.3) {
+				m.Data[i] = specials[g.IntN(len(specials))]
+			} else {
+				m.Data[i] = g.Normal(0, 1)
+			}
+		}
+		return m
+	}
+	same := func(what string, n int, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s n=%d element %d: %x, Go loop %x", what, n, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
+	}
+	for n := 0; n <= 70; n++ {
+		for trial := 0; trial < 10; trial++ {
+			r := NewReLU(n)
+			x, grad := draw(n), draw(n)
+			out := r.ForwardBatch(x)
+			want := make([]float64, n)
+			reluFrom(0, want, x.Data)
+			same("ReLU forward", n, out.Data, want)
+
+			if trial%2 == 1 {
+				copy(r.outB.Data, draw(n).Data)
+			}
+			gin := r.BackwardBatch(grad)
+			reluBackFrom(0, want, grad.Data, r.outB.Data)
+			same("ReLU backward", n, gin.Data, want)
+		}
+	}
+}

@@ -48,12 +48,20 @@ func (s *SGD) Step(w, grad tensor.Vec) {
 			grad.Scale(s.ClipNorm / n)
 		}
 	}
+	// The whole 4-element vectors go through the AVX2 kernel where there is
+	// one; the rest through the loop below. Both perform the same roundings
+	// in the same order (this step is on the bit-compatibility path of
+	// recorded banks; TestElementwiseMatchGeneric).
+	s.stepFrom(tensor.SGDStepLanes(w, grad, s.velocity, s.LR, s.Momentum, s.WeightDecay), w, grad)
+}
+
+// stepFrom is the update loop over elements from..len(w).
+func (s *SGD) stepFrom(from int, w, grad tensor.Vec) {
 	// Slice-length hints let the compiler drop the per-element bounds
-	// checks; the arithmetic itself is unchanged (and must stay so — this
-	// step is on the bit-compatibility path of recorded banks).
+	// checks.
 	grad = grad[:len(w)]
 	vel := s.velocity[:len(w)]
-	for i := range w {
+	for i := from; i < len(w); i++ {
 		g := grad[i] + s.WeightDecay*w[i]
 		vel[i] = s.Momentum*vel[i] + g
 		w[i] -= s.LR * vel[i]
@@ -105,17 +113,36 @@ func (a *Adam) Step(w, grad tensor.Vec) {
 		panic(fmt.Sprintf("opt: Adam dim mismatch w=%d grad=%d state=%d", len(w), len(grad), len(a.m)))
 	}
 	a.t++
-	b1c := 1 - math.Pow(a.Beta1, float64(a.t))
-	b2c := 1 - math.Pow(a.Beta2, float64(a.t))
-	for i := range w {
-		g := grad[i]
-		a.m[i] = a.Beta1*a.m[i] + (1-a.Beta1)*g
-		a.v[i] = a.Beta2*a.v[i] + (1-a.Beta2)*g*g
-		mhat := a.m[i] / b1c
-		vhat := a.v[i] / b2c
-		w[i] -= a.lr * mhat / (math.Sqrt(vhat) + a.Eps)
-	}
+	c := a.consts()
+	a.stepFrom(tensor.AdamStepLanes(w, grad, a.m, a.v, &c), w, grad, &c)
 	a.lr *= a.LRDecay
+}
+
+// consts returns the loop-invariant values of step a.t. They travel by
+// value and sit on Step's stack, where the AVX2 kernel reads them: no
+// allocation per step.
+func (a *Adam) consts() tensor.AdamConsts {
+	return tensor.AdamConsts{
+		Beta1: a.Beta1, OneMinusBeta1: 1 - a.Beta1,
+		Beta2: a.Beta2, OneMinusBeta2: 1 - a.Beta2,
+		Bias1: 1 - math.Pow(a.Beta1, float64(a.t)),
+		Bias2: 1 - math.Pow(a.Beta2, float64(a.t)),
+		LR:    a.lr, Eps: a.Eps,
+	}
+}
+
+// stepFrom is the update loop over elements from..len(w). The kernel keeps
+// its grouping: (1−β2)·g·g multiplies left to right, lr·m̂ is formed before
+// the division.
+func (a *Adam) stepFrom(from int, w, grad tensor.Vec, c *tensor.AdamConsts) {
+	for i := from; i < len(w); i++ {
+		g := grad[i]
+		a.m[i] = c.Beta1*a.m[i] + c.OneMinusBeta1*g
+		a.v[i] = c.Beta2*a.v[i] + c.OneMinusBeta2*g*g
+		mhat := a.m[i] / c.Bias1
+		vhat := a.v[i] / c.Bias2
+		w[i] -= c.LR * mhat / (math.Sqrt(vhat) + c.Eps)
+	}
 }
 
 // StepCount returns the number of updates applied.

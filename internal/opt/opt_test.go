@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"noisyeval/internal/rng"
 	"noisyeval/internal/tensor"
 )
 
@@ -216,6 +217,71 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	for j := range w {
 		if math.Abs(w[j]-target[j]) > 1e-3 {
 			t.Fatalf("Adam did not converge: w = %v", w)
+		}
+	}
+}
+
+// specialVec draws n values at an odd element offset of their backing array
+// (unaligned for vector loads): normals of the given scale with, here and
+// there, zeros of both signs, ±Inf, NaN and subnormals.
+func specialVec(g *rng.RNG, n int, scale float64) tensor.Vec {
+	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, -5e-324, 1e-310, 1e-160}
+	v := tensor.Vec(make([]float64, n+1)[1:])
+	for i := range v {
+		if g.Bool(0.15) {
+			v[i] = specials[g.IntN(len(specials))]
+		} else {
+			v[i] = g.Normal(0, scale)
+		}
+	}
+	return v
+}
+
+func requireSameBits(t *testing.T, what string, n, step int, got, want tensor.Vec) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+			t.Fatalf("%s n=%d step %d element %d: %x (%g), Go loop %x (%g)", what, n, step, i,
+				math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
+		}
+	}
+}
+
+// TestElementwiseMatchGeneric pins both optimizer steps — the AVX2 kernel
+// over the whole vectors plus the Go loop over the tail — to the Go loop
+// over every element, bit for bit (NaN ≡ NaN), at every length from 0 to 70
+// over several steps of evolving state, with -0, ±Inf, NaN and subnormal
+// weights and gradients (so Adam meets vhat = 0 and subnormal vhat).
+func TestElementwiseMatchGeneric(t *testing.T) {
+	g := rng.New(20240613)
+	for n := 0; n <= 70; n++ {
+		for trial := 0; trial < 6; trial++ {
+			w := specialVec(g, n, 1)
+			if trial%2 == 0 {
+				w = specialVec(g, n, 1e-3)
+			}
+			lr, mom, decay := g.LogUniform(1e-4, 10), g.Uniform(0, 0.95), []float64{0, 5e-5, 0.1}[trial%3]
+			s, sRef := NewSGD(n, lr, mom, decay), NewSGD(n, lr, mom, decay)
+			a := NewAdam(n, lr, g.Uniform(0, 0.9), g.Uniform(0, 0.999), 1e-8, 0.9999)
+			aRef := NewAdam(n, a.LR, a.Beta1, a.Beta2, a.Eps, a.LRDecay)
+			ws, wsRef, wa, waRef := w.Clone(), w.Clone(), w.Clone(), w.Clone()
+			for step := 0; step < 4; step++ {
+				grad := specialVec(g, n, []float64{1, 1e-3, 1e-170, 0}[step])
+
+				s.Step(ws, grad)
+				sRef.stepFrom(0, wsRef, grad)
+				requireSameBits(t, "SGD w", n, step, ws, wsRef)
+				requireSameBits(t, "SGD velocity", n, step, s.velocity, sRef.velocity)
+
+				a.Step(wa, grad)
+				aRef.t++
+				c := aRef.consts()
+				aRef.stepFrom(0, waRef, grad, &c)
+				aRef.lr *= aRef.LRDecay
+				requireSameBits(t, "Adam w", n, step, wa, waRef)
+				requireSameBits(t, "Adam m", n, step, a.m, aRef.m)
+				requireSameBits(t, "Adam v", n, step, a.v, aRef.v)
+			}
 		}
 	}
 }

@@ -85,12 +85,8 @@ func MatMulTNAcc(a, b, c *Mat) {
 // m.Cols.
 func (m *Mat) AddRowVec(v Vec) {
 	checkLen("AddRowVec", m.Cols, len(v))
-	n := m.Cols
 	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*n : (i+1)*n : (i+1)*n]
-		for j := range row {
-			row[j] += v[j]
-		}
+		m.Row(i).Add(v)
 	}
 }
 
@@ -98,12 +94,8 @@ func (m *Mat) AddRowVec(v Vec) {
 // dst must have length m.Cols.
 func (m *Mat) AccumColSums(dst Vec) {
 	checkLen("AccumColSums", m.Cols, len(dst))
-	n := m.Cols
 	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*n : (i+1)*n : (i+1)*n]
-		for j := range row {
-			dst[j] += row[j]
-		}
+		dst.Add(m.Row(i)) // row by row, so each dst[j] still sums in row order
 	}
 }
 

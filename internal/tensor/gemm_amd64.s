@@ -330,10 +330,13 @@ stripdone:
 	VZEROUPPER
 	RET
 
-// func hasAVX2() bool
-// CPUID.1:ECX OSXSAVE+AVX, XCR0 XMM+YMM state enabled, CPUID.7.0:EBX AVX2.
-TEXT ·hasAVX2(SB), NOSPLIT, $0-1
-	MOVB $0, ret+0(FP)
+// func probeLanes() (avx2, fma bool)
+// avx2: CPUID.1:ECX OSXSAVE+AVX, XCR0 XMM+YMM state enabled, CPUID.7.0:EBX
+// AVX2. fma: avx2 and CPUID.1:ECX FMA — what package math requires before
+// its Exp takes the fused path lanes_amd64.s reproduces.
+TEXT ·probeLanes(SB), NOSPLIT, $0-2
+	MOVB $0, avx2+0(FP)
+	MOVB $0, fma+1(FP)
 	XORL AX, AX
 	XORL CX, CX
 	CPUID
@@ -342,6 +345,7 @@ TEXT ·hasAVX2(SB), NOSPLIT, $0-1
 	MOVL $1, AX
 	XORL CX, CX
 	CPUID
+	MOVL CX, R8
 	ANDL $0x18000000, CX
 	CMPL CX, $0x18000000
 	JNE  done
@@ -355,6 +359,9 @@ TEXT ·hasAVX2(SB), NOSPLIT, $0-1
 	CPUID
 	ANDL $0x20, BX
 	JZ   done
-	MOVB $1, ret+0(FP)
+	MOVB $1, avx2+0(FP)
+	ANDL $0x1000, R8
+	JZ   done
+	MOVB $1, fma+1(FP)
 done:
 	RET

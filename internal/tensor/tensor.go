@@ -33,12 +33,16 @@ func (v Vec) Fill(x float64) {
 }
 
 // Zero sets every element to 0.
-func (v Vec) Zero() { v.Fill(0) }
+func (v Vec) Zero() { clear(v) }
 
 // Add adds w into v elementwise. Lengths must match.
 func (v Vec) Add(w Vec) {
 	checkLen("Add", len(v), len(w))
-	for i := range v {
+	i := lanes(len(v))
+	if i > 0 {
+		addAVX2(&v[0], &w[0], i/4)
+	}
+	for ; i < len(v); i++ {
 		v[i] += w[i]
 	}
 }
@@ -53,7 +57,11 @@ func (v Vec) Sub(w Vec) {
 
 // Scale multiplies v by a.
 func (v Vec) Scale(a float64) {
-	for i := range v {
+	i := lanes(len(v))
+	if i > 0 {
+		scaleAVX2(&v[0], i/4, a)
+	}
+	for ; i < len(v); i++ {
 		v[i] *= a
 	}
 }
@@ -61,7 +69,11 @@ func (v Vec) Scale(a float64) {
 // Axpy computes v += a*w.
 func (v Vec) Axpy(a float64, w Vec) {
 	checkLen("Axpy", len(v), len(w))
-	for i := range v {
+	i := lanes(len(v))
+	if i > 0 {
+		axpyAVX2(&v[0], &w[0], i/4, a)
+	}
+	for ; i < len(v); i++ {
 		v[i] += a * w[i]
 	}
 }
@@ -131,16 +143,8 @@ func (v Vec) SoftmaxInPlace() {
 	if len(v) == 0 {
 		return
 	}
-	m := v.Max()
-	sum := 0.0
-	for i := range v {
-		v[i] = math.Exp(v[i] - m)
-		sum += v[i]
-	}
-	inv := 1 / sum
-	for i := range v {
-		v[i] *= inv
-	}
+	expShift(v, v.Max())
+	v.Scale(1 / v.Sum())
 }
 
 // LogSumExp returns log(sum(exp(v))) computed stably.
@@ -224,33 +228,21 @@ func (m *Mat) Clone() *Mat {
 }
 
 // Zero sets all elements to 0.
-func (m *Mat) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
+func (m *Mat) Zero() { clear(m.Data) }
 
 // Scale multiplies all elements by a.
-func (m *Mat) Scale(a float64) {
-	for i := range m.Data {
-		m.Data[i] *= a
-	}
-}
+func (m *Mat) Scale(a float64) { Vec(m.Data).Scale(a) }
 
 // Add adds other into m elementwise. Shapes must match.
 func (m *Mat) Add(other *Mat) {
 	m.checkShape("Add", other)
-	for i := range m.Data {
-		m.Data[i] += other.Data[i]
-	}
+	Vec(m.Data).Add(other.Data)
 }
 
 // Axpy computes m += a*other elementwise.
 func (m *Mat) Axpy(a float64, other *Mat) {
 	m.checkShape("Axpy", other)
-	for i := range m.Data {
-		m.Data[i] += a * other.Data[i]
-	}
+	Vec(m.Data).Axpy(a, other.Data)
 }
 
 // MulVec computes out = m * x (GEMV). out must have length m.Rows and x
