@@ -90,6 +90,14 @@ func expAdversaries() []float64 {
 		-745.14, -745.13321910194111, -746, -709.78, -1e300, 709.78, 710, 1, 5e-324, -5e-324, -1e-310, 1e-310,
 		-2.2250738585072014e-308, math.NaN(), math.Float64frombits(0xFFF8000000000001), math.Float64frombits(0x7FF0000000000001),
 		math.Inf(1), math.Inf(-1), -1e-17, -0.5, -math.Ln2, -math.Ln2 / 2,
+		// Arguments found by search on which the Horner step that adds 1/6
+		// rounds differently fused and unfused and the difference survives
+		// to the result (random rows pin only the last two steps and the
+		// closing x·t+1 reliably; a last-bit difference in an earlier step
+		// is scaled by |x| <= 0.022 per later step and all but always
+		// rounded away — 6·10⁹ arguments found no witness for the first
+		// four).
+		math.Float64frombits(0xc0346ec81a5de602), math.Float64frombits(0xc00f131ee5811952), math.Float64frombits(0xc030355b735499da),
 	}
 	// Products x·log2e one ulp either side of every half-integer in
 	// [−1021, 0]: the VCVTPD2DQ round-to-even boundary.
