@@ -26,9 +26,9 @@ import (
 
 // BuildPlan is the precomputed deterministic skeleton of one bank build:
 // checkpoint grid, the pooled validation examples with each partition's
-// clients as index lists into them, and the sampled config pool. Creating a plan is cheap (no training); it exists so shards and the
-// final assembly agree on every build input. Plans are safe for concurrent
-// TrainRange calls.
+// clients as index lists into them, and the sampled config pool. Creating a
+// plan is cheap (no training); it exists so shards and the final assembly
+// agree on every build input. Plans are safe for concurrent TrainRange calls.
 type BuildPlan struct {
 	pop     *data.Population
 	opts    BuildOptions // normalized; Workers zeroed (content-independent)
@@ -140,9 +140,8 @@ func (p *BuildPlan) TrainRange(lo, hi, workers int) (*BankShard, error) {
 	var (
 		wg       sync.WaitGroup
 		sem      = make(chan struct{}, workers)
-		firstErr error
-		failed   atomic.Bool // set with firstErr; stops the launches
-		errOnce  sync.Once
+		firstErr error       // written by the goroutine that sets failed
+		failed   atomic.Bool // stops the launches
 	)
 	for ci := lo; ci < hi; ci++ {
 		sem <- struct{}{}
@@ -158,10 +157,9 @@ func (p *BuildPlan) TrainRange(lo, hi, workers int) (*BankShard, error) {
 			defer func() { <-sem }()
 			tr, err := fl.NewTrainer(p.pop, p.configs[ci], p.opts.Train, p.root.Splitf("config-%d", ci))
 			if err != nil {
-				errOnce.Do(func() {
+				if failed.CompareAndSwap(false, true) {
 					firstErr = fmt.Errorf("core: config %d: %w", ci, err)
-					failed.Store(true)
-				})
+				}
 				return
 			}
 			for ri, r := range p.rounds {

@@ -436,10 +436,7 @@ func RepartitionSources(clients []*Client, p float64, g *rng.RNG) [][]int32 {
 	if p < 0 || p > 1 {
 		panic(fmt.Sprintf("data: RepartitionIID fraction %g outside [0, 1]", p))
 	}
-	total := 0
-	for _, c := range clients {
-		total += len(c.Examples)
-	}
+	total := PoolStats(clients).TotalExamples
 	if total > math.MaxInt32 {
 		panic(fmt.Sprintf("data: %d pooled examples overflow a source index", total))
 	}

@@ -85,8 +85,9 @@ func MatMulTNAcc(a, b, c *Mat) {
 // m.Cols.
 func (m *Mat) AddRowVec(v Vec) {
 	checkLen("AddRowVec", m.Cols, len(v))
+	n := m.Cols
 	for i := 0; i < m.Rows; i++ {
-		m.Row(i).Add(v)
+		Vec(m.Data[i*n : (i+1)*n]).Add(v)
 	}
 }
 
@@ -94,8 +95,9 @@ func (m *Mat) AddRowVec(v Vec) {
 // dst must have length m.Cols.
 func (m *Mat) AccumColSums(dst Vec) {
 	checkLen("AccumColSums", m.Cols, len(dst))
+	n := m.Cols
 	for i := 0; i < m.Rows; i++ {
-		dst.Add(m.Row(i)) // row by row, so each dst[j] still sums in row order
+		dst.Add(m.Data[i*n : (i+1)*n]) // row by row, so each dst[j] still sums in row order
 	}
 }
 
