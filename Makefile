@@ -6,6 +6,8 @@
 #                    and the total (the number a simplicity PR reports)
 #   make test        full test suite (bank cache at $(CACHE_DIR))
 #   make race        the full test suite under the race detector
+#   make examples    build and run the five examples/ programs (the facade's
+#                    documented entry points; bank cache at $(CACHE_DIR))
 #   make bench       benchmark smoke run -> bench.out + BENCH_smoke.json
 #   make bench-json  gated hot-path benchmarks -> BENCH_latest.json
 #   make bench-check bench-json + fail on >25% ns/op regression vs
@@ -34,7 +36,7 @@ GO         ?= go
 CACHE_DIR  ?= $(HOME)/.cache/noisyeval-banks
 SERVE_ADDR ?= 127.0.0.1:8723
 
-.PHONY: build lint lines test race bench bench-json bench-check bench-harness fuzz figures serve serve-smoke cluster-smoke crash-smoke clean
+.PHONY: build lint lines test race examples bench bench-json bench-check bench-harness fuzz figures serve serve-smoke cluster-smoke crash-smoke clean
 
 build:
 	$(GO) build ./...
@@ -57,6 +59,9 @@ test: build
 
 race:
 	NOISYEVAL_CACHE_DIR=$(CACHE_DIR) $(GO) test -race ./...
+
+examples:
+	@for d in examples/*/; do echo "== $$d"; NOISYEVAL_CACHE_DIR=$(CACHE_DIR) $(GO) run ./$$d || exit 1; done
 
 bench:
 	NOISYEVAL_CACHE_DIR=$(CACHE_DIR) $(GO) test -bench=. -benchtime=1x -run '^$$' . | tee bench.out

@@ -1,14 +1,18 @@
 // Quickstart: tune federated hyperparameters on a small CIFAR10-like
-// population with random search against the LIVE simulator (no pre-trained
-// bank): every evaluation actually trains a model with FedAdam + client SGD
-// and evaluates it on sampled validation clients.
+// population with random search, following the paper's protocol: train a
+// pool of configurations once (a config bank, FedAdam + client SGD), then
+// let the tuner evaluate pool members on sampled validation clients.
 //
 // Run with: go run ./examples/quickstart
+// With $NOISYEVAL_CACHE_DIR set, the bank is kept in (and reused from) a
+// bank store in that directory.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"os"
 
 	"noisyeval"
 )
@@ -20,24 +24,32 @@ func main() {
 	pop := noisyeval.MustGenerate(spec, noisyeval.NewRNG(1))
 	fmt.Printf("population: %d train clients, %d validation clients\n", len(pop.Train), len(pop.Val))
 
-	// A live oracle: evaluations subsample 5 validation clients per call
-	// (the noise source the paper studies first). Training runs up to 27
-	// rounds per configuration at this scale.
-	oracle, err := noisyeval.NewLiveOracle(
-		pop,
-		noisyeval.DefaultTrainerOptions(),
-		noisyeval.SchemeWithCount(5),
-		27, // max rounds per config
-		3,  // eta (checkpoint grid)
-		4,  // checkpoint levels -> rungs {1, 3, 9, 27}
-		42, // evaluation seed
-	)
+	// A bank of 16 configurations from the paper's Appendix-B space, each
+	// trained for 27 rounds with checkpoints at rungs {1, 3, 9, 27}.
+	opts := noisyeval.DefaultBuildOptions()
+	opts.NumConfigs = 16
+	opts.MaxRounds = 27
+	var store *noisyeval.BankStore
+	if dir := os.Getenv("NOISYEVAL_CACHE_DIR"); dir != "" {
+		var err error
+		if store, err = noisyeval.NewBankStore(dir); err != nil {
+			log.Fatal(err)
+		}
+	}
+	bank, _, err := noisyeval.BuildBankCached(context.Background(), store, pop, opts, 7)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	// Random search over the paper's Appendix-B space: K = 6 configurations,
-	// each trained for 27 rounds.
+	// Evaluations subsample 5 validation clients per call (the noise source
+	// the paper studies first).
+	oracle, err := noisyeval.NewBankOracle(bank, 0, noisyeval.SchemeWithCount(5), 42)
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	// Random search: K = 6 configurations drawn from the pool, each read at
+	// 27 rounds.
 	tuner := noisyeval.Tuner{
 		Method: noisyeval.RandomSearch{},
 		Space:  noisyeval.DefaultSpace(),

@@ -8,7 +8,6 @@ import (
 	"noisyeval/internal/data"
 	"noisyeval/internal/dp"
 	"noisyeval/internal/eval"
-	"noisyeval/internal/fl"
 	"noisyeval/internal/hpo"
 	"noisyeval/internal/rng"
 )
@@ -381,52 +380,6 @@ func TestNoiseString(t *testing.T) {
 	}
 	if (Noise{SampleCount: 3, Epsilon: 1}).String() == "" {
 		t.Error("empty string")
-	}
-}
-
-// --- LiveOracle ---
-
-func TestLiveOracleBasics(t *testing.T) {
-	pop := data.MustGenerate(tinySpec(), rng.New(10))
-	o, err := NewLiveOracle(pop, fl.DefaultOptions(), eval.Noiseless(), 9, 3, 3, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := hpo.DefaultSpace().Sample(rng.New(12))
-	e1 := o.TrueError(cfg, 9)
-	e2 := o.TrueError(cfg, 9) // cached
-	if e1 != e2 {
-		t.Error("live oracle cache broken")
-	}
-	if o.MaxRounds() != 9 {
-		t.Errorf("MaxRounds = %d", o.MaxRounds())
-	}
-	if o.Pool() != nil {
-		t.Error("live oracle should have no pool")
-	}
-	if got := o.Evaluate(cfg, 9, "e1"); got < 0 || got > 1 {
-		t.Errorf("Evaluate = %v", got)
-	}
-}
-
-func TestLiveOracleWithRandomSearch(t *testing.T) {
-	pop := data.MustGenerate(tinySpec(), rng.New(13))
-	o, err := NewLiveOracle(pop, fl.DefaultOptions(), eval.Scheme{Count: 3, Weighted: true}, 9, 3, 3, 14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tn := Tuner{
-		Method:   hpo.RandomSearch{},
-		Space:    hpo.DefaultSpace(),
-		Settings: hpo.Settings{Budget: hpo.Budget{TotalRounds: 27, MaxPerConfig: 9, K: 3}},
-	}
-	h := tn.Run(o, rng.New(15))
-	if len(h.Observations) != 3 {
-		t.Fatalf("live RS observations = %d", len(h.Observations))
-	}
-	rec, ok := h.Recommend()
-	if !ok || rec.True < 0 || rec.True > 1 {
-		t.Errorf("recommendation = %+v", rec)
 	}
 }
 

@@ -30,7 +30,7 @@ const (
 
 // A second set, recorded on the commit before the lane-wise exp, the
 // element-wise AVX2 kernels and the pooled evaluation pass landed (scalar
-// softmax, Go loops, one EvalClientsInto per partition), for what the first
+// softmax, Go loops, one per-client EvalClients pass per partition), for what the first
 // set leaves out: the 62-way head (15 exp vectors plus a two-element scalar
 // tail per softmax row), partition p = 1 beside p = 0.5, a configuration
 // that diverges part-way (NaN/Inf softmax rows in its last live round, the

@@ -2,10 +2,7 @@ package core
 
 import (
 	"fmt"
-	"hash/fnv"
-	"sync"
 
-	"noisyeval/internal/data"
 	"noisyeval/internal/eval"
 	"noisyeval/internal/fl"
 	"noisyeval/internal/hpo"
@@ -158,7 +155,7 @@ func (o *BankOracle) EvaluateIndex(ci, rounds int, evalID string) (ConfigEval, e
 // SampleSize implements hpo.Oracle.
 func (o *BankOracle) SampleSize() int { return o.evaluator.SampleSize() }
 
-// Pool implements hpo.Oracle: bank mode exposes the candidate pool.
+// Pool implements hpo.Oracle: the bank's configurations.
 func (o *BankOracle) Pool() []fl.HParams { return o.bank.Configs }
 
 // MaxRounds implements hpo.Oracle.
@@ -207,134 +204,5 @@ func (o *BankOracle) EvaluateRows(ci, ri int, seeds []uint64, ms *eval.MultiScra
 	return o.evaluator.EvaluateMulti(o.bank.Errs.Row(o.pi, ci, ri), seeds, ms)
 }
 
-// LiveOracle trains configurations on demand with a real federated trainer,
-// caching trainers and per-checkpoint error vectors per configuration. It
-// exercises the exact production code path (no bank) and is used by the
-// examples and live-mode tests. Safe for concurrent use.
-type LiveOracle struct {
-	pop       *data.Population
-	opts      fl.Options
-	evaluator *eval.Evaluator
-	full      *eval.Evaluator
-	rounds    []int
-	seed      uint64
-
-	mu    sync.Mutex
-	cache map[fl.HParams]*liveEntry
-}
-
-type liveEntry struct {
-	trainer *fl.Trainer
-	errs    map[int][]float64 // checkpoint -> per-client error vector
-}
-
-// NewLiveOracle builds a live oracle with checkpoints at the rung grid of
-// (maxRounds, eta, levels).
-func NewLiveOracle(pop *data.Population, trainOpts fl.Options, scheme eval.Scheme, maxRounds, eta, levels int, seed uint64) (*LiveOracle, error) {
-	scheme.DP.Epsilon = 0
-	scheme.DP.TotalEvals = 0
-	ev, err := eval.New(valCounts(pop), scheme)
-	if err != nil {
-		return nil, err
-	}
-	fullScheme := eval.Noiseless()
-	fullScheme.Weighted = scheme.Weighted
-	full, err := eval.New(valCounts(pop), fullScheme)
-	if err != nil {
-		return nil, err
-	}
-	if trainOpts.ClientsPerRound == 0 {
-		trainOpts = fl.DefaultOptions()
-	}
-	return &LiveOracle{
-		pop: pop, opts: trainOpts, evaluator: ev, full: full,
-		rounds: hpo.RungRounds(maxRounds, eta, levels),
-		seed:   seed,
-		cache:  map[fl.HParams]*liveEntry{},
-	}, nil
-}
-
-// Evaluate implements hpo.Oracle.
-func (o *LiveOracle) Evaluate(cfg fl.HParams, rounds int, evalID string) float64 {
-	errs := o.clientErrors(cfg, rounds)
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s", o.seed, evalID)
-	return o.evaluator.Evaluate(errs, rng.New(h.Sum64())).Observed
-}
-
-// TrueError implements hpo.Oracle.
-func (o *LiveOracle) TrueError(cfg fl.HParams, rounds int) float64 {
-	return o.full.FullError(o.clientErrors(cfg, rounds))
-}
-
-// SampleSize implements hpo.Oracle.
-func (o *LiveOracle) SampleSize() int { return o.evaluator.SampleSize() }
-
-// Pool implements hpo.Oracle: live mode searches the continuous space.
-func (o *LiveOracle) Pool() []fl.HParams { return nil }
-
-// MaxRounds implements hpo.Oracle.
-func (o *LiveOracle) MaxRounds() int { return o.rounds[len(o.rounds)-1] }
-
-// clientErrors trains cfg up to the checkpoint covering rounds (if not yet
-// trained) and returns the recorded per-client error vector.
-func (o *LiveOracle) clientErrors(cfg fl.HParams, rounds int) []float64 {
-	ckpt := o.checkpointFor(rounds)
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	entry, ok := o.cache[cfg]
-	if !ok {
-		tr, err := fl.NewTrainer(o.pop, cfg, o.opts, rng.New(o.seed).Splitf("cfg-%x", hashConfig(cfg)))
-		if err != nil {
-			panic(fmt.Sprintf("core: live oracle: %v", err))
-		}
-		entry = &liveEntry{trainer: tr, errs: map[int][]float64{}}
-		o.cache[cfg] = entry
-	}
-	if errs, ok := entry.errs[ckpt]; ok {
-		return errs
-	}
-	// Train forward through any missing checkpoints so the cache stays
-	// consistent with monotone training.
-	for _, r := range o.rounds {
-		if r > ckpt {
-			break
-		}
-		if _, done := entry.errs[r]; done {
-			continue
-		}
-		entry.trainer.TrainTo(r)
-		entry.errs[r] = entry.trainer.EvalClients(o.pop.Val)
-	}
-	return entry.errs[ckpt]
-}
-
-func (o *LiveOracle) checkpointFor(rounds int) int {
-	best := o.rounds[0]
-	for _, r := range o.rounds {
-		if r <= rounds {
-			best = r
-		}
-	}
-	return best
-}
-
-func hashConfig(cfg fl.HParams) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%v", cfg)
-	return h.Sum64()
-}
-
-func valCounts(pop *data.Population) []int {
-	out := make([]int, len(pop.Val))
-	for i, c := range pop.Val {
-		out[i] = c.NumExamples()
-	}
-	return out
-}
-
-// Interface conformance checks.
-var (
-	_ hpo.Oracle = (*BankOracle)(nil)
-	_ hpo.Oracle = (*LiveOracle)(nil)
-)
+// Interface conformance check.
+var _ hpo.Oracle = (*BankOracle)(nil)

@@ -4,9 +4,9 @@
 // biased by systems heterogeneity), weighted aggregation, and optional
 // differential-privacy perturbation.
 //
-// The per-client error vectors come from fl.Trainer.EvalClients (live mode)
-// or core.ConfigBank (bank mode); this package only deals with turning a
-// vector into a (noisy) evaluation.
+// The per-client error vectors come from fl.Trainer.EvalClients or a
+// core.Bank's recorded rows; this package only deals with turning a vector
+// into a (noisy) evaluation.
 package eval
 
 import (

@@ -374,7 +374,7 @@ func (t *Trainer) predictChunk(exs []data.Example) []int {
 // partition's per-client error rate is then a count over these flags
 // (ErrorRatesInto) — an example repartitioning placed in three clients is
 // forwarded once, in full evalBatch chunks. The result equals what
-// EvalClientsInto computes client by client: a logit row does not depend on
+// EvalClients computes client by client: a logit row does not depend on
 // which rows share its batch, and an error rate is a quotient of integer
 // counts. The returned buffer belongs to the trainer and is valid until the
 // next call.
@@ -428,34 +428,24 @@ func ErrorRatesInto(dst []float64, flags []uint8, src [][]int32) {
 
 // EvalClients returns the per-client error vector over a client pool. This
 // vector is the raw material for every noisy-evaluation model in the study
-// (subsampling, reweighting, biased selection, DP perturbation).
+// (subsampling, reweighting, biased selection, DP perturbation). The server
+// weights are loaded into the model once for the whole pool.
 func (t *Trainer) EvalClients(clients []*data.Client) []float64 {
 	errs := make([]float64, len(clients))
-	t.EvalClientsInto(errs, clients)
-	return errs
-}
-
-// EvalClientsInto is EvalClients writing into dst, which must have one slot
-// per client — the bank builder hands it the shard arena row, so a
-// checkpoint allocates nothing. The server weights are loaded into the model
-// once for the whole pool.
-func (t *Trainer) EvalClientsInto(dst []float64, clients []*data.Client) {
-	if len(dst) != len(clients) {
-		panic(fmt.Sprintf("fl: EvalClientsInto dst has %d slots for %d clients", len(dst), len(clients)))
-	}
 	if !t.diverged {
 		t.model.SetParams(t.weights)
 	}
 	for i, c := range clients {
 		switch {
 		case len(c.Examples) == 0:
-			dst[i] = 0
+			errs[i] = 0
 		case t.diverged:
-			dst[i] = t.EvalClient(c)
+			errs[i] = t.EvalClient(c)
 		default:
-			dst[i] = t.evalClientErr(c)
+			errs[i] = t.evalClientErr(c)
 		}
 	}
+	return errs
 }
 
 // FullValidationError evaluates Eq. 2 over the whole validation pool with

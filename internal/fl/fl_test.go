@@ -279,7 +279,7 @@ func TestTextTaskTrains(t *testing.T) {
 // TestPooledEvalMatchesPerClient pins the bank build's evaluation pass —
 // every pooled example judged once, each partition's rates counted from the
 // flags — to the per-client form it replaced in core.TrainRange,
-// EvalClientsInto over RepartitionIID's copied clients, bit for bit: for an
+// EvalClients over RepartitionIID's copied clients, bit for bit: for an
 // image and a text population (pools longer than one evalBatch chunk), every
 // partition, a healthy and a diverged trainer, one client without examples.
 func TestPooledEvalMatchesPerClient(t *testing.T) {

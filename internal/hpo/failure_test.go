@@ -111,11 +111,13 @@ func TestDegenerateSpaceSinglePoint(t *testing.T) {
 	s.MomentumMin, s.MomentumMax = 0, 0
 	s.BatchSizes = []int{32}
 	o := newTestOracle(0.05)
+	o.pool = s.SampleN(128, rng.New(7))
 	h := TPE{}.Run(o, s, smallSettings(), rng.New(44))
 	if len(h.Observations) != 16 {
 		t.Errorf("degenerate space observations = %d", len(h.Observations))
 	}
-	// All proposals collapse to (nearly) the same point; no panics allowed.
+	// The pool collapses to (nearly) one point, so the KDEs see zero spans;
+	// no panics allowed.
 	for _, obs := range h.Observations {
 		if obs.Config.BatchSize != 32 {
 			t.Errorf("batch size escaped the degenerate space: %d", obs.Config.BatchSize)

@@ -19,8 +19,8 @@ import (
 // generation's culling decision is made on a noisy (and under DP, privately
 // released) cohort evaluation.
 //
-// In bank mode every perturbed configuration snaps to its nearest pool
-// member (NearestConfig), keeping the method inside the pre-trained pool.
+// Every perturbed configuration snaps to its nearest pool member
+// (NearestConfig), keeping the method inside the pre-trained pool.
 type FedPop struct {
 	// Population is the number of concurrently trained members (default 8).
 	Population int
@@ -78,7 +78,7 @@ func (fp FedPop) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History {
 	gSub := rng.New(0)
 	for i := range members {
 		g.SplitIntInto(gSub, "member-", i)
-		members[i] = sampleConfig(o, space, gSub)
+		members[i] = sampleConfig(o, gSub)
 	}
 
 	cum := 0
@@ -142,9 +142,9 @@ func (fp FedPop) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History {
 	return h
 }
 
-// perturbConfig jitters one parent configuration inside the space, then (in
-// bank mode) snaps the child to the nearest pool member so the oracle can
-// serve it from pre-trained checkpoints.
+// perturbConfig jitters one parent configuration inside the space, then
+// snaps the child to the nearest pool member so the oracle can serve it from
+// pre-trained checkpoints.
 func (FedPop) perturbConfig(parent fl.HParams, space Space, pool []fl.HParams, perturb float64, g *rng.RNG) fl.HParams {
 	c := parent
 	logJitter := func(v, lo, hi float64, g *rng.RNG) float64 {
@@ -163,10 +163,7 @@ func (FedPop) perturbConfig(parent fl.HParams, space Space, pool []fl.HParams, p
 	if len(space.BatchSizes) > 0 && g.Split("bs").Bool(perturb) {
 		c.BatchSize = space.BatchSizes[g.Split("bs-pick").IntN(len(space.BatchSizes))]
 	}
-	if len(pool) > 0 {
-		return pool[NearestConfig(pool, c, space)]
-	}
-	return c
+	return pool[NearestConfig(pool, c, space)]
 }
 
 // NearestConfig returns the index of the pool member closest to h under a

@@ -54,8 +54,10 @@ func (o *testOracle) SampleSize() int    { return o.sampleSize }
 func (o *testOracle) Pool() []fl.HParams { return o.pool }
 func (o *testOracle) MaxRounds() int     { return o.maxRounds }
 
+// newTestOracle serves a 128-member pool drawn from DefaultSpace, the
+// shape of the paper's bank.
 func newTestOracle(noise float64) *testOracle {
-	return &testOracle{noise: noise, sampleSize: 10, maxRounds: 405, seed: 1}
+	return &testOracle{pool: DefaultSpace().SampleN(128, rng.New(7)), noise: noise, sampleSize: 10, maxRounds: 405, seed: 1}
 }
 
 func smallSettings() Settings {
@@ -133,23 +135,6 @@ func TestSpaceValidateErrors(t *testing.T) {
 	bad3.Beta1Max = 1.0
 	if bad3.Validate() == nil {
 		t.Error("beta1 = 1 accepted")
-	}
-}
-
-func TestGridSize(t *testing.T) {
-	s := DefaultSpace()
-	grid := s.Grid(2)
-	want := 2 * 2 * 2 * 2 * 2 * len(s.BatchSizes)
-	if len(grid) != want {
-		t.Errorf("grid size = %d, want %d", len(grid), want)
-	}
-	for _, cfg := range grid {
-		if !s.Contains(cfg) {
-			t.Fatalf("grid point %+v outside space", cfg)
-		}
-	}
-	if len(s.Grid(1)) != len(s.BatchSizes) {
-		t.Error("1-point grid should be midpoints x batch sizes")
 	}
 }
 
@@ -261,22 +246,31 @@ func TestRandomSearchNoiseDegradesSelection(t *testing.T) {
 	}
 }
 
-func TestRandomSearchPoolMode(t *testing.T) {
-	pool := DefaultSpace().SampleN(8, rng.New(7))
-	o := newTestOracle(0)
-	o.pool = pool
-	h := RandomSearch{}.Run(o, DefaultSpace(), smallSettings(), rng.New(8))
-	inPool := func(c fl.HParams) bool {
-		for _, p := range pool {
-			if p == c {
-				return true
-			}
-		}
-		return false
+// TestMethodsSearchPool runs every registered method, private and not, and
+// checks that each observed configuration is a member of the oracle's pool.
+func TestMethodsSearchPool(t *testing.T) {
+	inPool := map[fl.HParams]bool{}
+	for _, c := range newTestOracle(0).pool {
+		inPool[c] = true
 	}
-	for _, obs := range h.Observations {
-		if !inPool(obs.Config) {
-			t.Fatal("RS in pool mode proposed a non-pool config")
+	for _, name := range Methods() {
+		m, err := MethodByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, eps := range []float64{math.Inf(1), 1} {
+			o := newTestOracle(0.05)
+			s := smallSettings()
+			s.Epsilon = eps
+			h := m.Run(o, DefaultSpace(), s, rng.New(8))
+			if len(h.Observations) == 0 {
+				t.Errorf("%s eps=%g: no observations", name, eps)
+			}
+			for _, obs := range h.Observations {
+				if !inPool[obs.Config] {
+					t.Fatalf("%s eps=%g: observed a config outside the pool: %+v", name, eps, obs.Config)
+				}
+			}
 		}
 	}
 }
@@ -319,7 +313,7 @@ func TestRandomSearchDPChangesDecisions(t *testing.T) {
 
 func TestGridSearchRuns(t *testing.T) {
 	o := newTestOracle(0)
-	h := GridSearch{PointsPerDim: 2}.Run(o, DefaultSpace(), smallSettings(), rng.New(10))
+	h := GridSearch{}.Run(o, DefaultSpace(), smallSettings(), rng.New(10))
 	if len(h.Observations) != 16 { // truncated by K
 		t.Errorf("grid observations = %d", len(h.Observations))
 	}
@@ -361,26 +355,6 @@ func TestTPEOutperformsRandomOnSmoothSurface(t *testing.T) {
 	}
 }
 
-func TestTPEPoolMode(t *testing.T) {
-	pool := DefaultSpace().SampleN(32, rng.New(12))
-	o := newTestOracle(0.02)
-	o.pool = pool
-	h := TPE{}.Run(o, DefaultSpace(), smallSettings(), rng.New(13))
-	inPool := func(c fl.HParams) bool {
-		for _, p := range pool {
-			if p == c {
-				return true
-			}
-		}
-		return false
-	}
-	for _, obs := range h.Observations {
-		if !inPool(obs.Config) {
-			t.Fatal("TPE in pool mode proposed a non-pool config")
-		}
-	}
-}
-
 func TestKDEDensityIntegratesToOne(t *testing.T) {
 	k := newKDE([]float64{-2, 0, 1.5}, -5, 5)
 	integral := 0.0
@@ -391,17 +365,6 @@ func TestKDEDensityIntegratesToOne(t *testing.T) {
 	}
 	if math.Abs(integral-1) > 0.02 {
 		t.Errorf("KDE integral = %.4f", integral)
-	}
-}
-
-func TestKDESampleInBounds(t *testing.T) {
-	k := newKDE([]float64{0.1, 0.8}, 0, 1)
-	g := rng.New(14)
-	for i := 0; i < 500; i++ {
-		x := k.sample(g.Splitf("s%d", i))
-		if x < 0 || x > 1 {
-			t.Fatalf("KDE sample %g out of bounds", x)
-		}
 	}
 }
 

@@ -24,9 +24,6 @@ import (
 // per candidate (checkpoint reuse), matching the paper's accounting, while
 // the number of evaluation calls is capped at EvalBudget.
 type NoisyBO struct {
-	// PoolSize is the number of candidates drawn up-front in continuous
-	// mode (bank mode uses the oracle pool, subsampled to K candidates).
-	PoolSize int
 	// EvalBudget caps total evaluation calls (default 3×K).
 	EvalBudget int
 	// ObsNoise is the assumed evaluation-noise standard deviation of the
@@ -59,7 +56,7 @@ func (m NoisyBO) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History {
 	gSub := rng.New(0)
 	for i := range cands {
 		g.SplitIntInto(gSub, "cand-", i)
-		cands[i] = sampleConfig(o, space, gSub)
+		cands[i] = sampleConfig(o, gSub)
 	}
 	h.Grow(m.EvalBudget)
 
@@ -130,9 +127,6 @@ func (m NoisyBO) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History {
 }
 
 func (m NoisyBO) normalize(s Settings) NoisyBO {
-	if m.PoolSize < 1 {
-		m.PoolSize = s.Budget.K
-	}
 	if m.EvalBudget < 1 {
 		m.EvalBudget = 3 * s.Budget.K
 	}

@@ -9,8 +9,8 @@ import (
 	"noisyeval/internal/rng"
 )
 
-// Oracle is what tuning methods query. Implementations are the live
-// federated trainer and the pre-trained config bank (package core).
+// Oracle is what tuning methods query. The implementation is the pre-trained
+// config bank (package core); methods search its finite pool.
 //
 // Evaluate returns the tuner-visible error of a configuration trained to the
 // given round: it includes client subsampling, heterogeneity, and biased
@@ -33,9 +33,8 @@ type Oracle interface {
 	// SampleSize returns |S|, the number of clients per evaluation call,
 	// used to calibrate DP noise.
 	SampleSize() int
-	// Pool returns the finite candidate pool when the oracle is bank-backed
-	// (methods then propose only pool members), or nil for a continuous
-	// space.
+	// Pool returns the finite, non-empty candidate pool; methods propose
+	// only pool members.
 	Pool() []fl.HParams
 	// MaxRounds returns the highest trainable round per configuration.
 	MaxRounds() int
@@ -294,14 +293,11 @@ type Method interface {
 	Run(o Oracle, space Space, s Settings, g *rng.RNG) *History
 }
 
-// sampleConfig draws a candidate: uniformly from the oracle's pool in bank
-// mode (the paper's bootstrap protocol resamples the 128 pre-trained
-// configs), or from the continuous space in live mode.
-func sampleConfig(o Oracle, space Space, g *rng.RNG) fl.HParams {
-	if pool := o.Pool(); len(pool) > 0 {
-		return pool[g.IntN(len(pool))]
-	}
-	return space.Sample(g)
+// sampleConfig draws a candidate uniformly from the oracle's pool (the
+// paper's bootstrap protocol resamples the 128 pre-trained configs).
+func sampleConfig(o Oracle, g *rng.RNG) fl.HParams {
+	pool := o.Pool()
+	return pool[g.IntN(len(pool))]
 }
 
 // RungRounds returns the fidelity grid {maxR/η^(levels-1), ..., maxR/η, maxR}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"noisyeval/internal/core"
-	"noisyeval/internal/fl"
 	"noisyeval/internal/hpo"
 	"noisyeval/internal/rng"
 )
@@ -57,42 +56,6 @@ var proposePairs = []struct {
 	{"bohb", hpo.BOHB{}, hpo.ReferenceBOHB{}},
 }
 
-// continuousOracle hides the bank's pool, so methods run in continuous mode
-// (candidates sampled from ℓ), and answers any configuration with the pool
-// member nearest to it in log-learning-rate space. nanEvery > 0 turns every
-// nanEvery-th evaluation into NaN.
-type continuousOracle struct {
-	*core.BankOracle
-	nanEvery, calls int
-}
-
-func (o *continuousOracle) Pool() []fl.HParams { return nil }
-
-func (o *continuousOracle) nearest(cfg fl.HParams) fl.HParams {
-	pool := o.BankOracle.Pool()
-	best, bestDist := pool[0], math.Inf(1)
-	for _, p := range pool {
-		d := math.Abs(math.Log10(p.ServerLR)-math.Log10(cfg.ServerLR)) +
-			math.Abs(math.Log10(p.ClientLR)-math.Log10(cfg.ClientLR))
-		if d < bestDist {
-			best, bestDist = p, d
-		}
-	}
-	return best
-}
-
-func (o *continuousOracle) Evaluate(cfg fl.HParams, rounds int, evalID string) float64 {
-	o.calls++
-	if o.nanEvery > 0 && o.calls%o.nanEvery == 0 {
-		return math.NaN()
-	}
-	return o.BankOracle.Evaluate(o.nearest(cfg), rounds, evalID)
-}
-
-func (o *continuousOracle) TrueError(cfg fl.HParams, rounds int) float64 {
-	return o.BankOracle.TrueError(o.nearest(cfg), rounds)
-}
-
 // sameHistory compares two histories observation for observation, on the
 // bits of every float.
 func sameHistory(t *testing.T, got, want *hpo.History) {
@@ -113,8 +76,7 @@ func sameHistory(t *testing.T, got, want *hpo.History) {
 // TestProposeMatchesReference pins the Parzen engine (fit once per
 // observation set, ℓ−g memoised per pool index) to the refit-per-proposal
 // implementation it replaced: same configs, same observed bits, same budget
-// accounting, for TPE and BOHB under every noise family, in bank mode and in
-// continuous mode.
+// accounting, for TPE and BOHB under every noise family.
 func TestProposeMatchesReference(t *testing.T) {
 	bank := proposeBank()
 	space := hpo.DefaultSpace()
@@ -129,15 +91,6 @@ func TestProposeMatchesReference(t *testing.T) {
 				for trial := 0; trial < 4; trial++ {
 					got := pair.engine.Run(oracle.WithTrial(trial), space, settings, rng.New(5).Splitf("trial-%d", trial))
 					want := pair.ref.Run(oracle.WithTrial(trial), space, settings, rng.New(5).Splitf("trial-%d", trial))
-					sameHistory(t, got, want)
-				}
-			})
-			t.Run("continuous/"+pair.name+"/"+noiseName, func(t *testing.T) {
-				for trial, nanEvery := range []int{0, 0, 7} {
-					got := pair.engine.Run(&continuousOracle{BankOracle: oracle.WithTrial(trial), nanEvery: nanEvery},
-						space, settings, rng.New(6).Splitf("trial-%d", trial))
-					want := pair.ref.Run(&continuousOracle{BankOracle: oracle.WithTrial(trial), nanEvery: nanEvery},
-						space, settings, rng.New(6).Splitf("trial-%d", trial))
 					sameHistory(t, got, want)
 				}
 			})

@@ -39,10 +39,10 @@ func (m OneShotProxyRS) Run(target Oracle, space Space, s Settings, g *rng.RNG) 
 		proxyMaxR = pc
 	}
 	gSub := rng.New(0)
-	best, bestErr := sampleConfig(m.Proxy, space, g.Split("cfg-0")), 0.0
+	best, bestErr := sampleConfig(m.Proxy, g.Split("cfg-0")), 0.0
 	for i := 0; i < s.Budget.K; i++ {
 		g.SplitIntInto(gSub, "cfg-", i)
-		cfg := sampleConfig(m.Proxy, space, gSub)
+		cfg := sampleConfig(m.Proxy, gSub)
 		err := m.Proxy.Evaluate(cfg, proxyMaxR, proxyEvalIDs.ID(i))
 		if i == 0 || err < bestErr {
 			best, bestErr = cfg, err

@@ -50,7 +50,7 @@ func (m ResampledRS) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History
 			break
 		}
 		g.SplitIntInto(gSub, "cfg-", i)
-		cfg := sampleConfig(o, space, gSub)
+		cfg := sampleConfig(o, gSub)
 		cfgs = append(cfgs, cfg)
 		iStr := strconv.Itoa(i)
 		for rep := 0; rep < reps; rep++ {

@@ -2,8 +2,8 @@ package hpo
 
 // The refit-per-proposal TPE/BOHB this package shipped before the Parzen
 // engine (DESIGN.md §15), kept verbatim — identifiers prefixed ref/Reference,
-// nothing else changed — as the oracle TestProposeMatchesReference compares
-// the engine against. It shares only helpers the engine left untouched
+// the continuous-mode arms removed with that mode, nothing else changed — as
+// the oracle TestProposeMatchesReference compares the engine against. It shares only helpers the engine left untouched
 // (configVec, spaceBounds, batchIndex, catKDE, stddev, sampleConfig, the
 // bracket plan). Do not optimise it: its value is that it is the old code.
 
@@ -50,7 +50,7 @@ func (t ReferenceTPE) Run(o Oracle, space Space, s Settings, g *rng.RNG) *Histor
 		var cfg fl.HParams
 		if i < t.NStartup || len(observed) < t.NStartup {
 			g.SplitIntInto(gSub, "startup-", i)
-			cfg = sampleConfig(o, space, gSub)
+			cfg = sampleConfig(o, gSub)
 		} else {
 			g.SplitIntInto(gSub, "propose-", i)
 			cfg = t.propose(observed, o, space, gSub)
@@ -75,8 +75,7 @@ type refScoredConfig struct {
 }
 
 // propose builds ℓ and g densities from the observations and returns the
-// candidate with the highest ℓ/g among NCandidates draws (from ℓ in
-// continuous mode, from the pool in bank mode).
+// candidate with the highest ℓ/g among NCandidates draws from the pool.
 func (t ReferenceTPE) propose(obs []refScoredConfig, o Oracle, space Space, g *rng.RNG) fl.HParams {
 	sorted := append([]refScoredConfig(nil), obs...)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].err < sorted[j].err })
@@ -88,14 +87,9 @@ func (t ReferenceTPE) propose(obs []refScoredConfig, o Oracle, space Space, g *r
 	bad := newRefParzen(space, refConfigsOf(sorted[nGood:]))
 
 	var candidates []fl.HParams
-	if pool := o.Pool(); len(pool) > 0 {
-		for i := 0; i < t.NCandidates; i++ {
-			candidates = append(candidates, pool[g.IntN(len(pool))])
-		}
-	} else {
-		for i := 0; i < t.NCandidates; i++ {
-			candidates = append(candidates, good.sample(g.Splitf("cand-%d", i)))
-		}
+	pool := o.Pool()
+	for i := 0; i < t.NCandidates; i++ {
+		candidates = append(candidates, pool[g.IntN(len(pool))])
 	}
 	best := candidates[0]
 	bestScore := math.Inf(-1)
@@ -161,27 +155,6 @@ func (p *refParzen) logDensity(c fl.HParams) float64 {
 	return sum
 }
 
-// sample draws a configuration from the model (used to generate EI
-// candidates in continuous mode).
-func (p *refParzen) sample(g *rng.RNG) fl.HParams {
-	var v [5]float64
-	for d := 0; d < 5; d++ {
-		v[d] = p.dims[d].sample(g.Splitf("dim-%d", d))
-	}
-	bs := p.space.BatchSizes[p.batch.sample(g.Split("batch"))]
-	return fl.HParams{
-		ServerLR:       math.Pow(10, v[0]),
-		Beta1:          v[1],
-		Beta2:          v[2],
-		LRDecay:        p.space.LRDecay,
-		ClientLR:       math.Pow(10, v[3]),
-		ClientMomentum: v[4],
-		WeightDecay:    p.space.WeightDecay,
-		BatchSize:      bs,
-		Epochs:         p.space.Epochs,
-	}
-}
-
 // refKDE1d is a 1-D Gaussian kernel density with a uniform prior component over
 // [lo, hi], following the Parzen construction of Bergstra et al. (2011).
 type refKDE1d struct {
@@ -234,24 +207,6 @@ func (k refKDE1d) logDensity(x float64) float64 {
 	return math.Log(sum / float64(len(k.centers)+1))
 }
 
-// sample draws from the mixture and clamps to the range.
-func (k refKDE1d) sample(g *rng.RNG) float64 {
-	i := g.IntN(len(k.centers) + 1)
-	var x float64
-	if i == len(k.centers) {
-		x = g.Uniform(k.lo, k.hi) // prior component
-	} else {
-		x = g.Normal(k.centers[i], k.bw)
-	}
-	if x < k.lo {
-		x = k.lo
-	}
-	if x > k.hi {
-		x = k.hi
-	}
-	return x
-}
-
 // Run implements Method.
 func (b ReferenceBOHB) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History {
 	s = s.Normalize()
@@ -286,11 +241,11 @@ func (st *refBohbState) observe(fidelity int, cfgs []fl.HParams, noisy []float64
 // TPE proposal fit on the highest adequately-observed fidelity.
 func (st *refBohbState) propose(o Oracle, space Space, g *rng.RNG) fl.HParams {
 	if g.Bool(st.cfg.RandomFraction) {
-		return sampleConfig(o, space, g.Split("random"))
+		return sampleConfig(o, g.Split("random"))
 	}
 	obs := st.modelObservations()
 	if len(obs) < st.cfg.MinPoints {
-		return sampleConfig(o, space, g.Split("fallback"))
+		return sampleConfig(o, g.Split("fallback"))
 	}
 	return st.tpe.propose(obs, o, space, g.Split("tpe"))
 }
@@ -405,7 +360,7 @@ func refRunHyperbandLoop(o Oracle, space Space, s Settings, g *rng.RNG, h *Histo
 			if bohb != nil {
 				cfgs[i] = bohb.propose(o, space, gSub)
 			} else {
-				cfgs[i] = sampleConfig(o, space, gSub)
+				cfgs[i] = sampleConfig(o, gSub)
 			}
 		}
 		var onRung func(int, []fl.HParams, []float64)

@@ -35,9 +35,9 @@ var methodRegistry = map[string]methodEntry{
 	},
 	"grid": {
 		ctor:        func() Method { return GridSearch{} },
-		description: "Grid search over the space (or the bank pool), full fidelity, budget-truncated.",
+		description: "The first K pool members in index order (an iid pool: random search without replacement), full fidelity, budget-truncated.",
 		settings: map[string]string{
-			"budget.k": "maximum grid points evaluated",
+			"budget.k": "maximum pool members evaluated",
 		},
 	},
 	"tpe": {

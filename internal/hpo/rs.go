@@ -38,7 +38,7 @@ func (RandomSearch) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History 
 			break
 		}
 		g.SplitIntInto(gSub, "cfg-", i)
-		cfgs = append(cfgs, sampleConfig(o, space, gSub))
+		cfgs = append(cfgs, sampleConfig(o, gSub))
 		ids = append(ids, rsEvalIDs.ID(i))
 		cum += maxR
 	}
@@ -66,34 +66,22 @@ func (RandomSearch) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History 
 	return h
 }
 
-// GridSearch is the other classical model-free baseline: it walks a fixed
-// grid over the space (or the candidate pool in bank mode) and evaluates
-// configurations at full fidelity until the budget runs out.
-type GridSearch struct {
-	// PointsPerDim controls grid resolution in continuous mode (default 2).
-	PointsPerDim int
-}
+// GridSearch walks the oracle's pool in index order and evaluates members at
+// full fidelity until K of them or the budget run out. The pool is an iid
+// draw from the space, so this is random search without replacement in a
+// fixed order.
+type GridSearch struct{}
 
 // Name implements Method.
 func (GridSearch) Name() string { return "Grid" }
 
 // Run implements Method.
-func (gs GridSearch) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History {
+func (GridSearch) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History {
 	s = s.Normalize()
 	h := &History{MethodName: "Grid"}
 	maxR := perConfigRounds(o, s)
 
 	grid := o.Pool()
-	if len(grid) == 0 {
-		pts := gs.PointsPerDim
-		if pts < 1 {
-			pts = 2
-		}
-		grid = space.Grid(pts)
-	}
-	if len(grid) == 0 {
-		return h
-	}
 	k := s.Budget.K
 	h.Grow(minInt(k, len(grid)))
 	dpp := dp.Params{Epsilon: s.Epsilon, TotalEvals: minInt(k, len(grid))}

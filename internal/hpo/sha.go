@@ -170,7 +170,7 @@ func (sh SuccessiveHalving) Run(o Oracle, space Space, s Settings, g *rng.RNG) *
 	gSub := rng.New(0)
 	for i := range cfgs {
 		g.SplitIntInto(gSub, "cfg-", i)
-		cfgs[i] = sampleConfig(o, space, gSub)
+		cfgs[i] = sampleConfig(o, gSub)
 	}
 	p := shaParams{
 		r0: r0, maxR: maxR, eta: s.Eta,
@@ -262,7 +262,7 @@ func runHyperbandLoop(o Oracle, space Space, s Settings, g *rng.RNG, h *History,
 			if bohb != nil {
 				cfgs[i] = bohb.propose(gSub)
 			} else {
-				cfgs[i] = sampleConfig(o, space, gSub)
+				cfgs[i] = sampleConfig(o, gSub)
 			}
 		}
 		p := shaParams{

@@ -3,8 +3,8 @@
 // tree-structured Parzen estimator (TPE; Bergstra et al., 2011), successive
 // halving and Hyperband (Li et al., 2017), BOHB (Falkner et al., 2018), and
 // the paper's one-shot proxy random search. Methods run against an Oracle
-// (live federated training or a pre-trained config bank) and privatize their
-// releases per §3.3 of the paper.
+// (a pre-trained config bank), propose only members of its non-empty pool,
+// and privatize their releases per §3.3 of the paper.
 package hpo
 
 import (
@@ -89,7 +89,7 @@ func (s Space) Validate() error {
 }
 
 // Sample draws one configuration uniformly from the space (log-uniform for
-// learning rates) — the candidate generator of random search (Algorithm 1/2).
+// learning rates) — the generator of the pools banks train.
 func (s Space) Sample(g *rng.RNG) fl.HParams {
 	return fl.HParams{
 		ServerLR:       g.LogUniform(s.ServerLRMin, s.ServerLRMax),
@@ -136,68 +136,4 @@ func (s Space) Contains(h fl.HParams) bool {
 		}
 	}
 	return false
-}
-
-// Grid returns a grid over the space with pointsPerDim points along each
-// continuous dimension (learning rates spaced log-uniformly) crossed with
-// every batch size. Used by grid search.
-func (s Space) Grid(pointsPerDim int) []fl.HParams {
-	if pointsPerDim < 1 {
-		panic(fmt.Sprintf("hpo: pointsPerDim %d must be >= 1", pointsPerDim))
-	}
-	logSpan := func(lo, hi float64) []float64 {
-		pts := spanPoints(math.Log(lo), math.Log(hi), pointsPerDim, true)
-		if len(pts) > 1 {
-			// Pin the endpoints exactly: exp(log(x)) round-off could push
-			// them just outside the space.
-			pts[0], pts[len(pts)-1] = lo, hi
-		}
-		return pts
-	}
-	linSpan := func(lo, hi float64) []float64 { return spanPoints(lo, hi, pointsPerDim, false) }
-
-	serverLRs := logSpan(s.ServerLRMin, s.ServerLRMax)
-	beta1s := linSpan(s.Beta1Min, s.Beta1Max)
-	beta2s := linSpan(s.Beta2Min, s.Beta2Max)
-	clientLRs := logSpan(s.ClientLRMin, s.ClientLRMax)
-	momenta := linSpan(s.MomentumMin, s.MomentumMax)
-
-	var out []fl.HParams
-	for _, slr := range serverLRs {
-		for _, b1 := range beta1s {
-			for _, b2 := range beta2s {
-				for _, clr := range clientLRs {
-					for _, mom := range momenta {
-						for _, bs := range s.BatchSizes {
-							out = append(out, fl.HParams{
-								ServerLR: slr, Beta1: b1, Beta2: b2, LRDecay: s.LRDecay,
-								ClientLR: clr, ClientMomentum: mom,
-								WeightDecay: s.WeightDecay, BatchSize: bs, Epochs: s.Epochs,
-							})
-						}
-					}
-				}
-			}
-		}
-	}
-	return out
-}
-
-// spanPoints returns n points spanning [lo, hi]; exp=true exponentiates
-// (inputs are logs). A single point sits at the midpoint.
-func spanPoints(lo, hi float64, n int, exp bool) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		var v float64
-		if n == 1 {
-			v = (lo + hi) / 2
-		} else {
-			v = lo + (hi-lo)*float64(i)/float64(n-1)
-		}
-		if exp {
-			v = math.Exp(v)
-		}
-		out[i] = v
-	}
-	return out
 }

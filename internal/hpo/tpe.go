@@ -104,11 +104,10 @@ type features struct {
 
 // parzenModel is the proposal engine shared by TPE and BOHB: the ℓ/g density
 // pair fit on one observation set, plus everything a Run reuses across fits.
-// fit is called once per observation set, not per proposal; in bank mode
-// every candidate is a pool index, so ℓ−g is computed at most once per pool
-// member per fit and repeat draws read the memo (DESIGN.md §15) — and only
-// for the draws a table-built approximation of ℓ/g cannot rule out
-// (DESIGN.md §19).
+// fit is called once per observation set, not per proposal; every candidate
+// is a pool index, so ℓ−g is computed at most once per pool member per fit
+// and repeat draws read the memo (DESIGN.md §15) — and only for the draws a
+// table-built approximation of ℓ/g cannot rule out (DESIGN.md §19).
 //
 // The arithmetic is frozen: every expression that reaches a comparison keeps
 // the operand order of the per-proposal refit it replaced (kept as the
@@ -117,13 +116,11 @@ type features struct {
 // cannot be the largest.
 type parzenModel struct {
 	space  Space
-	pool   []fl.HParams // nil in continuous mode
+	pool   []fl.HParams
 	lo, hi [5]float64
 	gamma  float64
-	nCand  int
 
-	// rows is the feature table: one row per pool member in bank mode; in
-	// continuous mode one row appended per sampled or proposed config.
+	// rows is the feature table: one row per pool member.
 	rows []features
 
 	good, bad parzen
@@ -153,7 +150,7 @@ type poolMemo struct {
 
 func newParzenModel(t TPE, o Oracle, space Space) *parzenModel {
 	nb := len(space.BatchSizes)
-	m := &parzenModel{space: space, pool: o.Pool(), gamma: t.Gamma, nCand: t.NCandidates}
+	m := &parzenModel{space: space, pool: o.Pool(), gamma: t.Gamma}
 	m.lo, m.hi = spaceBounds(space)
 	perBatch := make([]float64, 5*nb) // one backing for the five per-batch-size tables
 	m.counts, m.good.logBatch, m.bad.logBatch, m.batchRatio =
@@ -163,7 +160,7 @@ func newParzenModel(t TPE, o Oracle, space Space) *parzenModel {
 		m.rows[i] = m.features(c)
 	}
 	m.memo = make([]poolMemo, len(m.pool))
-	m.draws = make([]int, m.nCand)
+	m.draws = make([]int, t.NCandidates)
 	return m
 }
 
@@ -174,13 +171,8 @@ func (m *parzenModel) features(c fl.HParams) features {
 // sample draws a random candidate exactly as sampleConfig does and returns
 // it with its feature row.
 func (m *parzenModel) sample(g *rng.RNG) (fl.HParams, int) {
-	if len(m.pool) > 0 {
-		i := g.IntN(len(m.pool))
-		return m.pool[i], i
-	}
-	cfg := m.space.Sample(g)
-	m.rows = append(m.rows, m.features(cfg))
-	return cfg, len(m.rows) - 1
+	i := g.IntN(len(m.pool))
+	return m.pool[i], i
 }
 
 // errOrder sorts observation indices by error. sort.Stable runs the same
@@ -240,35 +232,17 @@ func (m *parzenModel) fit(obs []parzenObs) {
 	m.gen++
 }
 
-// propose returns the candidate with the highest ℓ/g among NCandidates draws
-// — pool indices in bank mode, samples from ℓ in continuous mode — and its
-// feature row. The first draw wins ties and non-finite scores.
+// propose returns the pool member with the highest ℓ/g among NCandidates
+// drawn pool indices, and its feature row. The first draw wins ties and
+// non-finite scores.
 func (m *parzenModel) propose(g *rng.RNG) (fl.HParams, int) {
-	if len(m.pool) > 0 {
-		// The draws are the selection's only use of the stream, so taking them
-		// all first leaves each index and the stream's position what they were.
-		for i := range m.draws {
-			m.draws[i] = g.IntN(len(m.pool))
-		}
-		best := m.argmax()
-		return m.pool[best], best
+	// The draws are the selection's only use of the stream, so taking them
+	// all first leaves each index and the stream's position what they were.
+	for i := range m.draws {
+		m.draws[i] = g.IntN(len(m.pool))
 	}
-	bestScore := math.Inf(-1)
-	var best fl.HParams
-	var bestF features
-	for i := 0; i < m.nCand; i++ {
-		c := m.sampleGood(g.Splitf("cand-%d", i))
-		f := m.features(c)
-		score := m.good.logDensity(&f) - m.bad.logDensity(&f)
-		if i == 0 {
-			best, bestF = c, f
-		}
-		if score > bestScore {
-			best, bestF, bestScore = c, f, score
-		}
-	}
-	m.rows = append(m.rows, bestF)
-	return best, len(m.rows) - 1
+	best := m.argmax()
+	return m.pool[best], best
 }
 
 // argmax returns the pool index among m.draws with the highest ℓ−g: the
@@ -413,27 +387,6 @@ func (p *parzen) logDensity(f *features) float64 {
 	return sum
 }
 
-// sampleGood draws a configuration from ℓ (the EI candidate generator of
-// continuous mode).
-func (m *parzenModel) sampleGood(g *rng.RNG) fl.HParams {
-	var v [5]float64
-	for d := 0; d < 5; d++ {
-		v[d] = m.good.dims[d].sample(g.Splitf("dim-%d", d))
-	}
-	bs := m.space.BatchSizes[m.good.batch.sample(g.Split("batch"))]
-	return fl.HParams{
-		ServerLR:       math.Pow(10, v[0]),
-		Beta1:          v[1],
-		Beta2:          v[2],
-		LRDecay:        m.space.LRDecay,
-		ClientLR:       math.Pow(10, v[3]),
-		ClientMomentum: v[4],
-		WeightDecay:    m.space.WeightDecay,
-		BatchSize:      bs,
-		Epochs:         m.space.Epochs,
-	}
-}
-
 // kde1d is a 1-D Gaussian kernel density with a uniform prior component over
 // [lo, hi], following the Parzen construction of Bergstra et al. (2011).
 //
@@ -521,24 +474,6 @@ func (k *kde1d) logDensity(x float64) float64 {
 	return math.Log(sum / float64(len(k.centers)+1))
 }
 
-// sample draws from the mixture and clamps to the range.
-func (k *kde1d) sample(g *rng.RNG) float64 {
-	i := g.IntN(len(k.centers) + 1)
-	var x float64
-	if i == len(k.centers) {
-		x = g.Uniform(k.lo, k.hi) // prior component
-	} else {
-		x = g.Normal(k.centers[i], k.bw)
-	}
-	if x < k.lo {
-		x = k.lo
-	}
-	if x > k.hi {
-		x = k.hi
-	}
-	return x
-}
-
 // catKDE is a Laplace-smoothed categorical density.
 type catKDE struct {
 	counts []float64
@@ -550,14 +485,6 @@ func (c catKDE) prob(i int) float64 {
 		total += v
 	}
 	return (c.counts[i] + 1) / (total + float64(len(c.counts)))
-}
-
-func (c catKDE) sample(g *rng.RNG) int {
-	w := make([]float64, len(c.counts))
-	for i := range w {
-		w[i] = c.counts[i] + 1
-	}
-	return g.Categorical(w)
 }
 
 func stddev(xs []float64) float64 {

@@ -122,8 +122,6 @@ type (
 	BuildOptions = core.BuildOptions
 	// BankOracle serves tuning methods from a bank.
 	BankOracle = core.BankOracle
-	// LiveOracle trains configurations on demand.
-	LiveOracle = core.LiveOracle
 	// BankStore is the content-addressed on-disk bank cache (entries keyed
 	// by BankKey, written atomically, corrupt entries evicted on load,
 	// size-boundable via SetMaxBytes/Prune).
@@ -206,7 +204,6 @@ var (
 	DecodeBank            = core.DecodeBank
 	IsStaleBankFormat     = core.IsStaleBankFormat
 	NewBankOracle         = core.NewBankOracle
-	NewLiveOracle         = core.NewLiveOracle
 	FinalErrors           = core.FinalErrors
 	NoiselessSetting      = core.Noiseless
 )

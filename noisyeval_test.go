@@ -49,8 +49,8 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
-// TestFacadeLiveTraining exercises the live (bank-free) path.
-func TestFacadeLiveTraining(t *testing.T) {
+// TestFacadeTrainer drives the federated trainer through the facade.
+func TestFacadeTrainer(t *testing.T) {
 	spec := noisyeval.CIFAR10Like().Scaled(0.06, 0)
 	spec.MeanExamples, spec.MinExamples, spec.MaxExamples = 15, 10, 20
 	pop := noisyeval.MustGenerate(spec, noisyeval.NewRNG(5))
