@@ -275,6 +275,30 @@ func TestMethodsSearchPool(t *testing.T) {
 	}
 }
 
+// inPoolOf reports whether c is a member of pool.
+func inPoolOf(pool []fl.HParams, c fl.HParams) bool {
+	for _, p := range pool {
+		if p == c {
+			return true
+		}
+	}
+	return false
+}
+
+// TestRandomSearchPoolMode checks that RS stays inside a pool smaller than
+// its budget of configurations.
+func TestRandomSearchPoolMode(t *testing.T) {
+	pool := DefaultSpace().SampleN(8, rng.New(7))
+	o := newTestOracle(0)
+	o.pool = pool
+	h := RandomSearch{}.Run(o, DefaultSpace(), smallSettings(), rng.New(8))
+	for _, obs := range h.Observations {
+		if !inPoolOf(pool, obs.Config) {
+			t.Fatal("RS proposed a config outside its 8-member pool")
+		}
+	}
+}
+
 func TestRandomSearchDeterminism(t *testing.T) {
 	run := func() float64 {
 		o := newTestOracle(0.1)
@@ -352,6 +376,20 @@ func TestTPEOutperformsRandomOnSmoothSurface(t *testing.T) {
 	rs, tpe := meanErr(RandomSearch{}), meanErr(TPE{})
 	if tpe > rs+0.02 {
 		t.Errorf("TPE mean %.4f worse than RS mean %.4f on a smooth surface", tpe, rs)
+	}
+}
+
+// TestTPEPoolMode checks that TPE's model-guided proposals stay inside a
+// 32-member pool.
+func TestTPEPoolMode(t *testing.T) {
+	pool := DefaultSpace().SampleN(32, rng.New(12))
+	o := newTestOracle(0.02)
+	o.pool = pool
+	h := TPE{}.Run(o, DefaultSpace(), smallSettings(), rng.New(13))
+	for _, obs := range h.Observations {
+		if !inPoolOf(pool, obs.Config) {
+			t.Fatal("TPE proposed a config outside its 32-member pool")
+		}
 	}
 }
 
