@@ -15,7 +15,7 @@
 #   make bench-harness vet + short tests of the bench/ module (BENCHMARK.json's
 #                    harness; its own go.mod, so `go test ./...` never sees it)
 #   make fuzz        short coverage-guided fuzz pass over the two decoders
-#                    that read bank bytes from disk or the wire (bankfmt/v4
+#                    that read bank bytes from disk or the wire (bankfmt/v5
 #                    bank image, dist shard upload), the two certified
 #                    selections against their references (the weighted
 #                    sampler's top-k, the Parzen proposal's argmax) and the
@@ -106,12 +106,13 @@ bench-harness:
 	$(GO) -C bench test -short .
 
 # Coverage-guided fuzzing of the decoders that face disk and the wire, 15s
-# each: the bankfmt/v4 bank image (FuzzBankV4, seeded with torn-segment /
-# CRC-flip / duplicate-segment corpora plus the retired generations, which
-# must classify as stale) and the dist shard upload (FuzzShardDecode, seeded
-# with every hostile payload the complete endpoint refuses). FuzzWeightedSample
-# is differential instead: bytes become weights, uniforms and k, and the
-# bracketed selection must return what the all-keys loop returns; so is
+# each: the bankfmt/v5 bank image (FuzzBankV5, seeded with torn-segment /
+# CRC-flip / duplicate-segment corpora plus the retired generations — a whole
+# v4 file among them — which must classify as stale) and the dist shard
+# upload (FuzzShardDecode, seeded with every hostile payload the complete
+# endpoint refuses). FuzzWeightedSample is differential instead: bytes become
+# weights, uniforms and k, and the bracketed selection must return what the
+# all-keys loop returns; so is
 # FuzzProposeCertified: bytes become a pool, an observation set and a list of
 # draws, and the engine's argmax must be the selection loop's over the
 # reference model's scores; and FuzzExpLanes: bytes become a row of float64
@@ -119,7 +120,7 @@ bench-harness:
 # (it skips on a machine without AVX2+FMA). A crash writes its input to
 # testdata/fuzz for triage.
 fuzz:
-	$(GO) test -run '^$$' -fuzz 'FuzzBankV4$$' -fuzztime 15s ./internal/core
+	$(GO) test -run '^$$' -fuzz 'FuzzBankV5$$' -fuzztime 15s ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzShardDecode$$' -fuzztime 15s ./internal/dist
 	$(GO) test -run '^$$' -fuzz 'FuzzWeightedSample$$' -fuzztime 15s ./internal/rng
 	$(GO) test -run '^$$' -fuzz 'FuzzProposeCertified$$' -fuzztime 15s ./internal/hpo

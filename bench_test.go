@@ -495,9 +495,8 @@ var codecBenchBank = func() *core.Bank {
 	for pi := range b.ExampleCounts {
 		b.ExampleCounts[pi] = counts
 	}
-	for i := range b.Errs.Data {
-		n := counts[i%clients]
-		b.Errs.Data[i] = float64(g.IntN(n+1)) / float64(n)
+	for i := range b.Errs.Counts {
+		b.Errs.Counts[i] = uint32(g.IntN(counts[i%clients] + 1))
 	}
 	return b
 }()

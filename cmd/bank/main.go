@@ -1,6 +1,6 @@
 // Command bank builds a config bank (the study's reusable training
 // artifact) for one dataset and writes it to disk for cmd/figures and
-// cmd/fedtune to reuse (bankfmt/v4, the one format banks take). It can also
+// cmd/fedtune to reuse (bankfmt/v5, the one format banks take). It can also
 // inspect a bank file — a file in a retired format is named, with the
 // rebuild that replaces it — and grow an existing bank in place with freshly
 // trained configs.
@@ -133,11 +133,11 @@ func printInfo(path string) error {
 	if bi == nil {
 		return err
 	}
-	format := "bankfmt/v4 (segmented, mmap-served)"
+	format := "bankfmt/v5 (segmented, mmap-served, uint32 counts)"
 	switch {
 	case bi.Version == 0:
 		format = "gob+gzip (retired)"
-	case bi.Version != 4:
+	case bi.Version != 5:
 		format = fmt.Sprintf("bankfmt/v%d (not readable by this build)", bi.Version)
 	}
 	fmt.Printf("bank:      %s\n", bi.Path)
@@ -151,7 +151,7 @@ func printInfo(path string) error {
 	}
 	fmt.Printf("on disk:   %d bytes\n", bi.FileBytes)
 	if bi.ArenaBytes > 0 {
-		fmt.Printf("arena:     %d bytes (mapped zero-copy on open)\n", bi.ArenaBytes)
+		fmt.Printf("arena:     %d bytes of uint32 counts (mapped zero-copy on open)\n", bi.ArenaBytes)
 	}
 	if len(bi.Segments) > 0 {
 		fmt.Printf("segments:\n")
@@ -178,7 +178,7 @@ func printInfo(path string) error {
 }
 
 // growBank extends the bank at path by add freshly trained configs: exactly
-// the new index range is trained, then appended in place as bankfmt/v4
+// the new index range is trained, then appended in place as bankfmt/v5
 // segments. The extra configs derive deterministically from the bank's own
 // seed, spec, and pool size, so a retried grow converges to the same bytes
 // and the grown bank matches a cold build over the union pool. The remaining

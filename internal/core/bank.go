@@ -21,7 +21,8 @@ import (
 // and every checkpoint (SHA rung), the error of the trained model on every
 // validation client under every evaluation partition. All noisy-evaluation
 // experiments are bootstrap resamples of these records, exactly as in the
-// paper's analysis pipeline.
+// paper's analysis pipeline. The records are wrong-counts; an error is a
+// count over the client's example count (ErrMatrix).
 type Bank struct {
 	// SpecName identifies the dataset population.
 	SpecName string
@@ -36,12 +37,13 @@ type Bank struct {
 	// (the natural partition) at index 0.
 	Partitions []float64
 	// Errs is the dense error tensor: Errs.Row(p, c, r) is the per-client
-	// error vector of config c at checkpoint r under partition p, a view
-	// into one contiguous arena (see ErrMatrix).
+	// wrong-count vector of config c at checkpoint r under partition p, a
+	// view into one contiguous arena (see ErrMatrix).
 	Errs ErrMatrix
 	// ExampleCounts[p][k] is validation client k's example count under
-	// partition p (weights for Eq. 2; repartitioning preserves sizes, so
-	// rows are equal, but they are stored per partition for integrity).
+	// partition p: the divisor of its error rates and its weight in Eq. 2
+	// (repartitioning preserves sizes, so rows are equal, but they are
+	// stored per partition for integrity).
 	ExampleCounts [][]int
 	// Diverged[c] reports whether config c's training hit NaN.
 	Diverged []bool
@@ -227,8 +229,8 @@ func (b *Bank) MaxRounds() int { return b.Rounds[len(b.Rounds)-1] }
 func (b *Bank) NumClients() int { return len(b.ExampleCounts[0]) }
 
 // ClientErrors returns the per-client error vector for (partition p, config
-// index, rounds). The slice is a view into the bank's arena; callers must not
-// modify it.
+// index, rounds) in a fresh slice: each client's wrong-count over its example
+// count.
 func (b *Bank) ClientErrors(partition float64, configIdx, rounds int) ([]float64, error) {
 	pi, err := b.PartitionIndex(partition)
 	if err != nil {
@@ -237,7 +239,8 @@ func (b *Bank) ClientErrors(partition float64, configIdx, rounds int) ([]float64
 	if configIdx < 0 || configIdx >= len(b.Configs) {
 		return nil, fmt.Errorf("core: config index %d out of range [0, %d)", configIdx, len(b.Configs))
 	}
-	return b.Errs.Row(pi, configIdx, b.CheckpointIndex(rounds)), nil
+	row := b.Errs.Row(pi, configIdx, b.CheckpointIndex(rounds))
+	return ratesInto(nil, row, rateDivisors(b.ExampleCounts[pi])), nil
 }
 
 // Validate checks the bank's structural integrity (used after loading).

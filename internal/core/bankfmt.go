@@ -10,28 +10,32 @@ import (
 	"noisyeval/internal/fl"
 )
 
-// This file holds the byte-level pieces of bankfmt/v4 that are not segment
+// This file holds the byte-level pieces of bankfmt/v5 that are not segment
 // framing (internal/core/bankseg owns that): the hand-rolled binary encoding
-// of a bank's metadata — the body of a v4 commit segment, see bankv4.go —
-// and the 8-byte sniff that recognises the retired encodings (the gob+gzip
-// original and the monolithic bankfmt/v3 frame). Nothing reads those any
-// more: a stale file is named, never decoded, and cmd/bank reproduces its
-// bank bit for bit from the flags that built it.
+// of a bank's metadata — the body of a commit segment, see bankv4.go — and
+// the 8-byte sniff that recognises the retired encodings (the gob+gzip
+// original, the monolithic bankfmt/v3 frame and the float64 arenas of
+// bankfmt/v4). Nothing reads those any more: a stale file is named, never
+// decoded, and cmd/bank reproduces its bank bit for bit from the flags that
+// built it.
 
-// maxBankFloatBytes bounds the arena a bank (a store entry or a peer
+// arenaElemBytes is the size of one arena element, a uint32 wrong-count.
+const arenaElemBytes = 4
+
+// maxBankArenaBytes bounds the arena a bank (a store entry or a peer
 // transfer) may demand. A paper-scale bank (3 partitions x 128 configs x 6
-// checkpoints x 10k clients) is ~184 MB; 8 GB is the same
+// checkpoints x 10k clients) is ~92 MB; 4 GB is the same
 // two-orders-of-magnitude headroom the dist wire caps use.
-const maxBankFloatBytes = 8 << 30
+const maxBankArenaBytes = 4 << 30
 
-// MaxBankImageBytes bounds a whole bankfmt/v4 image: the arena cap plus room
+// MaxBankImageBytes bounds a whole bankfmt/v5 image: the arena cap plus room
 // for metadata and segment framing. Readers of bank bytes from outside the
 // process (internal/dist's peer fetch) inflate no further than this.
-const MaxBankImageBytes = maxBankFloatBytes + 64<<20
+const MaxBankImageBytes = maxBankArenaBytes + 64<<20
 
 var (
 	// ErrLegacyBankFormat reports bytes in a retired encoding: the original
-	// gob+gzip, or a bankfmt generation older than v4.
+	// gob+gzip, or a bankfmt generation older than v5.
 	ErrLegacyBankFormat = errors.New("core: retired bank encoding")
 	// ErrUnknownBankVersion reports a bankfmt stream from a future format
 	// version.
@@ -47,9 +51,10 @@ func IsStaleBankFormat(err error) bool {
 
 // sniffBankGeneration classifies a bank image by its first 8 bytes: the
 // format generation (0 for the gob+gzip original) and, for every generation
-// but v4, the stale-format error naming it and the fix. Bytes that belong
-// to no generation report v4 with a nil error — the segment layer then
-// locates what is wrong with them.
+// but the current one (bankseg.Version), the stale-format error naming it
+// and the fix. Bytes that belong to no generation report the current
+// version with a nil error — the segment layer then locates what is wrong
+// with them.
 func sniffBankGeneration(prefix []byte) (version int, err error) {
 	const fix = "rebuild it with cmd/bank (the flags that built it reproduce it bit for bit)"
 	switch {
@@ -273,15 +278,15 @@ func parseBankMeta(meta []byte) (*Bank, error) {
 
 // dimsProduct multiplies tensor dimensions with overflow protection, so a
 // corrupt metadata section can never wrap the implied arena length around to
-// something that accidentally matches the header's float count.
+// something that accidentally matches the arena segment's length.
 func dimsProduct(dims ...int) (int, error) {
 	p := 1
 	for _, d := range dims {
 		if d < 0 {
 			return 0, fmt.Errorf("core: bankfmt dimension %d negative", d)
 		}
-		if d > 0 && p > (maxBankFloatBytes/8)/d {
-			return 0, fmt.Errorf("core: bankfmt dimensions overflow the %d-byte arena cap", int64(maxBankFloatBytes))
+		if d > 0 && p > (maxBankArenaBytes/arenaElemBytes)/d {
+			return 0, fmt.Errorf("core: bankfmt dimensions overflow the %d-byte arena cap", int64(maxBankArenaBytes))
 		}
 		p *= d
 	}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -35,14 +36,34 @@ func gobGzipMember(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
-// TestStaleGenerationsSelfHeal plants files of both retired encodings under a
-// live key, in both open modes: each is evicted, counted as a stale format
-// (not as corruption), rebuilt, and re-read as bankfmt/v4 — and reading the
+// v4Image returns a whole bankfmt/v4 file (float64 arena) as the previous
+// generation's SaveBankV4 wrote it: the fuzz corpus seed v4-valid-bank.
+func v4Image(t testing.TB) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzBankV5", "v4-valid-bank"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+	if !ok {
+		t.Fatalf("v4-valid-bank is not a one-value corpus entry")
+	}
+	img, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil || !strings.HasPrefix(img, "NEBANK\x04\x00") {
+		t.Fatalf("v4-valid-bank does not hold a v4 image (err %v)", err)
+	}
+	return []byte(img)
+}
+
+// TestStaleGenerationsSelfHeal plants files of every retired encoding under
+// a live key, in both open modes: each is evicted, counted as a stale format
+// (not as corruption), rebuilt, and re-read as bankfmt/v5 — and reading the
 // same bytes as a file names the generation and the fix.
 func TestStaleGenerationsSelfHeal(t *testing.T) {
 	b := storeBank(t)
 	key := BankKey(tinySpec(), tinyBuildOptions(), 7)
 	stale := map[string][]byte{
+		"bankfmt/v4": v4Image(t),
 		"bankfmt/v3": v3FrameHeader(),
 		"gob+gzip":   gobGzipMember(t),
 	}
@@ -91,8 +112,8 @@ func TestStaleGenerationsSelfHeal(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bankseg.SniffV4(raw) {
-					t.Error("rebuilt entry is not bankfmt/v4")
+				if !bankseg.Sniff(raw) {
+					t.Error("rebuilt entry is not bankfmt/v5")
 				}
 				again, err := store.Get(key)
 				if err != nil || again == nil || hashBankContent(again) != hashBankContent(b) {
@@ -141,17 +162,17 @@ func TestStaleGenerationsSelfHeal(t *testing.T) {
 }
 
 // TestBankFormatGenerations pins the rest of the taxonomy: a future
-// generation is stale (not corrupt), and bytes that merely claim to be v4 are
+// generation is stale (not corrupt), and bytes that merely claim to be v5 are
 // located corruption (not stale).
 func TestBankFormatGenerations(t *testing.T) {
-	future := append([]byte("NEBANK\x05\x00"), make([]byte, 120)...)
+	future := append([]byte("NEBANK\x06\x00"), make([]byte, 120)...)
 	if _, err := DecodeBank(future); !errors.Is(err, ErrUnknownBankVersion) || !IsStaleBankFormat(err) {
 		t.Errorf("future version: err = %v, want ErrUnknownBankVersion", err)
 	}
 	var ce *CorruptError
-	claimsV4 := append([]byte("NEBANK\x04\x00"), make([]byte, 120)...)
-	if _, err := DecodeBank(claimsV4); !errors.As(err, &ce) || IsStaleBankFormat(err) {
-		t.Errorf("zeroed v4 header: err = %v, want *CorruptError", err)
+	claimsV5 := append([]byte("NEBANK\x05\x00"), make([]byte, 120)...)
+	if _, err := DecodeBank(claimsV5); !errors.As(err, &ce) || IsStaleBankFormat(err) {
+		t.Errorf("zeroed v5 header: err = %v, want *CorruptError", err)
 	}
 	for name, data := range map[string][]byte{"empty": nil, "short": []byte("NEB"), "foreign": bytes.Repeat([]byte("x"), 200)} {
 		if _, err := DecodeBank(data); !errors.As(err, &ce) || IsStaleBankFormat(err) {
@@ -163,7 +184,7 @@ func TestBankFormatGenerations(t *testing.T) {
 	}
 }
 
-// TestShardImageRoundTripAndRobustness covers the v4 shard image dist workers
+// TestShardImageRoundTripAndRobustness covers the shard image dist workers
 // upload: a round trip is exact and deterministic, and every way the two
 // segments can disagree with each other or their checksums is refused.
 func TestShardImageRoundTripAndRobustness(t *testing.T) {
@@ -194,7 +215,7 @@ func TestShardImageRoundTripAndRobustness(t *testing.T) {
 	if err := back.Validate(plan); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(bankseg.AppendFloat64s(nil, back.Errs.Data), bankseg.AppendFloat64s(nil, sh.Errs.Data)) {
+	if !bytes.Equal(bankseg.AppendUint32s(nil, back.Errs.Counts), bankseg.AppendUint32s(nil, sh.Errs.Counts)) {
 		t.Error("shard arena changed in round trip")
 	}
 	if !back.Diverged[1] || back.Diverged[0] || back.Diverged[2] {

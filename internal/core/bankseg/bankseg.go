@@ -1,4 +1,4 @@
-// Package bankseg implements the segment layer of bankfmt/v4: an
+// Package bankseg implements the segment layer of bankfmt/v5: an
 // append-oriented on-disk container of CRC-framed, 64-byte-aligned segments
 // behind a fixed file header. The layer is deliberately bank-agnostic — it
 // knows headers, framing, checksums, mmap, append, and torn-tail recovery;
@@ -7,14 +7,14 @@
 //
 // Layout (all integers little-endian, CRC-32C/Castagnoli):
 //
-//	file header   64 B   "NEBANK" magic, version=4, flags, alignment, CRC
+//	file header   64 B   "NEBANK" magic, version=5, flags, alignment, CRC
 //	segment 0     64 B header + payload, zero-padded to a 64 B boundary
 //	segment 1     ...
 //
 // Segment headers carry a strictly increasing sequence number, a kind, a
 // 16-byte kind-specific tag, the payload length and CRC, and their own CRC.
-// 64-byte alignment of every payload means a raw little-endian float64
-// payload can be reinterpreted in place as a []float64 on little-endian
+// 64-byte alignment of every payload means a raw little-endian uint32
+// payload can be reinterpreted in place as a []uint32 on little-endian
 // hosts — the zero-copy mmap serving path.
 //
 // Durability discipline: fresh files are written to a temp name, fsynced,
@@ -39,7 +39,7 @@ import (
 
 const (
 	// Align is the placement granularity of segment headers and payloads.
-	// It is a cache-line (and sufficient float64-alignment) boundary, and is
+	// It is a cache-line (and sufficient word-alignment) boundary, and is
 	// recorded in the file header so future readers can verify it.
 	Align = 64
 	// FileHeaderLen is the fixed size of the file header.
@@ -47,13 +47,15 @@ const (
 	// SegmentHeaderLen is the fixed size of every segment header.
 	SegmentHeaderLen = 64
 	// Version is the bankfmt generation this layer reads and writes. The
-	// magic matches bankfmt/v3 so old decoders fail with their own coded
-	// "written by a future version" error instead of a garbage parse.
-	Version = 4
+	// magic matches bankfmt/v3 and v4 so old decoders fail with their own
+	// coded "written by a future version" error instead of a garbage parse.
+	// v5 changed only the arena element (uint32 wrong-counts where v4 stored
+	// float64 rates); the framing is v4's.
+	Version = 5
 
 	// maxSegmentBytes caps a single segment's payload, bounding allocation
 	// from hostile headers (mirrors core's arena cap).
-	maxSegmentBytes = 8 << 30
+	maxSegmentBytes = 4 << 30
 )
 
 var (
@@ -62,13 +64,13 @@ var (
 	castagnoli = crc32.MakeTable(crc32.Castagnoli)
 )
 
-// ErrNotSegmented reports that a file's first bytes are not a bankfmt/v4
-// file header (it may be a perfectly valid v3 or legacy bank).
-var ErrNotSegmented = errors.New("bankseg: not a bankfmt/v4 segmented bank file")
+// ErrNotSegmented reports that a file's first bytes are not a bankfmt/v5
+// file header (it may be a perfectly valid bank of a retired generation).
+var ErrNotSegmented = errors.New("bankseg: not a bankfmt/v5 segmented bank file")
 
-// SniffV4 reports whether prefix starts with a bankfmt/v4 file header
-// (magic + version only; no checksum verification).
-func SniffV4(prefix []byte) bool {
+// Sniff reports whether prefix starts with a file header of this layer's
+// Version (magic + version only; no checksum verification).
+func Sniff(prefix []byte) bool {
 	return len(prefix) >= 8 &&
 		string(prefix[:6]) == string(fileMagic) &&
 		binary.LittleEndian.Uint16(prefix[6:8]) == Version
@@ -93,7 +95,7 @@ func (e *CorruptError) Error() string {
 	return fmt.Sprintf("bankseg: %s: segment %d at offset %d: %s", where, e.Segment, e.Offset, e.Reason)
 }
 
-// Segment is one framed unit of a v4 file. Payload is a view into the
+// Segment is one framed unit of a segmented file. Payload is a view into the
 // file image (mapped or heap); callers must treat it as read-only.
 type Segment struct {
 	Kind       uint32
@@ -127,7 +129,7 @@ func encodeFileHeader() []byte {
 	h := make([]byte, FileHeaderLen)
 	copy(h[0:6], fileMagic)
 	binary.LittleEndian.PutUint16(h[6:8], Version)
-	binary.LittleEndian.PutUint32(h[8:12], 0) // flags: none defined in v4
+	binary.LittleEndian.PutUint32(h[8:12], 0) // flags: none defined
 	binary.LittleEndian.PutUint32(h[12:16], Align)
 	binary.LittleEndian.PutUint32(h[60:64], crc32.Checksum(h[:60], castagnoli))
 	return h
@@ -138,7 +140,7 @@ func parseFileHeader(path string, data []byte) error {
 		return &CorruptError{Path: path, Segment: -1, Offset: 0, Reason: "file shorter than header"}
 	}
 	h := data[:FileHeaderLen]
-	if !SniffV4(h) {
+	if !Sniff(h) {
 		return ErrNotSegmented
 	}
 	if got, want := crc32.Checksum(h[:60], castagnoli), binary.LittleEndian.Uint32(h[60:64]); got != want {
@@ -147,7 +149,7 @@ func parseFileHeader(path string, data []byte) error {
 	}
 	if flags := binary.LittleEndian.Uint32(h[8:12]); flags != 0 {
 		return &CorruptError{Path: path, Segment: -1, Offset: 8,
-			Reason: fmt.Sprintf("unknown v4 flags %#x", flags)}
+			Reason: fmt.Sprintf("unknown header flags %#x", flags)}
 	}
 	if align := binary.LittleEndian.Uint32(h[12:16]); align != Align {
 		return &CorruptError{Path: path, Segment: -1, Offset: 12,
@@ -170,7 +172,7 @@ func encodeSegmentHeader(kind uint32, seq uint64, tag [16]byte, payload []byte) 
 	return h
 }
 
-// NewImage starts an in-memory v4 container (the file header alone) for
+// NewImage starts an in-memory container (the file header alone) for
 // AppendSegment to extend — how a container is rendered for the wire, where
 // there is no file to append to. Parse reads the result back.
 func NewImage() []byte { return encodeFileHeader() }
@@ -190,7 +192,7 @@ func AppendSegment(img []byte, kind uint32, seq uint64, tag [16]byte, payload []
 
 // --- reading ---
 
-// File is an opened v4 container: the parsed segment walk over a mapped or
+// File is an opened container: the parsed segment walk over a mapped or
 // heap-resident image. Closing a mapped File unmaps it, invalidating every
 // Segment.Payload view handed out — the owner must not close while readers
 // hold views.
@@ -246,7 +248,7 @@ func open(path string, tryMap bool) (*File, error) {
 	return sf, nil
 }
 
-// Parse walks an in-memory v4 image (e.g. bytes received off the wire).
+// Parse walks an in-memory image (e.g. bytes received off the wire).
 // The returned File is heap-backed; Close is a no-op.
 func Parse(data []byte) (*File, error) {
 	sf := &File{data: data}
@@ -382,7 +384,7 @@ func (f *File) Close() error {
 
 // --- writing ---
 
-// Writer appends segments to a v4 container. Two construction modes share
+// Writer appends segments to a container. Two construction modes share
 // it: Create builds a fresh file behind a temp name (Commit fsyncs and
 // renames it into place), OpenAppend extends an existing file in place
 // after truncating crash debris (Commit fsyncs).
@@ -394,7 +396,7 @@ type Writer struct {
 	nextSeq uint64
 }
 
-// Create starts a fresh v4 file that will land at path on Commit. The
+// Create starts a fresh file that will land at path on Commit. The
 // in-progress file uses a ".banktmp-" prefixed name so it can never be
 // mistaken for a complete store entry.
 func Create(path string) (*Writer, error) {
@@ -416,7 +418,7 @@ func Create(path string) (*Writer, error) {
 	return w, nil
 }
 
-// OpenAppend opens an existing v4 file for growth. It re-verifies every
+// OpenAppend opens an existing file for growth. It re-verifies every
 // segment (headers and payload CRCs), finds the last segment isCommit
 // recognizes as a commit point, and physically truncates everything after
 // it — crash debris from an interrupted previous append. It returns the

@@ -12,7 +12,7 @@ const kindCommit = 9 // arbitrary commit kind for these tests
 
 func isCommit(s *Segment) bool { return s.Kind == kindCommit }
 
-// writeTestFile creates a committed v4 file with the given payloads; every
+// writeTestFile creates a committed segmented file with the given payloads; every
 // odd segment index gets kindCommit so append tests have commit points.
 func writeTestFile(t *testing.T, path string, payloads ...[]byte) {
 	t.Helper()
@@ -92,8 +92,8 @@ func TestSniffAndHeaderCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !SniffV4(raw) {
-		t.Fatal("fresh file does not sniff as v4")
+	if !Sniff(raw) {
+		t.Fatal("fresh file does not sniff as the current version")
 	}
 
 	// Wrong magic → ErrNotSegmented (a v3 bank, not corruption).
@@ -261,27 +261,27 @@ func TestAbortCreateLeavesNothing(t *testing.T) {
 	}
 }
 
-func TestFloat64sRoundTrip(t *testing.T) {
-	want := []float64{0, 1.5, -2.25, 1e308, -1e-300}
-	raw := AppendFloat64s(nil, want)
-	if len(raw) != len(want)*8 {
+func TestUint32sRoundTrip(t *testing.T) {
+	want := []uint32{0, 1, 65535, 65536, 194167, 1<<32 - 1}
+	raw := AppendUint32s(nil, want)
+	if len(raw) != len(want)*4 {
 		t.Fatalf("encoded %d bytes", len(raw))
 	}
-	got := CopyFloat64s(raw)
+	got := CopyUint32s(raw)
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("CopyFloat64s[%d] = %v, want %v", i, got[i], want[i])
+			t.Fatalf("CopyUint32s[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
-	if zc, ok := Float64s(raw); ok {
+	if zc, ok := Uint32s(raw); ok {
 		for i := range want {
 			if zc[i] != want[i] {
-				t.Fatalf("Float64s[%d] = %v, want %v", i, zc[i], want[i])
+				t.Fatalf("Uint32s[%d] = %v, want %v", i, zc[i], want[i])
 			}
 		}
 	}
-	// Odd-length payloads can never alias as []float64.
-	if _, ok := Float64s(raw[:9]); ok {
-		t.Fatal("Float64s accepted a non-multiple-of-8 payload")
+	// Payloads whose length is not a multiple of 4 can never alias as []uint32.
+	if _, ok := Uint32s(raw[:5]); ok {
+		t.Fatal("Uint32s accepted a non-multiple-of-4 payload")
 	}
 }

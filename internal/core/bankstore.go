@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"crypto/sha256"
-	"encoding/gob"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -28,7 +27,11 @@ import (
 // (build inputs), and the on-disk format carries its own version header, so
 // a stale-format entry under a current key is detected on load, evicted,
 // and rebuilt (StoreStats.StaleFormat).
-const bankKeyVersion = "bankstore-v3"
+// v4: PopulationFingerprint hashes explicit little-endian bytes instead of a
+// gob stream, whose process-global type IDs gave one population different
+// keys in different processes (a process that had gob-encoded another type
+// first missed the cache another process filled).
+const bankKeyVersion = "bankstore-v4"
 
 // normalizeBuildOptions applies the same defaulting BuildBank performs, so
 // that two option values which build identical banks hash identically.
@@ -77,16 +80,33 @@ func BankKey(spec data.Spec, opts BuildOptions, seed uint64) string {
 // PopulationFingerprint hashes the population's actual content (spec plus
 // every client's examples), so cache keys distinguish populations that share
 // a Spec but were generated differently (e.g. different generation seeds).
-// Cost is one pass over the raw data — noise next to training a bank.
+// The content is hashed as explicit little-endian bytes, pool by pool: the
+// client count, then per client its ID and example count, then per example
+// its features (length, Float64bits), tokens (length, values) and label —
+// the same bytes in every process. Cost is one pass over the raw data —
+// noise next to training a bank.
 func PopulationFingerprint(pop *data.Population) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s\nspec %#v\n", bankKeyVersion, pop.Spec)
-	enc := gob.NewEncoder(h)
+	var buf []byte
 	for _, pool := range [][]*data.Client{pop.Train, pop.Val} {
-		if err := enc.Encode(pool); err != nil {
-			// Clients are plain exported slices/scalars; an encode failure
-			// is a programming error, never data-dependent.
-			panic(fmt.Sprintf("core: population fingerprint: %v", err))
+		buf = appendU64(buf[:0], uint64(len(pool)))
+		for _, c := range pool {
+			buf = appendI64(buf, int64(c.ID))
+			buf = appendU64(buf, uint64(len(c.Examples)))
+			for _, ex := range c.Examples {
+				buf = appendU64(buf, uint64(len(ex.Features)))
+				for _, f := range ex.Features {
+					buf = appendF64(buf, f)
+				}
+				buf = appendU64(buf, uint64(len(ex.Tokens)))
+				for _, tok := range ex.Tokens {
+					buf = appendI64(buf, int64(tok))
+				}
+				buf = appendI64(buf, int64(ex.Label))
+			}
+			h.Write(buf)
+			buf = buf[:0]
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
@@ -121,7 +141,7 @@ type StoreStats struct {
 	CorruptSegment int64
 }
 
-// BankStore is a content-addressed on-disk bank cache. Entries are bankfmt/v4
+// BankStore is a content-addressed on-disk bank cache. Entries are bankfmt/v5
 // files (SaveBankV4), stored as <dir>/<key>.bank where key comes from
 // BankKey. Writes go through a temp file plus fsync plus atomic rename,
 // so a crashed or concurrent writer can never leave a partial entry visible;

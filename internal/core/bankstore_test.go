@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"encoding/gob"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -75,6 +77,56 @@ func TestBankKeyStableAndSensitive(t *testing.T) {
 	}
 }
 
+// Content addresses recorded on the explicit-bytes fingerprints. They are
+// literals on purpose: a fingerprint that depended on process state (gob's
+// process-global type IDs did) would give one population or bank different
+// keys in different processes, and only a pinned value catches that.
+const (
+	goldenTinyPopFingerprint  = "1320a93d7e2000ed18c83fe4383736aaa0ccc3de04235edb15e78123a6c9a8d0"
+	goldenTextPopFingerprint  = "52c72832457164a0f8686ebf6a04082eae8960060d6edc9b186a1450227f1623"
+	goldenTinyBankKey         = "a4bf2b3ea965a7921a6c411b93da495885d0dc8f6c4eb0af98fae337701d90eb"
+	goldenTinyBankFingerprint = "2d4e7e29206132e6f5ddf7f42b2abcf8504b7abf7670af10cc3567d3b6e2616e"
+)
+
+// TestFingerprintsIgnoreProcessState pins PopulationFingerprint,
+// BankKeyForPopulation and BankFingerprint to literal values, computed after
+// gob has encoded an unrelated type — which shifted every type ID of the
+// gob-based fingerprints, so a process that had used gob first (cmd/figures
+// -bank, cmd/fedtune) missed the cache entries cmd/bank filled.
+func TestFingerprintsIgnoreProcessState(t *testing.T) {
+	unrelated := struct {
+		Name  string
+		Vals  []float64
+		Index map[string]int
+	}{"unrelated", []float64{1, 2}, map[string]int{"a": 1}}
+	if err := gob.NewEncoder(io.Discard).Encode(unrelated); err != nil {
+		t.Fatal(err)
+	}
+	b, pop := tinyBank(t)
+	for name, c := range map[string]struct{ got, want string }{
+		"image population": {PopulationFingerprint(pop), goldenTinyPopFingerprint},
+		"text population":  {PopulationFingerprint(goldenTextPop(t)), goldenTextPopFingerprint},
+		"bank key":         {BankKeyForPopulation(pop, tinyBuildOptions(), 7), goldenTinyBankKey},
+		"bank":             {BankFingerprint(b), goldenTinyBankFingerprint},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s fingerprint = %s, want %s", name, c.got, c.want)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "tiny.bank")
+	if err := SaveBankV4(b, path); err != nil {
+		t.Fatal(err)
+	}
+	mapped, closer, err := OpenBankMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer.Close()
+	if got := BankFingerprint(mapped); got != goldenTinyBankFingerprint {
+		t.Errorf("mapped bank fingerprint = %s, want %s", got, goldenTinyBankFingerprint)
+	}
+}
+
 func TestBankKeyDistinguishesPopulations(t *testing.T) {
 	// Two populations generated from the SAME spec but different seeds hold
 	// different client data; their pop-bound keys must differ even though
@@ -120,8 +172,8 @@ func TestBankStoreMissThenHit(t *testing.T) {
 	if got.SpecName != b.SpecName || len(got.Configs) != len(b.Configs) {
 		t.Error("round-tripped bank differs")
 	}
-	for i := range b.Errs.Data {
-		if got.Errs.Data[i] != b.Errs.Data[i] {
+	for i := range b.Errs.Counts {
+		if got.Errs.Counts[i] != b.Errs.Counts[i] {
 			t.Fatal("round-tripped errors differ")
 		}
 	}

@@ -1,21 +1,28 @@
 package core
 
-// bankfmt/v4: the one encoding a bank or a bank shard ever takes — store
+// bankfmt/v5: the one encoding a bank or a bank shard ever takes — store
 // entries, cmd/bank artifacts, peer transfers and dist shard uploads alike.
 // A bank is a container of CRC-framed, 64-byte-aligned segments
 // (internal/core/bankseg):
 //
-//	file header (64 B, magic "NEBANK", version 4)
-//	arena segment    configs [lo,hi): raw little-endian float64s laid out
-//	                 [partition][config-lo][checkpoint][client] (BankShard
-//	                 order — for the full range this IS the canonical arena)
-//	commit segment   segment directory + bank metadata (bankfmt.go)
+//	file header (64 B, magic "NEBANK", version 5)
+//	arena segment    configs [lo,hi): raw little-endian uint32 wrong-counts
+//	                 laid out [partition][config-lo][checkpoint][client]
+//	                 (BankShard order — for the full range this IS the
+//	                 canonical arena)
+//	commit segment   segment directory + bank metadata (bankfmt.go),
+//	                 including the per-(partition, client) example counts
+//	                 every reader divides a count by
+//
+// v5 is v4 with the arena element narrowed from the float64 rate to the
+// uint32 count it was the quotient of: same framing, half the arena bytes.
+// The functions keep the V4 names of the segmented container they write.
 //
 // The commit segment is written last and names, by sequence number, exactly
 // the arena segments that constitute the bank — so growth appends arenas
 // then one new commit, and a crash anywhere in between leaves the previous
 // commit as the authoritative state (OpenAppend truncates the debris).
-// Because arena payloads are raw aligned LE float64s, a v4 file opens via
+// Because arena payloads are raw aligned LE uint32s, a bank file opens via
 // mmap and serves oracle reads zero-copy; open cost is O(segment count),
 // not O(file size), since mapped opens verify only the header chain.
 //
@@ -33,7 +40,7 @@ import (
 	"noisyeval/internal/core/bankseg"
 )
 
-// v4 segment kinds.
+// Segment kinds.
 const (
 	segKindCommit     = 1 // segment directory + bank metadata; the commit point
 	segKindArena      = 2 // error sub-arena for configs [lo, hi)
@@ -45,7 +52,7 @@ const (
 // StoreStats.CorruptSegment; cmd/bank -info prints them.
 type CorruptError struct {
 	Path    string // file path when known
-	Section string // "header" (not a v4 file header at all) | "segment"
+	Section string // "header" (not a current-version file header at all) | "segment"
 	Segment int    // segment index; -1 for the header
 	Offset  int64  // byte offset of the failing header/segment start
 	Err     error
@@ -77,7 +84,7 @@ func wrapSegmentErr(path string, err error) error {
 	return err
 }
 
-// v4Corrupt builds a coded corruption error for one v4 segment.
+// v4Corrupt builds a coded corruption error for one segment.
 func v4Corrupt(path string, segment int, offset int64, format string, args ...any) *CorruptError {
 	return &CorruptError{
 		Path: path, Section: "segment", Segment: segment, Offset: offset,
@@ -138,30 +145,30 @@ func parseV4Commit(payload []byte) ([]v4DirEntry, *Bank, error) {
 	return dir, b, nil
 }
 
-// SaveBankV4 writes the bank to path in bankfmt/v4: one full-range arena
-// segment plus one commit segment, built behind a temp file and published
-// with fsync + atomic rename, so readers only ever see complete, durable
-// files. The write is deterministic — equal bank content yields equal file
-// bytes.
+// SaveBankV4 writes the bank to path in bankfmt/v5 (the name predates v5):
+// one full-range arena segment plus one commit segment, built behind a temp
+// file and published with fsync + atomic rename, so readers only ever see
+// complete, durable files. The write is deterministic — equal bank content
+// yields equal file bytes.
 func SaveBankV4(b *Bank, path string) error {
 	if err := b.Validate(); err != nil {
 		return fmt.Errorf("core: refusing to save invalid bank: %w", err)
 	}
 	w, err := bankseg.Create(path)
 	if err != nil {
-		return fmt.Errorf("core: save bank v4: %w", err)
+		return fmt.Errorf("core: save bank: %w", err)
 	}
 	n := len(b.Configs)
-	arenaSeq, err := w.Append(segKindArena, arenaTag(0, n), bankseg.AppendFloat64s(nil, b.Errs.Arena()))
+	arenaSeq, err := w.Append(segKindArena, arenaTag(0, n), bankseg.AppendUint32s(nil, b.Errs.Arena()))
 	if err == nil {
 		_, err = w.Append(segKindCommit, [16]byte{}, appendV4Commit(nil, []v4DirEntry{{seq: arenaSeq, lo: 0, hi: n}}, b))
 	}
 	if err != nil {
 		w.Abort()
-		return fmt.Errorf("core: save bank v4: %w", err)
+		return fmt.Errorf("core: save bank: %w", err)
 	}
 	if err := w.Commit(); err != nil {
-		return fmt.Errorf("core: save bank v4: %w", err)
+		return fmt.Errorf("core: save bank: %w", err)
 	}
 	return nil
 }
@@ -172,7 +179,7 @@ func SaveBankV4(b *Bank, path string) error {
 // heap-load contract (every payload checksummed; open cost O(file size));
 // mapped opens pass false so open cost stays O(segment count). zeroCopy
 // backs the matrix with payload views (the caller must then keep f open);
-// otherwise float data is copied onto the heap and canonicalized. The
+// otherwise the counts are copied onto the heap and canonicalized. The
 // returned refs reports whether the bank references f's image.
 func assembleBankV4(f *bankseg.File, verifyPayloads, zeroCopy bool) (b *Bank, refs bool, err error) {
 	path := f.Path()
@@ -241,18 +248,18 @@ func assembleBankV4(f *bankseg.File, verifyPayloads, zeroCopy bool) (b *Bank, re
 		if e.lo < 0 || e.hi > nConfigs || e.lo >= e.hi {
 			return nil, false, v4Corrupt(path, commitIdx, s.Offset, "arena range [%d,%d) invalid for %d configs", e.lo, e.hi, nConfigs)
 		}
-		wantFloats := parts * (e.hi - e.lo) * ckpts * clients
-		if len(s.Payload) != wantFloats*8 {
-			return nil, false, v4Corrupt(path, commitIdx, s.Offset, "arena segment seq %d has %d payload bytes, want %d", e.seq, len(s.Payload), wantFloats*8)
+		wantCounts := parts * (e.hi - e.lo) * ckpts * clients
+		if len(s.Payload) != wantCounts*arenaElemBytes {
+			return nil, false, v4Corrupt(path, commitIdx, s.Offset, "arena segment seq %d has %d payload bytes, want %d", e.seq, len(s.Payload), wantCounts*arenaElemBytes)
 		}
-		var data []float64
+		var data []uint32
 		if zeroCopy {
-			if v, ok := bankseg.Float64s(s.Payload); ok {
+			if v, ok := bankseg.Uint32s(s.Payload); ok {
 				data, refs = v, true
 			}
 		}
 		if data == nil {
-			data = bankseg.CopyFloat64s(s.Payload)
+			data = bankseg.CopyUint32s(s.Payload)
 		}
 		msegs = append(msegs, errSeg{lo: e.lo, hi: e.hi, data: data})
 	}
@@ -261,16 +268,16 @@ func assembleBankV4(f *bankseg.File, verifyPayloads, zeroCopy bool) (b *Bank, re
 	switch {
 	case len(msegs) == 1 && msegs[0].lo == 0 && msegs[0].hi == nConfigs:
 		// Full-range shard order equals canonical arena order: serve it as a
-		// plain heap-shaped matrix (Data set) whether mapped or copied.
-		bank.Errs = ErrMatrix{Parts: parts, Configs: nConfigs, Checkpoints: ckpts, Clients: clients, Data: msegs[0].data}
+		// plain heap-shaped matrix (Counts set) whether mapped or copied.
+		bank.Errs = ErrMatrix{Parts: parts, Configs: nConfigs, Checkpoints: ckpts, Clients: clients, Counts: msegs[0].data}
 	case !refs:
 		// Heap loads canonicalize multi-segment banks into one arena, the
-		// shape every Data-facing code path expects.
+		// shape every Counts-facing code path expects.
 		m := newSegmentedMatrix(parts, nConfigs, ckpts, clients, msegs)
 		if err := m.Validate(); err != nil {
 			return nil, false, v4Corrupt(path, commitIdx, commit.Offset, "%w", err)
 		}
-		bank.Errs = ErrMatrix{Parts: parts, Configs: nConfigs, Checkpoints: ckpts, Clients: clients, Data: m.Arena()}
+		bank.Errs = ErrMatrix{Parts: parts, Configs: nConfigs, Checkpoints: ckpts, Clients: clients, Counts: m.Arena()}
 	default:
 		bank.Errs = newSegmentedMatrix(parts, nConfigs, ckpts, clients, msegs)
 	}
@@ -282,12 +289,12 @@ func assembleBankV4(f *bankseg.File, verifyPayloads, zeroCopy bool) (b *Bank, re
 }
 
 // nopCloser is the Closer OpenBankMapped returns when the bank holds no
-// reference to a mapping (heap fallback, copied floats).
+// reference to a mapping (heap fallback, copied counts).
 type nopCloser struct{}
 
 func (nopCloser) Close() error { return nil }
 
-// OpenBankMapped opens a bank file for zero-copy serving: a bankfmt/v4 file
+// OpenBankMapped opens a bank file for zero-copy serving: a bankfmt/v5 file
 // is mmap'd and its error matrix backed directly by the mapped arena
 // segments, so open cost is O(segment count) regardless of bank size. The
 // returned Closer owns the mapping — Close only after every reader of the
@@ -348,7 +355,7 @@ func bankFilePrefix(path string) ([]byte, error) {
 	return prefix[:n], nil
 }
 
-// MarshalShardV4 renders a shard as a bankfmt/v4 image, the bytes a dist
+// MarshalShardV4 renders a shard as a bankfmt/v5 image, the bytes a dist
 // worker uploads: the arena segment ExtendBankV4 would append for [Lo, Hi),
 // then a flags segment under the same tag carrying the tensor dimensions
 // and the per-config divergence flags. Deterministic in the shard's content.
@@ -366,7 +373,7 @@ func MarshalShardV4(sh *BankShard) ([]byte, error) {
 	flags = appendU32(flags, uint32(sh.Errs.Checkpoints))
 	flags = appendU32(flags, uint32(sh.Errs.Clients))
 	flags = appendBools(flags, sh.Diverged)
-	img := bankseg.AppendSegment(bankseg.NewImage(), segKindArena, 1, tag, bankseg.AppendFloat64s(nil, sh.Errs.Data))
+	img := bankseg.AppendSegment(bankseg.NewImage(), segKindArena, 1, tag, bankseg.AppendUint32s(nil, sh.Errs.Counts))
 	return bankseg.AppendSegment(img, segKindShardFlags, 2, tag, flags), nil
 }
 
@@ -413,17 +420,17 @@ func UnmarshalShardV4(img []byte) (*BankShard, error) {
 	if err != nil {
 		return nil, v4Corrupt("", 1, flags.Offset, "%w", err)
 	}
-	if len(arena.Payload) != want*8 {
+	if len(arena.Payload) != want*arenaElemBytes {
 		return nil, v4Corrupt("", 0, arena.Offset, "arena segment has %d payload bytes, dimensions %dx%dx%dx%d imply %d",
-			len(arena.Payload), parts, hi-lo, ckpts, clients, want*8)
+			len(arena.Payload), parts, hi-lo, ckpts, clients, want*arenaElemBytes)
 	}
-	data, ok := bankseg.Float64s(arena.Payload)
+	data, ok := bankseg.Uint32s(arena.Payload)
 	if !ok {
-		data = bankseg.CopyFloat64s(arena.Payload)
+		data = bankseg.CopyUint32s(arena.Payload)
 	}
 	return &BankShard{
 		Lo: lo, Hi: hi,
-		Errs:     ErrMatrix{Parts: parts, Configs: hi - lo, Checkpoints: ckpts, Clients: clients, Data: data},
+		Errs:     ErrMatrix{Parts: parts, Configs: hi - lo, Checkpoints: ckpts, Clients: clients, Counts: data},
 		Diverged: diverged,
 	}, nil
 }
@@ -461,7 +468,7 @@ func (b *Bank) Extend(p *BuildPlan, shards []*BankShard) (*Bank, error) {
 		Lo: 0, Hi: n,
 		Errs: ErrMatrix{
 			Parts: b.Errs.Parts, Configs: n, Checkpoints: b.Errs.Checkpoints, Clients: b.Errs.Clients,
-			Data: b.Errs.Arena(),
+			Counts: b.Errs.Arena(),
 		},
 		Diverged: b.Diverged,
 	}
@@ -475,7 +482,7 @@ func (b *Bank) Extend(p *BuildPlan, shards []*BankShard) (*Bank, error) {
 // tests.
 var extendAbortStage string
 
-// ExtendBankV4 grows a v4 bank file in place: it loads the current bank,
+// ExtendBankV4 grows a bank file in place: it loads the current bank,
 // assembles the grown bank in memory (Extend), then appends one arena
 // segment per shard followed by a new commit segment naming the union, with
 // an fsync between data and commit so the commit is never durable ahead of
@@ -504,7 +511,7 @@ func ExtendBankV4(path string, p *BuildPlan, shards []*BankShard) (*Bank, error)
 	sorted := append([]*BankShard(nil), shards...)
 	slices.SortFunc(sorted, func(a, b *BankShard) int { return a.Lo - b.Lo })
 	for _, sh := range sorted {
-		seq, err := w.Append(segKindArena, arenaTag(sh.Lo, sh.Hi), bankseg.AppendFloat64s(nil, sh.Errs.Data))
+		seq, err := w.Append(segKindArena, arenaTag(sh.Lo, sh.Hi), bankseg.AppendUint32s(nil, sh.Errs.Counts))
 		if err != nil {
 			w.Abort()
 			return nil, fmt.Errorf("core: extend bank: %w", err)

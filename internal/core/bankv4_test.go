@@ -337,14 +337,15 @@ func TestLoadBankCorruptionIsLocated(t *testing.T) {
 	check("shortcommit.bank", raw[:commit.Offset+bankseg.SegmentHeaderLen+int64(len(commit.Payload))-1])
 }
 
-// FuzzBankV4 asserts the one bank decoder — it faces disk and the wire —
+// FuzzBankV5 asserts the one bank decoder — it faces disk and the wire —
 // never panics, only ever returns validated banks, and fails in exactly two
 // ways: a stale-format classification or a located *CorruptError. Seeds
 // cover the corpus the crash and corruption tests exercise (a valid file, a
 // torn segment, a payload CRC flip, a duplicated segment); testdata adds the
-// retired generations (v3 frames whole, truncated and bit-flipped, a gzip
-// magic), which must classify as stale without being decoded.
-func FuzzBankV4(f *testing.F) {
+// retired generations (a whole v4 file with its float64 arena, v3 frames
+// whole, truncated and bit-flipped, a gzip magic), which must classify as
+// stale without being decoded.
+func FuzzBankV5(f *testing.F) {
 	opts := tinyBuildOptions()
 	opts.NumConfigs, opts.MaxRounds = 2, 3
 	pop := data.MustGenerate(tinySpec(), rng.New(1))
@@ -375,7 +376,8 @@ func FuzzBankV4(f *testing.F) {
 			if !IsStaleBankFormat(err) && !errors.As(err, &ce) {
 				t.Fatalf("error is neither stale-format nor *CorruptError: %v", err)
 			}
-			if retired := bytes.HasPrefix(data, []byte("NEBANK\x03\x00")) || bytes.HasPrefix(data, []byte{0x1f, 0x8b}); retired && !IsStaleBankFormat(err) {
+			if retired := bytes.HasPrefix(data, []byte("NEBANK\x04\x00")) || bytes.HasPrefix(data, []byte("NEBANK\x03\x00")) ||
+				bytes.HasPrefix(data, []byte{0x1f, 0x8b}); retired && !IsStaleBankFormat(err) {
 				t.Fatalf("retired-generation bytes not classified stale: %v", err)
 			}
 			return

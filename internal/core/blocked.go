@@ -62,8 +62,9 @@ func (b *blockOracle) TrueError(cfg fl.HParams, rounds int) float64 {
 
 func (b *blockOracle) rowTrueError(k int) float64 {
 	if !b.filled[k] {
-		ci, ri := k/b.nCkpt, k%b.nCkpt
-		b.trueErr[k] = b.full.FullError(b.bank.Errs.Row(b.pi, ci, ri))
+		buf := b.rates(k/b.nCkpt, k%b.nCkpt)
+		b.trueErr[k] = b.full.FullError(*buf)
+		rateRows.Put(buf)
 		b.filled[k] = true
 	}
 	return b.trueErr[k]

@@ -87,8 +87,8 @@ func TestBuildBankDeterministicAcrossParallelism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range b1.Errs.Data {
-		if b1.Errs.Data[i] != b2.Errs.Data[i] {
+	for i := range b1.Errs.Counts {
+		if b1.Errs.Counts[i] != b2.Errs.Counts[i] {
 			t.Fatal("bank depends on worker count")
 		}
 	}

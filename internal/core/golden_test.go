@@ -68,12 +68,22 @@ func hashBankContent(b *Bank) string {
 		wi(r)
 	}
 	hashFloats(h, b.Partitions)
-	// The arena is row-major [partition][config][checkpoint][client] — the
-	// exact order the pre-arena nested loops hashed — so the golden
-	// constants recorded against [][][][]float64 banks still apply.
-	// Arena() (not Data) so segment-backed mapped banks hash identically
-	// to their heap twins.
-	hashFloats(h, b.Errs.Arena())
+	// The rates materialised from the counts, row-major
+	// [partition][config][checkpoint][client] — the exact values and order
+	// the pre-arena nested loops and the float64 arena hashed — so the
+	// golden constants recorded against float banks still apply. Row (not
+	// Counts) so segment-backed mapped banks hash identically to their heap
+	// twins.
+	var rates []float64
+	for pi := range b.Partitions {
+		den := rateDivisors(b.ExampleCounts[pi])
+		for ci := range b.Configs {
+			for ri := range b.Rounds {
+				rates = ratesInto(rates, b.Errs.Row(pi, ci, ri), den)
+				hashFloats(h, rates)
+			}
+		}
+	}
 	for _, d := range b.Diverged {
 		if d {
 			h.Write([]byte{1})

@@ -2,7 +2,7 @@ package core
 
 // Bank file inspection: the structured view behind `cmd/bank -info`. It
 // reads headers and segment tables without materializing a heap arena, so
-// inspecting a large v4 bank costs one mmap plus per-segment CRC sweeps.
+// inspecting a large bank costs one mmap plus per-segment CRC sweeps.
 
 import (
 	"fmt"
@@ -11,7 +11,7 @@ import (
 	"noisyeval/internal/core/bankseg"
 )
 
-// SegmentInfo describes one segment of a bankfmt/v4 file.
+// SegmentInfo describes one segment of a bankfmt/v5 file.
 type SegmentInfo struct {
 	Index  int    // position in the file walk
 	Kind   string // "arena" | "commit" | "unknown(n)"
@@ -27,14 +27,14 @@ type SegmentInfo struct {
 // generation reports only Path, Version and FileBytes.
 type BankInfo struct {
 	Path    string
-	Version int    // format generation: 4, or a retired one (0 = gob+gzip)
+	Version int    // format generation: 5, or a retired one (0 = gob+gzip)
 	Dims    [4]int // partitions, configs, checkpoints, clients
 
 	SpecName string
 	Seed     uint64
 
 	FileBytes  int64 // on-disk size
-	ArenaBytes int64 // mapped/decoded error-arena size (dims product × 8)
+	ArenaBytes int64 // mapped/decoded error-arena size (dims product × 4, one uint32 count each)
 
 	Segments []SegmentInfo // full segment table
 	Torn     string        // where the segment walk stopped early, if it did
@@ -58,10 +58,10 @@ func InspectBank(path string) (*BankInfo, error) {
 	if info.Version, err = sniffBankGeneration(prefix); err != nil {
 		return info, err
 	}
-	return inspectV4(info)
+	return inspectSegments(info)
 }
 
-func inspectV4(info *BankInfo) (*BankInfo, error) {
+func inspectSegments(info *BankInfo) (*BankInfo, error) {
 	sf, err := bankseg.Open(info.Path)
 	if err != nil {
 		return nil, wrapSegmentErr(info.Path, err)
@@ -118,6 +118,6 @@ func inspectV4(info *BankInfo) (*BankInfo, error) {
 	}
 	info.SpecName, info.Seed = b.SpecName, b.Seed
 	info.Dims = [4]int{len(b.Partitions), len(b.Configs), len(b.Rounds), clients}
-	info.ArenaBytes = int64(len(b.Partitions)) * int64(len(b.Configs)) * int64(len(b.Rounds)) * int64(clients) * 8
+	info.ArenaBytes = int64(len(b.Partitions)) * int64(len(b.Configs)) * int64(len(b.Rounds)) * int64(clients) * arenaElemBytes
 	return info, nil
 }

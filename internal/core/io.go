@@ -12,7 +12,7 @@ import (
 // ExtendBankV4), verifies every segment CRC and materializes a canonical
 // heap arena — the fully-checked counterpart of OpenBankMapped. Corruption
 // surfaces as a *CorruptError naming the failing segment and its offset; a
-// file in a retired encoding (bankfmt/v3, gob+gzip) fails with an error
+// file in a retired encoding (bankfmt/v4, v3, gob+gzip) fails with an error
 // satisfying IsStaleBankFormat that names the generation and the fix.
 func LoadBank(path string) (*Bank, error) {
 	data, err := os.ReadFile(path)
@@ -30,7 +30,7 @@ func LoadBank(path string) (*Bank, error) {
 	return b, nil
 }
 
-// DecodeBank reads one bankfmt/v4 image (a bank file's bytes, or the same
+// DecodeBank reads one bankfmt/v5 image (a bank file's bytes, or the same
 // bytes received from a peer) into a validated heap bank. Every error is
 // either a stale-format classification (IsStaleBankFormat — the bytes open
 // a retired or future encoding, recognised by their first 8 bytes and

@@ -158,3 +158,26 @@ func TestNoiseMatrixDegradation(t *testing.T) {
 		t.Errorf("combined noise median %.4f beats noiseless %.4f", dirty, clean)
 	}
 }
+
+// TestRatesDivideByExampleCounts pins the division contract of bankfmt/v5:
+// a rate is float64(count) / float64(examples), bit for bit the quotient the
+// builder stored before counts replaced rates, and a client without examples
+// has rate +0 whatever its count.
+func TestRatesDivideByExampleCounts(t *testing.T) {
+	examples := []int{3, 7, 0, 194167, 1, 10}
+	row := []uint32{1, 6, 0, 65537, 1, 3}
+	got := ratesInto(nil, row, rateDivisors(examples))
+	for k, n := range examples {
+		want := 0.0
+		if n > 0 {
+			want = float64(row[k]) / float64(n)
+		}
+		if math.Float64bits(got[k]) != math.Float64bits(want) {
+			t.Errorf("client %d: rate %v (bits %x), want %v (bits %x)", k, got[k], math.Float64bits(got[k]), want, math.Float64bits(want))
+		}
+	}
+	row[2] = 5 // a count on an empty client still reads as rate 0
+	if got := ratesInto(got, row, rateDivisors(examples)); got[2] != 0 || math.Signbit(got[2]) {
+		t.Errorf("empty client rate = %v, want +0", got[2])
+	}
+}

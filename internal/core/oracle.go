@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"noisyeval/internal/eval"
 	"noisyeval/internal/fl"
@@ -12,14 +13,17 @@ import (
 // BankOracle serves tuning methods from a pre-trained Bank: evaluations are
 // real subsamples/reweightings of recorded per-client errors — contiguous
 // arena rows, no pointer chasing — so hundreds of bootstrap trials cost
-// nothing beyond the one-time bank build. The base oracle is safe for
-// concurrent use (the bank is read-only, and it owns no scratch); each
+// nothing beyond the one-time bank build. Each visit converts the row's
+// wrong-counts into rates (one division per client, into a pooled buffer)
+// and hands eval's kernels the []float64 they take. The base oracle is safe
+// for concurrent use (the bank is read-only, and it owns no scratch); each
 // WithTrial copy additionally carries private scratch buffers reused across
 // that trial's evaluations, making the RunTrials hot path allocation-light.
 type BankOracle struct {
 	bank      *Bank
 	partition float64
-	pi        int // cached PartitionIndex(partition)
+	pi        int       // cached PartitionIndex(partition)
+	den       []float64 // rateDivisors(bank.ExampleCounts[pi])
 	evaluator *eval.Evaluator
 	full      *eval.Evaluator // full-pool weighted evaluator for TrueError
 	seed      uint64
@@ -61,7 +65,23 @@ func NewBankOracle(b *Bank, partition float64, scheme eval.Scheme, seed uint64) 
 	if err != nil {
 		return nil, err
 	}
-	return &BankOracle{bank: b, partition: partition, pi: pi, evaluator: ev, full: full, seed: seed}, nil
+	return &BankOracle{bank: b, partition: partition, pi: pi, den: rateDivisors(b.ExampleCounts[pi]),
+		evaluator: ev, full: full, seed: seed}, nil
+}
+
+// rateRows pools the buffers count rows are converted into. A buffer lives
+// for one evaluation, so the pool serves the base oracle, WithTrial copies
+// and the block scheduler's concurrent row workers alike without a buffer
+// per caller.
+var rateRows = sync.Pool{New: func() any { return new([]float64) }}
+
+// rates returns the error rates of arena row (ci, ri) under the oracle's
+// partition in a pooled buffer; the caller puts it back into rateRows once
+// the evaluation no longer reads it.
+func (o *BankOracle) rates(ci, ri int) *[]float64 {
+	buf := rateRows.Get().(*[]float64)
+	*buf = ratesInto(*buf, o.bank.Errs.Row(o.pi, ci, ri), o.den)
+	return buf
 }
 
 // trialSalts interns the "trial-<n>" salt strings shared by WithTrial copies
@@ -81,19 +101,18 @@ func (o *BankOracle) WithTrial(trial int) *BankOracle {
 	return &c
 }
 
-// row returns the bank's error row for (cfg, rounds) under the oracle's
-// partition — a view straight into the arena.
-func (o *BankOracle) row(cfg fl.HParams, rounds int) []float64 {
+// row returns the error rates of (cfg, rounds) under the oracle's partition
+// in a pooled buffer (see rates).
+func (o *BankOracle) row(cfg fl.HParams, rounds int) *[]float64 {
 	ci, err := o.bank.ConfigIndex(cfg)
 	if err != nil {
 		panic(err)
 	}
-	return o.bank.Errs.Row(o.pi, ci, o.bank.CheckpointIndex(rounds))
+	return o.rates(ci, o.bank.CheckpointIndex(rounds))
 }
 
-// Evaluate implements hpo.Oracle.
-func (o *BankOracle) Evaluate(cfg fl.HParams, rounds int, evalID string) float64 {
-	errs := o.row(cfg, rounds)
+// observe is one noisy evaluation of a rate row under evalID's cohort.
+func (o *BankOracle) observe(errs []float64, evalID string) float64 {
 	if s := o.scratch; s != nil {
 		s.g.Reseed(o.evalSeed(evalID))
 		return o.evaluator.EvaluateScratch(errs, s.g, &s.eval).Observed
@@ -101,9 +120,20 @@ func (o *BankOracle) Evaluate(cfg fl.HParams, rounds int, evalID string) float64
 	return o.evaluator.Evaluate(errs, rng.New(o.evalSeed(evalID))).Observed
 }
 
+// Evaluate implements hpo.Oracle.
+func (o *BankOracle) Evaluate(cfg fl.HParams, rounds int, evalID string) float64 {
+	buf := o.row(cfg, rounds)
+	v := o.observe(*buf, evalID)
+	rateRows.Put(buf)
+	return v
+}
+
 // TrueError implements hpo.Oracle: the full weighted validation error.
 func (o *BankOracle) TrueError(cfg fl.HParams, rounds int) float64 {
-	return o.full.FullError(o.row(cfg, rounds))
+	buf := o.row(cfg, rounds)
+	v := o.full.FullError(*buf)
+	rateRows.Put(buf)
+	return v
 }
 
 // ConfigEval is the outcome of one single-config evaluation — the session
@@ -136,20 +166,15 @@ func (o *BankOracle) EvaluateIndex(ci, rounds int, evalID string) (ConfigEval, e
 		return ConfigEval{}, fmt.Errorf("core: rounds %d must be ≥ 1", rounds)
 	}
 	ri := o.bank.CheckpointIndex(rounds)
-	errs := o.bank.Errs.Row(o.pi, ci, ri)
-	var observed float64
-	if s := o.scratch; s != nil {
-		s.g.Reseed(o.evalSeed(evalID))
-		observed = o.evaluator.EvaluateScratch(errs, s.g, &s.eval).Observed
-	} else {
-		observed = o.evaluator.Evaluate(errs, rng.New(o.evalSeed(evalID))).Observed
-	}
-	return ConfigEval{
+	buf := o.rates(ci, ri)
+	ev := ConfigEval{
 		ConfigIndex: ci,
 		Rounds:      o.bank.Rounds[ri],
-		Observed:    observed,
-		True:        o.full.FullError(errs),
-	}, nil
+		Observed:    o.observe(*buf, evalID),
+		True:        o.full.FullError(*buf),
+	}
+	rateRows.Put(buf)
+	return ev, nil
 }
 
 // SampleSize implements hpo.Oracle.
@@ -199,9 +224,13 @@ func (o *BankOracle) evalSeedPrefix(trialSalt string) rng.FNV64a {
 // returning one Result per seed (valid until the scratch's next use). Cohort
 // c is bit-identical to Evaluate on a WithTrial copy whose evalSeed equals
 // seeds[c]; the block scheduler uses this to answer a whole wave of asks
-// that share a row with a single walk of it.
+// that share a row with a single walk of it, and a single conversion of its
+// counts into rates.
 func (o *BankOracle) EvaluateRows(ci, ri int, seeds []uint64, ms *eval.MultiScratch) []eval.Result {
-	return o.evaluator.EvaluateMulti(o.bank.Errs.Row(o.pi, ci, ri), seeds, ms)
+	buf := o.rates(ci, ri)
+	rs := o.evaluator.EvaluateMulti(*buf, seeds, ms)
+	rateRows.Put(buf)
+	return rs
 }
 
 // Interface conformance check.

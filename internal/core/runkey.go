@@ -2,10 +2,10 @@ package core
 
 import (
 	"crypto/sha256"
-	"encoding/gob"
 	"encoding/hex"
 	"fmt"
 
+	"noisyeval/internal/core/bankseg"
 	"noisyeval/internal/hpo"
 )
 
@@ -16,7 +16,11 @@ import (
 // v3: ErrMatrix gained a backing-store abstraction and now gob-encodes
 // through its canonical arena (GobEncode), so a mapped bank fingerprints
 // identically to its heap twin — at the cost of a new gob image.
-const runKeyVersion = "runkey-v3"
+// v4: BankFingerprint hashes explicit little-endian bytes (the bankfmt
+// metadata encoding, then the uint32 count arena) instead of a gob stream,
+// whose process-global type IDs gave one bank different fingerprints in
+// different processes.
+const runKeyVersion = "runkey-v4"
 
 // RunKey returns the content address of one tuning run: a hex SHA-256 over
 // the bank's content address plus everything else that determines the run's
@@ -39,18 +43,28 @@ func RunKey(bankKey, method string, noise Noise, settings hpo.Settings, trials i
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// BankFingerprint hashes a bank's in-memory content — the exported fields
-// SaveBank persists (the unexported lookup index is derived state). It gives
-// external artifacts loaded via LoadBank a content address even though their
-// build inputs are unknown, so runs against an installed bank key on what
-// the bank actually records rather than on what the suite would have built.
+// BankFingerprint hashes a bank's content — every field SaveBankV4 persists
+// (the unexported lookup index is derived state) — as explicit
+// little-endian bytes: the commit segment's metadata encoding, the tensor
+// dimensions, then the canonical count arena. It gives external artifacts
+// loaded via LoadBank a content address even though their build inputs are
+// unknown, so runs against an installed bank key on what the bank actually
+// records rather than on what the suite would have built. A mapped bank
+// fingerprints like its heap twin, in every process.
 func BankFingerprint(b *Bank) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s\nbank-content\n", runKeyVersion)
-	if err := gob.NewEncoder(h).Encode(b); err != nil {
-		// Bank is plain exported slices/scalars; an encode failure is a
-		// programming error, never data-dependent.
-		panic(fmt.Sprintf("core: bank fingerprint: %v", err))
+	m := &b.Errs
+	buf := appendBankMeta(nil, b)
+	for _, d := range [...]int{m.Parts, m.Configs, m.Checkpoints, m.Clients} {
+		buf = appendU64(buf, uint64(d))
+	}
+	h.Write(buf)
+	for arena := m.Arena(); len(arena) > 0; {
+		n := min(len(arena), 4096)
+		buf = bankseg.AppendUint32s(buf[:0], arena[:n])
+		h.Write(buf)
+		arena = arena[n:]
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -166,7 +166,7 @@ func (p *BuildPlan) TrainRange(lo, hi, workers int) (*BankShard, error) {
 				tr.TrainTo(r)
 				flags := tr.WrongFlags(p.pooled)
 				for pi := range p.parts {
-					fl.ErrorRatesInto(sh.Errs.Row(pi, ci-lo, ri), flags, p.srcs[pi])
+					fl.WrongCountsInto(sh.Errs.Row(pi, ci-lo, ri), flags, p.srcs[pi])
 				}
 			}
 			sh.Diverged[ci-lo] = tr.Diverged()

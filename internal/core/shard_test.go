@@ -104,8 +104,8 @@ func TestTrainRangeDeterministicPerRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a.Errs.Data {
-		if a.Errs.Data[i] != b.Errs.Data[i] {
+	for i := range a.Errs.Counts {
+		if a.Errs.Counts[i] != b.Errs.Counts[i] {
 			t.Fatalf("arena float %d differs across retrains", i)
 		}
 	}

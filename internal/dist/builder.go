@@ -107,7 +107,7 @@ func (b *Builder) fetchFromPeers(key string) *core.Bank {
 
 // fetchBank downloads and decodes one bank from a peer, inflating no more
 // than limit bytes: a peer is another process's output, so a body that runs
-// past the bound (or is not a gzipped bankfmt/v4 image at all) is a miss,
+// past the bound (or is not a gzipped bankfmt/v5 image at all) is a miss,
 // not an allocation.
 func fetchBank(client *http.Client, peer, key string, limit int64) (*core.Bank, error) {
 	resp, err := client.Get(peer + "/v1/banks/" + key)

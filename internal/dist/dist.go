@@ -24,7 +24,7 @@
 //     mode unchanged.
 //
 // Protocol (JSON envelopes; every bulk payload is one gzip member — shards
-// and banks as bankfmt/v4 images, see core/bankv4.go, populations as gob —
+// and banks as bankfmt/v5 images, see core/bankv4.go, populations as gob —
 // and every receiver inflates through one bounded helper):
 //
 //	POST /v1/work/lease              {"worker":"w1"} → 200 {job} | 204 no work
@@ -114,8 +114,8 @@ func gzipMember(write func(io.Writer) error) ([]byte, error) {
 }
 
 // Wire safety bounds. A full-scale shard (3 partitions × 8 configs × ~5
-// rungs × 10k clients × 8 bytes) is tens of MB; the caps leave two orders of
-// magnitude of headroom while keeping a hostile payload — the complete
+// rungs × 10k clients × 4-byte counts) is a few MB; the caps leave two orders
+// of magnitude of headroom while keeping a hostile payload — the complete
 // endpoint is reachable by anything that can reach the daemon — from
 // inflating into an unbounded allocation.
 const (
@@ -124,7 +124,7 @@ const (
 	MaxShardBodyBytes = 256 << 20
 	// maxShardDecodedBytes bounds what one shard upload may inflate to (the
 	// image is the error arena plus a few hundred bytes of framing).
-	maxShardDecodedBytes = 1 << 30
+	maxShardDecodedBytes = 512 << 20
 )
 
 // inflate hands read the inflated content of r's gzip stream and fails if
@@ -160,7 +160,7 @@ func inflateBytes(r io.Reader, limit int64) (data []byte, err error) {
 	return data, err
 }
 
-// EncodeShard renders a shard for the wire: its bankfmt/v4 image
+// EncodeShard renders a shard for the wire: its bankfmt/v5 image
 // (core.MarshalShardV4) inside one gzip member. Workers upload exactly
 // these bytes.
 func EncodeShard(sh *core.BankShard) ([]byte, error) {
@@ -177,8 +177,8 @@ func EncodeShard(sh *core.BankShard) ([]byte, error) {
 // DecodeShard reads one EncodeShard payload. The inflate stops at limit
 // bytes (coordinators pass maxShardDecodedBytes) and the decoded arena is a
 // view into the inflated image, so a payload claiming more fails instead of
-// exhausting memory; anything but an intact two-segment v4 shard image is
-// refused undecoded.
+// exhausting memory; anything but an intact two-segment bankfmt/v5 shard
+// image is refused undecoded.
 func DecodeShard(r io.Reader, limit int64) (*core.BankShard, error) {
 	img, err := inflateBytes(r, limit)
 	if err != nil {

@@ -344,8 +344,8 @@ func TestWireRoundTrips(t *testing.T) {
 	if err := back.Errs.CheckShape(sh.Errs.Parts, sh.Errs.Configs, sh.Errs.Checkpoints, sh.Errs.Clients); err != nil {
 		t.Errorf("shard round trip drifted: %v", err)
 	}
-	for i := range sh.Errs.Data {
-		if back.Errs.Data[i] != sh.Errs.Data[i] {
+	for i := range sh.Errs.Counts {
+		if back.Errs.Counts[i] != sh.Errs.Counts[i] {
 			t.Fatalf("shard arena float %d changed in round trip", i)
 		}
 	}

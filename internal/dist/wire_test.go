@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
+	"encoding/binary"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"net/http"
@@ -70,6 +72,12 @@ func hostileShardPayloads(t testing.TB, plan *core.BuildPlan, lo, hi int) (valid
 	crcFlip := append([]byte(nil), img...)
 	crcFlip[arena.Offset+bankseg.SegmentHeaderLen+5] ^= 0x20
 
+	// The same image under a bankfmt/v4 file header (version 4, header CRC
+	// recomputed): a retired generation is refused, never decoded.
+	v4 := append([]byte(nil), img...)
+	binary.LittleEndian.PutUint16(v4[6:8], 4)
+	binary.LittleEndian.PutUint32(v4[60:64], crc32.Checksum(v4[:60], crc32.MakeTable(crc32.Castagnoli)))
+
 	// A well-formed shard of the right range whose tensor is sized for a
 	// different build (one client fewer).
 	small := *sh
@@ -85,6 +93,7 @@ func hostileShardPayloads(t testing.TB, plan *core.BuildPlan, lo, hi int) (valid
 		"inflate bomb":         gz(t, make([]byte, 4*testShardBound)),
 		"tag disagrees":        gz(t, retagged),
 		"payload CRC flip":     gz(t, crcFlip),
+		"v4 file header":       gz(t, v4),
 		"v3 NESHRD frame":      gz(t, append([]byte("NESHRD\x03\x00\x01\x00\x00\x00"), make([]byte, 200)...)),
 		"v3 NESHRD frame, raw": append([]byte("NESHRD\x03\x00\x01\x00\x00\x00"), make([]byte, 200)...),
 		"other dims":           otherDims,
@@ -128,8 +137,8 @@ func FuzzShardDecode(f *testing.F) {
 		if verr := sh.Errs.Validate(); verr != nil {
 			t.Fatalf("decoded shard fails validation: %v", verr)
 		}
-		if int64(len(sh.Errs.Data))*8 > testShardBound {
-			t.Fatalf("decoded arena of %d floats exceeds the %d-byte bound", len(sh.Errs.Data), testShardBound)
+		if int64(len(sh.Errs.Counts))*4 > testShardBound {
+			t.Fatalf("decoded arena of %d counts exceeds the %d-byte bound", len(sh.Errs.Counts), testShardBound)
 		}
 	})
 }

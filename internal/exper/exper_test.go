@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -54,6 +55,39 @@ func checkResult(t *testing.T, r Result, wantID string) {
 	}
 	if r.Text() == "" {
 		t.Error("empty text")
+	}
+}
+
+// TestQuickBankFileSize pins bankfmt/v5's size at the scale cold_build and
+// the quick figures use: the quick cifar10 bank (3 partitions x 16 configs x
+// 4 checkpoints x 12 clients) stores one 4-byte count per value, so its
+// arena is half of v4's float64 arena and the file fits 11 264 bytes (v4:
+// 20 224).
+func TestQuickBankFileSize(t *testing.T) {
+	b := quickSuite(t).Bank("cifar10")
+	path := filepath.Join(t.TempDir(), "cifar10.bank")
+	if err := core.SaveBankV4(b, path); err != nil {
+		t.Fatal(err)
+	}
+	info, err := core.InspectBank(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := int64(info.Dims[0] * info.Dims[1] * info.Dims[2] * info.Dims[3])
+	if info.Dims != [4]int{len(b.Partitions), len(b.Configs), len(b.Rounds), b.NumClients()} || values == 0 {
+		t.Fatalf("dims %v do not describe the bank", info.Dims)
+	}
+	var arena int64
+	for _, s := range info.Segments {
+		if s.Kind == "arena" {
+			arena += s.Bytes
+		}
+	}
+	if arena != 4*values || info.ArenaBytes != 4*values {
+		t.Errorf("arena payload %d B, InspectBank.ArenaBytes %d B; want 4 x %d = %d", arena, info.ArenaBytes, values, 4*values)
+	}
+	if info.FileBytes > 11264 {
+		t.Errorf("quick cifar10 bank file is %d B, want <= 11264", info.FileBytes)
 	}
 }
 

@@ -371,12 +371,12 @@ func (t *Trainer) predictChunk(exs []data.Example) []int {
 // model misclassifies pool[i] and 0 where it is right (a diverged model
 // predicts class 0). It is the per-checkpoint evaluation pass of a bank
 // build: the pool is the validation clients' pooled examples, and every
-// partition's per-client error rate is then a count over these flags
-// (ErrorRatesInto) — an example repartitioning placed in three clients is
-// forwarded once, in full evalBatch chunks. The result equals what
-// EvalClients computes client by client: a logit row does not depend on
-// which rows share its batch, and an error rate is a quotient of integer
-// counts. The returned buffer belongs to the trainer and is valid until the
+// partition's per-client wrong-count is then a sum over these flags
+// (WrongCountsInto) — an example repartitioning placed in three clients is
+// forwarded once, in full evalBatch chunks. A count over the client's
+// example count equals the rate EvalClients computes client by client: a
+// logit row does not depend on which rows share its batch, and an error rate
+// is a quotient of integer counts. The returned buffer belongs to the trainer and is valid until the
 // next call.
 func (t *Trainer) WrongFlags(pool []data.Example) []uint8 {
 	if cap(t.flagBuf) < len(pool) {
@@ -406,23 +406,21 @@ func b2u(b bool) uint8 {
 	return 0
 }
 
-// ErrorRatesInto writes one error rate per client from per-example wrong
-// flags: dst[k] = Σ_i flags[src[k][i]] / len(src[k]), 0 for a client with no
-// examples, where src[k] lists the flag positions of client k's examples
-// (data.RepartitionSources).
-func ErrorRatesInto(dst []float64, flags []uint8, src [][]int32) {
+// WrongCountsInto writes one wrong-count per client from per-example wrong
+// flags: dst[k] = Σ_i flags[src[k][i]], where src[k] lists the flag
+// positions of client k's examples (data.RepartitionSources). Client k's
+// error rate is float64(dst[k]) / float64(len(src[k])), or 0 when it has no
+// examples — the division a bank's readers perform.
+func WrongCountsInto(dst []uint32, flags []uint8, src [][]int32) {
 	if len(dst) != len(src) {
-		panic(fmt.Sprintf("fl: ErrorRatesInto dst has %d slots for %d clients", len(dst), len(src)))
+		panic(fmt.Sprintf("fl: WrongCountsInto dst has %d slots for %d clients", len(dst), len(src)))
 	}
 	for k, idx := range src {
-		wrong := 0
+		var wrong uint32
 		for _, at := range idx {
-			wrong += int(flags[at])
+			wrong += uint32(flags[at])
 		}
-		dst[k] = 0
-		if len(idx) > 0 {
-			dst[k] = float64(wrong) / float64(len(idx))
-		}
+		dst[k] = wrong
 	}
 }
 

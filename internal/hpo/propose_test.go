@@ -29,9 +29,8 @@ func proposeBank() *core.Bank {
 		counts[k] = 15 + g.IntN(20)
 	}
 	b.ExampleCounts = [][]int{counts, counts}
-	for i := range b.Errs.Data {
-		n := counts[i%clients]
-		b.Errs.Data[i] = float64(g.IntN(n+1)) / float64(n)
+	for i := range b.Errs.Counts {
+		b.Errs.Counts[i] = uint32(g.IntN(counts[i%clients] + 1))
 	}
 	return b
 }

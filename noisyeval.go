@@ -16,7 +16,7 @@
 //
 // Training runs on one batched engine (minibatch GEMM forward/backward,
 // zero-copy in-place client steps, batched evaluation; see DESIGN.md §6).
-// Banks are stored and shipped in one format, bankfmt/v4 (SaveBank writes
+// Banks are stored and shipped in one format, bankfmt/v5 (SaveBank writes
 // it, LoadBank verifies and reads it, DecodeBank reads the same bytes from
 // memory; DESIGN.md §9).
 //
@@ -138,9 +138,9 @@ type (
 	BuildPlan = core.BuildPlan
 	// BankShard is the training output for one config index range.
 	BankShard = core.BankShard
-	// ErrMatrix is the bank's dense error tensor: one contiguous arena
-	// with [partition][config][checkpoint][client] strides and
-	// zero-allocation row views.
+	// ErrMatrix is the bank's dense error tensor: one contiguous arena of
+	// uint32 wrong-counts with [partition][config][checkpoint][client]
+	// strides and zero-allocation row views.
 	ErrMatrix = core.ErrMatrix
 	// Tuner couples a method, space, and settings.
 	Tuner = core.Tuner
