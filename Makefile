@@ -21,6 +21,8 @@
 #                    sampler's top-k, the Parzen proposal's argmax) and the
 #                    lane-wise exp against math.Exp
 #   make figures     quick-scale figure regeneration through the bank cache
+#   make profile-figures CPU + allocation profiles of warm quick figure passes
+#                    (BenchmarkFiguresWarm at -cpu 1) in $(PROFILE_DIR)
 #   make serve       run the noisyevald tuning daemon on $(SERVE_ADDR)
 #   make serve-smoke boot noisyevald, drive runs + an ask/tell session via pkg/client
 #                    end to end, shut down gracefully (used by CI)
@@ -32,11 +34,13 @@
 #                    included), restart, assert zero lost runs and results
 #                    identical to an uninterrupted reference daemon
 
-GO         ?= go
-CACHE_DIR  ?= $(HOME)/.cache/noisyeval-banks
-SERVE_ADDR ?= 127.0.0.1:8723
+GO             ?= go
+CACHE_DIR      ?= $(HOME)/.cache/noisyeval-banks
+SERVE_ADDR     ?= 127.0.0.1:8723
+PROFILE_DIR    ?= profiles
+PROFILE_PASSES ?= 15
 
-.PHONY: build lint lines test race examples bench bench-json bench-check bench-harness fuzz figures serve serve-smoke cluster-smoke crash-smoke clean
+.PHONY: build lint lines test race examples bench bench-json bench-check bench-harness fuzz figures profile-figures serve serve-smoke cluster-smoke crash-smoke clean
 
 build:
 	$(GO) build ./...
@@ -128,6 +132,17 @@ fuzz:
 
 figures:
 	$(GO) run ./cmd/figures -quick -cache-dir $(CACHE_DIR) -out results
+
+# CPU and allocation profiles of warm quick figure passes (BenchmarkFiguresWarm
+# at -cpu 1, the benchmark's figures_warm shape) -> $(PROFILE_DIR)/figures.{cpu,mem}.pprof.
+# The profiles cover the benchmark's untimed first pass too, so run it over a
+# CACHE_DIR that already holds the quick banks (a second run does). Read them
+# with `go tool pprof -top $(PROFILE_DIR)/noisyeval.test $(PROFILE_DIR)/figures.cpu.pprof`
+# (add -sample_index=alloc_space for the allocation profile).
+profile-figures:
+	mkdir -p $(PROFILE_DIR)
+	NOISYEVAL_CACHE_DIR=$(CACHE_DIR) $(GO) test -run '^$$' -bench 'BenchmarkFiguresWarm$$' -benchtime $(PROFILE_PASSES)x -cpu 1 \
+		-o $(PROFILE_DIR)/noisyeval.test -cpuprofile $(PROFILE_DIR)/figures.cpu.pprof -memprofile $(PROFILE_DIR)/figures.mem.pprof .
 
 serve:
 	$(GO) run ./cmd/noisyevald -addr $(SERVE_ADDR) -cache-dir $(CACHE_DIR)

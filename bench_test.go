@@ -128,6 +128,45 @@ func BenchmarkFigure15(b *testing.B) { benchFigure(b, "figure15") }
 // BenchmarkFigure16 regenerates Figure 16 (method bars at full budget).
 func BenchmarkFigure16(b *testing.B) { benchFigure(b, "figure16") }
 
+// BenchmarkFiguresWarm is one whole quick pass of every figure through
+// exper.Scheduler over a warm bank store — what regenerating the paper costs
+// once the banks exist. Each pass builds a fresh suite on the store, as
+// cmd/figures does, at 100 trials per cell and 8 per method cell. It is the
+// harness behind `make profile-figures` (run at -cpu 1 with CPU and
+// allocation profiles) and is not gated: one pass is hundreds of
+// milliseconds, so its ns/op is a profile's denominator, not a CI number.
+// The store is NOISYEVAL_CACHE_DIR when set, else a temporary directory
+// warmed by an untimed first pass.
+func BenchmarkFiguresWarm(b *testing.B) {
+	dir := os.Getenv("NOISYEVAL_CACHE_DIR")
+	if dir == "" {
+		dir = b.TempDir()
+	}
+	store, err := core.NewBankStore(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := exper.Quick()
+	cfg.Trials, cfg.MethodTrials = 100, 8
+	pass := func() {
+		suite := exper.NewSuite(cfg)
+		suite.SetStore(store)
+		res, err := exper.Scheduler{}.Run(suite, exper.AllJobs())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res) == 0 {
+			b.Fatal("empty pass")
+		}
+	}
+	pass() // builds any bank the store lacks, outside the timed region
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+}
+
 // --- Substrate micro-benchmarks ---
 
 // BenchmarkFederatedRound measures one federated training round (10-client

@@ -72,8 +72,9 @@ func (b *blockOracle) rowTrueError(k int) float64 {
 
 // trialState is the scheduler's per-trial bookkeeping.
 type trialState struct {
-	stream  *hpo.EvalStream
-	saltPfx rng.FNV64a // evalSeedPrefix("trial-<i>")
+	stream   trialStream
+	finished bool       // the method returned; the stream may park again
+	saltPfx  rng.FNV64a // evalSeedPrefix("trial-<i>")
 
 	// Row-resolution memo: configs repeat across a trial's consecutive asks
 	// (rung ladders) and fidelities repeat almost always.
@@ -106,6 +107,100 @@ type blockScratch struct {
 	asks  []int32
 }
 
+// trialStream is one trial's coroutine together with the RNG its method
+// draws from: both outlive the trial on the parked-stream free list, and the
+// RNG is reseeded to the next trial's stream before each Start.
+type trialStream struct {
+	st *hpo.EvalStream
+	g  *rng.RNG
+}
+
+// maxParkedStreams bounds the free list: enough for a 100-trial figure cell
+// and a concurrent run or two. Streams beyond it are closed when their
+// RunTrials returns, so an idle process holds at most this many parked
+// coroutines.
+const maxParkedStreams = 256
+
+// parkedStreams is the process-wide free list of finished, Released trial
+// streams. A parked stream references no oracle, bank, batch or History
+// (hpo.EvalStream drops them when a run ends or is Released), so keeping it
+// costs its coroutine's stack and nothing of any run.
+var parkedStreams struct {
+	mu   sync.Mutex
+	list []trialStream
+}
+
+// takeStreams gives every trial a stream: parked ones first, new ones when
+// the free list runs dry.
+func takeStreams(trials []trialState) {
+	parkedStreams.mu.Lock()
+	list := parkedStreams.list
+	k := min(len(trials), len(list))
+	for i, ps := range list[len(list)-k:] {
+		trials[i].stream = ps
+	}
+	clear(list[len(list)-k:])
+	parkedStreams.list = list[:len(list)-k]
+	parkedStreams.mu.Unlock()
+	for i := k; i < len(trials); i++ {
+		trials[i].stream = trialStream{st: hpo.NewReusableEvalStream(), g: rng.New(0)}
+	}
+}
+
+// endStreams disposes of a RunTrials call's streams: each trial whose method
+// returned parks its stream while the free list has room; every other stream
+// — a method that panicked, a trial abandoned when another trial's panic
+// aborted the scheduler, overflow past the bound — is closed.
+func endStreams(trials []trialState) {
+	for i := range trials {
+		if trials[i].finished {
+			trials[i].stream.st.Release()
+		}
+	}
+	parkedStreams.mu.Lock()
+	for i := range trials {
+		ts := &trials[i]
+		if ts.finished && len(parkedStreams.list) < maxParkedStreams {
+			parkedStreams.list = append(parkedStreams.list, ts.stream)
+			ts.stream = trialStream{}
+		}
+	}
+	parkedStreams.mu.Unlock()
+	for i := range trials {
+		if st := trials[i].stream.st; st != nil {
+			st.Close()
+			trials[i].stream = trialStream{}
+		}
+	}
+}
+
+// blockBuffers are RunTrialsProgress's per-call buffers, recycled through
+// blockPool across calls. Between calls every head entry is -1 (each wave
+// resets what it touched) and trials holds no pointers.
+type blockBuffers struct {
+	trials      []trialState
+	rowsBacking []int32
+	asks        []waveAsk
+	nextAsks    []waveAsk
+	nextAsk     []int32
+	touched     []int32
+	head        []int32
+	live        []int
+	scratches   []blockScratch
+	trueErr     []float64
+	filled      []bool
+}
+
+var blockPool = sync.Pool{New: func() any { return new(blockBuffers) }}
+
+// grow returns b with length n, reallocating only on growth.
+func grow[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	return b[:n]
+}
+
 // RunTrialsProgress is RunTrials with per-trial progress reporting: onTrial
 // (when non-nil) is invoked once per finished trial — in completion order,
 // serialized, so the callback needs no synchronization of its own — with
@@ -135,38 +230,46 @@ func (t Tuner) RunTrialsProgress(oracle *BankOracle, n int, g *rng.RNG, onTrial 
 	bank := oracle.bank
 	nCkpt := len(bank.Rounds)
 	nRows := len(bank.Configs) * nCkpt
+	buf := blockPool.Get().(*blockBuffers)
+	buf.trueErr = grow(buf.trueErr, nRows)
+	buf.filled = grow(buf.filled, nRows)
+	clear(buf.filled)
 	bo := &blockOracle{
 		BankOracle: oracle,
 		nCkpt:      nCkpt,
-		trueErr:    make([]float64, nRows),
-		filled:     make([]bool, nRows),
+		trueErr:    buf.trueErr,
+		filled:     buf.filled,
 	}
 
-	trials := make([]trialState, n)
+	trials := grow(buf.trials, n)
+	takeStreams(trials)
+	done := false
 	defer func() {
-		// Unwind any still-suspended method coroutines if a method panic (or
-		// a bad config) aborts the scheduler mid-run.
-		for i := range trials {
-			if st := trials[i].stream; st != nil {
-				st.Close()
-			}
+		// Park the streams of finished trials and close the rest — also when
+		// a method panic (or a bad config) aborts the scheduler mid-run. The
+		// buffers go back to the pool only after a whole run: an aborted
+		// wave may leave head entries set.
+		endStreams(trials)
+		if done {
+			clear(trials)
+			blockPool.Put(buf)
 		}
 	}()
 	const rowsCap = 16 // per-trial batch-row memo capacity (appends past it just reallocate)
-	rowsBacking := make([]int32, n*rowsCap)
+	buf.rowsBacking = grow(buf.rowsBacking, n*rowsCap)
 	for i := range trials {
-		tg := rng.New(0)
-		g.SplitIntInto(tg, "trial-", i) // the g.Splitf("trial-%d", i) stream
-		trials[i].stream = hpo.NewEvalStream(t.Method, bo, t.Space, t.Settings, tg)
-		trials[i].saltPfx = oracle.evalSeedPrefix(trialSalts.ID(i))
-		trials[i].lastRounds = -1
-		trials[i].rows = rowsBacking[i*rowsCap : i*rowsCap : (i+1)*rowsCap]
+		ts := &trials[i]
+		g.SplitIntInto(ts.stream.g, "trial-", i) // the g.Splitf("trial-%d", i) stream
+		ts.stream.st.Start(t.Method, bo, t.Space, t.Settings, ts.stream.g)
+		ts.saltPfx = oracle.evalSeedPrefix(trialSalts.ID(i))
+		ts.lastRounds = -1
+		ts.rows = buf.rowsBacking[i*rowsCap : i*rowsCap : (i+1)*rowsCap]
 	}
 
 	completed := 0
 	finalize := func(i int) {
-		h := trials[i].stream.History()
-		trials[i].stream = nil
+		h := trials[i].stream.st.History()
+		trials[i].finished, trials[i].lastBatch = true, nil
 		res := TrialResult{Trial: i, History: h, FinalTrue: 1}
 		if rec, ok := h.Recommend(); ok {
 			res.FinalTrue = rec.True
@@ -181,7 +284,7 @@ func (t Tuner) RunTrialsProgress(oracle *BankOracle, n int, g *rng.RNG, onTrial 
 		}
 	}
 
-	asks := make([]waveAsk, 0, 2*n)
+	asks := slices.Grow(buf.asks[:0], 2*n)
 	fill := &asks // advance appends the resumed trial's new asks here
 
 	rowOf := func(ts *trialState, cfg fl.HParams, rounds int) int32 {
@@ -204,7 +307,7 @@ func (t Tuner) RunTrialsProgress(oracle *BankOracle, n int, g *rng.RNG, onTrial 
 	advance := func(i int) bool {
 		ts := &trials[i]
 		bo.cur = ts
-		b, ok := ts.stream.Next()
+		b, ok := ts.stream.st.Next()
 		if !ok {
 			finalize(i)
 			return false
@@ -228,7 +331,7 @@ func (t Tuner) RunTrialsProgress(oracle *BankOracle, n int, g *rng.RNG, onTrial 
 		return true
 	}
 
-	live := make([]int, 0, n)
+	live := slices.Grow(buf.live[:0], n)
 	for i := 0; i < n; i++ {
 		if advance(i) {
 			live = append(live, i)
@@ -242,20 +345,23 @@ func (t Tuner) RunTrialsProgress(oracle *BankOracle, n int, g *rng.RNG, onTrial 
 
 	// Row-group linked lists over the wave's asks, keyed ci*nCkpt+ri. head
 	// entries are reset via the touched list after each wave, so grouping is
-	// O(wave), not O(rows).
-	head := make([]int32, nRows)
-	for i := range head {
-		head[i] = -1
+	// O(wave), not O(rows). Every entry of a pooled head is -1 already.
+	if cap(buf.head) < nRows {
+		buf.head = slices.Repeat([]int32{-1}, nRows)
 	}
-	var nextAsks []waveAsk // made by advance, on the first ask of a second wave
-	nextAsk := make([]int32, 0, len(asks))
-	touched := make([]int32, 0, n)
+	head := buf.head[:nRows]
+	nextAsks := buf.nextAsks[:0] // made by advance, on the first ask of a second wave, unless pooled
+	nextAsk := slices.Grow(buf.nextAsk[:0], len(asks))
+	touched := slices.Grow(buf.touched[:0], n)
 
 	workers := runtime.GOMAXPROCS(0)
 	if blockWorkersOverride > 0 {
 		workers = blockWorkersOverride
 	}
-	scratches := make([]blockScratch, workers)
+	if len(buf.scratches) < workers {
+		buf.scratches = append(buf.scratches, make([]blockScratch, workers-len(buf.scratches))...)
+	}
+	scratches := buf.scratches
 
 	// evalGroup walks one row group, evaluates the row for all its cohorts
 	// in one sweep, and routes the released values back to the asking
@@ -340,5 +446,8 @@ func (t Tuner) RunTrialsProgress(oracle *BankOracle, n int, g *rng.RNG, onTrial 
 	for i := 0; i < n; i++ {
 		m.TrialSeconds.Observe(perTrial)
 	}
+	buf.trials, buf.asks, buf.nextAsks, buf.nextAsk = trials, asks, nextAsks, nextAsk
+	buf.touched, buf.live = touched, live
+	done = true
 	return results
 }

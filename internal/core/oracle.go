@@ -28,6 +28,9 @@ type BankOracle struct {
 	full      *eval.Evaluator // full-pool weighted evaluator for TrueError
 	seed      uint64
 	trialSalt string
+	// noiseless: the scheme observes the whole pool without bias, so every
+	// evaluation is the pool aggregate and draws no randomness.
+	noiseless bool
 
 	// scratch is per-trial state: nil on the shared base oracle (Evaluate
 	// then allocates per call, exactly as before), owned exclusively by one
@@ -66,7 +69,7 @@ func NewBankOracle(b *Bank, partition float64, scheme eval.Scheme, seed uint64) 
 		return nil, err
 	}
 	return &BankOracle{bank: b, partition: partition, pi: pi, den: rateDivisors(b.ExampleCounts[pi]),
-		evaluator: ev, full: full, seed: seed}, nil
+		evaluator: ev, full: full, seed: seed, noiseless: scheme.IsFull(len(b.ExampleCounts[pi]))}, nil
 }
 
 // rateRows pools the buffers count rows are converted into. A buffer lives
@@ -111,8 +114,14 @@ func (o *BankOracle) row(cfg fl.HParams, rounds int) *[]float64 {
 	return o.rates(ci, o.bank.CheckpointIndex(rounds))
 }
 
-// observe is one noisy evaluation of a rate row under evalID's cohort.
+// observe is one noisy evaluation of a rate row under evalID's cohort. A
+// noiseless scheme's cohort is the whole pool in index order, so the release
+// is the evaluator's pool aggregate — the same fl.WeightedError loop in the
+// same order as the identity subset — with no seed hash, RNG or index slice.
 func (o *BankOracle) observe(errs []float64, evalID string) float64 {
+	if o.noiseless {
+		return o.evaluator.FullError(errs)
+	}
 	if s := o.scratch; s != nil {
 		s.g.Reseed(o.evalSeed(evalID))
 		return o.evaluator.EvaluateScratch(errs, s.g, &s.eval).Observed

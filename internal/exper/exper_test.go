@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	"noisyeval/internal/core"
+	"noisyeval/internal/eval"
+	"noisyeval/internal/rng"
 )
 
 var (
@@ -435,4 +437,43 @@ func meanOf(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
+}
+
+// TestNoiselessEvaluateMatchesSampledPath pins the oracle's noiseless
+// shortcut (the proxy oracle of Figures 11/12): on every row of every quick
+// bank, under weighted and uniform aggregation, Evaluate on the base oracle
+// and on a trial copy returns the bits the sampling path — an identity
+// subset drawn through a fresh RNG — releases.
+func TestNoiselessEvaluateMatchesSampledPath(t *testing.T) {
+	s := quickSuite(t)
+	for _, name := range DatasetNames {
+		bank := s.Bank(name)
+		for pi, p := range bank.Partitions {
+			for _, noise := range []core.Noise{{}, {Uniform: true}} {
+				scheme := noise.Scheme()
+				o, err := core.NewBankOracle(bank, p, scheme, s.Cfg.Seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				trial := o.WithTrial(3)
+				ev := eval.MustNew(bank.ExampleCounts[pi], scheme)
+				for ci, cfg := range bank.Configs {
+					for _, r := range bank.Rounds {
+						errs, err := bank.ClientErrors(p, ci, r)
+						if err != nil {
+							t.Fatal(err)
+						}
+						id := fmt.Sprintf("proxy-eval-%d", ci)
+						want := math.Float64bits(ev.Evaluate(errs, rng.New(uint64(ci*31+r))).Observed)
+						if got := math.Float64bits(o.Evaluate(cfg, r, id)); got != want {
+							t.Fatalf("%s p=%g %v config %d rounds %d: base oracle %x, sampled path %x", name, p, noise, ci, r, got, want)
+						}
+						if got := math.Float64bits(trial.Evaluate(cfg, r, id)); got != want {
+							t.Fatalf("%s p=%g %v config %d rounds %d: trial oracle %x, sampled path %x", name, p, noise, ci, r, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
 }

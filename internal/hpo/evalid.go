@@ -32,6 +32,20 @@ func (t *IDCache) ID(n int) string {
 	return t.slow(n)
 }
 
+// IDs returns ID(0), …, ID(n-1) as a read-only view of the interned table:
+// a method whose asks are numbered from zero hands it to an EvalBatch as its
+// EvalIDs without building a slice per run. The view's capacity is n, so an
+// append copies instead of writing into the shared table.
+func (t *IDCache) IDs(n int) []string {
+	if n <= 0 {
+		return nil
+	}
+	if tab := t.v.Load(); tab == nil || n > len(*tab) {
+		t.slow(n - 1)
+	}
+	return (*t.v.Load())[:n:n]
+}
+
 func (t *IDCache) slow(n int) string {
 	if n < 0 {
 		// Never hit by the methods (indices count up from zero); keep the

@@ -228,15 +228,20 @@ func (h *History) RoundsConsumed() int {
 // error (decisions use noisy values — the tuner never sees true errors).
 // ok is false if no observation fits the budget.
 func (h *History) RecommendAt(budget int) (best Observation, ok bool) {
-	for _, o := range h.Observations {
+	bi := -1 // the walk compares in place; an Observation is a dozen words
+	for i := range h.Observations {
+		o := &h.Observations[i]
 		if o.CumRounds > budget {
 			continue
 		}
-		if !ok || better(o, best) {
-			best, ok = o, true
+		if bi < 0 || better(o, &h.Observations[bi]) {
+			bi = i
 		}
 	}
-	return best, ok
+	if bi < 0 {
+		return Observation{}, false
+	}
+	return h.Observations[bi], true
 }
 
 // Recommend returns the final recommendation (full budget).
@@ -277,7 +282,7 @@ func (h *History) firstObservation() (Observation, bool) {
 
 // better orders observations for recommendation: higher fidelity wins;
 // within a fidelity, lower observed error wins.
-func better(a, b Observation) bool {
+func better(a, b *Observation) bool {
 	if a.Rounds != b.Rounds {
 		return a.Rounds > b.Rounds
 	}

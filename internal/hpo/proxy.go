@@ -38,8 +38,10 @@ func (m OneShotProxyRS) Run(target Oracle, space Space, s Settings, g *rng.RNG) 
 	if pc := s.Budget.MaxPerConfig; pc < proxyMaxR {
 		proxyMaxR = pc
 	}
-	gSub := rng.New(0)
-	best, bestErr := sampleConfig(m.Proxy, g.Split("cfg-0")), 0.0
+	sc := rsScratchPool.Get().(*rsScratch) // for its per-draw RNG
+	gSub := sc.gSub
+	g.SplitIntInto(gSub, "cfg-", 0)
+	best, bestErr := sampleConfig(m.Proxy, gSub), 0.0
 	for i := 0; i < s.Budget.K; i++ {
 		g.SplitIntInto(gSub, "cfg-", i)
 		cfg := sampleConfig(m.Proxy, gSub)
@@ -48,6 +50,7 @@ func (m OneShotProxyRS) Run(target Oracle, space Space, s Settings, g *rng.RNG) 
 			best, bestErr = cfg, err
 		}
 	}
+	rsScratchPool.Put(sc)
 
 	// Step 2: train the single winner on the client data, recording its true
 	// error at every checkpoint up to the per-config budget.

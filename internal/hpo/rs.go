@@ -1,6 +1,8 @@
 package hpo
 
 import (
+	"sync"
+
 	"noisyeval/internal/dp"
 	"noisyeval/internal/fl"
 	"noisyeval/internal/rng"
@@ -16,6 +18,18 @@ type RandomSearch struct{}
 // Name implements Method.
 func (RandomSearch) Name() string { return "RS" }
 
+// rsScratch is RandomSearch.Run's working set besides the History it
+// returns: the per-draw RNG and the batch of sampled asks. Runs recycle it
+// through rsScratchPool, so a trial allocates its History and little else.
+type rsScratch struct {
+	gSub  *rng.RNG // reseeded per draw; same streams as Splitf
+	cfgs  []fl.HParams
+	out   []float64
+	batch EvalBatch
+}
+
+var rsScratchPool = sync.Pool{New: func() any { return &rsScratch{gSub: rng.New(0)} }}
+
 // Run implements Method.
 func (RandomSearch) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History {
 	s = s.Normalize()
@@ -24,14 +38,14 @@ func (RandomSearch) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History 
 	k := s.Budget.K
 	h.Grow(k)
 	dpp := dp.Params{Epsilon: s.Epsilon, TotalEvals: k}
-	gSub := rng.New(0) // reseeded per iteration; same streams as Splitf
+	sc := rsScratchPool.Get().(*rsScratch)
+	gSub := sc.gSub
 	// The K draws are iid — no draw depends on an earlier answer — so the
 	// asks are sampled first (same per-i RNG streams as the historical
 	// interleaved loop) and evaluated as one batch. Each answer is a pure
 	// function of (config, rounds, evalID), so the history is bit-identical
 	// to evaluating inside the sampling loop.
-	cfgs := make([]fl.HParams, 0, k)
-	ids := make([]string, 0, k)
+	cfgs := sc.cfgs[:0]
 	cum := 0
 	for i := 0; i < k; i++ {
 		if cum+maxR > s.Budget.TotalRounds {
@@ -39,11 +53,15 @@ func (RandomSearch) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History 
 		}
 		g.SplitIntInto(gSub, "cfg-", i)
 		cfgs = append(cfgs, sampleConfig(o, gSub))
-		ids = append(ids, rsEvalIDs.ID(i))
 		cum += maxR
 	}
-	batch := EvalBatch{Configs: cfgs, EvalIDs: ids, SameRounds: maxR, Out: make([]float64, len(cfgs))}
-	EvaluateAll(o, &batch)
+	if cap(sc.out) < len(cfgs) {
+		sc.out = make([]float64, len(cfgs))
+	}
+	sc.cfgs = cfgs
+	batch := &sc.batch
+	*batch = EvalBatch{Configs: cfgs, EvalIDs: rsEvalIDs.IDs(len(cfgs)), SameRounds: maxR, Out: sc.out[:len(cfgs)]}
+	EvaluateAll(o, batch)
 	cum = 0
 	for i, cfg := range cfgs {
 		cum += maxR
@@ -63,6 +81,10 @@ func (RandomSearch) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History 
 			CumRounds: cum,
 		})
 	}
+	// Back to the pool only after a run that returned: a run unwound
+	// mid-batch (a closed EvalStream) may still have its Out slots named by
+	// a consumer.
+	rsScratchPool.Put(sc)
 	return h
 }
 
@@ -88,17 +110,15 @@ func (GridSearch) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History {
 	// Grid points are fixed upfront, so the whole walk is one batch (see
 	// RandomSearch.Run for the bit-identity argument).
 	m := 0
-	ids := make([]string, 0, minInt(k, len(grid)))
 	cum := 0
 	for i := 0; i < len(grid) && i < k; i++ {
 		if cum+maxR > s.Budget.TotalRounds {
 			break
 		}
-		ids = append(ids, gridEvalIDs.ID(i))
 		cum += maxR
 		m++
 	}
-	batch := EvalBatch{Configs: grid[:m], EvalIDs: ids, SameRounds: maxR, Out: make([]float64, m)}
+	batch := EvalBatch{Configs: grid[:m], EvalIDs: gridEvalIDs.IDs(m), SameRounds: maxR, Out: make([]float64, m)}
 	EvaluateAll(o, &batch)
 	cum = 0
 	gSub := rng.New(0)

@@ -124,3 +124,67 @@ func TestIDCacheMatchesSprintf(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestIDCacheIDsView pins IDs(n) to ID(0..n-1) across table growth, and its
+// capacity to n so an append never writes into the shared table.
+func TestIDCacheIDsView(t *testing.T) {
+	c := NewIDCache("grid-eval-")
+	for _, n := range []int{0, 1, 16, 64, 65, 300} {
+		ids := c.IDs(n)
+		if len(ids) != n || cap(ids) != n {
+			t.Fatalf("IDs(%d) has len %d cap %d", n, len(ids), cap(ids))
+		}
+		for i, id := range ids {
+			if id != fmt.Sprintf("grid-eval-%d", i) {
+				t.Fatalf("IDs(%d)[%d] = %q", n, i, id)
+			}
+		}
+		if n > 0 {
+			_ = append(ids, "x")
+			if c.ID(n) != fmt.Sprintf("grid-eval-%d", n) {
+				t.Fatalf("append to IDs(%d) overwrote ID(%d)", n, n)
+			}
+		}
+	}
+}
+
+// TestReusableEvalStreamParity drives every method back to back through one
+// reusable stream: each run reproduces its direct Run, Start refuses a
+// stream that is mid-run or still holds a History, and Close ends the parked
+// coroutine.
+func TestReusableEvalStreamParity(t *testing.T) {
+	st := NewReusableEvalStream()
+	defer st.Close()
+	methods := []Method{RandomSearch{}, GridSearch{}, SuccessiveHalving{}, TPE{}, Hyperband{}, FedPop{}, NoisyBO{}, ResampledRS{}}
+	for round := 0; round < 2; round++ {
+		for i, m := range methods {
+			s, space := smallSettings(), DefaultSpace()
+			want := m.Run(newTestOracle(0.05), space, s, rng.New(uint64(10*round+i)))
+			st.Start(m, newTestOracle(0.05), space, s, rng.New(uint64(10*round+i)))
+			if got := drainStream(t, st, newTestOracle(0.05)); !reflect.DeepEqual(want, got) {
+				t.Fatalf("%s (round %d) through a reused stream diverges from its direct run", m.Name(), round)
+			}
+			mustPanic(t, "Start before Release", func() { st.Start(m, newTestOracle(0.05), space, s, rng.New(1)) })
+			st.Release()
+		}
+	}
+	st.Start(SuccessiveHalving{}, newTestOracle(0.05), DefaultSpace(), smallSettings(), rng.New(3))
+	if _, ok := st.Next(); !ok {
+		t.Fatal("expected a first batch")
+	}
+	mustPanic(t, "Start mid-run", func() { st.Start(RandomSearch{}, newTestOracle(0.05), DefaultSpace(), smallSettings(), rng.New(1)) })
+	st.Close()
+	if _, ok := st.Next(); ok {
+		t.Fatal("Next after Close should report done")
+	}
+}
+
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	f()
+}
