@@ -38,7 +38,6 @@ GO             ?= go
 CACHE_DIR      ?= $(HOME)/.cache/noisyeval-banks
 SERVE_ADDR     ?= 127.0.0.1:8723
 PROFILE_DIR    ?= profiles
-PROFILE_PASSES ?= 15
 
 .PHONY: build lint lines test race examples bench bench-json bench-check bench-harness fuzz figures profile-figures serve serve-smoke cluster-smoke crash-smoke clean
 
@@ -133,7 +132,7 @@ fuzz:
 figures:
 	$(GO) run ./cmd/figures -quick -cache-dir $(CACHE_DIR) -out results
 
-# CPU and allocation profiles of warm quick figure passes (BenchmarkFiguresWarm
+# CPU and allocation profiles of 15 warm quick figure passes (BenchmarkFiguresWarm
 # at -cpu 1, the benchmark's figures_warm shape) -> $(PROFILE_DIR)/figures.{cpu,mem}.pprof.
 # The profiles cover the benchmark's untimed first pass too, so run it over a
 # CACHE_DIR that already holds the quick banks (a second run does). Read them
@@ -141,7 +140,7 @@ figures:
 # (add -sample_index=alloc_space for the allocation profile).
 profile-figures:
 	mkdir -p $(PROFILE_DIR)
-	NOISYEVAL_CACHE_DIR=$(CACHE_DIR) $(GO) test -run '^$$' -bench 'BenchmarkFiguresWarm$$' -benchtime $(PROFILE_PASSES)x -cpu 1 \
+	NOISYEVAL_CACHE_DIR=$(CACHE_DIR) $(GO) test -run '^$$' -bench 'BenchmarkFiguresWarm$$' -benchtime 15x -cpu 1 \
 		-o $(PROFILE_DIR)/noisyeval.test -cpuprofile $(PROFILE_DIR)/figures.cpu.pprof -memprofile $(PROFILE_DIR)/figures.mem.pprof .
 
 serve:
