@@ -110,8 +110,11 @@ bench-harness:
 
 # Coverage-guided fuzzing of the decoders that face disk and the wire, 15s
 # each: the bankfmt/v5 bank image (FuzzBankV5, seeded with torn-segment /
-# CRC-flip / duplicate-segment corpora plus the retired generations — a whole
-# v4 file among them — which must classify as stale) and the dist shard
+# CRC-flip / duplicate-segment corpora, a grown file of two arena segments
+# and two commits, plus the retired generations — a whole v4 file among
+# them — which must classify as stale; every image it accepts must
+# fingerprint the same after SaveBankV4 + DecodeBank and, written to a file,
+# through OpenBankMapped whenever that opens it) and the dist shard
 # upload (FuzzShardDecode, seeded with every hostile payload the complete
 # endpoint refuses). FuzzWeightedSample is differential instead: bytes become
 # weights, uniforms and k, and the bracketed selection must return what the

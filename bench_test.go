@@ -534,8 +534,17 @@ var codecBenchBank = func() *core.Bank {
 	for pi := range b.ExampleCounts {
 		b.ExampleCounts[pi] = counts
 	}
-	for i := range b.Errs.Counts {
-		b.Errs.Counts[i] = uint32(g.IntN(counts[i%clients] + 1))
+	// Row order is the canonical order, so the draws land where they did
+	// when this loop filled one flat arena.
+	for pi := 0; pi < parts; pi++ {
+		for ci := 0; ci < configs; ci++ {
+			for ri := 0; ri < ckpts; ri++ {
+				row := b.Errs.Row(pi, ci, ri)
+				for k := range row {
+					row[k] = uint32(g.IntN(counts[k] + 1))
+				}
+			}
+		}
 	}
 	return b
 }()
@@ -639,11 +648,11 @@ func BenchmarkObsOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkBankOpenMmap measures opening a bankfmt/v4 segmented bank for
-// zero-copy serving (header + segment-directory walk, no payload reads) —
-// the mmap-mode cache-hit path. Contrast with BenchmarkBankDecode, which
-// pays the full v3 arena decode for the same content; open cost is
-// O(segment count), independent of arena size.
+// BenchmarkBankOpenMmap measures opening a bankfmt/v5 bank for zero-copy
+// serving (header + segment-directory walk, no payload reads) — the
+// mmap-mode cache-hit path. Open cost is O(segment count), independent of
+// arena size; a heap load (LoadBank) instead checksums and copies every
+// count.
 func BenchmarkBankOpenMmap(b *testing.B) {
 	path := b.TempDir() + "/bench.bank"
 	if err := core.SaveBankV4(codecBenchBank, path); err != nil {
@@ -662,9 +671,9 @@ func BenchmarkBankOpenMmap(b *testing.B) {
 	}
 }
 
-// BenchmarkOracleTrialsMapped is BenchmarkOracleTrials against a
-// segment-backed bank served zero-copy from an mmap'd bankfmt/v4 file: the
-// oracle reads rows straight out of the page cache. Same workload as the
+// BenchmarkOracleTrialsMapped is BenchmarkOracleTrials against a bank whose
+// count block is a view of an mmap'd bankfmt/v5 file: the oracle reads rows
+// straight out of the page cache. Same workload as the
 // heap benchmark so the numbers compare directly; the read path itself adds
 // no allocations over heap. The warm open (madvise + page pre-touch, the
 // -mmap-warm path) keeps first-touch page faults out of the timed region.

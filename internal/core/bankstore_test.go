@@ -172,10 +172,8 @@ func TestBankStoreMissThenHit(t *testing.T) {
 	if got.SpecName != b.SpecName || len(got.Configs) != len(b.Configs) {
 		t.Error("round-tripped bank differs")
 	}
-	for i := range b.Errs.Counts {
-		if got.Errs.Counts[i] != b.Errs.Counts[i] {
-			t.Fatal("round-tripped errors differ")
-		}
+	if d := countDiff(&got.Errs, &b.Errs); d != "" {
+		t.Fatalf("round-tripped errors differ: %s", d)
 	}
 	st := store.Stats()
 	if st.Hits != 1 || st.Misses != 1 {

@@ -159,7 +159,7 @@ func SaveBankV4(b *Bank, path string) error {
 		return fmt.Errorf("core: save bank: %w", err)
 	}
 	n := len(b.Configs)
-	arenaSeq, err := w.Append(segKindArena, arenaTag(0, n), bankseg.AppendUint32s(nil, b.Errs.Arena()))
+	arenaSeq, err := w.Append(segKindArena, arenaTag(0, n), appendCounts(nil, &b.Errs))
 	if err == nil {
 		_, err = w.Append(segKindCommit, [16]byte{}, appendV4Commit(nil, []v4DirEntry{{seq: arenaSeq, lo: 0, hi: n}}, b))
 	}
@@ -175,17 +175,21 @@ func SaveBankV4(b *Bank, path string) error {
 
 // assembleBankV4 turns a parsed segment container into a Bank. The bank is
 // defined by the LAST intact commit segment — anything after it is crash
-// debris from an interrupted grow and is ignored. verifyPayloads selects the
-// heap-load contract (every payload checksummed; open cost O(file size));
-// mapped opens pass false so open cost stays O(segment count). zeroCopy
-// backs the matrix with payload views (the caller must then keep f open);
-// otherwise the counts are copied onto the heap and canonicalized. The
-// returned refs reports whether the bank references f's image.
-func assembleBankV4(f *bankseg.File, verifyPayloads, zeroCopy bool) (b *Bank, refs bool, err error) {
+// debris from an interrupted grow and is ignored. Each arena segment the
+// commit names becomes one count block, and this is the one place where
+// the bytes came from matters. A mapped file (f.Mapped) is served zero-copy:
+// only the commit payload is checksummed, so open cost stays O(segment
+// count), and the blocks are views of the mapping (the caller must then
+// keep f open). Otherwise — a heap read, a peer's image — every payload is
+// checksummed, every count checked against its client's example count, and
+// the blocks are copies. The returned refs reports whether the bank
+// references f's image.
+func assembleBankV4(f *bankseg.File) (b *Bank, refs bool, err error) {
 	path := f.Path()
 	segs := f.Segments()
+	mapped := f.Mapped()
 	limit := len(segs)
-	if verifyPayloads {
+	if !mapped {
 		// A payload CRC failure bounds the intact prefix exactly like a
 		// structural failure: nothing at or after it can be trusted.
 		for i := range segs {
@@ -212,7 +216,7 @@ func assembleBankV4(f *bankseg.File, verifyPayloads, zeroCopy bool) (b *Bank, re
 		return nil, false, v4Corrupt(path, 0, bankseg.FileHeaderLen, "no intact commit segment")
 	}
 	commit := &segs[commitIdx]
-	if !verifyPayloads {
+	if mapped {
 		// Even a mapped open must not trust an unchecksummed commit payload:
 		// it is one small segment, so verifying it keeps open cost O(header).
 		if commit.VerifyPayload() != nil {
@@ -236,7 +240,7 @@ func assembleBankV4(f *bankseg.File, verifyPayloads, zeroCopy bool) (b *Bank, re
 	for i := 0; i < commitIdx; i++ {
 		bySeq[segs[i].Seq] = &segs[i]
 	}
-	msegs := make([]errSeg, 0, len(dir))
+	blocks := make([]countBlock, 0, len(dir))
 	for _, e := range dir {
 		s := bySeq[e.seq]
 		if s == nil || s.Kind != segKindArena {
@@ -252,37 +256,26 @@ func assembleBankV4(f *bankseg.File, verifyPayloads, zeroCopy bool) (b *Bank, re
 		if len(s.Payload) != wantCounts*arenaElemBytes {
 			return nil, false, v4Corrupt(path, commitIdx, s.Offset, "arena segment seq %d has %d payload bytes, want %d", e.seq, len(s.Payload), wantCounts*arenaElemBytes)
 		}
-		var data []uint32
-		if zeroCopy {
-			if v, ok := bankseg.Uint32s(s.Payload); ok {
-				data, refs = v, true
-			}
+		var counts []uint32
+		viewed := false
+		if mapped {
+			counts, viewed = bankseg.Uint32s(s.Payload)
 		}
-		if data == nil {
-			data = bankseg.CopyUint32s(s.Payload)
+		if !viewed {
+			counts = bankseg.CopyUint32s(s.Payload)
 		}
-		msegs = append(msegs, errSeg{lo: e.lo, hi: e.hi, data: data})
+		refs = refs || viewed
+		blocks = append(blocks, countBlock{lo: e.lo, hi: e.hi, counts: counts})
 	}
-	slices.SortFunc(msegs, func(a, b errSeg) int { return a.lo - b.lo })
-
-	switch {
-	case len(msegs) == 1 && msegs[0].lo == 0 && msegs[0].hi == nConfigs:
-		// Full-range shard order equals canonical arena order: serve it as a
-		// plain heap-shaped matrix (Counts set) whether mapped or copied.
-		bank.Errs = ErrMatrix{Parts: parts, Configs: nConfigs, Checkpoints: ckpts, Clients: clients, Counts: msegs[0].data}
-	case !refs:
-		// Heap loads canonicalize multi-segment banks into one arena, the
-		// shape every Counts-facing code path expects.
-		m := newSegmentedMatrix(parts, nConfigs, ckpts, clients, msegs)
-		if err := m.Validate(); err != nil {
-			return nil, false, v4Corrupt(path, commitIdx, commit.Offset, "%w", err)
-		}
-		bank.Errs = ErrMatrix{Parts: parts, Configs: nConfigs, Checkpoints: ckpts, Clients: clients, Counts: m.Arena()}
-	default:
-		bank.Errs = newSegmentedMatrix(parts, nConfigs, ckpts, clients, msegs)
-	}
+	slices.SortFunc(blocks, func(a, b countBlock) int { return a.lo - b.lo })
+	bank.Errs = ErrMatrix{Parts: parts, Configs: nConfigs, Checkpoints: ckpts, Clients: clients, blocks: blocks}
 	if err := bank.Validate(); err != nil {
 		return nil, false, v4Corrupt(path, commitIdx, commit.Offset, "%w", err)
+	}
+	if !mapped {
+		if err := bank.Errs.checkCounts(bank.ExampleCounts); err != nil {
+			return nil, false, v4Corrupt(path, commitIdx, commit.Offset, "%w", err)
+		}
 	}
 	bank.ensureIndex()
 	return bank, refs, nil
@@ -327,7 +320,7 @@ func openBankMapped(path string, warm bool) (*Bank, io.Closer, error) {
 		}
 		return nil, nil, wrapSegmentErr(path, err)
 	}
-	b, refs, err := assembleBankV4(f, !f.Mapped(), f.Mapped())
+	b, refs, err := assembleBankV4(f)
 	if err != nil {
 		f.Close()
 		return nil, nil, err
@@ -373,7 +366,7 @@ func MarshalShardV4(sh *BankShard) ([]byte, error) {
 	flags = appendU32(flags, uint32(sh.Errs.Checkpoints))
 	flags = appendU32(flags, uint32(sh.Errs.Clients))
 	flags = appendBools(flags, sh.Diverged)
-	img := bankseg.AppendSegment(bankseg.NewImage(), segKindArena, 1, tag, bankseg.AppendUint32s(nil, sh.Errs.Counts))
+	img := bankseg.AppendSegment(bankseg.NewImage(), segKindArena, 1, tag, appendCounts(nil, &sh.Errs))
 	return bankseg.AppendSegment(img, segKindShardFlags, 2, tag, flags), nil
 }
 
@@ -424,13 +417,16 @@ func UnmarshalShardV4(img []byte) (*BankShard, error) {
 		return nil, v4Corrupt("", 0, arena.Offset, "arena segment has %d payload bytes, dimensions %dx%dx%dx%d imply %d",
 			len(arena.Payload), parts, hi-lo, ckpts, clients, want*arenaElemBytes)
 	}
-	data, ok := bankseg.Uint32s(arena.Payload)
+	counts, ok := bankseg.Uint32s(arena.Payload)
 	if !ok {
-		data = bankseg.CopyUint32s(arena.Payload)
+		counts = bankseg.CopyUint32s(arena.Payload)
 	}
 	return &BankShard{
 		Lo: lo, Hi: hi,
-		Errs:     ErrMatrix{Parts: parts, Configs: hi - lo, Checkpoints: ckpts, Clients: clients, Counts: data},
+		Errs: ErrMatrix{
+			Parts: parts, Configs: hi - lo, Checkpoints: ckpts, Clients: clients,
+			blocks: []countBlock{{lo: 0, hi: hi - lo, counts: counts}},
+		},
 		Diverged: diverged,
 	}, nil
 }
@@ -441,7 +437,10 @@ func UnmarshalShardV4(img []byte) (*BankShard, error) {
 // plan.NumConfigs()). Because per-config training streams derive from
 // (seed, "config-i") alone, the result is byte-identical to a cold build
 // over the union pool with the same seed — pinned by TestGrownBankMatchesColdBuild.
-// The receiver is unchanged (in-flight readers keep a consistent view).
+// The receiver is unchanged (in-flight readers keep a consistent view), and
+// the result adopts its count blocks and the shards' without copying: the
+// grown bank reads the receiver's memory, so a mapped receiver's mapping
+// must outlive the grown bank as well.
 func (b *Bank) Extend(p *BuildPlan, shards []*BankShard) (*Bank, error) {
 	n := len(b.Configs)
 	if p.NumConfigs() <= n {
@@ -464,14 +463,7 @@ func (b *Bank) Extend(p *BuildPlan, shards []*BankShard) (*Bank, error) {
 			return nil, fmt.Errorf("core: extend: plan evaluation pools do not match bank (partition %d)", pi)
 		}
 	}
-	prefix := &BankShard{
-		Lo: 0, Hi: n,
-		Errs: ErrMatrix{
-			Parts: b.Errs.Parts, Configs: n, Checkpoints: b.Errs.Checkpoints, Clients: b.Errs.Clients,
-			Counts: b.Errs.Arena(),
-		},
-		Diverged: b.Diverged,
-	}
+	prefix := &BankShard{Lo: 0, Hi: n, Errs: b.Errs, Diverged: b.Diverged}
 	return AssembleBank(p, append([]*BankShard{prefix}, shards...))
 }
 
@@ -511,7 +503,7 @@ func ExtendBankV4(path string, p *BuildPlan, shards []*BankShard) (*Bank, error)
 	sorted := append([]*BankShard(nil), shards...)
 	slices.SortFunc(sorted, func(a, b *BankShard) int { return a.Lo - b.Lo })
 	for _, sh := range sorted {
-		seq, err := w.Append(segKindArena, arenaTag(sh.Lo, sh.Hi), bankseg.AppendUint32s(nil, sh.Errs.Counts))
+		seq, err := w.Append(segKindArena, arenaTag(sh.Lo, sh.Hi), appendCounts(nil, &sh.Errs))
 		if err != nil {
 			w.Abort()
 			return nil, fmt.Errorf("core: extend bank: %w", err)

@@ -104,7 +104,7 @@ func TestMappedOracleBitIdentical(t *testing.T) {
 
 // growFixture builds a 4-config bank plus the plan and shard that extend it
 // to 6 configs, and the cold-built 6-config reference bank.
-func growFixture(t *testing.T) (base, cold *Bank, plan *BuildPlan, shard *BankShard) {
+func growFixture(t testing.TB) (base, cold *Bank, plan *BuildPlan, shard *BankShard) {
 	t.Helper()
 	pop := data.MustGenerate(tinySpec(), rng.New(1))
 	opts := tinyBuildOptions()
@@ -169,6 +169,119 @@ func TestGrownBankMatchesColdBuild(t *testing.T) {
 	defer closer.Close()
 	if hashBankContent(mapped) != hashBankContent(cold) {
 		t.Fatal("mapped grown file differs from cold build")
+	}
+}
+
+// TestAssemblyAndGrowthCopyNoCounts pins the aliasing contract: a bank
+// assembled from shards reads the shards' memory, and a grown bank reads its
+// parent's for the prefix and the new shard's for the rest — no count is
+// copied on either path.
+func TestAssemblyAndGrowthCopyNoCounts(t *testing.T) {
+	base, _, plan, shard := growFixture(t)
+	grown, err := base.Extend(plan, []*BankShard{shard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pi := range grown.Partitions {
+		for ci := range grown.Configs {
+			for ri := range grown.Rounds {
+				var want *uint32
+				if ci < shard.Lo {
+					want = &base.Errs.Row(pi, ci, ri)[0]
+				} else {
+					want = &shard.Errs.Row(pi, ci-shard.Lo, ri)[0]
+				}
+				if &grown.Errs.Row(pi, ci, ri)[0] != want {
+					t.Fatalf("grown row (%d,%d,%d) is a copy, not its source's memory", pi, ci, ri)
+				}
+			}
+		}
+	}
+
+	pop, opts, seed := shardTestInputs(t)
+	sp, err := NewBuildPlan(pop, opts, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shards []*BankShard
+	for _, r := range ShardRanges(sp.NumConfigs(), 2) {
+		sh, err := sp.TrainRange(r[0], r[1], 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards = append(shards, sh)
+	}
+	assembled, err := AssembleBank(sp, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range shards {
+		for ci := sh.Lo; ci < sh.Hi; ci++ {
+			if &assembled.Errs.Row(1, ci, 2)[0] != &sh.Errs.Row(1, ci-sh.Lo, 2)[0] {
+				t.Fatalf("assembled row of config %d is a copy, not its shard's memory", ci)
+			}
+		}
+	}
+}
+
+// TestCountsAboveExamplesRejected: a count above its client's example count
+// (an error rate above 1) is refused wherever counts arrive whole — a shard
+// (BankShard.Validate, so AssembleBank and a dist upload) and a heap decode
+// (DecodeBank, so LoadBank and peer transfers, as a *CorruptError). A
+// mapped open reads no counts and so still opens such a file.
+func TestCountsAboveExamplesRejected(t *testing.T) {
+	pop, opts, seed := shardTestInputs(t)
+	plan, err := NewBuildPlan(pop, opts, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := plan.TrainRange(0, plan.NumConfigs(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := AssembleBank(plan, []*BankShard{sh})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "over.bank")
+	if err := SaveBankV4(b, path); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const pi, ci, ri, k = 1, 2, 1, 3
+	row := sh.Errs.Row(pi, ci, ri) // also b's row: assembly adopted the shard
+	row[k] = uint32(plan.counts[pi][k]) + 1
+	if err := sh.Validate(plan); err == nil {
+		t.Error("shard with a count above its example count validated")
+	}
+	if _, err := AssembleBank(plan, []*BankShard{sh}); err == nil {
+		t.Error("AssembleBank accepted a count above its example count")
+	}
+	if err := SaveBankV4(b, path); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ce *CorruptError
+	if _, err := DecodeBank(raw); !errors.As(err, &ce) || IsStaleBankFormat(err) {
+		t.Fatalf("DecodeBank of a count above its example count: err = %v, want *CorruptError", err)
+	}
+	if _, err := DecodeBank(good); err != nil {
+		t.Fatalf("DecodeBank of the intact image: %v", err)
+	}
+	mapped, closer, err := OpenBankMapped(path)
+	if err != nil {
+		t.Fatalf("mapped open: %v", err)
+	}
+	defer closer.Close()
+	if got := mapped.Errs.Row(pi, ci, ri)[k]; got != row[k] {
+		t.Fatalf("mapped count = %d, want %d", got, row[k])
 	}
 }
 
@@ -369,6 +482,20 @@ func FuzzBankV5(f *testing.F) {
 	f.Add(flip)                                                                // payload CRC flip
 	f.Add(append(append([]byte(nil), raw...), raw[bankseg.FileHeaderLen:]...)) // duplicate segments
 	f.Add([]byte{})
+	// A grown file: two arena segments, two commits — the multi-block path.
+	base, _, plan, shard := growFixture(f)
+	grownPath := filepath.Join(f.TempDir(), "grown.bank")
+	if err := SaveBankV4(base, grownPath); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := ExtendBankV4(grownPath, plan, []*BankShard{shard}); err != nil {
+		f.Fatal(err)
+	}
+	grown, err := os.ReadFile(grownPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(grown)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := DecodeBank(data)
 		if err != nil {
@@ -388,7 +515,58 @@ func FuzzBankV5(f *testing.F) {
 		if verr := b.Validate(); verr != nil {
 			t.Fatalf("decoded bank fails validation: %v", verr)
 		}
+
+		// What the decoder accepts round-trips: re-saved and decoded again
+		// it reads the same rows and fingerprints the same, however its
+		// count blocks were split.
+		fp := BankFingerprint(b)
+		dir := t.TempDir()
+		resaved := filepath.Join(dir, "resaved.bank")
+		if err := SaveBankV4(b, resaved); err != nil {
+			t.Fatalf("re-save: %v", err)
+		}
+		again, err := LoadBank(resaved)
+		if err != nil {
+			t.Fatalf("decode of the re-saved bank: %v", err)
+		}
+		if d := countDiff(&again.Errs, &b.Errs); d != "" {
+			t.Fatalf("re-saved bank reads differently: %s", d)
+		}
+		if BankFingerprint(again) != fp {
+			t.Fatal("re-saved bank fingerprints differently")
+		}
+		// The same bytes mapped serve the same bank whenever the mapped open
+		// accepts them — unless an arena payload fails its CRC: the mapped
+		// open does not read payloads, so it may then serve a later commit
+		// than the decoder, which stops at the first bad payload.
+		in := filepath.Join(dir, "in.bank")
+		if err := os.WriteFile(in, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		mapped, closer, err := OpenBankMapped(in)
+		if err != nil {
+			return
+		}
+		defer closer.Close()
+		if BankFingerprint(mapped) != fp && payloadsIntact(data) {
+			t.Fatal("mapped open serves a different bank than DecodeBank")
+		}
 	})
+}
+
+// payloadsIntact reports whether every segment payload of a bank image
+// passes its CRC.
+func payloadsIntact(data []byte) bool {
+	sf, err := bankseg.Parse(data)
+	if err != nil {
+		return false
+	}
+	for i := range sf.Segments() {
+		if sf.Segments()[i].VerifyPayload() != nil {
+			return false
+		}
+	}
+	return true
 }
 
 // TestOpenBankMappedWarm covers the -mmap-warm open path: the warm open

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"path/filepath"
 	"testing"
@@ -48,6 +49,28 @@ func tinyBank(t *testing.T) (*Bank, *data.Population) {
 	return tinyBankCache, tinyPopCache
 }
 
+// countDiff walks two matrices in Row order and describes the first element
+// where they differ ("" when their shapes and counts are equal).
+func countDiff(a, b *ErrMatrix) string {
+	if a.Parts != b.Parts || a.Configs != b.Configs || a.Checkpoints != b.Checkpoints || a.Clients != b.Clients {
+		return fmt.Sprintf("shape %dx%dx%dx%d vs %dx%dx%dx%d",
+			a.Parts, a.Configs, a.Checkpoints, a.Clients, b.Parts, b.Configs, b.Checkpoints, b.Clients)
+	}
+	for pi := 0; pi < a.Parts; pi++ {
+		for ci := 0; ci < a.Configs; ci++ {
+			for ri := 0; ri < a.Checkpoints; ri++ {
+				ra, rb := a.Row(pi, ci, ri), b.Row(pi, ci, ri)
+				for k := range ra {
+					if ra[k] != rb[k] {
+						return fmt.Sprintf("count (%d,%d,%d,%d) %d vs %d", pi, ci, ri, k, ra[k], rb[k])
+					}
+				}
+			}
+		}
+	}
+	return ""
+}
+
 func TestBuildBankShape(t *testing.T) {
 	b, _ := tinyBank(t)
 	if err := b.Validate(); err != nil {
@@ -87,10 +110,8 @@ func TestBuildBankDeterministicAcrossParallelism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range b1.Errs.Counts {
-		if b1.Errs.Counts[i] != b2.Errs.Counts[i] {
-			t.Fatal("bank depends on worker count")
-		}
+	if d := countDiff(&b1.Errs, &b2.Errs); d != "" {
+		t.Fatalf("bank depends on worker count: %s", d)
 	}
 }
 

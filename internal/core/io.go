@@ -9,8 +9,9 @@ import (
 )
 
 // LoadBank reads a bank file written by SaveBankV4 (or grown by
-// ExtendBankV4), verifies every segment CRC and materializes a canonical
-// heap arena — the fully-checked counterpart of OpenBankMapped. Corruption
+// ExtendBankV4), verifies every segment CRC and every count, and copies
+// each arena segment onto the heap as one count block — the fully-checked
+// counterpart of OpenBankMapped. Corruption
 // surfaces as a *CorruptError naming the failing segment and its offset; a
 // file in a retired encoding (bankfmt/v4, v3, gob+gzip) fails with an error
 // satisfying IsStaleBankFormat that names the generation and the fix.
@@ -31,10 +32,11 @@ func LoadBank(path string) (*Bank, error) {
 }
 
 // DecodeBank reads one bankfmt/v5 image (a bank file's bytes, or the same
-// bytes received from a peer) into a validated heap bank. Every error is
-// either a stale-format classification (IsStaleBankFormat — the bytes open
-// a retired or future encoding, recognised by their first 8 bytes and
-// never decoded) or a *CorruptError.
+// bytes received from a peer) into a validated heap bank: every payload
+// CRC checked, and every count at most its client's example count. Every
+// error is either a stale-format classification (IsStaleBankFormat — the
+// bytes open a retired or future encoding, recognised by their first 8
+// bytes and never decoded) or a *CorruptError.
 func DecodeBank(data []byte) (*Bank, error) {
 	if _, err := sniffBankGeneration(data); err != nil {
 		return nil, err
@@ -43,6 +45,6 @@ func DecodeBank(data []byte) (*Bank, error) {
 	if err != nil {
 		return nil, wrapSegmentErr("", err)
 	}
-	b, _, err := assembleBankV4(sf, true, false)
+	b, _, err := assembleBankV4(sf)
 	return b, err
 }

@@ -2,13 +2,16 @@ package core
 
 import (
 	"fmt"
+	"iter"
 	"math"
+	"slices"
+
+	"noisyeval/internal/core/bankseg"
 )
 
-// ErrMatrix is the dense error tensor at the heart of the bank: one
-// contiguous []uint32 arena of wrong-counts indexed as
+// ErrMatrix is the dense error tensor at the heart of the bank, indexed as
 //
-//	[partition][config][checkpoint][client]   (row-major)
+//	[partition][config][checkpoint][client]
 //
 // Element (p, c, r, k) counts the validation examples of client k (under
 // partition p) that config c's model misclassifies at checkpoint r. The
@@ -17,173 +20,142 @@ import (
 // every reader sees the same bits (ratesInto; a client with no examples has
 // rate 0).
 //
-// Contiguity is what makes every warm path cheap: the codec writes and reads
-// the whole tensor as one little-endian byte run straight into the arena,
-// shard reassembly is one bulk copy per (partition, shard) block, and oracle
-// reads walk row views over memory the prefetcher likes.
+// The counts live in an ordered list of blocks. A block covers configs
+// [lo, hi) of every partition as one contiguous []uint32 laid out
+// [partition][config-lo][checkpoint][client] — the layout a BankShard
+// trains into and an arena segment stores — and the blocks cover
+// [0, Configs) in order. A cold build has one block, whose layout is the
+// canonical order; a bank assembled from shards or grown has one block per
+// shard or growth step, each adopted without a copy. Whether a block's
+// memory is the heap, a decoded image or an mmap'd arena segment is
+// decided where it is read (assembleBankV4), not by the matrix: Row,
+// encoding and fingerprinting see the same bits either way.
 //
-// Backing store: a matrix is either heap-backed (Counts holds the canonical
-// arena, segs nil) or segment-backed (segs cover contiguous config ranges,
-// each a view into an mmap'd arena segment laid out
-// [partition][config-lo][checkpoint][client]). Row/ConfigBlock dispatch on
-// the backing, so oracle reads are bit-identical either way; Arena
-// materializes the canonical order when a single flat slice is needed
-// (encoding, fingerprinting).
-//
-// The exported fields exist for encoding; treat a populated matrix as
-// immutable and go through Row for access.
+// Treat a populated matrix as immutable and go through Row for access.
 type ErrMatrix struct {
 	// Parts, Configs, Checkpoints, Clients are the tensor dimensions.
 	Parts, Configs, Checkpoints, Clients int
-	// Counts is the arena, len = Parts*Configs*Checkpoints*Clients. Nil
-	// when the matrix is segment-backed.
-	Counts []uint32
-	// segs, when non-nil, back the matrix with per-config-range blocks
-	// (sorted, contiguous from config 0). Set only by the mapped-open
-	// path.
-	segs []errSeg
+	// blocks are the count blocks, sorted and contiguous from config 0.
+	blocks []countBlock
 }
 
-// errSeg is one config-range backing block of a segment-backed matrix:
-// configs [lo, hi) of every partition, laid out [part][config-lo][ckpt][client]
-// — the BankShard layout, which for the full range [0, Configs) equals the
-// canonical arena order.
-type errSeg struct {
+// countBlock holds configs [lo, hi) of every partition, laid out
+// [partition][config-lo][checkpoint][client].
+type countBlock struct {
 	lo, hi int
-	data   []uint32
+	counts []uint32
 }
 
-// NewErrMatrix allocates a zeroed dense matrix with the given dimensions.
+// NewErrMatrix allocates a zeroed matrix with the given dimensions: one
+// heap block covering every config.
 func NewErrMatrix(parts, configs, checkpoints, clients int) ErrMatrix {
-	return ErrMatrix{
-		Parts: parts, Configs: configs, Checkpoints: checkpoints, Clients: clients,
-		Counts: make([]uint32, parts*configs*checkpoints*clients),
+	m := ErrMatrix{Parts: parts, Configs: configs, Checkpoints: checkpoints, Clients: clients}
+	if configs > 0 {
+		m.blocks = []countBlock{{lo: 0, hi: configs, counts: make([]uint32, parts*configs*checkpoints*clients)}}
 	}
+	return m
 }
-
-// newSegmentedMatrix wires a matrix over per-range backing blocks without
-// copying them (the mapped-open path). Ranges must be sorted and cover
-// [0, configs) contiguously; Validate enforces it.
-func newSegmentedMatrix(parts, configs, checkpoints, clients int, segs []errSeg) ErrMatrix {
-	return ErrMatrix{
-		Parts: parts, Configs: configs, Checkpoints: checkpoints, Clients: clients,
-		segs: segs,
-	}
-}
-
-// Segmented reports whether the matrix is backed by per-range segments
-// rather than one canonical heap arena.
-func (m *ErrMatrix) Segmented() bool { return m.segs != nil }
 
 // Row returns the per-client wrong-count vector of (partition pi, config ci,
-// checkpoint ri) as a view into the arena. The slice is owned by the matrix;
-// only the builder writes through it.
+// checkpoint ri) as a view into the block that holds config ci: a scan over
+// the (few — one per shard or growth step) blocks, then the block-layout
+// offset. Zero allocations. The slice is owned by the matrix; only a builder
+// or a test fixture writes through it.
 func (m *ErrMatrix) Row(pi, ci, ri int) []uint32 {
-	if m.segs != nil {
-		return m.segRow(pi, ci, ri)
-	}
-	off := ((pi*m.Configs+ci)*m.Checkpoints + ri) * m.Clients
-	return m.Counts[off : off+m.Clients : off+m.Clients]
-}
-
-// segRow resolves a row in a segment-backed matrix: a linear scan over the
-// (few — one per growth step) segments, then the shard-layout offset within
-// the owning block. Zero allocations; segments are sorted so the first with
-// ci < hi owns the config.
-func (m *ErrMatrix) segRow(pi, ci, ri int) []uint32 {
-	for si := range m.segs {
-		s := &m.segs[si]
-		if ci < s.hi {
-			off := ((pi*(s.hi-s.lo)+(ci-s.lo))*m.Checkpoints + ri) * m.Clients
-			return s.data[off : off+m.Clients : off+m.Clients]
+	for i := range m.blocks {
+		b := &m.blocks[i]
+		if ci < b.hi {
+			off := ((pi*(b.hi-b.lo)+ci-b.lo)*m.Checkpoints + ri) * m.Clients
+			return b.counts[off : off+m.Clients : off+m.Clients]
 		}
 	}
-	panic(fmt.Sprintf("core: config %d outside segmented matrix of %d configs", ci, m.Configs))
+	panic(fmt.Sprintf("core: config %d outside a matrix of %d configs", ci, m.Configs))
 }
 
-// ConfigBlock returns the contiguous sub-arena covering configs [lo, hi) of
-// partition pi — every checkpoint and client of those configs. Shard
-// reassembly copies blocks, never rows. On a segment-backed matrix the
-// requested range must lie within one backing segment (growth ranges are
-// segment-granular, so every caller's range does).
-func (m *ErrMatrix) ConfigBlock(pi, lo, hi int) []uint32 {
-	if m.segs != nil {
-		for si := range m.segs {
-			s := &m.segs[si]
-			if lo >= s.lo && hi <= s.hi {
-				stride := m.Checkpoints * m.Clients
-				n := s.hi - s.lo
-				off := (pi*n + (lo - s.lo)) * stride
-				end := (pi*n + (hi - s.lo)) * stride
-				return s.data[off:end:end]
+// runs yields the counts in canonical [partition][config][checkpoint][client]
+// order as contiguous runs: for each partition, each block's slab of it.
+// Every writer of counts (SaveBankV4, MarshalShardV4, ExtendBankV4) and
+// BankFingerprint walk this, so a bank encodes and hashes the same however
+// its blocks are split.
+func (m *ErrMatrix) runs() iter.Seq[[]uint32] {
+	return func(yield func([]uint32) bool) {
+		stride := m.Checkpoints * m.Clients
+		for pi := 0; pi < m.Parts; pi++ {
+			for _, b := range m.blocks {
+				n := (b.hi - b.lo) * stride
+				if !yield(b.counts[pi*n : (pi+1)*n]) {
+					return
+				}
 			}
 		}
-		panic(fmt.Sprintf("core: config block [%d,%d) spans segment boundaries", lo, hi))
 	}
-	stride := m.Checkpoints * m.Clients
-	off := (pi*m.Configs + lo) * stride
-	end := (pi*m.Configs + hi) * stride
-	return m.Counts[off:end:end]
 }
 
-// Arena returns the matrix content as one canonical [part][config][ckpt][client]
-// arena. Heap-backed matrices return Counts directly (no copy);
-// segment-backed ones materialize a fresh canonical copy — encoding and
-// fingerprinting go through this, so a mapped bank encodes byte-identically
-// to its heap twin.
-func (m *ErrMatrix) Arena() []uint32 {
-	if m.segs == nil {
-		return m.Counts
+// appendCounts appends the matrix's counts in canonical order as the
+// little-endian bytes of an arena segment payload.
+func appendCounts(dst []byte, m *ErrMatrix) []byte {
+	dst = slices.Grow(dst, m.Parts*m.Configs*m.Checkpoints*m.Clients*arenaElemBytes)
+	for run := range m.runs() {
+		dst = bankseg.AppendUint32s(dst, run)
 	}
-	out := NewErrMatrix(m.Parts, m.Configs, m.Checkpoints, m.Clients)
-	for si := range m.segs {
-		s := &m.segs[si]
-		for pi := 0; pi < m.Parts; pi++ {
-			copy(out.ConfigBlock(pi, s.lo, s.hi), m.ConfigBlock(pi, s.lo, s.hi))
-		}
-	}
-	return out.Counts
+	return dst
 }
 
-// Validate checks dimensional integrity: non-negative dims and backing of
-// exactly the implied length — one canonical arena, or segments that cover
-// [0, Configs) contiguously with correctly sized blocks.
+// Validate checks dimensional integrity: non-negative dims, and blocks that
+// cover [0, Configs) contiguously, each holding exactly the counts its range
+// implies. Decoders run it on bytes read from disk or the wire.
 func (m *ErrMatrix) Validate() error {
 	if m.Parts < 0 || m.Configs < 0 || m.Checkpoints < 0 || m.Clients < 0 {
 		return fmt.Errorf("core: err matrix has negative dimension %dx%dx%dx%d",
 			m.Parts, m.Configs, m.Checkpoints, m.Clients)
 	}
-	if m.segs != nil {
-		next := 0
-		for i, s := range m.segs {
-			if s.lo != next || s.hi <= s.lo {
-				return fmt.Errorf("core: err matrix segment %d covers [%d,%d), want to start at %d", i, s.lo, s.hi, next)
-			}
-			if want := m.Parts * (s.hi - s.lo) * m.Checkpoints * m.Clients; len(s.data) != want {
-				return fmt.Errorf("core: err matrix segment %d has %d counts, want %d", i, len(s.data), want)
-			}
-			next = s.hi
+	next := 0
+	for i, b := range m.blocks {
+		if b.lo != next || b.hi <= b.lo {
+			return fmt.Errorf("core: err matrix block %d covers [%d,%d), want to start at %d", i, b.lo, b.hi, next)
 		}
-		if next != m.Configs {
-			return fmt.Errorf("core: err matrix segments cover %d configs, want %d", next, m.Configs)
+		if want := m.Parts * (b.hi - b.lo) * m.Checkpoints * m.Clients; len(b.counts) != want {
+			return fmt.Errorf("core: err matrix block %d has %d counts, want %d", i, len(b.counts), want)
 		}
-		return nil
+		next = b.hi
 	}
-	if want := m.Parts * m.Configs * m.Checkpoints * m.Clients; len(m.Counts) != want {
-		return fmt.Errorf("core: err matrix arena has %d counts, want %d (%dx%dx%dx%d)",
-			len(m.Counts), want, m.Parts, m.Configs, m.Checkpoints, m.Clients)
+	if next != m.Configs {
+		return fmt.Errorf("core: err matrix blocks cover %d configs, want %d (%dx%dx%dx%d)",
+			next, m.Configs, m.Parts, m.Configs, m.Checkpoints, m.Clients)
 	}
 	return nil
 }
 
-// CheckShape verifies the matrix has exactly the given dimensions (and a
-// consistent arena).
+// CheckShape verifies the matrix has exactly the given dimensions (and
+// consistent blocks).
 func (m *ErrMatrix) CheckShape(parts, configs, checkpoints, clients int) error {
 	if m.Parts != parts || m.Configs != configs || m.Checkpoints != checkpoints || m.Clients != clients {
 		return fmt.Errorf("core: err matrix is %dx%dx%dx%d, want %dx%dx%dx%d",
 			m.Parts, m.Configs, m.Checkpoints, m.Clients, parts, configs, checkpoints, clients)
 	}
 	return m.Validate()
+}
+
+// checkCounts rejects a count above its client's example count,
+// exampleCounts[p][k] — an error rate above 1, which no build produces. It
+// reads every count, so it guards what arrives whole (shard uploads, heap
+// decodes), not mapped opens, which stay O(segment count).
+func (m *ErrMatrix) checkCounts(exampleCounts [][]int) error {
+	i := 0
+	for run := range m.runs() {
+		pi := i / len(m.blocks)
+		examples := exampleCounts[pi][:m.Clients]
+		i++
+		for off := 0; off < len(run); off += m.Clients {
+			for k, c := range run[off : off+m.Clients] {
+				if int64(c) > int64(examples[k]) {
+					return fmt.Errorf("core: client %d under partition %d counts %d wrong of %d examples",
+						k, pi, c, examples[k])
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // rateDivisors returns the divisor vector that turns one partition's count

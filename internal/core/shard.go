@@ -93,8 +93,8 @@ func (p *BuildPlan) NumConfigs() int { return len(p.configs) }
 // BankShard holds the training output for one contiguous config index range
 // [Lo, Hi) of a bank build: a dense error tensor over the shard's configs
 // (shard-local index) plus divergence flags. Shards are the unit of work the
-// dist coordinator leases to workers; because the tensor is arena-backed,
-// assembly into the final bank is one bulk copy per partition.
+// dist coordinator leases to workers; assembly adopts each shard's count
+// block into the final bank without copying it.
 type BankShard struct {
 	// Lo and Hi bound the config index range [Lo, Hi).
 	Lo, Hi int
@@ -105,7 +105,8 @@ type BankShard struct {
 	Diverged []bool
 }
 
-// Validate checks the shard's shape against a plan.
+// Validate checks the shard against a plan: its range, its shape, and every
+// count against its client's example count.
 func (sh *BankShard) Validate(p *BuildPlan) error {
 	if sh.Lo < 0 || sh.Hi > p.NumConfigs() || sh.Lo >= sh.Hi {
 		return fmt.Errorf("core: shard range [%d, %d) invalid for %d configs", sh.Lo, sh.Hi, p.NumConfigs())
@@ -115,6 +116,9 @@ func (sh *BankShard) Validate(p *BuildPlan) error {
 		return fmt.Errorf("core: shard diverged length %d, want %d", len(sh.Diverged), n)
 	}
 	if err := sh.Errs.CheckShape(len(p.parts), n, len(p.rounds), len(p.counts[0])); err != nil {
+		return fmt.Errorf("core: shard [%d, %d): %w", sh.Lo, sh.Hi, err)
+	}
+	if err := sh.Errs.checkCounts(p.counts); err != nil {
 		return fmt.Errorf("core: shard [%d, %d): %w", sh.Lo, sh.Hi, err)
 	}
 	return nil
@@ -200,9 +204,10 @@ func ShardRanges(n, size int) [][2]int {
 // validated bank. Every config index must be covered by exactly one shard;
 // gaps, overlaps, and shape mismatches are errors. Because shard content
 // depends only on (pop, opts, seed, range), the assembled bank is
-// byte-identical to a single-process BuildBank of the same inputs. With both
-// sides arena-backed, reassembly is one contiguous block copy per
-// (partition, shard) — no per-row pointer stitching.
+// byte-identical to a single-process BuildBank of the same inputs. The bank
+// adopts each shard's count blocks, in config order, without copying them:
+// its rows are views of the shards' memory, so a shard must not be written
+// after assembly.
 func AssembleBank(p *BuildPlan, shards []*BankShard) (*Bank, error) {
 	b := &Bank{
 		SpecName:      p.pop.Spec.Name,
@@ -211,7 +216,7 @@ func AssembleBank(p *BuildPlan, shards []*BankShard) (*Bank, error) {
 		Rounds:        p.rounds,
 		Partitions:    p.parts,
 		ExampleCounts: p.counts,
-		Errs:          NewErrMatrix(len(p.parts), len(p.configs), len(p.rounds), len(p.counts[0])),
+		Errs:          ErrMatrix{Parts: len(p.parts), Configs: len(p.configs), Checkpoints: len(p.rounds), Clients: len(p.counts[0])},
 		Diverged:      make([]bool, len(p.configs)),
 	}
 
@@ -228,8 +233,8 @@ func AssembleBank(p *BuildPlan, shards []*BankShard) (*Bank, error) {
 		if err := sh.Validate(p); err != nil {
 			return nil, fmt.Errorf("core: assemble: %w", err)
 		}
-		for pi := range p.parts {
-			copy(b.Errs.ConfigBlock(pi, sh.Lo, sh.Hi), sh.Errs.ConfigBlock(pi, 0, sh.Hi-sh.Lo))
+		for _, blk := range sh.Errs.blocks {
+			b.Errs.blocks = append(b.Errs.blocks, countBlock{lo: sh.Lo + blk.lo, hi: sh.Lo + blk.hi, counts: blk.counts})
 		}
 		copy(b.Diverged[sh.Lo:sh.Hi], sh.Diverged)
 		next = sh.Hi

@@ -26,7 +26,7 @@ func shardTestInputs(t testing.TB) (*data.Population, BuildOptions, uint64) {
 // assembled from range shards — trained independently, in scrambled order,
 // with uneven split points — must be byte-identical to a single-process
 // BuildBank of the same (population, options, seed): same BankKey inputs,
-// same content hash, and the same bankfmt/v3 encoding (the acceptance
+// same content hash, and the same bankfmt/v5 encoding (the acceptance
 // criterion of the cluster protocol).
 func TestShardedBuildByteIdentical(t *testing.T) {
 	pop, opts, seed := shardTestInputs(t)
@@ -104,10 +104,8 @@ func TestTrainRangeDeterministicPerRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a.Errs.Counts {
-		if a.Errs.Counts[i] != b.Errs.Counts[i] {
-			t.Fatalf("arena float %d differs across retrains", i)
-		}
+	if d := countDiff(&a.Errs, &b.Errs); d != "" {
+		t.Fatalf("retrains differ: %s", d)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -344,9 +345,13 @@ func TestWireRoundTrips(t *testing.T) {
 	if err := back.Errs.CheckShape(sh.Errs.Parts, sh.Errs.Configs, sh.Errs.Checkpoints, sh.Errs.Clients); err != nil {
 		t.Errorf("shard round trip drifted: %v", err)
 	}
-	for i := range sh.Errs.Counts {
-		if back.Errs.Counts[i] != sh.Errs.Counts[i] {
-			t.Fatalf("shard arena float %d changed in round trip", i)
+	for pi := 0; pi < sh.Errs.Parts; pi++ {
+		for ci := 0; ci < sh.Errs.Configs; ci++ {
+			for ri := 0; ri < sh.Errs.Checkpoints; ri++ {
+				if got, want := back.Errs.Row(pi, ci, ri), sh.Errs.Row(pi, ci, ri); !slices.Equal(got, want) {
+					t.Fatalf("shard row (%d,%d,%d) changed in round trip: %v vs %v", pi, ci, ri, got, want)
+				}
+			}
 		}
 	}
 

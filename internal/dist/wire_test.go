@@ -137,8 +137,8 @@ func FuzzShardDecode(f *testing.F) {
 		if verr := sh.Errs.Validate(); verr != nil {
 			t.Fatalf("decoded shard fails validation: %v", verr)
 		}
-		if int64(len(sh.Errs.Counts))*4 > testShardBound {
-			t.Fatalf("decoded arena of %d counts exceeds the %d-byte bound", len(sh.Errs.Counts), testShardBound)
+		if counts := sh.Errs.Parts * n * sh.Errs.Checkpoints * sh.Errs.Clients; int64(counts)*4 > testShardBound {
+			t.Fatalf("decoded arena of %d counts exceeds the %d-byte bound", counts, testShardBound)
 		}
 	})
 }
@@ -188,6 +188,57 @@ func TestCompleteRefusesHostileUploads(t *testing.T) {
 	validB, _ := hostileShardPayloads(t, plan, jobB.Lo, jobB.Hi)
 	if code := post(jobB, validB); code != http.StatusOK {
 		t.Fatalf("second valid upload: status %d", code)
+	}
+	waitBuild(t, result)
+}
+
+// TestCompleteRejectsCountAboveExamples: an upload whose image is intact —
+// CRCs, tags and shape all valid — but which claims one client got more
+// examples wrong than it has (an error rate above 1) answers 400, never
+// reaches assembly, and goes back on the queue for another worker.
+func TestCompleteRejectsCountAboveExamples(t *testing.T) {
+	coord, _, plan, result := failureCluster(t)
+	mux := http.NewServeMux()
+	coord.Register(mux)
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	job, _ := coord.Lease("w")
+	sh := mustTrain(t, plan, job.Lo, job.Hi)
+	const k = 2
+	// Repartitioning preserves client sizes, so client k holds this many
+	// examples under every partition.
+	sh.Errs.Row(1, 0, 0)[k] = uint32(testPop(t).Val[k].NumExamples()) + 1
+	payload, err := EncodeShard(sh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requeued := coord.Stats().ShardsRequeued
+	q := url.Values{"job": {job.ID}, "worker": {"w"}}
+	resp, err := http.Post(ts.URL+"/v1/work/complete?"+q.Encode(), "application/octet-stream", bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+	st := coord.Stats()
+	if st.ShardsCompleted != 0 || st.ShardsRequeued != requeued+1 {
+		t.Fatalf("after the rejected upload: %d completed, %d requeued (was %d)", st.ShardsCompleted, st.ShardsRequeued, requeued)
+	}
+	// The rejected job is leasable again (behind the untouched one) and the
+	// build completes on correct uploads.
+	leasedAgain := false
+	for j, ok := coord.Lease("w2"); ok; j, ok = coord.Lease("w2") {
+		leasedAgain = leasedAgain || j.ID == job.ID
+		if status, err := coord.Complete(j.ID, "w2", mustTrain(t, plan, j.Lo, j.Hi)); err != nil || status != "ok" {
+			t.Fatalf("complete %s = %q, %v", j.ID, status, err)
+		}
+	}
+	if !leasedAgain {
+		t.Fatal("rejected job was not requeued")
 	}
 	waitBuild(t, result)
 }

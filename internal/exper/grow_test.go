@@ -99,6 +99,66 @@ func TestSuiteGrowBank(t *testing.T) {
 	}
 }
 
+// TestSuiteGrowBankOverMappedStore: a bank the store serves mapped grows
+// without a copy — the grown bank's prefix rows are views of the parent's
+// mapping — so the mapping must outlive the grown bank. Every row of the
+// grown bank reads back, and it fingerprints like a cold build over the
+// union pool, all before the store, which owns the mapping, is closed.
+func TestSuiteGrowBankOverMappedStore(t *testing.T) {
+	dir := t.TempDir()
+	heapStore, err := core.NewBankStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := NewSuite(tinyConfig())
+	warm.SetStore(heapStore)
+	warm.Bank("cifar10") // builds and persists the parent
+
+	st, err := core.NewBankStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.SetMapped(true)
+	s := NewSuite(tinyConfig())
+	s.SetStore(st)
+	parent := s.Bank("cifar10")
+	if st.Mapped().Files == 0 {
+		t.Skip("no mmap on this platform: the store served the parent from the heap")
+	}
+	grown, _, err := s.GrowBank("cifar10", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum uint64
+	for pi := range grown.Partitions {
+		for ci := range grown.Configs {
+			for ri := range grown.Rounds {
+				for _, c := range grown.Errs.Row(pi, ci, ri) {
+					sum += uint64(c)
+				}
+			}
+		}
+	}
+	if sum == 0 {
+		t.Fatal("grown bank reads no errors at all")
+	}
+	if &grown.Errs.Row(0, 0, 0)[0] != &parent.Errs.Row(0, 0, 0)[0] {
+		t.Fatal("grown bank copied the mapped parent's counts")
+	}
+	pop := s.Population("cifar10")
+	_, opts, bankSeed := s.BankBuildInputs("cifar10")
+	cold, err := core.BuildBank(pop, opts, bankSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if core.BankFingerprint(grown) != core.BankFingerprint(cold) {
+		t.Fatal("bank grown over a mapped parent differs from a cold build over the union pool")
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // unmemoisedBankKey recomputes a dataset's bank address from scratch — what
 // bankKeyFor did on every call before it kept a memo.
 func unmemoisedBankKey(s *Suite, name string) string {

@@ -29,8 +29,17 @@ func proposeBank() *core.Bank {
 		counts[k] = 15 + g.IntN(20)
 	}
 	b.ExampleCounts = [][]int{counts, counts}
-	for i := range b.Errs.Counts {
-		b.Errs.Counts[i] = uint32(g.IntN(counts[i%clients] + 1))
+	// Row order is the canonical order, so the draws land where they did
+	// when this loop filled one flat arena.
+	for pi := 0; pi < parts; pi++ {
+		for ci := 0; ci < configs; ci++ {
+			for ri := 0; ri < ckpts; ri++ {
+				row := b.Errs.Row(pi, ci, ri)
+				for k := range row {
+					row[k] = uint32(g.IntN(counts[k] + 1))
+				}
+			}
+		}
 	}
 	return b
 }
