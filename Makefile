@@ -14,11 +14,12 @@
 #                    the committed BENCH_baseline.json (tools/benchdiff)
 #   make bench-harness vet + short tests of the bench/ module (BENCHMARK.json's
 #                    harness; its own go.mod, so `go test ./...` never sees it)
-#   make fuzz        short coverage-guided fuzz pass over the two decoders
-#                    that read bank bytes from disk or the wire (bankfmt/v5
-#                    bank image, dist shard upload), the two certified
-#                    selections against their references (the weighted
-#                    sampler's top-k, the Parzen proposal's argmax) and the
+#   make fuzz        short coverage-guided fuzz pass over the three decoders
+#                    that read bytes from disk or the wire (bankfmt/v5 bank
+#                    image, dist shard upload, run journal), the two
+#                    certified selections against their references (the
+#                    weighted sampler's top-k, the Parzen proposal's argmax)
+#                    and their AVX2 kernels against the Go loops, and the
 #                    lane-wise exp against math.Exp
 #   make figures     quick-scale figure regeneration through the bank cache
 #   make profile-figures CPU + allocation profiles of warm quick figure passes
@@ -48,7 +49,7 @@ lint:
 	@fmt="$$(gofmt -l .)"; if [ -n "$$fmt" ]; then echo "gofmt needed:" $$fmt; exit 1; fi
 	$(GO) vet ./...
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
-	GOOS=linux GOARCH=arm64 $(GO) vet ./internal/tensor ./internal/opt ./internal/nn ./internal/fl
+	GOOS=linux GOARCH=arm64 $(GO) vet ./internal/cpu ./internal/tensor ./internal/opt ./internal/nn ./internal/fl ./internal/hpo ./internal/rng
 
 # Comments count, blank lines and _test.go files do not; bench/ is the
 # benchmark's own module and is left out.
@@ -114,23 +115,28 @@ bench-harness:
 # and two commits, plus the retired generations — a whole v4 file among
 # them — which must classify as stale; every image it accepts must
 # fingerprint the same after SaveBankV4 + DecodeBank and, written to a file,
-# through OpenBankMapped whenever that opens it) and the dist shard
+# through OpenBankMapped whenever that opens it), the dist shard
 # upload (FuzzShardDecode, seeded with every hostile payload the complete
-# endpoint refuses). FuzzWeightedSample is differential instead: bytes become
-# weights, uniforms and k, and the bracketed selection must return what the
-# all-keys loop returns; so is
-# FuzzProposeCertified: bytes become a pool, an observation set and a list of
-# draws, and the engine's argmax must be the selection loop's over the
-# reference model's scores; and FuzzExpLanes: bytes become a row of float64
-# bit patterns and the lane-wise exp must return what a math.Exp loop returns
-# (it skips on a machine without AVX2+FMA). A crash writes its input to
-# testdata/fuzz for triage.
+# endpoint refuses) and the run journal (FuzzJournalReplay: decoding any
+# byte string, torn tails and flipped CRCs included, never panics, consumes
+# exactly what re-encoding its records gives, and is prefix-stable). FuzzWeightedSample is differential
+# instead: bytes become weights, uniforms and k, and the bracketed selection
+# must return what the all-keys loop returns, its AVX2 bracket pass what the
+# Go loop does to the bit; so is FuzzProposeCertified: bytes become a pool,
+# an observation set and a list of draws, and the engine's argmax must be
+# the selection loop's over the reference model's scores, its AVX2 ratios
+# the Go loop's to the bit; and FuzzExpLanes: bytes become a row of float64
+# bit patterns and the lane-wise exp must return what a math.Exp loop
+# returns (it skips on a machine without AVX2+FMA). -fuzzminimizetime caps
+# the minimization of each new interesting input (default 60 s), so the 15 s
+# go to fuzzing. A crash writes its input to testdata/fuzz for triage.
 fuzz:
-	$(GO) test -run '^$$' -fuzz 'FuzzBankV5$$' -fuzztime 15s ./internal/core
-	$(GO) test -run '^$$' -fuzz 'FuzzShardDecode$$' -fuzztime 15s ./internal/dist
-	$(GO) test -run '^$$' -fuzz 'FuzzWeightedSample$$' -fuzztime 15s ./internal/rng
-	$(GO) test -run '^$$' -fuzz 'FuzzProposeCertified$$' -fuzztime 15s ./internal/hpo
-	$(GO) test -run '^$$' -fuzz 'FuzzExpLanes$$' -fuzztime 15s ./internal/tensor
+	$(GO) test -run '^$$' -fuzz 'FuzzBankV5$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/core
+	$(GO) test -run '^$$' -fuzz 'FuzzShardDecode$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/dist
+	$(GO) test -run '^$$' -fuzz 'FuzzJournalReplay$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/serve/journal
+	$(GO) test -run '^$$' -fuzz 'FuzzWeightedSample$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/rng
+	$(GO) test -run '^$$' -fuzz 'FuzzProposeCertified$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/hpo
+	$(GO) test -run '^$$' -fuzz 'FuzzExpLanes$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/tensor
 
 figures:
 	$(GO) run ./cmd/figures -quick -cache-dir $(CACHE_DIR) -out results

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"os/signal"
 	"strconv"
 	"strings"
 	"time"
@@ -90,7 +91,12 @@ func main() {
 	opts.Workers = *workers
 
 	if *grow > 0 {
-		if err := growBank(path, pop, opts, *seed, *grow, *workers); err != nil {
+		// An interrupt stops the training before anything is appended, so
+		// the file keeps its last commit.
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+		err := growBank(ctx, path, pop, opts, *seed, *grow, *workers)
+		stop()
+		if err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -184,7 +190,7 @@ func printInfo(path string) error {
 // and the grown bank matches a cold build over the union pool. The remaining
 // flags must repeat the original build's inputs — Extend verifies them
 // against the bank.
-func growBank(path string, pop *data.Population, opts core.BuildOptions, seed uint64, add, workers int) error {
+func growBank(ctx context.Context, path string, pop *data.Population, opts core.BuildOptions, seed uint64, add, workers int) error {
 	old, err := core.LoadBank(path)
 	if err != nil {
 		return err
@@ -199,7 +205,7 @@ func growBank(path string, pop *data.Population, opts core.BuildOptions, seed ui
 	}
 	log.Printf("training %d new configs [%d,%d)...", add, len(cur), len(union))
 	start := time.Now()
-	shard, err := plan.TrainRange(len(cur), len(union), workers)
+	shard, err := plan.TrainRangeCtx(ctx, len(cur), len(union), workers)
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -109,7 +110,9 @@ func BuildBank(pop *data.Population, opts BuildOptions, seed uint64) (*Bank, err
 	if err != nil {
 		return nil, err
 	}
-	shard, err := plan.TrainRange(0, plan.NumConfigs(), opts.Workers)
+	// Never cancelled: a bank build is shared — a store coalesces concurrent
+	// callers onto it and a suite memoises it — so no one caller may stop it.
+	shard, err := plan.TrainRangeCtx(context.Background(), 0, plan.NumConfigs(), opts.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -124,10 +125,19 @@ func (sh *BankShard) Validate(p *BuildPlan) error {
 	return nil
 }
 
-// TrainRange trains configs [lo, hi) of the plan's pool and records their
+// TrainRange is TrainRangeCtx without cancellation.
+func (p *BuildPlan) TrainRange(lo, hi, workers int) (*BankShard, error) {
+	return p.TrainRangeCtx(context.Background(), lo, hi, workers)
+}
+
+// TrainRangeCtx trains configs [lo, hi) of the plan's pool and records their
 // errors at every checkpoint under every partition. workers bounds
 // parallelism within the range (0 = GOMAXPROCS); it never affects content.
-func (p *BuildPlan) TrainRange(lo, hi, workers int) (*BankShard, error) {
+// Once ctx is done no configuration starts and every one in flight stops at
+// its next checkpoint, and the call returns ctx's error unless every
+// configuration had finished: a cancelled build or an expired lease costs at
+// most one checkpoint's training per worker.
+func (p *BuildPlan) TrainRangeCtx(ctx context.Context, lo, hi, workers int) (*BankShard, error) {
 	if lo < 0 || hi > len(p.configs) || lo >= hi {
 		return nil, fmt.Errorf("core: train range [%d, %d) invalid for %d configs", lo, hi, len(p.configs))
 	}
@@ -146,13 +156,18 @@ func (p *BuildPlan) TrainRange(lo, hi, workers int) (*BankShard, error) {
 		sem      = make(chan struct{}, workers)
 		firstErr error       // written by the goroutine that sets failed
 		failed   atomic.Bool // stops the launches
+		stopped  atomic.Bool // some configuration was cut short by ctx
 	)
 	for ci := lo; ci < hi; ci++ {
 		sem <- struct{}{}
 		// A configuration that cannot be trained fails the whole range, so
 		// nothing started after it would be kept: stop here instead of
-		// training the rest to MaxRounds first.
+		// training the rest to MaxRounds first. A done ctx likewise.
 		if failed.Load() {
+			break
+		}
+		if ctx.Err() != nil {
+			stopped.Store(true)
 			break
 		}
 		wg.Add(1)
@@ -167,6 +182,10 @@ func (p *BuildPlan) TrainRange(lo, hi, workers int) (*BankShard, error) {
 				return
 			}
 			for ri, r := range p.rounds {
+				if ctx.Err() != nil {
+					stopped.Store(true)
+					return
+				}
 				tr.TrainTo(r)
 				flags := tr.WrongFlags(p.pooled)
 				for pi := range p.parts {
@@ -179,6 +198,9 @@ func (p *BuildPlan) TrainRange(lo, hi, workers int) (*BankShard, error) {
 	wg.Wait()
 	if firstErr != nil {
 		return nil, firstErr
+	}
+	if stopped.Load() {
+		return nil, fmt.Errorf("core: train range [%d, %d): %w", lo, hi, ctx.Err())
 	}
 	return sh, nil
 }

@@ -2,10 +2,14 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -234,5 +238,67 @@ func TestTrainRangeStopsAfterFailure(t *testing.T) {
 		t.Logf("failed after %v", time.Since(start))
 	case <-time.After(20 * time.Second):
 		t.Fatal("TrainRange is still training 20 s after its first configuration failed")
+	}
+}
+
+// TestTrainRangeCtxStopsWithinOneConfig: a cancelled lease stops training.
+// A context done before the call trains nothing; one cancelled while the
+// first of eight configurations trains (one worker) returns ctx's error
+// within about one configuration's time, not eight.
+func TestTrainRangeCtxStopsWithinOneConfig(t *testing.T) {
+	pop, opts, seed := shardTestInputs(t)
+	opts.MaxRounds = 243
+	opts.Configs = opts.Space.SampleN(8, rng.New(4))
+	opts.NumConfigs = len(opts.Configs)
+	plan, err := NewBuildPlan(pop, opts, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if sh, err := plan.TrainRangeCtx(ctx, 0, plan.NumConfigs(), 1); sh != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("TrainRangeCtx on a cancelled context = %v, %v; want nil, context.Canceled", sh, err)
+	}
+
+	one := time.Duration(math.MaxInt64)
+	for rep := 0; rep < 2; rep++ {
+		start := time.Now()
+		if _, err := plan.TrainRange(0, 1, 1); err != nil {
+			t.Fatal(err)
+		}
+		one = min(one, time.Since(start))
+	}
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(one/2, cancel)
+	start := time.Now()
+	sh, err := plan.TrainRangeCtx(ctx, 0, plan.NumConfigs(), 1)
+	took := time.Since(start)
+	t.Logf("one configuration trains in %v; cancelled after %v, returned after %v", one, one/2, took)
+	if sh != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("TrainRangeCtx cancelled mid-range = %v, %v; want nil, context.Canceled", sh, err)
+	}
+	if took > 4*one {
+		t.Errorf("TrainRangeCtx returned %v after its start, %v after the cancel; one configuration takes %v", took, took-one/2, one)
+	}
+
+	// A context that is never done changes nothing.
+	got, err := plan.TrainRangeCtx(context.Background(), 2, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := plan.TrainRange(2, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pi := 0; pi < want.Errs.Parts; pi++ {
+		for ci := 0; ci < want.Errs.Configs; ci++ {
+			for ri := 0; ri < want.Errs.Checkpoints; ri++ {
+				if !slices.Equal(got.Errs.Row(pi, ci, ri), want.Errs.Row(pi, ci, ri)) {
+					t.Fatalf("row (%d, %d, %d) differs between TrainRangeCtx and TrainRange", pi, ci, ri)
+				}
+			}
+		}
 	}
 }

@@ -218,14 +218,17 @@ func TestParkedStreamsPinNoOracle(t *testing.T) {
 }
 
 // TestRunTrialsAllocsPerTrial pins the per-trial allocation budget of a warm
-// RunTrials call (GOMAXPROCS 1, as AllocsPerRun sets it). Random search
+// RunTrials call (GOMAXPROCS 1, as AllocsPerRun sets it). Every method
 // measures 2.1 allocations per trial — its History and the History's
 // backing array, plus each call's results slice and oracle wrapper spread
-// over 50 trials — against 23.7 when every trial built its own coroutine,
-// RNG, scheduler buffers and method scratch; the bound of 5 leaves over 2x
-// headroom. TPE measures 14.1 (30.7 the old way); its bound of 16 sits just
-// above, so losing the free list or a pool fails go test, not only a
-// benchmark.
+// over 50 trials — because each recycles its working set through a pool.
+// Random search measured 23.7 when every trial built its own coroutine, RNG,
+// scheduler buffers and method scratch; its bound of 5 leaves over 2x
+// headroom. TPE measured 30.7 that way and 14.1 with a fresh Parzen model
+// per trial; its bound of 16 is that second state's. Hyperband and BOHB
+// measured 52.1 and 88.9 with per-rung score, selection and label
+// allocations and a fresh model; their bound of 5 fails go test as soon as
+// one per-rung make comes back, not only a benchmark.
 func TestRunTrialsAllocsPerTrial(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop a share of what is put back")
@@ -240,7 +243,7 @@ func TestRunTrialsAllocsPerTrial(t *testing.T) {
 	for _, c := range []struct {
 		method string
 		bound  float64
-	}{{"rs", 5}, {"tpe", 16}} {
+	}{{"rs", 5}, {"tpe", 16}, {"hb", 5}, {"bohb", 5}} {
 		m, err := hpo.MethodByName(c.method)
 		if err != nil {
 			t.Fatal(err)

@@ -563,6 +563,11 @@ func (c *Coordinator) finishBuild(b *build) {
 func (c *Coordinator) selfBuildLoop() {
 	defer c.selfWG.Done()
 	for {
+		select {
+		case <-c.selfStop:
+			return
+		default:
+		}
 		j, ok := c.Lease("__self__")
 		if !ok {
 			select {
@@ -575,16 +580,33 @@ func (c *Coordinator) selfBuildLoop() {
 		}
 		c.mu.Lock()
 		jb, live := c.jobs[j.ID]
-		var plan *core.BuildPlan
+		var b *build
 		if live {
-			plan = jb.build.plan
+			b = jb.build
 		}
 		c.mu.Unlock()
 		if !live {
 			continue
 		}
+		// The lease is cancelled when its build ends without it (another
+		// shard failed it) or the coordinator closes: the shard is then dead,
+		// or an external worker's once the lease expires.
+		ctx, cancel := context.WithCancel(context.Background())
+		go func() {
+			select {
+			case <-b.done:
+			case <-c.selfStop:
+			case <-ctx.Done():
+			}
+			cancel()
+		}()
 		start := time.Now()
-		sh, err := plan.TrainRange(j.Lo, j.Hi, c.opts.Workers)
+		sh, err := b.plan.TrainRangeCtx(ctx, j.Lo, j.Hi, c.opts.Workers)
+		cancelled := ctx.Err() != nil
+		cancel()
+		if err != nil && cancelled {
+			continue
+		}
 		if err != nil {
 			// A local training error is deterministic (bad config, bad
 			// options) — exactly what local BuildBank would return. Fail

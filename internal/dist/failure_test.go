@@ -2,6 +2,8 @@ package dist
 
 import (
 	"context"
+	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -448,5 +450,50 @@ func TestWorkerCrashMidShardEndToEnd(t *testing.T) {
 	}
 	if got := coord.Stats().ShardsRequeued; got < 1 {
 		t.Errorf("requeued counter = %d, want >= 1", got)
+	}
+}
+
+// TestWorkerStopsAtLeaseExpiry: a worker whose lease expires mid-shard stops
+// training within about one configuration instead of training the shard's
+// eight to the end, and uploads nothing.
+func TestWorkerStopsAtLeaseExpiry(t *testing.T) {
+	const ttl = 100 * time.Millisecond
+	coord, ts := newTestCluster(t, CoordinatorOptions{ShardConfigs: 8, LeaseTTL: ttl})
+	pop, opts, seed := testPop(t), testOpts(), uint64(29)
+	opts.NumConfigs, opts.MaxRounds = 8, 243
+	plan, err := core.NewBuildPlan(pop, opts, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := time.Duration(math.MaxInt64)
+	for rep := 0; rep < 2; rep++ {
+		start := time.Now()
+		mustTrain(t, plan, 0, 1)
+		one = min(one, time.Since(start))
+	}
+	go coord.BuildSharded(context.Background(), pop, opts, seed)
+	var job Job
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if j, ok := coord.Lease("slow"); ok {
+			job = j
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no shard to lease")
+		}
+	}
+	w := NewWorker(WorkerOptions{Coordinator: ts.URL, Name: "slow", Workers: 1})
+	start := time.Now()
+	err = w.process(context.Background(), job)
+	took := time.Since(start)
+	t.Logf("one configuration trains in %v; lease of %v; process returned after %v: %v", one, ttl, took, err)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("process after the lease expired = %v, want context.DeadlineExceeded", err)
+	}
+	if took > ttl+3*one {
+		t.Errorf("process returned %v after its start; the lease was %v and one configuration takes %v", took, ttl, one)
+	}
+	if got := coord.Stats().ShardsCompleted; got != 0 {
+		t.Errorf("%d shards completed, want 0", got)
 	}
 }

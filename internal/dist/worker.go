@@ -191,12 +191,21 @@ func (w *Worker) lease(ctx context.Context) (Job, bool, error) {
 // deliberately ignores ctx: a drained worker finishes and delivers in-flight
 // work instead of wasting it.
 func (w *Worker) process(ctx context.Context, job Job) error {
+	// Training stops when the lease expires, for by then the coordinator has
+	// re-queued the shard. Run's cancellation does not reach it: a drained
+	// worker finishes its shard.
+	leaseCtx := context.WithoutCancel(ctx)
+	if ttl := time.Duration(job.LeaseTTLSeconds * float64(time.Second)); ttl > 0 {
+		var cancel context.CancelFunc
+		leaseCtx, cancel = context.WithTimeout(leaseCtx, ttl)
+		defer cancel()
+	}
 	plan, err := w.plan(ctx, job)
 	if err != nil {
 		return err
 	}
 	start := time.Now()
-	sh, err := plan.TrainRange(job.Lo, job.Hi, w.opts.Workers)
+	sh, err := plan.TrainRangeCtx(leaseCtx, job.Lo, job.Hi, w.opts.Workers)
 	if err != nil {
 		return err
 	}

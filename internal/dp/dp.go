@@ -153,10 +153,16 @@ func (a *Accountant) Releases() int { return a.releases }
 // step of the one-shot top-k mechanism, exposed separately so that callers
 // can both select on and record the noisy scores.
 func OneShotNoisy(values []float64, scale float64, g *rng.RNG) []float64 {
+	return OneShotNoisyInto(make([]float64, len(values)), values, scale, g)
+}
+
+// OneShotNoisyInto is OneShotNoisy writing into dst[:len(values)], which it
+// returns; dst must not overlap values.
+func OneShotNoisyInto(dst, values []float64, scale float64, g *rng.RNG) []float64 {
 	if scale < 0 {
 		panic(fmt.Sprintf("dp: OneShotNoisy negative scale %g", scale))
 	}
-	out := make([]float64, len(values))
+	out := dst[:len(values)]
 	for i, v := range values {
 		if scale == 0 {
 			out[i] = v

@@ -1,6 +1,7 @@
 package exper
 
 import (
+	"context"
 	"fmt"
 
 	"noisyeval/internal/core"
@@ -39,6 +40,12 @@ type GrowResult struct {
 // Banks installed via SetBank cannot grow: their build inputs are unknown,
 // so there is no plan to extend against.
 func (s *Suite) GrowBank(name string, add int) (*core.Bank, GrowResult, error) {
+	return s.GrowBankCtx(context.Background(), name, add)
+}
+
+// GrowBankCtx is GrowBank whose training stops once ctx is done
+// (core.BuildPlan.TrainRangeCtx); the suite's bank is then left as it was.
+func (s *Suite) GrowBankCtx(ctx context.Context, name string, add int) (*core.Bank, GrowResult, error) {
 	if !KnownDataset(name) {
 		return nil, GrowResult{}, fmt.Errorf("exper: grow bank: unknown dataset %q", name)
 	}
@@ -67,7 +74,7 @@ func (s *Suite) GrowBank(name string, add int) (*core.Bank, GrowResult, error) {
 	if err != nil {
 		return nil, GrowResult{}, fmt.Errorf("exper: grow bank %s: %w", name, err)
 	}
-	shard, err := plan.TrainRange(len(cur), len(union), s.Cfg.Workers)
+	shard, err := plan.TrainRangeCtx(ctx, len(cur), len(union), s.Cfg.Workers)
 	if err != nil {
 		return nil, GrowResult{}, fmt.Errorf("exper: grow bank %s: %w", name, err)
 	}

@@ -35,9 +35,22 @@ func (b BOHB) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History {
 		b.MinPoints = 6
 	}
 	h := &History{MethodName: "BOHB"}
-	state := &bohbState{cfg: b, model: newParzenModel(b.TPE.normalize(), o, space), top: -1, gSub: rng.New(0)}
-	runHyperbandLoop(o, space, s, g, h, state)
+	sc := hbScratchPool.Get().(*hbScratch)
+	sc.bohb.reset(b, o, space)
+	runHyperbandLoop(o, space, s, g, h, sc, &sc.bohb)
+	hbScratchPool.Put(sc) // only after a run that returned; see RandomSearch.Run
 	return h
+}
+
+// reset readies st for a run of b over o's pool, keeping every buffer an
+// earlier run left: the model is rebuilt in its own tables, and observe
+// refills the observation lists in place.
+func (st *bohbState) reset(b BOHB, o Oracle, space Space) {
+	if st.model == nil {
+		st.model, st.gSub = new(parzenModel), rng.New(0)
+	}
+	st.model.reset(b.TPE.normalize(), o, space)
+	st.cfg, st.levels, st.top, st.fitLevel, st.fitN, st.rows = b, st.levels[:0], -1, 0, 0, st.rows[:0]
 }
 
 // bohbState accumulates rung observations per fidelity and proposes configs.
@@ -70,7 +83,12 @@ func (st *bohbState) observe(fidelity int, alive []int, noisy []float64) {
 		li++
 	}
 	if li == len(st.levels) {
-		st.levels = append(st.levels, fidelityObs{fidelity: fidelity})
+		if li < cap(st.levels) { // reuse the list an earlier run left
+			st.levels = st.levels[:li+1]
+			st.levels[li] = fidelityObs{fidelity: fidelity, obs: st.levels[li].obs[:0]}
+		} else {
+			st.levels = append(st.levels, fidelityObs{fidelity: fidelity})
+		}
 	}
 	lv := &st.levels[li]
 	for i, pos := range alive {

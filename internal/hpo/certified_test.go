@@ -212,7 +212,8 @@ func (pc *proposeCase) fit(obs []parzenObs) []float64 {
 }
 
 // check holds the engine's argmax over draws to the old selection loop over
-// want, and records which path decided.
+// want and to itself through the Go loop (checkLanes), and records which
+// path decided.
 func (pc *proposeCase) check(t *testing.T, name string, want []float64, draws []int) {
 	t.Helper()
 	m := pc.m
@@ -222,6 +223,46 @@ func (pc *proposeCase) check(t *testing.T, name string, want []float64, draws []
 			name, got, want[got], w, want[w], draws)
 	}
 	pc.paths.record(m)
+	pc.checkLanes(t, name)
+}
+
+// checkLanes holds the proposal check has just made — its ratios computed
+// through the AVX2 kernel, on a CPU that has it — to the same proposal
+// through the Go loop: with lanes off and the memo invalidated as a refit
+// would (the fit itself is kept: some cases edit it by hand), every draw's
+// ratio must be the same to the bit (tighter than the §19 bound the
+// certificate needs) and the argmax the same pool member. The memo is
+// invalidated again afterwards, so later checks of the same fit compute
+// their ratios through the kernel too.
+func (pc *proposeCase) checkLanes(t *testing.T, name string) {
+	t.Helper()
+	m := pc.m
+	got := m.argmax() // memoised by check: nothing is recomputed
+	ratios := make([]float64, len(m.draws))
+	for i, c := range m.draws {
+		ratios[i] = m.memo[c].ratio
+	}
+	m.lanes = false
+	m.gen++
+	want := m.argmax()
+	port := make([]float64, len(m.draws))
+	for i, c := range m.draws {
+		port[i] = m.memo[c].ratio
+	}
+	m.lanes = useLanes
+	m.gen++
+	if got != want {
+		t.Fatalf("%s: with lanes the engine chose pool member %d, through the Go loop %d", name, got, want)
+	}
+	if !m.sound {
+		return // no ratio was computed
+	}
+	for i, c := range m.draws {
+		if math.Float64bits(ratios[i]) != math.Float64bits(port[i]) {
+			t.Fatalf("%s: draw %d (pool member %d): ratio %v with lanes, %v through the Go loop",
+				name, i, c, ratios[i], port[i])
+		}
+	}
 }
 
 func randomDraws(g *rng.RNG, n, pool int) []int {
@@ -527,7 +568,8 @@ func TestProposeCertifiedShare(t *testing.T) {
 // grid of the space, so equal and adjacent rows are common, and one step
 // past its upper bound), an observation set (errors on a grid too, with NaN)
 // and a list of draws, and holds the engine's argmax to the selection loop
-// over the reference model's scores.
+// over the reference model's scores, and its ratios with lanes to the Go
+// loop's (checkLanes).
 func FuzzProposeCertified(f *testing.F) {
 	g := rng.New(9)
 	for seed := 0; seed < 6; seed++ {

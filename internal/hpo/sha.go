@@ -2,7 +2,9 @@ package hpo
 
 import (
 	"math"
+	"sort"
 	"strconv"
+	"sync"
 
 	"noisyeval/internal/dp"
 	"noisyeval/internal/fl"
@@ -16,19 +18,138 @@ type shaParams struct {
 	epsilon    float64
 	totalRungs int // T across the whole run, for one-shot top-k calibration
 	label      string
-	noiseG     *rng.RNG // scratch the per-rung DP noise stream is split onto
+	noiseG     *rng.RNG    // scratch the per-rung DP noise stream is split onto
+	sc         *shaScratch // the run's rung buffers; nil allocates them
 }
 
 // rungLadder returns the fidelity ladder {r0, r0·η, ..., maxR}.
-func rungLadder(r0, maxR, eta int) []int {
+func rungLadder(r0, maxR, eta int) []int { return appendRungLadder(nil, r0, maxR, eta) }
+
+func appendRungLadder(dst []int, r0, maxR, eta int) []int {
 	if r0 < 1 {
 		r0 = 1
 	}
-	var out []int
 	for r := r0; r < maxR; r *= eta {
-		out = append(out, r)
+		dst = append(dst, r)
 	}
-	return append(out, maxR)
+	return append(dst, maxR)
+}
+
+// shaNames are a bracket's interned strings: the prefix of its rungs' DP
+// noise streams and its rungs' cohort IDs, "<label>-rung-<rung>".
+type shaNames struct {
+	noise string
+	rungs *IDCache
+}
+
+func newSHANames(label string) *shaNames {
+	return &shaNames{noise: label + "-noise-", rungs: NewIDCache(label + "-rung-")}
+}
+
+// hbLabels[bi] is Hyperband bracket bi's label for the first sixteen
+// brackets (the paper runs five), and shaLabelNames holds the names of those
+// labels and of standalone SHA's, so that a rung builds no string. Both are
+// read-only after init.
+var hbLabels, shaLabelNames = func() ([]string, map[string]*shaNames) {
+	labels, names := make([]string, 16), map[string]*shaNames{"sha": newSHANames("sha")}
+	for bi := range labels {
+		labels[bi] = "hb-bracket-" + strconv.Itoa(bi)
+		names[labels[bi]] = newSHANames(labels[bi])
+	}
+	return labels, names
+}()
+
+func hbLabel(bi int) string {
+	if bi < len(hbLabels) {
+		return hbLabels[bi]
+	}
+	return "hb-bracket-" + strconv.Itoa(bi)
+}
+
+func namesOf(label string) *shaNames {
+	if n, ok := shaLabelNames[label]; ok {
+		return n
+	}
+	return newSHANames(label)
+}
+
+// shaScratch is runSHA's working set. Every rung's slices — scores, noisy
+// scores, the spare survivor buffer, the survivors' positions and the
+// selection order — are views of one float, one config and one int backing
+// per run, sized by reserve to the run's largest bracket: rungs only shrink,
+// and a rung's buffers are dead once the next rung's have been copied out.
+// It lives in an hbScratch, which runs recycle.
+type shaScratch struct {
+	ladder            []int
+	errs, noisy       []float64
+	spare             []fl.HParams
+	alive, spareAlive []int
+	order             rungOrder
+	batch             EvalBatch
+}
+
+// reserve sizes the buffers for brackets of up to n configurations.
+func (sc *shaScratch) reserve(n int) {
+	if cap(sc.errs) >= n {
+		return
+	}
+	floats, ints := make([]float64, 2*n), make([]int, 3*n)
+	sc.errs, sc.noisy = floats[:n:n], floats[n:]
+	sc.alive, sc.spareAlive, sc.order.idx = ints[:n:n], ints[n:2*n:2*n], ints[2*n:]
+	sc.spare = make([]fl.HParams, n)
+}
+
+// rungOrder sorts a rung's positions by noisy score, then by position: the
+// comparison dp.BottomK hands sort.Slice. sort.Sort runs the same pdqsort
+// over it, comparison for comparison, so ties, ±Inf and NaNs land where
+// BottomK puts them.
+type rungOrder struct {
+	idx []int
+	v   []float64
+}
+
+func (o *rungOrder) Len() int { return len(o.idx) }
+func (o *rungOrder) Less(a, b int) bool {
+	if va, vb := o.v[o.idx[a]], o.v[o.idx[b]]; va != vb {
+		return va < vb
+	}
+	return o.idx[a] < o.idx[b]
+}
+func (o *rungOrder) Swap(a, b int) { o.idx[a], o.idx[b] = o.idx[b], o.idx[a] }
+
+// bottomK returns dp.BottomK(v, k) in the order's buffer, which must hold
+// len(v) positions; the result is valid until the next call. Without a NaN
+// the (score, position) order is total and its k smallest, ascending, are
+// unique: insertion into k slots in position order finds them. A NaN
+// compares neither way, and only BottomK's own pdqsort puts it where
+// BottomK does.
+func (o *rungOrder) bottomK(v []float64, k int) []int {
+	for _, x := range v {
+		if x != x {
+			o.v, o.idx = v, o.idx[:len(v)]
+			for i := range o.idx {
+				o.idx[i] = i
+			}
+			sort.Sort(o)
+			return o.idx[:k]
+		}
+	}
+	top := o.idx[:0]
+	for i, x := range v {
+		if len(top) == k {
+			if k == 0 || !(x < v[top[k-1]]) {
+				continue // an equal score loses to the earlier position
+			}
+			top = top[:k-1]
+		}
+		j := len(top)
+		top = append(top, i)
+		for ; j > 0 && x < v[top[j-1]]; j-- {
+			top[j] = top[j-1]
+		}
+		top[j] = i
+	}
+	return top
 }
 
 // runSHA executes one SHA bracket (Li et al., 2017): train all survivors to
@@ -41,31 +162,29 @@ func rungLadder(r0, maxR, eta int) []int {
 // rung r to rung r' charges r'−r rounds. The bracket truncates cleanly when
 // the run's total budget cannot cover the next rung. onRung, when non-nil,
 // receives each rung's noisy scores with the survivors' positions in cfgs
-// (BOHB uses this to update its model). cfgs becomes the bracket's scratch:
-// later rungs' survivors overwrite it.
+// (BOHB uses this to update its model); both are valid for the call only.
+// cfgs becomes the bracket's scratch: later rungs' survivors overwrite it.
 func runSHA(o Oracle, cfgs []fl.HParams, p shaParams, totalBudget int, cum *int, h *History,
 	g *rng.RNG, onRung func(fidelity int, alive []int, noisy []float64)) {
 
 	if len(cfgs) == 0 {
 		return
 	}
-	survivors := cfgs
-	var alive []int
-	if onRung != nil {
-		alive = make([]int, len(cfgs))
-		for i := range alive {
-			alive[i] = i
-		}
+	sc := p.sc
+	if sc == nil {
+		sc = new(shaScratch)
 	}
-	ladder := rungLadder(p.r0, p.maxR, p.eta)
-	h.Grow(bracketObservations(len(cfgs), len(ladder), p.eta))
-	// One score buffer and two survivor buffers (cfgs and spare, swapped at
-	// every elimination) serve every rung: rungs only shrink, and a rung's
-	// survivors are dead once the next rung's have been copied out of them.
-	errs := make([]float64, len(cfgs))
-	var spare []fl.HParams
+	sc.reserve(len(cfgs))
+	names := namesOf(p.label)
+	survivors, spare := cfgs, sc.spare
+	alive, spareAlive := sc.alive[:len(cfgs)], sc.spareAlive
+	for i := range alive {
+		alive[i] = i
+	}
+	sc.ladder = appendRungLadder(sc.ladder[:0], p.r0, p.maxR, p.eta)
+	h.Grow(bracketObservations(len(cfgs), len(sc.ladder), p.eta))
 	trained := 0
-	for rung, r := range ladder {
+	for rung, r := range sc.ladder {
 		cost := (r - trained) * len(survivors)
 		if *cum+cost > totalBudget {
 			return // budget exhausted; the bracket truncates here
@@ -74,26 +193,24 @@ func runSHA(o Oracle, cfgs []fl.HParams, p shaParams, totalBudget int, cum *int,
 
 		// Shared evaluation cohort for the rung (Figure 2 of the paper); the
 		// survivors' evaluations are independent, so the rung is one batch.
-		evalID := p.label + "-rung-" + strconv.Itoa(rung)
-		errs = errs[:len(survivors)]
-		batch := EvalBatch{Configs: survivors, SameRounds: r, SameEvalID: evalID, Out: errs}
-		EvaluateAll(o, &batch)
+		errs := sc.errs[:len(survivors)]
+		sc.batch = EvalBatch{Configs: survivors, SameRounds: r, SameEvalID: names.rungs.ID(rung), Out: errs}
+		EvaluateAll(o, &sc.batch)
 
 		// Keep count for this rung's selection.
 		k := len(survivors) / p.eta
 		if k < 1 || r >= p.maxR {
 			k = 1
 		}
-		scale := dp.TopKScale(p.totalRungs, k, o.SampleSize(), p.epsilon)
-		var noiseG *rng.RNG
-		if scale > 0 {
-			// The split is only derived when noise is actually drawn: Split
-			// consumes no parent randomness and OneShotNoisy at scale 0 never
-			// touches its RNG, so the non-private stream is unchanged.
-			noiseG = p.noiseG
-			g.SplitIntInto(noiseG, p.label+"-noise-", rung)
+		// At scale 0 the noisy scores are the scores: OneShotNoisy would copy
+		// them. Otherwise the split is derived only now that noise is drawn:
+		// Split consumes no parent randomness, so the non-private stream is
+		// unchanged.
+		noisy := errs
+		if scale := dp.TopKScale(p.totalRungs, k, o.SampleSize(), p.epsilon); scale > 0 {
+			g.SplitIntInto(p.noiseG, names.noise, rung)
+			noisy = dp.OneShotNoisyInto(sc.noisy, errs, scale, p.noiseG)
 		}
-		noisy := dp.OneShotNoisy(errs, scale, noiseG)
 
 		for i, cfg := range survivors {
 			h.Add(Observation{
@@ -107,21 +224,13 @@ func runSHA(o Oracle, cfgs []fl.HParams, p shaParams, totalBudget int, cum *int,
 		if r >= p.maxR {
 			return
 		}
-		keep := dp.BottomK(noisy, k)
-		if cap(spare) < len(keep) {
-			spare = make([]fl.HParams, len(keep))
-		}
-		next := spare[:len(keep)]
+		keep := sc.order.bottomK(noisy, k)
+		next, nextAlive := spare[:k], spareAlive[:k]
 		for i, idx := range keep {
-			next[i] = survivors[idx]
+			next[i], nextAlive[i] = survivors[idx], alive[idx]
 		}
 		survivors, spare = next, survivors
-		if onRung != nil {
-			for i, idx := range keep {
-				keep[i] = alive[idx] // keep is BottomK's fresh slice: it becomes the next alive
-			}
-			alive = keep
-		}
+		alive, spareAlive = nextAlive, alive
 		trained = r
 	}
 }
@@ -166,8 +275,9 @@ func (sh SuccessiveHalving) Run(o Oracle, space Space, s Settings, g *rng.RNG) *
 	if n < 1 {
 		n = pow(s.Eta, len(rungLadder(r0, maxR, s.Eta))-1)
 	}
-	cfgs := make([]fl.HParams, n)
-	gSub := rng.New(0)
+	sc := hbScratchPool.Get().(*hbScratch)
+	sc.cfgs = resize(sc.cfgs, n)
+	cfgs, gSub := sc.cfgs, sc.gSub
 	for i := range cfgs {
 		g.SplitIntInto(gSub, "cfg-", i)
 		cfgs[i] = sampleConfig(o, gSub)
@@ -178,9 +288,11 @@ func (sh SuccessiveHalving) Run(o Oracle, space Space, s Settings, g *rng.RNG) *
 		totalRungs: len(rungLadder(r0, maxR, s.Eta)),
 		label:      "sha",
 		noiseG:     gSub,
+		sc:         &sc.sha,
 	}
 	cum := 0
 	runSHA(o, cfgs, p, s.Budget.TotalRounds, &cum, h, g, nil)
+	hbScratchPool.Put(sc) // only after a run that returned; see RandomSearch.Run
 	return h
 }
 
@@ -198,9 +310,26 @@ func (Hyperband) Name() string { return "HB" }
 func (Hyperband) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History {
 	s = s.Normalize()
 	h := &History{MethodName: "HB"}
-	runHyperbandLoop(o, space, s, g, h, nil)
+	sc := hbScratchPool.Get().(*hbScratch)
+	runHyperbandLoop(o, space, s, g, h, sc, nil)
+	hbScratchPool.Put(sc) // only after a run that returned; see RandomSearch.Run
 	return h
 }
+
+// hbScratch is a Hyperband or BOHB run's working set besides the History it
+// returns: the bracket plan, one config buffer for every bracket, the two
+// sub-stream RNGs, runSHA's buffers and BOHB's proposal state. Runs recycle
+// it through hbScratchPool, so a warm trial allocates its History and
+// little else.
+type hbScratch struct {
+	plans          []bracketPlan
+	cfgs           []fl.HParams
+	gSub, gBracket *rng.RNG
+	sha            shaScratch
+	bohb           bohbState
+}
+
+var hbScratchPool = sync.Pool{New: func() any { return &hbScratch{gSub: rng.New(0), gBracket: rng.New(0)} }}
 
 // bracketPlan describes one HB bracket.
 type bracketPlan struct {
@@ -208,9 +337,10 @@ type bracketPlan struct {
 }
 
 // hyperbandPlan returns the bracket schedule for the settings.
-func hyperbandPlan(maxR int, s Settings) []bracketPlan {
+func hyperbandPlan(maxR int, s Settings) []bracketPlan { return appendHyperbandPlan(nil, maxR, s) }
+
+func appendHyperbandPlan(plans []bracketPlan, maxR int, s Settings) []bracketPlan {
 	sMax := s.Brackets - 1
-	var plans []bracketPlan
 	for b := sMax; b >= 0; b-- {
 		n := int(math.Ceil(float64(sMax+1) * math.Pow(float64(s.Eta), float64(b)) / float64(b+1)))
 		r0 := maxR / pow(s.Eta, b)
@@ -222,22 +352,23 @@ func hyperbandPlan(maxR int, s Settings) []bracketPlan {
 	return plans
 }
 
-// runHyperbandLoop is shared by HB and BOHB; proposeFn, when non-nil,
-// generates each bracket's configurations (BOHB's model-based sampling) and
-// receives rung feedback through the returned observer.
+// runHyperbandLoop is shared by HB and BOHB; bohb, when non-nil, generates
+// each bracket's configurations (BOHB's model-based sampling) and receives
+// rung feedback. sc is the run's scratch.
 func runHyperbandLoop(o Oracle, space Space, s Settings, g *rng.RNG, h *History,
-	bohb *bohbState) {
+	sc *hbScratch, bohb *bohbState) {
 
 	maxR := perConfigRounds(o, s)
-	plans := hyperbandPlan(maxR, s)
+	sc.plans = appendHyperbandPlan(sc.plans[:0], maxR, s)
 
 	// Total rung count across all brackets calibrates one-shot top-k noise.
 	// The brackets' observation counts are known here too: reserve the run's
 	// history once, so that runSHA's per-bracket reservation never copies
 	// what earlier brackets recorded.
 	totalRungs, totalObs, maxN := 0, 0, 0
-	for _, p := range plans {
-		rungs := len(rungLadder(p.r0, maxR, s.Eta))
+	for _, p := range sc.plans {
+		sc.sha.ladder = appendRungLadder(sc.sha.ladder[:0], p.r0, maxR, s.Eta)
+		rungs := len(sc.sha.ladder)
 		totalRungs += rungs
 		totalObs += bracketObservations(p.n, rungs, s.Eta)
 		maxN = max(maxN, p.n)
@@ -246,17 +377,18 @@ func runHyperbandLoop(o Oracle, space Space, s Settings, g *rng.RNG, h *History,
 
 	// One config buffer serves every bracket: runSHA uses its cfgs as scratch
 	// and is done with them when it returns.
-	cfgBuf := make([]fl.HParams, maxN)
+	sc.cfgs = resize(sc.cfgs, maxN)
+	sc.sha.reserve(maxN)
 
 	cum := 0
-	gSub, gBracket := rng.New(0), rng.New(0)
-	for bi, plan := range plans {
+	gSub, gBracket := sc.gSub, sc.gBracket
+	for bi, plan := range sc.plans {
 		var onRung func(int, []int, []float64)
 		if bohb != nil {
 			onRung = bohb.observe
 			bohb.rows = bohb.rows[:0]
 		}
-		cfgs := cfgBuf[:plan.n]
+		cfgs := sc.cfgs[:plan.n]
 		for i := range cfgs {
 			g.SplitInt2Into(gSub, "bracket-", bi, "-cfg-", i)
 			if bohb != nil {
@@ -269,8 +401,9 @@ func runHyperbandLoop(o Oracle, space Space, s Settings, g *rng.RNG, h *History,
 			r0: plan.r0, maxR: maxR, eta: s.Eta,
 			epsilon:    s.Epsilon,
 			totalRungs: totalRungs,
-			label:      "hb-bracket-" + strconv.Itoa(bi),
+			label:      hbLabel(bi),
 			noiseG:     gSub, // idle once the bracket's configs are drawn
+			sc:         &sc.sha,
 		}
 		before := cum
 		g.SplitIntInto(gBracket, "bracket-", bi)

@@ -3,6 +3,7 @@ package hpo
 import (
 	"math"
 	"sort"
+	"sync"
 
 	"noisyeval/internal/dp"
 	"noisyeval/internal/fl"
@@ -42,9 +43,10 @@ func (t TPE) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History {
 	h.Grow(k)
 	dpp := dp.Params{Epsilon: s.Epsilon, TotalEvals: k}
 
-	gSub := rng.New(0) // reseeded per iteration; same streams as Splitf
-	m := newParzenModel(t, o, space)
-	observed := make([]parzenObs, 0, k)
+	sc := tpeScratchPool.Get().(*tpeScratch)
+	gSub, m := sc.gSub, &sc.model
+	m.reset(t, o, space)
+	observed := sc.observed[:0]
 	cum := 0
 	for i := 0; i < k; i++ {
 		if cum+maxR > s.Budget.TotalRounds {
@@ -72,8 +74,21 @@ func (t TPE) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History {
 		})
 		observed = append(observed, parzenObs{row: row, err: obs})
 	}
+	sc.observed = observed
+	tpeScratchPool.Put(sc) // only after a run that returned; see RandomSearch.Run
 	return h
 }
+
+// tpeScratch is TPE.Run's working set besides the History it returns: the
+// per-iteration RNG, the proposal model and the observation list. Runs
+// recycle it through tpeScratchPool.
+type tpeScratch struct {
+	gSub     *rng.RNG // reseeded per iteration; same streams as Splitf
+	model    parzenModel
+	observed []parzenObs
+}
+
+var tpeScratchPool = sync.Pool{New: func() any { return &tpeScratch{gSub: rng.New(0)} }}
 
 func (t TPE) normalize() TPE {
 	if t.Gamma <= 0 || t.Gamma >= 1 {
@@ -137,10 +152,15 @@ type parzenModel struct {
 	// The approximate side of propose: batchRatio is ℓ/g's batch-size factor
 	// per fit, draws the candidate indices of one proposal. sound is false
 	// when the fit has a NaN centre or a kernel outside kde1d.approx's range;
-	// every draw is then scored exactly.
+	// every draw is then scored exactly. todo and lane are ratios' scratch:
+	// the unmemoised draws, then their coordinates and densities; lanes is
+	// useLanes, false only where a test holds the kernel to the Go loop.
 	batchRatio []float64
 	draws      []int
 	sound      bool
+	todo       []int
+	lane       []float64
+	lanes      bool
 }
 
 type poolMemo struct {
@@ -149,19 +169,37 @@ type poolMemo struct {
 }
 
 func newParzenModel(t TPE, o Oracle, space Space) *parzenModel {
+	m := new(parzenModel)
+	m.reset(t, o, space)
+	return m
+}
+
+// reset readies m for a run over o's pool, rebuilding every table in m's own
+// buffers where they are large enough. Memo entries an earlier run left
+// carry older stamps than any later fit's.
+func (m *parzenModel) reset(t TPE, o Oracle, space Space) {
 	nb := len(space.BatchSizes)
-	m := &parzenModel{space: space, pool: o.Pool(), gamma: t.Gamma}
+	m.space, m.pool, m.gamma = space, o.Pool(), t.Gamma
 	m.lo, m.hi = spaceBounds(space)
-	perBatch := make([]float64, 5*nb) // one backing for the five per-batch-size tables
+	// One backing for the five per-batch-size tables; counts heads it.
+	perBatch := resize(m.counts[:cap(m.counts)], 5*nb)
 	m.counts, m.good.logBatch, m.bad.logBatch, m.batchRatio =
 		perBatch[:2*nb], perBatch[2*nb:3*nb], perBatch[3*nb:4*nb], perBatch[4*nb:]
-	m.rows = make([]features, len(m.pool))
+	m.rows = resize(m.rows, len(m.pool))
 	for i, c := range m.pool {
 		m.rows[i] = m.features(c)
 	}
-	m.memo = make([]poolMemo, len(m.pool))
-	m.draws = make([]int, t.NCandidates)
-	return m
+	m.memo = resize(m.memo, len(m.pool))
+	m.draws = resize(m.draws, t.NCandidates)
+	m.lanes = useLanes
+}
+
+// resize returns b resized to length n, reallocating only on growth.
+func resize[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	return b[:n]
 }
 
 func (m *parzenModel) features(c fl.HParams) features {
@@ -229,7 +267,10 @@ func (m *parzenModel) fit(obs []parzenObs) {
 	for i := range m.batchRatio {
 		m.batchRatio[i] = m.good.batch.prob(i) / m.bad.batch.prob(i)
 	}
-	m.gen++
+	if m.gen++; m.gen == 0 { // the stamps wrapped: no entry may look current
+		clear(m.memo)
+		m.gen = 1
+	}
 }
 
 // propose returns the pool member with the highest ℓ/g among NCandidates
@@ -287,13 +328,10 @@ func (m *parzenModel) contenders() (floor float64, only int) {
 	if !m.sound {
 		return 0, -1
 	}
+	m.ratios()
 	top, only := 0.0, -1
 	for _, c := range m.draws {
-		e := &m.memo[c]
-		if e.ratioStamp != m.gen {
-			e.ratioStamp, e.ratio = m.gen, m.approxRatio(&m.rows[c])
-		}
-		if r := e.ratio; r > top {
+		if r := m.memo[c].ratio; r > top {
 			top, only = r, c
 		} else if math.IsNaN(r) {
 			return 0, -1
@@ -308,18 +346,51 @@ func (m *parzenModel) contenders() (floor float64, only int) {
 	return floor, only
 }
 
-// approxRatio returns ℓ(f)/g(f) within a relative 1e-6, or NaN where that
-// cannot be promised: a coordinate outside [lo, hi] (there the prior is 0,
-// and the prior is what bounds the kernels approx drops), or a factor so
-// large or small that the product of five might leave the normal floats.
-func (m *parzenModel) approxRatio(f *features) float64 {
+// ratios memoises approxRatio for every draw without a ratio under this fit.
+// Those draws' coordinates go through approxInto one dimension and one side
+// at a time, four pool members per lane group; the list is padded to whole
+// groups with its last member, whose extra copies are computed and dropped.
+func (m *parzenModel) ratios() {
+	todo := m.todo[:0]
+	for _, c := range m.draws {
+		if e := &m.memo[c]; e.ratioStamp != m.gen {
+			e.ratioStamp = m.gen
+			todo = append(todo, c)
+		}
+	}
+	m.todo = todo
+	if len(todo) == 0 {
+		return
+	}
+	n := (len(todo) + 3) &^ 3
+	m.lane = resize(m.lane, 11*n)
+	xs, dens := m.lane[:n], m.lane[n:11*n] // dens[(2d+side)·n + j]
+	for d := 0; d < 5; d++ {
+		for j := range xs {
+			xs[j] = m.rows[todo[min(j, len(todo)-1)]].v[d]
+		}
+		m.good.dims[d].approxInto(dens[2*d*n:(2*d+1)*n], xs, m.lanes)
+		m.bad.dims[d].approxInto(dens[(2*d+1)*n:(2*d+2)*n], xs, m.lanes)
+	}
+	for j, c := range todo {
+		m.memo[c].ratio = m.approxRatio(&m.rows[c], dens[j:], n)
+	}
+}
+
+// approxRatio returns ℓ(f)/g(f) within a relative 1e-6, from ℓ's and g's
+// approximate densities at f's coordinates (dimension d's at dens[2d·n] and
+// dens[(2d+1)·n]), or NaN where that cannot be promised: a coordinate
+// outside [lo, hi] (there the prior is 0, and the prior is what bounds the
+// kernels approx drops), or a factor so large or small that the product of
+// five might leave the normal floats.
+func (m *parzenModel) approxRatio(f *features, dens []float64, n int) float64 {
 	r := m.batchRatio[f.batch]
 	for d := 0; d < 5; d++ {
 		x := f.v[d]
 		if !(x >= m.lo[d] && x <= m.hi[d]) {
 			return math.NaN()
 		}
-		q := m.good.dims[d].approx(x) / m.bad.dims[d].approx(x)
+		q := dens[2*d*n] / dens[(2*d+1)*n]
 		if !(q > 1e-40 && q < 1e40) {
 			return math.NaN()
 		}
@@ -408,10 +479,10 @@ func newKDE(values []float64, lo, hi float64) kde1d {
 		span = 1
 	}
 	bw := span
-	if n := float64(len(values)); n > 0 {
+	if n := len(values); n > 0 {
 		// Scott's rule with floors to keep densities proper on tiny samples.
 		sd := stddev(values)
-		bw = 1.06 * sd * math.Pow(n, -0.2)
+		bw = 1.06 * sd * scottFactor(n)
 		if bw < span/50 {
 			bw = span / 50
 		}
@@ -422,6 +493,22 @@ func newKDE(values []float64, lo, hi float64) kde1d {
 	norm, n1 := bw*math.Sqrt(2*math.Pi), float64(len(values)+1)
 	return kde1d{lo: lo, hi: hi, span: span, centers: values, bw: bw, norm: norm,
 		scale: math.Sqrt(expStep/2) / bw, kernW: 1 / (norm * n1), priorW: 1 / (span * n1)}
+}
+
+// scottFactors[n] is math.Pow(n, −0.2), Scott's rule's sample-size factor,
+// for every set size a fit is likely to meet. Read-only after init.
+var scottFactors = func() (t [256]float64) {
+	for n := range t {
+		t[n] = math.Pow(float64(n), -0.2)
+	}
+	return t
+}()
+
+func scottFactor(n int) float64 {
+	if n < len(scottFactors) {
+		return scottFactors[n]
+	}
+	return math.Pow(float64(n), -0.2)
 }
 
 // expTable[i] is exp(−i/expStep), up to the exponent expCut past which approx
@@ -435,6 +522,23 @@ var expTable = func() (t [expStep * expCut]float64) {
 	}
 	return t
 }()
+
+// approxInto sets out[j] = k.approx(xs[j]) for every j. With lanes, the AVX2
+// kernel sums whole groups of four with approx's operations in approx's
+// order, so every value is bit-identical to approx's; the rest, and every
+// value without lanes, is approx itself.
+func (k *kde1d) approxInto(out, xs []float64, lanes bool) {
+	j := 0
+	if nvec := len(xs) / 4; lanes && nvec > 0 && len(k.centers) > 0 {
+		kernelSumsAVX2(&out[0], &xs[0], &k.centers[0], &expTable[0], nvec, len(k.centers), k.scale)
+		for ; j < 4*nvec; j++ {
+			out[j] = k.priorW + out[j]*k.kernW
+		}
+	}
+	for ; j < len(xs); j++ {
+		out[j] = k.approx(xs[j])
+	}
+}
 
 // approx returns the mixture density at x in [lo, hi] — exp(logDensity(x)) —
 // within a relative 4.1e-8 and with no Exp, Log or division: each kernel is

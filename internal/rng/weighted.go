@@ -19,10 +19,13 @@ type WeightedSampler struct {
 	inv    []float64 // 1/w[i], the key's exponent
 	margin []float64 // half-width of the bracket around log2 key_i
 	u      []float64 // one uniform per positive weight
+	zero   []int     // the items of zero weight
 	keys   []float64 // upper brackets, then keys, of the current draw
+	lo     []float64 // lower brackets of the current draw
 	idx    []int     // selection buffer; the result is idx[:k]
 	topLo  []float64 // the k largest lower brackets, descending
 	topIdx []int     // and their items
+	lanes  bool      // useLanes, false only where a test holds the kernel to the Go loop
 }
 
 // A key's logarithm, inv·log2(u), is bracketed without a transcendental
@@ -59,13 +62,15 @@ func (s *WeightedSampler) Reset(weights []float64) {
 	n := len(weights)
 	s.w = weights
 	s.inv, s.margin, s.u, s.keys = grow(s.inv, n), grow(s.margin, n), grow(s.u, n), grow(s.keys, n)
-	s.idx = grow(s.idx, n)
+	s.lo, s.idx, s.zero, s.lanes = grow(s.lo, n), grow(s.idx, n), s.zero[:0], useLanes
 	positive := false
 	for i, w := range weights {
 		if w < 0 || math.IsNaN(w) {
 			panic(fmt.Sprintf("rng: weight[%d] must be non-negative, got %g", i, w))
 		}
-		if w > 0 {
+		if w == 0 {
+			s.zero = append(s.zero, i)
+		} else {
 			positive = true
 			s.inv[i] = 1 / w
 			// min keeps the margin finite when 1/w overflows: the bracket
@@ -153,25 +158,21 @@ func (s *WeightedSampler) bracket(u []float64, k int) (kth float64, certain bool
 	for j := range topLo {
 		topLo[j], topIdx[j] = math.Inf(-1), -1
 	}
-	keys := s.keys[:len(s.w)]
-	for i, w := range s.w {
-		if !(w > 0) {
-			keys[i] = math.Inf(-1)
-			continue
-		}
-		bits := math.Float64bits(u[i])
-		x := float64(int(bits>>52)-1023) + log2Mid[bits>>(52-log2Bits)&(1<<log2Bits-1)]
-		lo := s.inv[i]*x - s.margin[i]
-		if bits>>52 == 0 { // zero or subnormal: the exponent field is no logarithm
-			x, lo = -1022, math.Inf(-1)
-		}
-		keys[i] = s.inv[i]*x + s.margin[i]
-		if lo > topLo[k-1] {
+	n := len(s.w)
+	lo, keys := s.lo[:n], s.keys[:n]
+	bracketsInto(lo, keys, u[:n], s.inv[:n], s.margin[:n], s.lanes)
+	for _, i := range s.zero {
+		lo[i], keys[i] = math.Inf(-1), math.Inf(-1)
+	}
+	// Only a lower bracket above the running k-th goes through the insertion,
+	// in index order, so ties keep the earlier item ahead.
+	for i, l := range lo {
+		if l > topLo[k-1] {
 			j := k - 1
-			for ; j > 0 && topLo[j-1] < lo; j-- {
+			for ; j > 0 && topLo[j-1] < l; j-- {
 				topLo[j], topIdx[j] = topLo[j-1], topIdx[j-1]
 			}
-			topLo[j], topIdx[j] = lo, i
+			topLo[j], topIdx[j] = l, i
 		}
 	}
 	kth = topLo[k-1]
@@ -189,6 +190,33 @@ func (s *WeightedSampler) bracket(u []float64, k int) (kth float64, certain bool
 		certain = keys[topIdx[j]] < topLo[j-1]
 	}
 	return kth, certain
+}
+
+// bracketsInto is brackets, through bracketsAVX2 for whole groups of four
+// items when lanes is set.
+func bracketsInto(lo, hi, u, inv, margin []float64, lanes bool) {
+	j := 0
+	if nvec := len(lo) / 4; lanes && nvec > 0 {
+		bracketsAVX2(&lo[0], &hi[0], &u[0], &inv[0], &margin[0], &log2Mid[0], nvec)
+		j = 4 * nvec
+	}
+	brackets(lo[j:], hi[j:], u[j:], inv[j:], margin[j:])
+}
+
+// brackets sets lo[i] and hi[i] to the bracket on log2 u[i]^inv[i]: the
+// exponent of u[i] plus the log2Mid entry of its mantissa, times inv[i],
+// minus and plus margin[i]. An item of zero weight gets whatever its stale
+// inputs give; bracket overwrites it.
+func brackets(lo, hi, u, inv, margin []float64) {
+	for i := range lo {
+		bits := math.Float64bits(u[i])
+		x := float64(int(bits>>52)-1023) + log2Mid[bits>>(52-log2Bits)&(1<<log2Bits-1)]
+		l := inv[i]*x - margin[i]
+		if bits>>52 == 0 { // zero or subnormal: the exponent field is no logarithm
+			x, l = -1022, math.Inf(-1)
+		}
+		lo[i], hi[i] = l, inv[i]*x+margin[i]
+	}
 }
 
 // WeightedSampleWithoutReplacement is a one-shot WeightedSampler: Reset on

@@ -145,6 +145,36 @@ func checkPick(t *testing.T, name string, w, u []float64, maxK int) {
 		if got, want := s.pick(u, k), referencePick(w, u, k); !slices.Equal(got, want) {
 			t.Fatalf("%s k=%d: got %v, reference %v\nweights  %v\nuniforms %v", name, k, got, want, w, u)
 		}
+		checkLanes(t, name, w, u, k)
+	}
+}
+
+// checkLanes holds the bracket pass with lanes — the AVX2 kernel, on a CPU
+// that has it — to the same pass through the Go loop: every lower and upper
+// bracket identical to the bit, and the same k largest lower brackets, items,
+// k-th and certificate. k outside [1, n] has no bracket pass.
+func checkLanes(t *testing.T, name string, w, u []float64, k int) {
+	t.Helper()
+	if k < 1 || k > len(w) {
+		return
+	}
+	var lanes, port WeightedSampler
+	lanes.Reset(w)
+	port.Reset(w)
+	port.lanes = false
+	kl, cl := lanes.bracket(u, k)
+	kp, cp := port.bracket(u, k)
+	for i := range w {
+		if math.Float64bits(lanes.lo[i]) != math.Float64bits(port.lo[i]) ||
+			math.Float64bits(lanes.keys[i]) != math.Float64bits(port.keys[i]) {
+			t.Fatalf("%s k=%d item %d (w %v, u %v): lanes bracket [%v, %v], Go loop [%v, %v]",
+				name, k, i, w[i], u[i], lanes.lo[i], lanes.keys[i], port.lo[i], port.keys[i])
+		}
+	}
+	if !slices.Equal(lanes.topIdx, port.topIdx) || !slices.Equal(lanes.topLo, port.topLo) ||
+		math.Float64bits(kl) != math.Float64bits(kp) || cl != cp {
+		t.Fatalf("%s k=%d: lanes top %v (k-th %v, certain %v), Go loop %v (k-th %v, certain %v)",
+			name, k, lanes.topIdx, kl, cl, port.topIdx, kp, cp)
 	}
 }
 
@@ -276,7 +306,8 @@ func TestWeightedSampleCertifiedShare(t *testing.T) {
 }
 
 // FuzzWeightedSample decodes bytes into a pool (weights, one uniform each)
-// and a k, and holds the bracketed selection to the all-keys reference.
+// and a k, and holds the bracketed selection to the all-keys reference and
+// the lanes' bracket pass to the Go loop's (checkLanes).
 func FuzzWeightedSample(f *testing.F) {
 	encode := func(k int, w, u []float64) []byte {
 		out := []byte{byte(len(w)), byte(k)}
@@ -325,6 +356,7 @@ func FuzzWeightedSample(f *testing.F) {
 		if got, want := s.pick(u, k), referencePick(w, u, k); !slices.Equal(got, want) {
 			t.Fatalf("k=%d: got %v, reference %v\nweights  %v\nuniforms %v", k, got, want, w, u)
 		}
+		checkLanes(t, "fuzz", w, u, k)
 	})
 }
 

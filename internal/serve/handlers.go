@@ -484,7 +484,7 @@ func (s *Server) handleBankGrow(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "add %d must be >= 1", req.Add)
 		return
 	}
-	res, err := s.mgr.GrowBank(r.PathValue("key"), req.Add)
+	res, err := s.mgr.GrowBank(r.Context(), r.PathValue("key"), req.Add)
 	switch {
 	case err == nil:
 	case errors.Is(err, ErrUnknownBank):

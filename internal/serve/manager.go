@@ -585,8 +585,9 @@ func (m *Manager) Counters() Counters {
 // advanced address. The key must belong to a bank some scale's suite has
 // already resolved — growing a bank that was never built would have to
 // cold-build it first, which is the run path's job, not the grow endpoint's.
-// A key matching no resolved bank wraps ErrUnknownBank.
-func (m *Manager) GrowBank(key string, add int) (exper.GrowResult, error) {
+// A key matching no resolved bank wraps ErrUnknownBank. Training stops, and
+// the bank stays as it was, once ctx is done.
+func (m *Manager) GrowBank(ctx context.Context, key string, add int) (exper.GrowResult, error) {
 	m.mu.Lock()
 	suites := make([]*exper.Suite, 0, len(m.suites))
 	for _, s := range m.suites {
@@ -598,7 +599,7 @@ func (m *Manager) GrowBank(key string, add int) (exper.GrowResult, error) {
 			if !s.BankReady(ds) || s.BankKeyFor(ds) != key {
 				continue
 			}
-			_, res, err := s.GrowBank(ds, add)
+			_, res, err := s.GrowBankCtx(ctx, ds, add)
 			if err != nil {
 				return exper.GrowResult{}, err
 			}

@@ -1,14 +1,14 @@
 package tensor
 
+import "noisyeval/internal/cpu"
+
 // useAVX2 selects the assembly kernels in gemm_amd64.s and lanes_amd64.s;
 // useFMA (AVX2 and FMA, the condition under which math.Exp runs the fused
-// sequence the kernel copies) selects the lane-wise exp. Both are probed
-// once and there is deliberately no knob: the assembly and the Go paths
-// produce the same bits, so nothing observable depends on the choice but
-// speed.
-var useAVX2, useFMA = probeLanes()
-
-func probeLanes() (avx2, fma bool)
+// sequence the kernel copies) selects the lane-wise exp. Both come from the
+// one CPU probe and there is deliberately no knob: the assembly and the Go
+// paths produce the same bits, so nothing observable depends on the choice
+// but speed.
+var useAVX2, useFMA = cpu.AVX2, cpu.FMA
 
 //go:noescape
 func gemmNTAVX2(a, b, c *float64, n, k, m int)
