@@ -14,9 +14,10 @@
 #                    the committed BENCH_baseline.json (tools/benchdiff)
 #   make bench-harness vet + short tests of the bench/ module (BENCHMARK.json's
 #                    harness; its own go.mod, so `go test ./...` never sees it)
-#   make fuzz        short coverage-guided fuzz pass over the three decoders
+#   make fuzz        short coverage-guided fuzz pass over the five decoders
 #                    that read bytes from disk or the wire (bankfmt/v5 bank
-#                    image, dist shard upload, run journal), the two
+#                    image, dist shard upload, run journal, run submission,
+#                    trace-span header), the two
 #                    certified selections against their references (the
 #                    weighted sampler's top-k, the Parzen proposal's argmax)
 #                    and their AVX2 kernels against the Go loops, and the
@@ -119,7 +120,12 @@ bench-harness:
 # upload (FuzzShardDecode, seeded with every hostile payload the complete
 # endpoint refuses) and the run journal (FuzzJournalReplay: decoding any
 # byte string, torn tails and flipped CRCs included, never panics, consumes
-# exactly what re-encoding its records gives, and is prefix-stable). FuzzWeightedSample is differential
+# exactly what re-encoding its records gives, and is prefix-stable), the run
+# submission body (FuzzRunRequest: decode with unknown fields refused,
+# Normalize, Validate never panic, Normalize is idempotent, and an accepted
+# request keys the same run after a re-encode) and the X-Trace-Spans header
+# (FuzzTraceSpans: never panics, and what it accepts is a fixed point of
+# MarshalSpans then UnmarshalSpans). FuzzWeightedSample is differential
 # instead: bytes become weights, uniforms and k, and the bracketed selection
 # must return what the all-keys loop returns, its AVX2 bracket pass what the
 # Go loop does to the bit; so is FuzzProposeCertified: bytes become a pool,
@@ -134,6 +140,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzBankV5$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzShardDecode$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/dist
 	$(GO) test -run '^$$' -fuzz 'FuzzJournalReplay$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/serve/journal
+	$(GO) test -run '^$$' -fuzz 'FuzzRunRequest$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/serve
+	$(GO) test -run '^$$' -fuzz 'FuzzTraceSpans$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/obs
 	$(GO) test -run '^$$' -fuzz 'FuzzWeightedSample$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/rng
 	$(GO) test -run '^$$' -fuzz 'FuzzProposeCertified$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/hpo
 	$(GO) test -run '^$$' -fuzz 'FuzzExpLanes$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/tensor
@@ -143,12 +151,14 @@ figures:
 
 # CPU and allocation profiles of 15 warm quick figure passes (BenchmarkFiguresWarm
 # at -cpu 1, the benchmark's figures_warm shape) -> $(PROFILE_DIR)/figures.{cpu,mem}.pprof.
-# The profiles cover the benchmark's untimed first pass too, so run it over a
-# CACHE_DIR that already holds the quick banks (a second run does). Read them
-# with `go tool pprof -top $(PROFILE_DIR)/noisyeval.test $(PROFILE_DIR)/figures.cpu.pprof`
+# The profiles also cover the benchmark's untimed first pass, so an unprofiled
+# -benchtime 1x run first fills CACHE_DIR with the quick banks: the profiled
+# first pass then trains nothing. Read them with
+# `go tool pprof -top $(PROFILE_DIR)/noisyeval.test $(PROFILE_DIR)/figures.cpu.pprof`
 # (add -sample_index=alloc_space for the allocation profile).
 profile-figures:
 	mkdir -p $(PROFILE_DIR)
+	NOISYEVAL_CACHE_DIR=$(CACHE_DIR) $(GO) test -run '^$$' -bench 'BenchmarkFiguresWarm$$' -benchtime 1x -cpu 1 .
 	NOISYEVAL_CACHE_DIR=$(CACHE_DIR) $(GO) test -run '^$$' -bench 'BenchmarkFiguresWarm$$' -benchtime 15x -cpu 1 \
 		-o $(PROFILE_DIR)/noisyeval.test -cpuprofile $(PROFILE_DIR)/figures.cpu.pprof -memprofile $(PROFILE_DIR)/figures.mem.pprof .
 

@@ -60,7 +60,7 @@ func main() {
 	history := tuner.Run(oracle, noisyeval.NewRNG(2))
 
 	fmt.Println("\nsearch trace (observed = 5-client subsample, true = full validation):")
-	for i, obs := range history.Observations {
+	for i, obs := range history.All() {
 		fmt.Printf("  config %d: server lr %-10.3g client lr %-10.3g batch %-4d observed %5.1f%%  true %5.1f%%\n",
 			i, obs.Config.ServerLR, obs.Config.ClientLR, obs.Config.BatchSize,
 			obs.Observed*100, obs.True*100)

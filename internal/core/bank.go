@@ -9,7 +9,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 
@@ -49,18 +48,12 @@ type Bank struct {
 	// Diverged[c] reports whether config c's training hit NaN.
 	Diverged []bool
 
-	// index and fastIndex are built on first use under indexOnce, so a
-	// hand-assembled Bank literal is safe to share across goroutines before
-	// its first lookup (decoded and assembled banks build them eagerly).
+	// index is built on first use under indexOnce, so a Bank is safe to
+	// share across goroutines before its first lookup. Trials address
+	// configs by pool index; the map serves only the config-valued
+	// oracle methods.
 	indexOnce sync.Once
 	index     map[fl.HParams]int
-	// fastIndex is an open-addressing table keyed by the raw bits of each
-	// config, probed before the Go map on the ConfigIndex hot path. Float
-	// bits and float equality differ only around NaN and ±0, so the table
-	// is disabled (left nil) when any pool config carries such a field —
-	// then lookups fall through to the map and semantics are unchanged.
-	fastIndex []int32
-	fastMask  uint64
 }
 
 // BuildOptions configures bank construction.
@@ -119,86 +112,20 @@ func BuildBank(pop *data.Population, opts BuildOptions, seed uint64) (*Bank, err
 	return AssembleBank(plan, []*BankShard{shard})
 }
 
-// ensureIndex builds the config lookup index exactly once.
-func (b *Bank) ensureIndex() { b.indexOnce.Do(b.buildIndex) }
-
-// buildIndex creates the config lookup map and, when safe, the bit-keyed
-// fast table probed before it.
-func (b *Bank) buildIndex() {
-	b.index = make(map[fl.HParams]int, len(b.Configs))
-	for i, c := range b.Configs {
-		b.index[c] = i
-	}
-	// Bit-hashing is only equivalent to map lookup when bit equality and
-	// float equality coincide for every stored key: a NaN field would
-	// bit-match yet map-miss, and a ±0 field could alias a map key with the
-	// opposite zero. Neither occurs for real banks (configs are log-uniform
-	// and uniform draws plus fixed non-zero constants), but a poisoned pool
-	// silently falls back to the exact map.
-	for _, c := range b.Configs {
-		for _, f := range [...]float64{c.ServerLR, c.Beta1, c.Beta2, c.LRDecay, c.ClientLR, c.ClientMomentum, c.WeightDecay} {
-			if f != f || f == 0 {
-				return
-			}
+// ensureIndex builds the config lookup map exactly once.
+func (b *Bank) ensureIndex() {
+	b.indexOnce.Do(func() {
+		b.index = make(map[fl.HParams]int, len(b.Configs))
+		for i, c := range b.Configs {
+			b.index[c] = i
 		}
-	}
-	size := uint64(4)
-	for size < uint64(len(b.Configs))*2 {
-		size *= 2
-	}
-	table := make([]int32, size)
-	for i := range table {
-		table[i] = -1
-	}
-	mask := size - 1
-	for i, c := range b.Configs {
-		slot := hashHParams(c) & mask
-		for table[slot] >= 0 {
-			// Bit-equal duplicates keep the last index, matching the map's
-			// overwrite; bit-distinct keys probe onward.
-			if b.Configs[table[slot]] == c {
-				break
-			}
-			slot = (slot + 1) & mask
-		}
-		table[slot] = int32(i)
-	}
-	b.fastIndex, b.fastMask = table, mask
-}
-
-// hashHParams mixes the raw bits of every config field (FNV-1a over 64-bit
-// words). Cheaper than the runtime's per-float type hash, which is what makes
-// ConfigIndex viable on the per-evaluation hot path.
-func hashHParams(c fl.HParams) uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	h = (h ^ math.Float64bits(c.ServerLR)) * prime
-	h = (h ^ math.Float64bits(c.Beta1)) * prime
-	h = (h ^ math.Float64bits(c.Beta2)) * prime
-	h = (h ^ math.Float64bits(c.LRDecay)) * prime
-	h = (h ^ math.Float64bits(c.ClientLR)) * prime
-	h = (h ^ math.Float64bits(c.ClientMomentum)) * prime
-	h = (h ^ math.Float64bits(c.WeightDecay)) * prime
-	h = (h ^ uint64(c.BatchSize)) * prime
-	h = (h ^ uint64(c.Epochs)) * prime
-	return h ^ h>>32
+	})
 }
 
 // ConfigIndex returns the pool index of cfg, or an error if the config is
 // not a bank member (bank oracles only serve pool configs).
 func (b *Bank) ConfigIndex(cfg fl.HParams) (int, error) {
 	b.ensureIndex()
-	if mask := b.fastMask; mask != 0 {
-		for slot := hashHParams(cfg) & mask; ; slot = (slot + 1) & mask {
-			i := b.fastIndex[slot]
-			if i < 0 {
-				break // bit-miss: fall through to the exact map
-			}
-			if b.Configs[i] == cfg {
-				return int(i), nil
-			}
-		}
-	}
 	if i, ok := b.index[cfg]; ok {
 		return i, nil
 	}

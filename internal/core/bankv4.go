@@ -277,7 +277,6 @@ func assembleBankV4(f *bankseg.File) (b *Bank, refs bool, err error) {
 			return nil, false, v4Corrupt(path, commitIdx, commit.Offset, "%w", err)
 		}
 	}
-	bank.ensureIndex()
 	return bank, refs, nil
 }
 

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"noisyeval/internal/eval"
-	"noisyeval/internal/fl"
 	"noisyeval/internal/hpo"
 	"noisyeval/internal/rng"
 )
@@ -19,44 +18,22 @@ import (
 var blockWorkersOverride int
 
 // blockOracle is the oracle the block scheduler hands every trial's method:
-// Evaluate and the static facts come from the shared base BankOracle (the
-// EvalStream proxy intercepts Evaluate, so it is never called here), while
-// TrueError caches the full-pool error per arena row. TrueError is a pure
-// function of the row — FullError over read-only bank data — so one cached
-// value serves every trial bit-identically. All TrueError calls happen
-// during the scheduler's serial resume phase, so the cache and the cur memo
-// need no locking.
+// everything comes from the shared base BankOracle (the EvalStream proxy
+// intercepts evaluations, so they never reach it), except that true errors
+// by pool index are cached per arena row. A true error is a pure function of
+// the row — FullError over read-only bank data — so one cached value serves
+// every trial bit-identically. The cache is read and filled only during the
+// scheduler's serial resume phase, so it needs no locking.
 type blockOracle struct {
 	*BankOracle
 	nCkpt   int
 	trueErr []float64
 	filled  []bool
-	cur     *trialState // the trial the scheduler is currently resuming
 }
 
-func (b *blockOracle) TrueError(cfg fl.HParams, rounds int) float64 {
-	ts := b.cur
-	// Observe loops walk their just-answered batch in ask order, so the row
-	// the scheduler resolved for ask teCur is usually the row being asked
-	// about; the guard makes the shortcut safe even when it is not (a row is
-	// a pure function of (cfg, rounds), and both are compared).
-	if ts != nil {
-		if lb := ts.lastBatch; lb != nil && ts.teCur < len(ts.rows) &&
-			rounds == lb.RoundsAt(ts.teCur) && cfg == lb.Configs[ts.teCur] {
-			k := int(ts.rows[ts.teCur])
-			ts.teCur++
-			return b.rowTrueError(k)
-		}
-	}
-	var ci int
-	if ts != nil && ts.hasLast && cfg == ts.lastCfg {
-		ci = ts.lastCI // methods usually report the config they just asked about
-	} else {
-		var err error
-		if ci, err = b.bank.ConfigIndex(cfg); err != nil {
-			panic(err)
-		}
-	}
+// TrueErrorAt implements hpo.BatchOracle from the row cache.
+func (b *blockOracle) TrueErrorAt(ci, rounds int) float64 {
+	b.checkIndex(ci)
 	return b.rowTrueError(ci*b.nCkpt + b.bank.CheckpointIndex(rounds))
 }
 
@@ -76,20 +53,10 @@ type trialState struct {
 	finished bool       // the method returned; the stream may park again
 	saltPfx  rng.FNV64a // evalSeedPrefix("trial-<i>")
 
-	// Row-resolution memo: configs repeat across a trial's consecutive asks
-	// (rung ladders) and fidelities repeat almost always.
-	lastCfg    fl.HParams
-	lastCI     int
+	// Checkpoint memo: fidelities repeat across a trial's consecutive asks
+	// almost always.
 	lastRounds int
 	lastRI     int
-	hasLast    bool
-
-	// lastBatch/rows keep the most recent batch's scheduler-resolved rows so
-	// TrueError needs no config lookup while the method's observe loop walks
-	// the batch back in ask order (teCur is the walk cursor).
-	lastBatch *hpo.EvalBatch
-	rows      []int32
-	teCur     int
 }
 
 // waveAsk is one pending evaluation ask: which arena row it needs, the
@@ -178,17 +145,16 @@ func endStreams(trials []trialState) {
 // blockPool across calls. Between calls every head entry is -1 (each wave
 // resets what it touched) and trials holds no pointers.
 type blockBuffers struct {
-	trials      []trialState
-	rowsBacking []int32
-	asks        []waveAsk
-	nextAsks    []waveAsk
-	nextAsk     []int32
-	touched     []int32
-	head        []int32
-	live        []int
-	scratches   []blockScratch
-	trueErr     []float64
-	filled      []bool
+	trials    []trialState
+	asks      []waveAsk
+	nextAsks  []waveAsk
+	nextAsk   []int32
+	touched   []int32
+	head      []int32
+	live      []int
+	scratches []blockScratch
+	trueErr   []float64
+	filled    []bool
 }
 
 var blockPool = sync.Pool{New: func() any { return new(blockBuffers) }}
@@ -217,8 +183,9 @@ func grow[T any](b []T, n int) []T {
 // oracle.WithTrial(i): a trial's method runs against the same RNG stream
 // (g.Splitf("trial-i")), every ask is answered with exactly the value
 // Evaluate would produce — the cohort seed is the same pure function of
-// (seed, trial salt, evalID) — and TrueError returns the same FullError
-// bits, so no method can observe that it was interleaved.
+// (seed, trial salt, evalID) — and each ask's true error is the FullError
+// bits TrueError returns, so no method can observe that it was interleaved.
+// Asks name configs by pool index, so an ask's arena row is arithmetic.
 func (t Tuner) RunTrialsProgress(oracle *BankOracle, n int, g *rng.RNG, onTrial func(res TrialResult, completed int)) []TrialResult {
 	results := make([]TrialResult, n)
 	if n == 0 {
@@ -255,21 +222,18 @@ func (t Tuner) RunTrialsProgress(oracle *BankOracle, n int, g *rng.RNG, onTrial 
 			blockPool.Put(buf)
 		}
 	}()
-	const rowsCap = 16 // per-trial batch-row memo capacity (appends past it just reallocate)
-	buf.rowsBacking = grow(buf.rowsBacking, n*rowsCap)
 	for i := range trials {
 		ts := &trials[i]
 		g.SplitIntInto(ts.stream.g, "trial-", i) // the g.Splitf("trial-%d", i) stream
 		ts.stream.st.Start(t.Method, bo, t.Space, t.Settings, ts.stream.g)
 		ts.saltPfx = oracle.evalSeedPrefix(trialSalts.ID(i))
 		ts.lastRounds = -1
-		ts.rows = buf.rowsBacking[i*rowsCap : i*rowsCap : (i+1)*rowsCap]
 	}
 
 	completed := 0
 	finalize := func(i int) {
 		h := trials[i].stream.st.History()
-		trials[i].finished, trials[i].lastBatch = true, nil
+		trials[i].finished = true
 		res := TrialResult{Trial: i, History: h, FinalTrue: 1}
 		if rec, ok := h.Recommend(); ok {
 			res.FinalTrue = rec.True
@@ -287,41 +251,32 @@ func (t Tuner) RunTrialsProgress(oracle *BankOracle, n int, g *rng.RNG, onTrial 
 	asks := slices.Grow(buf.asks[:0], 2*n)
 	fill := &asks // advance appends the resumed trial's new asks here
 
-	rowOf := func(ts *trialState, cfg fl.HParams, rounds int) int32 {
-		if !ts.hasLast || cfg != ts.lastCfg {
-			ci, err := bank.ConfigIndex(cfg)
-			if err != nil {
-				panic(err)
-			}
-			ts.lastCfg, ts.lastCI, ts.hasLast = cfg, ci, true
-		}
-		if rounds != ts.lastRounds {
-			ts.lastRounds, ts.lastRI = rounds, bank.CheckpointIndex(rounds)
-		}
-		return int32(ts.lastCI*nCkpt + ts.lastRI)
-	}
-
 	// advance resumes trial i — its previous batch's Out slots hold the
 	// answers — until its next batch of asks, appending one wave entry per
-	// ask to *fill. It reports false when the trial finished instead.
+	// ask to *fill and writing each ask's true error, read from the row
+	// cache. It reports false when the trial finished instead.
 	advance := func(i int) bool {
 		ts := &trials[i]
-		bo.cur = ts
 		b, ok := ts.stream.st.Next()
 		if !ok {
 			finalize(i)
 			return false
 		}
-		ts.lastBatch, ts.rows, ts.teCur = b, ts.rows[:0], 0
 		if *fill == nil {
 			// The second buffer, made when a second wave turns out to exist (RS
 			// has none). The first wave is a run's widest — Hyperband opens on
 			// its largest bracket — so its size serves every later one.
 			*fill = make([]waveAsk, 0, len(asks))
 		}
-		for j := range b.Configs {
-			row := rowOf(ts, b.Configs[j], b.RoundsAt(j))
-			ts.rows = append(ts.rows, row)
+		for j, ci := range b.Indices {
+			bo.checkIndex(ci)
+			if rounds := b.RoundsAt(j); rounds != ts.lastRounds {
+				ts.lastRounds, ts.lastRI = rounds, bank.CheckpointIndex(rounds)
+			}
+			row := int32(ci*nCkpt + ts.lastRI)
+			if b.True != nil {
+				b.True[j] = bo.rowTrueError(int(row))
+			}
 			*fill = append(*fill, waveAsk{
 				row:  row,
 				seed: ts.saltPfx.String(b.EvalIDAt(j)).Sum(),

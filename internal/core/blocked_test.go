@@ -74,8 +74,8 @@ func TestRunTrialsBlockedMatchesSequential(t *testing.T) {
 					for i := range want {
 						if !reflect.DeepEqual(want[i], got[i]) {
 							t.Fatalf("trial %d diverges: reference %d obs final %v, blocked %d obs final %v",
-								i, len(want[i].History.Observations), want[i].FinalTrue,
-								len(got[i].History.Observations), got[i].FinalTrue)
+								i, want[i].History.Len(), want[i].FinalTrue,
+								got[i].History.Len(), got[i].FinalTrue)
 						}
 					}
 					t.Fatal("results diverge")

@@ -318,8 +318,8 @@ func TestTunerRunTrials(t *testing.T) {
 		if r.FinalTrue < 0 || r.FinalTrue > 1 {
 			t.Errorf("trial %d final = %v", r.Trial, r.FinalTrue)
 		}
-		if len(r.History.Observations) != 8 {
-			t.Errorf("trial %d has %d observations", r.Trial, len(r.History.Observations))
+		if r.History.Len() != 8 {
+			t.Errorf("trial %d has %d observations", r.Trial, r.History.Len())
 		}
 	}
 	finals := FinalErrors(results)

@@ -42,7 +42,7 @@ func TestMethodNoiseMatrix(t *testing.T) {
 				}
 				tn := Tuner{Method: m, Space: hpo.DefaultSpace(), Settings: noise.Settings(hpo.Settings{Budget: budget})}
 				h := tn.Run(oracle.WithTrial(0), rng.New(11).Split(mName+nName))
-				if len(h.Observations) == 0 {
+				if h.Len() == 0 {
 					t.Fatal("no observations")
 				}
 				if h.RoundsConsumed() > budget.TotalRounds {
@@ -56,7 +56,7 @@ func TestMethodNoiseMatrix(t *testing.T) {
 					t.Errorf("true error = %v", rec.True)
 				}
 				// Every observed config must be a bank member (bank mode).
-				for _, obs := range h.Observations {
+				for _, obs := range h.All() {
 					if _, err := b.ConfigIndex(obs.Config); err != nil {
 						t.Fatalf("non-pool config proposed: %v", err)
 					}

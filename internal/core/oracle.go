@@ -145,6 +145,37 @@ func (o *BankOracle) TrueError(cfg fl.HParams, rounds int) float64 {
 	return v
 }
 
+// EvaluateBatch implements hpo.BatchOracle: each ask is Evaluate and
+// TrueError of its pool member, read from one conversion of the row.
+func (o *BankOracle) EvaluateBatch(b *hpo.EvalBatch) {
+	for j, ci := range b.Indices {
+		o.checkIndex(ci)
+		buf := o.rates(ci, o.bank.CheckpointIndex(b.RoundsAt(j)))
+		b.Out[j] = o.observe(*buf, b.EvalIDAt(j))
+		if b.True != nil {
+			b.True[j] = o.full.FullError(*buf)
+		}
+		rateRows.Put(buf)
+	}
+}
+
+// TrueErrorAt implements hpo.BatchOracle: TrueError of pool member ci.
+func (o *BankOracle) TrueErrorAt(ci, rounds int) float64 {
+	o.checkIndex(ci)
+	buf := o.rates(ci, o.bank.CheckpointIndex(rounds))
+	v := o.full.FullError(*buf)
+	rateRows.Put(buf)
+	return v
+}
+
+// checkIndex panics unless ci names a pool member: a method asking outside
+// the pool is a bug, as asking for a non-member config is.
+func (o *BankOracle) checkIndex(ci int) {
+	if ci < 0 || ci >= len(o.bank.Configs) {
+		panic(fmt.Sprintf("core: pool index %d outside [0, %d)", ci, len(o.bank.Configs)))
+	}
+}
+
 // ConfigEval is the outcome of one single-config evaluation — the session
 // API's unit of work (EvaluateIndex).
 type ConfigEval struct {
@@ -243,4 +274,4 @@ func (o *BankOracle) EvaluateRows(ci, ri int, seeds []uint64, ms *eval.MultiScra
 }
 
 // Interface conformance check.
-var _ hpo.Oracle = (*BankOracle)(nil)
+var _ hpo.BatchOracle = (*BankOracle)(nil)

@@ -267,6 +267,5 @@ func AssembleBank(p *BuildPlan, shards []*BankShard) (*Bank, error) {
 	if err := b.Validate(); err != nil {
 		return nil, fmt.Errorf("core: assemble: %w", err)
 	}
-	b.ensureIndex()
 	return b, nil
 }

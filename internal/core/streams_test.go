@@ -20,13 +20,15 @@ type panicOnTrial struct{ trial string }
 func (panicOnTrial) Name() string { return "panic-on-trial" }
 
 func (m panicOnTrial) Run(o hpo.Oracle, space hpo.Space, s hpo.Settings, g *rng.RNG) *hpo.History {
-	cfg := o.Pool()[g.IntN(len(o.Pool()))]
-	obs := o.Evaluate(cfg, o.MaxRounds(), "only")
+	// It asks by config, as a method written against hpo.Oracle alone does.
+	pool := o.Pool()
+	ci := g.IntN(len(pool))
+	obs := o.Evaluate(pool[ci], o.MaxRounds(), "only")
 	if strings.HasSuffix(g.Path(), "/"+m.trial) {
 		panic("method failure in " + m.trial)
 	}
-	h := &hpo.History{MethodName: m.Name()}
-	h.Add(hpo.Observation{Config: cfg, Rounds: o.MaxRounds(), Observed: obs, True: o.TrueError(cfg, o.MaxRounds()), CumRounds: o.MaxRounds()})
+	h := hpo.NewHistory(m.Name(), pool)
+	h.Add(ci, o.MaxRounds(), obs, o.TrueError(pool[ci], o.MaxRounds()), o.MaxRounds())
 	return h
 }
 
@@ -241,9 +243,10 @@ func TestRunTrialsAllocsPerTrial(t *testing.T) {
 	}
 	const n = 50
 	for _, c := range []struct {
-		method string
-		bound  float64
-	}{{"rs", 5}, {"tpe", 16}, {"hb", 5}, {"bohb", 5}} {
+		method     string
+		bound      float64
+		bytesBound float64 // 0: not pinned
+	}{{"rs", 5, 512}, {"tpe", 16, 0}, {"hb", 5, 1280}, {"bohb", 5, 0}} {
 		m, err := hpo.MethodByName(c.method)
 		if err != nil {
 			t.Fatal(err)
@@ -255,6 +258,20 @@ func TestRunTrialsAllocsPerTrial(t *testing.T) {
 		t.Logf("%s: %.2f allocs per trial (bound %v)", c.method, perTrial, c.bound)
 		if perTrial > c.bound {
 			t.Errorf("%s: warm RunTrials allocates %.2f objects per trial, bound %v", c.method, perTrial, c.bound)
+		}
+		// Bytes, so that a History cannot silently regrow: most of them are
+		// its records, 32 bytes an observation.
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for r := 0; r < runs; r++ {
+			tn.RunTrials(o, n, g)
+		}
+		runtime.ReadMemStats(&after)
+		bytesPerTrial := float64(after.TotalAlloc-before.TotalAlloc) / (runs * n)
+		t.Logf("%s: %.0f bytes per trial (bound %v)", c.method, bytesPerTrial, c.bytesBound)
+		if c.bytesBound > 0 && bytesPerTrial > c.bytesBound {
+			t.Errorf("%s: warm RunTrials allocates %.0f bytes per trial, bound %v", c.method, bytesPerTrial, c.bytesBound)
 		}
 	}
 }

@@ -132,18 +132,20 @@ func Figure2Scenario(s *Suite, name string, gap float64, noise core.Noise, trial
 	}
 	// Pick the pool pair whose true-error difference is closest to gap.
 	maxR := bank.MaxRounds()
+	trueErr := make([]float64, len(bank.Configs))
+	for i := range trueErr {
+		trueErr[i] = oracle.TrueErrorAt(i, maxR)
+	}
 	bestI, bestJ, bestDiff := -1, -1, math.Inf(1)
-	for i := range bank.Configs {
-		for j := i + 1; j < len(bank.Configs); j++ {
-			ei := oracle.TrueError(bank.Configs[i], maxR)
-			ej := oracle.TrueError(bank.Configs[j], maxR)
-			if d := math.Abs(math.Abs(ei-ej) - gap); d < bestDiff {
+	for i, ei := range trueErr {
+		for j := i + 1; j < len(trueErr); j++ {
+			if d := math.Abs(math.Abs(ei-trueErr[j]) - gap); d < bestDiff {
 				bestI, bestJ, bestDiff = i, j, d
 			}
 		}
 	}
 	better, worse := bank.Configs[bestI], bank.Configs[bestJ]
-	if oracle.TrueError(better, maxR) > oracle.TrueError(worse, maxR) {
+	if trueErr[bestI] > trueErr[bestJ] {
 		better, worse = worse, better
 	}
 	g := rng.New(s.Cfg.Seed).Split("fig2")

@@ -1,7 +1,6 @@
 package hpo
 
 import (
-	"noisyeval/internal/fl"
 	"noisyeval/internal/rng"
 )
 
@@ -34,7 +33,7 @@ func (b BOHB) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History {
 	if b.MinPoints < 2 {
 		b.MinPoints = 6
 	}
-	h := &History{MethodName: "BOHB"}
+	h := newHistory("BOHB", o)
 	sc := hbScratchPool.Get().(*hbScratch)
 	sc.bohb.reset(b, o, space)
 	runHyperbandLoop(o, space, s, g, h, sc, &sc.bohb)
@@ -99,11 +98,11 @@ func (st *bohbState) observe(fidelity int, alive []int, noisy []float64) {
 	}
 }
 
-// propose returns the next candidate and records its feature row: random
-// with probability RandomFraction or when no fidelity has enough
-// observations, otherwise a TPE proposal from the model of the highest
-// adequately-observed fidelity.
-func (st *bohbState) propose(g *rng.RNG) fl.HParams {
+// propose returns the next candidate's pool index and records it as a
+// feature row: random with probability RandomFraction or when no fidelity
+// has enough observations, otherwise a TPE proposal from the model of the
+// highest adequately-observed fidelity.
+func (st *bohbState) propose(g *rng.RNG) int {
 	label := "tpe"
 	if g.Bool(st.cfg.RandomFraction) {
 		label = "random"
@@ -111,17 +110,16 @@ func (st *bohbState) propose(g *rng.RNG) fl.HParams {
 		label = "fallback"
 	}
 	g.SplitInto(st.gSub, label)
-	var cfg fl.HParams
-	var row int
+	var ci int
 	if label != "tpe" {
-		cfg, row = st.model.sample(st.gSub)
+		ci = st.model.sample(st.gSub)
 	} else {
 		if obs := st.levels[st.top].obs; st.fitN != len(obs) || st.fitLevel != st.top {
 			st.model.fit(obs)
 			st.fitLevel, st.fitN = st.top, len(obs)
 		}
-		cfg, row = st.model.propose(st.gSub)
+		ci = st.model.propose(st.gSub)
 	}
-	st.rows = append(st.rows, row)
-	return cfg
+	st.rows = append(st.rows, ci)
+	return ci
 }

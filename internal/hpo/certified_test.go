@@ -107,7 +107,7 @@ func TestProposeGolden(t *testing.T) {
 					m.fit(obs)
 					draw := g.Splitf("tpe-%d", n)
 					for rep := 0; rep < 3; rep++ {
-						_, row := m.propose(draw)
+						row := m.propose(draw)
 						put(uint64(row))
 					}
 					put(draw.Uint64())
@@ -507,16 +507,15 @@ func TestProposeCertifiedShare(t *testing.T) {
 		m := newParzenModel(tpe, o, space)
 		var observed []parzenObs
 		for i := 0; i < s.Budget.K; i++ {
-			var cfg fl.HParams
 			var row int
 			if i < tpe.NStartup {
-				cfg, row = m.sample(g.Splitf("startup-%d", i))
+				row = m.sample(g.Splitf("startup-%d", i))
 			} else {
 				m.fit(observed)
-				cfg, row = m.propose(g.Splitf("propose-%d", i))
+				row = m.propose(g.Splitf("propose-%d", i))
 				tp.record(m)
 			}
-			observed = append(observed, parzenObs{row: row, err: o.Evaluate(cfg, maxR, tpeEvalIDs.ID(i))})
+			observed = append(observed, parzenObs{row: row, err: o.Evaluate(o.pool[row], maxR, tpeEvalIDs.ID(i))})
 		}
 	}
 
@@ -531,10 +530,10 @@ func TestProposeCertifiedShare(t *testing.T) {
 		g := rng.New(uint64(trial)).Split("share-bohb")
 		st := &bohbState{cfg: BOHB{RandomFraction: 1.0 / 3, MinPoints: 6},
 			model: newParzenModel(tpe, o, space), top: -1, gSub: rng.New(0)}
-		h, cum := &History{}, 0
+		h, cum := newHistory("BOHB", o), 0
 		for bi, plan := range plans {
 			st.rows = st.rows[:0]
-			cfgs := make([]fl.HParams, plan.n)
+			cfgs := make([]int, plan.n)
 			for i := range cfgs {
 				st.model.draws[0] = -1
 				cfgs[i] = st.propose(g.Splitf("bracket-%d-cfg-%d", bi, i))

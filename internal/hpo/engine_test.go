@@ -121,7 +121,7 @@ func TestProposeMatchesReferenceMemo(t *testing.T) {
 	// engine's memo against the reference model of the current set.
 	propose := func(step string) fl.HParams {
 		t.Helper()
-		got := st.propose(rng.New(7).Split("cfg"))
+		got := o.pool[st.propose(rng.New(7).Split("cfg"))]
 		want := ref.propose(o, space, rng.New(7).Split("cfg"))
 		if got != want {
 			t.Fatalf("%s: engine proposed %+v, reference %+v", step, got, want)
@@ -163,7 +163,7 @@ func TestProposeMatchesReferenceMemo(t *testing.T) {
 		return out
 	}
 
-	if st.propose(rng.New(7).Split("cfg")) != ref.propose(o, space, rng.New(7).Split("cfg")) || st.model.gen != 0 {
+	if o.pool[st.propose(rng.New(7).Split("cfg"))] != ref.propose(o, space, rng.New(7).Split("cfg")) || st.model.gen != 0 {
 		t.Fatal("with no adequate fidelity both must fall back to the same random draw, without fitting")
 	}
 

@@ -26,14 +26,16 @@ func ExampleRungRounds() {
 	// [5 15 45 135 405]
 }
 
-// ExampleHistory_RecommendAt demonstrates budget-indexed recommendations.
+// ExampleHistory_RecommendAt demonstrates budget-indexed recommendations:
+// a history records pool members by index and resolves them on reading.
 func ExampleHistory_RecommendAt() {
-	h := &hpo.History{}
-	h.Add(hpo.Observation{Rounds: 405, Observed: 0.40, True: 0.41, CumRounds: 405})
-	h.Add(hpo.Observation{Rounds: 405, Observed: 0.35, True: 0.37, CumRounds: 810})
+	pool := hpo.DefaultSpace().SampleN(2, rng.New(7))
+	h := hpo.NewHistory("RS", pool)
+	h.Add(0, 405, 0.40, 0.41, 405) // pool member, rounds, observed, true, cumulative rounds
+	h.Add(1, 405, 0.35, 0.37, 810)
 	early, _ := h.RecommendAt(405)
 	late, _ := h.RecommendAt(810)
-	fmt.Printf("%.2f %.2f\n", early.Observed, late.Observed)
+	fmt.Printf("%.2f %.2f %v\n", early.Observed, late.Observed, late.Config == pool[1])
 	// Output:
-	// 0.40 0.35
+	// 0.40 0.35 true
 }

@@ -36,7 +36,7 @@ func TestMethodsSurviveTiedEvaluations(t *testing.T) {
 	for _, m := range []Method{RandomSearch{}, TPE{}, Hyperband{}, BOHB{}, SuccessiveHalving{N: 9, R0: 5}, ResampledRS{}} {
 		o := newFaultyOracle(0) // all evaluations tie at 0.5
 		h := m.Run(o, DefaultSpace(), smallSettings(), rng.New(40))
-		if len(h.Observations) == 0 {
+		if h.Len() == 0 {
 			t.Errorf("%s: no observations under ties", m.Name())
 			continue
 		}
@@ -53,7 +53,7 @@ func TestMethodsSurviveNaNEvaluations(t *testing.T) {
 	for _, m := range []Method{RandomSearch{}, TPE{}, Hyperband{}, BOHB{}} {
 		o := newFaultyOracle(3) // every third evaluation is NaN
 		h := m.Run(o, DefaultSpace(), smallSettings(), rng.New(41))
-		if len(h.Observations) == 0 {
+		if h.Len() == 0 {
 			t.Errorf("%s: no observations under NaN injection", m.Name())
 			continue
 		}
@@ -66,7 +66,7 @@ func TestMethodsSurviveNaNEvaluations(t *testing.T) {
 		// non-NaN observations exist at the top fidelity.
 		if math.IsNaN(rec.Observed) {
 			hasClean := false
-			for _, obs := range h.Observations {
+			for _, obs := range h.All() {
 				if obs.Rounds == rec.Rounds && !math.IsNaN(obs.Observed) {
 					hasClean = true
 					break
@@ -84,7 +84,7 @@ func TestZeroKBudget(t *testing.T) {
 	s.Budget.K = 0
 	o := newTestOracle(0)
 	h := RandomSearch{}.Run(o, DefaultSpace(), s, rng.New(42))
-	if len(h.Observations) != 0 {
+	if h.Len() != 0 {
 		t.Error("K=0 should produce no observations")
 	}
 	if _, ok := h.Recommend(); ok {
@@ -97,7 +97,7 @@ func TestBudgetSmallerThanOneConfig(t *testing.T) {
 	s.Budget.TotalRounds = 100 // < MaxPerConfig = 405
 	o := newTestOracle(0)
 	h := RandomSearch{}.Run(o, DefaultSpace(), s, rng.New(43))
-	if len(h.Observations) != 0 {
+	if h.Len() != 0 {
 		t.Error("insufficient budget should produce no observations")
 	}
 }
@@ -113,12 +113,12 @@ func TestDegenerateSpaceSinglePoint(t *testing.T) {
 	o := newTestOracle(0.05)
 	o.pool = s.SampleN(128, rng.New(7))
 	h := TPE{}.Run(o, s, smallSettings(), rng.New(44))
-	if len(h.Observations) != 16 {
-		t.Errorf("degenerate space observations = %d", len(h.Observations))
+	if h.Len() != 16 {
+		t.Errorf("degenerate space observations = %d", h.Len())
 	}
 	// The pool collapses to (nearly) one point, so the KDEs see zero spans;
 	// no panics allowed.
-	for _, obs := range h.Observations {
+	for _, obs := range h.All() {
 		if obs.Config.BatchSize != 32 {
 			t.Errorf("batch size escaped the degenerate space: %d", obs.Config.BatchSize)
 		}
@@ -128,9 +128,9 @@ func TestDegenerateSpaceSinglePoint(t *testing.T) {
 func TestRecommendWithWorseningObservations(t *testing.T) {
 	// Monotonically worsening observed errors: recommendation must be the
 	// first (best) one at the top fidelity.
-	h := &History{}
+	h := NewHistory("test", make([]fl.HParams, 1))
 	for i := 0; i < 5; i++ {
-		h.Add(Observation{Rounds: 405, Observed: 0.1 * float64(i+1), True: 0.1 * float64(i+1), CumRounds: (i + 1) * 405})
+		h.Add(0, 405, 0.1*float64(i+1), 0.1*float64(i+1), (i+1)*405)
 	}
 	rec, _ := h.Recommend()
 	if rec.Observed != 0.1 {

@@ -41,7 +41,7 @@ func (FedPop) Name() string { return "FedPop" }
 // Run implements Method.
 func (fp FedPop) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History {
 	s = s.Normalize()
-	h := &History{MethodName: "FedPop"}
+	h := newHistory("FedPop", o)
 	maxR := perConfigRounds(o, s)
 
 	pop := fp.Population
@@ -73,7 +73,7 @@ func (fp FedPop) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History {
 		keep = pop - 1
 	}
 
-	members := make([]fl.HParams, pop)
+	members := make([]int, pop) // pool indices
 	trained := make([]int, pop) // rounds already trained per member
 	gSub := rng.New(0)
 	for i := range members {
@@ -101,8 +101,9 @@ func (fp FedPop) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History {
 		// under DP the one-shot top-k mechanism calibrates to the ladder
 		// length like a single SHA bracket.
 		evalID := fedpopGenIDs.ID(gen)
-		errs := make([]float64, pop)
-		batch := EvalBatch{Configs: members, SameRounds: r, SameEvalID: evalID, Out: errs}
+		answers := make([]float64, 2*pop)
+		errs, trueErr := answers[:pop], answers[pop:]
+		batch := EvalBatch{Indices: members, SameRounds: r, SameEvalID: evalID, Out: errs, True: trueErr}
 		EvaluateAll(o, &batch)
 		scale := dp.TopKScale(len(ladder), keep, o.SampleSize(), s.Epsilon)
 		var noiseG *rng.RNG
@@ -112,11 +113,8 @@ func (fp FedPop) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History {
 		noisy := dp.OneShotNoisy(errs, scale, noiseG)
 
 		h.Grow(pop)
-		for i, cfg := range members {
-			h.Add(Observation{
-				Config: cfg, Rounds: r, Observed: noisy[i],
-				True: o.TrueError(cfg, r), CumRounds: cum,
-			})
+		for i, ci := range members {
+			h.Add(ci, r, noisy[i], trueErr[i], cum)
 		}
 		if gen == len(ladder)-1 {
 			break
@@ -142,11 +140,11 @@ func (fp FedPop) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History {
 	return h
 }
 
-// perturbConfig jitters one parent configuration inside the space, then
-// snaps the child to the nearest pool member so the oracle can serve it from
-// pre-trained checkpoints.
-func (FedPop) perturbConfig(parent fl.HParams, space Space, pool []fl.HParams, perturb float64, g *rng.RNG) fl.HParams {
-	c := parent
+// perturbConfig jitters pool member parent inside the space, then snaps the
+// child to the nearest pool member, whose index it returns, so the oracle
+// can serve it from pre-trained checkpoints.
+func (FedPop) perturbConfig(parent int, space Space, pool []fl.HParams, perturb float64, g *rng.RNG) int {
+	c := pool[parent]
 	logJitter := func(v, lo, hi float64, g *rng.RNG) float64 {
 		v *= math.Pow(10, g.Uniform(-perturb, perturb))
 		return math.Min(math.Max(v, lo), hi)
@@ -163,7 +161,7 @@ func (FedPop) perturbConfig(parent fl.HParams, space Space, pool []fl.HParams, p
 	if len(space.BatchSizes) > 0 && g.Split("bs").Bool(perturb) {
 		c.BatchSize = space.BatchSizes[g.Split("bs-pick").IntN(len(space.BatchSizes))]
 	}
-	return pool[NearestConfig(pool, c, space)]
+	return NearestConfig(pool, c, space)
 }
 
 // NearestConfig returns the index of the pool member closest to h under a

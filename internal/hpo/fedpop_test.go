@@ -28,7 +28,7 @@ func TestFedPopRespectsBudget(t *testing.T) {
 	if got := h.RoundsConsumed(); got > s.Budget.TotalRounds {
 		t.Fatalf("consumed %d rounds, budget %d", got, s.Budget.TotalRounds)
 	}
-	if len(h.Observations) == 0 {
+	if h.Len() == 0 {
 		t.Fatal("no observations")
 	}
 }
@@ -55,7 +55,7 @@ func TestFedPopPoolMembership(t *testing.T) {
 		member[[2]float64{c.ServerLR, c.ClientLR}] = true
 	}
 	h := FedPop{Population: 6}.Run(o, DefaultSpace(), smallSettings(), rng.New(6))
-	for i, obs := range h.Observations {
+	for i, obs := range h.All() {
 		if !member[[2]float64{obs.Config.ServerLR, obs.Config.ClientLR}] {
 			t.Fatalf("observation %d config %+v is not a pool member", i, obs.Config)
 		}
@@ -70,7 +70,7 @@ func TestFedPopEvolvesPopulation(t *testing.T) {
 	s.Budget.TotalRounds = 100 * s.Budget.MaxPerConfig
 	h := FedPop{Population: 8, R0: o.maxRounds / 27}.Run(o, DefaultSpace(), s, rng.New(9))
 	distinct := map[float64]bool{}
-	for _, obs := range h.Observations {
+	for _, obs := range h.All() {
 		distinct[obs.Config.ServerLR] = true
 	}
 	if len(distinct) <= 8 {

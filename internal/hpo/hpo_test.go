@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"noisyeval/internal/fl"
 	"noisyeval/internal/rng"
@@ -159,10 +160,10 @@ func TestRungRounds(t *testing.T) {
 // --- History tests ---
 
 func TestRecommendPrefersFidelityThenError(t *testing.T) {
-	h := &History{}
-	h.Add(Observation{Rounds: 405, Observed: 0.5, True: 0.5, CumRounds: 405})
-	h.Add(Observation{Rounds: 45, Observed: 0.1, True: 0.1, CumRounds: 450})
-	h.Add(Observation{Rounds: 405, Observed: 0.4, True: 0.45, CumRounds: 855})
+	h := NewHistory("test", make([]fl.HParams, 1))
+	h.Add(0, 405, 0.5, 0.5, 405)
+	h.Add(0, 45, 0.1, 0.1, 450)
+	h.Add(0, 405, 0.4, 0.45, 855)
 	rec, ok := h.Recommend()
 	if !ok || rec.Observed != 0.4 {
 		t.Errorf("recommendation = %+v", rec)
@@ -174,9 +175,17 @@ func TestRecommendPrefersFidelityThenError(t *testing.T) {
 	}
 }
 
+// TestHistoryRecordSize pins the compact record: a pointer-free 32 bytes
+// per observation, against the 104 of an Observation.
+func TestHistoryRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(record{}); n > 32 {
+		t.Errorf("a History record is %d bytes, want at most 32", n)
+	}
+}
+
 func TestTrueErrorCurveBeforeFirstObservation(t *testing.T) {
-	h := &History{}
-	h.Add(Observation{Rounds: 405, Observed: 0.3, True: 0.35, CumRounds: 405})
+	h := NewHistory("test", make([]fl.HParams, 1))
+	h.Add(0, 405, 0.3, 0.35, 405)
 	curve := h.TrueErrorCurve([]int{100, 405, 800})
 	if curve[0] != 0.35 || curve[1] != 0.35 || curve[2] != 0.35 {
 		t.Errorf("curve = %v", curve)
@@ -192,13 +201,13 @@ func TestTrueErrorCurveBeforeFirstObservation(t *testing.T) {
 func TestRandomSearchBudget(t *testing.T) {
 	o := newTestOracle(0)
 	h := RandomSearch{}.Run(o, DefaultSpace(), smallSettings(), rng.New(5))
-	if len(h.Observations) != 16 {
-		t.Fatalf("observations = %d, want 16", len(h.Observations))
+	if h.Len() != 16 {
+		t.Fatalf("observations = %d, want 16", h.Len())
 	}
 	if h.RoundsConsumed() != 6480 {
 		t.Errorf("rounds = %d, want 6480", h.RoundsConsumed())
 	}
-	for _, obs := range h.Observations {
+	for _, obs := range h.All() {
 		if obs.Rounds != 405 {
 			t.Errorf("RS observation at fidelity %d", obs.Rounds)
 		}
@@ -211,7 +220,7 @@ func TestRandomSearchFindsGoodConfigNoiseless(t *testing.T) {
 	rec, _ := h.Recommend()
 	// Noiseless recommendation must be the true argmin of the sampled set.
 	best := math.Inf(1)
-	for _, obs := range h.Observations {
+	for _, obs := range h.All() {
 		if obs.True < best {
 			best = obs.True
 		}
@@ -232,7 +241,7 @@ func TestRandomSearchNoiseDegradesSelection(t *testing.T) {
 			h := RandomSearch{}.Run(o, DefaultSpace(), smallSettings(), rng.New(100+seed))
 			rec, _ := h.Recommend()
 			best := math.Inf(1)
-			for _, obs := range h.Observations {
+			for _, obs := range h.All() {
 				if obs.True < best {
 					best = obs.True
 				}
@@ -263,10 +272,10 @@ func TestMethodsSearchPool(t *testing.T) {
 			s := smallSettings()
 			s.Epsilon = eps
 			h := m.Run(o, DefaultSpace(), s, rng.New(8))
-			if len(h.Observations) == 0 {
+			if h.Len() == 0 {
 				t.Errorf("%s eps=%g: no observations", name, eps)
 			}
-			for _, obs := range h.Observations {
+			for _, obs := range h.All() {
 				if !inPool[obs.Config] {
 					t.Fatalf("%s eps=%g: observed a config outside the pool: %+v", name, eps, obs.Config)
 				}
@@ -292,7 +301,7 @@ func TestRandomSearchPoolMode(t *testing.T) {
 	o := newTestOracle(0)
 	o.pool = pool
 	h := RandomSearch{}.Run(o, DefaultSpace(), smallSettings(), rng.New(8))
-	for _, obs := range h.Observations {
+	for _, obs := range h.All() {
 		if !inPoolOf(pool, obs.Config) {
 			t.Fatal("RS proposed a config outside its 8-member pool")
 		}
@@ -338,8 +347,8 @@ func TestRandomSearchDPChangesDecisions(t *testing.T) {
 func TestGridSearchRuns(t *testing.T) {
 	o := newTestOracle(0)
 	h := GridSearch{}.Run(o, DefaultSpace(), smallSettings(), rng.New(10))
-	if len(h.Observations) != 16 { // truncated by K
-		t.Errorf("grid observations = %d", len(h.Observations))
+	if h.Len() != 16 { // truncated by K
+		t.Errorf("grid observations = %d", h.Len())
 	}
 	if h.RoundsConsumed() > 6480 {
 		t.Error("grid exceeded budget")
@@ -351,8 +360,8 @@ func TestGridSearchRuns(t *testing.T) {
 func TestTPERunsFullBudget(t *testing.T) {
 	o := newTestOracle(0.02)
 	h := TPE{}.Run(o, DefaultSpace(), smallSettings(), rng.New(11))
-	if len(h.Observations) != 16 {
-		t.Fatalf("TPE observations = %d", len(h.Observations))
+	if h.Len() != 16 {
+		t.Fatalf("TPE observations = %d", h.Len())
 	}
 	if h.RoundsConsumed() != 6480 {
 		t.Errorf("TPE rounds = %d", h.RoundsConsumed())
@@ -386,7 +395,7 @@ func TestTPEPoolMode(t *testing.T) {
 	o := newTestOracle(0.02)
 	o.pool = pool
 	h := TPE{}.Run(o, DefaultSpace(), smallSettings(), rng.New(13))
-	for _, obs := range h.Observations {
+	for _, obs := range h.All() {
 		if !inPoolOf(pool, obs.Config) {
 			t.Fatal("TPE proposed a config outside its 32-member pool")
 		}
@@ -432,8 +441,8 @@ func TestSHABudgetAccounting(t *testing.T) {
 		t.Errorf("SHA rounds = %d, want 1485", h.RoundsConsumed())
 	}
 	// Observation counts per rung: 81+27+9+3+1 = 121.
-	if len(h.Observations) != 121 {
-		t.Errorf("SHA observations = %d, want 121", len(h.Observations))
+	if h.Len() != 121 {
+		t.Errorf("SHA observations = %d, want 121", h.Len())
 	}
 	rec, _ := h.Recommend()
 	if rec.Rounds != 405 {
@@ -449,7 +458,7 @@ func TestSHAKeepsBestNoiseless(t *testing.T) {
 	rec, _ := h.Recommend()
 	// The winner must be among the best few of the initial 27 by true error.
 	var initials []float64
-	for _, obs := range h.Observations {
+	for _, obs := range h.All() {
 		if obs.Rounds == 15 {
 			initials = append(initials, o.base(obs.Config))
 		}
@@ -473,8 +482,8 @@ func TestSHATruncatesAtBudget(t *testing.T) {
 	if h.RoundsConsumed() > 500 {
 		t.Errorf("SHA exceeded budget: %d", h.RoundsConsumed())
 	}
-	if len(h.Observations) != 81 {
-		t.Errorf("expected exactly the first rung (81 obs), got %d", len(h.Observations))
+	if h.Len() != 81 {
+		t.Errorf("expected exactly the first rung (81 obs), got %d", h.Len())
 	}
 }
 
@@ -498,12 +507,12 @@ func TestHyperbandRespectsBudget(t *testing.T) {
 	if h.RoundsConsumed() > 6480 {
 		t.Errorf("HB consumed %d > 6480", h.RoundsConsumed())
 	}
-	if len(h.Observations) == 0 {
+	if h.Len() == 0 {
 		t.Fatal("HB produced no observations")
 	}
 	// Multiple fidelities must appear.
 	fids := map[int]bool{}
-	for _, obs := range h.Observations {
+	for _, obs := range h.All() {
 		fids[obs.Rounds] = true
 	}
 	if len(fids) < 3 {
@@ -524,9 +533,9 @@ func TestHyperbandReservesHistoryOnce(t *testing.T) {
 	}
 	for _, m := range []Method{Hyperband{}, BOHB{}} {
 		h := m.Run(newTestOracle(0.02), DefaultSpace(), s, rng.New(18))
-		if got := cap(h.Observations); got != want || len(h.Observations) >= want {
+		if got := cap(h.recs); got != want || h.Len() >= want {
 			t.Errorf("%s: history capacity %d with %d observations, want %d reserved and the last bracket unaffordable",
-				m.Name(), got, len(h.Observations), want)
+				m.Name(), got, h.Len(), want)
 		}
 	}
 }
@@ -546,7 +555,7 @@ func TestBOHBRuns(t *testing.T) {
 	if h.RoundsConsumed() > 6480 {
 		t.Errorf("BOHB consumed %d", h.RoundsConsumed())
 	}
-	if len(h.Observations) == 0 {
+	if h.Len() == 0 {
 		t.Fatal("BOHB produced no observations")
 	}
 	rec, ok := h.Recommend()
@@ -612,8 +621,8 @@ func TestOneShotProxyRS(t *testing.T) {
 	target := newTestOracle(0)
 	m := OneShotProxyRS{Proxy: proxy}
 	h := m.Run(target, DefaultSpace(), smallSettings(), rng.New(22))
-	if len(h.Observations) != 5 { // one per rung checkpoint
-		t.Errorf("proxy observations = %d", len(h.Observations))
+	if h.Len() != 5 { // one per rung checkpoint
+		t.Errorf("proxy observations = %d", h.Len())
 	}
 	rec, _ := h.Recommend()
 	if rec.Rounds != 405 {

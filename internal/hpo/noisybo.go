@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"noisyeval/internal/dp"
-	"noisyeval/internal/fl"
 	"noisyeval/internal/rng"
 )
 
@@ -41,7 +40,7 @@ func (NoisyBO) Name() string { return "NoisyBO" }
 func (m NoisyBO) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History {
 	s = s.Normalize()
 	m = m.normalize(s)
-	h := &History{MethodName: m.Name()}
+	h := newHistory(m.Name(), o)
 	maxR := perConfigRounds(o, s)
 
 	// Candidate set: as many configs as the training budget affords.
@@ -52,7 +51,7 @@ func (m NoisyBO) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History {
 	if nCandidates < 1 {
 		return h
 	}
-	cands := make([]fl.HParams, nCandidates)
+	cands := make([]int, nCandidates) // pool indices
 	gSub := rng.New(0)
 	for i := range cands {
 		g.SplitIntInto(gSub, "cand-", i)
@@ -76,22 +75,18 @@ func (m NoisyBO) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History {
 		std = math.Sqrt(1 / (tau0 + tauL))
 		return mean, std
 	}
+	var ask oneAsk
 	observe := func(i int, evalID string, dpPrefix string, dpN int) {
-		obs := o.Evaluate(cands[i], maxR, evalID)
+		obs, trueErr := ask.evaluate(o, cands[i], maxR, evalID)
 		if dpp.Private() {
 			obs = dpp.Release(obs, o.SampleSize(), g.Splitf(dpPrefix, dpN))
 		}
 		sum[i] += obs
 		count[i]++
+		// Observed carries the posterior mean so that RecommendAt picks the
+		// averaged (noise-robust) winner.
 		mean, _ := post(i)
-		h.Add(Observation{
-			Config: cands[i], Rounds: maxR,
-			// Observed carries the posterior mean so that RecommendAt picks
-			// the averaged (noise-robust) winner.
-			Observed:  mean,
-			True:      o.TrueError(cands[i], maxR),
-			CumRounds: cum,
-		})
+		h.Add(cands[i], maxR, mean, trueErr, cum)
 	}
 
 	evals := 0

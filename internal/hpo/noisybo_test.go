@@ -9,7 +9,7 @@ import (
 func TestNoisyBORunsWithinBudget(t *testing.T) {
 	o := newTestOracle(0.1)
 	h := NoisyBO{}.Run(o, DefaultSpace(), smallSettings(), rngSeed(30))
-	if len(h.Observations) == 0 {
+	if h.Len() == 0 {
 		t.Fatal("no observations")
 	}
 	if h.RoundsConsumed() > 6480 {
@@ -36,7 +36,7 @@ func TestNoisyBOBeatsPlainRSUnderHeavyNoise(t *testing.T) {
 			h := m.Run(o, DefaultSpace(), smallSettings(), rngSeed(700+seed))
 			rec, _ := h.Recommend()
 			best := math.Inf(1)
-			for _, obs := range h.Observations {
+			for _, obs := range h.All() {
 				if obs.True < best {
 					best = obs.True
 				}
@@ -57,7 +57,7 @@ func TestNoisyBOReevaluatesPromisingConfigs(t *testing.T) {
 	// With eval budget above the candidate count, some config must be
 	// observed more than once.
 	counts := map[fl.HParams]int{}
-	for _, obs := range h.Observations {
+	for _, obs := range h.All() {
 		counts[obs.Config]++
 	}
 	multi := 0

@@ -2,8 +2,9 @@ package hpo
 
 import (
 	"fmt"
+	"iter"
 	"math"
-	"sort"
+	"slices"
 
 	"noisyeval/internal/fl"
 	"noisyeval/internal/rng"
@@ -41,17 +42,21 @@ type Oracle interface {
 }
 
 // EvalBatch is a set of independent evaluation asks answered together.
-// Configs lists the asks; Rounds and EvalIDs give per-ask fidelities and
-// evaluation IDs, or — when nil — SameRounds/SameEvalID apply to every ask
-// (the shared-cohort rung shape of SHA and FedPop). Out receives the
-// observed errors and must be pre-sized to len(Configs).
+// Indices names each ask's configuration by its position in the oracle's
+// pool; Rounds and EvalIDs give per-ask fidelities and evaluation IDs, or —
+// when nil — SameRounds/SameEvalID apply to every ask (the shared-cohort
+// rung shape of SHA and FedPop). The consumer fills Out with the observed
+// errors and True with the true errors of the same (config, checkpoint)
+// rows; Out must be pre-sized to len(Indices), and so must True unless it
+// is nil, which asks for no true errors.
 type EvalBatch struct {
-	Configs    []fl.HParams
+	Indices    []int
 	Rounds     []int
 	EvalIDs    []string
 	SameRounds int
 	SameEvalID string
 	Out        []float64
+	True       []float64
 }
 
 // RoundsAt returns ask i's fidelity.
@@ -70,32 +75,78 @@ func (b *EvalBatch) EvalIDAt(i int) string {
 	return b.SameEvalID
 }
 
-// BatchOracle is an optional Oracle extension for an oracle that can take
-// many independent asks at once. The one implementation is the EvalStream
-// proxy, which suspends the method once per batch and hands the batch to its
-// consumer as it is — the unit the block scheduler groups by arena row and a
-// session serves item by item.
+// BatchOracle is an optional Oracle extension for an oracle that speaks pool
+// indices: it answers a whole EvalBatch at once and reads a true error
+// without looking the config up. The bank oracle answers the asks itself;
+// the EvalStream proxy suspends the method once per batch and hands the
+// batch to its consumer as it is — the unit the block scheduler groups by
+// arena row and a session serves item by item.
 type BatchOracle interface {
 	Oracle
 	EvaluateBatch(b *EvalBatch)
+	// TrueErrorAt is TrueError for pool member i.
+	TrueErrorAt(i, rounds int) float64
 }
 
 // EvaluateAll answers every ask in b: through the oracle's batch interface
-// when it has one, else by looping Evaluate in ask order. Every ask's answer
-// is a pure function of (config, rounds, evalID) for the oracles in this
-// repository, so the two paths fill Out identically and methods may batch
-// independent evaluations without perturbing recorded histories.
+// when it has one, else by looping Evaluate and TrueError over the asks'
+// pool members in ask order. Every ask's answer is a pure function of
+// (config, rounds, evalID) for the oracles in this repository, so the two
+// paths fill Out and True identically and methods may batch independent
+// evaluations without perturbing recorded histories.
 func EvaluateAll(o Oracle, b *EvalBatch) {
-	if len(b.Out) != len(b.Configs) {
-		panic("hpo: EvalBatch.Out not sized to its asks")
+	if len(b.Out) != len(b.Indices) || b.True != nil && len(b.True) != len(b.Indices) {
+		panic("hpo: EvalBatch.Out or True not sized to its asks")
 	}
-	if bo, ok := o.(BatchOracle); ok && len(b.Configs) > 1 {
+	if bo, ok := o.(BatchOracle); ok {
 		bo.EvaluateBatch(b)
 		return
 	}
-	for i, cfg := range b.Configs {
-		b.Out[i] = o.Evaluate(cfg, b.RoundsAt(i), b.EvalIDAt(i))
+	pool := o.Pool()
+	for j, i := range b.Indices {
+		r := b.RoundsAt(j)
+		b.Out[j] = o.Evaluate(pool[i], r, b.EvalIDAt(j))
+		if b.True != nil {
+			b.True[j] = o.TrueError(pool[i], r)
+		}
 	}
+}
+
+// oneAsk is the scratch batch of a method that asks one evaluation at a
+// time (TPE, NoisyBO).
+type oneAsk struct {
+	batch EvalBatch
+	idx   [1]int
+	ans   [2]float64 // Out, then True
+}
+
+// evaluate answers the one ask (pool member i at rounds under evalID) and
+// returns its observed and true errors.
+func (a *oneAsk) evaluate(o Oracle, i, rounds int, evalID string) (observed, trueErr float64) {
+	a.idx[0] = i
+	a.batch = EvalBatch{Indices: a.idx[:], SameRounds: rounds, SameEvalID: evalID, Out: a.ans[:1], True: a.ans[1:]}
+	EvaluateAll(o, &a.batch)
+	return a.ans[0], a.ans[1]
+}
+
+// trueErrorAt is o's true error of pool member i: by index where o speaks
+// indices, else through TrueError.
+func trueErrorAt(o Oracle, i, rounds int) float64 {
+	if bo, ok := o.(BatchOracle); ok {
+		return bo.TrueErrorAt(i, rounds)
+	}
+	return o.TrueError(o.Pool()[i], rounds)
+}
+
+// poolIndex returns the position of cfg in pool — the last one, as a map
+// keyed by config keeps the last duplicate — or -1 for a non-member.
+func poolIndex(pool []fl.HParams, cfg fl.HParams) int {
+	for i := len(pool) - 1; i >= 0; i-- {
+		if pool[i] == cfg {
+			return i
+		}
+	}
+	return -1
 }
 
 // Budget is the tuning resource budget, measured in training rounds as in
@@ -189,37 +240,101 @@ type Observation struct {
 	CumRounds int
 }
 
-// History is the ordered log of a tuning run.
-type History struct {
-	MethodName   string
-	Observations []Observation
+// record is an Observation as a History stores it: pointer-free and 32
+// bytes, the config named by its pool index.
+type record struct {
+	config, rounds    int32
+	cumRounds         int
+	observed, trueErr float64
 }
 
-// Add appends an observation.
-func (h *History) Add(o Observation) { h.Observations = append(h.Observations, o) }
+// History is the ordered log of a tuning run: one record per observation of
+// a member of the pool the run searched. Read it through At, All,
+// Recommend, RecommendAt and TrueErrorCurve, which resolve each record's
+// config from the pool.
+type History struct {
+	MethodName string
+	pool       []fl.HParams
+	recs       []record
+}
+
+// NewHistory returns an empty log for a run of the named method over pool.
+func NewHistory(method string, pool []fl.HParams) *History {
+	return &History{MethodName: method, pool: pool}
+}
+
+// newHistory is NewHistory over the oracle's pool.
+func newHistory(method string, o Oracle) *History { return NewHistory(method, o.Pool()) }
+
+// Add appends an observation of pool member i.
+func (h *History) Add(i, rounds int, observed, trueErr float64, cumRounds int) {
+	if i < 0 || i >= len(h.pool) || int(int32(rounds)) != rounds {
+		panic(fmt.Sprintf("hpo: observation of pool member %d at %d rounds outside a pool of %d", i, rounds, len(h.pool)))
+	}
+	h.recs = append(h.recs, record{config: int32(i), rounds: int32(rounds), cumRounds: cumRounds, observed: observed, trueErr: trueErr})
+}
 
 // Grow ensures capacity for at least n further observations without
 // reallocation. Methods call it once up front with the budgeted evaluation
 // count so the per-trial log is a single allocation instead of the
 // append-doubling ladder.
 func (h *History) Grow(n int) {
-	if n <= 0 || cap(h.Observations)-len(h.Observations) >= n {
+	if n <= 0 || cap(h.recs)-len(h.recs) >= n {
 		return
 	}
-	grown := make([]Observation, len(h.Observations), len(h.Observations)+n)
-	copy(grown, h.Observations)
-	h.Observations = grown
+	grown := make([]record, len(h.recs), len(h.recs)+n)
+	copy(grown, h.recs)
+	h.recs = grown
+}
+
+// Len returns the number of observations.
+func (h *History) Len() int { return len(h.recs) }
+
+// At returns observation i, in the order the method made them.
+func (h *History) At(i int) Observation {
+	r := &h.recs[i]
+	return Observation{Config: h.pool[r.config], Rounds: int(r.rounds), Observed: r.observed, True: r.trueErr, CumRounds: r.cumRounds}
+}
+
+// PoolIndex returns the pool index of observation i's config.
+func (h *History) PoolIndex(i int) int { return int(h.recs[i].config) }
+
+// All yields every observation with its position, in order.
+func (h *History) All() iter.Seq2[int, Observation] {
+	return func(yield func(int, Observation) bool) {
+		for i := range h.recs {
+			if !yield(i, h.At(i)) {
+				return
+			}
+		}
+	}
 }
 
 // RoundsConsumed returns the total training rounds the run consumed.
 func (h *History) RoundsConsumed() int {
 	max := 0
-	for _, o := range h.Observations {
-		if o.CumRounds > max {
-			max = o.CumRounds
+	for _, r := range h.recs {
+		if r.cumRounds > max {
+			max = r.cumRounds
 		}
 	}
 	return max
+}
+
+// BestAt returns the position of the observation RecommendAt(budget)
+// returns, or -1 when no observation fits the budget.
+func (h *History) BestAt(budget int) int {
+	bi := -1
+	for i := range h.recs {
+		r := &h.recs[i]
+		if r.cumRounds > budget {
+			continue
+		}
+		if bi < 0 || better(r, &h.recs[bi]) {
+			bi = i
+		}
+	}
+	return bi
 }
 
 // RecommendAt returns the configuration the method would return if stopped
@@ -228,20 +343,10 @@ func (h *History) RoundsConsumed() int {
 // error (decisions use noisy values — the tuner never sees true errors).
 // ok is false if no observation fits the budget.
 func (h *History) RecommendAt(budget int) (best Observation, ok bool) {
-	bi := -1 // the walk compares in place; an Observation is a dozen words
-	for i := range h.Observations {
-		o := &h.Observations[i]
-		if o.CumRounds > budget {
-			continue
-		}
-		if bi < 0 || better(o, &h.Observations[bi]) {
-			bi = i
-		}
+	if bi := h.BestAt(budget); bi >= 0 {
+		return h.At(bi), true
 	}
-	if bi < 0 {
-		return Observation{}, false
-	}
-	return h.Observations[bi], true
+	return Observation{}, false
 }
 
 // Recommend returns the final recommendation (full budget).
@@ -256,10 +361,10 @@ func (h *History) Recommend() (Observation, bool) {
 func (h *History) TrueErrorCurve(budgets []int) []float64 {
 	out := make([]float64, len(budgets))
 	for i, b := range budgets {
-		if rec, ok := h.RecommendAt(b); ok {
-			out[i] = rec.True
-		} else if first, ok := h.firstObservation(); ok {
-			out[i] = first.True
+		if bi := h.BestAt(b); bi >= 0 {
+			out[i] = h.recs[bi].trueErr
+		} else if fi := h.first(); fi >= 0 {
+			out[i] = h.recs[fi].trueErr
 		} else {
 			out[i] = 1
 		}
@@ -267,26 +372,28 @@ func (h *History) TrueErrorCurve(budgets []int) []float64 {
 	return out
 }
 
-func (h *History) firstObservation() (Observation, bool) {
-	if len(h.Observations) == 0 {
-		return Observation{}, false
+// first returns the position of the earliest observation by cumulative
+// rounds (the first such on a tie), or -1 for an empty log.
+func (h *History) first() int {
+	if len(h.recs) == 0 {
+		return -1
 	}
-	first := h.Observations[0]
-	for _, o := range h.Observations[1:] {
-		if o.CumRounds < first.CumRounds {
-			first = o
+	fi := 0
+	for i := range h.recs[1:] {
+		if h.recs[i+1].cumRounds < h.recs[fi].cumRounds {
+			fi = i + 1
 		}
 	}
-	return first, true
+	return fi
 }
 
 // better orders observations for recommendation: higher fidelity wins;
 // within a fidelity, lower observed error wins.
-func better(a, b *Observation) bool {
-	if a.Rounds != b.Rounds {
-		return a.Rounds > b.Rounds
+func better(a, b *record) bool {
+	if a.rounds != b.rounds {
+		return a.rounds > b.rounds
 	}
-	return a.Observed < b.Observed
+	return a.observed < b.observed
 }
 
 // Method is one hyperparameter tuning algorithm.
@@ -299,10 +406,10 @@ type Method interface {
 }
 
 // sampleConfig draws a candidate uniformly from the oracle's pool (the
-// paper's bootstrap protocol resamples the 128 pre-trained configs).
-func sampleConfig(o Oracle, g *rng.RNG) fl.HParams {
-	pool := o.Pool()
-	return pool[g.IntN(len(pool))]
+// paper's bootstrap protocol resamples the 128 pre-trained configs) and
+// returns its pool index.
+func sampleConfig(o Oracle, g *rng.RNG) int {
+	return g.IntN(len(o.Pool()))
 }
 
 // RungRounds returns the fidelity grid {maxR/η^(levels-1), ..., maxR/η, maxR}
@@ -312,20 +419,19 @@ func RungRounds(maxR, eta, levels int) []int {
 	if maxR < 1 || eta < 2 || levels < 1 {
 		panic(fmt.Sprintf("hpo: RungRounds(%d, %d, %d) invalid", maxR, eta, levels))
 	}
-	seen := map[int]bool{}
-	var out []int
+	// The grid is non-increasing, so a repeat can only equal the last entry.
+	out := make([]int, 0, levels)
 	r := maxR
 	for i := 0; i < levels; i++ {
 		if r < 1 {
 			r = 1
 		}
-		if !seen[r] {
-			seen[r] = true
+		if len(out) == 0 || out[len(out)-1] != r {
 			out = append(out, r)
 		}
 		r /= eta
 	}
-	sort.Ints(out)
+	slices.Reverse(out)
 	return out
 }
 

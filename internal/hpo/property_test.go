@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"noisyeval/internal/fl"
 	"noisyeval/internal/rng"
 )
 
@@ -15,17 +16,12 @@ func TestRecommendMonotoneProperty(t *testing.T) {
 	g := rng.New(300)
 	f := func(seed uint8) bool {
 		n := int(seed%20) + 1
-		h := &History{}
+		h := NewHistory("test", make([]fl.HParams, 1))
 		cum := 0
 		fidelities := []int{5, 15, 45, 135, 405}
 		for i := 0; i < n; i++ {
 			cum += 5 + g.IntN(400)
-			h.Add(Observation{
-				Rounds:    fidelities[g.IntN(len(fidelities))],
-				Observed:  g.Float64(),
-				True:      g.Float64(),
-				CumRounds: cum,
-			})
+			h.Add(0, fidelities[g.IntN(len(fidelities))], g.Float64(), g.Float64(), cum)
 		}
 		prevRounds, prevObserved := -1, math.Inf(1)
 		for b := 0; b <= cum; b += 50 {
@@ -111,7 +107,7 @@ func TestParzenPositiveDensityProperty(t *testing.T) {
 		m := newParzenModel(TPE{}.normalize(), newTestOracle(0), space)
 		obs := make([]parzenObs, n)
 		for i := range obs {
-			_, row := m.sample(g.Splitf("cfgs-%d/sample-%d", seed, i))
+			row := m.sample(g.Splitf("cfgs-%d/sample-%d", seed, i))
 			obs[i] = parzenObs{row: row, err: float64(i)}
 		}
 		m.fit(obs)

@@ -68,11 +68,11 @@ var proposePairs = []struct {
 // bits of every float.
 func sameHistory(t *testing.T, got, want *hpo.History) {
 	t.Helper()
-	if len(got.Observations) != len(want.Observations) {
-		t.Fatalf("engine made %d observations, reference %d", len(got.Observations), len(want.Observations))
+	if got.Len() != want.Len() {
+		t.Fatalf("engine made %d observations, reference %d", got.Len(), want.Len())
 	}
-	for i, w := range want.Observations {
-		g := got.Observations[i]
+	for i, w := range want.All() {
+		g := got.At(i)
 		if g.Config != w.Config || g.Rounds != w.Rounds || g.CumRounds != w.CumRounds ||
 			math.Float64bits(g.Observed) != math.Float64bits(w.Observed) ||
 			math.Float64bits(g.True) != math.Float64bits(w.True) {

@@ -31,41 +31,60 @@ func (m OneShotProxyRS) Run(target Oracle, space Space, s Settings, g *rng.RNG) 
 		panic("hpo: OneShotProxyRS needs a proxy oracle")
 	}
 	s = s.Normalize()
-	h := &History{MethodName: "ProxyRS"}
+	h := newHistory("ProxyRS", m.Proxy)
 
 	// Step 1: plain RS on the proxy (noiseless, non-private by construction).
+	// The K draws are iid, so they are one batch (see RandomSearch.Run),
+	// which asks for no true errors.
 	proxyMaxR := m.Proxy.MaxRounds()
 	if pc := s.Budget.MaxPerConfig; pc < proxyMaxR {
 		proxyMaxR = pc
 	}
-	sc := rsScratchPool.Get().(*rsScratch) // for its per-draw RNG
+	sc := rsScratchPool.Get().(*rsScratch)
 	gSub := sc.gSub
-	g.SplitIntInto(gSub, "cfg-", 0)
-	best, bestErr := sampleConfig(m.Proxy, gSub), 0.0
+	idx := sc.idx[:0]
 	for i := 0; i < s.Budget.K; i++ {
 		g.SplitIntInto(gSub, "cfg-", i)
-		cfg := sampleConfig(m.Proxy, gSub)
-		err := m.Proxy.Evaluate(cfg, proxyMaxR, proxyEvalIDs.ID(i))
+		idx = append(idx, sampleConfig(m.Proxy, gSub))
+	}
+	sc.idx = idx
+	out, _ := sc.answers(len(idx))
+	sc.batch = EvalBatch{Indices: idx, EvalIDs: proxyEvalIDs.IDs(len(idx)), SameRounds: proxyMaxR, Out: out}
+	EvaluateAll(m.Proxy, &sc.batch)
+	g.SplitIntInto(gSub, "cfg-", 0)
+	best, bestErr := sampleConfig(m.Proxy, gSub), 0.0
+	for i, err := range out {
 		if i == 0 || err < bestErr {
-			best, bestErr = cfg, err
+			best, bestErr = idx[i], err
 		}
 	}
 	rsScratchPool.Put(sc)
 
 	// Step 2: train the single winner on the client data, recording its true
-	// error at every checkpoint up to the per-config budget.
+	// error at every checkpoint up to the per-config budget. The transfer
+	// experiments train one pool on every dataset, so the winner usually
+	// sits at the same index in the target's pool; otherwise it is looked
+	// up there.
+	cfg := m.Proxy.Pool()[best]
+	ti := best
+	if tp := target.Pool(); ti >= len(tp) || tp[ti] != cfg {
+		ti = poolIndex(tp, cfg)
+	}
 	maxR := perConfigRounds(target, s)
+	rungs := RungRounds(maxR, s.Eta, 5)
+	h.Grow(len(rungs))
 	cum := 0
-	for _, r := range RungRounds(maxR, s.Eta, 5) {
+	for _, r := range rungs {
 		cum = r
-		h.Add(Observation{
-			Config: best, Rounds: r,
-			// The proxy method never consults client evaluations; Observed
-			// carries the proxy-side score so RecommendAt stays meaningful.
-			Observed:  bestErr,
-			True:      target.TrueError(best, r),
-			CumRounds: cum,
-		})
+		trueErr := 0.0
+		if ti >= 0 {
+			trueErr = trueErrorAt(target, ti, r)
+		} else {
+			trueErr = target.TrueError(cfg, r) // a non-member: the target decides
+		}
+		// The proxy method never consults client evaluations; Observed
+		// carries the proxy-side score so RecommendAt stays meaningful.
+		h.Add(best, r, bestErr, trueErr, cum)
 	}
 	return h
 }

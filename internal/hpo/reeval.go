@@ -4,7 +4,6 @@ import (
 	"strconv"
 
 	"noisyeval/internal/dp"
-	"noisyeval/internal/fl"
 	"noisyeval/internal/rng"
 )
 
@@ -31,7 +30,7 @@ func (m ResampledRS) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History
 	if reps < 1 {
 		reps = 3
 	}
-	h := &History{MethodName: m.Name()}
+	h := newHistory(m.Name(), o)
 	maxR := perConfigRounds(o, s)
 	k := s.Budget.K
 	// DP: every one of the K*reps releases consumes budget.
@@ -41,8 +40,8 @@ func (m ResampledRS) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History
 	// All K·reps evaluations are independent of one another, so the full
 	// resampling grid is one batch (see RandomSearch.Run for the
 	// bit-identity argument); DP releases stay in (i, rep) order below.
-	cfgs := make([]fl.HParams, 0, k)
-	evalCfgs := make([]fl.HParams, 0, k*reps)
+	cfgs := make([]int, 0, k)
+	evalCfgs := make([]int, 0, k*reps)
 	ids := make([]string, 0, k*reps)
 	cum := 0
 	for i := 0; i < k; i++ {
@@ -50,19 +49,21 @@ func (m ResampledRS) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History
 			break
 		}
 		g.SplitIntInto(gSub, "cfg-", i)
-		cfg := sampleConfig(o, gSub)
-		cfgs = append(cfgs, cfg)
+		ci := sampleConfig(o, gSub)
+		cfgs = append(cfgs, ci)
 		iStr := strconv.Itoa(i)
 		for rep := 0; rep < reps; rep++ {
-			evalCfgs = append(evalCfgs, cfg)
+			evalCfgs = append(evalCfgs, ci)
 			ids = append(ids, "reeval-"+iStr+"-"+strconv.Itoa(rep))
 		}
 		cum += maxR
 	}
-	batch := EvalBatch{Configs: evalCfgs, EvalIDs: ids, SameRounds: maxR, Out: make([]float64, len(evalCfgs))}
+	n := len(evalCfgs)
+	answers := make([]float64, 2*n)
+	batch := EvalBatch{Indices: evalCfgs, EvalIDs: ids, SameRounds: maxR, Out: answers[:n], True: answers[n:]}
 	EvaluateAll(o, &batch)
 	cum = 0
-	for i, cfg := range cfgs {
+	for i, ci := range cfgs {
 		cum += maxR
 		sum := 0.0
 		for rep := 0; rep < reps; rep++ {
@@ -72,13 +73,7 @@ func (m ResampledRS) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History
 			}
 			sum += obs
 		}
-		h.Add(Observation{
-			Config:    cfg,
-			Rounds:    maxR,
-			Observed:  sum / float64(reps),
-			True:      o.TrueError(cfg, maxR),
-			CumRounds: cum,
-		})
+		h.Add(ci, maxR, sum/float64(reps), batch.True[i*reps], cum)
 	}
 	return h
 }

@@ -8,8 +8,8 @@ import (
 func TestResampledRSBudgetAndShape(t *testing.T) {
 	o := newTestOracle(0.1)
 	h := ResampledRS{Reps: 4}.Run(o, DefaultSpace(), smallSettings(), rng4())
-	if len(h.Observations) != 16 {
-		t.Fatalf("observations = %d", len(h.Observations))
+	if h.Len() != 16 {
+		t.Fatalf("observations = %d", h.Len())
 	}
 	// Each config was evaluated Reps times.
 	if o.evalCalls != 16*4 {
@@ -31,7 +31,7 @@ func TestResampledRSReducesSubsamplingRegret(t *testing.T) {
 			h := m.Run(o, DefaultSpace(), smallSettings(), rngSeed(500+seed))
 			rec, _ := h.Recommend()
 			best := math.Inf(1)
-			for _, obs := range h.Observations {
+			for _, obs := range h.All() {
 				if obs.True < best {
 					best = obs.True
 				}

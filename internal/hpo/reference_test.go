@@ -30,11 +30,18 @@ type ReferenceBOHB BOHB
 // Name implements Method.
 func (ReferenceBOHB) Name() string { return "BOHB" }
 
+// refAdd records an observation of cfg as the methods did when they
+// reported configs by value: the true error through TrueError, the config
+// through its position in the pool.
+func refAdd(h *History, o Oracle, cfg fl.HParams, rounds int, observed float64, cum int) {
+	h.Add(poolIndex(o.Pool(), cfg), rounds, observed, o.TrueError(cfg, rounds), cum)
+}
+
 // Run implements Method.
 func (t ReferenceTPE) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History {
 	s = s.Normalize()
 	t = ReferenceTPE(TPE(t).normalize())
-	h := &History{MethodName: "TPE"}
+	h := newHistory("TPE", o)
 	maxR := perConfigRounds(o, s)
 	k := s.Budget.K
 	h.Grow(k)
@@ -50,7 +57,7 @@ func (t ReferenceTPE) Run(o Oracle, space Space, s Settings, g *rng.RNG) *Histor
 		var cfg fl.HParams
 		if i < t.NStartup || len(observed) < t.NStartup {
 			g.SplitIntInto(gSub, "startup-", i)
-			cfg = sampleConfig(o, gSub)
+			cfg = o.Pool()[sampleConfig(o, gSub)]
 		} else {
 			g.SplitIntInto(gSub, "propose-", i)
 			cfg = t.propose(observed, o, space, gSub)
@@ -60,10 +67,7 @@ func (t ReferenceTPE) Run(o Oracle, space Space, s Settings, g *rng.RNG) *Histor
 		if dpp.Private() {
 			obs = dpp.Release(obs, o.SampleSize(), g.Splitf("dp-%d", i))
 		}
-		h.Add(Observation{
-			Config: cfg, Rounds: maxR, Observed: obs,
-			True: o.TrueError(cfg, maxR), CumRounds: cum,
-		})
+		refAdd(h, o, cfg, maxR, obs, cum)
 		observed = append(observed, refScoredConfig{cfg: cfg, err: obs})
 	}
 	return h
@@ -216,7 +220,7 @@ func (b ReferenceBOHB) Run(o Oracle, space Space, s Settings, g *rng.RNG) *Histo
 	if b.MinPoints < 2 {
 		b.MinPoints = 6
 	}
-	h := &History{MethodName: "BOHB"}
+	h := newHistory("BOHB", o)
 	state := &refBohbState{cfg: BOHB(b), tpe: ReferenceTPE(b.TPE.normalize()), byFidelity: map[int][]refScoredConfig{}}
 	refRunHyperbandLoop(o, space, s, g, h, state)
 	return h
@@ -241,11 +245,11 @@ func (st *refBohbState) observe(fidelity int, cfgs []fl.HParams, noisy []float64
 // TPE proposal fit on the highest adequately-observed fidelity.
 func (st *refBohbState) propose(o Oracle, space Space, g *rng.RNG) fl.HParams {
 	if g.Bool(st.cfg.RandomFraction) {
-		return sampleConfig(o, g.Split("random"))
+		return o.Pool()[sampleConfig(o, g.Split("random"))]
 	}
 	obs := st.modelObservations()
 	if len(obs) < st.cfg.MinPoints {
-		return sampleConfig(o, g.Split("fallback"))
+		return o.Pool()[sampleConfig(o, g.Split("fallback"))]
 	}
 	return st.tpe.propose(obs, o, space, g.Split("tpe"))
 }
@@ -295,8 +299,9 @@ func refRunSHA(o Oracle, cfgs []fl.HParams, p shaParams, totalBudget int, cum *i
 		// survivors' evaluations are independent, so the rung is one batch.
 		evalID := p.label + "-rung-" + strconv.Itoa(rung)
 		errs := make([]float64, len(survivors))
-		batch := EvalBatch{Configs: survivors, SameRounds: r, SameEvalID: evalID, Out: errs}
-		EvaluateAll(o, &batch)
+		for i, cfg := range survivors {
+			errs[i] = o.Evaluate(cfg, r, evalID)
+		}
 
 		// Keep count for this rung's selection.
 		k := len(survivors) / p.eta
@@ -315,10 +320,7 @@ func refRunSHA(o Oracle, cfgs []fl.HParams, p shaParams, totalBudget int, cum *i
 
 		h.Grow(len(survivors))
 		for i, cfg := range survivors {
-			h.Add(Observation{
-				Config: cfg, Rounds: r, Observed: noisy[i],
-				True: o.TrueError(cfg, r), CumRounds: *cum,
-			})
+			refAdd(h, o, cfg, r, noisy[i], *cum)
 		}
 		if onRung != nil {
 			onRung(r, survivors, noisy)
@@ -360,7 +362,7 @@ func refRunHyperbandLoop(o Oracle, space Space, s Settings, g *rng.RNG, h *Histo
 			if bohb != nil {
 				cfgs[i] = bohb.propose(o, space, gSub)
 			} else {
-				cfgs[i] = sampleConfig(o, gSub)
+				cfgs[i] = o.Pool()[sampleConfig(o, gSub)]
 			}
 		}
 		var onRung func(int, []fl.HParams, []float64)

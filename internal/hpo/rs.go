@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"noisyeval/internal/dp"
-	"noisyeval/internal/fl"
 	"noisyeval/internal/rng"
 )
 
@@ -23,17 +22,25 @@ func (RandomSearch) Name() string { return "RS" }
 // through rsScratchPool, so a trial allocates its History and little else.
 type rsScratch struct {
 	gSub  *rng.RNG // reseeded per draw; same streams as Splitf
-	cfgs  []fl.HParams
-	out   []float64
+	idx   []int
+	out   []float64 // the batch's Out and True, one backing
 	batch EvalBatch
 }
 
 var rsScratchPool = sync.Pool{New: func() any { return &rsScratch{gSub: rng.New(0)} }}
 
+// answers returns sc's Out and True buffers sized to n asks.
+func (sc *rsScratch) answers(n int) (out, trueErr []float64) {
+	if cap(sc.out) < 2*n {
+		sc.out = make([]float64, 2*n)
+	}
+	return sc.out[:n:n], sc.out[n : 2*n]
+}
+
 // Run implements Method.
 func (RandomSearch) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History {
 	s = s.Normalize()
-	h := &History{MethodName: "RS"}
+	h := newHistory("RS", o)
 	maxR := perConfigRounds(o, s)
 	k := s.Budget.K
 	h.Grow(k)
@@ -45,27 +52,25 @@ func (RandomSearch) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History 
 	// interleaved loop) and evaluated as one batch. Each answer is a pure
 	// function of (config, rounds, evalID), so the history is bit-identical
 	// to evaluating inside the sampling loop.
-	cfgs := sc.cfgs[:0]
+	idx := sc.idx[:0]
 	cum := 0
 	for i := 0; i < k; i++ {
 		if cum+maxR > s.Budget.TotalRounds {
 			break
 		}
 		g.SplitIntInto(gSub, "cfg-", i)
-		cfgs = append(cfgs, sampleConfig(o, gSub))
+		idx = append(idx, sampleConfig(o, gSub))
 		cum += maxR
 	}
-	if cap(sc.out) < len(cfgs) {
-		sc.out = make([]float64, len(cfgs))
-	}
-	sc.cfgs = cfgs
+	sc.idx = idx
+	out, trueErr := sc.answers(len(idx))
 	batch := &sc.batch
-	*batch = EvalBatch{Configs: cfgs, EvalIDs: rsEvalIDs.IDs(len(cfgs)), SameRounds: maxR, Out: sc.out[:len(cfgs)]}
+	*batch = EvalBatch{Indices: idx, EvalIDs: rsEvalIDs.IDs(len(idx)), SameRounds: maxR, Out: out, True: trueErr}
 	EvaluateAll(o, batch)
 	cum = 0
-	for i, cfg := range cfgs {
+	for i, ci := range idx {
 		cum += maxR
-		observed := batch.Out[i]
+		observed := out[i]
 		if dpp.Private() {
 			// Split consumes no parent randomness and a non-private Release
 			// is the identity, so skipping both off the private path leaves
@@ -73,13 +78,7 @@ func (RandomSearch) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History 
 			g.SplitIntInto(gSub, "dp-", i)
 			observed = dpp.Release(observed, o.SampleSize(), gSub)
 		}
-		h.Add(Observation{
-			Config:    cfg,
-			Rounds:    maxR,
-			Observed:  observed,
-			True:      o.TrueError(cfg, maxR),
-			CumRounds: cum,
-		})
+		h.Add(ci, maxR, observed, trueErr[i], cum)
 	}
 	// Back to the pool only after a run that returned: a run unwound
 	// mid-batch (a closed EvalStream) may still have its Out slots named by
@@ -100,42 +99,38 @@ func (GridSearch) Name() string { return "Grid" }
 // Run implements Method.
 func (GridSearch) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History {
 	s = s.Normalize()
-	h := &History{MethodName: "Grid"}
+	h := newHistory("Grid", o)
 	maxR := perConfigRounds(o, s)
 
-	grid := o.Pool()
+	n := len(o.Pool())
 	k := s.Budget.K
-	h.Grow(minInt(k, len(grid)))
-	dpp := dp.Params{Epsilon: s.Epsilon, TotalEvals: minInt(k, len(grid))}
+	h.Grow(minInt(k, n))
+	dpp := dp.Params{Epsilon: s.Epsilon, TotalEvals: minInt(k, n)}
 	// Grid points are fixed upfront, so the whole walk is one batch (see
 	// RandomSearch.Run for the bit-identity argument).
-	m := 0
+	var idx []int
 	cum := 0
-	for i := 0; i < len(grid) && i < k; i++ {
+	for i := 0; i < n && i < k; i++ {
 		if cum+maxR > s.Budget.TotalRounds {
 			break
 		}
 		cum += maxR
-		m++
+		idx = append(idx, i)
 	}
-	batch := EvalBatch{Configs: grid[:m], EvalIDs: gridEvalIDs.IDs(m), SameRounds: maxR, Out: make([]float64, m)}
+	m := len(idx)
+	answers := make([]float64, 2*m)
+	batch := EvalBatch{Indices: idx, EvalIDs: gridEvalIDs.IDs(m), SameRounds: maxR, Out: answers[:m], True: answers[m:]}
 	EvaluateAll(o, &batch)
 	cum = 0
 	gSub := rng.New(0)
-	for i, cfg := range grid[:m] {
+	for i, ci := range idx {
 		cum += maxR
 		observed := batch.Out[i]
 		if dpp.Private() {
 			g.SplitIntInto(gSub, "dp-", i)
 			observed = dpp.Release(observed, o.SampleSize(), gSub)
 		}
-		h.Add(Observation{
-			Config:    cfg,
-			Rounds:    maxR,
-			Observed:  observed,
-			True:      o.TrueError(cfg, maxR),
-			CumRounds: cum,
-		})
+		h.Add(ci, maxR, observed, batch.True[i], cum)
 	}
 	return h
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"noisyeval/internal/dp"
-	"noisyeval/internal/fl"
 	"noisyeval/internal/rng"
 )
 
@@ -74,18 +73,18 @@ func namesOf(label string) *shaNames {
 }
 
 // shaScratch is runSHA's working set. Every rung's slices — scores, noisy
-// scores, the spare survivor buffer, the survivors' positions and the
-// selection order — are views of one float, one config and one int backing
-// per run, sized by reserve to the run's largest bracket: rungs only shrink,
+// scores, true errors, the spare survivor buffer, the survivors' positions
+// and the selection order — are views of one float and one int backing per
+// run, sized by reserve to the run's largest bracket: rungs only shrink,
 // and a rung's buffers are dead once the next rung's have been copied out.
 // It lives in an hbScratch, which runs recycle.
 type shaScratch struct {
-	ladder            []int
-	errs, noisy       []float64
-	spare             []fl.HParams
-	alive, spareAlive []int
-	order             rungOrder
-	batch             EvalBatch
+	ladder               []int
+	errs, noisy, trueErr []float64
+	spare                []int
+	alive, spareAlive    []int
+	order                rungOrder
+	batch                EvalBatch
 }
 
 // reserve sizes the buffers for brackets of up to n configurations.
@@ -93,10 +92,9 @@ func (sc *shaScratch) reserve(n int) {
 	if cap(sc.errs) >= n {
 		return
 	}
-	floats, ints := make([]float64, 2*n), make([]int, 3*n)
-	sc.errs, sc.noisy = floats[:n:n], floats[n:]
-	sc.alive, sc.spareAlive, sc.order.idx = ints[:n:n], ints[n:2*n:2*n], ints[2*n:]
-	sc.spare = make([]fl.HParams, n)
+	floats, ints := make([]float64, 3*n), make([]int, 4*n)
+	sc.errs, sc.noisy, sc.trueErr = floats[:n:n], floats[n:2*n:2*n], floats[2*n:]
+	sc.alive, sc.spareAlive, sc.order.idx, sc.spare = ints[:n:n], ints[n:2*n:2*n], ints[2*n:3*n:3*n], ints[3*n:]
 }
 
 // rungOrder sorts a rung's positions by noisy score, then by position: the
@@ -163,8 +161,9 @@ func (o *rungOrder) bottomK(v []float64, k int) []int {
 // the run's total budget cannot cover the next rung. onRung, when non-nil,
 // receives each rung's noisy scores with the survivors' positions in cfgs
 // (BOHB uses this to update its model); both are valid for the call only.
-// cfgs becomes the bracket's scratch: later rungs' survivors overwrite it.
-func runSHA(o Oracle, cfgs []fl.HParams, p shaParams, totalBudget int, cum *int, h *History,
+// cfgs holds the bracket's pool indices and becomes its scratch: later
+// rungs' survivors overwrite it.
+func runSHA(o Oracle, cfgs []int, p shaParams, totalBudget int, cum *int, h *History,
 	g *rng.RNG, onRung func(fidelity int, alive []int, noisy []float64)) {
 
 	if len(cfgs) == 0 {
@@ -193,8 +192,8 @@ func runSHA(o Oracle, cfgs []fl.HParams, p shaParams, totalBudget int, cum *int,
 
 		// Shared evaluation cohort for the rung (Figure 2 of the paper); the
 		// survivors' evaluations are independent, so the rung is one batch.
-		errs := sc.errs[:len(survivors)]
-		sc.batch = EvalBatch{Configs: survivors, SameRounds: r, SameEvalID: names.rungs.ID(rung), Out: errs}
+		errs, trueErr := sc.errs[:len(survivors)], sc.trueErr[:len(survivors)]
+		sc.batch = EvalBatch{Indices: survivors, SameRounds: r, SameEvalID: names.rungs.ID(rung), Out: errs, True: trueErr}
 		EvaluateAll(o, &sc.batch)
 
 		// Keep count for this rung's selection.
@@ -212,11 +211,8 @@ func runSHA(o Oracle, cfgs []fl.HParams, p shaParams, totalBudget int, cum *int,
 			noisy = dp.OneShotNoisyInto(sc.noisy, errs, scale, p.noiseG)
 		}
 
-		for i, cfg := range survivors {
-			h.Add(Observation{
-				Config: cfg, Rounds: r, Observed: noisy[i],
-				True: o.TrueError(cfg, r), CumRounds: *cum,
-			})
+		for i, ci := range survivors {
+			h.Add(ci, r, noisy[i], trueErr[i], *cum)
 		}
 		if onRung != nil {
 			onRung(r, alive, noisy)
@@ -262,7 +258,7 @@ func (SuccessiveHalving) Name() string { return "SHA" }
 // Run implements Method.
 func (sh SuccessiveHalving) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History {
 	s = s.Normalize()
-	h := &History{MethodName: "SHA"}
+	h := newHistory("SHA", o)
 	maxR := perConfigRounds(o, s)
 	r0 := sh.R0
 	if r0 < 1 {
@@ -309,7 +305,7 @@ func (Hyperband) Name() string { return "HB" }
 // Run implements Method.
 func (Hyperband) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History {
 	s = s.Normalize()
-	h := &History{MethodName: "HB"}
+	h := newHistory("HB", o)
 	sc := hbScratchPool.Get().(*hbScratch)
 	runHyperbandLoop(o, space, s, g, h, sc, nil)
 	hbScratchPool.Put(sc) // only after a run that returned; see RandomSearch.Run
@@ -323,7 +319,7 @@ func (Hyperband) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History {
 // little else.
 type hbScratch struct {
 	plans          []bracketPlan
-	cfgs           []fl.HParams
+	cfgs           []int
 	gSub, gBracket *rng.RNG
 	sha            shaScratch
 	bohb           bohbState

@@ -1,6 +1,7 @@
 package hpo
 
 import (
+	"fmt"
 	"iter"
 
 	"noisyeval/internal/fl"
@@ -50,10 +51,8 @@ type EvalStream struct {
 	closed   bool // the coroutine has exited (Close)
 	reusable bool // park after a run instead of exiting
 
-	// one is the scratch batch a lone Evaluate surfaces as.
-	one    EvalBatch
-	oneCfg [1]fl.HParams
-	oneOut [1]float64
+	// one is the scratch a lone Evaluate surfaces as.
+	one oneAsk
 }
 
 // NewEvalStream prepares m.Run(o, space, s, g) for stepwise execution. The
@@ -139,26 +138,31 @@ type streamOracle struct {
 	yield func(*EvalBatch) bool
 }
 
+// Evaluate is a one-ask batch of cfg's pool index. Built-in methods ask by
+// index; this serves a method that asks by config, which must be a pool
+// member.
 func (p *streamOracle) Evaluate(cfg fl.HParams, rounds int, evalID string) float64 {
-	st := p.st
-	st.oneCfg[0] = cfg
-	st.one = EvalBatch{Configs: st.oneCfg[:], SameRounds: rounds, SameEvalID: evalID, Out: st.oneOut[:]}
-	p.EvaluateBatch(&st.one)
-	return st.oneOut[0]
+	i := poolIndex(p.o.Pool(), cfg)
+	if i < 0 {
+		panic(fmt.Sprintf("hpo: EvalStream: config %+v is not a pool member", cfg))
+	}
+	obs, _ := p.st.one.evaluate(p, i, rounds, evalID)
+	return obs
 }
 
 // EvaluateBatch suspends once for the whole batch.
 func (p *streamOracle) EvaluateBatch(b *EvalBatch) {
-	if len(b.Configs) > 0 && !p.yield(b) {
+	if len(b.Indices) > 0 && !p.yield(b) {
 		panic(errEvalStreamClosed{})
 	}
 }
 func (p *streamOracle) TrueError(cfg fl.HParams, rounds int) float64 {
 	return p.o.TrueError(cfg, rounds)
 }
-func (p *streamOracle) SampleSize() int    { return p.o.SampleSize() }
-func (p *streamOracle) Pool() []fl.HParams { return p.o.Pool() }
-func (p *streamOracle) MaxRounds() int     { return p.o.MaxRounds() }
+func (p *streamOracle) TrueErrorAt(i, rounds int) float64 { return trueErrorAt(p.o, i, rounds) }
+func (p *streamOracle) SampleSize() int                   { return p.o.SampleSize() }
+func (p *streamOracle) Pool() []fl.HParams                { return p.o.Pool() }
+func (p *streamOracle) MaxRounds() int                    { return p.o.MaxRounds() }
 
 // Next resumes the method — which reads the previous batch's Out as its
 // answers — until it asks for more evaluations or finishes. ok is false when

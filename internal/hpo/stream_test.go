@@ -9,8 +9,8 @@ import (
 	"noisyeval/internal/rng"
 )
 
-// drainStream answers every batch with ans's evaluations until the method
-// finishes, returning its history.
+// drainStream answers every batch with ans's evaluations and true errors
+// until the method finishes, returning its history.
 func drainStream(t *testing.T, st *EvalStream, ans Oracle) *History {
 	t.Helper()
 	for {
@@ -21,11 +21,15 @@ func drainStream(t *testing.T, st *EvalStream, ans Oracle) *History {
 			}
 			return st.History()
 		}
-		if len(b.Configs) == 0 || len(b.Out) != len(b.Configs) {
-			t.Fatalf("batch of %d asks with %d answer slots", len(b.Configs), len(b.Out))
+		if len(b.Indices) == 0 || len(b.Out) != len(b.Indices) || b.True != nil && len(b.True) != len(b.Indices) {
+			t.Fatalf("batch of %d asks with %d answer and %d true-error slots", len(b.Indices), len(b.Out), len(b.True))
 		}
-		for i, cfg := range b.Configs {
+		for i, ci := range b.Indices {
+			cfg := ans.Pool()[ci]
 			b.Out[i] = ans.Evaluate(cfg, b.RoundsAt(i), b.EvalIDAt(i))
+			if b.True != nil {
+				b.True[i] = ans.TrueError(cfg, b.RoundsAt(i))
+			}
 		}
 	}
 }
@@ -48,7 +52,7 @@ func TestEvalStreamParity(t *testing.T) {
 			got := drainStream(t, st, newTestOracle(0.05))
 
 			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("stream history diverges from direct run: %d vs %d obs", len(want.Observations), len(got.Observations))
+				t.Fatalf("stream history diverges from direct run: %d vs %d obs", want.Len(), got.Len())
 			}
 		})
 	}

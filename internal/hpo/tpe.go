@@ -37,7 +37,7 @@ func (TPE) Name() string { return "TPE" }
 func (t TPE) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History {
 	s = s.Normalize()
 	t = t.normalize()
-	h := &History{MethodName: "TPE"}
+	h := newHistory("TPE", o)
 	maxR := perConfigRounds(o, s)
 	k := s.Budget.K
 	h.Grow(k)
@@ -52,27 +52,23 @@ func (t TPE) Run(o Oracle, space Space, s Settings, g *rng.RNG) *History {
 		if cum+maxR > s.Budget.TotalRounds {
 			break
 		}
-		var cfg fl.HParams
-		var row int
+		var ci int
 		if i < t.NStartup || len(observed) < t.NStartup {
 			g.SplitIntInto(gSub, "startup-", i)
-			cfg, row = m.sample(gSub)
+			ci = m.sample(gSub)
 		} else {
 			g.SplitIntInto(gSub, "propose-", i)
 			m.fit(observed) // the set grew by one: refit into the model's scratch
-			cfg, row = m.propose(gSub)
+			ci = m.propose(gSub)
 		}
 		cum += maxR
-		obs := o.Evaluate(cfg, maxR, tpeEvalIDs.ID(i))
+		obs, trueErr := sc.ask.evaluate(o, ci, maxR, tpeEvalIDs.ID(i))
 		if dpp.Private() {
 			g.SplitIntInto(gSub, "dp-", i)
 			obs = dpp.Release(obs, o.SampleSize(), gSub)
 		}
-		h.Add(Observation{
-			Config: cfg, Rounds: maxR, Observed: obs,
-			True: o.TrueError(cfg, maxR), CumRounds: cum,
-		})
-		observed = append(observed, parzenObs{row: row, err: obs})
+		h.Add(ci, maxR, obs, trueErr, cum)
+		observed = append(observed, parzenObs{row: ci, err: obs})
 	}
 	sc.observed = observed
 	tpeScratchPool.Put(sc) // only after a run that returned; see RandomSearch.Run
@@ -86,6 +82,7 @@ type tpeScratch struct {
 	gSub     *rng.RNG // reseeded per iteration; same streams as Splitf
 	model    parzenModel
 	observed []parzenObs
+	ask      oneAsk
 }
 
 var tpeScratchPool = sync.Pool{New: func() any { return &tpeScratch{gSub: rng.New(0)} }}
@@ -207,10 +204,9 @@ func (m *parzenModel) features(c fl.HParams) features {
 }
 
 // sample draws a random candidate exactly as sampleConfig does and returns
-// it with its feature row.
-func (m *parzenModel) sample(g *rng.RNG) (fl.HParams, int) {
-	i := g.IntN(len(m.pool))
-	return m.pool[i], i
+// its pool index, which is its feature row.
+func (m *parzenModel) sample(g *rng.RNG) int {
+	return g.IntN(len(m.pool))
 }
 
 // errOrder sorts observation indices by error. sort.Stable runs the same
@@ -273,17 +269,15 @@ func (m *parzenModel) fit(obs []parzenObs) {
 	}
 }
 
-// propose returns the pool member with the highest ℓ/g among NCandidates
-// drawn pool indices, and its feature row. The first draw wins ties and
-// non-finite scores.
-func (m *parzenModel) propose(g *rng.RNG) (fl.HParams, int) {
+// propose returns the pool index with the highest ℓ/g among NCandidates
+// drawn pool indices. The first draw wins ties and non-finite scores.
+func (m *parzenModel) propose(g *rng.RNG) int {
 	// The draws are the selection's only use of the stream, so taking them
 	// all first leaves each index and the stream's position what they were.
 	for i := range m.draws {
 		m.draws[i] = g.IntN(len(m.pool))
 	}
-	best := m.argmax()
-	return m.pool[best], best
+	return m.argmax()
 }
 
 // argmax returns the pool index among m.draws with the highest ℓ−g: the

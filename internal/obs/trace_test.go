@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -110,6 +111,46 @@ func TestWireSpansRoundTrip(t *testing.T) {
 	if _, err := UnmarshalSpans("{notjson"); err == nil {
 		t.Fatal("garbage header should error")
 	}
+}
+
+// FuzzTraceSpans feeds arbitrary X-Trace-Spans header values to
+// UnmarshalSpans: it must never panic, and whatever it accepts must be a
+// fixed point of MarshalSpans then UnmarshalSpans.
+func FuzzTraceSpans(f *testing.F) {
+	start := time.Unix(0, 1722945600123456789)
+	enc, err := MarshalSpans([]Span{
+		{Name: "shard.train", Start: start, Dur: 42 * time.Millisecond, Attrs: []string{"worker", "w1", "range", "0-32"}},
+		{Name: "pop.fetch", Start: start.Add(time.Second), Dur: time.Millisecond},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []string{enc, "", "[]", "null", "[null]", `[{"name":"a","attrs":{"k":"v","":""}}]`,
+		`[{"NAME":"x","start_unix_nano":-1,"dur_nanos":9223372036854775807}]`, "[{\"name\":\"\xff\\u0000\"}]", "{notjson"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, header string) {
+		spans, err := UnmarshalSpans(header)
+		if err != nil {
+			return
+		}
+		enc, err := MarshalSpans(spans)
+		if err != nil {
+			t.Fatalf("re-encode of %q: %v", header, err)
+		}
+		back, err := UnmarshalSpans(enc)
+		if err != nil {
+			t.Fatalf("decode of re-encoded %q: %v", enc, err)
+		}
+		if len(back) != len(spans) {
+			t.Fatalf("%d spans became %d through %q", len(spans), len(back), enc)
+		}
+		for i := range spans {
+			if !reflect.DeepEqual(spans[i], back[i]) {
+				t.Fatalf("span %d: %+v became %+v through %q", i, spans[i], back[i], enc)
+			}
+		}
+	})
 }
 
 func TestContextPropagation(t *testing.T) {

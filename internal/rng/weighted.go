@@ -25,6 +25,7 @@ type WeightedSampler struct {
 	idx    []int     // selection buffer; the result is idx[:k]
 	topLo  []float64 // the k largest lower brackets, descending
 	topIdx []int     // and their items
+	normal []int     // surrogates' scratch: the normal items by ascending lower bracket
 	lanes  bool      // useLanes, false only where a test holds the kernel to the Go loop
 }
 
@@ -47,6 +48,9 @@ const (
 	// Pow's error is bounded only for normal results, and near the
 	// subnormals distinct keys collapse into ties at 0.
 	minCertifiedLog2 = -1000
+	// zeroCutLog2 is the underflow cut: an upper bracket below it proves
+	// that Pow returns exactly 0 (DESIGN.md §18), so such keys tie at 0.
+	zeroCutLog2 = -1080
 )
 
 var log2Mid = func() (t [1 << log2Bits]float64) {
@@ -63,6 +67,7 @@ func (s *WeightedSampler) Reset(weights []float64) {
 	s.w = weights
 	s.inv, s.margin, s.u, s.keys = grow(s.inv, n), grow(s.margin, n), grow(s.u, n), grow(s.keys, n)
 	s.lo, s.idx, s.zero, s.lanes = grow(s.lo, n), grow(s.idx, n), s.zero[:0], useLanes
+	s.normal = grow(s.normal, n)
 	positive := false
 	for i, w := range weights {
 		if w < 0 || math.IsNaN(w) {
@@ -108,29 +113,33 @@ func (s *WeightedSampler) pick(u []float64, k int) []int {
 		panic(fmt.Sprintf("rng: weighted sample k=%d out of range [0, %d]", k, n))
 	}
 	keys, idx := s.keys[:n], s.idx[:n]
-	// Bracketing pays when k is small against n; otherwise (kth = -Inf)
-	// every positive weight is a candidate.
-	kth := math.Inf(-1)
-	if 0 < k && 4*k <= n {
-		var certain bool
-		if kth, certain = s.bracket(u, k); certain {
-			return idx[:copy(idx, s.topIdx)]
+	if k == 0 {
+		return idx[:0]
+	}
+	kth, certain := s.bracket(u, k)
+	if certain {
+		return idx[:copy(idx, s.topIdx)]
+	}
+	// With no trusted k-th bracket (kth = -Inf), the brackets may still
+	// order every key: then keys holds surrogates in the same order and no
+	// key is computed. Otherwise only an item whose upper bracket reaches
+	// the k-th lower bracket can have one of the k largest keys; every other
+	// positive weight takes a key below all of those. The loop that follows
+	// returns the first position of the maximum k times, which depends on
+	// nothing else.
+	if all := math.IsInf(kth, -1); !all || !s.surrogates() {
+		for i, w := range s.w {
+			switch {
+			case !(w > 0):
+				keys[i] = math.Inf(-1)
+			case all || keys[i] >= kth:
+				keys[i] = math.Pow(u[i], s.inv[i])
+			default:
+				keys[i] = -1
+			}
 		}
 	}
-	// Only an item whose upper bracket reaches the k-th lower bracket can
-	// have one of the k largest keys; every other positive weight takes a
-	// key below all of those. The loop that follows returns the first
-	// position of the maximum k times, which depends on nothing else.
-	all := math.IsInf(kth, -1)
-	for i, w := range s.w {
-		switch {
-		case !(w > 0):
-			keys[i] = math.Inf(-1)
-		case all || keys[i] >= kth:
-			keys[i] = math.Pow(u[i], s.inv[i])
-		default:
-			keys[i] = -1
-		}
+	for i := range idx {
 		idx[i] = i
 	}
 	for i := 0; i < k; i++ {
@@ -144,6 +153,50 @@ func (s *WeightedSampler) pick(u []float64, k int) []int {
 		idx[i], idx[best] = idx[best], idx[i]
 	}
 	return idx[:k]
+}
+
+// surrogates decides the order of every key from the brackets bracket left,
+// when it can: each positive item must either be certainly 0 (its upper
+// bracket is below zeroCutLog2) or have a normal key (its lower bracket is at
+// least minCertifiedLog2) whose bracket is disjoint from every other such
+// item's. Then it overwrites s.keys with surrogates in the keys' own order —
+// ties included, since only the keys at 0 tie — and reports true: the lower
+// bracket of a normal key, zeroCutLog2 for a key of 0, -Inf for a zero
+// weight. Otherwise it leaves s.keys alone and reports false.
+func (s *WeightedSampler) surrogates() bool {
+	n := len(s.w)
+	lo, hi := s.lo[:n], s.keys[:n]
+	normal := s.normal[:0]
+	for i, w := range s.w {
+		if !(w > 0) || hi[i] < zeroCutLog2 {
+			continue
+		}
+		if !(lo[i] >= minCertifiedLog2) {
+			return false
+		}
+		j := len(normal)
+		normal = append(normal, i)
+		for ; j > 0 && lo[normal[j-1]] > lo[i]; j-- {
+			normal[j] = normal[j-1]
+		}
+		normal[j] = i
+	}
+	for j := 1; j < len(normal); j++ {
+		if !(hi[normal[j-1]] < lo[normal[j]]) {
+			return false
+		}
+	}
+	for i, w := range s.w {
+		switch {
+		case !(w > 0):
+			hi[i] = math.Inf(-1)
+		case hi[i] < zeroCutLog2:
+			hi[i] = zeroCutLog2
+		default:
+			hi[i] = lo[i]
+		}
+	}
+	return true
 }
 
 // bracket leaves in s.keys an upper bracket on log2 key_i for every item

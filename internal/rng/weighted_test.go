@@ -264,6 +264,83 @@ func TestWeightedSamplePickAdversarial(t *testing.T) {
 		w[0], w[15] = 1, 1 // two keys far above it
 		checkPick(t, "guard, two normal keys", w, u, n)
 	}
+
+	// k = n, the whole pool in key order (Figure 6's full-pool draws). The
+	// brackets order every key when each is certainly 0 or normal with a
+	// bracket of its own; these pools sit on each side of that line.
+	// Keys tied at exactly 0: all of them, then all but three normal ones.
+	u = make([]float64, n)
+	for i := range u {
+		u[i] = 0.05 + 0.9*float64(i)/n
+	}
+	checkPick(t, "k = n, every key 0", filled(n, 1e-4), u, n)
+	w = filled(n, 1e-4)
+	w[2], w[9], w[13] = 0.5, 2, 0.7
+	checkPick(t, "k = n, keys 0 beside normal keys", w, u, n)
+	w[5], w[11] = 0, 0
+	checkPick(t, "k = n, keys 0 beside zero weights", w, u, n)
+	// Straddling the zero cut and the guard: u = 1/2 makes log2 key = -1/w,
+	// so item 3 moves from a normal key through the subnormals to a key
+	// certainly 0 while the rest stay far on either side.
+	for _, l := range []float64{990, 999, 1000, 1001, 1022, 1060, 1074, 1075, 1076, 1079, 1080, 1081, 1100, 1e4} {
+		u, w = filled(n, 0.5), filled(n, 1/2e4)
+		w[0], w[7], w[12] = 1, 0.25, 1/500.0
+		w[3] = 1 / l
+		checkPick(t, "k = n, zero cut and guard", w, u, n)
+		w[8] = 1 / l // a tie with item 3, wherever it lands
+		checkPick(t, "k = n, zero cut and guard, tied", w, u, n)
+	}
+	// Overlapping normal brackets: two keys a few ulps apart, then equal,
+	// among keys certainly 0 and keys far apart.
+	for _, d := range []int{0, 1, 3} {
+		u, w = filled(n, 0.01), filled(n, 1e-4)
+		w[1], w[4], w[6], w[10] = 1, 1, 3, 0.2
+		u[1], u[4], u[6], u[10] = 0.6, 0.6, 0.3, 0.9
+		for j := 0; j < d; j++ {
+			u[4] = math.Nextafter(u[4], 1)
+		}
+		checkPick(t, "k = n, overlapping normal brackets", w, u, n)
+	}
+}
+
+// TestWeightedSampleZeroCut holds the underflow cut to math.Pow itself: on
+// keys whose logarithm runs across the subnormals, every upper bracket below
+// zeroCutLog2 must belong to a key Pow rounds to exactly 0, and every lower
+// bracket at or above minCertifiedLog2 to a normal key at least that large.
+func TestWeightedSampleZeroCut(t *testing.T) {
+	const draws = 200000
+	g := New(17)
+	var s WeightedSampler
+	w, u := make([]float64, 1), make([]float64, 1)
+	zeros, normals := 0, 0
+	for d := 0; d < draws; d++ {
+		u[0] = g.Float64()
+		if d%4 == 0 {
+			u[0] = 1 - u[0]*0x1p-20 // log2 u near 0: the largest exponents
+		}
+		w[0] = -math.Log2(u[0]) / g.Uniform(990, 1120)
+		if !(w[0] > 0) {
+			continue
+		}
+		s.Reset(w)
+		s.bracket(u, 1)
+		key := math.Pow(u[0], s.inv[0])
+		if s.keys[0] < zeroCutLog2 {
+			zeros++
+			if key != 0 {
+				t.Fatalf("u=%v w=%v: upper bracket %v below the cut, but Pow gives %v", u[0], w[0], s.keys[0], key)
+			}
+		}
+		if s.lo[0] >= minCertifiedLog2 {
+			normals++
+			if !(key >= math.Exp2(s.lo[0])) || key < 0x1p-1022 {
+				t.Fatalf("u=%v w=%v: lower bracket %v, but Pow gives %v", u[0], w[0], s.lo[0], key)
+			}
+		}
+	}
+	if zeros < draws/10 || normals < draws/20 {
+		t.Fatalf("only %d keys below the cut and %d normal ones of %d draws", zeros, normals, draws)
+	}
 }
 
 // TestWeightedSampleCertifiedShare measures, at the bench bank's shape (50
@@ -303,6 +380,41 @@ func TestWeightedSampleCertifiedShare(t *testing.T) {
 	if share < 0.8 || perCall > 6 {
 		t.Errorf("bracketing decides %.1f%% of draws and computes %.2f keys otherwise; want >= 80%% and <= 6", 100*share, perCall)
 	}
+
+	// Figure 6's full-pool draws: k = n over a dozen or so clients under
+	// (acc+δ)^b, a fifth of them at accuracy 0 (keys near 2^-14000). A draw
+	// is decided without Pow when it certifies or the surrogates order it.
+	decided, total := 0, 0
+	for _, n := range []int{12, 14, 15} {
+		for _, b := range []float64{1, 1.5, 3} {
+			w := make([]float64, n)
+			for v := 0; v < 50; v++ {
+				for i := range w {
+					acc := g.Float64()
+					if g.IntN(5) == 0 {
+						acc = 0
+					}
+					w[i] = math.Pow(acc+1e-4, b)
+				}
+				s.Reset(w)
+				for d := 0; d < 100; d++ {
+					for i := range w {
+						s.u[i] = g.Float64()
+					}
+					kth, certain := s.bracket(s.u, n)
+					if certain || math.IsInf(kth, -1) && s.surrogates() {
+						decided++
+					}
+					total++
+				}
+			}
+		}
+	}
+	share = float64(decided) / float64(total)
+	t.Logf("full pool: decided %.1f%% of %d draws without Pow", 100*share, total)
+	if share < 0.9 {
+		t.Errorf("the brackets decide %.1f%% of full-pool draws; want >= 90%%", 100*share)
+	}
 }
 
 // FuzzWeightedSample decodes bytes into a pool (weights, one uniform each)
@@ -328,6 +440,7 @@ func FuzzWeightedSample(f *testing.F) {
 	}
 	f.Add(encode(2, filled(12, 1), filled(12, 0.5)))
 	f.Add(encode(1, []float64{1 / 990.0, 1 / 1001.0, 1 / 1100.0, 1 / 1100.0}, filled(4, 0.5)))
+	f.Add(encode(5, []float64{1, 1 / 1070.0, 1 / 1100.0, 1e-4, 0.3}, []float64{0.5, 0.5, 0.5, 0.7, 0.2}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return

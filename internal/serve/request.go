@@ -55,6 +55,17 @@ func (n NoiseRequest) Noise() core.Noise {
 	}
 }
 
+// normalize replaces a negative zero in any float field by zero: the two
+// describe the same run, but a run key hashes float bits, and JSON's
+// omitempty turns -0 into an absent 0 on a round trip.
+func (n *NoiseRequest) normalize() {
+	for _, f := range []*float64{&n.SampleFraction, &n.Bias, &n.Epsilon, &n.HeterogeneityP} {
+		if *f == 0 {
+			*f = 0
+		}
+	}
+}
+
 // validate reports the first out-of-range noise field as a coded apiError
 // (shared by run and session validation).
 func (n NoiseRequest) validate() error {
@@ -104,16 +115,17 @@ func (r *RunRequest) Normalize() {
 	if canon, err := hpo.CanonicalMethodName(r.Method); err == nil {
 		r.Method = canon
 	}
-	if r.Scale == "" {
+	r.Scale = strings.ToLower(strings.TrimSpace(r.Scale))
+	if r.Scale == "" { // after the trim, so a blank scale defaults as an empty one does
 		r.Scale = DefaultScale
 	}
-	r.Scale = strings.ToLower(strings.TrimSpace(r.Scale))
 	if r.Trials == 0 {
 		r.Trials = DefaultTrials
 	}
 	if r.Seed == 0 {
 		r.Seed = 1
 	}
+	r.Noise.normalize()
 }
 
 // Validate reports the first problem with a normalized request as a coded

@@ -82,13 +82,14 @@ func (r *SessionRequest) Normalize() {
 	if canon, err := hpo.CanonicalMethodName(r.Method); err == nil {
 		r.Method = canon
 	}
-	if r.Scale == "" {
+	r.Scale = strings.ToLower(strings.TrimSpace(r.Scale))
+	if r.Scale == "" { // after the trim, so a blank scale defaults as an empty one does
 		r.Scale = DefaultScale
 	}
-	r.Scale = strings.ToLower(strings.TrimSpace(r.Scale))
 	if r.Seed == 0 {
 		r.Seed = 1
 	}
+	r.Noise.normalize()
 }
 
 // Validate reports the first problem with a normalized request as a coded
@@ -330,10 +331,11 @@ func (s *Session) advanceLocked() {
 		}
 	}()
 	for s.pending == nil {
-		if s.batch != nil && s.pos < len(s.batch.Configs) {
+		if s.batch != nil && s.pos < len(s.batch.Indices) {
 			b, i := s.batch, s.pos
+			ci := b.Indices[i]
 			s.pending = &AskItem{
-				ID: s.nextID, ConfigIndex: s.configIndex(b.Configs[i]), Config: b.Configs[i],
+				ID: s.nextID, ConfigIndex: ci, Config: s.oracle.Pool()[ci],
 				Rounds: b.RoundsAt(i), EvalID: b.EvalIDAt(i),
 			}
 			s.nextID++
@@ -342,9 +344,11 @@ func (s *Session) advanceLocked() {
 		var more bool
 		if s.batch, more = s.stream.Next(); !more {
 			s.state = SessionDone
-			if rec, ok := s.stream.History().Recommend(); ok {
+			h := s.stream.History()
+			if i := h.BestAt(1 << 62); i >= 0 {
+				rec := h.At(i)
 				s.best = &SessionTrial{
-					Index: -1, Source: "ask", Config: rec.Config, ConfigIndex: s.configIndex(rec.Config),
+					Index: -1, Source: "ask", Config: rec.Config, ConfigIndex: h.PoolIndex(i),
 					Rounds: rec.Rounds, Observed: rec.Observed, TrueErr: rec.True,
 				}
 			}
@@ -352,14 +356,6 @@ func (s *Session) advanceLocked() {
 		}
 		s.pos = 0
 	}
-}
-
-// configIndex is cfg's position in the bank pool, or -1 for a non-member.
-func (s *Session) configIndex(cfg fl.HParams) int {
-	if i, err := s.oracle.Bank().ConfigIndex(cfg); err == nil {
-		return i
-	}
-	return -1
 }
 
 // Tell answers pending asks and/or evaluates caller-proposed configurations.
@@ -388,18 +384,18 @@ func (s *Session) Tell(req TellRequest) (TellResponse, error) {
 		}
 		if a.Observed != nil {
 			trial.Observed = *a.Observed
-			trial.TrueErr = s.oracle.TrueError(pending.Config, pending.Rounds)
-		} else if pending.ConfigIndex >= 0 {
+			trial.TrueErr = s.oracle.TrueErrorAt(pending.ConfigIndex, pending.Rounds)
+		} else {
 			ev, err := s.oracle.EvaluateIndex(pending.ConfigIndex, pending.Rounds, pending.EvalID)
 			if err != nil {
 				return TellResponse{}, codef(CodeInternal, "evaluate ask %d: %v", a.AskID, err)
 			}
 			trial.Observed, trial.TrueErr, trial.Rounds = ev.Observed, ev.True, ev.Rounds
-		} else {
-			trial.Observed = s.oracle.Evaluate(pending.Config, pending.Rounds, pending.EvalID)
-			trial.TrueErr = s.oracle.TrueError(pending.Config, pending.Rounds)
 		}
 		s.batch.Out[s.pos] = trial.Observed
+		if s.batch.True != nil {
+			s.batch.True[s.pos] = trial.TrueErr
+		}
 		s.pos++
 		s.pending = nil
 		s.told++

@@ -83,9 +83,11 @@ func (ts *testServer) driveSession(t *testing.T, id string, maxSteps int) Sessio
 }
 
 // evalRecorder is the reference side of TestSessionParityWithRun: a bank
-// oracle that logs every evaluation a directly-run method makes.
+// oracle that logs every evaluation a directly-run method makes. Embedding
+// the interface hides the bank oracle's batch entry point, so every ask
+// arrives through Evaluate.
 type evalRecorder struct {
-	*core.BankOracle
+	hpo.Oracle
 	log []evalRecord
 }
 
@@ -97,7 +99,7 @@ type evalRecord struct {
 }
 
 func (r *evalRecorder) Evaluate(cfg fl.HParams, rounds int, evalID string) float64 {
-	v := r.BankOracle.Evaluate(cfg, rounds, evalID)
+	v := r.Oracle.Evaluate(cfg, rounds, evalID)
 	r.log = append(r.log, evalRecord{cfg, rounds, evalID, v})
 	return v
 }
@@ -157,7 +159,7 @@ func TestSessionParityWithRun(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					ref := &evalRecorder{BankOracle: oracle.WithTrial(0)}
+					ref := &evalRecorder{Oracle: oracle.WithTrial(0)}
 					hist := m.Run(ref, hpo.DefaultSpace(), noise.Settings(hpo.Settings{Budget: suite.Cfg.Budget()}),
 						rng.New(seed).Split("fedtune").Splitf("trial-%d", 0))
 					if len(ref.log) == 0 {
@@ -315,7 +317,7 @@ func TestSessionsLeaveNoGoroutines(t *testing.T) {
 		if _, err := sess.Tell(TellRequest{Answers: []TellAnswer{{AskID: 0}}}); err != nil {
 			t.Fatal(err)
 		}
-		if sess.batch == nil || len(sess.batch.Configs) < 2 || sess.pos != 1 {
+		if sess.batch == nil || len(sess.batch.Indices) < 2 || sess.pos != 1 {
 			t.Fatalf("session is not mid-batch: %+v at %d", sess.batch, sess.pos)
 		}
 		return sess

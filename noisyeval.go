@@ -180,11 +180,13 @@ var (
 	// MethodByName resolves a method (canonical name or alias) from the
 	// registry; MethodInfos lists the catalogue. NewEvalStream puts a
 	// method under ask/tell control; NearestConfig snaps a raw vector to
-	// its closest pool member under the space's geometry.
+	// its closest pool member under the space's geometry. NewHistory is the
+	// log a custom Method returns, recording pool members by index.
 	MethodByName  = hpo.MethodByName
 	MethodInfos   = hpo.MethodInfos
 	NewEvalStream = hpo.NewEvalStream
 	NearestConfig = hpo.NearestConfig
+	NewHistory    = hpo.NewHistory
 )
 
 // Bank/orchestration constructors.
