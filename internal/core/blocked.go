@@ -274,9 +274,7 @@ func (t Tuner) RunTrialsProgress(oracle *BankOracle, n int, g *rng.RNG, onTrial 
 				ts.lastRounds, ts.lastRI = rounds, bank.CheckpointIndex(rounds)
 			}
 			row := int32(ci*nCkpt + ts.lastRI)
-			if b.True != nil {
-				b.True[j] = bo.rowTrueError(int(row))
-			}
+			b.True[j] = bo.rowTrueError(int(row))
 			*fill = append(*fill, waveAsk{
 				row:  row,
 				seed: ts.saltPfx.String(b.EvalIDAt(j)).Sum(),

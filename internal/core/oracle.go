@@ -152,9 +152,7 @@ func (o *BankOracle) EvaluateBatch(b *hpo.EvalBatch) {
 		o.checkIndex(ci)
 		buf := o.rates(ci, o.bank.CheckpointIndex(b.RoundsAt(j)))
 		b.Out[j] = o.observe(*buf, b.EvalIDAt(j))
-		if b.True != nil {
-			b.True[j] = o.full.FullError(*buf)
-		}
+		b.True[j] = o.full.FullError(*buf)
 		rateRows.Put(buf)
 	}
 }

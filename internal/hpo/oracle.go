@@ -47,8 +47,7 @@ type Oracle interface {
 // when nil — SameRounds/SameEvalID apply to every ask (the shared-cohort
 // rung shape of SHA and FedPop). The consumer fills Out with the observed
 // errors and True with the true errors of the same (config, checkpoint)
-// rows; Out must be pre-sized to len(Indices), and so must True unless it
-// is nil, which asks for no true errors.
+// rows; both must be pre-sized to len(Indices).
 type EvalBatch struct {
 	Indices    []int
 	Rounds     []int
@@ -95,7 +94,7 @@ type BatchOracle interface {
 // paths fill Out and True identically and methods may batch independent
 // evaluations without perturbing recorded histories.
 func EvaluateAll(o Oracle, b *EvalBatch) {
-	if len(b.Out) != len(b.Indices) || b.True != nil && len(b.True) != len(b.Indices) {
+	if len(b.Out) != len(b.Indices) || len(b.True) != len(b.Indices) {
 		panic("hpo: EvalBatch.Out or True not sized to its asks")
 	}
 	if bo, ok := o.(BatchOracle); ok {
@@ -106,9 +105,7 @@ func EvaluateAll(o Oracle, b *EvalBatch) {
 	for j, i := range b.Indices {
 		r := b.RoundsAt(j)
 		b.Out[j] = o.Evaluate(pool[i], r, b.EvalIDAt(j))
-		if b.True != nil {
-			b.True[j] = o.TrueError(pool[i], r)
-		}
+		b.True[j] = o.TrueError(pool[i], r)
 	}
 }
 
@@ -349,9 +346,16 @@ func (h *History) RecommendAt(budget int) (best Observation, ok bool) {
 	return Observation{}, false
 }
 
+// fullBudget is a budget every observation fits.
+const fullBudget = 1 << 62
+
+// Best returns the position of the observation Recommend returns, or -1 for
+// an empty log.
+func (h *History) Best() int { return h.BestAt(fullBudget) }
+
 // Recommend returns the final recommendation (full budget).
 func (h *History) Recommend() (Observation, bool) {
-	return h.RecommendAt(1 << 62)
+	return h.RecommendAt(fullBudget)
 }
 
 // TrueErrorCurve evaluates the recommendation trajectory: for each budget in

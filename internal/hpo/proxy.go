@@ -1,6 +1,8 @@
 package hpo
 
 import (
+	"fmt"
+
 	"noisyeval/internal/rng"
 )
 
@@ -34,8 +36,7 @@ func (m OneShotProxyRS) Run(target Oracle, space Space, s Settings, g *rng.RNG) 
 	h := newHistory("ProxyRS", m.Proxy)
 
 	// Step 1: plain RS on the proxy (noiseless, non-private by construction).
-	// The K draws are iid, so they are one batch (see RandomSearch.Run),
-	// which asks for no true errors.
+	// The K draws are iid, so they are one batch (see RandomSearch.Run).
 	proxyMaxR := m.Proxy.MaxRounds()
 	if pc := s.Budget.MaxPerConfig; pc < proxyMaxR {
 		proxyMaxR = pc
@@ -48,11 +49,14 @@ func (m OneShotProxyRS) Run(target Oracle, space Space, s Settings, g *rng.RNG) 
 		idx = append(idx, sampleConfig(m.Proxy, gSub))
 	}
 	sc.idx = idx
-	out, _ := sc.answers(len(idx))
-	sc.batch = EvalBatch{Indices: idx, EvalIDs: proxyEvalIDs.IDs(len(idx)), SameRounds: proxyMaxR, Out: out}
+	best, bestErr := 0, 0.0
+	if len(idx) == 0 { // K = 0: the first draw wins unscored
+		g.SplitIntInto(gSub, "cfg-", 0)
+		best = sampleConfig(m.Proxy, gSub)
+	}
+	out, trueErr := sc.answers(len(idx))
+	sc.batch = EvalBatch{Indices: idx, EvalIDs: proxyEvalIDs.IDs(len(idx)), SameRounds: proxyMaxR, Out: out, True: trueErr}
 	EvaluateAll(m.Proxy, &sc.batch)
-	g.SplitIntInto(gSub, "cfg-", 0)
-	best, bestErr := sampleConfig(m.Proxy, gSub), 0.0
 	for i, err := range out {
 		if i == 0 || err < bestErr {
 			best, bestErr = idx[i], err
@@ -61,30 +65,19 @@ func (m OneShotProxyRS) Run(target Oracle, space Space, s Settings, g *rng.RNG) 
 	rsScratchPool.Put(sc)
 
 	// Step 2: train the single winner on the client data, recording its true
-	// error at every checkpoint up to the per-config budget. The transfer
-	// experiments train one pool on every dataset, so the winner usually
-	// sits at the same index in the target's pool; otherwise it is looked
-	// up there.
+	// error at every checkpoint up to the per-config budget.
 	cfg := m.Proxy.Pool()[best]
-	ti := best
-	if tp := target.Pool(); ti >= len(tp) || tp[ti] != cfg {
-		ti = poolIndex(tp, cfg)
+	ti := poolIndex(target.Pool(), cfg)
+	if ti < 0 {
+		panic(fmt.Sprintf("hpo: OneShotProxyRS: proxy winner %+v is not in the target's pool", cfg))
 	}
 	maxR := perConfigRounds(target, s)
 	rungs := RungRounds(maxR, s.Eta, 5)
 	h.Grow(len(rungs))
-	cum := 0
 	for _, r := range rungs {
-		cum = r
-		trueErr := 0.0
-		if ti >= 0 {
-			trueErr = trueErrorAt(target, ti, r)
-		} else {
-			trueErr = target.TrueError(cfg, r) // a non-member: the target decides
-		}
 		// The proxy method never consults client evaluations; Observed
 		// carries the proxy-side score so RecommendAt stays meaningful.
-		h.Add(best, r, bestErr, trueErr, cum)
+		h.Add(best, r, bestErr, trueErrorAt(target, ti, r), r)
 	}
 	return h
 }

@@ -21,15 +21,13 @@ func drainStream(t *testing.T, st *EvalStream, ans Oracle) *History {
 			}
 			return st.History()
 		}
-		if len(b.Indices) == 0 || len(b.Out) != len(b.Indices) || b.True != nil && len(b.True) != len(b.Indices) {
+		if len(b.Indices) == 0 || len(b.Out) != len(b.Indices) || len(b.True) != len(b.Indices) {
 			t.Fatalf("batch of %d asks with %d answer and %d true-error slots", len(b.Indices), len(b.Out), len(b.True))
 		}
 		for i, ci := range b.Indices {
 			cfg := ans.Pool()[ci]
 			b.Out[i] = ans.Evaluate(cfg, b.RoundsAt(i), b.EvalIDAt(i))
-			if b.True != nil {
-				b.True[i] = ans.TrueError(cfg, b.RoundsAt(i))
-			}
+			b.True[i] = ans.TrueError(cfg, b.RoundsAt(i))
 		}
 	}
 }

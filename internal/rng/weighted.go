@@ -116,17 +116,25 @@ func (s *WeightedSampler) pick(u []float64, k int) []int {
 	if k == 0 {
 		return idx[:0]
 	}
-	kth, certain := s.bracket(u, k)
-	if certain {
-		return idx[:copy(idx, s.topIdx)]
+	// The k largest lower brackets pay when k is small against n; otherwise
+	// (kth = -Inf) every positive weight is a candidate and only the
+	// brackets themselves are computed.
+	kth := math.Inf(-1)
+	if 4*k <= n {
+		var certain bool
+		if kth, certain = s.bracket(u, k); certain {
+			return idx[:copy(idx, s.topIdx)]
+		}
+	} else {
+		s.bounds(u)
 	}
-	// With no trusted k-th bracket (kth = -Inf), the brackets may still
-	// order every key: then keys holds surrogates in the same order and no
-	// key is computed. Otherwise only an item whose upper bracket reaches
-	// the k-th lower bracket can have one of the k largest keys; every other
-	// positive weight takes a key below all of those. The loop that follows
-	// returns the first position of the maximum k times, which depends on
-	// nothing else.
+	// With no trusted k-th bracket, the brackets may still order every key:
+	// then keys holds surrogates in the same order and no key is computed.
+	// Otherwise only an item whose upper bracket reaches the k-th lower
+	// bracket can have one of the k largest keys; every other positive
+	// weight takes a key below all of those. The loop that follows returns
+	// the first position of the maximum k times, which depends on nothing
+	// else.
 	if all := math.IsInf(kth, -1); !all || !s.surrogates() {
 		for i, w := range s.w {
 			switch {
@@ -155,7 +163,7 @@ func (s *WeightedSampler) pick(u []float64, k int) []int {
 	return idx[:k]
 }
 
-// surrogates decides the order of every key from the brackets bracket left,
+// surrogates decides the order of every key from the brackets bounds left,
 // when it can: each positive item must either be certainly 0 (its upper
 // bracket is below zeroCutLog2) or have a normal key (its lower bracket is at
 // least minCertifiedLog2) whose bracket is disjoint from every other such
@@ -166,6 +174,9 @@ func (s *WeightedSampler) pick(u []float64, k int) []int {
 func (s *WeightedSampler) surrogates() bool {
 	n := len(s.w)
 	lo, hi := s.lo[:n], s.keys[:n]
+	// normal holds the normal items seen so far by ascending lower bracket,
+	// pairwise disjoint, so an item needs checking against its neighbours
+	// only; the first overlap ends the attempt.
 	normal := s.normal[:0]
 	for i, w := range s.w {
 		if !(w > 0) || hi[i] < zeroCutLog2 {
@@ -174,17 +185,20 @@ func (s *WeightedSampler) surrogates() bool {
 		if !(lo[i] >= minCertifiedLog2) {
 			return false
 		}
-		j := len(normal)
-		normal = append(normal, i)
-		for ; j > 0 && lo[normal[j-1]] > lo[i]; j-- {
-			normal[j] = normal[j-1]
+		j, m := 0, len(normal) // j: the first position not below lo[i]
+		for j < m {
+			if h := int(uint(j+m) >> 1); lo[normal[h]] < lo[i] {
+				j = h + 1
+			} else {
+				m = h
+			}
 		}
-		normal[j] = i
-	}
-	for j := 1; j < len(normal); j++ {
-		if !(hi[normal[j-1]] < lo[normal[j]]) {
+		if j > 0 && !(hi[normal[j-1]] < lo[i]) || j < len(normal) && !(hi[i] < lo[normal[j]]) {
 			return false
 		}
+		normal = normal[:len(normal)+1]
+		copy(normal[j+1:], normal[j:])
+		normal[j] = i
 	}
 	for i, w := range s.w {
 		switch {
@@ -199,24 +213,20 @@ func (s *WeightedSampler) surrogates() bool {
 	return true
 }
 
-// bracket leaves in s.keys an upper bracket on log2 key_i for every item
-// (-Inf at zero weight) and in s.topLo/s.topIdx the k largest lower brackets
-// with their items, and returns the k-th of those — -Inf when it is too low
-// to be trusted or fewer than k weights are positive. certain reports that
-// exactly k brackets reach it and they are pairwise disjoint: s.topIdx is
-// then the k largest keys in descending order, with no tie among them.
+// bracket leaves in s.lo and s.keys what bounds leaves, and in
+// s.topLo/s.topIdx the k largest lower brackets with their items, and
+// returns the k-th of those — -Inf when it is too low to be trusted or fewer
+// than k weights are positive. certain reports that exactly k brackets reach
+// it and they are pairwise disjoint: s.topIdx is then the k largest keys in
+// descending order, with no tie among them.
 func (s *WeightedSampler) bracket(u []float64, k int) (kth float64, certain bool) {
 	s.topLo, s.topIdx = grow(s.topLo, k), grow(s.topIdx, k)
 	topLo, topIdx := s.topLo, s.topIdx
 	for j := range topLo {
 		topLo[j], topIdx[j] = math.Inf(-1), -1
 	}
-	n := len(s.w)
-	lo, keys := s.lo[:n], s.keys[:n]
-	bracketsInto(lo, keys, u[:n], s.inv[:n], s.margin[:n], s.lanes)
-	for _, i := range s.zero {
-		lo[i], keys[i] = math.Inf(-1), math.Inf(-1)
-	}
+	s.bounds(u)
+	lo, keys := s.lo[:len(s.w)], s.keys[:len(s.w)]
 	// Only a lower bracket above the running k-th goes through the insertion,
 	// in index order, so ties keep the earlier item ahead.
 	for i, l := range lo {
@@ -243,6 +253,17 @@ func (s *WeightedSampler) bracket(u []float64, k int) (kth float64, certain bool
 		certain = keys[topIdx[j]] < topLo[j-1]
 	}
 	return kth, certain
+}
+
+// bounds leaves in s.lo and s.keys the lower and upper brackets on log2 key_i
+// of every item, both -Inf at zero weight.
+func (s *WeightedSampler) bounds(u []float64) {
+	n := len(s.w)
+	lo, hi := s.lo[:n], s.keys[:n]
+	bracketsInto(lo, hi, u[:n], s.inv[:n], s.margin[:n], s.lanes)
+	for _, i := range s.zero {
+		lo[i], hi[i] = math.Inf(-1), math.Inf(-1)
+	}
 }
 
 // bracketsInto is brackets, through bracketsAVX2 for whole groups of four

@@ -345,7 +345,7 @@ func (s *Session) advanceLocked() {
 		if s.batch, more = s.stream.Next(); !more {
 			s.state = SessionDone
 			h := s.stream.History()
-			if i := h.BestAt(1 << 62); i >= 0 {
+			if i := h.Best(); i >= 0 {
 				rec := h.At(i)
 				s.best = &SessionTrial{
 					Index: -1, Source: "ask", Config: rec.Config, ConfigIndex: h.PoolIndex(i),
@@ -392,10 +392,7 @@ func (s *Session) Tell(req TellRequest) (TellResponse, error) {
 			}
 			trial.Observed, trial.TrueErr, trial.Rounds = ev.Observed, ev.True, ev.Rounds
 		}
-		s.batch.Out[s.pos] = trial.Observed
-		if s.batch.True != nil {
-			s.batch.True[s.pos] = trial.TrueErr
-		}
+		s.batch.Out[s.pos], s.batch.True[s.pos] = trial.Observed, trial.TrueErr
 		s.pos++
 		s.pending = nil
 		s.told++
