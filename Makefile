@@ -123,7 +123,10 @@ bench-harness:
 # exactly what re-encoding its records gives, and is prefix-stable), the run
 # submission body (FuzzRunRequest: decode with unknown fields refused,
 # Normalize, Validate never panic, Normalize is idempotent, and an accepted
-# request keys the same run after a re-encode) and the X-Trace-Spans header
+# request keys the same run after a re-encode), the session-open body
+# (FuzzSessionRequest: the same decode, Normalize and Validate never panic,
+# Normalize is idempotent, and an accepted request normalizes to itself
+# after a re-encode) and the X-Trace-Spans header
 # (FuzzTraceSpans: never panics, and what it accepts is a fixed point of
 # MarshalSpans then UnmarshalSpans). FuzzWeightedSample is differential
 # instead: bytes become weights, uniforms and k, and the bracketed selection
@@ -141,6 +144,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzShardDecode$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/dist
 	$(GO) test -run '^$$' -fuzz 'FuzzJournalReplay$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/serve/journal
 	$(GO) test -run '^$$' -fuzz 'FuzzRunRequest$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/serve
+	$(GO) test -run '^$$' -fuzz 'FuzzSessionRequest$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/serve
 	$(GO) test -run '^$$' -fuzz 'FuzzTraceSpans$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/obs
 	$(GO) test -run '^$$' -fuzz 'FuzzWeightedSample$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/rng
 	$(GO) test -run '^$$' -fuzz 'FuzzProposeCertified$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/hpo

@@ -185,7 +185,9 @@ func BenchmarkFederatedRound(b *testing.B) {
 }
 
 // BenchmarkBankEvaluation measures one noisy bank evaluation (subsample +
-// weighted aggregate), the inner loop of every experiment.
+// weighted aggregate), the inner loop of every experiment, on the shared base
+// oracle: a single ask is a one-seed visit of the row kernel, and a warm
+// visit allocates nothing.
 func BenchmarkBankEvaluation(b *testing.B) {
 	s := benchSuite(b)
 	bank := s.Bank("cifar10")
@@ -627,12 +629,12 @@ func BenchmarkObsOverhead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	trial := oracle.WithTrial(0) // scratch-backed: the warm 0-alloc path
+	trial := oracle.WithTrial(0) // the per-trial salt a RunTrials trial evaluates under
 	cfg := codecBenchBank.Configs[0]
 	reg := obs.NewRegistry()
 	hist := reg.Histogram("bench_trial_seconds", "Instrumentation-overhead bench histogram.", nil)
 	ctr := reg.Counter("bench_trials_total", "Instrumentation-overhead bench counter.")
-	trial.Evaluate(cfg, 405, "warm") // populate the scratch before timing
+	trial.Evaluate(cfg, 405, "warm") // warm the pooled visit before timing
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sink float64

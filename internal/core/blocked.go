@@ -34,14 +34,13 @@ type blockOracle struct {
 // TrueErrorAt implements hpo.BatchOracle from the row cache.
 func (b *blockOracle) TrueErrorAt(ci, rounds int) float64 {
 	b.checkIndex(ci)
-	return b.rowTrueError(ci*b.nCkpt + b.bank.CheckpointIndex(rounds))
+	return b.cachedTrueError(ci*b.nCkpt + b.bank.CheckpointIndex(rounds))
 }
 
-func (b *blockOracle) rowTrueError(k int) float64 {
+// cachedTrueError is the row cache's read of arena row k = ci*nCkpt + ri.
+func (b *blockOracle) cachedTrueError(k int) float64 {
 	if !b.filled[k] {
-		buf := b.rates(k/b.nCkpt, k%b.nCkpt)
-		b.trueErr[k] = b.full.FullError(*buf)
-		rateRows.Put(buf)
+		b.trueErr[k] = b.rowTrueError(k/b.nCkpt, k%b.nCkpt)
 		b.filled[k] = true
 	}
 	return b.trueErr[k]
@@ -274,7 +273,7 @@ func (t Tuner) RunTrialsProgress(oracle *BankOracle, n int, g *rng.RNG, onTrial 
 				ts.lastRounds, ts.lastRI = rounds, bank.CheckpointIndex(rounds)
 			}
 			row := int32(ci*nCkpt + ts.lastRI)
-			b.True[j] = bo.rowTrueError(int(row))
+			b.True[j] = bo.cachedTrueError(int(row))
 			*fill = append(*fill, waveAsk{
 				row:  row,
 				seed: ts.saltPfx.String(b.EvalIDAt(j)).Sum(),

@@ -32,10 +32,13 @@ func TestEvalSeedMatchesLegacyDerivation(t *testing.T) {
 	}
 }
 
-// TestOracleScratchPathMatchesAllocatingPath verifies the per-trial scratch
-// fast path releases byte-identical evaluations to the allocating base path
-// across every noise family, so the perf refactor cannot perturb results.
-func TestOracleScratchPathMatchesAllocatingPath(t *testing.T) {
+// TestOracleEntryPointsMatchReference pins every entry point of the oracle —
+// the base oracle and a WithTrial copy — to the allocating reference across
+// the noise families: an observation is eval.Evaluate of the row's rates on
+// rng.New(evalSeed(id)), a true error is FullError under a noiseless scheme
+// with the same weighting. The oracle runs the row kernel instead, so this
+// is what lets it do so without perturbing a recorded experiment.
+func TestOracleEntryPointsMatchReference(t *testing.T) {
 	b, _ := tinyBank(t)
 	schemes := map[string]eval.Scheme{
 		"full":     eval.Noiseless(),
@@ -46,21 +49,51 @@ func TestOracleScratchPathMatchesAllocatingPath(t *testing.T) {
 	}
 	for name, scheme := range schemes {
 		t.Run(name, func(t *testing.T) {
-			o, err := NewBankOracle(b, 0, scheme, 9)
+			base, err := NewBankOracle(b, 0, scheme, 9)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fast := o.WithTrial(2)
-			slow := o.WithTrial(2)
-			slow.scratch = nil // force the historical allocating path
-			for i, cfg := range b.Configs[:4] {
-				for _, r := range []int{3, 27} {
-					id := fmt.Sprintf("e-%d-%d", i, r)
-					if f, s := fast.Evaluate(cfg, r, id), slow.Evaluate(cfg, r, id); f != s {
-						t.Fatalf("scratch path diverged: %v vs %v (cfg %d, rounds %d)", f, s, i, r)
-					}
-					if f, s := fast.TrueError(cfg, r), slow.TrueError(cfg, r); f != s {
-						t.Fatalf("TrueError diverged: %v vs %v", f, s)
+			cnt := b.ExampleCounts[base.pi]
+			ref := eval.MustNew(cnt, scheme)
+			fullScheme := eval.Noiseless()
+			fullScheme.Weighted = scheme.Weighted
+			full := eval.MustNew(cnt, fullScheme)
+			for _, o := range []*BankOracle{base, base.WithTrial(2)} {
+				for ci, cfg := range b.Configs[:4] {
+					for _, r := range []int{3, 27} {
+						id := fmt.Sprintf("e-%d-%d", ci, r)
+						rates, err := b.ClientErrors(0, ci, r)
+						if err != nil {
+							t.Fatal(err)
+						}
+						wantObs := ref.Evaluate(rates, rng.New(o.evalSeed(id))).Observed
+						wantTrue := full.FullError(rates)
+						where := fmt.Sprintf("trial salt %q, cfg %d, rounds %d", o.trialSalt, ci, r)
+						if got := o.Evaluate(cfg, r, id); got != wantObs {
+							t.Fatalf("Evaluate = %v, reference %v (%s)", got, wantObs, where)
+						}
+						if got := o.TrueError(cfg, r); got != wantTrue {
+							t.Fatalf("TrueError = %v, reference %v (%s)", got, wantTrue, where)
+						}
+						if got := o.TrueErrorAt(ci, r); got != wantTrue {
+							t.Fatalf("TrueErrorAt = %v, reference %v (%s)", got, wantTrue, where)
+						}
+						ev, err := o.EvaluateIndex(ci, r, id)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if ev.Observed != wantObs || ev.True != wantTrue {
+							t.Fatalf("EvaluateIndex = (%v, %v), reference (%v, %v) (%s)", ev.Observed, ev.True, wantObs, wantTrue, where)
+						}
+						batch := hpo.EvalBatch{Indices: []int{ci, ci}, SameRounds: r, SameEvalID: id,
+							Out: make([]float64, 2), True: make([]float64, 2)}
+						o.EvaluateBatch(&batch)
+						for j := range batch.Out {
+							if batch.Out[j] != wantObs || batch.True[j] != wantTrue {
+								t.Fatalf("EvaluateBatch[%d] = (%v, %v), reference (%v, %v) (%s)",
+									j, batch.Out[j], batch.True[j], wantObs, wantTrue, where)
+							}
+						}
 					}
 				}
 			}
@@ -68,9 +101,13 @@ func TestOracleScratchPathMatchesAllocatingPath(t *testing.T) {
 	}
 }
 
-// TestOracleTrialEvaluateAllocationFree pins the RunTrials hot path: with a
-// warm per-trial scratch, a bank evaluation performs zero allocations.
+// TestOracleTrialEvaluateAllocationFree pins the oracle's hot path: a warm
+// visit performs zero allocations, on the base oracle and a WithTrial copy
+// alike, through every single-ask entry point.
 func TestOracleTrialEvaluateAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop a share of what is put back")
+	}
 	b, _ := tinyBank(t)
 	for name, scheme := range map[string]eval.Scheme{
 		"uniform": {Count: 3, Weighted: true},
@@ -78,26 +115,32 @@ func TestOracleTrialEvaluateAllocationFree(t *testing.T) {
 		"full":    eval.Noiseless(),
 	} {
 		t.Run(name, func(t *testing.T) {
-			o, err := NewBankOracle(b, 0, scheme, 4)
+			base, err := NewBankOracle(b, 0, scheme, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
-			trial := o.WithTrial(1)
 			cfg := b.Configs[2]
-			trial.Evaluate(cfg, 27, "warm") // warm the scratch buffers
-			allocs := testing.AllocsPerRun(100, func() {
-				trial.Evaluate(cfg, 27, "warm")
-			})
-			if allocs != 0 {
-				t.Errorf("warm trial evaluation allocates %.1f objects/op, want 0", allocs)
+			batch := hpo.EvalBatch{Indices: []int{2, 5}, SameRounds: 27, SameEvalID: "warm",
+				Out: make([]float64, 2), True: make([]float64, 2)}
+			for _, o := range []*BankOracle{base, base.WithTrial(1)} {
+				for entry, ask := range map[string]func(){
+					"Evaluate":      func() { o.Evaluate(cfg, 27, "warm") },
+					"EvaluateIndex": func() { o.EvaluateIndex(2, 27, "warm") },
+					"EvaluateBatch": func() { o.EvaluateBatch(&batch) },
+				} {
+					ask() // warm the pooled visit
+					if allocs := testing.AllocsPerRun(100, ask); allocs != 0 {
+						t.Errorf("warm %s (trial salt %q) allocates %.1f objects/op, want 0", entry, o.trialSalt, allocs)
+					}
+				}
 			}
 		})
 	}
 }
 
 // TestRunTrialsUnchangedByScratchReuse re-pins trial-level determinism from
-// the tuner's perspective: per-trial scratch must not leak state between
-// evaluations or trials (each trial owns its buffers, results depend only on
+// the tuner's perspective: pooled visits and the scheduler's reused buffers
+// must not leak state between evaluations or trials (results depend only on
 // seeds).
 func TestRunTrialsUnchangedByScratchReuse(t *testing.T) {
 	b, _ := tinyBank(t)

@@ -13,36 +13,22 @@ import (
 // BankOracle serves tuning methods from a pre-trained Bank: evaluations are
 // real subsamples/reweightings of recorded per-client errors — contiguous
 // arena rows, no pointer chasing — so hundreds of bootstrap trials cost
-// nothing beyond the one-time bank build. Each visit converts the row's
-// wrong-counts into rates (one division per client, into a pooled buffer)
-// and hands eval's kernels the []float64 they take. The base oracle is safe
-// for concurrent use (the bank is read-only, and it owns no scratch); each
-// WithTrial copy additionally carries private scratch buffers reused across
-// that trial's evaluations, making the RunTrials hot path allocation-light.
+// nothing beyond the one-time bank build. Every ask is a visit (visitRow):
+// the row's wrong-counts become rates (one division per client) in a pooled
+// buffer, a single ask's cohort runs through eval's row kernel
+// (EvaluateMulti) with its one seed, and every true error is the
+// evaluator's FullError of the same rates (its weights are the scheme's, and
+// the oracle's scheme carries no privacy). The oracle owns no scratch, so
+// the base oracle and its WithTrial copies alike are safe for concurrent use
+// and allocate nothing on a warm visit.
 type BankOracle struct {
 	bank      *Bank
 	partition float64
 	pi        int       // cached PartitionIndex(partition)
 	den       []float64 // rateDivisors(bank.ExampleCounts[pi])
 	evaluator *eval.Evaluator
-	full      *eval.Evaluator // full-pool weighted evaluator for TrueError
 	seed      uint64
 	trialSalt string
-	// noiseless: the scheme observes the whole pool without bias, so every
-	// evaluation is the pool aggregate and draws no randomness.
-	noiseless bool
-
-	// scratch is per-trial state: nil on the shared base oracle (Evaluate
-	// then allocates per call, exactly as before), owned exclusively by one
-	// goroutine on a WithTrial copy.
-	scratch *oracleScratch
-}
-
-// oracleScratch is the reusable per-trial state: the evaluator's sampling
-// buffers and one reseedable RNG, so an evaluation allocates nothing.
-type oracleScratch struct {
-	eval eval.Scratch
-	g    *rng.RNG
 }
 
 // NewBankOracle builds an oracle over the bank's given partition with the
@@ -62,29 +48,36 @@ func NewBankOracle(b *Bank, partition float64, scheme eval.Scheme, seed uint64) 
 	if err != nil {
 		return nil, err
 	}
-	fullScheme := eval.Noiseless()
-	fullScheme.Weighted = scheme.Weighted
-	full, err := eval.New(b.ExampleCounts[pi], fullScheme)
-	if err != nil {
-		return nil, err
-	}
 	return &BankOracle{bank: b, partition: partition, pi: pi, den: rateDivisors(b.ExampleCounts[pi]),
-		evaluator: ev, full: full, seed: seed, noiseless: scheme.IsFull(len(b.ExampleCounts[pi]))}, nil
+		evaluator: ev, seed: seed}, nil
 }
 
-// rateRows pools the buffers count rows are converted into. A buffer lives
-// for one evaluation, so the pool serves the base oracle, WithTrial copies
-// and the block scheduler's concurrent row workers alike without a buffer
-// per caller.
-var rateRows = sync.Pool{New: func() any { return new([]float64) }}
+// visit is one oracle ask's pooled state: the row's rates, the row kernel's
+// scratch and a one-element cohort seed list. A visit lives for one ask, so
+// the pool serves the base oracle, WithTrial copies and the block
+// scheduler's concurrent row workers alike without state per caller.
+type visit struct {
+	rates []float64
+	ms    eval.MultiScratch
+	seed  [1]uint64
+}
 
-// rates returns the error rates of arena row (ci, ri) under the oracle's
-// partition in a pooled buffer; the caller puts it back into rateRows once
-// the evaluation no longer reads it.
-func (o *BankOracle) rates(ci, ri int) *[]float64 {
-	buf := rateRows.Get().(*[]float64)
-	*buf = ratesInto(*buf, o.bank.Errs.Row(o.pi, ci, ri), o.den)
-	return buf
+var visits = sync.Pool{New: func() any { return new(visit) }}
+
+// visitRow takes a pooled visit holding the error rates of arena row
+// (ci, ri) under the oracle's partition; the caller puts it back into visits
+// once the evaluation no longer reads it.
+func (o *BankOracle) visitRow(ci, ri int) *visit {
+	v := visits.Get().(*visit)
+	v.rates = ratesInto(v.rates, o.bank.Errs.Row(o.pi, ci, ri), o.den)
+	return v
+}
+
+// observe is one noisy evaluation of the visit's row under evalID's cohort:
+// the row kernel over that cohort's one seed.
+func (o *BankOracle) observe(v *visit, evalID string) float64 {
+	v.seed[0] = o.evalSeed(evalID)
+	return o.evaluator.EvaluateMulti(v.rates, v.seed[:], &v.ms)[0].Observed
 }
 
 // trialSalts interns the "trial-<n>" salt strings shared by WithTrial copies
@@ -95,75 +88,58 @@ var trialSalts = hpo.NewIDCache("trial-")
 
 // WithTrial returns a copy whose evaluation subsamples are decorrelated from
 // other trials (bootstrap trials must observe independent client subsets).
-// The copy carries its own scratch buffers, so one trial's evaluations reuse
-// memory; use each copy from a single goroutine, as RunTrials does.
 func (o *BankOracle) WithTrial(trial int) *BankOracle {
 	c := *o
 	c.trialSalt = trialSalts.ID(trial)
-	c.scratch = &oracleScratch{g: rng.New(0)}
 	return &c
 }
 
-// row returns the error rates of (cfg, rounds) under the oracle's partition
-// in a pooled buffer (see rates).
-func (o *BankOracle) row(cfg fl.HParams, rounds int) *[]float64 {
+// poolIndex returns cfg's pool index; cfg must be a pool member.
+func (o *BankOracle) poolIndex(cfg fl.HParams) int {
 	ci, err := o.bank.ConfigIndex(cfg)
 	if err != nil {
 		panic(err)
 	}
-	return o.rates(ci, o.bank.CheckpointIndex(rounds))
-}
-
-// observe is one noisy evaluation of a rate row under evalID's cohort. A
-// noiseless scheme's cohort is the whole pool in index order, so the release
-// is the evaluator's pool aggregate — the same fl.WeightedError loop in the
-// same order as the identity subset — with no seed hash, RNG or index slice.
-func (o *BankOracle) observe(errs []float64, evalID string) float64 {
-	if o.noiseless {
-		return o.evaluator.FullError(errs)
-	}
-	if s := o.scratch; s != nil {
-		s.g.Reseed(o.evalSeed(evalID))
-		return o.evaluator.EvaluateScratch(errs, s.g, &s.eval).Observed
-	}
-	return o.evaluator.Evaluate(errs, rng.New(o.evalSeed(evalID))).Observed
+	return ci
 }
 
 // Evaluate implements hpo.Oracle.
 func (o *BankOracle) Evaluate(cfg fl.HParams, rounds int, evalID string) float64 {
-	buf := o.row(cfg, rounds)
-	v := o.observe(*buf, evalID)
-	rateRows.Put(buf)
-	return v
+	v := o.visitRow(o.poolIndex(cfg), o.bank.CheckpointIndex(rounds))
+	obs := o.observe(v, evalID)
+	visits.Put(v)
+	return obs
 }
 
 // TrueError implements hpo.Oracle: the full weighted validation error.
 func (o *BankOracle) TrueError(cfg fl.HParams, rounds int) float64 {
-	buf := o.row(cfg, rounds)
-	v := o.full.FullError(*buf)
-	rateRows.Put(buf)
-	return v
+	return o.rowTrueError(o.poolIndex(cfg), o.bank.CheckpointIndex(rounds))
 }
 
 // EvaluateBatch implements hpo.BatchOracle: each ask is Evaluate and
-// TrueError of its pool member, read from one conversion of the row.
+// TrueError of its pool member, read from one visit of the row.
 func (o *BankOracle) EvaluateBatch(b *hpo.EvalBatch) {
 	for j, ci := range b.Indices {
 		o.checkIndex(ci)
-		buf := o.rates(ci, o.bank.CheckpointIndex(b.RoundsAt(j)))
-		b.Out[j] = o.observe(*buf, b.EvalIDAt(j))
-		b.True[j] = o.full.FullError(*buf)
-		rateRows.Put(buf)
+		v := o.visitRow(ci, o.bank.CheckpointIndex(b.RoundsAt(j)))
+		b.Out[j] = o.observe(v, b.EvalIDAt(j))
+		b.True[j] = o.evaluator.FullError(v.rates)
+		visits.Put(v)
 	}
 }
 
 // TrueErrorAt implements hpo.BatchOracle: TrueError of pool member ci.
 func (o *BankOracle) TrueErrorAt(ci, rounds int) float64 {
 	o.checkIndex(ci)
-	buf := o.rates(ci, o.bank.CheckpointIndex(rounds))
-	v := o.full.FullError(*buf)
-	rateRows.Put(buf)
-	return v
+	return o.rowTrueError(ci, o.bank.CheckpointIndex(rounds))
+}
+
+// rowTrueError is the true error of arena row (ci, ri).
+func (o *BankOracle) rowTrueError(ci, ri int) float64 {
+	v := o.visitRow(ci, ri)
+	e := o.evaluator.FullError(v.rates)
+	visits.Put(v)
+	return e
 }
 
 // checkIndex panics unless ci names a pool member: a method asking outside
@@ -192,10 +168,10 @@ type ConfigEval struct {
 // rounds (not exceeding it) under evalID's cohort, addressing the config by
 // index instead of by value — the entry point for ask/tell sessions, where
 // external callers speak pool indices. It is exactly Evaluate for
-// bank.Configs[ci] with the same evalID (same cohort seed, same scratch
-// reuse: zero allocations on a WithTrial copy), plus the true error from the
-// same arena row. Out-of-range indices and out-of-range rounds return errors
-// instead of panicking, because they arrive from the network.
+// bank.Configs[ci] with the same evalID (same cohort seed, same visit: zero
+// allocations once warm), plus the true error from the same arena row.
+// Out-of-range indices and out-of-range rounds return errors instead of
+// panicking, because they arrive from the network.
 func (o *BankOracle) EvaluateIndex(ci, rounds int, evalID string) (ConfigEval, error) {
 	if ci < 0 || ci >= len(o.bank.Configs) {
 		return ConfigEval{}, fmt.Errorf("core: config index %d outside pool [0, %d)", ci, len(o.bank.Configs))
@@ -204,14 +180,14 @@ func (o *BankOracle) EvaluateIndex(ci, rounds int, evalID string) (ConfigEval, e
 		return ConfigEval{}, fmt.Errorf("core: rounds %d must be ≥ 1", rounds)
 	}
 	ri := o.bank.CheckpointIndex(rounds)
-	buf := o.rates(ci, ri)
+	v := o.visitRow(ci, ri)
 	ev := ConfigEval{
 		ConfigIndex: ci,
 		Rounds:      o.bank.Rounds[ri],
-		Observed:    o.observe(*buf, evalID),
-		True:        o.full.FullError(*buf),
+		Observed:    o.observe(v, evalID),
+		True:        o.evaluator.FullError(v.rates),
 	}
-	rateRows.Put(buf)
+	visits.Put(v)
 	return ev, nil
 }
 
@@ -261,13 +237,13 @@ func (o *BankOracle) evalSeedPrefix(trialSalt string) rng.FNV64a {
 // row of pool config ci at checkpoint index ri once for every cohort seed,
 // returning one Result per seed (valid until the scratch's next use). Cohort
 // c is bit-identical to Evaluate on a WithTrial copy whose evalSeed equals
-// seeds[c]; the block scheduler uses this to answer a whole wave of asks
-// that share a row with a single walk of it, and a single conversion of its
-// counts into rates.
+// seeds[c] — both run the same kernel; the block scheduler uses this to
+// answer a whole wave of asks that share a row with a single walk of it, and
+// a single conversion of its counts into rates.
 func (o *BankOracle) EvaluateRows(ci, ri int, seeds []uint64, ms *eval.MultiScratch) []eval.Result {
-	buf := o.rates(ci, ri)
-	rs := o.evaluator.EvaluateMulti(*buf, seeds, ms)
-	rateRows.Put(buf)
+	v := o.visitRow(ci, ri)
+	rs := o.evaluator.EvaluateMulti(v.rates, seeds, ms)
+	visits.Put(v)
 	return rs
 }
 

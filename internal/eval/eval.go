@@ -165,42 +165,20 @@ type Result struct {
 	Observed float64
 	// Sampled is the subsample aggregate before DP noise.
 	Sampled float64
-	// Subset holds the sampled client indices. When the evaluation ran
-	// through EvaluateScratch, it aliases the scratch's buffers and is only
-	// valid until the scratch's next use.
+	// Subset holds the sampled client indices.
 	Subset []int
-}
-
-// Scratch holds the reusable buffers of one evaluation stream: repeated
-// EvaluateScratch calls through the same scratch allocate nothing. A scratch
-// belongs to one goroutine at a time (the bank oracle gives each bootstrap
-// trial its own). The zero value is ready to use; buffers grow on first use
-// and are reused afterwards.
-type Scratch struct {
-	idx  []int               // subset sample buffer (uniform sampling)
-	bias []float64           // per-client bias weights (biased sampling only)
-	ws   rng.WeightedSampler // biased subset draws over bias
 }
 
 // Evaluate produces one noisy evaluation of the per-client error vector
 // errs. The caller provides the RNG stream; pass distinct streams for
-// distinct evaluation calls to model independent evaluation rounds.
+// distinct evaluation calls to model independent evaluation rounds. Every
+// call allocates its subset: this is the reference form, and EvaluateMulti
+// is the reusable-scratch kernel pinned bit-identical to it.
 func (e *Evaluator) Evaluate(errs []float64, g *rng.RNG) Result {
-	return e.EvaluateScratch(errs, g, nil)
-}
-
-// EvaluateScratch is Evaluate with caller-owned scratch buffers (nil scratch
-// allocates per call, exactly like Evaluate). Randomness consumption and the
-// released values are identical to Evaluate; only the allocation profile
-// differs, so the two forms are interchangeable without perturbing
-// reproducibility. This is the hot-path form RunTrials drives: hundreds of
-// bootstrap trials evaluating thousands of contiguous bank rows with zero
-// steady-state allocations.
-func (e *Evaluator) EvaluateScratch(errs []float64, g *rng.RNG, s *Scratch) Result {
 	if len(errs) != len(e.weights) {
 		panic(fmt.Sprintf("eval: error vector length %d, want %d clients", len(errs), len(e.weights)))
 	}
-	subset := e.sampleSubset(errs, g, s)
+	subset := e.sampleSubset(errs, g)
 	sampled := fl.WeightedError(errs, e.weights, subset)
 	observed := sampled
 	if e.scheme.DP.Private() {
@@ -250,26 +228,22 @@ func WorstClientError(errs []float64) float64 { return TailError(errs, 1) }
 // sampleSubset draws |S| clients: uniformly when Bias == 0, otherwise with
 // probability proportional to (accuracy + δ)^b — the paper's model of
 // systems heterogeneity where well-performing (fast, well-connected) devices
-// participate more often. A non-nil scratch supplies every buffer.
-func (e *Evaluator) sampleSubset(errs []float64, g *rng.RNG, s *Scratch) []int {
-	if s == nil {
-		s = &Scratch{}
-	}
-	if e.scheme.Bias != 0 {
-		s.bias = e.biasWeights(s.bias, errs)
-		s.ws.Reset(s.bias)
-		return s.ws.Sample(g, e.scheme.Count)
-	}
-	n := len(errs)
-	k := e.scheme.Count
-	s.idx = grow(s.idx, n)
-	if k >= n {
-		for i := range s.idx {
-			s.idx[i] = i
+// participate more often.
+func (e *Evaluator) sampleSubset(errs []float64, g *rng.RNG) []int {
+	n, k := len(errs), e.scheme.Count
+	switch {
+	case e.scheme.Bias != 0:
+		return g.WeightedSampleWithoutReplacement(e.biasWeights(nil, errs), k)
+	case k >= n:
+		// The full pool in index order: no randomness drawn.
+		idx := make([]int, n)
+		for i := range idx {
+			idx[i] = i
 		}
-		return s.idx
+		return idx
+	default:
+		return g.SampleWithoutReplacement(n, k)
 	}
-	return g.SampleWithoutReplacementInto(n, k, s.idx)
 }
 
 // biasWeights returns buf, grown to the pool size, holding the sampling

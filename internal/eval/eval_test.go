@@ -322,71 +322,3 @@ func TestTailExceedsMeanOnSkewedVectors(t *testing.T) {
 		t.Errorf("tail %.2f should dwarf mean %.2f on skewed vectors", tail, mean)
 	}
 }
-
-// TestEvaluateScratchMatchesEvaluate pins the scratch fast path to the
-// allocating path: identical RNG consumption, identical releases, across
-// every scheme family — the contract that lets the bank oracle swap paths
-// without perturbing any recorded experiment.
-func TestEvaluateScratchMatchesEvaluate(t *testing.T) {
-	g := rng.New(5)
-	errs := make([]float64, 40)
-	for i := range errs {
-		errs[i] = g.Float64()
-	}
-	schemes := map[string]Scheme{
-		"full":      Noiseless(),
-		"subsample": {Count: 7, Weighted: true},
-		"biased":    {Count: 5, Weighted: true, Bias: 2.5},
-		"dp":        {Count: 6, DP: dp.Params{Epsilon: 1, TotalEvals: 4}},
-	}
-	for name, scheme := range schemes {
-		t.Run(name, func(t *testing.T) {
-			e := MustNew(counts(40, 3), scheme)
-			var s Scratch
-			for i := 0; i < 10; i++ {
-				seed := uint64(100 + i)
-				a := e.Evaluate(errs, rng.New(seed))
-				b := e.EvaluateScratch(errs, rng.New(seed), &s)
-				if a.Observed != b.Observed || a.Sampled != b.Sampled {
-					t.Fatalf("iteration %d: scratch (%v, %v) != allocating (%v, %v)",
-						i, b.Observed, b.Sampled, a.Observed, a.Sampled)
-				}
-				if len(a.Subset) != len(b.Subset) {
-					t.Fatalf("subset lengths differ: %d vs %d", len(a.Subset), len(b.Subset))
-				}
-				for k := range a.Subset {
-					if a.Subset[k] != b.Subset[k] {
-						t.Fatalf("subsets differ at %d", k)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestEvaluateScratchAllocationFree pins the warm-scratch allocation profile
-// for the non-DP schemes the oracle hot path drives.
-func TestEvaluateScratchAllocationFree(t *testing.T) {
-	errs := make([]float64, 30)
-	for i := range errs {
-		errs[i] = float64(i) / 40
-	}
-	for name, scheme := range map[string]Scheme{
-		"full":      Noiseless(),
-		"subsample": {Count: 5, Weighted: true},
-		"biased":    {Count: 5, Weighted: true, Bias: 1.5},
-	} {
-		t.Run(name, func(t *testing.T) {
-			e := MustNew(counts(30, 2), scheme)
-			var s Scratch
-			g := rng.New(3)
-			e.EvaluateScratch(errs, g, &s) // warm buffers
-			allocs := testing.AllocsPerRun(100, func() {
-				e.EvaluateScratch(errs, g, &s)
-			})
-			if allocs != 0 {
-				t.Errorf("warm EvaluateScratch allocates %.1f objects/op, want 0", allocs)
-			}
-		})
-	}
-}

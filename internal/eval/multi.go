@@ -7,11 +7,12 @@ import (
 	"noisyeval/internal/rng"
 )
 
-// MultiScratch holds the reusable state of a blocked evaluation sweep:
-// repeated EvaluateMulti calls through the same scratch allocate nothing once
-// the buffers have grown to the pool size. A scratch belongs to one goroutine
-// at a time (the block scheduler gives each worker its own). The zero value
-// is ready to use.
+// MultiScratch holds the reusable state of an evaluation sweep: repeated
+// EvaluateMulti calls through the same scratch allocate nothing once the
+// buffers have grown to the largest pool seen, and one scratch may serve
+// rows of different pool sizes in turn. A scratch belongs to one goroutine
+// at a time (the block scheduler gives each worker its own; the bank oracle
+// pools one per single ask). The zero value is ready to use.
 type MultiScratch struct {
 	g       *rng.RNG            // reseeded once per cohort
 	results []Result            // returned slice, reused across calls
@@ -42,17 +43,19 @@ func (s *MultiScratch) ensureIdentity(n int) {
 //
 //	g := rng.New(seeds[c]); e.Evaluate(errs, g)
 //
-// (equivalently EvaluateScratch on a Reseed'd stream): each cohort's draws
-// come from its own reseeded stream, so batching changes neither randomness
-// consumption nor the released values. The row-invariant work is hoisted out
-// of the per-cohort loop: full-pool aggregates are computed once and shared,
-// bias weights (accuracy+δ)^b are computed once per row, and the uniform
-// sampler reuses a persistent identity permutation with undo records instead
-// of refilling a pool-sized buffer per cohort.
+// each cohort's draws come from its own reseeded stream, so batching changes
+// neither randomness consumption nor the released values. This is the one
+// sampling kernel behind the bank oracle: a block-scheduler wave passes every
+// cohort that shares a row, a single ask passes its one seed. The
+// row-invariant work is hoisted out of the per-cohort loop: full-pool
+// aggregates are computed once and shared (and draw no randomness), bias
+// weights (accuracy+δ)^b are computed once per row, and the uniform sampler
+// reuses a persistent identity permutation with undo records instead of
+// refilling a pool-sized buffer per cohort.
 //
 // The returned slice and any buffers it references are owned by the scratch
 // and valid until its next use. Unlike Evaluate, Result.Subset is nil: the
-// blocked path only consumes the released scalars, and retaining per-cohort
+// oracle only consumes the released scalars, and retaining per-cohort
 // subsets would force a pool-sized allocation per cohort.
 func (e *Evaluator) EvaluateMulti(errs []float64, seeds []uint64, s *MultiScratch) []Result {
 	if len(errs) != len(e.weights) {

@@ -70,6 +70,24 @@ func TestEvaluateMultiMatchesEvaluate(t *testing.T) {
 					t.Fatalf("reused scratch cohort %d: got %v, want %v", c, again[c].Observed, want.Observed)
 				}
 			}
+			// One-seed sweeps through the same scratch — the bank oracle's
+			// single-ask form — over rows of two pool sizes in turn
+			// (40 → 25 → 40), as a pooled visit meets banks with different
+			// client counts.
+			for step, m := range []int{n, 25, n} {
+				e, err := New(counts(m, 7+step), scheme)
+				if err != nil {
+					t.Fatal(err)
+				}
+				errs := multiRow(m, rng.New(uint64(11+step)))
+				for _, seed := range seeds {
+					one := e.EvaluateMulti(errs, []uint64{seed}, &ms)
+					want := e.Evaluate(errs, rng.New(seed))
+					if len(one) != 1 || one[0].Observed != want.Observed || one[0].Sampled != want.Sampled {
+						t.Fatalf("one-seed sweep (%d clients, seed %d): got %v, want (%v, %v)", m, seed, one, want.Observed, want.Sampled)
+					}
+				}
+			}
 		})
 	}
 }

@@ -140,3 +140,65 @@ func FuzzRunRequest(f *testing.F) {
 		}
 	})
 }
+
+// decodeSessionRequest decodes a POST /v1/sessions body the way the handler
+// does: unknown fields are an error.
+func decodeSessionRequest(data []byte) (SessionRequest, error) {
+	var r SessionRequest
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&r)
+	return r, err
+}
+
+// FuzzSessionRequest feeds arbitrary bytes through the session-open front
+// half: decode with unknown fields refused, Normalize, Validate. None of it
+// may panic; Normalize must be idempotent; and an accepted request must
+// normalize to itself again after a re-encode and still validate.
+func FuzzSessionRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{"dataset":"cifar10"}`,
+		`{"dataset":"cifar10","method":"rs","noise":{"sample_count":2}}`,
+		`{"dataset":" CIFAR10 ","method":" External ","scale":"  ","trial":3,"seed":9}`,
+		`{"dataset":"femnist","method":"Hyperband","scale":"QUICK","noise":{"sample_count":3,"bias":1.5,"epsilon":10}}`,
+		`{"dataset":"reddit","method":"tpe","noise":{"sample_fraction":0.5,"heterogeneity_p":1,"uniform":true}}`,
+		`{"dataset":"cifar10","trial":-1}`,
+		`{"dataset":"cifar10","trial":1000000}`,
+		`{"dataset":"cifar10","bogus":1}`,
+		`{"dataset":"cifar10","noise":{"bias":-0}}`,
+		`[]`, `null`, ``,
+	} {
+		f.Add([]byte(seed))
+	}
+	scales := []string{DefaultScale}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := decodeSessionRequest(data)
+		if err != nil {
+			return
+		}
+		r.Normalize()
+		again := r
+		again.Normalize()
+		if again != r {
+			t.Fatalf("Normalize is not idempotent: %+v, then %+v", r, again)
+		}
+		if r.Validate(scales) != nil {
+			return
+		}
+		enc, err := json.Marshal(r)
+		if err != nil {
+			t.Fatalf("re-encode %+v: %v", r, err)
+		}
+		back, err := decodeSessionRequest(enc)
+		if err != nil {
+			t.Fatalf("decode of re-encoded %s: %v", enc, err)
+		}
+		back.Normalize()
+		if back != r {
+			t.Fatalf("re-encoded %s normalizes to %+v, want %+v", enc, back, r)
+		}
+		if err := back.Validate(scales); err != nil {
+			t.Fatalf("re-encoded %s no longer validates: %v", enc, err)
+		}
+	})
+}

@@ -358,7 +358,10 @@ func (s *Session) advanceLocked() {
 	}
 }
 
-// Tell answers pending asks and/or evaluates caller-proposed configurations.
+// Tell answers the pending ask and/or evaluates caller-proposed
+// configurations. A tell applies all of its items or none: every item is
+// checked against the session — as the items before it would leave it —
+// before anything changes.
 func (s *Session) Tell(req TellRequest) (TellResponse, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -368,46 +371,35 @@ func (s *Session) Tell(req TellRequest) (TellResponse, error) {
 	if len(req.Answers) > 0 && s.stream == nil {
 		return TellResponse{}, codef(CodeExternalSession, "session %s is externally driven: there are no asks to answer", s.ID)
 	}
-
-	resp := TellResponse{Results: []SessionTrial{}}
-	for _, a := range req.Answers {
+	for i, a := range req.Answers {
 		pending := s.pending
-		if pending == nil {
+		switch {
+		case i > 0:
+			// Asks are sequential: the answer before this one used up the
+			// only pending ask.
+			return TellResponse{}, codef(CodeNoPendingAsk, "tell %d: no pending ask after ask %d (answer one ask per tell)", a.AskID, req.Answers[0].AskID)
+		case pending == nil:
 			return TellResponse{}, codef(CodeNoPendingAsk, "tell %d: no pending ask (call ask first)", a.AskID)
-		}
-		if pending.ID != a.AskID {
+		case pending.ID != a.AskID:
 			return TellResponse{}, codef(CodeAskMismatch, "tell %d: pending ask is %d", a.AskID, pending.ID)
 		}
-		trial := SessionTrial{
-			Source: "ask", AskID: &pending.ID, ConfigIndex: pending.ConfigIndex, Config: pending.Config,
-			Rounds: pending.Rounds, EvalID: pending.EvalID,
-		}
-		if a.Observed != nil {
-			trial.Observed = *a.Observed
-			trial.TrueErr = s.oracle.TrueErrorAt(pending.ConfigIndex, pending.Rounds)
-		} else {
-			ev, err := s.oracle.EvaluateIndex(pending.ConfigIndex, pending.Rounds, pending.EvalID)
-			if err != nil {
-				return TellResponse{}, codef(CodeInternal, "evaluate ask %d: %v", a.AskID, err)
-			}
-			trial.Observed, trial.TrueErr, trial.Rounds = ev.Observed, ev.True, ev.Rounds
-		}
-		s.batch.Out[s.pos], s.batch.True[s.pos] = trial.Observed, trial.TrueErr
-		s.pos++
-		s.pending = nil
-		s.told++
-		s.recordLocked(trial)
+	}
+	plans, err := s.planEvaluateLocked(req.Evaluate)
+	if err != nil {
+		return TellResponse{}, err
 	}
 
-	for _, e := range req.Evaluate {
-		trial, err := s.evaluateLocked(e)
-		if err != nil {
+	resp := TellResponse{Results: []SessionTrial{}}
+	if len(req.Answers) > 0 {
+		if err := s.answerLocked(req.Answers[0]); err != nil {
 			return TellResponse{}, err
 		}
-		resp.Results = append(resp.Results, trial)
+	}
+	for _, p := range plans {
+		resp.Results = append(resp.Results, s.evaluateLocked(p))
 	}
 
-	// Let the method absorb the answers so the response reports an accurate
+	// Let the method absorb the answer so the response reports an accurate
 	// done/state; its next suggestion stays parked for the next ask.
 	if len(req.Answers) > 0 {
 		s.advanceLocked()
@@ -423,65 +415,121 @@ func (s *Session) Tell(req TellRequest) (TellResponse, error) {
 	return resp, nil
 }
 
-// evaluateLocked serves one caller-proposed evaluation: resolve the config
-// (by index, or by vector snapped to the pool), charge the incremental
-// training cost against the budget, and read the oracle.
-func (s *Session) evaluateLocked(e TellEval) (SessionTrial, error) {
-	pool := s.oracle.Pool()
-	var ci int
-	switch {
-	case e.ConfigIndex != nil && e.Config != nil:
-		return SessionTrial{}, codef(CodeBadRequest, "evaluate: config_index and config are mutually exclusive")
-	case e.ConfigIndex != nil:
-		ci = *e.ConfigIndex
-		if ci < 0 || ci >= len(pool) {
-			return SessionTrial{}, codef(CodeBadRequest, "evaluate: config_index %d outside pool [0, %d)", ci, len(pool))
+// answerLocked records the answer to the pending ask, which the caller has
+// matched: the caller's own value, or the oracle's evaluation of the ask.
+func (s *Session) answerLocked(a TellAnswer) error {
+	pending := s.pending
+	trial := SessionTrial{
+		Source: "ask", AskID: &pending.ID, ConfigIndex: pending.ConfigIndex, Config: pending.Config,
+		Rounds: pending.Rounds, EvalID: pending.EvalID,
+	}
+	if a.Observed != nil {
+		trial.Observed = *a.Observed
+		trial.TrueErr = s.oracle.TrueErrorAt(pending.ConfigIndex, pending.Rounds)
+	} else {
+		ev, err := s.oracle.EvaluateIndex(pending.ConfigIndex, pending.Rounds, pending.EvalID)
+		if err != nil {
+			return codef(CodeInternal, "evaluate ask %d: %v", a.AskID, err)
 		}
-	case e.Config != nil:
-		ci = hpo.NearestConfig(pool, *e.Config, hpo.DefaultSpace())
-	default:
-		return SessionTrial{}, codef(CodeBadRequest, "evaluate: one of config_index or config is required")
+		trial.Observed, trial.TrueErr, trial.Rounds = ev.Observed, ev.True, ev.Rounds
 	}
-	rounds := e.Rounds
-	if rounds == 0 {
-		rounds = s.oracle.MaxRounds()
-	}
-	if rounds < 1 || rounds > s.oracle.MaxRounds() {
-		return SessionTrial{}, codef(CodeBadRequest, "evaluate: rounds %d outside [1, %d]", rounds, s.oracle.MaxRounds())
-	}
-	evalID := e.EvalID
-	if evalID == "" {
-		evalID = fmt.Sprintf("tell-%d", s.evals)
-	}
+	s.batch.Out[s.pos], s.batch.True[s.pos] = trial.Observed, trial.TrueErr
+	s.pos++
+	s.pending = nil
+	s.told++
+	s.recordLocked(trial)
+	return nil
+}
 
-	// Incremental budget: advancing config ci to a checkpoint charges only
-	// the rounds past its previous high-water mark, mirroring the
-	// checkpoint-reuse accounting of SHA and the bank build itself.
-	ev, err := s.oracle.EvaluateIndex(ci, rounds, evalID)
+// evalPlan is one checked evaluate item: the pool index it resolved to, the
+// checkpoint it reads, its cohort and the rounds it charges.
+type evalPlan struct {
+	ci, rounds int
+	evalID     string
+	cost       int
+}
+
+// planEvaluateLocked checks the caller-proposed evaluations — the config (by
+// index, or by vector snapped to the pool), the rounds, and the incremental
+// training cost of each against the budget left by the items before it —
+// and changes nothing.
+func (s *Session) planEvaluateLocked(items []TellEval) ([]evalPlan, error) {
+	bank := s.oracle.Bank()
+	pool, maxRounds := bank.Configs, bank.MaxRounds()
+	plans := make([]evalPlan, 0, len(items))
+	spent := s.spent
+	var trained map[int]int // high-water marks raised by earlier items
+	for j, e := range items {
+		var ci int
+		switch {
+		case e.ConfigIndex != nil && e.Config != nil:
+			return nil, codef(CodeBadRequest, "evaluate: config_index and config are mutually exclusive")
+		case e.ConfigIndex != nil:
+			ci = *e.ConfigIndex
+			if ci < 0 || ci >= len(pool) {
+				return nil, codef(CodeBadRequest, "evaluate: config_index %d outside pool [0, %d)", ci, len(pool))
+			}
+		case e.Config != nil:
+			ci = hpo.NearestConfig(pool, *e.Config, hpo.DefaultSpace())
+		default:
+			return nil, codef(CodeBadRequest, "evaluate: one of config_index or config is required")
+		}
+		rounds := e.Rounds
+		if rounds == 0 {
+			rounds = maxRounds
+		}
+		if rounds < 1 || rounds > maxRounds {
+			return nil, codef(CodeBadRequest, "evaluate: rounds %d outside [1, %d]", rounds, maxRounds)
+		}
+		evalID := e.EvalID
+		if evalID == "" {
+			evalID = fmt.Sprintf("tell-%d", s.evals+j)
+		}
+
+		// Incremental budget: advancing config ci to a checkpoint charges
+		// only the rounds past its previous high-water mark, mirroring the
+		// checkpoint-reuse accounting of SHA and the bank build itself.
+		read := bank.Rounds[bank.CheckpointIndex(rounds)]
+		high, ok := trained[ci]
+		if !ok {
+			high = s.trained[ci]
+		}
+		cost := max(read-high, 0)
+		if spent+cost > s.settings.Budget.TotalRounds {
+			return nil, codef(CodeBudgetExhausted,
+				"evaluate: %d rounds would exceed the session budget (%d spent of %d)",
+				cost, spent, s.settings.Budget.TotalRounds)
+		}
+		spent += cost
+		if read > high {
+			if trained == nil {
+				trained = map[int]int{}
+			}
+			trained[ci] = read
+		}
+		plans = append(plans, evalPlan{ci: ci, rounds: rounds, evalID: evalID, cost: cost})
+	}
+	return plans, nil
+}
+
+// evaluateLocked serves one checked evaluation: read the oracle, charge the
+// planned cost and log the trial.
+func (s *Session) evaluateLocked(p evalPlan) SessionTrial {
+	ev, err := s.oracle.EvaluateIndex(p.ci, p.rounds, p.evalID)
 	if err != nil {
-		return SessionTrial{}, codef(CodeBadRequest, "evaluate: %v", err)
+		panic(err) // planEvaluateLocked checked the index and rounds
 	}
-	cost := ev.Rounds - s.trained[ci]
-	if cost < 0 {
-		cost = 0
-	}
-	if s.spent+cost > s.settings.Budget.TotalRounds {
-		return SessionTrial{}, codef(CodeBudgetExhausted,
-			"evaluate: %d rounds would exceed the session budget (%d spent of %d)",
-			cost, s.spent, s.settings.Budget.TotalRounds)
-	}
-	s.spent += cost
-	if ev.Rounds > s.trained[ci] {
-		s.trained[ci] = ev.Rounds
+	s.spent += p.cost
+	if ev.Rounds > s.trained[p.ci] {
+		s.trained[p.ci] = ev.Rounds
 	}
 	s.evals++
-
 	trial := SessionTrial{
-		Source: "tell", ConfigIndex: ci, Config: pool[ci],
-		Rounds: ev.Rounds, Observed: ev.Observed, TrueErr: ev.True, EvalID: evalID,
+		Source: "tell", ConfigIndex: p.ci, Config: s.oracle.Pool()[p.ci],
+		Rounds: ev.Rounds, Observed: ev.Observed, TrueErr: ev.True, EvalID: p.evalID,
 	}
 	s.recordLocked(trial)
-	return trial, nil
+	return trial
 }
 
 // recordLocked appends to the trial log and updates the running best.

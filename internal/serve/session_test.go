@@ -483,6 +483,55 @@ func TestSessionErrorPaths(t *testing.T) {
 		t.Errorf("ask mismatch: got %d %q", code, env.Error.Code)
 	}
 
+	// A tell applies all of its items or none: a body whose later item is
+	// refused leaves the session's status as it was, and the pending ask
+	// can still be answered.
+	status := func(id string) SessionStatus {
+		var st SessionStatus
+		if code, _ := ts.doJSON(t, "GET", "/v1/sessions/"+id, "", &st); code != 200 {
+			t.Fatalf("status %s: %d", id, code)
+		}
+		return st
+	}
+	overBudget := `{"evaluate":[`
+	for ci := 0; ci <= ext.BudgetRounds/ext.MaxRounds; ci++ {
+		if ci > 0 {
+			overBudget += ","
+		}
+		overBudget += fmt.Sprintf(`{"config_index":%d}`, ci%ext.PoolSize)
+	}
+	overBudget += `]}`
+	if ext.BudgetRounds/ext.MaxRounds+1 > ext.PoolSize {
+		t.Fatalf("pool of %d too small to exceed a %d-round budget at %d rounds per config", ext.PoolSize, ext.BudgetRounds, ext.MaxRounds)
+	}
+	a := ask.Asks[0].ID
+	for _, tc := range []struct {
+		name, id, body string
+		status         int
+		code           string
+	}{
+		{"two answers", driven.ID, fmt.Sprintf(`{"answers":[{"ask_id":%d},{"ask_id":%d}]}`, a, a+1), 400, CodeNoPendingAsk},
+		{"answer then bad evaluate", driven.ID, fmt.Sprintf(`{"answers":[{"ask_id":%d}],"evaluate":[{"config_index":-1}]}`, a), 400, CodeBadRequest},
+		{"good then bad index", ext.ID, `{"evaluate":[{"config_index":0},{"config_index":9999}]}`, 400, CodeBadRequest},
+		{"good then bad rounds", ext.ID, `{"evaluate":[{"config_index":0},{"config_index":1,"rounds":-3}]}`, 400, CodeBadRequest},
+		{"cumulative budget", ext.ID, overBudget, 409, CodeBudgetExhausted},
+	} {
+		before := status(tc.id)
+		if code, env := ts.doJSON(t, "POST", "/v1/sessions/"+tc.id+"/tell", tc.body, nil); code != tc.status || env.Error.Code != tc.code {
+			t.Errorf("%s: got %d %q, want %d %q (%s)", tc.name, code, env.Error.Code, tc.status, tc.code, env.Error.Message)
+		}
+		if after := status(tc.id); !reflect.DeepEqual(after, before) {
+			t.Errorf("%s: a refused tell changed the session:\nbefore %+v\nafter  %+v", tc.name, before, after)
+		}
+	}
+	var told TellResponse
+	if code, env := ts.doJSON(t, "POST", "/v1/sessions/"+driven.ID+"/tell", fmt.Sprintf(`{"answers":[{"ask_id":%d}]}`, a), &told); code != 200 {
+		t.Fatalf("answer after refused tells: %d %q", code, env.Error.Code)
+	}
+	if st := status(driven.ID); st.Told != 1 || len(st.Trials) != 1 {
+		t.Errorf("after one answer: told=%d trials=%d, want 1 and 1", st.Told, len(st.Trials))
+	}
+
 	// Terminal sessions reject ask and tell with 409 session_terminal.
 	if code, _ := ts.doJSON(t, "DELETE", "/v1/sessions/"+ext.ID, "", nil); code != 200 {
 		t.Fatalf("close: %d", code)
