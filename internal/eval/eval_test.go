@@ -322,3 +322,72 @@ func TestTailExceedsMeanOnSkewedVectors(t *testing.T) {
 		t.Errorf("tail %.2f should dwarf mean %.2f on skewed vectors", tail, mean)
 	}
 }
+
+// TestEvaluateScratchMatchesEvaluate pins the single-ask form of the row
+// kernel — one seed through a reused MultiScratch, as the bank oracle runs
+// every single ask — to the allocating path: identical RNG consumption and
+// identical releases across every scheme family, so no recorded experiment
+// moves.
+func TestEvaluateScratchMatchesEvaluate(t *testing.T) {
+	g := rng.New(5)
+	errs := make([]float64, 40)
+	for i := range errs {
+		errs[i] = g.Float64()
+	}
+	schemes := map[string]Scheme{
+		"full":      Noiseless(),
+		"subsample": {Count: 7, Weighted: true},
+		"biased":    {Count: 5, Weighted: true, Bias: 2.5},
+		"dp":        {Count: 6, DP: dp.Params{Epsilon: 1, TotalEvals: 4}},
+	}
+	for name, scheme := range schemes {
+		t.Run(name, func(t *testing.T) {
+			e := MustNew(counts(40, 3), scheme)
+			var s MultiScratch
+			for i := 0; i < 10; i++ {
+				seed := uint64(100 + i)
+				a := e.Evaluate(errs, rng.New(seed))
+				b := e.EvaluateMulti(errs, []uint64{seed}, &s)
+				if len(b) != 1 {
+					t.Fatalf("iteration %d: one seed gave %d results", i, len(b))
+				}
+				if a.Observed != b[0].Observed || a.Sampled != b[0].Sampled {
+					t.Fatalf("iteration %d: scratch (%v, %v) != allocating (%v, %v)",
+						i, b[0].Observed, b[0].Sampled, a.Observed, a.Sampled)
+				}
+				if b[0].Subset != nil {
+					t.Fatalf("iteration %d: kernel result retains a subset", i)
+				}
+			}
+		})
+	}
+}
+
+// TestEvaluateScratchAllocationFree pins the warm-scratch allocation profile
+// of a single ask — one seed through the row kernel — for the non-DP schemes
+// the oracle hot path drives.
+func TestEvaluateScratchAllocationFree(t *testing.T) {
+	errs := make([]float64, 30)
+	for i := range errs {
+		errs[i] = float64(i) / 40
+	}
+	for name, scheme := range map[string]Scheme{
+		"full":      Noiseless(),
+		"subsample": {Count: 5, Weighted: true},
+		"biased":    {Count: 5, Weighted: true, Bias: 1.5},
+	} {
+		t.Run(name, func(t *testing.T) {
+			e := MustNew(counts(30, 2), scheme)
+			var s MultiScratch
+			seed := []uint64{3}
+			e.EvaluateMulti(errs, seed, &s) // warm buffers
+			allocs := testing.AllocsPerRun(100, func() {
+				seed[0]++
+				e.EvaluateMulti(errs, seed, &s)
+			})
+			if allocs != 0 {
+				t.Errorf("warm one-seed EvaluateMulti allocates %.1f objects/op, want 0", allocs)
+			}
+		})
+	}
+}
