@@ -14,10 +14,11 @@
 #                    the committed BENCH_baseline.json (tools/benchdiff)
 #   make bench-harness vet + short tests of the bench/ module (BENCHMARK.json's
 #                    harness; its own go.mod, so `go test ./...` never sees it)
-#   make fuzz        short coverage-guided fuzz pass over the five decoders
+#   make fuzz        short coverage-guided fuzz pass over the decoders
 #                    that read bytes from disk or the wire (bankfmt/v5 bank
 #                    image, dist shard upload, run journal, run submission,
-#                    trace-span header), the two
+#                    session-open body, trace-span header, the client's
+#                    event stream), the two
 #                    certified selections against their references (the
 #                    weighted sampler's top-k, the Parzen proposal's argmax)
 #                    and their AVX2 kernels against the Go loops, and the
@@ -25,6 +26,8 @@
 #   make figures     quick-scale figure regeneration through the bank cache
 #   make profile-figures CPU + allocation profiles of warm quick figure passes
 #                    (BenchmarkFiguresWarm at -cpu 1) in $(PROFILE_DIR)
+#   make profile-serve CPU + allocation profiles of serve_mix client visits over
+#                    loopback (BenchmarkServeVisit at -cpu 1) in $(PROFILE_DIR)
 #   make serve       run the noisyevald tuning daemon on $(SERVE_ADDR)
 #   make serve-smoke boot noisyevald, drive runs + an ask/tell session via pkg/client
 #                    end to end, shut down gracefully (used by CI)
@@ -41,7 +44,7 @@ CACHE_DIR      ?= $(HOME)/.cache/noisyeval-banks
 SERVE_ADDR     ?= 127.0.0.1:8723
 PROFILE_DIR    ?= profiles
 
-.PHONY: build lint lines test race examples bench bench-json bench-check bench-harness fuzz figures profile-figures serve serve-smoke cluster-smoke crash-smoke clean
+.PHONY: build lint lines test race examples bench bench-json bench-check bench-harness fuzz figures profile-figures profile-serve serve serve-smoke cluster-smoke crash-smoke clean
 
 build:
 	$(GO) build ./...
@@ -126,9 +129,12 @@ bench-harness:
 # request keys the same run after a re-encode), the session-open body
 # (FuzzSessionRequest: the same decode, Normalize and Validate never panic,
 # Normalize is idempotent, and an accepted request normalizes to itself
-# after a re-encode) and the X-Trace-Spans header
+# after a re-encode), the X-Trace-Spans header
 # (FuzzTraceSpans: never panics, and what it accepts is a fixed point of
-# MarshalSpans then UnmarshalSpans). FuzzWeightedSample is differential
+# MarshalSpans then UnmarshalSpans) and pkg/client's event-stream decoder
+# (FuzzClientEvents: any bytes served as an NDJSON events body give events or
+# an error, never a panic or a hang, and a clean end means one event per
+# line). FuzzWeightedSample is differential
 # instead: bytes become weights, uniforms and k, and the bracketed selection
 # must return what the all-keys loop returns, its AVX2 bracket pass what the
 # Go loop does to the bit; so is FuzzProposeCertified: bytes become a pool,
@@ -146,6 +152,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzRunRequest$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/serve
 	$(GO) test -run '^$$' -fuzz 'FuzzSessionRequest$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/serve
 	$(GO) test -run '^$$' -fuzz 'FuzzTraceSpans$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/obs
+	$(GO) test -run '^$$' -fuzz 'FuzzClientEvents$$' -fuzztime 15s -fuzzminimizetime 1s ./pkg/client
 	$(GO) test -run '^$$' -fuzz 'FuzzWeightedSample$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/rng
 	$(GO) test -run '^$$' -fuzz 'FuzzProposeCertified$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/hpo
 	$(GO) test -run '^$$' -fuzz 'FuzzExpLanes$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/tensor
@@ -165,6 +172,19 @@ profile-figures:
 	NOISYEVAL_CACHE_DIR=$(CACHE_DIR) $(GO) test -run '^$$' -bench 'BenchmarkFiguresWarm$$' -benchtime 1x -cpu 1 .
 	NOISYEVAL_CACHE_DIR=$(CACHE_DIR) $(GO) test -run '^$$' -bench 'BenchmarkFiguresWarm$$' -benchtime 15x -cpu 1 \
 		-o $(PROFILE_DIR)/noisyeval.test -cpuprofile $(PROFILE_DIR)/figures.cpu.pprof -memprofile $(PROFILE_DIR)/figures.mem.pprof .
+
+# CPU and allocation profiles of 10 000 serve_mix visits (BenchmarkServeVisit at
+# -cpu 1: submit, stream to terminal, GET, dedup, conditional GET, a 20-row
+# list, all through pkg/client over loopback) -> $(PROFILE_DIR)/serve.{cpu,mem}.pprof.
+# An unprofiled -benchtime 1x run first fills CACHE_DIR with the miniature
+# bank, so the profile holds no bank training. Read them with
+# `go tool pprof -top $(PROFILE_DIR)/noisyeval.test $(PROFILE_DIR)/serve.cpu.pprof`
+# (add -sample_index=alloc_space for the allocation profile).
+profile-serve:
+	mkdir -p $(PROFILE_DIR)
+	NOISYEVAL_CACHE_DIR=$(CACHE_DIR) $(GO) test -run '^$$' -bench 'BenchmarkServeVisit$$' -benchtime 1x -cpu 1 .
+	NOISYEVAL_CACHE_DIR=$(CACHE_DIR) $(GO) test -run '^$$' -bench 'BenchmarkServeVisit$$' -benchtime 10000x -cpu 1 \
+		-o $(PROFILE_DIR)/noisyeval.test -cpuprofile $(PROFILE_DIR)/serve.cpu.pprof -memprofile $(PROFILE_DIR)/serve.mem.pprof .
 
 serve:
 	$(GO) run ./cmd/noisyevald -addr $(SERVE_ADDR) -cache-dir $(CACHE_DIR)

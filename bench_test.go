@@ -35,6 +35,7 @@ import (
 	"noisyeval/internal/serve"
 	"noisyeval/internal/stats"
 	"noisyeval/internal/tensor"
+	"noisyeval/pkg/client"
 )
 
 var (
@@ -471,6 +472,72 @@ func BenchmarkServeRun(b *testing.B) {
 	if n := mgr.BankBuilds(); n > 1 {
 		b.Fatalf("warm-cache benchmark trained %d banks", n)
 	}
+}
+
+// BenchmarkServeVisit replays the serve_mix visit through pkg/client over
+// loopback: submit a fresh two-trial run, stream its events to the terminal
+// one, GET the result and keep its ETag, re-submit an earlier visit's request
+// (a dedup hit), GET that run with If-None-Match (304), and list 20 done
+// runs. One visit is one op; the first runs untimed, so the bank build is not
+// in it. Not gated: it is the workload `make profile-serve` profiles.
+func BenchmarkServeVisit(b *testing.B) {
+	mgr := serveBenchManager(b)
+	ts := httptest.NewServer(serve.NewServer(mgr))
+	defer ts.Close()
+	c := client.New(ts.URL)
+	ctx := context.Background()
+	request := func(i int) client.RunRequest {
+		return client.RunRequest{Dataset: "cifar10", Method: "rs", Trials: 2, Seed: uint64(i + 1),
+			Noise: client.Noise{SampleCount: 2}}
+	}
+	get := func(id, ifNoneMatch string, want int) string {
+		req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/runs/"+id, nil)
+		if ifNoneMatch != "" {
+			req.Header.Set("If-None-Match", ifNoneMatch)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != want {
+			b.Fatalf("GET %s: status %d, want %d", id, resp.StatusCode, want)
+		}
+		if want == http.StatusOK {
+			var st client.RunStatus
+			if err := json.NewDecoder(resp.Body).Decode(&st); err != nil || st.State != "done" {
+				b.Fatalf("GET %s: state %q, err %v", id, st.State, err)
+			}
+		}
+		return resp.Header.Get("ETag")
+	}
+	var ids, etags []string
+	visit := func(i int) {
+		sub, err := c.SubmitRun(ctx, request(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := c.StreamEvents(ctx, sub.ID, -1, func(client.Event) error { return nil }); err != nil {
+			b.Fatal(err)
+		}
+		ids, etags = append(ids, sub.ID), append(etags, get(sub.ID, "", http.StatusOK))
+		j := (i * 7919) % (i + 1) // serve_mix's revisit stride over the history
+		if again, err := c.SubmitRun(ctx, request(j)); err != nil || again.ID != ids[j] {
+			b.Fatalf("resubmit of visit %d: run %s, err %v; want dedup onto %s", j, again.ID, err, ids[j])
+		}
+		get(ids[j], etags[j], http.StatusNotModified)
+		if page, err := c.ListRuns(ctx, client.ListRunsOptions{State: "done", Limit: 20}); err != nil || len(page.Runs) == 0 {
+			b.Fatalf("list: %d runs, err %v", len(page.Runs), err)
+		}
+	}
+	visit(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		visit(i)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "visits/s")
 }
 
 // BenchmarkServeList measures one filtered page of GET /v1/runs

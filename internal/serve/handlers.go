@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/base64"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -162,12 +164,54 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
+// bodyPool recycles the buffers response bodies are encoded into.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBody bounds the buffers bodyPool keeps, so one huge body does not
+// pin its buffer for the life of the process.
+const maxPooledBody = 64 << 10
+
+// encodeBody is the daemon's one JSON body encoder: v as compact JSON plus a
+// newline, in a pooled buffer the caller returns with putBody. writeJSON and
+// Run.finish's cached terminal body both use it, so live and cached bytes of
+// one run cannot drift. A value that does not marshal (a NaN, an Inf)
+// returns an error and writes nothing.
+func encodeBody(v any) (*bytes.Buffer, error) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		putBody(buf)
+		return nil, err
+	}
+	return buf, nil
+}
+
+func putBody(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBody {
+		bodyPool.Put(buf)
+	}
+}
+
+// writeJSON encodes v before anything goes on the wire, so a body that
+// cannot be encoded answers 500 internal instead of its success status with
+// no bytes.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	buf, err := encodeBody(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		buf, _ = encodeBody(errorEnvelope{Error: errorInfo{Code: CodeInternal, Message: "encode response: " + err.Error()}})
+	}
+	writeBody(w, code, buf.Bytes())
+	putBody(buf)
+}
+
+// writeBody answers with one JSON body in one Write under its Content-Length.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) // the status line is already out; nothing to do on error
+	w.Write(body)
 }
 
 // handleSubmit implements POST /v1/runs: decode, submit (dedup +
@@ -196,19 +240,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		code = http.StatusOK
 		if body, etag := run.Cached(); body != nil {
 			w.Header().Set("ETag", etag)
-			writeCached(w, body)
+			writeBody(w, http.StatusOK, body)
 			return
 		}
 	}
 	st, _, _ := run.Snapshot()
 	writeJSON(w, code, st)
-}
-
-// writeCached answers 200 with a terminal run's cached response bytes.
-func writeCached(w http.ResponseWriter, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(body)
 }
 
 // etagMatches implements If-None-Match per RFC 9110 §13.1.2: a
@@ -350,7 +387,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	writeCached(w, body)
+	writeBody(w, http.StatusOK, body)
 }
 
 // handleEvents streams a run's event history plus live events until the
@@ -385,24 +422,31 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(http.StatusOK)
 
+	// One buffer per stream: each event is encoded into it (the same bytes
+	// as json.Marshal plus a newline) and written in one call. Nothing is
+	// flushed per event: the replay goes out in one flush, and each burst of
+	// live events — everything already queued behind the first — in one more.
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	writeEvent := func(e Event) bool {
 		if e.Seq <= afterSeq {
 			return true // already delivered on a previous connection
 		}
-		data, err := json.Marshal(e)
-		if err != nil {
+		buf.Reset()
+		if err := enc.Encode(e); err != nil {
 			return false
 		}
 		if sse {
-			fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", e.Seq, e.Type, data)
+			fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n", e.Seq, e.Type, buf.Bytes())
 		} else {
-			w.Write(data)
-			io.WriteString(w, "\n")
+			w.Write(buf.Bytes())
 		}
+		return true
+	}
+	flush := func() {
 		if flusher != nil {
 			flusher.Flush()
 		}
-		return true
 	}
 
 	replay, live, cancel := run.Subscribe()
@@ -412,13 +456,26 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	flush()
 	for {
 		select {
 		case e, ok := <-live:
 			if !ok {
 				return // terminal event delivered; stream complete
 			}
-			if !writeEvent(e) {
+		burst:
+			for ok {
+				if !writeEvent(e) {
+					return
+				}
+				select {
+				case e, ok = <-live:
+				default:
+					break burst
+				}
+			}
+			flush()
+			if !ok {
 				return
 			}
 		case <-r.Context().Done():

@@ -1,10 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
-	"fmt"
 	"sync"
 	"time"
 
@@ -296,14 +295,17 @@ func (r *Run) finish(state State, res *exper.TuneResult, errMsg string, now time
 	r.errMsg = errMsg
 	r.finished = now
 	r.appendEventLocked(Event{Type: "state", State: state, Error: errMsg})
-	// Same encoding as writeJSON (indented + newline), so live and cached
-	// snapshots of one run render identically on the wire.
-	body, err := json.MarshalIndent(r.statusLocked(), "", "  ")
-	if err != nil { // fl.HParams and floats always marshal; defensive only
-		body = []byte(fmt.Sprintf(`{"id":%q,"state":"failed","error":"encode: %v"}`, r.ID, err))
+	// writeJSON's encoder, so live and cached snapshots of one run render
+	// identically on the wire. A status that does not encode (a NaN in the
+	// result) caches nothing: every read re-encodes it through writeJSON,
+	// which answers 500.
+	buf, err := encodeBody(r.statusLocked())
+	if err != nil {
+		return
 	}
-	r.body = append(body, '\n')
-	sum := sha256.Sum256(body)
+	r.body = bytes.Clone(buf.Bytes())
+	putBody(buf)
+	sum := sha256.Sum256(r.body)
 	r.etag = `"` + hex.EncodeToString(sum[:16]) + `"`
 }
 

@@ -415,7 +415,7 @@ func (c *Client) doOnce(ctx context.Context, method, path string, rawIn []byte, 
 		return err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
+	raw, err := readBody(resp)
 	if err != nil {
 		return err
 	}
@@ -426,6 +426,23 @@ func (c *Client) doOnce(ctx context.Context, method, path string, rawIn []byte, 
 		return nil
 	}
 	return json.Unmarshal(raw, out)
+}
+
+// maxExactBody bounds the Content-Length readBody trusts for one up-front
+// allocation; a larger or undeclared length grows through io.ReadAll.
+const maxExactBody = 4 << 20
+
+// readBody reads a response body. The daemon declares every JSON body's
+// Content-Length, so the common case is one exact buffer; a body shorter
+// than its declared length fails with io.ErrUnexpectedEOF.
+func readBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 || n > maxExactBody {
+		return io.ReadAll(resp.Body)
+	}
+	raw := make([]byte, n)
+	_, err := io.ReadFull(resp.Body, raw)
+	return raw, err
 }
 
 // SubmitRun submits a tuning job. A dedup hit returns the absorbed run.
@@ -501,8 +518,10 @@ func (c *Client) StreamEvents(ctx context.Context, id string, afterSeq int, fn f
 		}
 	}
 	defer resp.Body.Close()
+	// The scanner starts at 4 KiB and grows to the longest line, up to 1 MiB:
+	// a run's events are a few lines of about 150 bytes each.
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	sc.Buffer(nil, 1<<20)
 	for sc.Scan() {
 		var e Event
 		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {

@@ -32,7 +32,7 @@ metric() { # addr name — one sample of the Prometheus text exposition
 
 submit_and_wait() { # body
   ID=$(curl -sf --max-time 30 -X POST "http://$ADDR/v1/runs" -d "$1" |
-    sed -n 's/.*"id": "\(run-[0-9]*\)".*/\1/p')
+    sed -n 's/.*"id": *"\(run-[0-9]*\)".*/\1/p')
   [ -n "$ID" ] || { echo "submit returned no run id"; exit 1; }
   curl -sfN --max-time 600 "http://$ADDR/v1/runs/$ID/events" | tail -n 1 | grep -q '"state":"done"' ||
     { echo "run $ID did not reach done"; exit 1; }
