@@ -125,10 +125,10 @@ bench-harness:
 # byte string, torn tails and flipped CRCs included, never panics, consumes
 # exactly what re-encoding its records gives, and is prefix-stable), the run
 # submission body (FuzzRunRequest: decode with unknown fields refused,
-# Normalize, Validate never panic, Normalize is idempotent, and an accepted
-# request keys the same run after a re-encode), the session-open body
-# (FuzzSessionRequest: the same decode, Normalize and Validate never panic,
-# Normalize is idempotent, and an accepted request normalizes to itself
+# normalization and validation never panic, normalization is idempotent, and
+# an accepted request keys the same run after a re-encode), the session-open
+# body (FuzzSessionRequest: the same decode, normalization and validation
+# never panic, normalization is idempotent, and an accepted request normalizes to itself
 # after a re-encode), the X-Trace-Spans header
 # (FuzzTraceSpans: never panics, and what it accepts is a fixed point of
 # MarshalSpans then UnmarshalSpans) and pkg/client's event-stream decoder

@@ -446,7 +446,7 @@ func BenchmarkServeRun(b *testing.B) {
 
 	// Warm: submit once and stream events until the run is terminal.
 	resp := post()
-	var st serve.RunStatus
+	var st client.RunStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		b.Fatal(err)
 	}
@@ -549,7 +549,7 @@ func BenchmarkServeList(b *testing.B) {
 	const retained = 10000
 	mgr := serveBenchManager(b)
 	for seed := uint64(1); seed <= retained; seed++ {
-		req := serve.RunRequest{Dataset: "cifar10", Method: "rs", Trials: 1, Seed: seed}
+		req := client.RunRequest{Dataset: "cifar10", Method: "rs", Trials: 1, Seed: seed}
 		_, _, err := mgr.Submit(req)
 		for errors.Is(err, serve.ErrQueueFull) {
 			time.Sleep(time.Millisecond)

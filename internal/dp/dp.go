@@ -99,55 +99,6 @@ func (p Params) Release(value float64, sampleSize int, g *rng.RNG) float64 {
 	return g.Laplace(value, scale)
 }
 
-// Accountant tracks budget consumption across releases under basic
-// composition (Dwork & Roth, 2013): consumed budgets add up and must not
-// exceed the total ε.
-type Accountant struct {
-	Total    float64
-	consumed float64
-	releases int
-}
-
-// NewAccountant returns an accountant with the given total ε budget.
-func NewAccountant(total float64) *Accountant {
-	if total <= 0 {
-		panic(fmt.Sprintf("dp: accountant budget must be positive, got %g", total))
-	}
-	return &Accountant{Total: total}
-}
-
-// Spend records a release of eps budget. It returns an error if the budget
-// would be exceeded (the release must not happen in that case).
-func (a *Accountant) Spend(eps float64) error {
-	if eps <= 0 {
-		return fmt.Errorf("dp: cannot spend non-positive budget %g", eps)
-	}
-	if math.IsInf(a.Total, 1) {
-		a.releases++
-		return nil
-	}
-	if a.consumed+eps > a.Total*(1+1e-12) {
-		return fmt.Errorf("dp: budget exceeded: consumed %g + %g > total %g", a.consumed, eps, a.Total)
-	}
-	a.consumed += eps
-	a.releases++
-	return nil
-}
-
-// Consumed returns the budget spent so far.
-func (a *Accountant) Consumed() float64 { return a.consumed }
-
-// Remaining returns the unspent budget.
-func (a *Accountant) Remaining() float64 {
-	if math.IsInf(a.Total, 1) {
-		return InfEpsilon
-	}
-	return a.Total - a.consumed
-}
-
-// Releases returns the number of recorded releases.
-func (a *Accountant) Releases() int { return a.releases }
-
 // OneShotNoisy returns a copy of values with iid Laplace noise of the given
 // scale added to each entry (scale 0 returns a plain copy). It is the noise
 // step of the one-shot top-k mechanism, exposed separately so that callers

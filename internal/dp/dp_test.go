@@ -82,69 +82,6 @@ func TestLaplaceScale(t *testing.T) {
 	}
 }
 
-func TestAccountantComposition(t *testing.T) {
-	a := NewAccountant(1.0)
-	for i := 0; i < 10; i++ {
-		if err := a.Spend(0.1); err != nil {
-			t.Fatalf("spend %d: %v", i, err)
-		}
-	}
-	if math.Abs(a.Consumed()-1) > 1e-9 {
-		t.Errorf("consumed = %g", a.Consumed())
-	}
-	if err := a.Spend(0.1); err == nil {
-		t.Error("over-budget spend must fail")
-	}
-	if a.Releases() != 10 {
-		t.Errorf("releases = %d", a.Releases())
-	}
-}
-
-func TestAccountantAdditivityProperty(t *testing.T) {
-	f := func(raw []uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		a := NewAccountant(InfEpsilon)
-		total := 0.0
-		for _, r := range raw {
-			eps := float64(r%100+1) / 100
-			if err := a.Spend(eps); err != nil {
-				return false
-			}
-			total += eps
-		}
-		// Under an infinite budget all spends succeed and consumption is
-		// additive (stays zero only for the inf account).
-		return a.Releases() == len(raw)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestAccountantRemaining(t *testing.T) {
-	a := NewAccountant(2)
-	_ = a.Spend(0.5)
-	if math.Abs(a.Remaining()-1.5) > 1e-12 {
-		t.Errorf("remaining = %g", a.Remaining())
-	}
-	inf := NewAccountant(InfEpsilon)
-	if !math.IsInf(inf.Remaining(), 1) {
-		t.Error("infinite accountant should have infinite remaining")
-	}
-}
-
-func TestAccountantRejectsNonPositive(t *testing.T) {
-	a := NewAccountant(1)
-	if err := a.Spend(0); err == nil {
-		t.Error("zero spend must fail")
-	}
-	if err := a.Spend(-1); err == nil {
-		t.Error("negative spend must fail")
-	}
-}
-
 func TestOneShotTopKNoNoise(t *testing.T) {
 	vals := []float64{0.1, 0.9, 0.5, 0.7}
 	got := OneShotTopK(vals, 2, 0, rng.New(1))

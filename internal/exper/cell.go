@@ -13,8 +13,9 @@ import (
 
 // cell is one point of the study's grid — a bank, a tuning method and a
 // noise setting — run by the paper's bootstrap protocol: trials independent
-// tuning runs. Every figure is a set of cells and RunTune is one; run is the
-// only place in the package that wires a bank oracle to a tuner.
+// tuning runs. Every figure is a set of cells and RunTune is one; run and
+// OpenTrial are the only places in the module that wire a bank oracle to a
+// tuner.
 //
 // stream names the cell: trial i draws its method randomness from
 // rng.New(seed).Split(stream).Split("trial-i"), so a label is part of the
@@ -37,8 +38,14 @@ type cell struct {
 // settings returns the tuning settings the cell runs under.
 func (c cell) settings() hpo.Settings { return c.noise.Settings(c.base) }
 
+// oracle is the bank oracle every trial of the cell evaluates on (trial i on
+// its WithTrial(i) cohorts).
+func (c cell) oracle() (*core.BankOracle, error) {
+	return core.NewBankOracle(c.bank, c.noise.HeterogeneityP, c.noise.Scheme(), c.seed)
+}
+
 func (c cell) run() ([]core.TrialResult, error) {
-	oracle, err := core.NewBankOracle(c.bank, c.noise.HeterogeneityP, c.noise.Scheme(), c.seed)
+	oracle, err := c.oracle()
 	if err != nil {
 		return nil, err
 	}

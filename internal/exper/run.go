@@ -17,6 +17,7 @@ import (
 	"noisyeval/internal/core"
 	"noisyeval/internal/hpo"
 	"noisyeval/internal/obs"
+	"noisyeval/internal/rng"
 	"noisyeval/internal/stats"
 )
 
@@ -167,6 +168,52 @@ func (s *Suite) validateTune(req TuneRequest) error {
 	return nil
 }
 
+// tuneCell is the cell of the tuning run req describes on bank: the
+// request's method and noise under the request's seed. The trial stream
+// label predates RunTune (cmd/fedtune used "fedtune" directly); keeping it
+// preserves byte-identical results.
+func (s *Suite) tuneCell(bank *core.Bank, req TuneRequest) cell {
+	c := s.cell(bank, req.Method, req.Noise, req.Trials, "fedtune")
+	c.seed = req.Seed
+	return c
+}
+
+// TuneTrial is one bootstrap trial of a tuning run, opened for a caller that
+// drives the method step by step (noisyevald's ask/tell sessions).
+type TuneTrial struct {
+	// Oracle is the run's bank oracle on the trial's evaluation cohorts.
+	Oracle *core.BankOracle
+	// Settings are the run's tuning settings (budget, DP epsilon).
+	Settings hpo.Settings
+	// Stream drives the request's method on Oracle; nil when the request
+	// names no method.
+	Stream *hpo.EvalStream
+	// MethodKey renders the method as the run key hashes it ("" when the
+	// request names no method).
+	MethodKey string
+}
+
+// OpenTrial wires bootstrap trial t of the tuning run req describes
+// (req.Trials is not read), building the dataset's bank on first use as
+// RunTune does: the oracle cohorts, settings and method stream are the ones
+// RunTune hands that trial, so driving Stream to its end evaluates exactly
+// what the run's trial t evaluates and recommends what it recommends. An
+// oracle the noise setting cannot build is an error.
+func (s *Suite) OpenTrial(req TuneRequest, t int) (TuneTrial, error) {
+	c := s.tuneCell(s.Bank(req.Dataset), req)
+	oracle, err := c.oracle()
+	if err != nil {
+		return TuneTrial{}, err
+	}
+	tt := TuneTrial{Oracle: oracle.WithTrial(t), Settings: c.settings()}
+	if req.Method != nil {
+		g := rng.New(c.seed).Split(c.stream).Splitf("trial-%d", t)
+		tt.Stream = hpo.NewEvalStream(req.Method, tt.Oracle, c.space, tt.Settings, g)
+		tt.MethodKey = methodKey(req.Method)
+	}
+	return tt, nil
+}
+
 // RunTune executes one tuning run against the suite's bank for the dataset,
 // building (or loading from the attached store) the bank on first use.
 // onTrial, when non-nil, receives one serialized TrialUpdate per finished
@@ -206,10 +253,7 @@ func (s *Suite) RunTuneCtx(ctx context.Context, req TuneRequest, onTrial func(Tr
 		bank = s.BankCtx(ctx, req.Dataset)
 	}
 
-	// The trial stream label predates this entry point (cmd/fedtune used
-	// "fedtune" directly); keeping it preserves byte-identical results.
-	c := s.cell(bank, req.Method, req.Noise, req.Trials, "fedtune")
-	c.seed = req.Seed
+	c := s.tuneCell(bank, req)
 	if onTrial != nil {
 		c.progress = func(res core.TrialResult, completed int) {
 			onTrial(TrialUpdate{

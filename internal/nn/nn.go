@@ -126,9 +126,6 @@ func NewLinear(inDim, outDim int, g *rng.RNG) *Linear {
 // OutDim implements Layer.
 func (l *Linear) OutDim() int { return l.w.Rows }
 
-// InDim returns the input dimensionality.
-func (l *Linear) InDim() int { return l.w.Cols }
-
 // Forward implements Layer.
 func (l *Linear) Forward(x tensor.Vec) tensor.Vec {
 	l.in = x

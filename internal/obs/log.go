@@ -80,10 +80,6 @@ func NewLogger(w io.Writer, lvl Level) *Logger {
 	return &Logger{out: out}
 }
 
-// Nop returns a logger that discards everything (nil works too; Nop is for
-// struct fields that are ranged over or compared).
-func Nop() *Logger { return nil }
-
 // SetLevel changes the family's minimum level (affects every derived logger).
 func (l *Logger) SetLevel(lvl Level) {
 	if l == nil || l.out == nil {

@@ -354,24 +354,6 @@ func (g *RNG) Dirichlet(alpha float64, dim int) []float64 {
 	return out
 }
 
-// DirichletVec is Dirichlet with a per-component concentration vector.
-func (g *RNG) DirichletVec(alpha []float64) []float64 {
-	out := make([]float64, len(alpha))
-	sum := 0.0
-	for i, a := range alpha {
-		out[i] = g.Gamma(a)
-		sum += out[i]
-	}
-	if sum == 0 {
-		out[g.IntN(len(alpha))] = 1
-		return out
-	}
-	for i := range out {
-		out[i] /= sum
-	}
-	return out
-}
-
 // Zipf returns integer samples in [0, n) with probability proportional to
 // 1/(i+1)^s. It precomputes nothing; for repeated sampling use NewZipf.
 func (g *RNG) Zipf(s float64, n int) int {
@@ -498,9 +480,6 @@ func (g *RNG) SampleWithoutReplacementInto(n, k int, buf []int) []int {
 
 // Bool returns true with probability p.
 func (g *RNG) Bool(p float64) bool { return g.Float64() < p }
-
-// Choice returns a uniformly chosen element index of a slice of length n.
-func (g *RNG) Choice(n int) int { return g.IntN(n) }
 
 func sign(x float64) float64 {
 	if x < 0 {

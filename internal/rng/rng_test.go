@@ -188,18 +188,6 @@ func TestDirichletConcentration(t *testing.T) {
 	}
 }
 
-func TestDirichletVec(t *testing.T) {
-	g := New(12)
-	p := g.DirichletVec([]float64{1, 2, 3})
-	sum := 0.0
-	for _, v := range p {
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("DirichletVec sums to %g", sum)
-	}
-}
-
 func TestZipfHeadHeavy(t *testing.T) {
 	g := New(13)
 	z := NewZipf(1.1, 1000)

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+
+	"noisyeval/pkg/client"
 )
 
 // Machine-readable error codes of the v1 error envelope. Every non-2xx
-// response on /v1/* carries {"error":{"code","message"}} with one of these
+// response on /v1/* carries client.ErrorEnvelope with one of these
 // codes, so clients branch on the code and humans read the message.
 const (
 	CodeBadRequest      = "bad_request"       // malformed JSON or invalid field
@@ -48,17 +50,6 @@ func codef(code, format string, args ...any) *apiError {
 	return &apiError{code: code, msg: fmt.Sprintf(format, args...)}
 }
 
-// errorInfo is the envelope payload.
-type errorInfo struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
-
-// errorEnvelope is every non-2xx JSON response body on /v1/*.
-type errorEnvelope struct {
-	Error errorInfo `json:"error"`
-}
-
 // statusForCode maps envelope codes to HTTP status.
 func statusForCode(code string) int {
 	switch code {
@@ -77,7 +68,7 @@ func statusForCode(code string) int {
 
 // writeError emits one enveloped error with an explicit code.
 func writeError(w http.ResponseWriter, status int, code, format string, args ...any) {
-	writeJSON(w, status, errorEnvelope{Error: errorInfo{Code: code, Message: fmt.Sprintf(format, args...)}})
+	writeJSON(w, status, client.ErrorEnvelope{Error: client.ErrorInfo{Code: code, Message: fmt.Sprintf(format, args...)}})
 }
 
 // writeAPIError maps a manager/session-layer error onto the wire: coded

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"noisyeval/internal/hpo"
+	"noisyeval/pkg/client"
 )
 
 // Server is the HTTP facade over a Manager. Routes:
@@ -41,8 +42,8 @@ import (
 //	                               latency histograms) — the one metric surface
 //	GET    /healthz                liveness + queue depth + bank-store state
 //
-// Every non-2xx response carries the {"error":{"code","message"}} envelope
-// (errors.go holds the code table).
+// Every body is a pkg/client type, and every non-2xx response carries
+// client.ErrorEnvelope (errors.go holds the code table).
 type Server struct {
 	mgr     *Manager
 	mux     *http.ServeMux
@@ -199,7 +200,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	buf, err := encodeBody(v)
 	if err != nil {
 		code = http.StatusInternalServerError
-		buf, _ = encodeBody(errorEnvelope{Error: errorInfo{Code: CodeInternal, Message: "encode response: " + err.Error()}})
+		buf, _ = encodeBody(client.ErrorEnvelope{Error: client.ErrorInfo{Code: CodeInternal, Message: "encode response: " + err.Error()}})
 	}
 	writeBody(w, code, buf.Bytes())
 	putBody(buf)
@@ -220,7 +221,7 @@ func writeBody(w http.ResponseWriter, code int, body []byte) {
 // terminal bytes when the absorbed run already finished, so identical
 // submissions observe identical result bytes.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req RunRequest
+	var req client.RunRequest
 	dec := json.NewDecoder(io.LimitReader(r.Body, s.maxBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
@@ -262,18 +263,6 @@ func etagMatches(header, etag string) bool {
 		}
 	}
 	return false
-}
-
-// runListItem is one row of GET /v1/runs.
-type runListItem struct {
-	ID         string `json:"id"`
-	Key        string `json:"key"`
-	State      State  `json:"state"`
-	Dataset    string `json:"dataset"`
-	Method     string `json:"method"`
-	Scale      string `json:"scale"`
-	TrialsDone int    `json:"trials_done"`
-	Trials     int    `json:"trials_total"`
 }
 
 // List pagination bounds.
@@ -339,25 +328,20 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	out := make([]runListItem, 0, limit)
-	more := false
+	page := client.RunPage{Runs: make([]client.RunListItem, 0, limit)}
 	s.mgr.Registry().Page(after, func(run *Run) bool {
 		item := run.listItem()
-		if stateFilter != "" && item.State != stateFilter {
+		if stateFilter != "" && item.State != string(stateFilter) {
 			return true
 		}
-		if len(out) == limit {
-			more = true
+		if len(page.Runs) == limit {
+			page.NextCursor = encodeCursor(page.Runs[limit-1].ID)
 			return false
 		}
-		out = append(out, item)
+		page.Runs = append(page.Runs, item)
 		return true
 	})
-	resp := map[string]any{"runs": out}
-	if more {
-		resp["next_cursor"] = encodeCursor(out[len(out)-1].ID)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, page)
 }
 
 // handleMethods implements GET /v1/methods: the canonical method catalogue —
@@ -428,7 +412,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// live events — everything already queued behind the first — in one more.
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
-	writeEvent := func(e Event) bool {
+	writeEvent := func(e client.Event) bool {
 		if e.Seq <= afterSeq {
 			return true // already delivered on a previous connection
 		}
@@ -528,9 +512,7 @@ func (s *Server) handleBanks(w http.ResponseWriter, r *http.Request) {
 // unaffected. Answers 404 when no suite serves a bank under that key —
 // growth never cold-builds.
 func (s *Server) handleBankGrow(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Add int `json:"add"`
-	}
+	var req client.GrowBankRequest
 	dec := json.NewDecoder(io.LimitReader(r.Body, s.maxBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
@@ -551,45 +533,30 @@ func (s *Server) handleBankGrow(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, CodeInternal, "grow bank: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"dataset": res.Dataset,
-		"old_key": res.OldKey,
-		"new_key": res.NewKey,
-		"added":   res.Added,
-		"total":   res.Total,
-	})
+	writeJSON(w, http.StatusOK, client.GrowBankResult(res))
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	c := s.mgr.Counters()
-	payload := map[string]any{
-		"status":      "ok",
-		"uptime":      time.Since(s.start).Round(time.Millisecond).String(),
-		"runs_active": c.RunsActive,
-		"runs_queued": c.RunsQueued,
+	h := client.Health{
+		Status:     "ok",
+		Uptime:     time.Since(s.start).Round(time.Millisecond).String(),
+		RunsActive: c.RunsActive,
+		RunsQueued: c.RunsQueued,
 	}
-	journal := map[string]any{"enabled": false}
 	if jr := s.mgr.Journal(); jr != nil {
-		st := jr.Stats()
-		journal["enabled"] = true
-		journal["bytes"] = jr.Bytes()
-		journal["max_bytes"] = jr.MaxBytes()
-		if !st.LastCompact.IsZero() {
-			journal["last_snapshot"] = st.LastCompact.UTC().Format(time.RFC3339Nano)
+		h.Journal = client.HealthJournal{Enabled: true, Bytes: jr.Bytes(), MaxBytes: jr.MaxBytes()}
+		if last := jr.Stats().LastCompact; !last.IsZero() {
+			h.Journal.LastSnapshot = last.UTC().Format(time.RFC3339Nano)
 		}
 	}
-	payload["journal"] = journal
-	banks := map[string]any{"enabled": false}
 	if store := s.mgr.Store(); store != nil {
-		st := store.Stats()
 		ms := store.Mapped()
-		banks["enabled"] = true
-		banks["dir"] = store.Dir()
-		banks["mapped_files"] = ms.Files
-		banks["mapped_bytes"] = ms.Bytes
-		banks["grows"] = c.BankGrows
-		banks["corrupt_segment"] = st.CorruptSegment
+		h.Banks = client.HealthBanks{
+			Enabled: true, Dir: store.Dir(),
+			MappedFiles: ms.Files, MappedBytes: ms.Bytes,
+			Grows: c.BankGrows, CorruptSegment: store.Stats().CorruptSegment,
+		}
 	}
-	payload["banks"] = banks
-	writeJSON(w, http.StatusOK, payload)
+	writeJSON(w, http.StatusOK, h)
 }

@@ -4,22 +4,24 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+
+	"noisyeval/pkg/client"
 )
 
 // sessionListItem is one row of GET /v1/sessions.
 type sessionListItem struct {
-	ID       string       `json:"id"`
-	State    SessionState `json:"state"`
-	Dataset  string       `json:"dataset"`
-	Method   string       `json:"method"`
-	Scale    string       `json:"scale"`
-	External bool         `json:"external"`
-	Trials   int          `json:"trials"`
+	ID       string `json:"id"`
+	State    string `json:"state"`
+	Dataset  string `json:"dataset"`
+	Method   string `json:"method"`
+	Scale    string `json:"scale"`
+	External bool   `json:"external"`
+	Trials   int    `json:"trials"`
 }
 
 // handleSessionOpen implements POST /v1/sessions.
 func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
-	var req SessionRequest
+	var req client.SessionRequest
 	dec := json.NewDecoder(io.LimitReader(r.Body, s.maxBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
@@ -89,7 +91,7 @@ func (s *Server) handleSessionTell(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req TellRequest
+	var req client.TellRequest
 	dec := json.NewDecoder(io.LimitReader(r.Body, s.maxBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {

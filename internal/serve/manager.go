@@ -12,6 +12,7 @@ import (
 	"noisyeval/internal/exper"
 	"noisyeval/internal/obs"
 	"noisyeval/internal/serve/journal"
+	"noisyeval/pkg/client"
 )
 
 // Submission outcomes the HTTP layer maps to status codes.
@@ -99,23 +100,23 @@ type Options struct {
 // Counters is a snapshot of the manager's operational counters (/metrics
 // renders the same atomics; /healthz reads this snapshot).
 type Counters struct {
-	RunsStarted   int64 `json:"runs_started"`
-	RunsCompleted int64 `json:"runs_completed"`
-	RunsFailed    int64 `json:"runs_failed"`
-	RunsCancelled int64 `json:"runs_cancelled"`
-	RunsDeduped   int64 `json:"runs_deduped"`
-	RunsActive    int64 `json:"runs_active"`
-	RunsQueued    int64 `json:"runs_queued"`
-	RunsRetained  int64 `json:"runs_retained"`
-	RunsRecovered int64 `json:"runs_recovered"` // non-terminal runs re-admitted from the journal
-	RunsParked    int64 `json:"runs_parked"`    // queued runs parked (not cancelled) at shutdown
-	RunsShedCold  int64 `json:"runs_shed_cold"` // cold-bank submissions shed under pressure
+	RunsStarted   int64
+	RunsCompleted int64
+	RunsFailed    int64
+	RunsCancelled int64
+	RunsDeduped   int64
+	RunsActive    int64
+	RunsQueued    int64
+	RunsRetained  int64
+	RunsRecovered int64 // non-terminal runs re-admitted from the journal
+	RunsParked    int64 // queued runs parked (not cancelled) at shutdown
+	RunsShedCold  int64 // cold-bank submissions shed under pressure
 
-	SessionsOpen   int64 `json:"sessions_open"`
-	SessionsOpened int64 `json:"sessions_opened"`
-	SessionsReaped int64 `json:"sessions_reaped"`
+	SessionsOpen   int64
+	SessionsOpened int64
+	SessionsReaped int64
 
-	BankGrows int64 `json:"bank_grows"` // successful POST /v1/banks/{key}/grow calls
+	BankGrows int64 // successful POST /v1/banks/{key}/grow calls
 }
 
 // Manager owns the run lifecycle: it validates and keys submissions,
@@ -229,7 +230,7 @@ func (m *Manager) restoreFromJournal() []*Run {
 	}
 	var pending []*Run
 	for _, rr := range jr.Recovered() {
-		treq, terr := rr.Request.TuneRequest()
+		treq, terr := tuneRequest(rr.Request)
 		run := recoverRun(rr, treq)
 		m.reg.Restore(run)
 		switch {
@@ -316,14 +317,14 @@ func (m *Manager) RetryAfterSeconds() int {
 // when an identical live or retained run absorbed the submission (the dedup
 // path — no new work is scheduled). Errors wrap ErrBadRequest, ErrQueueFull,
 // or ErrShuttingDown.
-func (m *Manager) Submit(req RunRequest) (run *Run, created bool, err error) {
-	req.Normalize()
+func (m *Manager) Submit(req client.RunRequest) (run *Run, created bool, err error) {
+	normalizeRun(&req)
 	// %w on both operands: the HTTP layer branches on ErrBadRequest for the
 	// status family and on the inner apiError for the envelope code.
-	if err := req.Validate(m.ScaleNames()); err != nil {
+	if err := validateRun(req, m.ScaleNames()); err != nil {
 		return nil, false, fmt.Errorf("%w: %w", ErrBadRequest, err)
 	}
-	treq, err := req.TuneRequest()
+	treq, err := tuneRequest(req)
 	if err != nil {
 		return nil, false, fmt.Errorf("%w: %w", ErrBadRequest, codef(CodeUnknownMethod, "%v", err))
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"noisyeval/internal/exper"
+	"noisyeval/pkg/client"
 )
 
 // Registry is the in-memory run store: runs in admission order plus a dedup
@@ -92,7 +93,7 @@ func (g *Registry) lookupLocked(key string) (*Run, bool) {
 // queued one. created reports whether the caller must schedule the returned
 // run. Failed and cancelled runs do not satisfy dedup — an identical
 // resubmission retries instead of being pinned to a stale failure.
-func (g *Registry) GetOrCreate(key string, req RunRequest, treq exper.TuneRequest) (run *Run, created bool) {
+func (g *Registry) GetOrCreate(key string, req client.RunRequest, treq exper.TuneRequest) (run *Run, created bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if r, ok := g.lookupLocked(key); ok {

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"noisyeval/internal/exper"
+	"noisyeval/pkg/client"
 )
 
 // fakeClock is an injectable registry clock.
@@ -43,9 +44,9 @@ func newTestRegistry(ttl time.Duration) (*Registry, *fakeClock) {
 	return reg, clk
 }
 
-func testReq(seed uint64) (RunRequest, exper.TuneRequest) {
-	req := RunRequest{Dataset: "cifar10", Method: "rs", Trials: 2, Seed: seed, Scale: "quick"}
-	treq, err := req.TuneRequest()
+func testReq(seed uint64) (client.RunRequest, exper.TuneRequest) {
+	req := client.RunRequest{Dataset: "cifar10", Method: "rs", Trials: 2, Seed: seed, Scale: "quick"}
+	treq, err := tuneRequest(req)
 	if err != nil {
 		panic(err)
 	}
@@ -292,18 +293,15 @@ func (m *registryModel) list(state State, limit int, between func()) []string {
 	for cursor := ""; ; {
 		rec := httptest.NewRecorder()
 		m.srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path+cursor, nil))
-		var page struct {
-			Runs []runListItem `json:"runs"`
-			Next string        `json:"next_cursor"`
-		}
+		var page client.RunPage
 		if err := json.Unmarshal(rec.Body.Bytes(), &page); err != nil || rec.Code != http.StatusOK {
 			m.t.Fatalf("list %s%s: status %d, %v", path, cursor, rec.Code, err)
 		}
-		if len(page.Runs) > limit || (page.Next != "" && len(page.Runs) != limit) {
-			m.t.Fatalf("page of %d with limit %d, next=%q", len(page.Runs), limit, page.Next)
+		if len(page.Runs) > limit || (page.NextCursor != "" && len(page.Runs) != limit) {
+			m.t.Fatalf("page of %d with limit %d, next=%q", len(page.Runs), limit, page.NextCursor)
 		}
 		for _, it := range page.Runs {
-			if state != "" && it.State != state {
+			if state != "" && it.State != string(state) {
 				m.t.Fatalf("%s listed under state=%s as %s", it.ID, state, it.State)
 			}
 			if len(ids) > 0 && runSeq(it.ID) <= runSeq(ids[len(ids)-1]) {
@@ -311,10 +309,10 @@ func (m *registryModel) list(state State, limit int, between func()) []string {
 			}
 			ids = append(ids, it.ID)
 		}
-		if page.Next == "" {
+		if page.NextCursor == "" {
 			return ids
 		}
-		cursor = "&cursor=" + page.Next
+		cursor = "&cursor=" + page.NextCursor
 		if between != nil {
 			between()
 		}

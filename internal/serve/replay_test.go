@@ -13,6 +13,7 @@ import (
 	"noisyeval/internal/core"
 	"noisyeval/internal/exper"
 	"noisyeval/internal/serve/journal"
+	"noisyeval/pkg/client"
 )
 
 // jrec builds one journal record from a typed payload.
@@ -30,7 +31,7 @@ func jrec(t *testing.T, kind string, v any) journal.Record {
 // duplicates and orphans a crash mid-compaction can produce — folds to the
 // documented recovered state.
 func TestFoldTransitionOrderings(t *testing.T) {
-	req := RunRequest{Dataset: "cifar10", Method: "rs", Scale: "quick", Trials: 2, Seed: 1}
+	req := client.RunRequest{Dataset: "cifar10", Method: "rs", Scale: "quick", Trials: 2, Seed: 1}
 	sub := func(id string) submitRecord {
 		return submitRecord{ID: id, Key: "key-" + id, Request: req, CreatedNs: 1000}
 	}
@@ -182,8 +183,8 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	store := testStore(t)
 	scales := map[string]exper.Config{"quick": tinyConfig()}
-	submitReq := func(seed uint64) RunRequest {
-		return RunRequest{Dataset: "cifar10", Method: "rs", Trials: 2, Seed: seed}
+	submitReq := func(seed uint64) client.RunRequest {
+		return client.RunRequest{Dataset: "cifar10", Method: "rs", Trials: 2, Seed: seed}
 	}
 
 	// Manager 1: seed-3 completes; seed-1 wedges in execGate forever (the
@@ -265,7 +266,7 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 		// Deterministic re-execution: an uninterrupted run of the same
 		// request (fresh manager, no journal) produces the same result.
 		events := runEvents(run)
-		if events[0].State != StateQueued || events[1].State != StateRunning {
+		if events[0].State != string(StateQueued) || events[1].State != string(StateRunning) {
 			t.Errorf("seed %d recovered event prefix = %+v, want queued,running at seq 0,1", seed, events[:2])
 		}
 		for i, e := range events {
@@ -295,7 +296,7 @@ func TestRecoveryTornTail(t *testing.T) {
 	mgr1 := NewManager(Options{
 		Workers: 1, Store: store, Scales: scales, Journal: openTestJournal(t, dir),
 	})
-	run, _, err := mgr1.Submit(RunRequest{Dataset: "cifar10", Method: "rs", Trials: 2, Seed: 4})
+	run, _, err := mgr1.Submit(client.RunRequest{Dataset: "cifar10", Method: "rs", Trials: 2, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +355,7 @@ func TestJournalFullBackpressure(t *testing.T) {
 		defer cancel()
 		mgr.Shutdown(ctx)
 	})
-	_, _, err = mgr.Submit(RunRequest{Dataset: "cifar10", Method: "rs", Trials: 2, Seed: 9})
+	_, _, err = mgr.Submit(client.RunRequest{Dataset: "cifar10", Method: "rs", Trials: 2, Seed: 9})
 	if !errors.Is(err, ErrJournalFull) {
 		t.Fatalf("submit err = %v, want ErrJournalFull", err)
 	}
@@ -396,13 +397,13 @@ func TestShedColdBankUnderPressure(t *testing.T) {
 		mgr.Shutdown(ctx)
 	})
 	submit := func(dataset string, seed uint64) error {
-		_, _, err := mgr.Submit(RunRequest{Dataset: dataset, Method: "rs", Trials: 2, Seed: seed})
+		_, _, err := mgr.Submit(client.RunRequest{Dataset: dataset, Method: "rs", Trials: 2, Seed: seed})
 		return err
 	}
 
 	// Warm cifar10 by completing one run, then wedge the only worker and
 	// fill the queue to the shed threshold (0.5 × 4 = 2 queued).
-	warm, _, err := mgr.Submit(RunRequest{Dataset: "cifar10", Method: "rs", Trials: 2, Seed: 1})
+	warm, _, err := mgr.Submit(client.RunRequest{Dataset: "cifar10", Method: "rs", Trials: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +450,7 @@ func waitState(t *testing.T, r *Run, want State) {
 }
 
 // runEvents snapshots a run's full event history.
-func runEvents(r *Run) []Event {
+func runEvents(r *Run) []client.Event {
 	replay, _, cancel := r.Subscribe()
 	cancel()
 	return replay
@@ -457,7 +458,7 @@ func runEvents(r *Run) []Event {
 
 // referenceResult executes req on a fresh journal-less manager and returns
 // the terminal status — the uninterrupted result a recovered run must match.
-func referenceResult(t *testing.T, store *core.BankStore, scales map[string]exper.Config, req RunRequest) RunStatus {
+func referenceResult(t *testing.T, store *core.BankStore, scales map[string]exper.Config, req client.RunRequest) client.RunStatus {
 	t.Helper()
 	mgr := NewManager(Options{Workers: 1, Store: store, Scales: scales})
 	t.Cleanup(func() {

@@ -7,11 +7,12 @@ import (
 	"testing"
 
 	"noisyeval/internal/exper"
+	"noisyeval/pkg/client"
 )
 
 // TestNormalizeScale pins the scale rule of both request forms: trim and
 // lower-case, then default a scale left empty — so a blank scale gets the
-// default like an absent one, and a second Normalize changes nothing. Run
+// default like an absent one, and a second normalization changes nothing. Run
 // keys of valid requests stay what they were.
 func TestNormalizeScale(t *testing.T) {
 	for _, c := range []struct{ in, want string }{
@@ -21,19 +22,19 @@ func TestNormalizeScale(t *testing.T) {
 		{"quick", "quick"},
 		{" Quick ", "quick"},
 		{"FULL", "full"},
-		{" nope ", "nope"}, // left for Validate to report
+		{" nope ", "nope"}, // left for validation to report
 	} {
-		run := RunRequest{Dataset: "cifar10", Method: "rs", Scale: c.in}
-		run.Normalize()
+		run := client.RunRequest{Dataset: "cifar10", Method: "rs", Scale: c.in}
+		normalizeRun(&run)
 		again := run
-		again.Normalize()
+		normalizeRun(&again)
 		if run.Scale != c.want || again != run {
 			t.Errorf("RunRequest scale %q: normalized to %q, then %q; want %q", c.in, run.Scale, again.Scale, c.want)
 		}
-		sess := SessionRequest{Dataset: "cifar10", Scale: c.in}
-		sess.Normalize()
+		sess := client.SessionRequest{Dataset: "cifar10", Scale: c.in}
+		normalizeSession(&sess)
 		sessAgain := sess
-		sessAgain.Normalize()
+		normalizeSession(&sessAgain)
 		if sess.Scale != c.want || sessAgain != sess {
 			t.Errorf("SessionRequest scale %q: normalized to %q, then %q; want %q", c.in, sess.Scale, sessAgain.Scale, c.want)
 		}
@@ -44,12 +45,12 @@ func TestNormalizeScale(t *testing.T) {
 	suite := exper.NewSuite(tinyConfig())
 	key := func(scale string, bias float64) string {
 		t.Helper()
-		r := RunRequest{Dataset: "cifar10", Method: "hb", Scale: scale, Trials: 3, Seed: 2, Noise: NoiseRequest{Bias: bias}}
-		r.Normalize()
-		if err := r.Validate([]string{DefaultScale}); err != nil {
+		r := client.RunRequest{Dataset: "cifar10", Method: "hb", Scale: scale, Trials: 3, Seed: 2, Noise: client.Noise{Bias: bias}}
+		normalizeRun(&r)
+		if err := validateRun(r, []string{DefaultScale}); err != nil {
 			t.Fatalf("scale %q: %v", scale, err)
 		}
-		treq, err := r.TuneRequest()
+		treq, err := tuneRequest(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,8 +71,8 @@ func TestNormalizeScale(t *testing.T) {
 
 // decodeRunRequest decodes a POST /v1/runs body the way the handler does:
 // unknown fields are an error.
-func decodeRunRequest(data []byte) (RunRequest, error) {
-	var r RunRequest
+func decodeRunRequest(data []byte) (client.RunRequest, error) {
+	var r client.RunRequest
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	err := dec.Decode(&r)
@@ -79,8 +80,8 @@ func decodeRunRequest(data []byte) (RunRequest, error) {
 }
 
 // FuzzRunRequest feeds arbitrary bytes through the run-submission front
-// half: decode with unknown fields refused, Normalize, Validate. None of it
-// may panic; Normalize must be idempotent; and an accepted request must key
+// half: decode with unknown fields refused, normalizeRun, validateRun. None
+// of it may panic; normalizeRun must be idempotent; and an accepted request must key
 // the same run after a re-encode and a second pass through all three.
 func FuzzRunRequest(f *testing.F) {
 	for _, seed := range []string{
@@ -102,16 +103,16 @@ func FuzzRunRequest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		r.Normalize()
+		normalizeRun(&r)
 		again := r
-		again.Normalize()
+		normalizeRun(&again)
 		if again != r {
 			t.Fatalf("Normalize is not idempotent: %+v, then %+v", r, again)
 		}
-		if r.Validate(scales) != nil {
+		if validateRun(r, scales) != nil {
 			return
 		}
-		treq, err := r.TuneRequest()
+		treq, err := tuneRequest(r)
 		if err != nil {
 			t.Fatalf("validated request %+v has no tune request: %v", r, err)
 		}
@@ -127,11 +128,11 @@ func FuzzRunRequest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decode of re-encoded %s: %v", enc, err)
 		}
-		back.Normalize()
-		if err := back.Validate(scales); err != nil {
+		normalizeRun(&back)
+		if err := validateRun(back, scales); err != nil {
 			t.Fatalf("re-encoded %s no longer validates: %v", enc, err)
 		}
-		treq2, err := back.TuneRequest()
+		treq2, err := tuneRequest(back)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,8 +144,8 @@ func FuzzRunRequest(f *testing.F) {
 
 // decodeSessionRequest decodes a POST /v1/sessions body the way the handler
 // does: unknown fields are an error.
-func decodeSessionRequest(data []byte) (SessionRequest, error) {
-	var r SessionRequest
+func decodeSessionRequest(data []byte) (client.SessionRequest, error) {
+	var r client.SessionRequest
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	err := dec.Decode(&r)
@@ -152,8 +153,9 @@ func decodeSessionRequest(data []byte) (SessionRequest, error) {
 }
 
 // FuzzSessionRequest feeds arbitrary bytes through the session-open front
-// half: decode with unknown fields refused, Normalize, Validate. None of it
-// may panic; Normalize must be idempotent; and an accepted request must
+// half: decode with unknown fields refused, normalizeSession,
+// validateSession. None of it may panic; normalizeSession must be
+// idempotent; and an accepted request must
 // normalize to itself again after a re-encode and still validate.
 func FuzzSessionRequest(f *testing.F) {
 	for _, seed := range []string{
@@ -176,13 +178,13 @@ func FuzzSessionRequest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		r.Normalize()
+		normalizeSession(&r)
 		again := r
-		again.Normalize()
+		normalizeSession(&again)
 		if again != r {
 			t.Fatalf("Normalize is not idempotent: %+v, then %+v", r, again)
 		}
-		if r.Validate(scales) != nil {
+		if validateSession(r, scales) != nil {
 			return
 		}
 		enc, err := json.Marshal(r)
@@ -193,11 +195,11 @@ func FuzzSessionRequest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decode of re-encoded %s: %v", enc, err)
 		}
-		back.Normalize()
+		normalizeSession(&back)
 		if back != r {
 			t.Fatalf("re-encoded %s normalizes to %+v, want %+v", enc, back, r)
 		}
-		if err := back.Validate(scales); err != nil {
+		if err := validateSession(back, scales); err != nil {
 			t.Fatalf("re-encoded %s no longer validates: %v", enc, err)
 		}
 	})

@@ -11,13 +11,15 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"noisyeval/pkg/client"
 )
 
 // sseFrame is one parsed SSE frame.
 type sseFrame struct {
 	ID    int
 	Event string
-	Data  Event
+	Data  client.Event
 }
 
 // streamSSE reads the full SSE stream for a run, optionally resuming from
@@ -88,7 +90,7 @@ func TestSSEResume(t *testing.T) {
 			t.Fatalf("frame %d: id %d != payload seq %d", i, f.ID, f.Data.Seq)
 		}
 	}
-	if last := full[len(full)-1]; last.Event != "state" || !last.Data.State.Terminal() {
+	if last := full[len(full)-1]; last.Event != "state" || !State(last.Data.State).Terminal() {
 		t.Fatalf("stream did not end on a terminal state event: %+v", last)
 	}
 
@@ -122,7 +124,7 @@ func TestSSEResume(t *testing.T) {
 	n := 0
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
-		var e Event
+		var e client.Event
 		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
 		}

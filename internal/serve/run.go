@@ -8,8 +8,8 @@ import (
 	"time"
 
 	"noisyeval/internal/exper"
-	"noisyeval/internal/fl"
 	"noisyeval/internal/obs"
+	"noisyeval/pkg/client"
 )
 
 // State is a run's lifecycle state. Transitions form a small FSM:
@@ -18,7 +18,8 @@ import (
 //	   │           └─────▶ failed
 //	   └─────────────────▶ cancelled   (shutdown drains the queue)
 //
-// done, failed, and cancelled are terminal.
+// done, failed, and cancelled are terminal. On the wire (client.RunStatus,
+// client.Event, client.RunListItem) a state is its string.
 type State string
 
 const (
@@ -34,77 +35,20 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }
 
-// TrialInfo is the payload of a "trial" event. It is a nested object (not
-// flattened into Event) so its fields never carry omitempty: trial index 0
-// and a 0.0 final error serialize explicitly instead of vanishing.
-type TrialInfo struct {
-	Index     int     `json:"index"` // which bootstrap trial finished (0-based)
-	Completed int     `json:"completed"`
-	Total     int     `json:"total"`
-	FinalErr  float64 `json:"final_err"`
-}
-
-// Event is one progress notification on a run's event stream
-// (GET /v1/runs/{id}/events, NDJSON or SSE). Streams replay the full history
-// from event 0 and end after the terminal event.
-type Event struct {
-	Seq   int        `json:"seq"`
-	Type  string     `json:"type"` // "state" | "trial"
-	State State      `json:"state,omitempty"`
-	Trial *TrialInfo `json:"trial,omitempty"` // set when Type == "trial"
-	// Error carries the failure reason on the terminal "state" event of a
-	// failed or cancelled run.
-	Error string `json:"error,omitempty"`
-}
-
-// BestConfig is the wire form of a recommended configuration.
-type BestConfig struct {
-	Config  fl.HParams `json:"config"`
-	TrueErr float64    `json:"true_err"`
-	Rounds  int        `json:"rounds"`
-}
-
-// RunResult is the wire form of a completed run's outcome.
-type RunResult struct {
-	MedianErr    float64     `json:"median_err"`
-	Q1Err        float64     `json:"q1_err"`
-	Q3Err        float64     `json:"q3_err"`
-	MeanErr      float64     `json:"mean_err"`
-	Finals       []float64   `json:"finals"`
-	BudgetRounds int         `json:"budget_rounds"`
-	BankKey      string      `json:"bank_key"`
-	Best         *BestConfig `json:"best,omitempty"`
-}
-
-// RunStatus is the wire form of GET /v1/runs/{id}.
-type RunStatus struct {
-	ID          string     `json:"id"`
-	Key         string     `json:"key"`
-	State       State      `json:"state"`
-	Request     RunRequest `json:"request"`
-	CreatedAt   string     `json:"created_at"`
-	StartedAt   string     `json:"started_at,omitempty"`
-	FinishedAt  string     `json:"finished_at,omitempty"`
-	TrialsDone  int        `json:"trials_done"`
-	TrialsTotal int        `json:"trials_total"`
-	Result      *RunResult `json:"result,omitempty"`
-	Error       string     `json:"error,omitempty"`
-}
-
 // Run is one submitted tuning job moving through the lifecycle FSM. All
 // mutation goes through the manager; readers use Snapshot / Subscribe.
 type Run struct {
 	ID  string
 	Key string
-	Req RunRequest
+	Req client.RunRequest
 
 	seq  int               // numeric suffix of ID: the registry's sort key
 	treq exper.TuneRequest // resolved at submit time
 
 	mu         sync.Mutex
 	state      State
-	events     []Event
-	subs       map[chan Event]struct{}
+	events     []client.Event
+	subs       map[chan client.Event]struct{}
 	trialsDone int
 	result     *exper.TuneResult
 	errMsg     string
@@ -120,14 +64,14 @@ type Run struct {
 	trace *obs.Trace
 }
 
-func newRun(id, key string, req RunRequest, treq exper.TuneRequest, now time.Time) *Run {
+func newRun(id, key string, req client.RunRequest, treq exper.TuneRequest, now time.Time) *Run {
 	r := &Run{
 		ID: id, Key: key, Req: req, seq: runSeq(id), treq: treq,
 		state:   StateQueued,
-		subs:    map[chan Event]struct{}{},
+		subs:    map[chan client.Event]struct{}{},
 		created: now,
 	}
-	r.appendEventLocked(Event{Type: "state", State: StateQueued})
+	r.appendEventLocked(client.Event{Type: "state", State: string(StateQueued)})
 	return r
 }
 
@@ -192,7 +136,7 @@ func (r *Run) park() {
 	for ch := range r.subs {
 		close(ch)
 	}
-	r.subs = map[chan Event]struct{}{}
+	r.subs = map[chan client.Event]struct{}{}
 }
 
 // State returns the current lifecycle state.
@@ -221,7 +165,7 @@ func (r *Run) FinishedAt() time.Time {
 // r.mu (newRun runs before the Run escapes its constructor). Subscriber
 // channels are buffered for the run's worst-case event count, so sends never
 // block; a terminal event closes every subscriber channel.
-func (r *Run) appendEventLocked(e Event) {
+func (r *Run) appendEventLocked(e client.Event) {
 	e.Seq = len(r.events)
 	r.events = append(r.events, e)
 	for ch := range r.subs {
@@ -230,22 +174,22 @@ func (r *Run) appendEventLocked(e Event) {
 		default: // subscriber gave up its buffer; it still has the replay
 		}
 	}
-	if e.Type == "state" && e.State.Terminal() {
+	if e.Type == "state" && State(e.State).Terminal() {
 		for ch := range r.subs {
 			close(ch)
 		}
-		r.subs = map[chan Event]struct{}{}
+		r.subs = map[chan client.Event]struct{}{}
 	}
 }
 
 // Subscribe returns the full event history so far plus a channel of
 // subsequent events; the channel is closed after the terminal event (already
 // closed when the run is already terminal). cancel detaches early.
-func (r *Run) Subscribe() (replay []Event, ch <-chan Event, cancel func()) {
+func (r *Run) Subscribe() (replay []client.Event, ch <-chan client.Event, cancel func()) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	replay = append([]Event(nil), r.events...)
-	c := make(chan Event, r.Req.Trials+8)
+	replay = append([]client.Event(nil), r.events...)
+	c := make(chan client.Event, r.Req.Trials+8)
 	if r.state.Terminal() {
 		close(c)
 		return replay, c, func() {}
@@ -267,7 +211,7 @@ func (r *Run) start(now time.Time) {
 	defer r.mu.Unlock()
 	r.state = StateRunning
 	r.started = now
-	r.appendEventLocked(Event{Type: "state", State: StateRunning})
+	r.appendEventLocked(client.Event{Type: "state", State: string(StateRunning)})
 }
 
 // trial records one finished bootstrap trial.
@@ -275,7 +219,7 @@ func (r *Run) trial(u exper.TrialUpdate) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.trialsDone = u.Completed
-	r.appendEventLocked(Event{Type: "trial", Trial: &TrialInfo{
+	r.appendEventLocked(client.Event{Type: "trial", Trial: &client.TrialInfo{
 		Index: u.Trial, Completed: u.Completed, Total: u.Total, FinalErr: u.FinalTrue,
 	}})
 }
@@ -294,7 +238,7 @@ func (r *Run) finish(state State, res *exper.TuneResult, errMsg string, now time
 	r.result = res
 	r.errMsg = errMsg
 	r.finished = now
-	r.appendEventLocked(Event{Type: "state", State: state, Error: errMsg})
+	r.appendEventLocked(client.Event{Type: "state", State: string(state), Error: errMsg})
 	// writeJSON's encoder, so live and cached snapshots of one run render
 	// identically on the wire. A status that does not encode (a NaN in the
 	// result) caches nothing: every read re-encodes it through writeJSON,
@@ -312,14 +256,14 @@ func (r *Run) finish(state State, res *exper.TuneResult, errMsg string, now time
 // Snapshot returns the run's wire status plus, for terminal runs, the cached
 // response bytes and strong ETag (nil bytes while the run is live — live
 // snapshots are marshaled per request because they still change).
-func (r *Run) Snapshot() (st RunStatus, body []byte, etag string) {
+func (r *Run) Snapshot() (st client.RunStatus, body []byte, etag string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.statusLocked(), r.body, r.etag
 }
 
 // Cached returns a terminal run's response bytes and strong ETag (nil bytes
-// while the run is live) without building a RunStatus — the GET, 304 and
+// while the run is live) without building a status — the GET, 304 and
 // dedup paths serve these bytes as they are.
 func (r *Run) Cached() (body []byte, etag string) {
 	r.mu.Lock()
@@ -328,19 +272,19 @@ func (r *Run) Cached() (body []byte, etag string) {
 }
 
 // listItem returns the run's row of GET /v1/runs.
-func (r *Run) listItem() runListItem {
+func (r *Run) listItem() client.RunListItem {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return runListItem{
-		ID: r.ID, Key: r.Key, State: r.state,
+	return client.RunListItem{
+		ID: r.ID, Key: r.Key, State: string(r.state),
 		Dataset: r.Req.Dataset, Method: r.Req.Method, Scale: r.Req.Scale,
 		TrialsDone: r.trialsDone, Trials: r.Req.Trials,
 	}
 }
 
-func (r *Run) statusLocked() RunStatus {
-	st := RunStatus{
-		ID: r.ID, Key: r.Key, State: r.state, Request: r.Req,
+func (r *Run) statusLocked() client.RunStatus {
+	st := client.RunStatus{
+		ID: r.ID, Key: r.Key, State: string(r.state), Request: r.Req,
 		CreatedAt:   r.created.UTC().Format(time.RFC3339Nano),
 		TrialsDone:  r.trialsDone,
 		TrialsTotal: r.Req.Trials,
@@ -353,7 +297,7 @@ func (r *Run) statusLocked() RunStatus {
 		st.FinishedAt = r.finished.UTC().Format(time.RFC3339Nano)
 	}
 	if res := r.result; res != nil {
-		rr := &RunResult{
+		rr := &client.RunResult{
 			MedianErr:    res.Summary.Median,
 			Q1Err:        res.Summary.Q1,
 			Q3Err:        res.Summary.Q3,
@@ -363,7 +307,7 @@ func (r *Run) statusLocked() RunStatus {
 			BankKey:      res.BankKey,
 		}
 		if res.Best != nil {
-			rr.Best = &BestConfig{Config: res.Best.Config, TrueErr: res.Best.True, Rounds: res.Best.Rounds}
+			rr.Best = &client.BestConfig{Config: client.HParams(res.Best.Config), TrueErr: res.Best.True, Rounds: res.Best.Rounds}
 		}
 		st.Result = rr
 	}

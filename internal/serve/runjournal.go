@@ -18,6 +18,7 @@ import (
 	"noisyeval/internal/exper"
 	"noisyeval/internal/obs"
 	"noisyeval/internal/serve/journal"
+	"noisyeval/pkg/client"
 )
 
 // Journal record kinds, one per lifecycle edge worth persisting.
@@ -34,10 +35,10 @@ const (
 // rides along so recovery can re-derive the exper.TuneRequest (method
 // registry lookup included) through exactly the code path Submit used.
 type submitRecord struct {
-	ID        string     `json:"id"`
-	Key       string     `json:"key"`
-	Request   RunRequest `json:"request"`
-	CreatedNs int64      `json:"created_ns"`
+	ID        string            `json:"id"`
+	Key       string            `json:"key"`
+	Request   client.RunRequest `json:"request"`
+	CreatedNs int64             `json:"created_ns"`
 }
 
 // startRecord journals the queued → running edge.
@@ -67,7 +68,7 @@ type terminalRecord struct {
 type RecoveredRun struct {
 	ID         string
 	Key        string
-	Request    RunRequest
+	Request    client.RunRequest
 	Created    time.Time
 	Started    time.Time // zero until a start or terminal record said otherwise
 	State      State

@@ -17,6 +17,7 @@ import (
 
 	"noisyeval/internal/core"
 	"noisyeval/internal/exper"
+	"noisyeval/pkg/client"
 )
 
 // tinyConfig mirrors exper's test miniature: banks build in tens of
@@ -91,14 +92,14 @@ func (ts *testServer) scrapeMetrics(t *testing.T) string {
 	return "\n" + string(raw)
 }
 
-func (ts *testServer) submit(t *testing.T, body string) (*http.Response, RunStatus) {
+func (ts *testServer) submit(t *testing.T, body string) (*http.Response, client.RunStatus) {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st RunStatus
+	var st client.RunStatus
 	raw, _ := io.ReadAll(resp.Body)
 	if resp.StatusCode < 300 {
 		if err := json.Unmarshal(raw, &st); err != nil {
@@ -111,7 +112,7 @@ func (ts *testServer) submit(t *testing.T, body string) (*http.Response, RunStat
 
 // tryStreamEvents consumes the NDJSON event stream until EOF (terminal
 // event) and returns every event. Safe to call from any goroutine.
-func (ts *testServer) tryStreamEvents(id string) ([]Event, error) {
+func (ts *testServer) tryStreamEvents(id string) ([]client.Event, error) {
 	resp, err := http.Get(ts.URL + "/v1/runs/" + id + "/events")
 	if err != nil {
 		return nil, err
@@ -123,10 +124,10 @@ func (ts *testServer) tryStreamEvents(id string) ([]Event, error) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		return nil, fmt.Errorf("events content-type = %q", ct)
 	}
-	var events []Event
+	var events []client.Event
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
-		var e Event
+		var e client.Event
 		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
 			return nil, fmt.Errorf("bad event line %q: %v", sc.Text(), err)
 		}
@@ -136,7 +137,7 @@ func (ts *testServer) tryStreamEvents(id string) ([]Event, error) {
 }
 
 // streamEvents is tryStreamEvents for the common main-goroutine case.
-func (ts *testServer) streamEvents(t *testing.T, id string) []Event {
+func (ts *testServer) streamEvents(t *testing.T, id string) []client.Event {
 	t.Helper()
 	events, err := ts.tryStreamEvents(id)
 	if err != nil {
@@ -172,7 +173,7 @@ func TestSubmitPollStreamResult(t *testing.T) {
 	if loc := resp.Header.Get("Location"); loc != "/v1/runs/"+st.ID {
 		t.Errorf("Location = %q", loc)
 	}
-	if st.State != StateQueued && st.State != StateRunning {
+	if st.State != string(StateQueued) && st.State != string(StateRunning) {
 		t.Errorf("initial state = %q", st.State)
 	}
 	if st.Key == "" {
@@ -187,11 +188,11 @@ func TestSubmitPollStreamResult(t *testing.T) {
 	if len(events) == 0 {
 		t.Fatal("no events")
 	}
-	if events[0].Type != "state" || events[0].State != StateQueued {
+	if events[0].Type != "state" || events[0].State != string(StateQueued) {
 		t.Errorf("first event = %+v, want queued state", events[0])
 	}
 	last := events[len(events)-1]
-	if last.Type != "state" || last.State != StateDone {
+	if last.Type != "state" || last.State != string(StateDone) {
 		t.Fatalf("last event = %+v, want done state", last)
 	}
 	trials := 0
@@ -223,11 +224,11 @@ func TestSubmitPollStreamResult(t *testing.T) {
 	if etag == "" {
 		t.Fatal("terminal run served no ETag")
 	}
-	var final RunStatus
+	var final client.RunStatus
 	if err := json.Unmarshal(body, &final); err != nil {
 		t.Fatal(err)
 	}
-	if final.State != StateDone || final.Result == nil {
+	if final.State != string(StateDone) || final.Result == nil {
 		t.Fatalf("final = %+v", final)
 	}
 	if final.TrialsDone != 3 || len(final.Result.Finals) != 3 {
@@ -314,7 +315,7 @@ func TestConcurrentIdenticalSubmissionsCollapse(t *testing.T) {
 				return
 			}
 			defer resp.Body.Close()
-			var st RunStatus
+			var st client.RunStatus
 			if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 				t.Error(err)
 				return
@@ -359,7 +360,7 @@ func TestBadRequests(t *testing.T) {
 			continue
 		}
 		raw, _ := io.ReadAll(resp.Body)
-		var eb errorEnvelope
+		var eb client.ErrorEnvelope
 		if err := json.Unmarshal(raw, &eb); err != nil || !strings.Contains(eb.Error.Message, tc.want) {
 			t.Errorf("%s: error body %q does not mention %q", tc.name, raw, tc.want)
 		}
@@ -386,13 +387,11 @@ func TestNotFoundAndList(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer listResp.Body.Close()
-	var list struct {
-		Runs []runListItem `json:"runs"`
-	}
+	var list client.RunPage
 	if err := json.NewDecoder(listResp.Body).Decode(&list); err != nil {
 		t.Fatal(err)
 	}
-	if len(list.Runs) != 1 || list.Runs[0].ID != st.ID || list.Runs[0].State != StateDone {
+	if len(list.Runs) != 1 || list.Runs[0].ID != st.ID || list.Runs[0].State != string(StateDone) {
 		t.Errorf("list = %+v", list.Runs)
 	}
 }
@@ -456,7 +455,7 @@ func TestFailedRunReportsAndRetries(t *testing.T) {
 	}
 	events := ts.streamEvents(t, st.ID)
 	last := events[len(events)-1]
-	if last.State != StateFailed || last.Error == "" {
+	if last.State != string(StateFailed) || last.Error == "" {
 		t.Fatalf("terminal event = %+v, want failed with error", last)
 	}
 	_, retry := ts.submit(t, body)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 	"sync"
@@ -11,7 +12,7 @@ import (
 	"noisyeval/internal/exper"
 	"noisyeval/internal/fl"
 	"noisyeval/internal/hpo"
-	"noisyeval/internal/rng"
+	"noisyeval/pkg/client"
 )
 
 // Session defaults and limits.
@@ -33,7 +34,8 @@ const (
 //	   └─────▶ closed   (DELETE, idle reaping, or daemon shutdown)
 //
 // done, failed, and closed are terminal; terminal sessions answer GET until
-// idle-reaped but reject ask/tell with session_terminal.
+// idle-reaped but reject ask/tell with session_terminal. On the wire a state
+// is its string.
 type SessionState string
 
 const (
@@ -46,59 +48,24 @@ const (
 // Terminal reports whether the state admits no further ask/tell.
 func (s SessionState) Terminal() bool { return s != SessionActive }
 
-// SessionRequest is the body of POST /v1/sessions: one tuner session bound
-// to a (bank, noise model, seed, budget) tuple.
-type SessionRequest struct {
-	// Dataset is one of exper.DatasetNames.
-	Dataset string `json:"dataset"`
-	// Method is a tuning-method name from hpo.Methods() whose suggestions
-	// the ask endpoint serves, or "external" (also the default when empty):
-	// no built-in tuner, the caller proposes configurations via tell.
-	Method string `json:"method,omitempty"`
-	// Scale selects the suite configuration: "quick" (default) or "full".
-	Scale string `json:"scale,omitempty"`
-	// Seed drives oracle subsampling and the method's RNG stream
-	// (default 1). A session with seed S and trial T evaluates exactly like
-	// bootstrap trial T of a /v1/runs submission with seed S.
-	Seed uint64 `json:"seed,omitempty"`
-	// Trial selects which bootstrap trial's evaluation stream the session
-	// replays (default 0, the trial whose recommendation /v1/runs reports
-	// as "best").
-	Trial int `json:"trial,omitempty"`
-	// Noise is the evaluation-noise setting (zero = noiseless reference).
-	Noise NoiseRequest `json:"noise,omitempty"`
-}
-
-// External reports whether the (normalized) request names no built-in tuner.
-func (r SessionRequest) External() bool { return r.Method == ExternalMethod }
-
-// Normalize mirrors RunRequest.Normalize for the session form.
-func (r *SessionRequest) Normalize() {
-	r.Dataset = strings.ToLower(strings.TrimSpace(r.Dataset))
-	r.Method = strings.ToLower(strings.TrimSpace(r.Method))
-	if r.Method == "" {
+// normalizeSession is normalizeRun for the session form; an empty method
+// selects an externally driven session.
+func normalizeSession(r *client.SessionRequest) {
+	if strings.TrimSpace(r.Method) == "" {
 		r.Method = ExternalMethod
 	}
-	if canon, err := hpo.CanonicalMethodName(r.Method); err == nil {
-		r.Method = canon
-	}
-	r.Scale = strings.ToLower(strings.TrimSpace(r.Scale))
-	if r.Scale == "" { // after the trim, so a blank scale defaults as an empty one does
-		r.Scale = DefaultScale
-	}
-	if r.Seed == 0 {
-		r.Seed = 1
-	}
-	r.Noise.normalize()
+	run := client.RunRequest{Dataset: r.Dataset, Method: r.Method, Scale: r.Scale, Trials: 1, Seed: r.Seed, Noise: r.Noise}
+	normalizeRun(&run)
+	r.Dataset, r.Method, r.Scale, r.Seed, r.Noise = run.Dataset, run.Method, run.Scale, run.Seed, run.Noise
 }
 
-// Validate reports the first problem with a normalized request as a coded
-// apiError.
-func (r SessionRequest) Validate(scales []string) error {
+// validateSession reports the first problem with a normalized request as a
+// coded apiError.
+func validateSession(r client.SessionRequest, scales []string) error {
 	if !exper.KnownDataset(r.Dataset) {
 		return codef(CodeUnknownDataset, "unknown dataset %q (valid: %s)", r.Dataset, strings.Join(exper.DatasetNames, ", "))
 	}
-	if !r.External() {
+	if r.Method != ExternalMethod {
 		if _, err := hpo.MethodByName(r.Method); err != nil {
 			return codef(CodeUnknownMethod, "unknown method %q (valid: %s, or %q)", r.Method, strings.Join(hpo.Methods(), ", "), ExternalMethod)
 		}
@@ -109,132 +76,16 @@ func (r SessionRequest) Validate(scales []string) error {
 	if r.Trial < 0 || r.Trial >= MaxTrials {
 		return codef(CodeInvalidTrials, "trial %d outside [0, %d)", r.Trial, MaxTrials)
 	}
-	return r.Noise.validate()
-}
-
-// SessionTrial is one completed evaluation in a session's history — the
-// session-side analogue of hpo.Observation, addressed by pool index.
-type SessionTrial struct {
-	// Index is the position in the session's trial log.
-	Index int `json:"index"`
-	// Source is "ask" for answered method suggestions, "tell" for
-	// caller-proposed evaluations.
-	Source string `json:"source"`
-	// AskID echoes the answered ask for Source == "ask".
-	AskID *int `json:"ask_id,omitempty"`
-	// ConfigIndex is the evaluated config's position in the bank pool.
-	ConfigIndex int `json:"config_index"`
-	// Config is the evaluated configuration.
-	Config fl.HParams `json:"config"`
-	// Rounds is the checkpoint fidelity actually evaluated.
-	Rounds int `json:"rounds"`
-	// Observed is the (pre-DP) noisy error the oracle returned — or, for an
-	// ask answered with a caller-supplied value, that value.
-	Observed float64 `json:"observed"`
-	// TrueErr is the noise-free full validation error (reporting only).
-	TrueErr float64 `json:"true_err"`
-	// EvalID names the evaluation cohort used.
-	EvalID string `json:"eval_id"`
+	return validateNoise(r.Noise)
 }
 
 // betterTrial mirrors hpo's recommendation order: higher fidelity first,
 // then lower observed error.
-func betterTrial(a, b SessionTrial) bool {
+func betterTrial(a, b client.SessionTrial) bool {
 	if a.Rounds != b.Rounds {
 		return a.Rounds > b.Rounds
 	}
 	return a.Observed < b.Observed
-}
-
-// AskItem is one suggested evaluation on the wire.
-type AskItem struct {
-	ID          int        `json:"id"`
-	ConfigIndex int        `json:"config_index"`
-	Config      fl.HParams `json:"config"`
-	Rounds      int        `json:"rounds"`
-	EvalID      string     `json:"eval_id"`
-}
-
-// AskResponse is the body of POST /v1/sessions/{id}/ask.
-type AskResponse struct {
-	// Asks holds the pending suggestion (empty when the method is done).
-	// Asks are sequential: one pending at a time, re-asked idempotently.
-	Asks  []AskItem    `json:"asks"`
-	Done  bool         `json:"done"`
-	State SessionState `json:"state"`
-}
-
-// TellAnswer answers one pending ask.
-type TellAnswer struct {
-	AskID int `json:"ask_id"`
-	// Observed, when set, is the caller's own measurement fed back verbatim.
-	// When omitted the server evaluates the pending ask's configuration on
-	// the session's bank oracle (the common loop for parity with /v1/runs).
-	Observed *float64 `json:"observed,omitempty"`
-}
-
-// TellEval is one caller-proposed evaluation: by pool index, or by parameter
-// vector snapped to the bank's config pool (hpo.NearestConfig).
-type TellEval struct {
-	ConfigIndex *int        `json:"config_index,omitempty"`
-	Config      *fl.HParams `json:"config,omitempty"`
-	// Rounds is the requested fidelity (default: the bank's max; snapped
-	// down to a recorded checkpoint).
-	Rounds int `json:"rounds,omitempty"`
-	// EvalID names the evaluation cohort (default "tell-<n>"; reuse an ID to
-	// share a cohort across evaluations, as SHA rungs do).
-	EvalID string `json:"eval_id,omitempty"`
-}
-
-// TellRequest is the body of POST /v1/sessions/{id}/tell.
-type TellRequest struct {
-	Answers  []TellAnswer `json:"answers,omitempty"`
-	Evaluate []TellEval   `json:"evaluate,omitempty"`
-}
-
-// TellResponse reports what the tell accomplished.
-type TellResponse struct {
-	// Results holds one entry per evaluate item (answers echo no result:
-	// their evaluations appear in the session trial log).
-	Results []SessionTrial `json:"results"`
-	// Done reports whether the driven method finished during this tell.
-	Done  bool          `json:"done"`
-	State SessionState  `json:"state"`
-	Best  *SessionTrial `json:"best,omitempty"`
-	// SpentRounds is the cumulative training-round cost of evaluate items
-	// (incremental per config: re-reading a checkpoint already paid for is
-	// free, matching the bank's checkpoint-reuse accounting).
-	SpentRounds int `json:"spent_rounds"`
-}
-
-// SessionStatus is the wire form of GET /v1/sessions/{id}.
-type SessionStatus struct {
-	ID        string         `json:"id"`
-	Key       string         `json:"key"`
-	State     SessionState   `json:"state"`
-	Request   SessionRequest `json:"request"`
-	CreatedAt string         `json:"created_at"`
-	// External reports whether the session is externally driven (no ask).
-	External bool `json:"external"`
-	// Asked / Told count protocol progress; Evals counts evaluate items.
-	Asked int `json:"asked"`
-	Told  int `json:"told"`
-	Evals int `json:"evals"`
-	// SpentRounds / BudgetRounds track the evaluate-path round budget.
-	SpentRounds  int `json:"spent_rounds"`
-	BudgetRounds int `json:"budget_rounds"`
-	// Bank geometry an external tuner needs to drive the oracle.
-	BankKey     string `json:"bank_key"`
-	PoolSize    int    `json:"pool_size"`
-	MaxRounds   int    `json:"max_rounds"`
-	Checkpoints []int  `json:"checkpoints"`
-	// Trials is the session's evaluation log, oldest first.
-	Trials []SessionTrial `json:"trials"`
-	// Best is the best-so-far: while active, the lowest-observed
-	// highest-fidelity trial; once done, the driven method's own final
-	// recommendation (identical to the /v1/runs best for the same inputs).
-	Best  *SessionTrial `json:"best,omitempty"`
-	Error string        `json:"error,omitempty"`
 }
 
 // Session is one stateful ask/tell tuner bound to a warm bank oracle.
@@ -244,7 +95,7 @@ type SessionStatus struct {
 type Session struct {
 	ID  string
 	Key string
-	Req SessionRequest
+	Req client.SessionRequest
 
 	oracle   *core.BankOracle // WithTrial(Req.Trial) copy
 	settings hpo.Settings
@@ -263,10 +114,10 @@ type Session struct {
 	// time), nextID numbers asks from 0.
 	batch   *hpo.EvalBatch
 	pos     int
-	pending *AskItem
+	pending *client.AskItem
 	nextID  int
-	trials  []SessionTrial
-	best    *SessionTrial
+	trials  []client.SessionTrial
+	best    *client.SessionTrial
 	asked   int
 	told    int
 	evals   int
@@ -275,12 +126,10 @@ type Session struct {
 	errMsg  string
 }
 
-func newSession(key string, req SessionRequest, oracle *core.BankOracle,
-	stream *hpo.EvalStream, settings hpo.Settings, bankKey string, now time.Time) *Session {
-
+func newSession(key string, req client.SessionRequest, tt exper.TuneTrial, bankKey string, now time.Time) *Session {
 	s := &Session{
 		Key: key, Req: req,
-		oracle: oracle, stream: stream, settings: settings,
+		oracle: tt.Oracle, stream: tt.Stream, settings: tt.Settings,
 		bankKey: bankKey, created: now,
 		state:   SessionActive,
 		trained: map[int]int{},
@@ -297,25 +146,25 @@ func (s *Session) LastUsed() time.Time { return time.Unix(0, s.lastUsed.Load()) 
 
 // Ask returns the driven method's next suggestion, resuming the method when
 // none is parked.
-func (s *Session) Ask() (AskResponse, error) {
+func (s *Session) Ask() (client.AskResponse, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.stream == nil {
-		return AskResponse{}, codef(CodeExternalSession, "session %s is externally driven: it has no method to ask; propose configurations via tell", s.ID)
+		return client.AskResponse{}, codef(CodeExternalSession, "session %s is externally driven: it has no method to ask; propose configurations via tell", s.ID)
 	}
 	switch s.state {
 	case SessionActive:
 		s.asked++
 		if s.advanceLocked(); s.state == SessionFailed {
-			return AskResponse{}, codef(CodeInternal, "session %s failed: %s", s.ID, s.errMsg)
+			return client.AskResponse{}, codef(CodeInternal, "session %s failed: %s", s.ID, s.errMsg)
 		}
 	case SessionFailed, SessionClosed:
-		return AskResponse{}, codef(CodeSessionTerminal, "session %s is %s", s.ID, s.state)
+		return client.AskResponse{}, codef(CodeSessionTerminal, "session %s is %s", s.ID, s.state)
 	}
 	if s.state == SessionDone {
-		return AskResponse{Asks: []AskItem{}, Done: true, State: s.state}, nil
+		return client.AskResponse{Asks: []client.AskItem{}, Done: true, State: string(s.state)}, nil
 	}
-	return AskResponse{Asks: []AskItem{*s.pending}, Done: false, State: SessionActive}, nil
+	return client.AskResponse{Asks: []client.AskItem{*s.pending}, Done: false, State: string(SessionActive)}, nil
 }
 
 // advanceLocked parks the method's next ask in s.pending unless one is parked
@@ -334,8 +183,8 @@ func (s *Session) advanceLocked() {
 		if s.batch != nil && s.pos < len(s.batch.Indices) {
 			b, i := s.batch, s.pos
 			ci := b.Indices[i]
-			s.pending = &AskItem{
-				ID: s.nextID, ConfigIndex: ci, Config: s.oracle.Pool()[ci],
+			s.pending = &client.AskItem{
+				ID: s.nextID, ConfigIndex: ci, Config: client.HParams(s.oracle.Pool()[ci]),
 				Rounds: b.RoundsAt(i), EvalID: b.EvalIDAt(i),
 			}
 			s.nextID++
@@ -347,8 +196,8 @@ func (s *Session) advanceLocked() {
 			h := s.stream.History()
 			if i := h.Best(); i >= 0 {
 				rec := h.At(i)
-				s.best = &SessionTrial{
-					Index: -1, Source: "ask", Config: rec.Config, ConfigIndex: h.PoolIndex(i),
+				s.best = &client.SessionTrial{
+					Index: -1, Source: "ask", Config: client.HParams(rec.Config), ConfigIndex: h.PoolIndex(i),
 					Rounds: rec.Rounds, Observed: rec.Observed, TrueErr: rec.True,
 				}
 			}
@@ -362,14 +211,14 @@ func (s *Session) advanceLocked() {
 // configurations. A tell applies all of its items or none: every item is
 // checked against the session — as the items before it would leave it —
 // before anything changes.
-func (s *Session) Tell(req TellRequest) (TellResponse, error) {
+func (s *Session) Tell(req client.TellRequest) (client.TellResponse, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.state.Terminal() {
-		return TellResponse{}, codef(CodeSessionTerminal, "session %s is %s", s.ID, s.state)
+		return client.TellResponse{}, codef(CodeSessionTerminal, "session %s is %s", s.ID, s.state)
 	}
 	if len(req.Answers) > 0 && s.stream == nil {
-		return TellResponse{}, codef(CodeExternalSession, "session %s is externally driven: there are no asks to answer", s.ID)
+		return client.TellResponse{}, codef(CodeExternalSession, "session %s is externally driven: there are no asks to answer", s.ID)
 	}
 	for i, a := range req.Answers {
 		pending := s.pending
@@ -377,22 +226,22 @@ func (s *Session) Tell(req TellRequest) (TellResponse, error) {
 		case i > 0:
 			// Asks are sequential: the answer before this one used up the
 			// only pending ask.
-			return TellResponse{}, codef(CodeNoPendingAsk, "tell %d: no pending ask after ask %d (answer one ask per tell)", a.AskID, req.Answers[0].AskID)
+			return client.TellResponse{}, codef(CodeNoPendingAsk, "tell %d: no pending ask after ask %d (answer one ask per tell)", a.AskID, req.Answers[0].AskID)
 		case pending == nil:
-			return TellResponse{}, codef(CodeNoPendingAsk, "tell %d: no pending ask (call ask first)", a.AskID)
+			return client.TellResponse{}, codef(CodeNoPendingAsk, "tell %d: no pending ask (call ask first)", a.AskID)
 		case pending.ID != a.AskID:
-			return TellResponse{}, codef(CodeAskMismatch, "tell %d: pending ask is %d", a.AskID, pending.ID)
+			return client.TellResponse{}, codef(CodeAskMismatch, "tell %d: pending ask is %d", a.AskID, pending.ID)
 		}
 	}
 	plans, err := s.planEvaluateLocked(req.Evaluate)
 	if err != nil {
-		return TellResponse{}, err
+		return client.TellResponse{}, err
 	}
 
-	resp := TellResponse{Results: []SessionTrial{}}
+	resp := client.TellResponse{Results: []client.SessionTrial{}}
 	if len(req.Answers) > 0 {
 		if err := s.answerLocked(req.Answers[0]); err != nil {
-			return TellResponse{}, err
+			return client.TellResponse{}, err
 		}
 	}
 	for _, p := range plans {
@@ -405,7 +254,7 @@ func (s *Session) Tell(req TellRequest) (TellResponse, error) {
 		s.advanceLocked()
 	}
 
-	resp.State = s.state
+	resp.State = string(s.state)
 	resp.Done = s.state == SessionDone
 	resp.Best = s.bestLocked()
 	resp.SpentRounds = s.spent
@@ -417,9 +266,9 @@ func (s *Session) Tell(req TellRequest) (TellResponse, error) {
 
 // answerLocked records the answer to the pending ask, which the caller has
 // matched: the caller's own value, or the oracle's evaluation of the ask.
-func (s *Session) answerLocked(a TellAnswer) error {
+func (s *Session) answerLocked(a client.TellAnswer) error {
 	pending := s.pending
-	trial := SessionTrial{
+	trial := client.SessionTrial{
 		Source: "ask", AskID: &pending.ID, ConfigIndex: pending.ConfigIndex, Config: pending.Config,
 		Rounds: pending.Rounds, EvalID: pending.EvalID,
 	}
@@ -453,7 +302,7 @@ type evalPlan struct {
 // index, or by vector snapped to the pool), the rounds, and the incremental
 // training cost of each against the budget left by the items before it —
 // and changes nothing.
-func (s *Session) planEvaluateLocked(items []TellEval) ([]evalPlan, error) {
+func (s *Session) planEvaluateLocked(items []client.TellEval) ([]evalPlan, error) {
 	bank := s.oracle.Bank()
 	pool, maxRounds := bank.Configs, bank.MaxRounds()
 	plans := make([]evalPlan, 0, len(items))
@@ -470,7 +319,7 @@ func (s *Session) planEvaluateLocked(items []TellEval) ([]evalPlan, error) {
 				return nil, codef(CodeBadRequest, "evaluate: config_index %d outside pool [0, %d)", ci, len(pool))
 			}
 		case e.Config != nil:
-			ci = hpo.NearestConfig(pool, *e.Config, hpo.DefaultSpace())
+			ci = hpo.NearestConfig(pool, fl.HParams(*e.Config), hpo.DefaultSpace())
 		default:
 			return nil, codef(CodeBadRequest, "evaluate: one of config_index or config is required")
 		}
@@ -514,7 +363,7 @@ func (s *Session) planEvaluateLocked(items []TellEval) ([]evalPlan, error) {
 
 // evaluateLocked serves one checked evaluation: read the oracle, charge the
 // planned cost and log the trial.
-func (s *Session) evaluateLocked(p evalPlan) SessionTrial {
+func (s *Session) evaluateLocked(p evalPlan) client.SessionTrial {
 	ev, err := s.oracle.EvaluateIndex(p.ci, p.rounds, p.evalID)
 	if err != nil {
 		panic(err) // planEvaluateLocked checked the index and rounds
@@ -524,8 +373,8 @@ func (s *Session) evaluateLocked(p evalPlan) SessionTrial {
 		s.trained[p.ci] = ev.Rounds
 	}
 	s.evals++
-	trial := SessionTrial{
-		Source: "tell", ConfigIndex: p.ci, Config: s.oracle.Pool()[p.ci],
+	trial := client.SessionTrial{
+		Source: "tell", ConfigIndex: p.ci, Config: client.HParams(s.oracle.Pool()[p.ci]),
 		Rounds: ev.Rounds, Observed: ev.Observed, TrueErr: ev.True, EvalID: p.evalID,
 	}
 	s.recordLocked(trial)
@@ -533,7 +382,7 @@ func (s *Session) evaluateLocked(p evalPlan) SessionTrial {
 }
 
 // recordLocked appends to the trial log and updates the running best.
-func (s *Session) recordLocked(t SessionTrial) {
+func (s *Session) recordLocked(t client.SessionTrial) {
 	t.Index = len(s.trials)
 	s.trials = append(s.trials, t)
 	if s.best == nil || betterTrial(t, *s.best) {
@@ -543,7 +392,7 @@ func (s *Session) recordLocked(t SessionTrial) {
 }
 
 // bestLocked returns a copy of the current best.
-func (s *Session) bestLocked() *SessionTrial {
+func (s *Session) bestLocked() *client.SessionTrial {
 	if s.best == nil {
 		return nil
 	}
@@ -565,12 +414,12 @@ func (s *Session) Close() {
 }
 
 // Status snapshots the session for GET.
-func (s *Session) Status() SessionStatus {
+func (s *Session) Status() client.SessionStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	bank := s.oracle.Bank()
-	return SessionStatus{
-		ID: s.ID, Key: s.Key, State: s.state, Request: s.Req,
+	return client.SessionStatus{
+		ID: s.ID, Key: s.Key, State: string(s.state), Request: s.Req,
 		CreatedAt:    s.created.UTC().Format(time.RFC3339Nano),
 		External:     s.stream == nil,
 		Asked:        s.asked,
@@ -582,7 +431,7 @@ func (s *Session) Status() SessionStatus {
 		PoolSize:     len(bank.Configs),
 		MaxRounds:    bank.MaxRounds(),
 		Checkpoints:  append([]int(nil), bank.Rounds...),
-		Trials:       append([]SessionTrial(nil), s.trials...),
+		Trials:       append([]client.SessionTrial(nil), s.trials...),
 		Best:         s.bestLocked(),
 		Error:        s.errMsg,
 	}
@@ -598,21 +447,15 @@ func scaleKnown(scale string, scales []string) bool {
 	return false
 }
 
-// sessionMethodKey renders the session's driving method for the session key
-// (same shape as exper's run-key method component).
-func sessionMethodKey(m hpo.Method) string {
-	return fmt.Sprintf("%s %#v", m.Name(), m)
-}
-
 // OpenSession validates the request, warms the bank (building it on first
-// use, exactly as a run would), and registers a new session. The oracle and
-// RNG wiring mirrors exper.RunTune trial-for-trial: a session with
-// (seed, trial) evaluates on the same cohorts and draws the same method
-// stream as bootstrap trial `trial` of the equivalent /v1/runs submission —
-// that equivalence is what the ask/tell parity tests pin.
-func (m *Manager) OpenSession(req SessionRequest) (sess *Session, err error) {
-	req.Normalize()
-	if err := req.Validate(m.ScaleNames()); err != nil {
+// use, exactly as a run would), and registers a new session. exper.OpenTrial
+// wires the oracle and method stream: a session with (seed, trial) evaluates
+// on the same cohorts and draws the same method stream as bootstrap trial
+// `trial` of the equivalent /v1/runs submission — that equivalence is what
+// the ask/tell parity tests pin.
+func (m *Manager) OpenSession(req client.SessionRequest) (sess *Session, err error) {
+	normalizeSession(&req)
+	if err := validateSession(req, m.ScaleNames()); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
 	}
 	if m.draining() {
@@ -622,44 +465,30 @@ func (m *Manager) OpenSession(req SessionRequest) (sess *Session, err error) {
 	if err != nil {
 		return nil, err
 	}
+	treq := exper.TuneRequest{Dataset: req.Dataset, Noise: core.Noise(req.Noise), Seed: req.Seed}
+	if req.Method != ExternalMethod {
+		if treq.Method, err = hpo.MethodByName(req.Method); err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrBadRequest, codef(CodeUnknownMethod, "%v", err))
+		}
+	}
 
-	noise := req.Noise.Noise()
-	settings := noise.Settings(hpo.Settings{Budget: suite.Cfg.Budget()})
-
-	// Bank construction panics on internal failure; a serving layer needs an
-	// error. The suite deduplicates concurrent builds internally.
+	// OpenTrial builds the bank on first use, and bank construction panics
+	// on internal failure; a serving layer needs an error. The suite
+	// deduplicates concurrent builds internally.
 	defer func() {
 		if r := recover(); r != nil {
 			sess, err = nil, fmt.Errorf("open session: %v", r)
 		}
 	}()
-	bank := suite.Bank(req.Dataset)
-	// Same address a run records (build inputs; fingerprint for installed
-	// banks), so session and run provenance line up for one dataset.
-	bankKey := suite.BankKeyFor(req.Dataset)
-
-	oracle, err := core.NewBankOracle(bank, noise.HeterogeneityP, noise.Scheme(), req.Seed)
+	tt, err := suite.OpenTrial(treq, req.Trial)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadRequest, codef(CodeInvalidNoise, "%v", err))
 	}
-	oracle = oracle.WithTrial(req.Trial)
-
-	var stream *hpo.EvalStream
-	methodDesc := ExternalMethod
-	if !req.External() {
-		method, err := hpo.MethodByName(req.Method)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrBadRequest, codef(CodeUnknownMethod, "%v", err))
-		}
-		methodDesc = sessionMethodKey(method)
-		// The "fedtune" label and per-trial split reproduce the exact RNG
-		// stream RunTrials hands trial Req.Trial (exper.RunTune).
-		g := rng.New(req.Seed).Split("fedtune").Splitf("trial-%d", req.Trial)
-		stream = hpo.NewEvalStream(method, oracle, hpo.DefaultSpace(), settings, g)
-	}
-
-	key := core.RunKey(bankKey, "session "+methodDesc, noise, settings, req.Trial+1, req.Seed)
-	sess = newSession(key, req, oracle, stream, settings, bankKey, time.Now())
+	// Same address a run records (build inputs; fingerprint for installed
+	// banks), so session and run provenance line up for one dataset.
+	bankKey := suite.BankKeyFor(req.Dataset)
+	key := core.RunKey(bankKey, "session "+cmp.Or(tt.MethodKey, ExternalMethod), treq.Noise, tt.Settings, req.Trial+1, req.Seed)
+	sess = newSession(key, req, tt, bankKey, time.Now())
 	if err := m.sessions.Add(sess); err != nil {
 		sess.Close()
 		return nil, err

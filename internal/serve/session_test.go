@@ -17,11 +17,12 @@ import (
 	"noisyeval/internal/fl"
 	"noisyeval/internal/hpo"
 	"noisyeval/internal/rng"
+	"noisyeval/pkg/client"
 )
 
 // doJSON issues one request and decodes the response into out (when non-nil
-// and the status is 2xx) or into an errorEnvelope returned alongside.
-func (ts *testServer) doJSON(t *testing.T, method, path, body string, out any) (int, errorEnvelope) {
+// and the status is 2xx) or into an client.ErrorEnvelope returned alongside.
+func (ts *testServer) doJSON(t *testing.T, method, path, body string, out any) (int, client.ErrorEnvelope) {
 	t.Helper()
 	var rd io.Reader
 	if body != "" {
@@ -41,7 +42,7 @@ func (ts *testServer) doJSON(t *testing.T, method, path, body string, out any) (
 	defer resp.Body.Close()
 	raw, _ := io.ReadAll(resp.Body)
 	if resp.StatusCode >= 300 {
-		var env errorEnvelope
+		var env client.ErrorEnvelope
 		if err := json.Unmarshal(raw, &env); err != nil {
 			t.Fatalf("%s %s: status %d with non-envelope body %q", method, path, resp.StatusCode, raw)
 		}
@@ -52,34 +53,34 @@ func (ts *testServer) doJSON(t *testing.T, method, path, body string, out any) (
 			t.Fatalf("%s %s: decode %q: %v", method, path, raw, err)
 		}
 	}
-	return resp.StatusCode, errorEnvelope{}
+	return resp.StatusCode, client.ErrorEnvelope{}
 }
 
 // driveSession asks and server-evaluates until the method finishes,
 // returning the completed status. maxSteps guards against a method that
 // never finishes.
-func (ts *testServer) driveSession(t *testing.T, id string, maxSteps int) SessionStatus {
+func (ts *testServer) driveSession(t *testing.T, id string, maxSteps int) client.SessionStatus {
 	t.Helper()
 	for i := 0; i < maxSteps; i++ {
-		var ask AskResponse
+		var ask client.AskResponse
 		if code, env := ts.doJSON(t, "POST", "/v1/sessions/"+id+"/ask", "", &ask); code != http.StatusOK {
 			t.Fatalf("ask %d: status %d (%s: %s)", i, code, env.Error.Code, env.Error.Message)
 		}
 		if ask.Done {
-			var st SessionStatus
+			var st client.SessionStatus
 			if code, env := ts.doJSON(t, "GET", "/v1/sessions/"+id, "", &st); code != http.StatusOK {
 				t.Fatalf("get: status %d (%s)", code, env.Error.Code)
 			}
 			return st
 		}
 		body := fmt.Sprintf(`{"answers":[{"ask_id":%d}]}`, ask.Asks[0].ID)
-		var tell TellResponse
+		var tell client.TellResponse
 		if code, env := ts.doJSON(t, "POST", "/v1/sessions/"+id+"/tell", body, &tell); code != http.StatusOK {
 			t.Fatalf("tell %d: status %d (%s: %s)", i, code, env.Error.Code, env.Error.Message)
 		}
 	}
 	t.Fatalf("session %s did not finish in %d steps", id, maxSteps)
-	return SessionStatus{}
+	return client.SessionStatus{}
 }
 
 // evalRecorder is the reference side of TestSessionParityWithRun: a bank
@@ -120,11 +121,11 @@ func TestSessionParityWithRun(t *testing.T) {
 	const seed = 5
 	noises := []struct {
 		name string
-		req  NoiseRequest
+		req  client.Noise
 	}{
-		{"subsample", NoiseRequest{SampleCount: 2}},
-		{"bias", NoiseRequest{SampleCount: 2, Bias: 1}},
-		{"eps", NoiseRequest{SampleCount: 2, Epsilon: 2}},
+		{"subsample", client.Noise{SampleCount: 2}},
+		{"bias", client.Noise{SampleCount: 2, Bias: 1}},
+		{"eps", client.Noise{SampleCount: 2, Epsilon: 2}},
 	}
 	for _, method := range hpo.Methods() {
 		t.Run(method, func(t *testing.T) {
@@ -135,11 +136,11 @@ func TestSessionParityWithRun(t *testing.T) {
 					_, st := ts.submit(t, body)
 					ts.streamEvents(t, st.ID)
 					_, raw := ts.getRun(t, st.ID, nil)
-					var runSt RunStatus
+					var runSt client.RunStatus
 					if err := json.Unmarshal(raw, &runSt); err != nil {
 						t.Fatal(err)
 					}
-					if runSt.State != StateDone || runSt.Result == nil || runSt.Result.Best == nil {
+					if runSt.State != string(StateDone) || runSt.Result == nil || runSt.Result.Best == nil {
 						t.Fatalf("run did not finish with a best: %+v", runSt)
 					}
 
@@ -150,7 +151,7 @@ func TestSessionParityWithRun(t *testing.T) {
 						t.Fatal(err)
 					}
 					bank := suite.Bank("cifar10")
-					noise := nz.req.Noise()
+					noise := core.Noise(nz.req)
 					oracle, err := core.NewBankOracle(bank, noise.HeterogeneityP, noise.Scheme(), seed)
 					if err != nil {
 						t.Fatal(err)
@@ -166,13 +167,13 @@ func TestSessionParityWithRun(t *testing.T) {
 						t.Fatal("the direct run evaluated nothing")
 					}
 
-					var sess SessionStatus
+					var sess client.SessionStatus
 					sbody := fmt.Sprintf(`{"dataset":"cifar10","method":%q,"seed":%d,"noise":%s}`, method, seed, noiseJSON)
 					if code, env := ts.doJSON(t, "POST", "/v1/sessions", sbody, &sess); code != http.StatusCreated {
 						t.Fatalf("open: status %d (%s: %s)", code, env.Error.Code, env.Error.Message)
 					}
 					for i := 0; ; i++ {
-						var ask, again AskResponse
+						var ask, again client.AskResponse
 						if code, env := ts.doJSON(t, "POST", "/v1/sessions/"+sess.ID+"/ask", "", &ask); code != http.StatusOK {
 							t.Fatalf("ask %d: status %d (%s: %s)", i, code, env.Error.Code, env.Error.Message)
 						}
@@ -195,13 +196,13 @@ func TestSessionParityWithRun(t *testing.T) {
 						if len(ask.Asks) != 1 || item.ID != i {
 							t.Fatalf("ask %d: %d items, first ID %d", i, len(ask.Asks), item.ID)
 						}
-						if ci, err := bank.ConfigIndex(item.Config); err != nil || item.ConfigIndex != ci {
+						if ci, err := bank.ConfigIndex(fl.HParams(item.Config)); err != nil || item.ConfigIndex != ci {
 							t.Fatalf("ask %d: config_index %d, bank says %d (%v)", i, item.ConfigIndex, ci, err)
 						}
-						if item.Config != want.cfg || item.Rounds != want.rounds || item.EvalID != want.evalID {
+						if fl.HParams(item.Config) != want.cfg || item.Rounds != want.rounds || item.EvalID != want.evalID {
 							t.Fatalf("ask %d = %+v, the direct run evaluated %+v", i, item, want)
 						}
-						var tell TellResponse
+						var tell client.TellResponse
 						if code, env := ts.doJSON(t, "POST", "/v1/sessions/"+sess.ID+"/tell", fmt.Sprintf(`{"answers":[{"ask_id":%d}]}`, i), &tell); code != http.StatusOK {
 							t.Fatalf("tell %d: status %d (%s: %s)", i, code, env.Error.Code, env.Error.Message)
 						}
@@ -209,11 +210,11 @@ func TestSessionParityWithRun(t *testing.T) {
 							t.Fatalf("tell %d of %d reported done=%v", i, len(ref.log), tell.Done)
 						}
 					}
-					var final SessionStatus
+					var final client.SessionStatus
 					if code, env := ts.doJSON(t, "GET", "/v1/sessions/"+sess.ID, "", &final); code != http.StatusOK {
 						t.Fatalf("get: status %d (%s)", code, env.Error.Code)
 					}
-					if final.State != SessionDone || final.Best == nil {
+					if final.State != string(SessionDone) || final.Best == nil {
 						t.Fatalf("session state = %s (error %q, best %v), want done with a best", final.State, final.Error, final.Best)
 					}
 					if len(final.Trials) != len(ref.log) {
@@ -221,13 +222,13 @@ func TestSessionParityWithRun(t *testing.T) {
 					}
 					for i, tr := range final.Trials {
 						want := ref.log[i]
-						if tr.Config != want.cfg || tr.Rounds != bank.Rounds[bank.CheckpointIndex(want.rounds)] || tr.Observed != want.observed {
+						if fl.HParams(tr.Config) != want.cfg || tr.Rounds != bank.Rounds[bank.CheckpointIndex(want.rounds)] || tr.Observed != want.observed {
 							t.Fatalf("trial %d = %+v, the direct run observed %+v", i, tr, want)
 						}
 					}
 
 					rec, _ := hist.Recommend()
-					if b := final.Best; b.Config != rec.Config || b.Rounds != rec.Rounds || b.Observed != rec.Observed || b.TrueErr != rec.True {
+					if b := final.Best; fl.HParams(b.Config) != rec.Config || b.Rounds != rec.Rounds || b.Observed != rec.Observed || b.TrueErr != rec.True {
 						t.Errorf("session best = %+v, direct run recommends %+v", *b, rec)
 					}
 					want := runSt.Result.Best
@@ -257,7 +258,7 @@ func (failingMethod) Run(o hpo.Oracle, _ hpo.Space, _ hpo.Settings, _ *rng.RNG) 
 // leaves the session failed; later asks and tells are session_terminal.
 func TestSessionMethodPanic(t *testing.T) {
 	ts := newTestServer(t, Options{})
-	var donor SessionStatus
+	var donor client.SessionStatus
 	if code, _ := ts.doJSON(t, "POST", "/v1/sessions", `{"dataset":"cifar10","noise":{"sample_count":2}}`, &donor); code != http.StatusCreated {
 		t.Fatalf("open: %d", code)
 	}
@@ -265,13 +266,13 @@ func TestSessionMethodPanic(t *testing.T) {
 	req := ext.Req
 	req.Method = "failing"
 	stream := hpo.NewEvalStream(failingMethod{}, ext.oracle, hpo.DefaultSpace(), ext.settings, rng.New(1))
-	sess := newSession("k", req, ext.oracle, stream, ext.settings, ext.bankKey, time.Now())
+	sess := newSession("k", req, exper.TuneTrial{Oracle: ext.oracle, Settings: ext.settings, Stream: stream}, ext.bankKey, time.Now())
 	if err := ts.mgr.Sessions().Add(sess); err != nil {
 		t.Fatal(err)
 	}
 
 	path := "/v1/sessions/" + sess.ID
-	var ask AskResponse
+	var ask client.AskResponse
 	if code, _ := ts.doJSON(t, "POST", path+"/ask", "", &ask); code != http.StatusOK || len(ask.Asks) != 1 {
 		t.Fatalf("first ask: %d %+v", code, ask)
 	}
@@ -279,8 +280,8 @@ func TestSessionMethodPanic(t *testing.T) {
 	if code != http.StatusInternalServerError || env.Error.Code != CodeInternal || !strings.Contains(env.Error.Message, "method failing panicked: boom") {
 		t.Fatalf("tell that resumes the panic: %d %q %q", code, env.Error.Code, env.Error.Message)
 	}
-	var st SessionStatus
-	if code, _ := ts.doJSON(t, "GET", path, "", &st); code != http.StatusOK || st.State != SessionFailed || !strings.Contains(st.Error, "failing") {
+	var st client.SessionStatus
+	if code, _ := ts.doJSON(t, "GET", path, "", &st); code != http.StatusOK || st.State != string(SessionFailed) || !strings.Contains(st.Error, "failing") {
 		t.Fatalf("after panic: %d state %s error %q", code, st.State, st.Error)
 	}
 	if len(st.Trials) != 1 || st.Told != 1 {
@@ -305,7 +306,7 @@ func TestSessionsLeaveNoGoroutines(t *testing.T) {
 
 	open := func() *Session {
 		t.Helper()
-		sess, err := mgr.OpenSession(SessionRequest{Dataset: "cifar10", Method: "sha", Noise: NoiseRequest{SampleCount: 2}})
+		sess, err := mgr.OpenSession(client.SessionRequest{Dataset: "cifar10", Method: "sha", Noise: client.Noise{SampleCount: 2}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,7 +315,7 @@ func TestSessionsLeaveNoGoroutines(t *testing.T) {
 		if _, err := sess.Ask(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sess.Tell(TellRequest{Answers: []TellAnswer{{AskID: 0}}}); err != nil {
+		if _, err := sess.Tell(client.TellRequest{Answers: []client.TellAnswer{{AskID: 0}}}); err != nil {
 			t.Fatal(err)
 		}
 		if sess.batch == nil || len(sess.batch.Indices) < 2 || sess.pos != 1 {
@@ -359,7 +360,7 @@ func TestSessionsLeaveNoGoroutines(t *testing.T) {
 	mgr.Sessions().CloseAll()
 
 	for _, s := range []*Session{closed, reaped, kept} {
-		if st := s.Status(); st.State != SessionClosed {
+		if st := s.Status(); st.State != string(SessionClosed) {
 			t.Errorf("session %s state %s, want closed", s.ID, st.State)
 		}
 		if _, err := s.Ask(); err == nil {
@@ -376,7 +377,7 @@ func TestSessionsLeaveNoGoroutines(t *testing.T) {
 // budget accounting, and budget exhaustion.
 func TestSessionExternalEvaluate(t *testing.T) {
 	ts := newTestServer(t, Options{})
-	var sess SessionStatus
+	var sess client.SessionStatus
 	if code, env := ts.doJSON(t, "POST", "/v1/sessions", `{"dataset":"cifar10","seed":3,"noise":{"sample_count":2}}`, &sess); code != http.StatusCreated {
 		t.Fatalf("open: status %d (%s)", code, env.Error.Code)
 	}
@@ -386,9 +387,9 @@ func TestSessionExternalEvaluate(t *testing.T) {
 
 	// Same (index, rounds, eval_id) twice → identical observation, but the
 	// second evaluation is budget-free (the checkpoint is already paid for).
-	eval := func(body string) TellResponse {
+	eval := func(body string) client.TellResponse {
 		t.Helper()
-		var resp TellResponse
+		var resp client.TellResponse
 		if code, env := ts.doJSON(t, "POST", "/v1/sessions/"+sess.ID+"/tell", body, &resp); code != http.StatusOK {
 			t.Fatalf("tell %s: status %d (%s: %s)", body, code, env.Error.Code, env.Error.Message)
 		}
@@ -413,7 +414,7 @@ func TestSessionExternalEvaluate(t *testing.T) {
 	// Burn the remaining budget, then expect budget_exhausted.
 	budget := sess.BudgetRounds
 	for ci := 1; ; ci++ {
-		var resp TellResponse
+		var resp client.TellResponse
 		code, env := ts.doJSON(t, "POST", "/v1/sessions/"+sess.ID+"/tell",
 			fmt.Sprintf(`{"evaluate":[{"config_index":%d}]}`, ci%sess.PoolSize), &resp)
 		if code == http.StatusOK {
@@ -433,11 +434,11 @@ func TestSessionExternalEvaluate(t *testing.T) {
 // coded failures.
 func TestSessionErrorPaths(t *testing.T) {
 	ts := newTestServer(t, Options{})
-	var ext SessionStatus
+	var ext client.SessionStatus
 	if code, _ := ts.doJSON(t, "POST", "/v1/sessions", `{"dataset":"cifar10","noise":{"sample_count":2}}`, &ext); code != http.StatusCreated {
 		t.Fatalf("open external: %d", code)
 	}
-	var driven SessionStatus
+	var driven client.SessionStatus
 	if code, _ := ts.doJSON(t, "POST", "/v1/sessions", `{"dataset":"cifar10","method":"rs","noise":{"sample_count":2}}`, &driven); code != http.StatusCreated {
 		t.Fatalf("open driven: %d", code)
 	}
@@ -474,7 +475,7 @@ func TestSessionErrorPaths(t *testing.T) {
 	}
 
 	// ask_mismatch needs a live pending ask.
-	var ask AskResponse
+	var ask client.AskResponse
 	if code, _ := ts.doJSON(t, "POST", "/v1/sessions/"+driven.ID+"/ask", "", &ask); code != 200 {
 		t.Fatalf("ask: %d", code)
 	}
@@ -486,8 +487,8 @@ func TestSessionErrorPaths(t *testing.T) {
 	// A tell applies all of its items or none: a body whose later item is
 	// refused leaves the session's status as it was, and the pending ask
 	// can still be answered.
-	status := func(id string) SessionStatus {
-		var st SessionStatus
+	status := func(id string) client.SessionStatus {
+		var st client.SessionStatus
 		if code, _ := ts.doJSON(t, "GET", "/v1/sessions/"+id, "", &st); code != 200 {
 			t.Fatalf("status %s: %d", id, code)
 		}
@@ -524,7 +525,7 @@ func TestSessionErrorPaths(t *testing.T) {
 			t.Errorf("%s: a refused tell changed the session:\nbefore %+v\nafter  %+v", tc.name, before, after)
 		}
 	}
-	var told TellResponse
+	var told client.TellResponse
 	if code, env := ts.doJSON(t, "POST", "/v1/sessions/"+driven.ID+"/tell", fmt.Sprintf(`{"answers":[{"ask_id":%d}]}`, a), &told); code != 200 {
 		t.Fatalf("answer after refused tells: %d %q", code, env.Error.Code)
 	}
@@ -545,8 +546,8 @@ func TestSessionErrorPaths(t *testing.T) {
 // bound with its too_many_sessions rejection.
 func TestSessionCloseAndCapacity(t *testing.T) {
 	ts := newTestServer(t, Options{MaxSessions: 2})
-	open := func() (SessionStatus, int, errorEnvelope) {
-		var s SessionStatus
+	open := func() (client.SessionStatus, int, client.ErrorEnvelope) {
+		var s client.SessionStatus
 		code, env := ts.doJSON(t, "POST", "/v1/sessions", `{"dataset":"cifar10","method":"rs","noise":{"sample_count":2}}`, &s)
 		return s, code, env
 	}
@@ -560,11 +561,11 @@ func TestSessionCloseAndCapacity(t *testing.T) {
 	if _, code, env := open(); code != http.StatusServiceUnavailable || env.Error.Code != CodeTooManySessions {
 		t.Fatalf("open c: got %d %q, want 503 %s", code, env.Error.Code, CodeTooManySessions)
 	}
-	var closed SessionStatus
+	var closed client.SessionStatus
 	if code, _ := ts.doJSON(t, "DELETE", "/v1/sessions/"+a.ID, "", &closed); code != 200 {
 		t.Fatalf("close a: %d", code)
 	}
-	if closed.State != SessionClosed {
+	if closed.State != string(SessionClosed) {
 		t.Errorf("closed state = %s", closed.State)
 	}
 	if _, code, _ = open(); code != http.StatusCreated {
@@ -581,12 +582,12 @@ func TestSessionIdleReaping(t *testing.T) {
 	now := time.Now()
 	ts.mgr.Sessions().now = func() time.Time { return now }
 
-	var idle, busy SessionStatus
+	var idle, busy client.SessionStatus
 	if code, _ := ts.doJSON(t, "POST", "/v1/sessions", `{"dataset":"cifar10","method":"rs","noise":{"sample_count":2}}`, &idle); code != 201 {
 		t.Fatalf("open idle: %d", code)
 	}
 	// Leave idle's method suspended on a pending ask.
-	var ask AskResponse
+	var ask client.AskResponse
 	if code, _ := ts.doJSON(t, "POST", "/v1/sessions/"+idle.ID+"/ask", "", &ask); code != 200 {
 		t.Fatalf("ask: %d", code)
 	}
@@ -625,7 +626,7 @@ func TestSessionIdleReaping(t *testing.T) {
 // TestSessionList covers GET /v1/sessions rows.
 func TestSessionList(t *testing.T) {
 	ts := newTestServer(t, Options{})
-	var a SessionStatus
+	var a client.SessionStatus
 	if code, _ := ts.doJSON(t, "POST", "/v1/sessions", `{"dataset":"cifar10","method":"fedpop","noise":{"sample_count":2}}`, &a); code != 201 {
 		t.Fatalf("open: %d", code)
 	}
@@ -680,10 +681,6 @@ func TestListPagination(t *testing.T) {
 		ids = append(ids, st.ID)
 	}
 
-	type listResp struct {
-		Runs       []runListItem `json:"runs"`
-		NextCursor string        `json:"next_cursor"`
-	}
 	var got []string
 	cursor := ""
 	for page := 0; ; page++ {
@@ -691,7 +688,7 @@ func TestListPagination(t *testing.T) {
 		if cursor != "" {
 			path += "&cursor=" + cursor
 		}
-		var lr listResp
+		var lr client.RunPage
 		if code, _ := ts.doJSON(t, "GET", path, "", &lr); code != 200 {
 			t.Fatalf("page %d: %d", page, code)
 		}
@@ -713,14 +710,14 @@ func TestListPagination(t *testing.T) {
 		t.Errorf("paged walk = %v, want %v", got, ids)
 	}
 
-	var all listResp
+	var all client.RunPage
 	if code, _ := ts.doJSON(t, "GET", "/v1/runs?state=done", "", &all); code != 200 {
 		t.Fatal("state filter failed")
 	}
 	if len(all.Runs) != 5 {
 		t.Errorf("state=done rows = %d, want 5", len(all.Runs))
 	}
-	var none listResp
+	var none client.RunPage
 	if code, _ := ts.doJSON(t, "GET", "/v1/runs?state=failed", "", &none); code != 200 || len(none.Runs) != 0 {
 		t.Errorf("state=failed rows = %d, want 0", len(none.Runs))
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"noisyeval/internal/exper"
+	"noisyeval/pkg/client"
 )
 
 // TestGracefulShutdownDrainsInFlightCancelsQueued pins the shutdown
@@ -33,7 +34,7 @@ func TestGracefulShutdownDrainsInFlightCancelsQueued(t *testing.T) {
 
 	submit := func(seed uint64) *Run {
 		t.Helper()
-		run, created, err := mgr.Submit(RunRequest{Dataset: "cifar10", Method: "rs", Trials: 2, Seed: seed})
+		run, created, err := mgr.Submit(client.RunRequest{Dataset: "cifar10", Method: "rs", Trials: 2, Seed: seed})
 		if err != nil || !created {
 			t.Fatalf("submit seed %d: created=%v err=%v", seed, created, err)
 		}
@@ -64,7 +65,7 @@ func TestGracefulShutdownDrainsInFlightCancelsQueued(t *testing.T) {
 	// no extra runs.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		_, created, err := mgr.Submit(RunRequest{Dataset: "cifar10", Method: "rs", Trials: 2, Seed: 3})
+		_, created, err := mgr.Submit(client.RunRequest{Dataset: "cifar10", Method: "rs", Trials: 2, Seed: 3})
 		if errors.Is(err, ErrShuttingDown) {
 			break
 		}
@@ -125,7 +126,7 @@ func TestShutdownCancelledRunStreamsTerminate(t *testing.T) {
 	_, queued := ts.submit(t, `{"dataset":"cifar10","method":"rs","trials":2,"seed":2}`)
 
 	type streamOut struct {
-		events []Event
+		events []client.Event
 		err    error
 	}
 	got := make(chan streamOut, 1)
@@ -143,7 +144,7 @@ func TestShutdownCancelledRunStreamsTerminate(t *testing.T) {
 	// is identical to the queued run, so until then it only dedups), then
 	// release the in-flight run so draining can finish.
 	for {
-		_, _, err := mgr.Submit(RunRequest{Dataset: "cifar10", Method: "rs", Trials: 2, Seed: 2})
+		_, _, err := mgr.Submit(client.RunRequest{Dataset: "cifar10", Method: "rs", Trials: 2, Seed: 2})
 		if errors.Is(err, ErrShuttingDown) {
 			break
 		}
@@ -157,7 +158,7 @@ func TestShutdownCancelledRunStreamsTerminate(t *testing.T) {
 			t.Fatalf("stream: events=%d err=%v", len(out.events), out.err)
 		}
 		last := out.events[len(out.events)-1]
-		if last.State != StateCancelled || !strings.Contains(last.Error, "shutting down") {
+		if last.State != string(StateCancelled) || !strings.Contains(last.Error, "shutting down") {
 			t.Fatalf("terminal event = %+v, want cancelled with reason", last)
 		}
 	case <-time.After(30 * time.Second):
@@ -182,7 +183,7 @@ func TestShutdownTimeout(t *testing.T) {
 	}
 	mgr := NewManager(opts)
 	defer close(gate)
-	if _, _, err := mgr.Submit(RunRequest{Dataset: "cifar10", Method: "rs", Trials: 2, Seed: 1}); err != nil {
+	if _, _, err := mgr.Submit(client.RunRequest{Dataset: "cifar10", Method: "rs", Trials: 2, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	<-entered
@@ -216,7 +217,7 @@ func TestShutdownParksQueuedRunsWithJournal(t *testing.T) {
 
 	submit := func(seed uint64) *Run {
 		t.Helper()
-		run, created, err := mgr.Submit(RunRequest{Dataset: "cifar10", Method: "rs", Trials: 2, Seed: seed})
+		run, created, err := mgr.Submit(client.RunRequest{Dataset: "cifar10", Method: "rs", Trials: 2, Seed: seed})
 		if err != nil || !created {
 			t.Fatalf("submit seed %d: created=%v err=%v", seed, created, err)
 		}
@@ -229,7 +230,7 @@ func TestShutdownParksQueuedRunsWithJournal(t *testing.T) {
 	// A client watching a queued run must be released at park time.
 	replay, ch, cancelSub := queuedA.Subscribe()
 	defer cancelSub()
-	if len(replay) != 1 || replay[0].State != StateQueued {
+	if len(replay) != 1 || replay[0].State != string(StateQueued) {
 		t.Fatalf("queued run replay = %+v", replay)
 	}
 
@@ -240,7 +241,7 @@ func TestShutdownParksQueuedRunsWithJournal(t *testing.T) {
 		shutdownErr <- mgr.Shutdown(ctx)
 	}()
 	for {
-		_, _, err := mgr.Submit(RunRequest{Dataset: "cifar10", Method: "rs", Trials: 2, Seed: 3})
+		_, _, err := mgr.Submit(client.RunRequest{Dataset: "cifar10", Method: "rs", Trials: 2, Seed: 3})
 		if errors.Is(err, ErrShuttingDown) {
 			break
 		}
@@ -309,17 +310,17 @@ func TestShutdownWithoutJournalStillCancels(t *testing.T) {
 			<-gate
 		},
 	})
-	if _, _, err := mgr.Submit(RunRequest{Dataset: "cifar10", Method: "rs", Trials: 2, Seed: 1}); err != nil {
+	if _, _, err := mgr.Submit(client.RunRequest{Dataset: "cifar10", Method: "rs", Trials: 2, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	<-entered
-	queued, _, err := mgr.Submit(RunRequest{Dataset: "cifar10", Method: "rs", Trials: 2, Seed: 2})
+	queued, _, err := mgr.Submit(client.RunRequest{Dataset: "cifar10", Method: "rs", Trials: 2, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	go func() {
 		for {
-			_, _, err := mgr.Submit(RunRequest{Dataset: "cifar10", Method: "rs", Trials: 2, Seed: 2})
+			_, _, err := mgr.Submit(client.RunRequest{Dataset: "cifar10", Method: "rs", Trials: 2, Seed: 2})
 			if errors.Is(err, ErrShuttingDown) {
 				close(gate)
 				return
@@ -358,14 +359,14 @@ func TestQueueBackpressure(t *testing.T) {
 		mgr.Shutdown(ctx)
 	}()
 
-	if _, _, err := mgr.Submit(RunRequest{Dataset: "cifar10", Method: "rs", Trials: 2, Seed: 1}); err != nil {
+	if _, _, err := mgr.Submit(client.RunRequest{Dataset: "cifar10", Method: "rs", Trials: 2, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	<-entered // worker busy; queue empty
-	if _, _, err := mgr.Submit(RunRequest{Dataset: "cifar10", Method: "rs", Trials: 2, Seed: 2}); err != nil {
+	if _, _, err := mgr.Submit(client.RunRequest{Dataset: "cifar10", Method: "rs", Trials: 2, Seed: 2}); err != nil {
 		t.Fatal(err) // fills the queue
 	}
-	_, _, err := mgr.Submit(RunRequest{Dataset: "cifar10", Method: "rs", Trials: 2, Seed: 3})
+	_, _, err := mgr.Submit(client.RunRequest{Dataset: "cifar10", Method: "rs", Trials: 2, Seed: 3})
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overflow submit err = %v, want ErrQueueFull", err)
 	}

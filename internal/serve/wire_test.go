@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -10,8 +11,14 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
+
+	"noisyeval/internal/exper"
+
+	"noisyeval/pkg/client"
 )
 
 // rawCall issues one request and returns the response with its body read.
@@ -77,7 +84,7 @@ func TestJSONResponsesCompactWithLength(t *testing.T) {
 		return raw
 	}
 
-	var sub RunStatus
+	var sub client.RunStatus
 	if err := json.Unmarshal(check("submit", http.StatusAccepted, "POST", "/v1/runs", runBody), &sub); err != nil {
 		t.Fatal(err)
 	}
@@ -93,12 +100,12 @@ func TestJSONResponsesCompactWithLength(t *testing.T) {
 	check("bad cursor", http.StatusBadRequest, "GET", "/v1/runs?cursor=%21", "")
 	check("bad submit", http.StatusBadRequest, "POST", "/v1/runs", `{"dataset":`)
 
-	var sess SessionStatus
+	var sess client.SessionStatus
 	if err := json.Unmarshal(check("session open", http.StatusCreated, "POST", "/v1/sessions",
 		`{"dataset":"cifar10","method":"rs","noise":{"sample_count":2}}`), &sess); err != nil {
 		t.Fatal(err)
 	}
-	var ask AskResponse
+	var ask client.AskResponse
 	if err := json.Unmarshal(check("ask", http.StatusOK, "POST", "/v1/sessions/"+sess.ID+"/ask", ""), &ask); err != nil {
 		t.Fatal(err)
 	}
@@ -212,11 +219,87 @@ func TestUnencodableBodyAnswers500(t *testing.T) {
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("status %d, want 500", rec.Code)
 	}
-	var env errorEnvelope
+	var env client.ErrorEnvelope
 	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != CodeInternal {
 		t.Fatalf("body %q (%v), want the %q envelope", rec.Body.Bytes(), err, CodeInternal)
 	}
 	if got, want := rec.Header().Get("Content-Length"), fmt.Sprint(rec.Body.Len()); got != want {
 		t.Errorf("Content-Length %s, body %s bytes", got, want)
 	}
+}
+
+// TestListHealthGrowDecodeAsBefore covers the three bodies the daemon built
+// as maps before pkg/client declared them: a /v1/runs page (with and without
+// next_cursor, and empty), /healthz (journal and store on, after a grow, and
+// both off) and a bank grow. Each literal is the map-built body recorded for
+// the same calls (bank dir and uptime masked); the struct-built body may
+// order keys differently and drop zero omitempty fields, but must decode
+// through pkg/client to the same values.
+func TestListHealthGrowDecodeAsBefore(t *testing.T) {
+	store := testStore(t)
+	jr, err := OpenRunJournal(JournalOptions{Dir: t.TempDir(), NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newTestServer(t, Options{Store: store, Journal: jr})
+	uptime := regexp.MustCompile(`"uptime":"[^"]*"`)
+	same := func(name string, raw []byte, old string, v, was any) {
+		t.Helper()
+		body := uptime.ReplaceAll(bytes.ReplaceAll(raw, []byte(store.Dir()), []byte("DIR")), []byte(`"uptime":"U"`))
+		if err := json.Unmarshal(body, v); err != nil {
+			t.Fatalf("%s: decode %s: %v", name, body, err)
+		}
+		if err := json.Unmarshal([]byte(old), was); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(v, was) {
+			t.Errorf("%s: decodes to %+v, the map-built body to %+v\nbody %s", name, v, was, body)
+		}
+	}
+	get := func(path string) []byte {
+		t.Helper()
+		resp, raw := ts.rawCall(t, "GET", path, "")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d (%s)", path, resp.StatusCode, raw)
+		}
+		return raw
+	}
+
+	same("health, empty journal", get("/healthz"),
+		`{"banks":{"corrupt_segment":0,"dir":"DIR","enabled":true,"grows":0,"mapped_bytes":0,"mapped_files":0},"journal":{"bytes":8,"enabled":true,"max_bytes":67108864},"runs_active":0,"runs_queued":0,"status":"ok","uptime":"U"}`,
+		new(client.Health), new(client.Health))
+	for _, seed := range []int{1, 2} {
+		_, st := ts.submit(t, fmt.Sprintf(`{"dataset":"cifar10","method":"rs","trials":1,"seed":%d}`, seed))
+		ts.streamEvents(t, st.ID)
+	}
+	same("first page", get("/v1/runs?limit=1"),
+		`{"next_cursor":"djE6cnVuLTAwMDAwMQ","runs":[{"id":"run-000001","key":"786254b5faceb5feefe7bcf4d8d9630a6302e46cf09181d83e281b869b572af8","state":"done","dataset":"cifar10","method":"rs","scale":"quick","trials_done":1,"trials_total":1}]}`,
+		new(client.RunPage), new(client.RunPage))
+	same("last page", get("/v1/runs?limit=1&cursor=djE6cnVuLTAwMDAwMQ"),
+		`{"runs":[{"id":"run-000002","key":"0c3cee882a32bbb87e6dd67144b695b9a3f32838dc40294be05182df15415d5b","state":"done","dataset":"cifar10","method":"rs","scale":"quick","trials_done":1,"trials_total":1}]}`,
+		new(client.RunPage), new(client.RunPage))
+	same("empty page", get("/v1/runs?state=failed"), `{"runs":[]}`, new(client.RunPage), new(client.RunPage))
+
+	suite, err := ts.mgr.suiteFor(DefaultScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, raw := postGrow(t, ts, suite.BankKeyFor("cifar10"), `{"add":2}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("grow: status %d (%s)", resp.StatusCode, raw)
+	}
+	same("grow", raw,
+		`{"added":2,"dataset":"cifar10","new_key":"5b3609d3ecd188a5fd02425c9f407a0ffa6ff59f572a30d57b6633f2f4ec74b4","old_key":"a47c2fd813a06de51bc8e66878213d3ebcb27c2dae624085c5516b2aded1f0bc","total":8}`,
+		new(client.GrowBankResult), new(client.GrowBankResult))
+	same("health after a grow", get("/healthz"),
+		`{"banks":{"corrupt_segment":0,"dir":"DIR","enabled":true,"grows":1,"mapped_bytes":0,"mapped_files":0},"journal":{"bytes":2473,"enabled":true,"max_bytes":67108864},"runs_active":0,"runs_queued":0,"status":"ok","uptime":"U"}`,
+		new(client.Health), new(client.Health))
+
+	bare := NewManager(Options{Scales: map[string]exper.Config{"quick": tinyConfig()}})
+	defer bare.Shutdown(context.Background())
+	rec := httptest.NewRecorder()
+	NewServer(bare).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	same("health, no journal or store", rec.Body.Bytes(),
+		`{"banks":{"enabled":false},"journal":{"enabled":false},"runs_active":0,"runs_queued":0,"status":"ok","uptime":"U"}`,
+		new(client.Health), new(client.Health))
 }

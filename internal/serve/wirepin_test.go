@@ -7,11 +7,11 @@ import (
 	"regexp"
 	"testing"
 
-	"noisyeval/internal/fl"
+	"noisyeval/pkg/client"
 )
 
 // pinHParams sets every field of a configuration to a distinct value.
-var pinHParams = fl.HParams{
+var pinHParams = client.HParams{
 	ServerLR: 0.001, Beta1: 0.9, Beta2: 0.99, LRDecay: 0.9999,
 	ClientLR: 0.01, ClientMomentum: 0.5, WeightDecay: 5e-5, BatchSize: 32, Epochs: 1,
 }
@@ -27,14 +27,14 @@ const pinHParamsJSON = `{"ServerLR":0.001,"Beta1":0.9,"Beta2":0.99,"LRDecay":0.9
 func TestWireBytesPinned(t *testing.T) {
 	askID, ci, observed := 3, 4, 0.25
 	hp := pinHParams
-	full := SessionTrial{Index: 1, Source: "ask", AskID: &askID, ConfigIndex: 2, Config: pinHParams,
+	full := client.SessionTrial{Index: 1, Source: "ask", AskID: &askID, ConfigIndex: 2, Config: pinHParams,
 		Rounds: 9, Observed: 0.5, TrueErr: 0.375, EvalID: "e-1"}
-	bare := SessionTrial{Source: "tell", Config: pinHParams, EvalID: "tell-0"}
-	fullNoise := NoiseRequest{SampleCount: 2, SampleFraction: 0.5, Bias: 1.5, Epsilon: 2, HeterogeneityP: 0.5, Uniform: true}
-	fullRun := RunRequest{Dataset: "cifar10", Method: "rs", Scale: "quick", Trials: 3, Seed: 11, Noise: fullNoise}
-	bareRun := RunRequest{Dataset: "cifar10", Method: "rs"}
-	fullSess := SessionRequest{Dataset: "cifar10", Method: "tpe", Scale: "quick", Seed: 5, Trial: 2, Noise: fullNoise}
-	bareSess := SessionRequest{Dataset: "cifar10"}
+	bare := client.SessionTrial{Source: "tell", Config: pinHParams, EvalID: "tell-0"}
+	fullNoise := client.Noise{SampleCount: 2, SampleFraction: 0.5, Bias: 1.5, Epsilon: 2, HeterogeneityP: 0.5, Uniform: true}
+	fullRun := client.RunRequest{Dataset: "cifar10", Method: "rs", Scale: "quick", Trials: 3, Seed: 11, Noise: fullNoise}
+	bareRun := client.RunRequest{Dataset: "cifar10", Method: "rs"}
+	fullSess := client.SessionRequest{Dataset: "cifar10", Method: "tpe", Scale: "quick", Seed: 5, Trial: 2, Noise: fullNoise}
+	bareSess := client.SessionRequest{Dataset: "cifar10"}
 
 	for _, tc := range []struct {
 		name string
@@ -45,53 +45,53 @@ func TestWireBytesPinned(t *testing.T) {
 			`{"dataset":"cifar10","method":"rs","scale":"quick","trials":3,"seed":11,"noise":{"sample_count":2,"sample_fraction":0.5,"bias":1.5,"epsilon":2,"heterogeneity_p":0.5,"uniform":true}}`},
 		{"run request bare", bareRun,
 			`{"dataset":"cifar10","method":"rs","noise":{}}`},
-		{"run status full", RunStatus{
+		{"run status full", client.RunStatus{
 			ID: "run-000001", Key: "k1", State: "done", Request: fullRun,
 			CreatedAt: "c", StartedAt: "s", FinishedAt: "f", TrialsDone: 3, TrialsTotal: 3,
-			Result: &RunResult{MedianErr: 0.5, Q1Err: 0.25, Q3Err: 0.75, MeanErr: 0.5, Finals: []float64{0.25, 0.5, 0.75},
-				BudgetRounds: 36, BankKey: "b1", Best: &BestConfig{Config: pinHParams, TrueErr: 0.25, Rounds: 9}},
+			Result: &client.RunResult{MedianErr: 0.5, Q1Err: 0.25, Q3Err: 0.75, MeanErr: 0.5, Finals: []float64{0.25, 0.5, 0.75},
+				BudgetRounds: 36, BankKey: "b1", Best: &client.BestConfig{Config: pinHParams, TrueErr: 0.25, Rounds: 9}},
 			Error: "boom"},
 			`{"id":"run-000001","key":"k1","state":"done","request":{"dataset":"cifar10","method":"rs","scale":"quick","trials":3,"seed":11,"noise":{"sample_count":2,"sample_fraction":0.5,"bias":1.5,"epsilon":2,"heterogeneity_p":0.5,"uniform":true}},"created_at":"c","started_at":"s","finished_at":"f","trials_done":3,"trials_total":3,"result":{"median_err":0.5,"q1_err":0.25,"q3_err":0.75,"mean_err":0.5,"finals":[0.25,0.5,0.75],"budget_rounds":36,"bank_key":"b1","best":{"config":` + pinHParamsJSON + `,"true_err":0.25,"rounds":9}},"error":"boom"}`},
-		{"run status bare", RunStatus{ID: "run-000002", Key: "k2", State: "queued", Request: bareRun, CreatedAt: "c"},
+		{"run status bare", client.RunStatus{ID: "run-000002", Key: "k2", State: "queued", Request: bareRun, CreatedAt: "c"},
 			`{"id":"run-000002","key":"k2","state":"queued","request":{"dataset":"cifar10","method":"rs","noise":{}},"created_at":"c","trials_done":0,"trials_total":0}`},
-		{"run status result without best", RunStatus{ID: "run-000003", State: "done", Request: bareRun,
-			Result: &RunResult{Finals: []float64{}}},
+		{"run status result without best", client.RunStatus{ID: "run-000003", State: "done", Request: bareRun,
+			Result: &client.RunResult{Finals: []float64{}}},
 			`{"id":"run-000003","key":"","state":"done","request":{"dataset":"cifar10","method":"rs","noise":{}},"created_at":"","trials_done":0,"trials_total":0,"result":{"median_err":0,"q1_err":0,"q3_err":0,"mean_err":0,"finals":[],"budget_rounds":0,"bank_key":""}}`},
-		{"state event full", Event{Seq: 4, Type: "state", State: "failed", Trial: &TrialInfo{Index: 1, Completed: 2, Total: 3, FinalErr: 0.5}, Error: "boom"},
+		{"state event full", client.Event{Seq: 4, Type: "state", State: "failed", Trial: &client.TrialInfo{Index: 1, Completed: 2, Total: 3, FinalErr: 0.5}, Error: "boom"},
 			`{"seq":4,"type":"state","state":"failed","trial":{"index":1,"completed":2,"total":3,"final_err":0.5},"error":"boom"}`},
-		{"trial event bare", Event{Type: "trial", Trial: &TrialInfo{}},
+		{"trial event bare", client.Event{Type: "trial", Trial: &client.TrialInfo{}},
 			`{"seq":0,"type":"trial","trial":{"index":0,"completed":0,"total":0,"final_err":0}}`},
-		{"event bare", Event{Type: "state"},
+		{"event bare", client.Event{Type: "state"},
 			`{"seq":0,"type":"state"}`},
 		{"session request full", fullSess,
 			`{"dataset":"cifar10","method":"tpe","scale":"quick","seed":5,"trial":2,"noise":{"sample_count":2,"sample_fraction":0.5,"bias":1.5,"epsilon":2,"heterogeneity_p":0.5,"uniform":true}}`},
 		{"session request bare", bareSess,
 			`{"dataset":"cifar10","noise":{}}`},
-		{"session status full", SessionStatus{
+		{"session status full", client.SessionStatus{
 			ID: "sess-000001", Key: "k", State: "done", Request: fullSess, CreatedAt: "c", External: true,
 			Asked: 1, Told: 2, Evals: 3, SpentRounds: 4, BudgetRounds: 5, BankKey: "b", PoolSize: 6, MaxRounds: 9,
-			Checkpoints: []int{3, 9}, Trials: []SessionTrial{full, bare}, Best: &full, Error: "boom"},
+			Checkpoints: []int{3, 9}, Trials: []client.SessionTrial{full, bare}, Best: &full, Error: "boom"},
 			`{"id":"sess-000001","key":"k","state":"done","request":{"dataset":"cifar10","method":"tpe","scale":"quick","seed":5,"trial":2,"noise":{"sample_count":2,"sample_fraction":0.5,"bias":1.5,"epsilon":2,"heterogeneity_p":0.5,"uniform":true}},"created_at":"c","external":true,"asked":1,"told":2,"evals":3,"spent_rounds":4,"budget_rounds":5,"bank_key":"b","pool_size":6,"max_rounds":9,"checkpoints":[3,9],"trials":[` +
 				`{"index":1,"source":"ask","ask_id":3,"config_index":2,"config":` + pinHParamsJSON + `,"rounds":9,"observed":0.5,"true_err":0.375,"eval_id":"e-1"},` +
 				`{"index":0,"source":"tell","config_index":0,"config":` + pinHParamsJSON + `,"rounds":0,"observed":0,"true_err":0,"eval_id":"tell-0"}],` +
 				`"best":{"index":1,"source":"ask","ask_id":3,"config_index":2,"config":` + pinHParamsJSON + `,"rounds":9,"observed":0.5,"true_err":0.375,"eval_id":"e-1"},"error":"boom"}`},
-		{"session status bare", SessionStatus{ID: "sess-000002", State: "active", Request: bareSess},
+		{"session status bare", client.SessionStatus{ID: "sess-000002", State: "active", Request: bareSess},
 			`{"id":"sess-000002","key":"","state":"active","request":{"dataset":"cifar10","noise":{}},"created_at":"","external":false,"asked":0,"told":0,"evals":0,"spent_rounds":0,"budget_rounds":0,"bank_key":"","pool_size":0,"max_rounds":0,"checkpoints":null,"trials":null}`},
-		{"ask response", AskResponse{Asks: []AskItem{{ID: 1, ConfigIndex: 2, Config: pinHParams, Rounds: 3, EvalID: "e"}}, State: "active"},
+		{"ask response", client.AskResponse{Asks: []client.AskItem{{ID: 1, ConfigIndex: 2, Config: pinHParams, Rounds: 3, EvalID: "e"}}, State: "active"},
 			`{"asks":[{"id":1,"config_index":2,"config":` + pinHParamsJSON + `,"rounds":3,"eval_id":"e"}],"done":false,"state":"active"}`},
-		{"ask response done", AskResponse{Asks: []AskItem{}, Done: true, State: "done"},
+		{"ask response done", client.AskResponse{Asks: []client.AskItem{}, Done: true, State: "done"},
 			`{"asks":[],"done":true,"state":"done"}`},
-		{"tell request full", TellRequest{
-			Answers:  []TellAnswer{{AskID: 1, Observed: &observed}, {AskID: 2}},
-			Evaluate: []TellEval{{ConfigIndex: &ci, Config: &hp, Rounds: 9, EvalID: "e"}, {}}},
+		{"tell request full", client.TellRequest{
+			Answers:  []client.TellAnswer{{AskID: 1, Observed: &observed}, {AskID: 2}},
+			Evaluate: []client.TellEval{{ConfigIndex: &ci, Config: &hp, Rounds: 9, EvalID: "e"}, {}}},
 			`{"answers":[{"ask_id":1,"observed":0.25},{"ask_id":2}],"evaluate":[{"config_index":4,"config":` + pinHParamsJSON + `,"rounds":9,"eval_id":"e"},{}]}`},
-		{"tell request bare", TellRequest{},
+		{"tell request bare", client.TellRequest{},
 			`{}`},
-		{"tell response full", TellResponse{Results: []SessionTrial{bare}, Done: true, State: "done", Best: &full, SpentRounds: 9},
+		{"tell response full", client.TellResponse{Results: []client.SessionTrial{bare}, Done: true, State: "done", Best: &full, SpentRounds: 9},
 			`{"results":[{"index":0,"source":"tell","config_index":0,"config":` + pinHParamsJSON + `,"rounds":0,"observed":0,"true_err":0,"eval_id":"tell-0"}],"done":true,"state":"done","best":{"index":1,"source":"ask","ask_id":3,"config_index":2,"config":` + pinHParamsJSON + `,"rounds":9,"observed":0.5,"true_err":0.375,"eval_id":"e-1"},"spent_rounds":9}`},
-		{"tell response bare", TellResponse{Results: []SessionTrial{}, State: "active"},
+		{"tell response bare", client.TellResponse{Results: []client.SessionTrial{}, State: "active"},
 			`{"results":[],"done":false,"state":"active","spent_rounds":0}`},
-		{"error envelope", errorEnvelope{Error: errorInfo{Code: CodeNotFound, Message: "no run"}},
+		{"error envelope", client.ErrorEnvelope{Error: client.ErrorInfo{Code: CodeNotFound, Message: "no run"}},
 			`{"error":{"code":"not_found","message":"no run"}}`},
 	} {
 		buf, err := encodeBody(tc.v)

@@ -25,13 +25,6 @@ func (v Vec) Clone() Vec {
 	return out
 }
 
-// Fill sets every element to x.
-func (v Vec) Fill(x float64) {
-	for i := range v {
-		v[i] = x
-	}
-}
-
 // Zero sets every element to 0.
 func (v Vec) Zero() { clear(v) }
 

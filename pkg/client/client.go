@@ -2,10 +2,12 @@
 // submission with event streaming, and ask/tell tuner sessions that open the
 // daemon's bank oracle to external optimizers.
 //
-// The wire types here mirror internal/serve's JSON shapes without importing
-// it, so external programs depend only on this package. Every non-2xx
+// The types here are the one declaration of the v1 wire format: the daemon
+// (internal/serve) encodes and decodes these same structs, so a body cannot
+// drift between server and client. The package imports only the standard
+// library, so external programs depend on nothing else. Every non-2xx
 // response decodes into *APIError carrying the server's machine-readable
-// error code ({"error":{"code","message"}} envelope).
+// error code (the ErrorEnvelope body).
 package client
 
 import (
@@ -21,8 +23,9 @@ import (
 	"strings"
 )
 
-// HParams mirrors the server's hyperparameter vector. Fields marshal under
-// their Go names, matching the daemon's encoding of internal/fl.HParams.
+// HParams is a configuration's hyperparameter vector. Fields marshal under
+// their Go names; the field set is internal/fl.HParams's, so the daemon
+// converts between the two with a struct conversion.
 type HParams struct {
 	ServerLR       float64
 	Beta1          float64
@@ -35,34 +38,50 @@ type HParams struct {
 	Epochs         int
 }
 
-// Noise mirrors serve.NoiseRequest.
+// Noise is the evaluation-noise setting of a run or session (zero = the
+// noiseless reference). Its field set is internal/core.Noise's.
 type Noise struct {
-	SampleCount    int     `json:"sample_count,omitempty"`
+	// SampleCount is the raw number of validation clients per evaluation
+	// (0 = use SampleFraction; both 0 = full pool).
+	SampleCount int `json:"sample_count,omitempty"`
+	// SampleFraction is the evaluated client fraction in [0, 1].
 	SampleFraction float64 `json:"sample_fraction,omitempty"`
-	Bias           float64 `json:"bias,omitempty"`
-	Epsilon        float64 `json:"epsilon,omitempty"`
+	// Bias is the systems-heterogeneity exponent b (≥ 0).
+	Bias float64 `json:"bias,omitempty"`
+	// Epsilon is the total DP budget (0 = non-private).
+	Epsilon float64 `json:"epsilon,omitempty"`
+	// HeterogeneityP selects the bank's iid-repartition fraction p
+	// (recorded partitions: 0, 0.5, 1).
 	HeterogeneityP float64 `json:"heterogeneity_p,omitempty"`
-	Uniform        bool    `json:"uniform,omitempty"`
+	// Uniform forces uniform (non-weighted) aggregation.
+	Uniform bool `json:"uniform,omitempty"`
 }
 
-// RunRequest mirrors serve.RunRequest (POST /v1/runs).
+// RunRequest is the body of POST /v1/runs: one tuning job. The daemon
+// normalizes it (lower case, canonical method name, defaults filled) before
+// keying, so spelling variants of one run deduplicate.
 type RunRequest struct {
+	// Dataset is one of cifar10, femnist, stackoverflow, reddit.
 	Dataset string `json:"dataset"`
-	Method  string `json:"method"`
-	Scale   string `json:"scale,omitempty"`
-	Trials  int    `json:"trials,omitempty"`
-	Seed    uint64 `json:"seed,omitempty"`
-	Noise   Noise  `json:"noise,omitempty"`
+	// Method is a tuning-method name from GET /v1/methods (aliases accepted).
+	Method string `json:"method"`
+	// Scale selects the suite configuration (default "quick").
+	Scale string `json:"scale,omitempty"`
+	// Trials is the bootstrap trial count (default 8, at most 512).
+	Trials int `json:"trials,omitempty"`
+	// Seed drives oracle subsampling and trial RNG streams (default 1).
+	Seed  uint64 `json:"seed,omitempty"`
+	Noise Noise  `json:"noise,omitempty"`
 }
 
-// BestConfig mirrors serve.BestConfig.
+// BestConfig is a completed run's recommended configuration.
 type BestConfig struct {
 	Config  HParams `json:"config"`
 	TrueErr float64 `json:"true_err"`
 	Rounds  int     `json:"rounds"`
 }
 
-// RunResult mirrors serve.RunResult.
+// RunResult is a completed run's outcome.
 type RunResult struct {
 	MedianErr    float64     `json:"median_err"`
 	Q1Err        float64     `json:"q1_err"`
@@ -74,7 +93,8 @@ type RunResult struct {
 	Best         *BestConfig `json:"best,omitempty"`
 }
 
-// RunStatus mirrors serve.RunStatus (GET /v1/runs/{id}).
+// RunStatus is the body of GET /v1/runs/{id} (and of a submission's answer).
+// State is one of queued, running, done, failed, cancelled.
 type RunStatus struct {
 	ID          string     `json:"id"`
 	Key         string     `json:"key"`
@@ -94,24 +114,30 @@ func (s RunStatus) Terminal() bool {
 	return s.State == "done" || s.State == "failed" || s.State == "cancelled"
 }
 
-// TrialInfo mirrors serve.TrialInfo.
+// TrialInfo is the payload of a "trial" event. It is a nested object (not
+// flattened into Event) so its fields never carry omitempty: trial index 0
+// and a 0.0 final error serialize explicitly instead of vanishing.
 type TrialInfo struct {
-	Index     int     `json:"index"`
+	Index     int     `json:"index"` // which bootstrap trial finished (0-based)
 	Completed int     `json:"completed"`
 	Total     int     `json:"total"`
 	FinalErr  float64 `json:"final_err"`
 }
 
-// Event mirrors serve.Event (one NDJSON line of the event stream).
+// Event is one progress notification on a run's event stream
+// (GET /v1/runs/{id}/events: one NDJSON line, or one SSE frame's data).
+// Streams replay the history from event 0 and end after the terminal event.
 type Event struct {
 	Seq   int        `json:"seq"`
-	Type  string     `json:"type"`
+	Type  string     `json:"type"` // "state" | "trial"
 	State string     `json:"state,omitempty"`
-	Trial *TrialInfo `json:"trial,omitempty"`
-	Error string     `json:"error,omitempty"`
+	Trial *TrialInfo `json:"trial,omitempty"` // set when Type == "trial"
+	// Error carries the failure reason on the terminal "state" event of a
+	// failed or cancelled run.
+	Error string `json:"error,omitempty"`
 }
 
-// RunListItem mirrors one row of GET /v1/runs.
+// RunListItem is one row of GET /v1/runs.
 type RunListItem struct {
 	ID         string `json:"id"`
 	Key        string `json:"key"`
@@ -123,10 +149,11 @@ type RunListItem struct {
 	Trials     int    `json:"trials_total"`
 }
 
-// RunPage is one page of ListRuns; a non-empty NextCursor resumes the walk.
+// RunPage is the body of GET /v1/runs; a non-empty NextCursor resumes the
+// walk, and the last page omits it.
 type RunPage struct {
 	Runs       []RunListItem `json:"runs"`
-	NextCursor string        `json:"next_cursor"`
+	NextCursor string        `json:"next_cursor,omitempty"`
 }
 
 // ListRunsOptions filters and paginates ListRuns.
@@ -136,7 +163,9 @@ type ListRunsOptions struct {
 	Cursor string
 }
 
-// MethodInfo mirrors one row of GET /v1/methods.
+// MethodInfo is one row of GET /v1/methods. It mirrors internal/hpo's
+// MethodInfo, which the daemon encodes: hpo is a leaf package and does not
+// import this one.
 type MethodInfo struct {
 	Name        string            `json:"name"`
 	Display     string            `json:"display"`
@@ -145,53 +174,80 @@ type MethodInfo struct {
 	Settings    map[string]string `json:"settings,omitempty"`
 }
 
-// SessionRequest mirrors serve.SessionRequest (POST /v1/sessions). An empty
-// or "external" Method opens an externally driven session.
+// SessionRequest is the body of POST /v1/sessions: one tuner session bound
+// to a (bank, noise model, seed, budget) tuple. An empty or "external"
+// Method opens an externally driven session: no built-in tuner, the caller
+// proposes configurations through tell.
 type SessionRequest struct {
 	Dataset string `json:"dataset"`
 	Method  string `json:"method,omitempty"`
 	Scale   string `json:"scale,omitempty"`
-	Seed    uint64 `json:"seed,omitempty"`
-	Trial   int    `json:"trial,omitempty"`
-	Noise   Noise  `json:"noise,omitempty"`
+	// Seed drives oracle subsampling and the method's RNG stream
+	// (default 1). A session with seed S and trial T evaluates exactly like
+	// bootstrap trial T of a run submitted with seed S.
+	Seed uint64 `json:"seed,omitempty"`
+	// Trial selects which bootstrap trial's evaluation stream the session
+	// replays (default 0, the trial whose recommendation a run reports as
+	// best).
+	Trial int   `json:"trial,omitempty"`
+	Noise Noise `json:"noise,omitempty"`
 }
 
-// SessionTrial mirrors serve.SessionTrial.
+// SessionTrial is one completed evaluation in a session's log, addressed by
+// pool index.
 type SessionTrial struct {
-	Index       int     `json:"index"`
-	Source      string  `json:"source"`
+	// Index is the position in the session's trial log.
+	Index int `json:"index"`
+	// Source is "ask" for answered method suggestions, "tell" for
+	// caller-proposed evaluations.
+	Source string `json:"source"`
+	// AskID echoes the answered ask for Source == "ask".
 	AskID       *int    `json:"ask_id,omitempty"`
 	ConfigIndex int     `json:"config_index"`
 	Config      HParams `json:"config"`
-	Rounds      int     `json:"rounds"`
-	Observed    float64 `json:"observed"`
-	TrueErr     float64 `json:"true_err"`
-	EvalID      string  `json:"eval_id"`
+	// Rounds is the checkpoint fidelity actually evaluated.
+	Rounds int `json:"rounds"`
+	// Observed is the (pre-DP) noisy error the oracle returned — or, for an
+	// ask answered with a caller-supplied value, that value.
+	Observed float64 `json:"observed"`
+	// TrueErr is the noise-free full validation error (reporting only).
+	TrueErr float64 `json:"true_err"`
+	// EvalID names the evaluation cohort used.
+	EvalID string `json:"eval_id"`
 }
 
-// SessionStatus mirrors serve.SessionStatus (GET /v1/sessions/{id}).
+// SessionStatus is the body of GET /v1/sessions/{id}. State is one of
+// active, done, failed, closed.
 type SessionStatus struct {
-	ID           string         `json:"id"`
-	Key          string         `json:"key"`
-	State        string         `json:"state"`
-	Request      SessionRequest `json:"request"`
-	CreatedAt    string         `json:"created_at"`
-	External     bool           `json:"external"`
-	Asked        int            `json:"asked"`
-	Told         int            `json:"told"`
-	Evals        int            `json:"evals"`
-	SpentRounds  int            `json:"spent_rounds"`
-	BudgetRounds int            `json:"budget_rounds"`
-	BankKey      string         `json:"bank_key"`
-	PoolSize     int            `json:"pool_size"`
-	MaxRounds    int            `json:"max_rounds"`
-	Checkpoints  []int          `json:"checkpoints"`
-	Trials       []SessionTrial `json:"trials"`
-	Best         *SessionTrial  `json:"best,omitempty"`
-	Error        string         `json:"error,omitempty"`
+	ID        string         `json:"id"`
+	Key       string         `json:"key"`
+	State     string         `json:"state"`
+	Request   SessionRequest `json:"request"`
+	CreatedAt string         `json:"created_at"`
+	// External reports whether the session is externally driven (no ask).
+	External bool `json:"external"`
+	// Asked / Told count protocol progress; Evals counts evaluate items.
+	Asked int `json:"asked"`
+	Told  int `json:"told"`
+	Evals int `json:"evals"`
+	// SpentRounds / BudgetRounds track the evaluate-path round budget.
+	SpentRounds  int `json:"spent_rounds"`
+	BudgetRounds int `json:"budget_rounds"`
+	// Bank geometry an external tuner needs to drive the oracle.
+	BankKey     string `json:"bank_key"`
+	PoolSize    int    `json:"pool_size"`
+	MaxRounds   int    `json:"max_rounds"`
+	Checkpoints []int  `json:"checkpoints"`
+	// Trials is the session's evaluation log, oldest first.
+	Trials []SessionTrial `json:"trials"`
+	// Best is the best-so-far: while active, the lowest-observed
+	// highest-fidelity trial; once done, the driven method's own final
+	// recommendation (identical to a run's best for the same inputs).
+	Best  *SessionTrial `json:"best,omitempty"`
+	Error string        `json:"error,omitempty"`
 }
 
-// AskItem mirrors serve.AskItem.
+// AskItem is one suggested evaluation.
 type AskItem struct {
 	ID          int     `json:"id"`
 	ConfigIndex int     `json:"config_index"`
@@ -200,8 +256,10 @@ type AskItem struct {
 	EvalID      string  `json:"eval_id"`
 }
 
-// AskResponse mirrors serve.AskResponse.
+// AskResponse is the body of POST /v1/sessions/{id}/ask.
 type AskResponse struct {
+	// Asks holds the pending suggestion (empty when the method is done).
+	// Asks are sequential: one pending at a time, re-asked idempotently.
 	Asks  []AskItem `json:"asks"`
 	Done  bool      `json:"done"`
 	State string    `json:"state"`
@@ -214,30 +272,41 @@ type TellAnswer struct {
 	Observed *float64 `json:"observed,omitempty"`
 }
 
-// TellEval proposes one evaluation by pool index or parameter vector.
+// TellEval proposes one evaluation by pool index, or by parameter vector
+// snapped to the bank's config pool.
 type TellEval struct {
 	ConfigIndex *int     `json:"config_index,omitempty"`
 	Config      *HParams `json:"config,omitempty"`
-	Rounds      int      `json:"rounds,omitempty"`
-	EvalID      string   `json:"eval_id,omitempty"`
+	// Rounds is the requested fidelity (default: the bank's max; snapped
+	// down to a recorded checkpoint).
+	Rounds int `json:"rounds,omitempty"`
+	// EvalID names the evaluation cohort (default "tell-<n>"; reuse an ID to
+	// share a cohort across evaluations, as SHA rungs do).
+	EvalID string `json:"eval_id,omitempty"`
 }
 
-// TellRequest mirrors serve.TellRequest.
+// TellRequest is the body of POST /v1/sessions/{id}/tell.
 type TellRequest struct {
 	Answers  []TellAnswer `json:"answers,omitempty"`
 	Evaluate []TellEval   `json:"evaluate,omitempty"`
 }
 
-// TellResponse mirrors serve.TellResponse.
+// TellResponse reports what a tell accomplished.
 type TellResponse struct {
-	Results     []SessionTrial `json:"results"`
-	Done        bool           `json:"done"`
-	State       string         `json:"state"`
-	Best        *SessionTrial  `json:"best,omitempty"`
-	SpentRounds int            `json:"spent_rounds"`
+	// Results holds one entry per evaluate item (answers echo no result:
+	// their evaluations appear in the session trial log).
+	Results []SessionTrial `json:"results"`
+	// Done reports whether the driven method finished during this tell.
+	Done  bool          `json:"done"`
+	State string        `json:"state"`
+	Best  *SessionTrial `json:"best,omitempty"`
+	// SpentRounds is the cumulative training-round cost of evaluate items
+	// (incremental per config: re-reading a checkpoint already paid for is
+	// free).
+	SpentRounds int `json:"spent_rounds"`
 }
 
-// HealthJournal mirrors the journal block of GET /healthz.
+// HealthJournal is the journal block of GET /healthz.
 type HealthJournal struct {
 	Enabled      bool   `json:"enabled"`
 	Bytes        int64  `json:"bytes,omitempty"`
@@ -245,7 +314,7 @@ type HealthJournal struct {
 	LastSnapshot string `json:"last_snapshot,omitempty"`
 }
 
-// HealthBanks mirrors the banks block of GET /healthz: bank-store state,
+// HealthBanks is the banks block of GET /healthz: bank-store state,
 // including how much of the cache is currently mmap-served.
 type HealthBanks struct {
 	Enabled        bool   `json:"enabled"`
@@ -256,7 +325,7 @@ type HealthBanks struct {
 	CorruptSegment int64  `json:"corrupt_segment,omitempty"`
 }
 
-// Health mirrors GET /healthz.
+// Health is the body of GET /healthz.
 type Health struct {
 	Status     string        `json:"status"`
 	Uptime     string        `json:"uptime"`
@@ -266,7 +335,13 @@ type Health struct {
 	Banks      HealthBanks   `json:"banks"`
 }
 
-// GrowBankResult mirrors the response of POST /v1/banks/{key}/grow.
+// GrowBankRequest is the body of POST /v1/banks/{key}/grow.
+type GrowBankRequest struct {
+	Add int `json:"add"` // configs to train and append (≥ 1)
+}
+
+// GrowBankResult is the response of POST /v1/banks/{key}/grow. Its field set
+// is internal/exper.GrowResult's.
 type GrowBankResult struct {
 	Dataset string `json:"dataset"`
 	OldKey  string `json:"old_key"`
@@ -299,6 +374,18 @@ func (t RunTrace) Span(name string) *TraceSpan {
 		}
 	}
 	return nil
+}
+
+// ErrorEnvelope is the body of every non-2xx response on /v1/*.
+type ErrorEnvelope struct {
+	Error ErrorInfo `json:"error"`
+}
+
+// ErrorInfo is the envelope payload: a machine-readable code and a message
+// for humans.
+type ErrorInfo struct {
+	Code    string `json:"code"`
+	Message string `json:"message"`
 }
 
 // APIError is a non-2xx response: the HTTP status plus the server's coded
@@ -354,12 +441,7 @@ func apiErrorFrom(resp *http.Response, raw []byte) *APIError {
 	if s := resp.Header.Get("Retry-After"); s != "" {
 		retryAfter, _ = strconv.Atoi(s)
 	}
-	var env struct {
-		Error struct {
-			Code    string `json:"code"`
-			Message string `json:"message"`
-		} `json:"error"`
-	}
+	var env ErrorEnvelope
 	if json.Unmarshal(raw, &env) == nil && env.Error.Code != "" {
 		return &APIError{Status: resp.StatusCode, Code: env.Error.Code, Message: env.Error.Message, RetryAfter: retryAfter}
 	}
@@ -670,6 +752,6 @@ func (c *Client) GetHealth(ctx context.Context) (Health, error) {
 // resolving through a store alias.
 func (c *Client) GrowBank(ctx context.Context, key string, add int) (GrowBankResult, error) {
 	var res GrowBankResult
-	err := c.do(ctx, http.MethodPost, "/v1/banks/"+url.PathEscape(key)+"/grow", map[string]int{"add": add}, &res)
+	err := c.do(ctx, http.MethodPost, "/v1/banks/"+url.PathEscape(key)+"/grow", GrowBankRequest{Add: add}, &res)
 	return res, err
 }

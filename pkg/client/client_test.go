@@ -1,4 +1,4 @@
-package client
+package client_test
 
 import (
 	"context"
@@ -9,11 +9,12 @@ import (
 
 	"noisyeval/internal/exper"
 	"noisyeval/internal/serve"
+	"noisyeval/pkg/client"
 )
 
 // newDaemon boots an in-process noisyevald over a miniature suite — the
 // same server main() serves, end to end over real HTTP.
-func newDaemon(t *testing.T) *Client {
+func newDaemon(t *testing.T) *client.Client {
 	t.Helper()
 	cfg := exper.Config{
 		Scales:        map[string]float64{"cifar10": 0.06, "femnist": 0.02, "stackoverflow": 0.002, "reddit": 0.0008},
@@ -35,27 +36,27 @@ func newDaemon(t *testing.T) *Client {
 		defer cancel()
 		mgr.Shutdown(ctx)
 	})
-	return New(ts.URL)
+	return client.New(ts.URL)
 }
 
 func TestRunLifecycleAndEvents(t *testing.T) {
 	c := newDaemon(t)
 	ctx := context.Background()
 
-	st, err := c.SubmitRun(ctx, RunRequest{Dataset: "cifar10", Method: "rs", Trials: 2, Seed: 11, Noise: Noise{SampleCount: 2}})
+	st, err := c.SubmitRun(ctx, client.RunRequest{Dataset: "cifar10", Method: "rs", Trials: 2, Seed: 11, Noise: client.Noise{SampleCount: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var events []Event
-	if err := c.StreamEvents(ctx, st.ID, -1, func(e Event) error { events = append(events, e); return nil }); err != nil {
+	var events []client.Event
+	if err := c.StreamEvents(ctx, st.ID, -1, func(e client.Event) error { events = append(events, e); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if len(events) == 0 {
 		t.Fatal("no events")
 	}
 	// Resume after the first event: replay must skip it.
-	var resumed []Event
-	if err := c.StreamEvents(ctx, st.ID, events[0].Seq, func(e Event) error { resumed = append(resumed, e); return nil }); err != nil {
+	var resumed []client.Event
+	if err := c.StreamEvents(ctx, st.ID, events[0].Seq, func(e client.Event) error { resumed = append(resumed, e); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if len(resumed) != len(events)-1 || (len(resumed) > 0 && resumed[0].Seq != events[1].Seq) {
@@ -71,7 +72,7 @@ func TestRunLifecycleAndEvents(t *testing.T) {
 		t.Fatalf("final = %+v", final)
 	}
 
-	page, err := c.ListRuns(ctx, ListRunsOptions{State: "done", Limit: 10})
+	page, err := c.ListRuns(ctx, client.ListRunsOptions{State: "done", Limit: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestSessionParity(t *testing.T) {
 	c := newDaemon(t)
 	ctx := context.Background()
 	for _, method := range []string{"rs", "sha"} {
-		st, err := c.SubmitRun(ctx, RunRequest{Dataset: "cifar10", Method: method, Trials: 1, Seed: 5, Noise: Noise{SampleCount: 2}})
+		st, err := c.SubmitRun(ctx, client.RunRequest{Dataset: "cifar10", Method: method, Trials: 1, Seed: 5, Noise: client.Noise{SampleCount: 2}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +96,7 @@ func TestSessionParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess, err := c.OpenSession(ctx, SessionRequest{Dataset: "cifar10", Method: method, Seed: 5, Noise: Noise{SampleCount: 2}})
+		sess, err := c.OpenSession(ctx, client.SessionRequest{Dataset: "cifar10", Method: method, Seed: 5, Noise: client.Noise{SampleCount: 2}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +118,7 @@ func TestExternalSessionAndErrors(t *testing.T) {
 	c := newDaemon(t)
 	ctx := context.Background()
 
-	sess, err := c.OpenSession(ctx, SessionRequest{Dataset: "cifar10", Seed: 2, Noise: Noise{SampleCount: 2}})
+	sess, err := c.OpenSession(ctx, client.SessionRequest{Dataset: "cifar10", Seed: 2, Noise: client.Noise{SampleCount: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestExternalSessionAndErrors(t *testing.T) {
 		t.Fatalf("session = %+v", sess)
 	}
 	idx := 1
-	resp, err := c.Tell(ctx, sess.ID, TellRequest{Evaluate: []TellEval{{ConfigIndex: &idx, Rounds: sess.MaxRounds}}})
+	resp, err := c.Tell(ctx, sess.ID, client.TellRequest{Evaluate: []client.TellEval{{ConfigIndex: &idx, Rounds: sess.MaxRounds}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestExternalSessionAndErrors(t *testing.T) {
 	}
 	// Vector form snaps to the evaluated member's own index.
 	cfg := resp.Results[0].Config
-	resp2, err := c.Tell(ctx, sess.ID, TellRequest{Evaluate: []TellEval{{Config: &cfg}}})
+	resp2, err := c.Tell(ctx, sess.ID, client.TellRequest{Evaluate: []client.TellEval{{Config: &cfg}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,8 +147,8 @@ func TestExternalSessionAndErrors(t *testing.T) {
 	}
 
 	// Coded errors surface as APIError with the server's code.
-	_, err = c.SubmitRun(ctx, RunRequest{Dataset: "cifar10", Method: "sgd"})
-	var ae *APIError
+	_, err = c.SubmitRun(ctx, client.RunRequest{Dataset: "cifar10", Method: "sgd"})
+	var ae *client.APIError
 	if !errors.As(err, &ae) || ae.Code != "unknown_method" || ae.Status != 400 {
 		t.Errorf("unknown method error = %v", err)
 	}
