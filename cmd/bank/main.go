@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"log/slog"
 	"os"
 	"os/signal"
 	"strconv"
@@ -26,7 +27,6 @@ import (
 	"noisyeval/internal/core"
 	"noisyeval/internal/data"
 	"noisyeval/internal/fl"
-	"noisyeval/internal/obs"
 	"noisyeval/internal/rng"
 )
 
@@ -108,7 +108,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		store.Log = obs.NewLogger(os.Stderr, obs.LevelInfo).Named("bankstore")
+		store.Log = slog.New(slog.NewTextHandler(os.Stderr, nil)).With("component", "bankstore")
 		log.Printf("bank cache at %s (key %s)", store.Dir(), core.BankKeyForPopulation(pop, opts, *seed))
 	}
 

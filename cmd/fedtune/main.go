@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"log/slog"
 	"os"
 	"strings"
 	"time"
@@ -20,7 +21,6 @@ import (
 	"noisyeval/internal/core"
 	"noisyeval/internal/exper"
 	"noisyeval/internal/hpo"
-	"noisyeval/internal/obs"
 )
 
 func main() {
@@ -61,10 +61,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		store.Log = obs.NewLogger(os.Stderr, obs.LevelInfo).Named("bankstore")
+		store.Log = slog.New(slog.NewTextHandler(os.Stderr, nil)).With("component", "bankstore")
 		suite.SetStore(store)
 		log.Printf("bank cache at %s", store.Dir())
-		core.BoundCache(store, *cacheMaxBytes, store.Log)
+		core.BoundCache(store, *cacheMaxBytes)
 	}
 
 	runDataset := *dataset

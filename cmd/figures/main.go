@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -29,7 +30,6 @@ import (
 	"noisyeval/internal/core"
 	"noisyeval/internal/dist"
 	"noisyeval/internal/exper"
-	"noisyeval/internal/obs"
 	"noisyeval/internal/plot"
 )
 
@@ -69,10 +69,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		store.Log = obs.NewLogger(os.Stderr, obs.LevelInfo).Named("bankstore")
+		store.Log = slog.New(slog.NewTextHandler(os.Stderr, nil)).With("component", "bankstore")
 		suite.SetStore(store)
 		log.Printf("bank cache at %s", store.Dir())
-		core.BoundCache(store, *cacheMaxBytes, store.Log)
+		core.BoundCache(store, *cacheMaxBytes)
 	}
 
 	var peers []string

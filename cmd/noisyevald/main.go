@@ -35,6 +35,7 @@ import (
 	"context"
 	"flag"
 	"log"
+	"log/slog"
 	"os"
 	"os/signal"
 	"strings"
@@ -73,16 +74,13 @@ func main() {
 		execDelay     = flag.Duration("exec-delay", 0, "fault injection: pad every run's execution by this duration so crash/load harnesses can catch runs in flight (0 = off)")
 		mmapBanks     = flag.Bool("mmap-banks", false, "serve cached banks zero-copy from mmap'd files instead of decoding to heap (requires -cache-dir)")
 		mmapWarm      = flag.Bool("mmap-warm", false, "pre-touch each mapped bank at open (madvise + page walk) so first-sweep reads pay no major faults (requires -mmap-banks)")
-		logLevel      = flag.String("log-level", "info", "structured log level: debug|info|warn|error")
 		pprofAddr     = flag.String("pprof-addr", "", "listen address for net/http/pprof profiling endpoints (empty = disabled)")
 	)
+	var logLevel slog.Level
+	flag.TextVar(&logLevel, "log-level", slog.LevelInfo, "structured log level: debug|info|warn|error")
 	flag.Parse()
 
-	lvl, err := obs.ParseLevel(*logLevel)
-	if err != nil {
-		log.Fatal(err)
-	}
-	logger := obs.NewLogger(os.Stderr, lvl)
+	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: logLevel}))
 
 	if *pprofAddr != "" {
 		if _, err := obs.ServePprof(*pprofAddr, logger); err != nil {
@@ -97,9 +95,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		store.Log = logger.Named("bankstore")
+		store.Log = logger.With("component", "bankstore")
 		log.Printf("bank cache at %s", store.Dir())
-		core.BoundCache(store, *cacheMaxBytes, store.Log)
+		core.BoundCache(store, *cacheMaxBytes)
 		if *mmapBanks {
 			store.SetMapped(true)
 			store.SetMappedWarm(*mmapWarm)
@@ -153,7 +151,7 @@ func main() {
 			Dir:             *journalDir,
 			MaxBytes:        *journalMax,
 			CompactWALBytes: *journalComp,
-			Log:             logger.Named("journal"),
+			Log:             logger.With("component", "journal"),
 		})
 		if err != nil {
 			log.Fatal(err)

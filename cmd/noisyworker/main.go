@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -41,16 +42,13 @@ func main() {
 		name        = flag.String("name", "", "worker identity in leases and stats (default host-pid)")
 		poll        = flag.Duration("poll", 500*time.Millisecond, "idle re-lease interval")
 		jobs        = flag.Int("jobs", 0, "per-shard training parallelism (0 = GOMAXPROCS)")
-		logLevel    = flag.String("log-level", "info", "structured log level: debug|info|warn|error")
 		pprofAddr   = flag.String("pprof-addr", "", "listen address for net/http/pprof profiling endpoints (empty = disabled)")
 	)
+	var logLevel slog.Level
+	flag.TextVar(&logLevel, "log-level", slog.LevelInfo, "structured log level: debug|info|warn|error")
 	flag.Parse()
 
-	lvl, err := obs.ParseLevel(*logLevel)
-	if err != nil {
-		log.Fatal(err)
-	}
-	logger := obs.NewLogger(os.Stderr, lvl)
+	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: logLevel}))
 	if *pprofAddr != "" {
 		if _, err := obs.ServePprof(*pprofAddr, logger); err != nil {
 			log.Fatal(err)
@@ -95,7 +93,7 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	err = w.Run(ctx)
+	err := w.Run(ctx)
 	c := w.Counters()
 	log.Printf("drained: %d shards built, %d failed, %d leases, %s uploaded",
 		c.ShardsBuilt, c.ShardsFailed, c.Leases, fmtBytes(c.BytesUploaded))

@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"encoding/gob"
 	"errors"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -12,7 +13,6 @@ import (
 	"testing"
 
 	"noisyeval/internal/core/bankseg"
-	"noisyeval/internal/obs"
 )
 
 // v3FrameHeader is the fixed 48-byte header a bankfmt/v3 file opened with:
@@ -81,7 +81,7 @@ func TestStaleGenerationsSelfHeal(t *testing.T) {
 				defer store.Close()
 				store.SetMapped(mapped)
 				var logBuf bytes.Buffer
-				store.Log = obs.NewLogger(&logBuf, obs.LevelInfo).Named("bankstore")
+				store.Log = slog.New(slog.NewTextHandler(&logBuf, nil)).With("component", "bankstore")
 
 				if err := os.WriteFile(store.Path(key), planted, 0o644); err != nil {
 					t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
@@ -152,12 +153,12 @@ type StoreStats struct {
 type BankStore struct {
 	dir string
 
-	// Log, when set, receives operational events (stale-format and
-	// corrupt-segment evictions) as structured lines, on the same obs
+	// Log receives operational events (stale-format and corrupt-segment
+	// evictions, cache prunes) as structured lines, on the same slog
 	// pipeline as serve events — one grep finds every eviction in a
-	// process. Set it right after NewBankStore, before concurrent use. A
-	// nil logger is a silent no-op.
-	Log *obs.Logger
+	// process. NewBankStore starts it as a discard logger; replace it right
+	// after NewBankStore, before concurrent use.
+	Log *slog.Logger
 
 	mu       sync.Mutex
 	inflight map[string]*storeCall
@@ -203,7 +204,8 @@ func NewBankStore(dir string) (*BankStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("core: bank store: %w", err)
 	}
-	return &BankStore{dir: dir, inflight: map[string]*storeCall{}, mapped: map[string]*mappedBank{}}, nil
+	return &BankStore{dir: dir, Log: slog.New(slog.DiscardHandler),
+		inflight: map[string]*storeCall{}, mapped: map[string]*mappedBank{}}, nil
 }
 
 // Dir returns the cache root.
@@ -550,11 +552,11 @@ func (s *BankStore) GetOrBuild(key string, build func() (*Bank, error)) (*Bank, 
 
 // BoundCache applies a -cache-max-bytes style flag to a store: it installs
 // the write-through size bound and prunes immediately, reporting results and
-// failures through log (nil = silent). maxBytes <= 0 or a nil store is a
-// no-op — callers pass the flag through unconditionally. The three CLIs
+// failures through store.Log. maxBytes <= 0 or a nil store is a no-op —
+// callers pass the flag through unconditionally. The three CLIs
 // (noisyevald, fedtune, figures) share this so prune errors are never
 // silently dropped.
-func BoundCache(store *BankStore, maxBytes int64, log *obs.Logger) {
+func BoundCache(store *BankStore, maxBytes int64) {
 	if store == nil || maxBytes <= 0 {
 		return
 	}
@@ -562,9 +564,9 @@ func BoundCache(store *BankStore, maxBytes int64, log *obs.Logger) {
 	evicted, freed, err := store.Prune(maxBytes)
 	switch {
 	case err != nil:
-		log.Error("cache prune failed", "err", err)
+		store.Log.Error("cache prune failed", "err", err)
 	case evicted > 0:
-		log.Info("cache pruned", "max_bytes", maxBytes, "evicted", evicted, "freed_bytes", freed)
+		store.Log.Info("cache pruned", "max_bytes", maxBytes, "evicted", evicted, "freed_bytes", freed)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/gob"
 	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -408,6 +409,46 @@ func TestBankStoreCorruptSegmentCounted(t *testing.T) {
 	}
 	if st.Has("cc") {
 		t.Error("corrupt entry not evicted")
+	}
+}
+
+// TestBankStoreSilentByDefault pins the logger of a store nobody configured:
+// NewBankStore installs a discard logger, so evicting a corrupt entry and
+// pruning the cache — both of which log — neither panic nor write.
+func TestBankStoreSilentByDefault(t *testing.T) {
+	b := storeBank(t)
+	st, err := NewBankStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Log.Enabled(context.Background(), slog.LevelError) {
+		t.Fatal("a store with no logger configured logs")
+	}
+	path := st.Path("cc")
+	if err := SaveBankV4(b, path); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[bankseg.FileHeaderLen+bankseg.SegmentHeaderLen+8] ^= 1
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := st.Get("cc"); err != nil || got != nil {
+		t.Fatalf("corrupt entry must read as a miss: %v, %v", got, err)
+	}
+	if stats := st.Stats(); stats.CorruptSegment != 1 {
+		t.Errorf("CorruptSegment = %d, want 1", stats.CorruptSegment)
+	}
+
+	if err := st.Put("dd", b); err != nil {
+		t.Fatal(err)
+	}
+	BoundCache(st, 1)
+	if st.Has("dd") {
+		t.Error("BoundCache kept an entry over a 1-byte bound")
 	}
 }
 

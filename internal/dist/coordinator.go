@@ -268,23 +268,6 @@ func (c *Coordinator) Close() {
 // Store returns the coordinator's bank store (nil when none).
 func (c *Coordinator) Store() *core.BankStore { return c.opts.Store }
 
-// BuildBank implements core.BankBuilder: a sharded build through the fleet.
-// cached reports a store hit (no shards were scheduled).
-func (c *Coordinator) BuildBank(ctx context.Context, pop *data.Population, opts core.BuildOptions, seed uint64) (*core.Bank, bool, error) {
-	tr := obs.TraceFrom(ctx)
-	key := core.BankKeyForPopulation(pop, opts, seed)
-	start := time.Now()
-	if b, err := c.opts.Store.Get(key); err == nil && b != nil {
-		tr.AddSpan("bank.lookup", start, time.Since(start),
-			"key", core.ShortKey(key), "tier", "store", "hit", "true")
-		return b, true, nil
-	}
-	sp := tr.StartSpan("bank.build", "key", core.ShortKey(key), "source", "fleet")
-	b, err := c.BuildSharded(ctx, pop, opts, seed)
-	sp.End()
-	return b, false, err
-}
-
 // BuildSharded splits the build into shard jobs, waits for the fleet (and
 // any self-build goroutines) to complete them, reassembles, verifies, writes
 // the bank through the store, and returns it. Concurrent calls for one

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -22,7 +23,7 @@ func PprofHandler() http.Handler {
 
 // ServePprof starts the pprof handler on addr in a background goroutine and
 // returns the bound address (useful with ":0").
-func ServePprof(addr string, log *Logger) (string, error) {
+func ServePprof(addr string, log *slog.Logger) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err

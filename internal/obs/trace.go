@@ -20,7 +20,7 @@ const (
 )
 
 // Span is one timed phase of a run or build. Attrs alternate key, value —
-// the same convention as Logger pairs — so recording a span on the hot path
+// the same convention as slog's key/value pairs — so recording a span on the hot path
 // allocates nothing beyond the variadic slice the caller already builds.
 type Span struct {
 	Name  string

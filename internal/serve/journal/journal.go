@@ -29,12 +29,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sync"
 	"time"
-
-	"noisyeval/internal/obs"
 )
 
 // ErrBudget reports an append that would push the journal past
@@ -83,9 +82,9 @@ type Options struct {
 	// NoSync skips fsync on appends and snapshots. Tests only: a kill -9
 	// under NoSync may lose acknowledged records.
 	NoSync bool
-	// Log, when set, receives operational log lines (torn-tail truncation,
-	// compactions).
-	Log *obs.Logger
+	// Log receives operational events (torn-tail truncation, compactions);
+	// nil discards them.
+	Log *slog.Logger
 }
 
 // DefaultMaxBytes is the journal byte budget when Options.MaxBytes is 0.
@@ -134,6 +133,9 @@ func Open(opts Options) (*Journal, []Record, error) {
 	if opts.MaxBytes == 0 {
 		opts.MaxBytes = DefaultMaxBytes
 	}
+	if opts.Log == nil {
+		opts.Log = slog.New(slog.DiscardHandler)
+	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
@@ -148,7 +150,7 @@ func Open(opts Options) (*Journal, []Record, error) {
 		}
 		if torn {
 			j.tornTails++
-			j.opts.Log.Logf("journal: %s: torn tail truncated to %d bytes (%d records kept)", name, goodLen, len(recs))
+			j.opts.Log.Warn("journal torn tail truncated", "file", name, "kept_bytes", goodLen, "records", len(recs))
 			if err := os.Truncate(path, goodLen); err != nil {
 				return nil, nil, fmt.Errorf("journal: truncate torn %s: %w", name, err)
 			}
@@ -369,7 +371,7 @@ func (j *Journal) Compact(records []Record) error {
 	j.snapshotBytes = snapBytes
 	j.compactions++
 	j.lastCompact = time.Now()
-	j.opts.Log.Logf("journal: compacted to %d records (%d snapshot bytes)", len(records), snapBytes)
+	j.opts.Log.Info("journal compacted", "records", len(records), "snapshot_bytes", snapBytes)
 	return nil
 }
 

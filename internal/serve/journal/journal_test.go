@@ -2,7 +2,9 @@ package journal
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"testing"
@@ -115,6 +117,37 @@ func TestTornTailTruncates(t *testing.T) {
 				t.Errorf("clean reopen counted %d torn tails", st.TornTails)
 			}
 		})
+	}
+}
+
+// TestOpenSilentByDefault pins the logger of a journal opened with no
+// Options.Log: Open installs a discard logger, so truncating a torn WAL tail
+// and compacting — both of which log — neither panic nor write.
+func TestOpenSilentByDefault(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := openT(t, dir)
+	if err := j.Append("submit", []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	walPath := filepath.Join(dir, "wal")
+	valid, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(walPath, append(valid, 0x03, 0x00), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	j2, recs := openT(t, dir)
+	if j2.opts.Log.Enabled(context.Background(), slog.LevelError) {
+		t.Fatal("a journal with no logger configured logs")
+	}
+	if st := j2.Stats(); len(recs) != 1 || st.TornTails != 1 {
+		t.Fatalf("replayed %d records with %d torn tails, want 1 and 1", len(recs), st.TornTails)
+	}
+	if err := j2.Compact(recs); err != nil {
+		t.Fatal(err)
 	}
 }
 

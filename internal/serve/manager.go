@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -86,7 +87,7 @@ type Options struct {
 	ExecDelay time.Duration
 
 	// Log receives run-lifecycle events as structured lines (nil = silent).
-	Log *obs.Logger
+	Log *slog.Logger
 	// TraceCap bounds how many finished-run traces the manager retains for
 	// GET /v1/runs/{id}/trace (0 = 1024).
 	TraceCap int
@@ -129,7 +130,7 @@ type Manager struct {
 	opts     Options
 	reg      *Registry
 	sessions *SessionRegistry
-	log      *obs.Logger
+	log      *slog.Logger
 
 	// metrics is this manager's registry (per-manager, not process-global:
 	// tests run several managers per process). NewServer's /metrics endpoint
@@ -173,6 +174,9 @@ func NewManager(opts Options) *Manager {
 	if opts.SessionIdleTTL == 0 {
 		opts.SessionIdleTTL = DefaultSessionIdleTTL
 	}
+	if opts.Log == nil {
+		opts.Log = slog.New(slog.DiscardHandler)
+	}
 	if opts.Scales == nil {
 		opts.Scales = map[string]exper.Config{
 			"quick": exper.Quick(),
@@ -183,7 +187,7 @@ func NewManager(opts Options) *Manager {
 		opts:        opts,
 		reg:         NewRegistry(opts.TTL),
 		sessions:    NewSessionRegistry(opts.SessionIdleTTL, opts.MaxSessions),
-		log:         opts.Log.Named("serve"),
+		log:         opts.Log.With("component", "serve"),
 		metrics:     obs.NewRegistry(),
 		traces:      obs.NewTraceStore(opts.TraceCap),
 		suites:      map[string]*exper.Suite{},
@@ -520,10 +524,10 @@ func (m *Manager) journalTerminal(run *Run) {
 		return
 	}
 	if err := jr.recordTerminal(m.reg, run); err != nil {
-		jr.log.Logf("journal: terminal record for %s: %v", run.ID, err)
+		jr.log.Warn("journal terminal record failed", "run", run.ID, "err", err)
 	}
 	if err := jr.maybeCompact(m.reg); err != nil {
-		jr.log.Logf("journal: compact: %v", err)
+		jr.log.Warn("journal compact failed", "trigger", "terminal", "err", err)
 	}
 }
 
@@ -549,7 +553,7 @@ func (m *Manager) janitor() {
 				// snapshot too — journal growth tracks retention, not
 				// lifetime traffic.
 				if err := jr.maybeCompact(m.reg); err != nil {
-					jr.log.Logf("journal: janitor compact: %v", err)
+					jr.log.Warn("journal compact failed", "trigger", "janitor", "err", err)
 				}
 			}
 		case <-m.janitorStop:
@@ -646,10 +650,10 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 			// and close it. The parked runs are re-admitted next boot.
 			if jr := m.opts.Journal; jr != nil {
 				if err := jr.maybeCompact(m.reg); err != nil {
-					jr.log.Logf("journal: shutdown compact: %v", err)
+					jr.log.Warn("journal compact failed", "trigger", "shutdown", "err", err)
 				}
 				if err := jr.Close(); err != nil {
-					jr.log.Logf("journal: close: %v", err)
+					jr.log.Warn("journal close failed", "err", err)
 				}
 			}
 			close(done)

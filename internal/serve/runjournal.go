@@ -12,11 +12,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sync"
 	"time"
 
 	"noisyeval/internal/exper"
-	"noisyeval/internal/obs"
 	"noisyeval/internal/serve/journal"
 	"noisyeval/pkg/client"
 )
@@ -91,8 +91,8 @@ type JournalOptions struct {
 	CompactWALBytes int64
 	// NoSync skips fsyncs (tests only).
 	NoSync bool
-	// Log receives operational log lines (nil = silent).
-	Log *obs.Logger
+	// Log receives operational events (nil = silent).
+	Log *slog.Logger
 }
 
 // RunJournal owns the journal files plus the replayed fold from boot. Its
@@ -102,7 +102,7 @@ type JournalOptions struct {
 type RunJournal struct {
 	j          *journal.Journal
 	compactWAL int64
-	log        *obs.Logger
+	log        *slog.Logger
 
 	mu        sync.Mutex
 	recovered []RecoveredRun
@@ -120,6 +120,9 @@ func OpenRunJournal(opts JournalOptions) (*RunJournal, error) {
 	}
 	if opts.CompactWALBytes == 0 {
 		opts.CompactWALBytes = opts.MaxBytes / 4
+	}
+	if opts.Log == nil {
+		opts.Log = slog.New(slog.DiscardHandler)
 	}
 	j, records, err := journal.Open(journal.Options{
 		Dir:      opts.Dir,

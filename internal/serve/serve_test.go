@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -465,6 +466,44 @@ func TestFailedRunReportsAndRetries(t *testing.T) {
 	ts.streamEvents(t, retry.ID)
 	if got := ts.mgr.Counters().RunsFailed; got != 2 {
 		t.Errorf("runs_failed = %d, want 2", got)
+	}
+}
+
+// TestManagerSilentByDefault pins the loggers of a manager and a run journal
+// nobody configured: NewManager and OpenRunJournal install discard loggers,
+// so a failed run (logged by the manager) and the shutdown compaction
+// (logged by the journal) neither panic nor write.
+func TestManagerSilentByDefault(t *testing.T) {
+	jr, err := OpenRunJournal(JournalOptions{Dir: t.TempDir(), NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := NewManager(Options{
+		Scales:  map[string]exper.Config{"quick": tinyConfig()},
+		Store:   testStore(t),
+		Journal: jr,
+	})
+	ctx := context.Background()
+	if mgr.log.Enabled(ctx, slog.LevelError) || jr.log.Enabled(ctx, slog.LevelError) {
+		t.Fatal("a manager or journal with no logger configured logs")
+	}
+	run, _, err := mgr.Submit(client.RunRequest{Dataset: "cifar10", Method: "rs", Trials: 2,
+		Noise: client.Noise{SampleCount: 1000000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); !run.State().Terminal(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("run never finished")
+		}
+	}
+	if run.State() != StateFailed {
+		t.Fatalf("run finished %s, want failed", run.State())
+	}
+	ctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	if err := mgr.Shutdown(ctx); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -377,18 +377,19 @@ func (s *Session) evaluateLocked(p evalPlan) client.SessionTrial {
 		Source: "tell", ConfigIndex: p.ci, Config: client.HParams(s.oracle.Pool()[p.ci]),
 		Rounds: ev.Rounds, Observed: ev.Observed, TrueErr: ev.True, EvalID: p.evalID,
 	}
-	s.recordLocked(trial)
-	return trial
+	return s.recordLocked(trial)
 }
 
-// recordLocked appends to the trial log and updates the running best.
-func (s *Session) recordLocked(t client.SessionTrial) {
+// recordLocked appends to the trial log, updates the running best and
+// returns the trial as logged, its Index set.
+func (s *Session) recordLocked(t client.SessionTrial) client.SessionTrial {
 	t.Index = len(s.trials)
 	s.trials = append(s.trials, t)
 	if s.best == nil || betterTrial(t, *s.best) {
 		cp := t
 		s.best = &cp
 	}
+	return t
 }
 
 // bestLocked returns a copy of the current best.

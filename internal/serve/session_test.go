@@ -430,6 +430,58 @@ func TestSessionExternalEvaluate(t *testing.T) {
 	}
 }
 
+// TestSessionTellResultIndex pins that every tell result carries the index
+// it was logged at: the trial GET shows at that position is the result, on an
+// external session (several items per tell) and on a driven one (an answer
+// logged before the tell's evaluations).
+func TestSessionTellResultIndex(t *testing.T) {
+	ts := newTestServer(t, Options{})
+	for _, open := range []string{
+		`{"dataset":"cifar10","noise":{"sample_count":2}}`,
+		`{"dataset":"cifar10","method":"rs","noise":{"sample_count":2}}`,
+	} {
+		var sess client.SessionStatus
+		if code, env := ts.doJSON(t, "POST", "/v1/sessions", open, &sess); code != http.StatusCreated {
+			t.Fatalf("open %s: status %d (%s)", open, code, env.Error.Code)
+		}
+		bodies := []string{
+			`{"evaluate":[{"config_index":0,"rounds":1}]}`,
+			`{"evaluate":[{"config_index":1,"rounds":1},{"config_index":2,"rounds":1}]}`,
+		}
+		if !sess.External {
+			var ask client.AskResponse
+			if code, env := ts.doJSON(t, "POST", "/v1/sessions/"+sess.ID+"/ask", "", &ask); code != http.StatusOK {
+				t.Fatalf("ask: status %d (%s)", code, env.Error.Code)
+			}
+			bodies = append(bodies, fmt.Sprintf(`{"answers":[{"ask_id":%d}],"evaluate":[{"config_index":3,"rounds":1}]}`, ask.Asks[0].ID))
+		}
+		var results []client.SessionTrial
+		for _, body := range bodies {
+			var resp client.TellResponse
+			if code, env := ts.doJSON(t, "POST", "/v1/sessions/"+sess.ID+"/tell", body, &resp); code != http.StatusOK {
+				t.Fatalf("tell %s: status %d (%s: %s)", body, code, env.Error.Code, env.Error.Message)
+			}
+			results = append(results, resp.Results...)
+		}
+		var got client.SessionStatus
+		if code, _ := ts.doJSON(t, "GET", "/v1/sessions/"+sess.ID, "", &got); code != http.StatusOK {
+			t.Fatalf("get: status %d", code)
+		}
+		want := len(results) // plus the driven session's answer
+		if !sess.External {
+			want++
+		}
+		if len(got.Trials) != want {
+			t.Fatalf("%s: %d trials logged, want %d", sess.ID, len(got.Trials), want)
+		}
+		for _, r := range results {
+			if r.Index < 0 || r.Index >= len(got.Trials) || !reflect.DeepEqual(got.Trials[r.Index], r) {
+				t.Errorf("%s: tell result %+v is not the trial logged at its index", sess.ID, r)
+			}
+		}
+	}
+}
+
 // TestSessionErrorPaths is the table-driven sweep over the session API's
 // coded failures.
 func TestSessionErrorPaths(t *testing.T) {
