@@ -185,7 +185,7 @@ const (
 
 	wantSessOpen  = pinSessHead + `"state":"active",` + pinSessReq + `"asked":0,"told":0,"evals":0,"spent_rounds":0,` + pinSessBank + `"trials":null}`
 	wantAsk       = `{"asks":[{"id":0,"config_index":5,"config":` + pinCfg5 + `,"rounds":9,"eval_id":"rs-eval-0"}],"done":false,"state":"active"}`
-	wantTell      = `{"results":[{"index":0,` + pinTellEval + `],"done":false,"state":"active","best":` + pinAskTrial + `,"spent_rounds":3}`
+	wantTell      = `{"results":[{"index":1,` + pinTellEval + `],"done":false,"state":"active","best":` + pinAskTrial + `,"spent_rounds":3}`
 	wantSessGet   = pinSessHead + `"state":"active",` + pinSessReq + pinSessTold
 	wantSessClose = pinSessHead + `"state":"closed",` + pinSessReq + pinSessTold
 )
