@@ -471,10 +471,10 @@ func TestFailedRunReportsAndRetries(t *testing.T) {
 
 // TestManagerSilentByDefault pins the loggers of a manager and a run journal
 // nobody configured: NewManager and OpenRunJournal install discard loggers,
-// so a failed run (logged by the manager) and the shutdown compaction
-// (logged by the journal) neither panic nor write.
+// so a failed run (logged by the manager) and the compactions after it and
+// at shutdown (logged by the journal) neither panic nor write.
 func TestManagerSilentByDefault(t *testing.T) {
-	jr, err := OpenRunJournal(JournalOptions{Dir: t.TempDir(), NoSync: true})
+	jr, err := OpenRunJournal(JournalOptions{Dir: t.TempDir(), CompactWALBytes: 1, NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,6 +504,9 @@ func TestManagerSilentByDefault(t *testing.T) {
 	defer cancel()
 	if err := mgr.Shutdown(ctx); err != nil {
 		t.Fatal(err)
+	}
+	if jr.Stats().Compactions == 0 {
+		t.Error("the journal never compacted")
 	}
 }
 
