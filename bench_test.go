@@ -1,6 +1,9 @@
 // Benchmark harness: one benchmark per table/figure of the paper (quick
 // scale — identical code paths to the figure-scale cmd/figures run), plus
 // ablation benchmarks for the design choices called out in DESIGN.md §5.
+// None is a gate: timings are judged by the bench/ harness (BENCHMARK.json),
+// and TestBenchmarkAllocs (allocs_test.go) pins the allocations of the
+// substrate steps timed here, which are machine-independent.
 //
 // Regenerate everything with:
 //
@@ -134,8 +137,8 @@ func BenchmarkFigure16(b *testing.B) { benchFigure(b, "figure16") }
 // once the banks exist. Each pass builds a fresh suite on the store, as
 // cmd/figures does, at 100 trials per cell and 8 per method cell. It is the
 // harness behind `make profile-figures` (run at -cpu 1 with CPU and
-// allocation profiles) and is not gated: one pass is hundreds of
-// milliseconds, so its ns/op is a profile's denominator, not a CI number.
+// allocation profiles): one pass is hundreds of milliseconds, so its ns/op
+// is a profile's denominator.
 // The store is NOISYEVAL_CACHE_DIR when set, else a temporary directory
 // warmed by an untimed first pass.
 func BenchmarkFiguresWarm(b *testing.B) {
@@ -173,16 +176,23 @@ func BenchmarkFiguresWarm(b *testing.B) {
 // BenchmarkFederatedRound measures one federated training round (10-client
 // cohort, local SGD, FedAdam aggregation) on the CIFAR10-like population.
 func BenchmarkFederatedRound(b *testing.B) {
-	pop := noisyeval.MustGenerate(noisyeval.CIFAR10Like().Scaled(0.15, 0), noisyeval.NewRNG(1))
-	hp := noisyeval.HParams{ServerLR: 0.01, Beta1: 0.9, Beta2: 0.99, ClientLR: 0.1, BatchSize: 32}
-	tr, err := noisyeval.NewTrainer(pop, hp, noisyeval.DefaultTrainerOptions(), noisyeval.NewRNG(2))
-	if err != nil {
-		b.Fatal(err)
-	}
+	tr := roundTrainer(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Round()
 	}
+}
+
+// roundTrainer returns BenchmarkFederatedRound's trainer: FedAdam over a
+// 10-client cohort of the CIFAR10-like population; its Round is the timed step.
+func roundTrainer(tb testing.TB) *noisyeval.Trainer {
+	pop := noisyeval.MustGenerate(noisyeval.CIFAR10Like().Scaled(0.15, 0), noisyeval.NewRNG(1))
+	hp := noisyeval.HParams{ServerLR: 0.01, Beta1: 0.9, Beta2: 0.99, ClientLR: 0.1, BatchSize: 32}
+	tr, err := noisyeval.NewTrainer(pop, hp, noisyeval.DefaultTrainerOptions(), noisyeval.NewRNG(2))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tr
 }
 
 // BenchmarkBankEvaluation measures one noisy bank evaluation (subsample +
@@ -206,16 +216,25 @@ func BenchmarkBankEvaluation(b *testing.B) {
 // BenchmarkBankBuild measures building a miniature config bank end to end
 // (the one-time artifact cost every experiment amortizes).
 func BenchmarkBankBuild(b *testing.B) {
+	build := bankBuild(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		build(uint64(i))
+	}
+}
+
+// bankBuild returns BenchmarkBankBuild's timed step: one miniature bank
+// trained end to end under the given seed.
+func bankBuild(tb testing.TB) func(seed uint64) {
 	spec := noisyeval.CIFAR10Like().Scaled(0.06, 0)
 	spec.MeanExamples, spec.MinExamples, spec.MaxExamples = 20, 15, 25
 	pop := noisyeval.MustGenerate(spec, noisyeval.NewRNG(1))
 	opts := noisyeval.DefaultBuildOptions()
 	opts.NumConfigs = 4
 	opts.MaxRounds = 9
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := noisyeval.BuildBank(pop, opts, uint64(i)); err != nil {
-			b.Fatal(err)
+	return func(seed uint64) {
+		if _, err := noisyeval.BuildBank(pop, opts, seed); err != nil {
+			tb.Fatal(err)
 		}
 	}
 }
@@ -401,23 +420,23 @@ func BenchmarkDistAssemble(b *testing.B) {
 
 // serveBenchManager boots a serving manager over a miniature scale (banks
 // build in tens of milliseconds) and shuts it down with the benchmark.
-func serveBenchManager(b *testing.B) *serve.Manager {
+func serveBenchManager(tb testing.TB) *serve.Manager {
 	cfg := exper.Quick()
 	cfg.Scales = map[string]float64{"cifar10": 0.06, "femnist": 0.02, "stackoverflow": 0.002, "reddit": 0.0008}
 	cfg.CapExamples, cfg.BankConfigs, cfg.MaxRounds, cfg.K = 30, 6, 9, 4
 	dir := os.Getenv("NOISYEVAL_CACHE_DIR")
 	if dir == "" {
-		dir = b.TempDir()
+		dir = tb.TempDir()
 	}
 	store, err := core.NewBankStore(dir)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	mgr := serve.NewManager(serve.Options{
 		Store: store, Workers: 2,
 		Scales: map[string]exper.Config{"quick": cfg},
 	})
-	b.Cleanup(func() {
+	tb.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		defer cancel()
 		mgr.Shutdown(ctx)
@@ -432,40 +451,10 @@ func serveBenchManager(b *testing.B) *serve.Manager {
 // training, no tuning, full HTTP round trip).
 func BenchmarkServeRun(b *testing.B) {
 	mgr := serveBenchManager(b)
-	ts := httptest.NewServer(serve.NewServer(mgr))
-	defer ts.Close()
-
-	const body = `{"dataset":"cifar10","method":"rs","trials":3,"seed":11,"noise":{"sample_count":2}}`
-	post := func() *http.Response {
-		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
-		if err != nil {
-			b.Fatal(err)
-		}
-		return resp
-	}
-
-	// Warm: submit once and stream events until the run is terminal.
-	resp := post()
-	var st client.RunStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		b.Fatal(err)
-	}
-	resp.Body.Close()
-	eresp, err := http.Get(ts.URL + "/v1/runs/" + st.ID + "/events")
-	if err != nil {
-		b.Fatal(err)
-	}
-	io.Copy(io.Discard, eresp.Body) // EOF = terminal event delivered
-	eresp.Body.Close()
-
+	post := dedupPost(b, mgr)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp := post()
-		if resp.StatusCode != http.StatusOK {
-			b.Fatalf("warm submit status = %d, want 200 (dedup hit)", resp.StatusCode)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
+		post()
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
@@ -474,12 +463,53 @@ func BenchmarkServeRun(b *testing.B) {
 	}
 }
 
+// dedupPost returns BenchmarkServeRun's timed step over a loopback server in
+// front of mgr: one POST /v1/runs of a run that has already finished,
+// answered 200 from the cached result bytes and read to the end. The first
+// submission and its event stream run here, untimed.
+func dedupPost(tb testing.TB, mgr *serve.Manager) func() {
+	ts := httptest.NewServer(serve.NewServer(mgr))
+	tb.Cleanup(ts.Close)
+
+	const body = `{"dataset":"cifar10","method":"rs","trials":3,"seed":11,"noise":{"sample_count":2}}`
+	post := func() *http.Response {
+		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return resp
+	}
+
+	// Warm: submit once and stream events until the run is terminal.
+	resp := post()
+	var st client.RunStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		tb.Fatal(err)
+	}
+	resp.Body.Close()
+	eresp, err := http.Get(ts.URL + "/v1/runs/" + st.ID + "/events")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	io.Copy(io.Discard, eresp.Body) // EOF = terminal event delivered
+	eresp.Body.Close()
+
+	return func() {
+		resp := post()
+		if resp.StatusCode != http.StatusOK {
+			tb.Fatalf("warm submit status = %d, want 200 (dedup hit)", resp.StatusCode)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+}
+
 // BenchmarkServeVisit replays the serve_mix visit through pkg/client over
 // loopback: submit a fresh two-trial run, stream its events to the terminal
 // one, GET the result and keep its ETag, re-submit an earlier visit's request
 // (a dedup hit), GET that run with If-None-Match (304), and list 20 done
 // runs. One visit is one op; the first runs untimed, so the bank build is not
-// in it. Not gated: it is the workload `make profile-serve` profiles.
+// in it. It is the workload `make profile-serve` profiles.
 func BenchmarkServeVisit(b *testing.B) {
 	mgr := serveBenchManager(b)
 	ts := httptest.NewServer(serve.NewServer(mgr))
@@ -546,32 +576,40 @@ func BenchmarkServeVisit(b *testing.B) {
 // order and the walk stops when the page is full, so ns/op and allocs/op
 // are those of 20 rows, whatever the daemon retains (DESIGN.md §16).
 func BenchmarkServeList(b *testing.B) {
-	const retained = 10000
-	mgr := serveBenchManager(b)
-	for seed := uint64(1); seed <= retained; seed++ {
-		req := client.RunRequest{Dataset: "cifar10", Method: "rs", Trials: 1, Seed: seed}
+	list := listPage(b, 10000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		list()
+	}
+}
+
+// listPage returns BenchmarkServeList's timed step: one filtered page of
+// GET /v1/runs (?state=done&limit=20) on a recorder, over a registry holding
+// retained finished runs.
+func listPage(tb testing.TB, retained int) func() {
+	mgr := serveBenchManager(tb)
+	for seed := 1; seed <= retained; seed++ {
+		req := client.RunRequest{Dataset: "cifar10", Method: "rs", Trials: 1, Seed: uint64(seed)}
 		_, _, err := mgr.Submit(req)
 		for errors.Is(err, serve.ErrQueueFull) {
 			time.Sleep(time.Millisecond)
 			_, _, err = mgr.Submit(req)
 		}
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
-	for mgr.Counters().RunsCompleted < retained {
+	for mgr.Counters().RunsCompleted < int64(retained) {
 		time.Sleep(time.Millisecond)
 	}
 	srv := serve.NewServer(mgr)
 	get := httptest.NewRequest(http.MethodGet, "/v1/runs?state=done&limit=20", nil)
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, get)
 		if rec.Code != http.StatusOK {
-			b.Fatalf("list status = %d", rec.Code)
+			tb.Fatalf("list status = %d", rec.Code)
 		}
 	}
 }
@@ -645,7 +683,7 @@ func BenchmarkOracleTrials(b *testing.B) {
 
 // BenchmarkOracleEvaluateMulti measures the row-sweep kernel the block
 // scheduler bottoms out in: one arena row evaluated for a 64-cohort wave
-// with warm scratch. The benchdiff gate pins allocs/op at 0 — the steady
+// with warm scratch. TestBenchmarkAllocs pins allocs/op at 0 — the steady
 // state must stay allocation-free no matter how many cohorts share the row.
 func BenchmarkOracleEvaluateMulti(b *testing.B) {
 	benchEvaluateRows(b, noisyeval.SchemeWithCount(10))
@@ -654,47 +692,74 @@ func BenchmarkOracleEvaluateMulti(b *testing.B) {
 // BenchmarkOracleEvaluateMultiBiased is the same sweep under systems
 // heterogeneity (3 clients per cohort drawn with weight (acc+δ)^1.5, the
 // Figure 6 family's scheme): the weighted sampler instead of the partial
-// shuffle. Gated on evals/s and 0 allocs/op like its uniform sibling.
+// shuffle. Pinned at 0 allocs/op like its uniform sibling.
 func BenchmarkOracleEvaluateMultiBiased(b *testing.B) {
 	benchEvaluateRows(b, core.Noise{SampleCount: 3, Bias: 1.5}.Scheme())
 }
 
 func benchEvaluateRows(b *testing.B, scheme eval.Scheme) {
-	oracle, err := core.NewBankOracle(codecBenchBank, 0, scheme, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const cohorts = 64
-	seeds := make([]uint64, cohorts)
-	for i := range seeds {
-		seeds[i] = uint64(i)*0x9e3779b97f4a7c15 + 1
-	}
-	var ms eval.MultiScratch
-	oracle.EvaluateRows(0, 0, seeds, &ms) // warm the scratch before timing
+	sweep := evaluateRows(b, scheme)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sink float64
 	for i := 0; i < b.N; i++ {
-		rs := oracle.EvaluateRows(i%4, i%5, seeds, &ms)
-		sink += rs[0].Observed
+		sink += sweep(i)
 	}
 	b.StopTimer()
 	if sink == 0 {
 		b.Fatal("evaluations produced no signal")
 	}
-	b.ReportMetric(float64(cohorts*b.N)/b.Elapsed().Seconds(), "evals/s")
+	b.ReportMetric(float64(rowCohorts*b.N)/b.Elapsed().Seconds(), "evals/s")
+}
+
+const rowCohorts = 64
+
+// evaluateRows returns the timed step of the row-kernel benchmarks under
+// scheme, its scratch already warm: row i of the bench bank (partition 0,
+// config i%4, checkpoint i%5) evaluated for a 64-cohort wave. It returns the
+// first cohort's observed error.
+func evaluateRows(tb testing.TB, scheme eval.Scheme) func(i int) float64 {
+	oracle, err := core.NewBankOracle(codecBenchBank, 0, scheme, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	seeds := make([]uint64, rowCohorts)
+	for i := range seeds {
+		seeds[i] = uint64(i)*0x9e3779b97f4a7c15 + 1
+	}
+	var ms eval.MultiScratch
+	oracle.EvaluateRows(0, 0, seeds, &ms) // warm the scratch before timing
+	return func(i int) float64 {
+		return oracle.EvaluateRows(i%4, i%5, seeds, &ms)[0].Observed
+	}
 }
 
 // BenchmarkObsOverhead measures the fully instrumented oracle evaluation
 // step: one warm BankOracle.Evaluate plus exactly the obs work the trial
 // loop adds per evaluation — one histogram Observe and one counter Inc.
-// The benchdiff gate pins allocs/op at 0: the first allocation the
-// instrumentation introduces fails CI, which is what keeps /metrics
+// TestBenchmarkAllocs pins allocs/op at 0: the first allocation the
+// instrumentation introduces fails go test, which is what keeps /metrics
 // collection free on the hot path.
 func BenchmarkObsOverhead(b *testing.B) {
+	step := instrumentedEvaluate(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		sink += step()
+	}
+	b.StopTimer()
+	if sink == 0 {
+		b.Fatal("evaluations produced no signal")
+	}
+}
+
+// instrumentedEvaluate returns BenchmarkObsOverhead's timed step with its
+// pooled visit already warm.
+func instrumentedEvaluate(tb testing.TB) func() float64 {
 	oracle, err := core.NewBankOracle(codecBenchBank, 0, noisyeval.SchemeWithCount(10), 1)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	trial := oracle.WithTrial(0) // the per-trial salt a RunTrials trial evaluates under
 	cfg := codecBenchBank.Configs[0]
@@ -702,18 +767,12 @@ func BenchmarkObsOverhead(b *testing.B) {
 	hist := reg.Histogram("bench_trial_seconds", "Instrumentation-overhead bench histogram.", nil)
 	ctr := reg.Counter("bench_trials_total", "Instrumentation-overhead bench counter.")
 	trial.Evaluate(cfg, 405, "warm") // warm the pooled visit before timing
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink float64
-	for i := 0; i < b.N; i++ {
+	return func() float64 {
 		start := time.Now()
-		sink += trial.Evaluate(cfg, 405, "warm")
+		v := trial.Evaluate(cfg, 405, "warm")
 		hist.Observe(time.Since(start).Seconds())
 		ctr.Inc()
-	}
-	b.StopTimer()
-	if sink == 0 {
-		b.Fatal("evaluations produced no signal")
+		return v
 	}
 }
 
@@ -723,18 +782,27 @@ func BenchmarkObsOverhead(b *testing.B) {
 // arena size; a heap load (LoadBank) instead checksums and copies every
 // count.
 func BenchmarkBankOpenMmap(b *testing.B) {
-	path := b.TempDir() + "/bench.bank"
-	if err := core.SaveBankV4(codecBenchBank, path); err != nil {
-		b.Fatal(err)
-	}
+	open := openMapped(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		open()
+	}
+}
+
+// openMapped returns BenchmarkBankOpenMmap's timed step: OpenBankMapped of
+// the bench bank saved to a temporary file, then Close.
+func openMapped(tb testing.TB) func() {
+	path := tb.TempDir() + "/bench.bank"
+	if err := core.SaveBankV4(codecBenchBank, path); err != nil {
+		tb.Fatal(err)
+	}
+	return func() {
 		bank, closer, err := core.OpenBankMapped(path)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if len(bank.Configs) != len(codecBenchBank.Configs) {
-			b.Fatal("short bank")
+			tb.Fatal("short bank")
 		}
 		closer.Close()
 	}
@@ -781,7 +849,8 @@ func BenchmarkOracleTrialsMapped(b *testing.B) {
 // evaluations per TPE trial, 190 per HB/BOHB trial) against the 64-config
 // bench bank. BenchmarkOracleTrials covers RS, where the scheduler and the
 // row kernel are the whole cost; here the method's own proposal code is, so
-// this is the gate on the Parzen engine (DESIGN.md §15). HB shares BOHB's
+// this is the before/after number for the Parzen engine (DESIGN.md §15),
+// whose allocations TestRunTrialsAllocsPerTrial pins. HB shares BOHB's
 // brackets and evaluations but has no model: bohb − hb is the engine's cost.
 func BenchmarkMethodTrials(b *testing.B) {
 	oracle, err := core.NewBankOracle(codecBenchBank, 0, noisyeval.SchemeWithCount(10), 1)

@@ -34,7 +34,6 @@ package main
 import (
 	"context"
 	"flag"
-	"log"
 	"log/slog"
 	"os"
 	"os/signal"
@@ -49,9 +48,6 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("noisyevald: ")
-
 	var (
 		addr          = flag.String("addr", ":8723", "listen address")
 		cacheDir      = flag.String("cache-dir", os.Getenv("NOISYEVAL_CACHE_DIR"), "content-addressed bank cache directory (default $NOISYEVAL_CACHE_DIR)")
@@ -81,10 +77,14 @@ func main() {
 	flag.Parse()
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: logLevel}))
+	fatal := func(msg string, args ...any) {
+		logger.Error(msg, args...)
+		os.Exit(1)
+	}
 
 	if *pprofAddr != "" {
 		if _, err := obs.ServePprof(*pprofAddr, logger); err != nil {
-			log.Fatal(err)
+			fatal("pprof listener", "err", err)
 		}
 	}
 
@@ -93,26 +93,26 @@ func main() {
 		var err error
 		store, err = core.NewBankStore(*cacheDir)
 		if err != nil {
-			log.Fatal(err)
+			fatal("bank cache", "err", err)
 		}
 		store.Log = logger.With("component", "bankstore")
-		log.Printf("bank cache at %s", store.Dir())
+		logger.Info("bank cache", "dir", store.Dir(), "max_bytes", *cacheMaxBytes)
 		core.BoundCache(store, *cacheMaxBytes)
 		if *mmapBanks {
 			store.SetMapped(true)
 			store.SetMappedWarm(*mmapWarm)
-			log.Printf("bank cache mmap mode: banks served zero-copy (warm=%v)", *mmapWarm)
+			logger.Info("bank cache mmap mode: banks served zero-copy", "warm", *mmapWarm)
 		} else if *mmapWarm {
-			log.Fatal("-mmap-warm requires -mmap-banks")
+			fatal("-mmap-warm requires -mmap-banks")
 		}
 	} else {
 		if *mmapBanks {
-			log.Fatal("-mmap-banks requires -cache-dir")
+			fatal("-mmap-banks requires -cache-dir")
 		}
 		if *mmapWarm {
-			log.Fatal("-mmap-warm requires -mmap-banks")
+			fatal("-mmap-warm requires -mmap-banks")
 		}
-		log.Printf("no -cache-dir: banks rebuilt per daemon lifetime (in-memory suite cache only)")
+		logger.Info("no -cache-dir: banks rebuilt per daemon lifetime (in-memory suite cache only)")
 	}
 
 	var peers []string
@@ -137,11 +137,11 @@ func main() {
 		})
 		defer coord.Close()
 		builder = &dist.Builder{Store: store, Peers: peers, Coord: coord}
-		log.Printf("cluster mode: shard-configs=%d lease-ttl=%s self-build=%d peers=%d",
-			*shardConfigs, *leaseTTL, *selfBuild, len(peers))
+		logger.Info("cluster mode", "shard_configs", *shardConfigs, "lease_ttl", *leaseTTL,
+			"self_build", *selfBuild, "peers", len(peers))
 	} else if len(peers) > 0 {
 		builder = &dist.Builder{Store: store, Peers: peers}
-		log.Printf("peer read-through from %s", strings.Join(peers, ", "))
+		logger.Info("peer read-through", "peers", strings.Join(peers, ","))
 	}
 
 	var journal *serve.RunJournal
@@ -154,13 +154,13 @@ func main() {
 			Log:             logger.With("component", "journal"),
 		})
 		if err != nil {
-			log.Fatal(err)
+			fatal("run journal", "err", err)
 		}
 		st := journal.Stats()
-		log.Printf("run journal at %s (replayed %d records, %d runs recovered, %d torn tails, %d dropped)",
-			*journalDir, st.Replayed, len(journal.Recovered()), st.TornTails, journal.Dropped())
+		logger.Info("run journal", "dir", *journalDir, "replayed", st.Replayed,
+			"recovered", len(journal.Recovered()), "torn_tails", st.TornTails, "dropped", journal.Dropped())
 	} else {
-		log.Printf("no -journal-dir: run lifecycle is in-memory only (queued runs are lost on crash or shutdown)")
+		logger.Info("no -journal-dir: run lifecycle is in-memory only (queued runs are lost on crash or shutdown)")
 	}
 
 	mgr := serve.NewManager(serve.Options{
@@ -203,9 +203,9 @@ func main() {
 	}
 	bound, err := daemon.Listen()
 	if err != nil {
-		log.Fatal(err)
+		fatal("listen", "err", err)
 	}
-	log.Printf("serving on %s (workers=%d queue=%d run-ttl=%s)", bound, *workers, *queueDepth, *runTTL)
+	logger.Info("serving", "addr", bound, "workers", *workers, "queue", *queueDepth, "run_ttl", *runTTL)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -215,17 +215,16 @@ func main() {
 	select {
 	case err := <-done:
 		if err != nil {
-			log.Fatal(err)
+			fatal("serve", "err", err)
 		}
 	case <-ctx.Done():
 		stop()
-		log.Printf("signal received; draining (budget %s)", *drainTimeout)
+		logger.Info("signal received; draining", "budget", *drainTimeout)
 		sctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 		defer cancel()
 		if err := daemon.Shutdown(sctx); err != nil {
-			log.Printf("shutdown: %v", err)
-			os.Exit(1)
+			fatal("shutdown", "err", err)
 		}
-		log.Printf("drained cleanly")
+		logger.Info("drained cleanly")
 	}
 }

@@ -18,8 +18,6 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
-	"fmt"
-	"log"
 	"log/slog"
 	"net"
 	"net/http"
@@ -33,9 +31,6 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("noisyworker: ")
-
 	var (
 		coordinator = flag.String("coordinator", "http://127.0.0.1:8723", "coordinator base URL")
 		addr        = flag.String("addr", ":8724", "health/metrics listen address (empty = none)")
@@ -49,9 +44,13 @@ func main() {
 	flag.Parse()
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: logLevel}))
+	fatal := func(msg string, args ...any) {
+		logger.Error(msg, args...)
+		os.Exit(1)
+	}
 	if *pprofAddr != "" {
 		if _, err := obs.ServePprof(*pprofAddr, logger); err != nil {
-			log.Fatal(err)
+			fatal("pprof listener", "err", err)
 		}
 	}
 
@@ -63,7 +62,7 @@ func main() {
 		Workers:     *jobs,
 		Metrics:     metrics,
 	})
-	log.Printf("worker %s pulling from %s", w.Name(), *coordinator)
+	logger.Info("pulling shard jobs", "worker", w.Name(), "coordinator", *coordinator)
 
 	start := time.Now()
 	if *addr != "" {
@@ -83,9 +82,9 @@ func main() {
 		})
 		ln, err := net.Listen("tcp", *addr)
 		if err != nil {
-			log.Fatal(err)
+			fatal("listen", "err", err)
 		}
-		log.Printf("health/metrics on %s", ln.Addr())
+		logger.Info("serving health and metrics", "addr", ln.Addr())
 		srv := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
 		go srv.Serve(ln)
 		defer srv.Close()
@@ -95,20 +94,9 @@ func main() {
 	defer stop()
 	err := w.Run(ctx)
 	c := w.Counters()
-	log.Printf("drained: %d shards built, %d failed, %d leases, %s uploaded",
-		c.ShardsBuilt, c.ShardsFailed, c.Leases, fmtBytes(c.BytesUploaded))
+	logger.Info("drained", "shards_built", c.ShardsBuilt, "shards_failed", c.ShardsFailed,
+		"leases", c.Leases, "bytes_uploaded", c.BytesUploaded)
 	if err != nil && err != context.Canceled {
-		log.Fatal(err)
-	}
-}
-
-func fmtBytes(n int64) string {
-	switch {
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1f MiB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1f KiB", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%d B", n)
+		fatal("worker", "err", err)
 	}
 }

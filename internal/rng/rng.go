@@ -10,7 +10,6 @@ package rng
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand/v2"
 	"strconv"
@@ -61,11 +60,8 @@ func New(seed uint64) *RNG {
 // same (seed, path) always yields the same stream and different labels yield
 // decorrelated streams. Split does not consume randomness from the parent.
 func (g *RNG) Split(label string) *RNG {
-	path := g.Path()
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%016x/%s/%s", g.seed, path, label)
-	child := New(h.Sum64())
-	child.path = path + "/" + label
+	child := New(g.deriveSeed([]byte(label)))
+	child.path = g.Path() + "/" + label
 	return child
 }
 
@@ -74,15 +70,17 @@ func (g *RNG) Splitf(format string, args ...any) *RNG {
 	return g.Split(fmt.Sprintf(format, args...))
 }
 
-// The in-place split helpers below produce byte-identical derivation keys to
-// Split/Splitf without any heap allocation: the federated hot loop derives two
-// child streams per round ("round-N" and "client-K-round-N"), and the
-// fmt.Sprintf + hash.Hash + child-RNG allocations of Splitf dominated its
-// allocation profile. TestSplitIntoMatchesSplitf pins stream equality.
+// Split and the in-place split helpers below derive a child seed the same
+// way, through deriveSeed; the helpers do it without any heap allocation: the
+// federated hot loop derives two child streams per round ("round-N" and
+// "client-K-round-N"), and the fmt.Sprintf + child-RNG allocations of Splitf
+// dominated its allocation profile. TestSplitIntoMatchesSplitf pins stream
+// equality.
 
 // fnv64a constants (hash/fnv), inlined so key derivation needs no hash.Hash
-// allocation. deriveSeed must hash exactly the bytes Split writes via
-// fmt.Fprintf(h, "%016x/%s/%s", seed, path, label).
+// allocation. A child seed is the FNV-1a hash of the bytes
+// fmt.Sprintf("%016x/%s/%s", seed, path, label) writes;
+// TestSplitSeedIsFNVOfPath holds deriveSeed to hash/fnv over them.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211

@@ -2,6 +2,8 @@ package rng
 
 import (
 	"fmt"
+	"hash/fnv"
+	"strings"
 	"testing"
 )
 
@@ -20,6 +22,34 @@ func assertSameStream(t *testing.T, want, got *RNG, ctx string) {
 		w, g := want.Uint64(), got.Uint64()
 		if w != g {
 			t.Fatalf("%s: draw %d: %d != %d", ctx, i, g, w)
+		}
+	}
+}
+
+// TestSplitSeedIsFNVOfPath pins what every split derives a child seed from:
+// the FNV-1a hash of "%016x/%s/%s" over the parent's seed, the parent's path
+// and the label, computed here with hash/fnv and fmt. Parents include a
+// deferred-path stream and labels one longer than the in-place label buffer.
+func TestSplitSeedIsFNVOfPath(t *testing.T) {
+	parents := []func() *RNG{
+		func() *RNG { return New(0) },
+		func() *RNG { return New(42).Split("train") },
+		func() *RNG { return New(^uint64(0)) },
+		func() *RNG {
+			g := New(0)
+			New(9).Split("outer").SplitIntInto(g, "round-", 3)
+			return g
+		},
+	}
+	labels := []string{"", "pool", "client-7-round-12", strings.Repeat("x", 40)}
+	for _, parent := range parents {
+		for _, label := range labels {
+			ref := parent()
+			h := fnv.New64a()
+			fmt.Fprintf(h, "%016x/%s/%s", ref.Seed(), ref.Path(), label)
+			if got := parent().Split(label).Seed(); got != h.Sum64() {
+				t.Errorf("Split(%q) under %q: seed %#x, FNV-1a of the path %#x", label, ref.Path(), got, h.Sum64())
+			}
 		}
 	}
 }

@@ -4,18 +4,23 @@
 # plus two noisyworker processes, build the quick-scale banks cold through
 # sharded fleet leases — asserting via each worker's /metrics that BOTH
 # workers trained shards — then restart the daemon against the same
-# cache and re-run warm, asserting zero banks trained.
+# cache and re-run warm, asserting zero banks trained. The binaries (and the
+# default cache) live in a temporary directory removed on exit.
 #
 # Usage: tools/cluster_smoke.sh [addr] [cache-dir]
 set -eu
 
+WORK="$(mktemp -d)"
 ADDR="${1:-127.0.0.1:8733}"
-CACHE="${2:-$(mktemp -d)}"
+CACHE="${2:-$WORK/cache}"
 W1_ADDR=127.0.0.1:8734
 W2_ADDR=127.0.0.1:8735
 
-go build -o /tmp/noisyevald-cluster ./cmd/noisyevald
-go build -o /tmp/noisyworker-cluster ./cmd/noisyworker
+DPID= W1PID= W2PID= # pre-set: the EXIT trap must expand cleanly under set -u
+trap 'kill -9 ${DPID:-} ${W1PID:-} ${W2PID:-} 2>/dev/null || true; rm -rf "$WORK"' EXIT
+
+go build -o "$WORK/noisyevald" ./cmd/noisyevald
+go build -o "$WORK/noisyworker" ./cmd/noisyworker
 
 wait_health() { # url label
   i=0
@@ -42,16 +47,14 @@ submit_and_wait() { # body
 # Every shard must be trained by the external fleet (-self-build 0), so the
 # per-worker assertion below is meaningful. One config per shard
 # spreads the work across both workers.
-DPID= W1PID= W2PID= # pre-set: the EXIT trap must expand cleanly under set -u
-/tmp/noisyevald-cluster -addr "$ADDR" -cache-dir "$CACHE" -cluster \
+"$WORK/noisyevald" -addr "$ADDR" -cache-dir "$CACHE" -cluster \
   -self-build 0 -shard-configs 1 &
 DPID=$!
-trap 'kill -9 ${DPID:-} ${W1PID:-} ${W2PID:-} 2>/dev/null || true' EXIT
 wait_health "http://$ADDR" daemon
 
-/tmp/noisyworker-cluster -coordinator "http://$ADDR" -addr "$W1_ADDR" -name w1 -poll 25ms &
+"$WORK/noisyworker" -coordinator "http://$ADDR" -addr "$W1_ADDR" -name w1 -poll 25ms &
 W1PID=$!
-/tmp/noisyworker-cluster -coordinator "http://$ADDR" -addr "$W2_ADDR" -name w2 -poll 25ms &
+"$WORK/noisyworker" -coordinator "http://$ADDR" -addr "$W2_ADDR" -name w2 -poll 25ms &
 W2PID=$!
 wait_health "http://$W1_ADDR" worker1
 wait_health "http://$W2_ADDR" worker2
@@ -81,7 +84,7 @@ wait $DPID || { echo "daemon exited non-zero on SIGTERM"; exit 1; }
 echo "cold cluster pass done"
 
 # --- Warm pass: same cache, fresh daemon, zero training -----------------
-/tmp/noisyevald-cluster -addr "$ADDR" -cache-dir "$CACHE" -cluster -self-build 0 -shard-configs 1 &
+"$WORK/noisyevald" -addr "$ADDR" -cache-dir "$CACHE" -cluster -self-build 0 -shard-configs 1 &
 DPID=$!
 wait_health "http://$ADDR" daemon
 
@@ -98,5 +101,5 @@ echo "warm pass: 0 banks trained, 0 sharded builds"
 
 kill -TERM $DPID
 wait $DPID || { echo "daemon exited non-zero on SIGTERM"; exit 1; }
-trap - EXIT
+DPID= W1PID= W2PID=
 echo "cluster smoke passed"

@@ -5,31 +5,46 @@
 # quick run streamed to completion with a dedup check, the /v1/methods
 # catalogue, and an ask/tell session driven over the wire whose best must
 # match the server-driven run exactly — then drain gracefully via SIGTERM.
-# The daemon runs at -log-level debug with stderr captured, and the drained
-# log must hold the run's "run admitted" and "run done" events from the serve
-# component: the -log-level flag and the slog handler, wired end to end.
+# The daemon runs at -log-level debug on a fresh run journal with stderr
+# captured, and the drained log must hold the run's "run admitted" and "run
+# done" events from the serve component and the start-up "run journal" line
+# with its replay count: the -log-level flag and the slog handler, wired end
+# to end, carry every line the daemon writes. The binaries, journal and log
+# live in a temporary directory removed on exit, so two smokes can run at
+# once.
 #
 # Usage: tools/serve_smoke.sh [addr] [cache-dir]
 set -eu
 
 ADDR="${1:-127.0.0.1:8723}"
 CACHE="${2:-$HOME/.cache/noisyeval-banks}"
-LOG="$(mktemp)"
 
-go build -o /tmp/noisyevald-smoke ./cmd/noisyevald
-go build -o /tmp/servesmoke ./tools/servesmoke
-/tmp/noisyevald-smoke -addr "$ADDR" -cache-dir "$CACHE" -session-ttl 5m -log-level debug 2>"$LOG" &
+WORK="$(mktemp -d)"
+LOG="$WORK/noisyevald.log"
+PID=""
+cleanup() {
+	[ -n "$PID" ] && kill -9 "$PID" 2>/dev/null || true
+	[ -f "$LOG" ] && cat "$LOG" >&2 || true
+	rm -rf "$WORK"
+}
+trap cleanup EXIT
+
+go build -o "$WORK/noisyevald" ./cmd/noisyevald
+go build -o "$WORK/servesmoke" ./tools/servesmoke
+"$WORK/noisyevald" -addr "$ADDR" -cache-dir "$CACHE" -journal-dir "$WORK/journal" \
+	-session-ttl 5m -log-level debug 2>"$LOG" &
 PID=$!
-trap 'kill -9 $PID 2>/dev/null || true; cat "$LOG" >&2; rm -f "$LOG"' EXIT
 
-/tmp/servesmoke -base "http://$ADDR"
+"$WORK/servesmoke" -base "http://$ADDR"
 
 kill -TERM $PID
 wait $PID || { echo "daemon exited non-zero on SIGTERM"; exit 1; }
+PID=""
 for msg in "run admitted" "run done"; do
 	grep -F "msg=\"$msg\"" "$LOG" | grep -q 'component=serve' ||
 		{ echo "daemon log has no msg=\"$msg\" line from component=serve"; exit 1; }
 done
-trap - EXIT
+grep -F 'msg="run journal"' "$LOG" | grep -q ' replayed=0 ' ||
+	{ echo "daemon log has no msg=\"run journal\" line with replayed=0"; exit 1; }
 rm -f "$LOG"
 echo "serve smoke passed"
