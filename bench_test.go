@@ -177,6 +177,7 @@ func BenchmarkFiguresWarm(b *testing.B) {
 // cohort, local SGD, FedAdam aggregation) on the CIFAR10-like population.
 func BenchmarkFederatedRound(b *testing.B) {
 	tr := roundTrainer(b)
+	tr.Round() // grows the trainer's buffers outside the timed region
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Round()
@@ -600,7 +601,7 @@ func listPage(tb testing.TB, retained int) func() {
 			tb.Fatal(err)
 		}
 	}
-	for mgr.Counters().RunsCompleted < int64(retained) {
+	for completed := mgr.Metrics().Counter("runs_completed_total", ""); completed.Value() < int64(retained); {
 		time.Sleep(time.Millisecond)
 	}
 	srv := serve.NewServer(mgr)

@@ -92,6 +92,7 @@ func main() {
 		defer coord.Close()
 		mux := http.NewServeMux()
 		coord.Register(mux)
+		mux.Handle("GET /metrics", coord.Metrics())
 		ln, err := net.Listen("tcp", *clusterAddr)
 		if err != nil {
 			log.Fatal(err)

@@ -178,28 +178,7 @@ func main() {
 	})
 	daemon := serve.NewDaemon(*addr, mgr)
 	if coord != nil {
-		coord.Register(daemon.Server().Mux())
-		// The coordinator's counters as Prometheus views, so one /metrics
-		// scrape covers the fleet-build plane too.
-		reg := mgr.Metrics()
-		reg.CounterFunc("dist_builds_started_total", "Sharded bank builds started.",
-			func() int64 { return coord.Stats().BuildsStarted })
-		reg.CounterFunc("dist_builds_completed_total", "Sharded bank builds completed.",
-			func() int64 { return coord.Stats().BuildsCompleted })
-		reg.GaugeFunc("dist_shards_pending", "Shard jobs waiting for a lease.",
-			func() int64 { return coord.Stats().ShardsPending })
-		reg.GaugeFunc("dist_shards_leased", "Shard jobs currently leased.",
-			func() int64 { return coord.Stats().ShardsLeased })
-		reg.CounterFunc("dist_shards_completed_total", "Shard jobs accepted.",
-			func() int64 { return coord.Stats().ShardsCompleted })
-		reg.CounterFunc("dist_shards_requeued_total", "Shard leases expired and requeued.",
-			func() int64 { return coord.Stats().ShardsRequeued })
-		reg.CounterFunc("dist_shards_duplicate_total", "Duplicate shard uploads discarded.",
-			func() int64 { return coord.Stats().ShardsDuplicate })
-		reg.CounterFunc("dist_shards_self_built_total", "Shards built by the coordinator's own loop.",
-			func() int64 { return coord.Stats().ShardsSelfBuilt })
-		reg.GaugeFunc("dist_workers_seen", "Distinct workers that have ever leased.",
-			func() int64 { return coord.Stats().WorkersSeen })
+		mountCoordinator(daemon, coord)
 	}
 	bound, err := daemon.Listen()
 	if err != nil {
@@ -227,4 +206,12 @@ func main() {
 		}
 		logger.Info("drained cleanly")
 	}
+}
+
+// mountCoordinator serves the coordinator's work and bank routes beside the
+// run API and folds its dist_* series into the daemon's /metrics, so one
+// scrape covers the fleet-build plane too.
+func mountCoordinator(d *serve.Daemon, coord *dist.Coordinator) {
+	coord.Register(d.Server().Mux())
+	d.Manager.Metrics().Attach(coord.Metrics())
 }

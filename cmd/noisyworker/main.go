@@ -54,13 +54,11 @@ func main() {
 		}
 	}
 
-	metrics := obs.NewRegistry()
 	w := dist.NewWorker(dist.WorkerOptions{
 		Coordinator: *coordinator,
 		Name:        *name,
 		Poll:        *poll,
 		Workers:     *jobs,
-		Metrics:     metrics,
 	})
 	logger.Info("pulling shard jobs", "worker", w.Name(), "coordinator", *coordinator)
 
@@ -76,10 +74,7 @@ func main() {
 				"uptime":      time.Since(start).Round(time.Millisecond).String(),
 			})
 		})
-		mux.HandleFunc("GET /metrics", func(rw http.ResponseWriter, r *http.Request) {
-			rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			metrics.WritePrometheus(rw)
-		})
+		mux.Handle("GET /metrics", w.Metrics())
 		ln, err := net.Listen("tcp", *addr)
 		if err != nil {
 			fatal("listen", "err", err)
@@ -93,9 +88,10 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	err := w.Run(ctx)
-	c := w.Counters()
-	logger.Info("drained", "shards_built", c.ShardsBuilt, "shards_failed", c.ShardsFailed,
-		"leases", c.Leases, "bytes_uploaded", c.BytesUploaded)
+	count := func(name string) int64 { return w.Metrics().Counter(name, "").Value() }
+	logger.Info("drained", "shards_built", count("worker_shards_built_total"),
+		"shards_failed", count("worker_shards_failed_total"), "leases", count("worker_leases_total"),
+		"bytes_uploaded", count("worker_bytes_uploaded_total"))
 	if err != nil && err != context.Canceled {
 		fatal("worker", "err", err)
 	}

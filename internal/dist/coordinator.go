@@ -10,7 +10,6 @@ import (
 	"os"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"noisyeval/internal/core"
@@ -62,25 +61,6 @@ type CoordinatorOptions struct {
 	// Clock is the time source (default time.Now; tests inject a fake to
 	// drive lease expiry deterministically).
 	Clock func() time.Time
-}
-
-// CoordinatorStats is a snapshot of the coordinator's operational counters
-// (GET /v1/work/stats; the dist_* series of noisyevald's /metrics in cluster
-// mode).
-type CoordinatorStats struct {
-	BuildsStarted     int64 `json:"builds_started"`
-	BuildsCompleted   int64 `json:"builds_completed"`
-	BuildsFailed      int64 `json:"builds_failed"`
-	ShardsPending     int64 `json:"shards_pending"`
-	ShardsLeased      int64 `json:"shards_leased"`
-	ShardsCompleted   int64 `json:"shards_completed"`
-	ShardsRequeued    int64 `json:"shards_requeued"`
-	ShardsDuplicate   int64 `json:"shards_duplicate"`
-	ShardsRejected    int64 `json:"shards_rejected"`
-	ShardsSelfBuilt   int64 `json:"shards_self_built"`
-	BankFetches       int64 `json:"bank_fetches"`
-	PopulationFetches int64 `json:"population_fetches"`
-	WorkersSeen       int64 `json:"workers_seen"`
 }
 
 type jobState int
@@ -151,9 +131,12 @@ type Coordinator struct {
 	selfStop chan struct{}
 	selfWG   sync.WaitGroup
 
-	buildsStarted, buildsCompleted, buildsFailed atomic.Int64
-	completed, requeued, duplicates, rejected    atomic.Int64
-	selfBuilt, bankFetches, popFetches           atomic.Int64
+	// metrics holds the coordinator's dist_* series; noisyevald attaches it
+	// to its /metrics, cmd/figures serves it beside the work routes.
+	metrics                                      *obs.Registry
+	buildsStarted, buildsCompleted, buildsFailed *obs.Counter
+	completed, requeued, duplicates, rejected    *obs.Counter
+	selfBuilt, bankFetches, popFetches           *obs.Counter
 }
 
 // popRecord caches one population and its lazily rendered wire bytes.
@@ -198,7 +181,28 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 		selfStop: make(chan struct{}),
 
 		maxShardBytes: maxShardDecodedBytes,
+		metrics:       obs.NewRegistry(),
 	}
+	reg := c.metrics
+	c.buildsStarted = reg.Counter("dist_builds_started_total", "Sharded bank builds started.")
+	c.buildsCompleted = reg.Counter("dist_builds_completed_total", "Sharded bank builds completed.")
+	c.buildsFailed = reg.Counter("dist_builds_failed_total", "Sharded bank builds failed.")
+	reg.GaugeFunc("dist_shards_pending", "Shard jobs waiting for a lease.",
+		func() int64 { pending, _ := c.jobCounts(); return pending })
+	reg.GaugeFunc("dist_shards_leased", "Shard jobs currently leased.",
+		func() int64 { _, leased := c.jobCounts(); return leased })
+	c.completed = reg.Counter("dist_shards_completed_total", "Shard jobs accepted.")
+	c.requeued = reg.Counter("dist_shards_requeued_total", "Shard leases expired and requeued.")
+	c.duplicates = reg.Counter("dist_shards_duplicate_total", "Duplicate shard uploads discarded.")
+	c.rejected = reg.Counter("dist_shards_rejected_total", "Shard uploads rejected as invalid for their job.")
+	c.selfBuilt = reg.Counter("dist_shards_self_built_total", "Shards built by the coordinator's own loop.")
+	c.bankFetches = reg.Counter("dist_bank_fetches_total", "Bank files served to peers.")
+	c.popFetches = reg.Counter("dist_population_fetches_total", "Populations served to workers.")
+	reg.GaugeFunc("dist_workers_seen", "Distinct workers that have ever leased.", func() int64 {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return int64(len(c.workers))
+	})
 	for i := 0; i < opts.SelfBuild; i++ {
 		c.selfWG.Add(1)
 		go c.selfBuildLoop()
@@ -297,7 +301,7 @@ func (c *Coordinator) BuildSharded(ctx context.Context, pop *data.Population, op
 		lastProgress: c.opts.Clock(),
 	}
 	c.builds[key] = b
-	c.buildsStarted.Add(1)
+	c.buildsStarted.Inc()
 	c.mu.Unlock()
 
 	// Derive the skeleton outside the lock (it repartitions the validation
@@ -318,7 +322,7 @@ func (c *Coordinator) BuildSharded(ctx context.Context, pop *data.Population, op
 			b.assembling = true // invalid inputs: no jobs exist to tear down
 			b.err = err
 			delete(c.builds, b.key)
-			c.buildsFailed.Add(1)
+			c.buildsFailed.Inc()
 			c.mu.Unlock()
 			close(b.done)
 			return nil, err
@@ -367,7 +371,7 @@ func (c *Coordinator) requeueExpiredLocked(now time.Time) {
 		if j.state == jobLeased && now.After(j.expiry) {
 			j.state = jobPending
 			c.queue = append(c.queue, j)
-			c.requeued.Add(1)
+			c.requeued.Inc()
 		}
 	}
 }
@@ -389,7 +393,7 @@ func (c *Coordinator) failBuildLocked(b *build, err error) {
 	}
 	delete(c.builds, b.key)
 	c.dropPopLocked(b.popKey)
-	c.buildsFailed.Add(1)
+	c.buildsFailed.Inc()
 	close(b.done)
 }
 
@@ -469,12 +473,12 @@ func (c *Coordinator) Complete(id, worker string, sh *core.BankShard, spans ...o
 	c.requeueExpiredLocked(now)
 	j, ok := c.jobs[id]
 	if !ok {
-		c.duplicates.Add(1)
+		c.duplicates.Inc()
 		c.mu.Unlock()
 		return "stale", nil
 	}
 	if j.state == jobDone {
-		c.duplicates.Add(1)
+		c.duplicates.Inc()
 		c.mu.Unlock()
 		return "duplicate", nil
 	}
@@ -485,11 +489,11 @@ func (c *Coordinator) Complete(id, worker string, sh *core.BankShard, spans ...o
 		err = verr
 	}
 	if err != nil {
-		c.rejected.Add(1)
+		c.rejected.Inc()
 		if j.state == jobLeased { // give the shard to someone else
 			j.state = jobPending
 			c.queue = append(c.queue, j)
-			c.requeued.Add(1)
+			c.requeued.Inc()
 		}
 		c.mu.Unlock()
 		c.nudge()
@@ -499,7 +503,7 @@ func (c *Coordinator) Complete(id, worker string, sh *core.BankShard, spans ...o
 	b.shards = append(b.shards, sh)
 	b.pending--
 	b.lastProgress = now
-	c.completed.Add(1)
+	c.completed.Inc()
 	assemble := b.pending == 0 && !b.assembling
 	if assemble {
 		b.assembling = true
@@ -532,9 +536,9 @@ func (c *Coordinator) finishBuild(b *build) {
 	}
 	c.dropPopLocked(b.popKey)
 	if err != nil {
-		c.buildsFailed.Add(1)
+		c.buildsFailed.Inc()
 	} else {
-		c.buildsCompleted.Add(1)
+		c.buildsCompleted.Inc()
 	}
 	c.mu.Unlock()
 	close(b.done)
@@ -602,7 +606,7 @@ func (c *Coordinator) selfBuildLoop() {
 			c.mu.Unlock()
 			continue
 		}
-		c.selfBuilt.Add(1)
+		c.selfBuilt.Inc()
 		c.Complete(j.ID, "__self__", sh, obs.Span{
 			Name: "shard.train", Start: start, Dur: time.Since(start),
 			Attrs: []string{"worker", "__self__", "range", shardRange(j.Lo, j.Hi)},
@@ -610,10 +614,13 @@ func (c *Coordinator) selfBuildLoop() {
 	}
 }
 
-// Stats snapshots the coordinator counters.
-func (c *Coordinator) Stats() CoordinatorStats {
+// Metrics returns the coordinator's metrics registry (the dist_* series).
+func (c *Coordinator) Metrics() *obs.Registry { return c.metrics }
+
+// jobCounts returns how many live shard jobs are pending and leased.
+func (c *Coordinator) jobCounts() (pending, leased int64) {
 	c.mu.Lock()
-	var pending, leased int64
+	defer c.mu.Unlock()
 	for _, j := range c.jobs {
 		switch j.state {
 		case jobPending:
@@ -622,23 +629,7 @@ func (c *Coordinator) Stats() CoordinatorStats {
 			leased++
 		}
 	}
-	workers := int64(len(c.workers))
-	c.mu.Unlock()
-	return CoordinatorStats{
-		BuildsStarted:     c.buildsStarted.Load(),
-		BuildsCompleted:   c.buildsCompleted.Load(),
-		BuildsFailed:      c.buildsFailed.Load(),
-		ShardsPending:     pending,
-		ShardsLeased:      leased,
-		ShardsCompleted:   c.completed.Load(),
-		ShardsRequeued:    c.requeued.Load(),
-		ShardsDuplicate:   c.duplicates.Load(),
-		ShardsRejected:    c.rejected.Load(),
-		ShardsSelfBuilt:   c.selfBuilt.Load(),
-		BankFetches:       c.bankFetches.Load(),
-		PopulationFetches: c.popFetches.Load(),
-		WorkersSeen:       workers,
-	}
+	return pending, leased
 }
 
 // Register mounts the coordinator's HTTP endpoints onto mux (noisyevald does
@@ -647,7 +638,6 @@ func (c *Coordinator) Register(mux *http.ServeMux) {
 	mux.HandleFunc("POST /v1/work/lease", c.handleLease)
 	mux.HandleFunc("POST /v1/work/complete", c.handleComplete)
 	mux.HandleFunc("GET /v1/work/populations/{key}", c.handlePopulation)
-	mux.HandleFunc("GET /v1/work/stats", c.handleStats)
 	mux.HandleFunc("GET /v1/banks/{key}", c.handleBank)
 }
 
@@ -718,13 +708,9 @@ func (c *Coordinator) handlePopulation(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "encode population: %v", err)
 		return
 	}
-	c.popFetches.Add(1)
+	c.popFetches.Inc()
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Write(b)
-}
-
-func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.Stats())
 }
 
 // shardRange renders a [lo, hi) config range for span attrs.
@@ -775,7 +761,7 @@ func (c *Coordinator) handleBank(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer f.Close()
-	c.bankFetches.Add(1)
+	c.bankFetches.Inc()
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Bank-Key", resolved)
 	zw := gzip.NewWriter(w)

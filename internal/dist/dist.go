@@ -30,8 +30,12 @@
 //	POST /v1/work/lease              {"worker":"w1"} → 200 {job} | 204 no work
 //	POST /v1/work/complete?job=&worker=   gzipped shard image → 200 {"status":"ok"|"duplicate"|"stale"}
 //	GET  /v1/work/populations/{key}  gzipped population for a leased job
-//	GET  /v1/work/stats              coordinator counters
 //	GET  /v1/banks/{key}             gzipped bank file from the store
+//
+// Counters are obs instruments, not a route of their own: Coordinator.Metrics
+// holds the dist_* series (noisyevald attaches them to its GET /metrics,
+// cmd/figures -cluster-addr serves them at GET /metrics beside the routes
+// above) and Worker.Metrics the worker_* series (noisyworker's GET /metrics).
 //
 // Trace propagation: a Job carries the trace ID of the build that spawned it
 // (also echoed in the lease response's X-Trace-Id header), and a worker's

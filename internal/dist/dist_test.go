@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -108,16 +109,15 @@ func TestClusterBuildByteIdentical(t *testing.T) {
 	// worker's counter increments — poll briefly for the counters to settle.
 	var built int64
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
-		if built = w1.Counters().ShardsBuilt + w2.Counters().ShardsBuilt; built == int64(opts.NumConfigs) {
+		if built = w1.shardsBuilt.Value() + w2.shardsBuilt.Value(); built == int64(opts.NumConfigs) {
 			break
 		}
 	}
 	if built != int64(opts.NumConfigs) {
 		t.Errorf("workers built %d shards, want %d", built, opts.NumConfigs)
 	}
-	st := coord.Stats()
-	if st.BuildsCompleted != 1 || st.ShardsCompleted != int64(opts.NumConfigs) {
-		t.Errorf("coordinator stats = %+v, want 1 build / %d shards", st, opts.NumConfigs)
+	if builds, shards := coord.buildsCompleted.Value(), coord.completed.Value(); builds != 1 || shards != int64(opts.NumConfigs) {
+		t.Errorf("coordinator completed %d builds / %d shards, want 1 / %d", builds, shards, opts.NumConfigs)
 	}
 
 	// Warm path: the assembled bank was persisted; a second build is a pure
@@ -132,7 +132,7 @@ func TestClusterBuildByteIdentical(t *testing.T) {
 	if core.BankFingerprint(bank2) != core.BankFingerprint(local) {
 		t.Error("warm bank differs from local build")
 	}
-	if got := coord.Stats().BuildsStarted; got != 1 {
+	if got := coord.buildsStarted.Value(); got != 1 {
 		t.Errorf("builds started = %d after warm rerun, want 1", got)
 	}
 }
@@ -282,8 +282,8 @@ func TestSelfBuildDegradesToLocal(t *testing.T) {
 	if core.BankFingerprint(bank) != core.BankFingerprint(local) {
 		t.Error("self-built bank differs from local build")
 	}
-	if st := coord.Stats(); st.ShardsSelfBuilt != 2 {
-		t.Errorf("self-built shards = %d, want 2", st.ShardsSelfBuilt)
+	if got := coord.selfBuilt.Value(); got != 2 {
+		t.Errorf("self-built shards = %d, want 2", got)
 	}
 }
 
@@ -309,8 +309,8 @@ func TestConcurrentBuildsCoalesce(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if st := coord.Stats(); st.BuildsStarted != 1 {
-		t.Errorf("builds started = %d, want 1 (coalesced)", st.BuildsStarted)
+	if got := coord.buildsStarted.Value(); got != 1 {
+		t.Errorf("builds started = %d, want 1 (coalesced)", got)
 	}
 	for i := 1; i < len(banks); i++ {
 		if banks[i] != banks[0] {
@@ -382,3 +382,23 @@ func TestWireRoundTrips(t *testing.T) {
 
 // bytesReader adapts a byte slice for the decode helpers.
 func bytesReader(b []byte) *bytes.Reader { return bytes.NewReader(b) }
+
+// TestWorkerMetricsCatalogue holds noisyworker's GET /metrics, which serves
+// Worker.Metrics, to testdata/worker_metrics.txt: every # HELP and # TYPE
+// line the worker served while its counters were atomics behind hand-written
+// views is still served.
+func TestWorkerMetricsCatalogue(t *testing.T) {
+	raw, err := os.ReadFile("testdata/worker_metrics.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorker(WorkerOptions{Coordinator: "http://127.0.0.1:1", Name: "w"})
+	rec := httptest.NewRecorder()
+	w.Metrics().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	body := rec.Body.String()
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		if !strings.Contains(body, line+"\n") {
+			t.Errorf("worker /metrics lacks %q", line)
+		}
+	}
+}

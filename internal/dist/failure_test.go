@@ -67,7 +67,7 @@ func failureCluster(t *testing.T) (*Coordinator, *fakeClock, *core.BuildPlan, ch
 	}()
 	// Wait for the jobs to be enqueued before tests start leasing.
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-		if coord.Stats().ShardsPending+coord.Stats().ShardsLeased >= 2 {
+		if pending, leased := coord.jobCounts(); pending+leased >= 2 {
 			break
 		}
 	}
@@ -138,7 +138,7 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 	if jobA2.Attempt != 1 {
 		t.Errorf("requeued attempt = %d, want 1", jobA2.Attempt)
 	}
-	if got := coord.Stats().ShardsRequeued; got != 1 {
+	if got := coord.requeued.Value(); got != 1 {
 		t.Errorf("requeued counter = %d, want 1", got)
 	}
 
@@ -193,10 +193,10 @@ func TestDuplicateCompletionIdempotent(t *testing.T) {
 	if status, err := coord.Complete(jobA.ID, "slow-worker", sh); err != nil || status != "duplicate" {
 		t.Fatalf("duplicate complete = %q, %v", status, err)
 	}
-	if got := coord.Stats().ShardsDuplicate; got != 1 {
+	if got := coord.duplicates.Value(); got != 1 {
 		t.Errorf("duplicate counter = %d, want 1", got)
 	}
-	if got := coord.Stats().ShardsCompleted; got != 1 {
+	if got := coord.completed.Value(); got != 1 {
 		t.Errorf("completed counter = %d, want 1 (duplicate must not double-count)", got)
 	}
 
@@ -222,7 +222,7 @@ func TestMalformedShardRequeues(t *testing.T) {
 	if _, err := coord.Complete(jobA.ID, "w", wrong); err == nil {
 		t.Fatal("range-mismatched shard accepted")
 	}
-	if got := coord.Stats().ShardsRejected; got != 1 {
+	if got := coord.rejected.Value(); got != 1 {
 		t.Errorf("rejected counter = %d, want 1", got)
 	}
 
@@ -292,7 +292,7 @@ func TestAttemptCapFailsBuild(t *testing.T) {
 		result <- err
 	}()
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-		if st := coord.Stats(); st.ShardsPending+st.ShardsLeased >= 2 {
+		if pending, leased := coord.jobCounts(); pending+leased >= 2 {
 			break
 		}
 	}
@@ -315,7 +315,7 @@ func TestAttemptCapFailsBuild(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("build did not fail after the attempt cap")
 	}
-	if got := coord.Stats().BuildsFailed; got != 1 {
+	if got := coord.buildsFailed.Value(); got != 1 {
 		t.Errorf("builds failed = %d, want 1", got)
 	}
 	// The failed build's jobs are stale, not retryable.
@@ -349,7 +349,7 @@ func TestStallTimeoutFailsBuild(t *testing.T) {
 		result <- err
 	}()
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-		if st := coord.Stats(); st.ShardsPending >= 2 {
+		if pending, _ := coord.jobCounts(); pending >= 2 {
 			break
 		}
 	}
@@ -374,7 +374,7 @@ func TestStallTimeoutFailsBuild(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("stalled build never failed")
 	}
-	if got := coord.Stats().BuildsFailed; got != 1 {
+	if got := coord.buildsFailed.Value(); got != 1 {
 		t.Errorf("builds failed = %d, want 1", got)
 	}
 }
@@ -448,7 +448,7 @@ func TestWorkerCrashMidShardEndToEnd(t *testing.T) {
 	if crashed.ID == "" {
 		t.Fatal("crash scenario never leased")
 	}
-	if got := coord.Stats().ShardsRequeued; got < 1 {
+	if got := coord.requeued.Value(); got < 1 {
 		t.Errorf("requeued counter = %d, want >= 1", got)
 	}
 }
@@ -493,7 +493,7 @@ func TestWorkerStopsAtLeaseExpiry(t *testing.T) {
 	if took > ttl+3*one {
 		t.Errorf("process returned %v after its start; the lease was %v and one configuration takes %v", took, ttl, one)
 	}
-	if got := coord.Stats().ShardsCompleted; got != 0 {
+	if got := coord.completed.Value(); got != 0 {
 		t.Errorf("%d shards completed, want 0", got)
 	}
 }

@@ -179,7 +179,7 @@ func TestCompleteRefusesHostileUploads(t *testing.T) {
 			t.Fatalf("%s: unexpected job %s leased", name, j.ID)
 		}
 	}
-	if got := coord.Stats().ShardsCompleted; got != 0 {
+	if got := coord.completed.Value(); got != 0 {
 		t.Fatalf("%d hostile uploads were accepted", got)
 	}
 	if code := post(jobA, valid); code != http.StatusOK {
@@ -213,7 +213,7 @@ func TestCompleteRejectsCountAboveExamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requeued := coord.Stats().ShardsRequeued
+	requeued := coord.requeued.Value()
 	q := url.Values{"job": {job.ID}, "worker": {"w"}}
 	resp, err := http.Post(ts.URL+"/v1/work/complete?"+q.Encode(), "application/octet-stream", bytes.NewReader(payload))
 	if err != nil {
@@ -224,9 +224,8 @@ func TestCompleteRejectsCountAboveExamples(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400", resp.StatusCode)
 	}
-	st := coord.Stats()
-	if st.ShardsCompleted != 0 || st.ShardsRequeued != requeued+1 {
-		t.Fatalf("after the rejected upload: %d completed, %d requeued (was %d)", st.ShardsCompleted, st.ShardsRequeued, requeued)
+	if completed, requeuedNow := coord.completed.Value(), coord.requeued.Value(); completed != 0 || requeuedNow != requeued+1 {
+		t.Fatalf("after the rejected upload: %d completed, %d requeued (was %d)", completed, requeuedNow, requeued)
 	}
 	// The rejected job is leasable again (behind the untouched one) and the
 	// build completes on correct uploads.

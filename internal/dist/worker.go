@@ -10,7 +10,6 @@ import (
 	"net/url"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"noisyeval/internal/core"
@@ -32,23 +31,6 @@ type WorkerOptions struct {
 	// Client is the HTTP client (default: 2-minute timeout — shard uploads
 	// carry full error tensors).
 	Client *http.Client
-	// Metrics, when set, receives the worker's instruments
-	// (worker_shard_train_seconds plus counter views over the lifetime
-	// counters); cmd/noisyworker serves it at GET /metrics.
-	Metrics *obs.Registry
-}
-
-// WorkerCounters is a snapshot of one worker's lifetime counters (the
-// worker_* series of cmd/noisyworker's /metrics read the same atomics; the
-// CI cluster job asserts on worker_shards_built_total).
-type WorkerCounters struct {
-	Leases        int64 `json:"leases"`         // successful leases
-	LeaseEmpty    int64 `json:"lease_empty"`    // polls that found no work
-	LeaseErrors   int64 `json:"lease_errors"`   // transport/protocol failures
-	ShardsBuilt   int64 `json:"shards_built"`   // shards trained and accepted
-	ShardsFailed  int64 `json:"shards_failed"`  // shards that failed locally or were rejected
-	PopFetches    int64 `json:"pop_fetches"`    // populations downloaded
-	BytesUploaded int64 `json:"bytes_uploaded"` // encoded shard bytes posted
 }
 
 // Worker is the lease-loop client of a Coordinator: it pulls shard jobs,
@@ -62,11 +44,13 @@ type Worker struct {
 	pops  map[string]*data.Population // by population fingerprint
 	plans map[string]*core.BuildPlan  // by bank key (pop + opts + seed)
 
-	trainSeconds *obs.Histogram // nil when no Metrics registry was given
-
-	leases, leaseEmpty, leaseErrors atomic.Int64
-	shardsBuilt, shardsFailed       atomic.Int64
-	popFetches, bytesUploaded       atomic.Int64
+	// metrics holds the worker_* series; cmd/noisyworker serves it at
+	// GET /metrics (the CI cluster job asserts worker_shards_built_total).
+	metrics                         *obs.Registry
+	trainSeconds                    *obs.Histogram
+	leases, leaseEmpty, leaseErrors *obs.Counter
+	shardsBuilt, shardsFailed       *obs.Counter
+	popFetches, bytesUploaded       *obs.Counter
 }
 
 // NewWorker creates a worker for the coordinator at base URL coord.
@@ -81,40 +65,29 @@ func NewWorker(opts WorkerOptions) *Worker {
 	if opts.Client == nil {
 		opts.Client = &http.Client{Timeout: 2 * time.Minute}
 	}
-	w := &Worker{
-		opts:  opts,
-		pops:  map[string]*data.Population{},
-		plans: map[string]*core.BuildPlan{},
+	reg := obs.NewRegistry()
+	return &Worker{
+		opts:    opts,
+		pops:    map[string]*data.Population{},
+		plans:   map[string]*core.BuildPlan{},
+		metrics: reg,
+		trainSeconds: reg.Histogram("worker_shard_train_seconds",
+			"Wall-clock seconds training one leased shard.", nil),
+		leases:        reg.Counter("worker_leases_total", "Successful shard leases."),
+		leaseEmpty:    reg.Counter("worker_lease_empty_total", "Polls that found no work."),
+		leaseErrors:   reg.Counter("worker_lease_errors_total", "Lease transport/protocol failures."),
+		shardsBuilt:   reg.Counter("worker_shards_built_total", "Shards trained and accepted."),
+		shardsFailed:  reg.Counter("worker_shards_failed_total", "Shards that failed locally or were rejected."),
+		popFetches:    reg.Counter("worker_pop_fetches_total", "Populations downloaded."),
+		bytesUploaded: reg.Counter("worker_bytes_uploaded_total", "Encoded shard bytes posted."),
 	}
-	if reg := opts.Metrics; reg != nil {
-		w.trainSeconds = reg.Histogram("worker_shard_train_seconds",
-			"Wall-clock seconds training one leased shard.", nil)
-		reg.CounterFunc("worker_leases_total", "Successful shard leases.", w.leases.Load)
-		reg.CounterFunc("worker_lease_empty_total", "Polls that found no work.", w.leaseEmpty.Load)
-		reg.CounterFunc("worker_lease_errors_total", "Lease transport/protocol failures.", w.leaseErrors.Load)
-		reg.CounterFunc("worker_shards_built_total", "Shards trained and accepted.", w.shardsBuilt.Load)
-		reg.CounterFunc("worker_shards_failed_total", "Shards that failed locally or were rejected.", w.shardsFailed.Load)
-		reg.CounterFunc("worker_pop_fetches_total", "Populations downloaded.", w.popFetches.Load)
-		reg.CounterFunc("worker_bytes_uploaded_total", "Encoded shard bytes posted.", w.bytesUploaded.Load)
-	}
-	return w
 }
 
 // Name returns the worker's lease identity.
 func (w *Worker) Name() string { return w.opts.Name }
 
-// Counters snapshots the worker's lifetime counters.
-func (w *Worker) Counters() WorkerCounters {
-	return WorkerCounters{
-		Leases:        w.leases.Load(),
-		LeaseEmpty:    w.leaseEmpty.Load(),
-		LeaseErrors:   w.leaseErrors.Load(),
-		ShardsBuilt:   w.shardsBuilt.Load(),
-		ShardsFailed:  w.shardsFailed.Load(),
-		PopFetches:    w.popFetches.Load(),
-		BytesUploaded: w.bytesUploaded.Load(),
-	}
-}
+// Metrics returns the worker's metrics registry (the worker_* series).
+func (w *Worker) Metrics() *obs.Registry { return w.metrics }
 
 // Run leases and builds shards until ctx is cancelled. Cancellation drains
 // gracefully: the shard in flight is finished and uploaded before Run
@@ -131,20 +104,20 @@ func (w *Worker) Run(ctx context.Context) error {
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
-			w.leaseErrors.Add(1)
+			w.leaseErrors.Inc()
 			w.sleep(ctx)
 			continue
 		}
 		if !ok {
-			w.leaseEmpty.Add(1)
+			w.leaseEmpty.Inc()
 			w.sleep(ctx)
 			continue
 		}
-		w.leases.Add(1)
+		w.leases.Inc()
 		if err := w.process(ctx, job); err != nil {
-			w.shardsFailed.Add(1)
+			w.shardsFailed.Inc()
 		} else {
-			w.shardsBuilt.Add(1)
+			w.shardsBuilt.Inc()
 		}
 	}
 }
@@ -210,9 +183,7 @@ func (w *Worker) process(ctx context.Context, job Job) error {
 		return err
 	}
 	dur := time.Since(start)
-	if w.trainSeconds != nil {
-		w.trainSeconds.Observe(dur.Seconds())
-	}
+	w.trainSeconds.Observe(dur.Seconds())
 	var spans []obs.Span
 	if job.TraceID != "" {
 		spans = []obs.Span{{
@@ -297,7 +268,7 @@ func (w *Worker) population(ctx context.Context, key string) (*data.Population, 
 	if err != nil {
 		return nil, err
 	}
-	w.popFetches.Add(1)
+	w.popFetches.Inc()
 	w.mu.Lock()
 	evictOver(w.pops, cacheCap)
 	w.pops[key] = pop

@@ -141,6 +141,12 @@ func NewTrainer(pop *data.Population, hp HParams, opts Options, g *rng.RNG) (*Tr
 	if len(pop.Train) == 0 {
 		return nil, fmt.Errorf("fl: population has no training clients")
 	}
+	// The example permutation is sized for the largest client up front, so
+	// no round grows it when a larger client first joins a cohort.
+	maxExamples := 0
+	for _, c := range pop.Train {
+		maxExamples = max(maxExamples, len(c.Examples))
+	}
 	model := pop.NewModel(g.Split("init"))
 	dim := model.NumWeights()
 	clientOpt := opt.NewSGD(dim, hp.ClientLR, hp.ClientMomentum, hp.WeightDecay)
@@ -157,6 +163,7 @@ func NewTrainer(pop *data.Population, hp HParams, opts Options, g *rng.RNG) (*Tr
 		roundRNG:  rng.New(0),
 		clientRNG: rng.New(0),
 		cohortBuf: make([]int, len(pop.Train)),
+		permBuf:   make([]int, maxExamples),
 	}
 	t.rng.Path() // materialize once so hot-path splits stay allocation-free
 	model.FlattenParams(t.weights)
@@ -224,9 +231,6 @@ func (t *Trainer) localTrain(client *data.Client) {
 
 	n := len(client.Examples)
 	t.rng.SplitInt2Into(t.clientRNG, "client-", client.ID, "-round-", t.round)
-	if cap(t.permBuf) < n {
-		t.permBuf = make([]int, n)
-	}
 	order := t.permBuf[:n]
 	t.clientRNG.PermInto(order)
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 	"sort"
 	"strconv"
 	"sync"
@@ -83,6 +84,13 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	}
 }
 
+// ServeHTTP serves the exposition, so a registry mounts directly as a
+// daemon's GET /metrics.
+func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	r.WritePrometheus(w)
+}
+
 // Counter is a monotonically increasing int64. Inc/Add are a single atomic
 // op — safe and cheap on hot paths.
 type Counter struct {
@@ -148,9 +156,10 @@ func (g *Gauge) writeProm(w io.Writer) {
 	fmt.Fprintf(w, "%s %d\n", g.nm, g.v.Load())
 }
 
-// funcMetric exposes an externally owned value (an existing atomic counter,
-// a cache stat) without copying it into the registry: the owner's atomic
-// stays the single source of truth and the series is a view of it.
+// funcMetric exposes a value another type owns and computes (a store's cache
+// stats, a queue length read under its lock) without copying it into the
+// registry: the series is a view of that owner's state. A counter the
+// registering type increments itself is a Counter, not a view.
 type funcMetric struct {
 	nm, help, kind string
 	fn             func() int64

@@ -11,10 +11,10 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"noisyeval/internal/hpo"
+	"noisyeval/internal/obs"
 	"noisyeval/pkg/client"
 )
 
@@ -48,8 +48,8 @@ type Server struct {
 	mgr     *Manager
 	mux     *http.ServeMux
 	start   time.Time
-	inFl    atomic.Int64
-	total   atomic.Int64
+	inFl    *obs.Gauge
+	total   *obs.Counter
 	maxBody int64
 }
 
@@ -59,6 +59,8 @@ func NewServer(m *Manager) *Server {
 		mgr:     m,
 		mux:     http.NewServeMux(),
 		start:   time.Now(),
+		inFl:    m.Metrics().Gauge("http_requests_in_flight", "API requests currently being served."),
+		total:   m.Metrics().Counter("http_requests_total", "API requests served."),
 		maxBody: 1 << 20,
 	}
 	s.mux.HandleFunc("POST /v1/runs", s.handleSubmit)
@@ -75,31 +77,20 @@ func NewServer(m *Manager) *Server {
 	s.mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleSessionClose)
 	s.mux.HandleFunc("GET /v1/banks", s.handleBanks)
 	s.mux.HandleFunc("POST /v1/banks/{key}/grow", s.handleBankGrow)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s.mux.Handle("GET /metrics", m.Metrics())
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.registerMetricViews()
 	return s
 }
 
-// registerMetricViews folds the manager's and store's operational counters
-// into the metrics registry as read-only views: the atomics stay the single
-// source of truth, and /metrics renders them in Prometheus form with
-// conventional _total suffixes.
-// Registration is idempotent by name, so a second server over one manager is
-// harmless.
+// registerMetricViews registers read-only views of values other types own —
+// the run and session registries, the bank store, the suites and the journal
+// — in the manager's metrics registry. Counters the manager and the server
+// increment are instruments their constructors register. Registration is
+// idempotent by name, so a second server over one manager is harmless.
 func (s *Server) registerMetricViews() {
 	reg := s.mgr.Metrics()
 	m := s.mgr
-	reg.CounterFunc("runs_started_total", "Runs whose execution started.", func() int64 { return m.started.Load() })
-	reg.CounterFunc("runs_completed_total", "Runs finished in state done.", func() int64 { return m.completed.Load() })
-	reg.CounterFunc("runs_failed_total", "Runs finished in state failed.", func() int64 { return m.failed.Load() })
-	reg.CounterFunc("runs_cancelled_total", "Runs cancelled at shutdown.", func() int64 { return m.cancelled.Load() })
-	reg.CounterFunc("runs_deduped_total", "Submissions absorbed by an identical run.", func() int64 { return m.deduped.Load() })
-	reg.CounterFunc("runs_recovered_total", "Non-terminal runs re-admitted from the journal.", func() int64 { return m.recovered.Load() })
-	reg.CounterFunc("runs_parked_total", "Queued runs parked at shutdown.", func() int64 { return m.parked.Load() })
-	reg.CounterFunc("runs_shed_cold_total", "Cold-bank submissions shed under pressure.", func() int64 { return m.shed.Load() })
-	reg.GaugeFunc("runs_active", "Runs currently executing.", func() int64 { return m.active.Load() })
-	reg.GaugeFunc("runs_queued", "Runs waiting for a worker.", func() int64 { return m.queued.Load() })
 	reg.GaugeFunc("runs_retained", "Terminal runs retained for dedup and fetch.", func() int64 { return int64(m.reg.Len()) })
 	reg.GaugeFunc("sessions_open", "Ask/tell sessions currently open.", func() int64 { return int64(m.sessions.Len()) })
 	reg.CounterFunc("sessions_opened_total", "Ask/tell sessions ever opened.", m.sessions.Opened)
@@ -113,7 +104,6 @@ func (s *Server) registerMetricViews() {
 	reg.CounterFunc("bank_builds_trained_total", "Banks the suites actually trained.", m.BankBuilds)
 	reg.GaugeFunc("bank_mapped_files", "Bank entries currently served via mmap.", func() int64 { return m.Store().Mapped().Files })
 	reg.GaugeFunc("bank_mapped_bytes", "Total mmap-resident bank bytes.", func() int64 { return m.Store().Mapped().Bytes })
-	reg.CounterFunc("bank_grow_total", "Successful bank grow operations.", func() int64 { return m.grows.Load() })
 	if jr := m.Journal(); jr != nil {
 		reg.GaugeFunc("journal_enabled", "1 when the run journal is active.", func() int64 { return 1 })
 		reg.CounterFunc("journal_appends_total", "Journal records appended.", func() int64 { return jr.Stats().Appends })
@@ -126,16 +116,6 @@ func (s *Server) registerMetricViews() {
 	} else {
 		reg.GaugeFunc("journal_enabled", "1 when the run journal is active.", func() int64 { return 0 })
 	}
-	reg.GaugeFunc("http_requests_in_flight", "API requests currently being served.", s.inFl.Load)
-	reg.CounterFunc("http_requests_total", "API requests served.", s.total.Load)
-}
-
-// handleMetrics implements GET /metrics: the manager registry (admission
-// counter, latency histograms, counter views, attached core oracle series)
-// in Prometheus text exposition format.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.mgr.Metrics().WritePrometheus(w)
 }
 
 // handleRunTrace implements GET /v1/runs/{id}/trace: the run's span
@@ -160,7 +140,7 @@ func (s *Server) Mux() *http.ServeMux { return s.mux }
 // ServeHTTP implements http.Handler with in-flight/total accounting.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.inFl.Add(1)
-	s.total.Add(1)
+	s.total.Inc()
 	defer s.inFl.Add(-1)
 	s.mux.ServeHTTP(w, r)
 }
@@ -537,12 +517,11 @@ func (s *Server) handleBankGrow(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	c := s.mgr.Counters()
 	h := client.Health{
 		Status:     "ok",
 		Uptime:     time.Since(s.start).Round(time.Millisecond).String(),
-		RunsActive: c.RunsActive,
-		RunsQueued: c.RunsQueued,
+		RunsActive: s.mgr.active.Value(),
+		RunsQueued: s.mgr.queued.Value(),
 	}
 	if jr := s.mgr.Journal(); jr != nil {
 		h.Journal = client.HealthJournal{Enabled: true, Bytes: jr.Bytes(), MaxBytes: jr.MaxBytes()}
@@ -555,7 +534,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		h.Banks = client.HealthBanks{
 			Enabled: true, Dir: store.Dir(),
 			MappedFiles: ms.Files, MappedBytes: ms.Bytes,
-			Grows: c.BankGrows, CorruptSegment: store.Stats().CorruptSegment,
+			Grows: s.mgr.grows.Value(), CorruptSegment: store.Stats().CorruptSegment,
 		}
 	}
 	writeJSON(w, http.StatusOK, h)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log/slog"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"noisyeval/internal/core"
@@ -98,28 +97,6 @@ type Options struct {
 	execGate func(*Run)
 }
 
-// Counters is a snapshot of the manager's operational counters (/metrics
-// renders the same atomics; /healthz reads this snapshot).
-type Counters struct {
-	RunsStarted   int64
-	RunsCompleted int64
-	RunsFailed    int64
-	RunsCancelled int64
-	RunsDeduped   int64
-	RunsActive    int64
-	RunsQueued    int64
-	RunsRetained  int64
-	RunsRecovered int64 // non-terminal runs re-admitted from the journal
-	RunsParked    int64 // queued runs parked (not cancelled) at shutdown
-	RunsShedCold  int64 // cold-bank submissions shed under pressure
-
-	SessionsOpen   int64
-	SessionsOpened int64
-	SessionsReaped int64
-
-	BankGrows int64 // successful POST /v1/banks/{key}/grow calls
-}
-
 // Manager owns the run lifecycle: it validates and keys submissions,
 // deduplicates them through the registry, and executes them on a bounded
 // worker pool. All runs of one scale share one exper.Suite, so populations,
@@ -135,12 +112,13 @@ type Manager struct {
 	// metrics is this manager's registry (per-manager, not process-global:
 	// tests run several managers per process). NewServer's /metrics endpoint
 	// serves it; the core package registry is attached so oracle trial
-	// series appear alongside the serving ones.
-	metrics      *obs.Registry
-	admitted     *obs.Counter
-	queueWaitSec *obs.Histogram
-	execSec      *obs.Histogram
-	journalSec   *obs.Histogram
+	// series appear alongside the serving ones. The counters and gauges
+	// below are the run counts themselves, each one series.
+	metrics                                         *obs.Registry
+	admitted, started, completed, failed, cancelled *obs.Counter
+	deduped, recovered, parked, shed, grows         *obs.Counter
+	active, queued                                  *obs.Gauge
+	queueWaitSec, execSec, journalSec               *obs.Histogram
 
 	// traces retains run timelines for GET /v1/runs/{id}/trace, keyed by
 	// run ID, bounded FIFO.
@@ -155,9 +133,6 @@ type Manager struct {
 	drainDone chan struct{} // created by the first Shutdown, closed when drained
 
 	janitorStop chan struct{}
-
-	started, completed, failed, cancelled, deduped, active, queued atomic.Int64
-	recovered, parked, shed, grows                                 atomic.Int64
 }
 
 // NewManager starts a manager (worker pool and TTL janitor included).
@@ -193,17 +168,29 @@ func NewManager(opts Options) *Manager {
 		suites:      map[string]*exper.Suite{},
 		janitorStop: make(chan struct{}),
 	}
-	m.admitted = m.metrics.Counter("runs_admitted_total",
+	reg := m.metrics
+	m.admitted = reg.Counter("runs_admitted_total",
 		"Runs accepted past admission control (dedups, sheds, and rejections excluded).")
-	m.queueWaitSec = m.metrics.Histogram("run_queue_wait_seconds",
+	m.started = reg.Counter("runs_started_total", "Runs whose execution started.")
+	m.completed = reg.Counter("runs_completed_total", "Runs finished in state done.")
+	m.failed = reg.Counter("runs_failed_total", "Runs finished in state failed.")
+	m.cancelled = reg.Counter("runs_cancelled_total", "Runs cancelled at shutdown.")
+	m.deduped = reg.Counter("runs_deduped_total", "Submissions absorbed by an identical run.")
+	m.recovered = reg.Counter("runs_recovered_total", "Non-terminal runs re-admitted from the journal.")
+	m.parked = reg.Counter("runs_parked_total", "Queued runs parked at shutdown.")
+	m.shed = reg.Counter("runs_shed_cold_total", "Cold-bank submissions shed under pressure.")
+	m.active = reg.Gauge("runs_active", "Runs currently executing.")
+	m.queued = reg.Gauge("runs_queued", "Runs waiting for a worker.")
+	m.grows = reg.Counter("bank_grow_total", "Successful bank grow operations.")
+	m.queueWaitSec = reg.Histogram("run_queue_wait_seconds",
 		"Seconds a run waited between admission and execution start.", nil)
-	m.execSec = m.metrics.Histogram("run_exec_seconds",
+	m.execSec = reg.Histogram("run_exec_seconds",
 		"Seconds executing one run (bank acquisition + trial loop + encode).", nil)
-	m.journalSec = m.metrics.Histogram("journal_append_seconds",
+	m.journalSec = reg.Histogram("journal_append_seconds",
 		"Seconds appending one durable submit record.", nil)
 	// Fold in the core package's oracle trial instruments so one scrape of
 	// this manager's server answers both serving and hot-path questions.
-	m.metrics.Attach(core.Metrics())
+	reg.Attach(core.Metrics())
 	// Replay the journal before anything executes: terminal runs come back
 	// with their cached response bytes, non-terminal ones re-enter the queue.
 	// The queue is sized to hold every recovered run on top of QueueDepth, so
@@ -213,7 +200,7 @@ func NewManager(opts Options) *Manager {
 	for _, run := range pending {
 		m.queue <- run
 		m.queued.Add(1)
-		m.recovered.Add(1)
+		m.recovered.Inc()
 	}
 	for i := 0; i < opts.Workers; i++ {
 		m.wg.Add(1)
@@ -241,7 +228,7 @@ func (m *Manager) restoreFromJournal() []*Run {
 		case rr.State.Terminal():
 			// Fully reconstructed; nothing to do.
 		case terr != nil:
-			m.failed.Add(1)
+			m.failed.Inc()
 			run.finish(StateFailed, nil, fmt.Sprintf("recovery: %v", terr), time.Now())
 			m.journalTerminal(run)
 		default:
@@ -310,7 +297,7 @@ func (m *Manager) RetryAfterSeconds() int {
 	if m.draining() {
 		return 30
 	}
-	sec := 1 + int(m.queued.Load())/m.opts.Workers
+	sec := 1 + int(m.queued.Value())/m.opts.Workers
 	if sec > 60 {
 		sec = 60
 	}
@@ -350,27 +337,27 @@ func (m *Manager) Submit(req client.RunRequest) (run *Run, created bool, err err
 	// absorbs the submission without consuming queue capacity or a journal
 	// record, so retrying clients coalesce even while new work is being shed.
 	if r, ok := m.reg.Lookup(key); ok {
-		m.deduped.Add(1)
+		m.deduped.Inc()
 		return r, false, nil
 	}
 	// Shed by class under pressure: reject the expensive cold-bank class
 	// before the warm one. A warm submission clears its worker in roughly a
 	// trial's time; a cold one pins it through an entire bank build.
 	if f := m.opts.ShedColdFraction; f > 0 &&
-		float64(m.queued.Load()) >= f*float64(m.opts.QueueDepth) &&
+		float64(m.queued.Value()) >= f*float64(m.opts.QueueDepth) &&
 		m.coldBank(suite, req.Dataset) {
-		m.shed.Add(1)
+		m.shed.Inc()
 		return nil, false, ErrShedCold
 	}
 	// Capacity check on the counter, not the channel: the channel is
 	// over-sized to absorb journal-recovered runs, but new admissions are
 	// still bounded by QueueDepth.
-	if int(m.queued.Load()) >= m.opts.QueueDepth {
+	if int(m.queued.Value()) >= m.opts.QueueDepth {
 		return nil, false, ErrQueueFull
 	}
 	run, created = m.reg.GetOrCreate(key, req, treq)
 	if !created {
-		m.deduped.Add(1)
+		m.deduped.Inc()
 		return run, false, nil
 	}
 	// Admission is where a run's trace is born: every later span (queue
@@ -433,11 +420,11 @@ func (m *Manager) worker() {
 		m.queued.Add(-1)
 		if m.draining() {
 			if m.opts.Journal != nil {
-				m.parked.Add(1)
+				m.parked.Inc()
 				run.park()
 				continue
 			}
-			m.cancelled.Add(1)
+			m.cancelled.Inc()
 			run.finish(StateCancelled, nil, "server shutting down before run started", time.Now())
 			continue
 		}
@@ -458,7 +445,7 @@ func (m *Manager) execute(run *Run) {
 	if gate := m.opts.execGate; gate != nil {
 		gate(run)
 	}
-	m.started.Add(1)
+	m.started.Inc()
 	m.active.Add(1)
 	defer m.active.Add(-1)
 	now := time.Now()
@@ -498,9 +485,9 @@ func (m *Manager) execute(run *Run) {
 // histogram, and the terminal journal record.
 func (m *Manager) finishRun(run *Run, state State, res *exper.TuneResult, errMsg string, started time.Time) {
 	if state == StateDone {
-		m.completed.Add(1)
+		m.completed.Inc()
 	} else {
-		m.failed.Add(1)
+		m.failed.Inc()
 	}
 	encStart := time.Now()
 	run.finish(state, res, errMsg, encStart)
@@ -562,29 +549,6 @@ func (m *Manager) janitor() {
 	}
 }
 
-// Counters snapshots the operational counters.
-func (m *Manager) Counters() Counters {
-	return Counters{
-		RunsStarted:   m.started.Load(),
-		RunsCompleted: m.completed.Load(),
-		RunsFailed:    m.failed.Load(),
-		RunsCancelled: m.cancelled.Load(),
-		RunsDeduped:   m.deduped.Load(),
-		RunsActive:    m.active.Load(),
-		RunsQueued:    m.queued.Load(),
-		RunsRetained:  int64(m.reg.Len()),
-		RunsRecovered: m.recovered.Load(),
-		RunsParked:    m.parked.Load(),
-		RunsShedCold:  m.shed.Load(),
-
-		SessionsOpen:   int64(m.sessions.Len()),
-		SessionsOpened: m.sessions.Opened(),
-		SessionsReaped: m.sessions.Reaped(),
-
-		BankGrows: m.grows.Load(),
-	}
-}
-
 // GrowBank extends the served bank whose spec-level content address is key
 // by add freshly sampled configs (exper.Suite.GrowBank) and reports the
 // advanced address. The key must belong to a bank some scale's suite has
@@ -608,7 +572,7 @@ func (m *Manager) GrowBank(ctx context.Context, key string, add int) (exper.Grow
 			if err != nil {
 				return exper.GrowResult{}, err
 			}
-			m.grows.Add(1)
+			m.grows.Inc()
 			return res, nil
 		}
 	}

@@ -248,8 +248,8 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 	}
 
 	// The interrupted runs re-execute to completion.
-	if c := mgr2.Counters(); c.RunsRecovered != 2 {
-		t.Errorf("RunsRecovered = %d, want 2", c.RunsRecovered)
+	if got := mgr2.recovered.Value(); got != 2 {
+		t.Errorf("RunsRecovered = %d, want 2", got)
 	}
 	for _, seed := range []uint64{1, 2} {
 		// Resubmitting the identical request must dedup onto the recovering
@@ -281,8 +281,8 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 		}
 	}
 
-	if c := mgr2.Counters(); c.RunsDeduped != 2 {
-		t.Errorf("RunsDeduped = %d, want 2 (both resubmissions coalesced)", c.RunsDeduped)
+	if got := mgr2.deduped.Value(); got != 2 {
+		t.Errorf("RunsDeduped = %d, want 2 (both resubmissions coalesced)", got)
 	}
 }
 
@@ -425,8 +425,8 @@ func TestShedColdBankUnderPressure(t *testing.T) {
 	if err := submit("cifar10", 5); err != nil {
 		t.Errorf("warm submit under pressure rejected: %v", err)
 	}
-	if c := mgr.Counters(); c.RunsShedCold != 1 {
-		t.Errorf("RunsShedCold = %d, want 1", c.RunsShedCold)
+	if got := mgr.shed.Value(); got != 1 {
+		t.Errorf("RunsShedCold = %d, want 1", got)
 	}
 	if statusForCode(CodeShedCold) != 503 {
 		t.Error("shed_cold_bank must map to 503")

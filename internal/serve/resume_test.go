@@ -157,7 +157,7 @@ func TestRetryAfterDerivedFromQueue(t *testing.T) {
 	if resp0.StatusCode != http.StatusAccepted {
 		t.Fatalf("first submit status = %d", resp0.StatusCode)
 	}
-	for deadline := time.Now().Add(5 * time.Second); ts.mgr.Counters().RunsQueued != 0; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); ts.mgr.queued.Value() != 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("worker never dequeued the gated run")
 		}

@@ -296,8 +296,8 @@ func TestDedupIdenticalSubmissions(t *testing.T) {
 	if n := ts.mgr.BankBuilds(); n > 1 {
 		t.Errorf("trained %d banks, want ≤ 1 (store may satisfy all)", n)
 	}
-	if c := ts.mgr.Counters(); c.RunsDeduped < 2 {
-		t.Errorf("runs_deduped = %d, want ≥ 2", c.RunsDeduped)
+	if got := ts.mgr.deduped.Value(); got < 2 {
+		t.Errorf("runs_deduped = %d, want ≥ 2", got)
 	}
 }
 
@@ -331,7 +331,7 @@ func TestConcurrentIdenticalSubmissionsCollapse(t *testing.T) {
 		}
 	}
 	ts.streamEvents(t, ids[0])
-	if got := ts.mgr.Counters().RunsStarted; got != 1 {
+	if got := ts.mgr.started.Value(); got != 1 {
 		t.Errorf("runs_started = %d, want 1", got)
 	}
 	if n := ts.mgr.BankBuilds(); n > 1 {
@@ -369,7 +369,7 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("%s: error code = %q, want %q", tc.name, eb.Error.Code, tc.code)
 		}
 	}
-	if got := ts.mgr.Counters().RunsStarted; got != 0 {
+	if got := ts.mgr.started.Value(); got != 0 {
 		t.Errorf("bad requests started %d runs", got)
 	}
 }
@@ -464,7 +464,7 @@ func TestFailedRunReportsAndRetries(t *testing.T) {
 		t.Error("resubmission deduped onto a failed run")
 	}
 	ts.streamEvents(t, retry.ID)
-	if got := ts.mgr.Counters().RunsFailed; got != 2 {
+	if got := ts.mgr.failed.Value(); got != 2 {
 		t.Errorf("runs_failed = %d, want 2", got)
 	}
 }

@@ -91,9 +91,8 @@ func TestGracefulShutdownDrainsInFlightCancelsQueued(t *testing.T) {
 			t.Errorf("queued run %s state = %q, want cancelled", q.ID, st)
 		}
 	}
-	c := mgr.Counters()
-	if c.RunsCompleted != 1 || c.RunsCancelled != 2 {
-		t.Errorf("counters = %+v, want 1 completed / 2 cancelled", c)
+	if done, cancelled := mgr.completed.Value(), mgr.cancelled.Value(); done != 1 || cancelled != 2 {
+		t.Errorf("counters = %d completed / %d cancelled, want 1 / 2", done, cancelled)
 	}
 
 	// Idempotent.
@@ -268,8 +267,8 @@ func TestShutdownParksQueuedRunsWithJournal(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Error("parked run's subscriber channel never closed")
 	}
-	if c := mgr.Counters(); c.RunsParked != 2 || c.RunsCancelled != 0 {
-		t.Errorf("counters = parked %d / cancelled %d, want 2 / 0", c.RunsParked, c.RunsCancelled)
+	if parked, cancelled := mgr.parked.Value(), mgr.cancelled.Value(); parked != 2 || cancelled != 0 {
+		t.Errorf("counters = parked %d / cancelled %d, want 2 / 0", parked, cancelled)
 	}
 
 	// Next boot: the parked runs are recovered and complete.
@@ -280,8 +279,8 @@ func TestShutdownParksQueuedRunsWithJournal(t *testing.T) {
 		defer cancel()
 		mgr2.Shutdown(ctx)
 	})
-	if c := mgr2.Counters(); c.RunsRecovered != 2 {
-		t.Fatalf("RunsRecovered = %d, want 2", c.RunsRecovered)
+	if got := mgr2.recovered.Value(); got != 2 {
+		t.Fatalf("RunsRecovered = %d, want 2", got)
 	}
 	for _, id := range []string{queuedA.ID, queuedB.ID} {
 		run, ok := mgr2.Registry().Get(id)

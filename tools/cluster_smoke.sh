@@ -3,8 +3,10 @@
 # cluster job: boot a coordinator daemon (noisyevald -cluster, no self-build)
 # plus two noisyworker processes, build the quick-scale banks cold through
 # sharded fleet leases — asserting via each worker's /metrics that BOTH
-# workers trained shards — then restart the daemon against the same
-# cache and re-run warm, asserting zero banks trained. The binaries (and the
+# workers trained shards, and via the daemon's that populations were
+# fetched, no build failed and no shard was rejected — then restart the
+# daemon against the same cache and re-run warm, asserting zero banks
+# trained. The binaries (and the
 # default cache) live in a temporary directory removed on exit.
 #
 # Usage: tools/cluster_smoke.sh [addr] [cache-dir]
@@ -69,6 +71,14 @@ echo "femnist run done"
 # Cold run trained banks, and every shard came through the fleet.
 [ "$(metric "$ADDR" dist_builds_completed_total)" = 2 ] ||
   { echo "expected 2 sharded builds"; curl -s "http://$ADDR/metrics" | grep '^dist_'; exit 1; }
+# The coordinator counters beyond the builds: both workers fetched a
+# population (two datasets), no build failed and no upload was rejected.
+[ "$(metric "$ADDR" dist_population_fetches_total)" -ge 1 ] 2>/dev/null ||
+  { echo "expected population fetches"; curl -s "http://$ADDR/metrics" | grep '^dist_'; exit 1; }
+[ "$(metric "$ADDR" dist_builds_failed_total)" = 0 ] ||
+  { echo "sharded builds failed"; curl -s "http://$ADDR/metrics" | grep '^dist_'; exit 1; }
+[ "$(metric "$ADDR" dist_shards_rejected_total)" = 0 ] ||
+  { echo "shard uploads rejected"; curl -s "http://$ADDR/metrics" | grep '^dist_'; exit 1; }
 
 S1=$(metric "$W1_ADDR" worker_shards_built_total); S2=$(metric "$W2_ADDR" worker_shards_built_total)
 echo "worker shards: w1=$S1 w2=$S2"

@@ -8,17 +8,12 @@
 //	loadgen -base http://127.0.0.1:8723 -mode submit -n 50 -conc 16 -state runs.json
 //	loadgen -base http://127.0.0.1:8723 -mode verify -state runs.json -ref-base http://127.0.0.1:8724
 //
-// Submit mode reports submission latency percentiles (p50/p90/p99); -max-p99
-// turns the p99 into a hard bound. With -wait it also samples completed runs'
-// span timelines (GET /v1/runs/{id}/trace) and reports a per-phase latency
-// breakdown — queue.wait, bank.build, oracle.trials, response.encode, ... —
-// so a latency regression names the phase that moved, not just the total;
-// -max-p99-queue-wait turns the queue.wait p99 into a hard bound (admission
-// is outpacing the worker pool). Verify mode exits non-zero if any
-// recorded run was lost, failed, diverged from its recorded result, diverged
-// from the reference daemon's result for the identical request, or stopped
-// deduplicating (a resubmission must coalesce onto the recorded run ID, not
-// execute twice).
+// Submit mode sends n quick cifar10 random-search runs of two trials, seeds
+// 1000..1000+n-1, and reports submission latency percentiles (p50/p90/p99);
+// -max-p99 turns the p99 into a hard bound. Verify mode exits non-zero if
+// any recorded run was lost, failed, diverged from the reference daemon's
+// result for the identical request, or stopped deduplicating (a resubmission
+// must coalesce onto the recorded run ID, not execute twice).
 package main
 
 import (
@@ -36,14 +31,19 @@ import (
 	"noisyeval/pkg/client"
 )
 
+// The submitted runs: distinct seeds make distinct runs.
+const (
+	dataset  = "cifar10"
+	method   = "rs"
+	trials   = 2
+	seedBase = 1000
+)
+
 // entry is one acknowledged submission in the state file.
 type entry struct {
 	Request client.RunRequest `json:"request"`
 	ID      string            `json:"id"`
 	Key     string            `json:"key"`
-	// Result is recorded in submit mode when -wait is set; verify mode then
-	// additionally pins the post-restart result to it.
-	Result *client.RunResult `json:"result,omitempty"`
 }
 
 type state struct {
@@ -58,24 +58,14 @@ func main() {
 		mode      = flag.String("mode", "submit", "submit | verify")
 		n         = flag.Int("n", 50, "submit: number of distinct runs to submit")
 		conc      = flag.Int("conc", 16, "submit: concurrent submitters; verify: concurrent checkers")
-		dataset   = flag.String("dataset", "cifar10", "submit: dataset")
-		method    = flag.String("method", "rs", "submit: tuning method")
-		trials    = flag.Int("trials", 2, "submit: bootstrap trials per run")
-		seedBase  = flag.Uint64("seed-base", 1000, "submit: seeds are seed-base..seed-base+n-1 (distinct seeds = distinct runs)")
 		statePath = flag.String("state", "", "state file recording acknowledged submissions (required)")
-		wait      = flag.Bool("wait", false, "submit: wait for every run to finish and record results in the state file")
 		timeout   = flag.Duration("timeout", 10*time.Minute, "overall deadline")
 		refBase   = flag.String("ref-base", "", "verify: reference daemon; every request re-runs there and results must match exactly")
 		maxP99    = flag.Duration("max-p99", 0, "submit: fail if submission latency p99 exceeds this (0 = report only)")
-		maxP99QW  = flag.Duration("max-p99-queue-wait", 0, "submit: fail if the sampled queue.wait p99 exceeds this (requires -wait; 0 = report only)")
-		traceN    = flag.Int("trace-sample", 16, "submit: completed runs to sample for the per-phase trace breakdown (0 = skip)")
 	)
 	flag.Parse()
 	if *statePath == "" {
 		log.Fatal("-state is required")
-	}
-	if *maxP99QW > 0 && !*wait {
-		log.Fatal("-max-p99-queue-wait requires -wait (queue.wait spans exist only for executed runs)")
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
@@ -83,7 +73,7 @@ func main() {
 
 	switch *mode {
 	case "submit":
-		if err := submit(ctx, c, *n, *conc, *dataset, *method, *trials, *seedBase, *statePath, *wait, *maxP99, *maxP99QW, *traceN); err != nil {
+		if err := submit(ctx, c, *n, *conc, *statePath, *maxP99); err != nil {
 			log.Fatal(err)
 		}
 	case "verify":
@@ -95,7 +85,7 @@ func main() {
 	}
 }
 
-func submit(ctx context.Context, c *client.Client, n, conc int, dataset, method string, trials int, seedBase uint64, statePath string, wait bool, maxP99, maxP99QW time.Duration, traceN int) error {
+func submit(ctx context.Context, c *client.Client, n, conc int, statePath string, maxP99 time.Duration) error {
 	var (
 		mu        sync.Mutex
 		entries   = make([]entry, 0, n)
@@ -139,81 +129,7 @@ func submit(ctx context.Context, c *client.Client, n, conc int, dataset, method 
 	if maxP99 > 0 && p[2] > maxP99 {
 		return fmt.Errorf("submission p99 %s exceeds bound %s", p[2], maxP99)
 	}
-
-	if wait {
-		for i := range entries {
-			st, err := c.WaitRun(ctx, entries[i].ID)
-			if err != nil {
-				return fmt.Errorf("wait %s: %w", entries[i].ID, err)
-			}
-			if st.State != "done" {
-				return fmt.Errorf("run %s finished %q (%s), want done", st.ID, st.State, st.Error)
-			}
-			entries[i].Result = st.Result
-		}
-		log.Printf("all %d runs done", len(entries))
-		if err := traceBreakdown(ctx, c, entries, traceN, maxP99QW); err != nil {
-			return err
-		}
-	}
 	return writeState(statePath, state{Entries: entries})
-}
-
-// traceBreakdown samples up to traceN completed runs' span timelines and
-// reports per-phase latency percentiles, attributing total latency to the
-// phase that produced it. maxP99QW > 0 turns the queue.wait p99 into a hard
-// bound. Runs whose trace came back empty (e.g. recovered across a daemon
-// restart mid-harness) are skipped, not failed — absence of observability is
-// not absence of correctness.
-func traceBreakdown(ctx context.Context, c *client.Client, entries []entry, traceN int, maxP99QW time.Duration) error {
-	if traceN <= 0 || len(entries) == 0 {
-		return nil
-	}
-	// Sample evenly across the batch rather than taking a prefix: early
-	// submissions see an empty queue, late ones see the full backlog.
-	stride := 1
-	if len(entries) > traceN {
-		stride = len(entries) / traceN
-	}
-	phases := map[string][]time.Duration{}
-	sampled := 0
-	for i := 0; i < len(entries) && sampled < traceN; i += stride {
-		tr, err := c.Trace(ctx, entries[i].ID)
-		if err != nil {
-			return fmt.Errorf("trace %s: %w", entries[i].ID, err)
-		}
-		if len(tr.Spans) == 0 {
-			continue
-		}
-		sampled++
-		for _, sp := range tr.Spans {
-			phases[sp.Name] = append(phases[sp.Name], time.Duration(sp.DurationMS*float64(time.Millisecond)))
-		}
-	}
-	if sampled == 0 {
-		log.Printf("trace breakdown: no sampled run had a retained trace")
-		return nil
-	}
-	names := make([]string, 0, len(phases))
-	for name := range phases {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	log.Printf("per-phase latency over %d sampled traces:", sampled)
-	for _, name := range names {
-		p := percentiles(phases[name])
-		log.Printf("  %-16s n=%-3d p50=%s p90=%s p99=%s", name, len(phases[name]), p[0], p[1], p[2])
-	}
-	if maxP99QW > 0 {
-		qw := phases["queue.wait"]
-		if len(qw) == 0 {
-			return fmt.Errorf("-max-p99-queue-wait set but no sampled trace held a queue.wait span")
-		}
-		if p99 := percentiles(qw)[2]; p99 > maxP99QW {
-			return fmt.Errorf("queue.wait p99 %s exceeds bound %s (admission outpacing the worker pool)", p99, maxP99QW)
-		}
-	}
-	return nil
 }
 
 func verify(ctx context.Context, c *client.Client, statePath, refBase string, conc int) error {
@@ -262,9 +178,8 @@ func verify(ctx context.Context, c *client.Client, statePath, refBase string, co
 }
 
 // verifyOne checks a single recorded run end to end: still present, reaches
-// done, result matches the recorded one (if any) and the reference daemon's
-// (if any), and an identical resubmission coalesces onto it instead of
-// executing twice.
+// done, result matches the reference daemon's (if any), and an identical
+// resubmission coalesces onto it instead of executing twice.
 func verifyOne(ctx context.Context, c, ref *client.Client, e entry) error {
 	st, err := waitTerminal(ctx, c, e.ID)
 	if err != nil {
@@ -275,9 +190,6 @@ func verifyOne(ctx context.Context, c, ref *client.Client, e entry) error {
 	}
 	if st.Result == nil {
 		return fmt.Errorf("run %s: done without a result", e.ID)
-	}
-	if e.Result != nil && !reflect.DeepEqual(st.Result, e.Result) {
-		return fmt.Errorf("run %s: result diverged from the recorded pre-crash result", e.ID)
 	}
 	resub, err := c.SubmitRun(ctx, e.Request)
 	if err != nil {
