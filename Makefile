@@ -4,8 +4,11 @@
 #   make lint        gofmt + go vet, plus the no-assembly (arm64) cross-build
 #   make lines       non-test, non-blank Go lines per package outside bench/,
 #                    and the total (the number a simplicity PR reports)
-#   make test        full test suite (bank cache at $(CACHE_DIR))
-#   make race        the full test suite under the race detector
+#   make test        full test suite (bank cache at $(CACHE_DIR)), plus
+#                    internal/rng under GOARCH=386, where rand/v2 reduces
+#                    IntN bounds through its 32-bit path
+#   make race        the full test suite under the race detector, plus ten
+#                    runs of the oracle's shared bias-table test
 #   make examples    build and run the five examples/ programs (the facade's
 #                    documented entry points; bank cache at $(CACHE_DIR))
 #   make bench       every root benchmark once (-benchtime 1x) -> bench.out;
@@ -63,9 +66,11 @@ lines:
 
 test: build
 	NOISYEVAL_CACHE_DIR=$(CACHE_DIR) $(GO) test ./...
+	GOARCH=386 $(GO) test ./internal/rng
 
 race:
 	NOISYEVAL_CACHE_DIR=$(CACHE_DIR) $(GO) test -race ./...
+	$(GO) test -race -count=10 -run TestBiasTableSharedByRowWorkers ./internal/core
 
 examples:
 	@for d in examples/*/; do echo "== $$d"; NOISYEVAL_CACHE_DIR=$(CACHE_DIR) $(GO) run ./$$d || exit 1; done

@@ -14,8 +14,9 @@ import (
 // benchmark is checked. testing.AllocsPerRun runs each step at GOMAXPROCS 1
 // and floors the mean over its runs; the collector is off while it does, so
 // a GC that empties a sync.Pool mid-measure adds nothing and the counts are
-// exact. The training round, the two row kernels and the instrumented warm
-// trial must not allocate at all; the other bounds are the counts measured
+// exact. The training round, the row kernels (the biased one at the bench
+// shape too, so its weight table is paid once per oracle, not per visit) and
+// the instrumented warm trial must not allocate at all; the other bounds are the counts measured
 // when the pin was added (Go 1.24), so one more allocation per step fails.
 // The trial benchmarks' per-trial budget is TestRunTrialsAllocsPerTrial's.
 func TestBenchmarkAllocs(t *testing.T) {
@@ -42,6 +43,12 @@ func TestBenchmarkAllocs(t *testing.T) {
 		}},
 		{"OracleEvaluateMultiBiased", 20, 0, func(t *testing.T) func() {
 			return rowSweeps(evaluateRows(t, core.Noise{SampleCount: 3, Bias: 1.5}.Scheme()))
+		}},
+		{"OracleEvaluateBiasedBenchShape/cohorts=1", 200, 0, func(t *testing.T) func() {
+			return rowSweeps(evaluateRowsOf(t, biasShapeBank, core.Noise{SampleCount: 3, Bias: 1.5}.Scheme(), 1))
+		}},
+		{"OracleEvaluateBiasedBenchShape/cohorts=64", 20, 0, func(t *testing.T) func() {
+			return rowSweeps(evaluateRowsOf(t, biasShapeBank, core.Noise{SampleCount: 3, Bias: 1.5}.Scheme(), rowCohorts))
 		}},
 		{"ObsOverhead", 1000, 0, func(t *testing.T) func() {
 			step := instrumentedEvaluate(t)

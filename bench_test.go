@@ -657,6 +657,38 @@ var codecBenchBank = func() *core.Bank {
 	return b
 }()
 
+// biasShapeBank is the bench scale's shape for the biased row benchmark: 50
+// clients of 40–80 examples (the bench bank's Σ(n_k + 1) is 3 050), 4
+// configs and 5 checkpoints, errors drawn per client around a client-level
+// rate so that some clients sit near accuracy 0.
+var biasShapeBank = func() *core.Bank {
+	const configs, ckpts, clients = 4, 5, 50
+	g := rng.New(43)
+	b := &core.Bank{
+		SpecName:   "bias-shape",
+		Seed:       43,
+		Configs:    hpo.DefaultSpace().SampleN(configs, g.Split("pool")),
+		Rounds:     []int{5, 15, 45, 135, 405},
+		Partitions: []float64{0},
+		Errs:       core.NewErrMatrix(1, configs, ckpts, clients),
+		Diverged:   make([]bool, configs),
+	}
+	counts := make([]int, clients)
+	for k := range counts {
+		counts[k] = 40 + g.IntN(41)
+	}
+	b.ExampleCounts = [][]int{counts}
+	for ci := 0; ci < configs; ci++ {
+		for ri := 0; ri < ckpts; ri++ {
+			row := b.Errs.Row(0, ci, ri)
+			for k := range row {
+				row[k] = uint32(float64(counts[k]) * min(1, g.Float64()*1.25))
+			}
+		}
+	}
+	return b
+}()
+
 // BenchmarkOracleTrials measures 100 bootstrap tuning trials against a warm
 // bank — the workload every figure, noisyevald run, and ablation resolves
 // to. The oracle's arena rows and per-trial scratch make the steady state
@@ -698,8 +730,23 @@ func BenchmarkOracleEvaluateMultiBiased(b *testing.B) {
 	benchEvaluateRows(b, core.Noise{SampleCount: 3, Bias: 1.5}.Scheme())
 }
 
+// BenchmarkOracleEvaluateBiasedBenchShape is the biased sweep at the shape
+// of tune_heavy's bias cells: 50 clients of 40–80 examples, 3 per cohort
+// drawn with weight (acc+δ)^1.5, one cohort per visit (a single ask) and a
+// 64-cohort wave. TestBenchmarkAllocs pins both at 0 allocs/op.
+func BenchmarkOracleEvaluateBiasedBenchShape(b *testing.B) {
+	for _, cohorts := range []int{1, rowCohorts} {
+		b.Run("cohorts="+strconv.Itoa(cohorts), func(b *testing.B) {
+			benchRows(b, evaluateRowsOf(b, biasShapeBank, core.Noise{SampleCount: 3, Bias: 1.5}.Scheme(), cohorts), cohorts)
+		})
+	}
+}
+
 func benchEvaluateRows(b *testing.B, scheme eval.Scheme) {
-	sweep := evaluateRows(b, scheme)
+	benchRows(b, evaluateRows(b, scheme), rowCohorts)
+}
+
+func benchRows(b *testing.B, sweep func(i int) float64, cohorts int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sink float64
@@ -710,7 +757,7 @@ func benchEvaluateRows(b *testing.B, scheme eval.Scheme) {
 	if sink == 0 {
 		b.Fatal("evaluations produced no signal")
 	}
-	b.ReportMetric(float64(rowCohorts*b.N)/b.Elapsed().Seconds(), "evals/s")
+	b.ReportMetric(float64(cohorts*b.N)/b.Elapsed().Seconds(), "evals/s")
 }
 
 const rowCohorts = 64
@@ -720,16 +767,25 @@ const rowCohorts = 64
 // config i%4, checkpoint i%5) evaluated for a 64-cohort wave. It returns the
 // first cohort's observed error.
 func evaluateRows(tb testing.TB, scheme eval.Scheme) func(i int) float64 {
-	oracle, err := core.NewBankOracle(codecBenchBank, 0, scheme, 1)
+	return evaluateRowsOf(tb, codecBenchBank, scheme, rowCohorts)
+}
+
+// evaluateRowsOf is evaluateRows over bank's rows for a wave of cohorts.
+func evaluateRowsOf(tb testing.TB, bank *core.Bank, scheme eval.Scheme, cohorts int) func(i int) float64 {
+	oracle, err := core.NewBankOracle(bank, 0, scheme, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	seeds := make([]uint64, rowCohorts)
+	seeds := make([]uint64, cohorts)
 	for i := range seeds {
 		seeds[i] = uint64(i)*0x9e3779b97f4a7c15 + 1
 	}
 	var ms eval.MultiScratch
-	oracle.EvaluateRows(0, 0, seeds, &ms) // warm the scratch before timing
+	for ci := 0; ci < 4; ci++ { // warm the scratch and the bias table before timing
+		for ri := range bank.Rounds {
+			oracle.EvaluateRows(ci, ri, seeds, &ms)
+		}
+	}
 	return func(i int) float64 {
 		return oracle.EvaluateRows(i%4, i%5, seeds, &ms)[0].Observed
 	}

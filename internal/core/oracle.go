@@ -18,15 +18,18 @@ import (
 // buffer, a single ask's cohort runs through eval's row kernel
 // (EvaluateMulti) with its one seed, and every true error is the
 // evaluator's FullError of the same rates (its weights are the scheme's, and
-// the oracle's scheme carries no privacy). The oracle owns no scratch, so
-// the base oracle and its WithTrial copies alike are safe for concurrent use
-// and allocate nothing on a warm visit.
+// the oracle's scheme carries no privacy). Under a biased scheme the row's
+// sampling weights come from the oracle's biasTable, one Pow per (client,
+// wrong-count) pair the oracle meets. The oracle owns no per-caller scratch,
+// so the base oracle and its WithTrial copies alike are safe for concurrent
+// use and allocate nothing on a warm visit.
 type BankOracle struct {
 	bank      *Bank
 	partition float64
 	pi        int       // cached PartitionIndex(partition)
 	den       []float64 // rateDivisors(bank.ExampleCounts[pi])
 	evaluator *eval.Evaluator
+	bias      *biasTable // the biased scheme's weights, shared by WithTrial copies; nil when uniform
 	seed      uint64
 	trialSalt string
 }
@@ -48,28 +51,42 @@ func NewBankOracle(b *Bank, partition float64, scheme eval.Scheme, seed uint64) 
 	if err != nil {
 		return nil, err
 	}
-	return &BankOracle{bank: b, partition: partition, pi: pi, den: rateDivisors(b.ExampleCounts[pi]),
-		evaluator: ev, seed: seed}, nil
+	o := &BankOracle{bank: b, partition: partition, pi: pi, den: rateDivisors(b.ExampleCounts[pi]),
+		evaluator: ev, seed: seed}
+	if ev.Scheme().Bias != 0 {
+		o.bias = newBiasTable(ev, b.ExampleCounts[pi], o.den, maxBiasSlots)
+	}
+	return o, nil
 }
 
-// visit is one oracle ask's pooled state: the row's rates, the row kernel's
-// scratch and a one-element cohort seed list. A visit lives for one ask, so
-// the pool serves the base oracle, WithTrial copies and the block
-// scheduler's concurrent row workers alike without state per caller.
+// visit is one oracle ask's pooled state: the row's counts and rates, its
+// prepared bias weights, the row kernel's scratch and a one-element cohort
+// seed list. A visit lives for one ask, so the pool serves the base oracle,
+// WithTrial copies and the block scheduler's concurrent row workers alike
+// without state per caller.
 type visit struct {
+	row   []uint32
 	rates []float64
+	bias  rng.Prepared
 	ms    eval.MultiScratch
 	seed  [1]uint64
 }
 
 var visits = sync.Pool{New: func() any { return new(visit) }}
 
+// release puts v back into visits, dropping its hold on the bank's counts.
+func (v *visit) release() {
+	v.row = nil
+	visits.Put(v)
+}
+
 // visitRow takes a pooled visit holding the error rates of arena row
 // (ci, ri) under the oracle's partition; the caller puts it back into visits
-// once the evaluation no longer reads it.
+// (release) once the evaluation no longer reads it.
 func (o *BankOracle) visitRow(ci, ri int) *visit {
 	v := visits.Get().(*visit)
-	v.rates = ratesInto(v.rates, o.bank.Errs.Row(o.pi, ci, ri), o.den)
+	v.row = o.bank.Errs.Row(o.pi, ci, ri)
+	v.rates = ratesInto(v.rates, v.row, o.den)
 	return v
 }
 
@@ -77,7 +94,18 @@ func (o *BankOracle) visitRow(ci, ri int) *visit {
 // the row kernel over that cohort's one seed.
 func (o *BankOracle) observe(v *visit, evalID string) float64 {
 	v.seed[0] = o.evalSeed(evalID)
-	return o.evaluator.EvaluateMulti(v.rates, v.seed[:], &v.ms)[0].Observed
+	return o.evaluate(v, v.seed[:], &v.ms)[0].Observed
+}
+
+// evaluate runs the row kernel over the visit's row for every seed, with the
+// row's bias weights gathered from the table under a biased scheme.
+func (o *BankOracle) evaluate(v *visit, seeds []uint64, ms *eval.MultiScratch) []eval.Result {
+	var bias rng.Prepared
+	if o.bias != nil {
+		o.bias.gather(&v.bias, v.row)
+		bias = v.bias
+	}
+	return o.evaluator.EvaluateMulti(v.rates, bias, seeds, ms)
 }
 
 // trialSalts interns the "trial-<n>" salt strings shared by WithTrial copies
@@ -107,7 +135,7 @@ func (o *BankOracle) poolIndex(cfg fl.HParams) int {
 func (o *BankOracle) Evaluate(cfg fl.HParams, rounds int, evalID string) float64 {
 	v := o.visitRow(o.poolIndex(cfg), o.bank.CheckpointIndex(rounds))
 	obs := o.observe(v, evalID)
-	visits.Put(v)
+	v.release()
 	return obs
 }
 
@@ -124,7 +152,7 @@ func (o *BankOracle) EvaluateBatch(b *hpo.EvalBatch) {
 		v := o.visitRow(ci, o.bank.CheckpointIndex(b.RoundsAt(j)))
 		b.Out[j] = o.observe(v, b.EvalIDAt(j))
 		b.True[j] = o.evaluator.FullError(v.rates)
-		visits.Put(v)
+		v.release()
 	}
 }
 
@@ -138,7 +166,7 @@ func (o *BankOracle) TrueErrorAt(ci, rounds int) float64 {
 func (o *BankOracle) rowTrueError(ci, ri int) float64 {
 	v := o.visitRow(ci, ri)
 	e := o.evaluator.FullError(v.rates)
-	visits.Put(v)
+	v.release()
 	return e
 }
 
@@ -187,7 +215,7 @@ func (o *BankOracle) EvaluateIndex(ci, rounds int, evalID string) (ConfigEval, e
 		Observed:    o.observe(v, evalID),
 		True:        o.evaluator.FullError(v.rates),
 	}
-	visits.Put(v)
+	v.release()
 	return ev, nil
 }
 
@@ -242,8 +270,8 @@ func (o *BankOracle) evalSeedPrefix(trialSalt string) rng.FNV64a {
 // a single conversion of its counts into rates.
 func (o *BankOracle) EvaluateRows(ci, ri int, seeds []uint64, ms *eval.MultiScratch) []eval.Result {
 	v := o.visitRow(ci, ri)
-	rs := o.evaluator.EvaluateMulti(v.rates, seeds, ms)
-	visits.Put(v)
+	rs := o.evaluate(v, seeds, ms)
+	v.release()
 	return rs
 }
 

@@ -409,14 +409,23 @@ func (c *Coordinator) dropPopLocked(popKey string) {
 	delete(c.pops, popKey)
 }
 
+// selfWorker is the name the coordinator's own build loop (SelfBuild) leases
+// under; it is no worker of the fleet, so dist_workers_seen leaves it out.
+const selfWorker = "__self__"
+
+// seeLocked records worker among the distinct workers seen.
+func (c *Coordinator) seeLocked(worker string) {
+	if worker != "" && worker != selfWorker {
+		c.workers[worker] = true
+	}
+}
+
 // Lease hands the oldest pending shard to worker, or reports none available.
 func (c *Coordinator) Lease(worker string) (Job, bool) {
 	now := c.opts.Clock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if worker != "" {
-		c.workers[worker] = true
-	}
+	c.seeLocked(worker)
 	c.requeueExpiredLocked(now)
 	for len(c.queue) > 0 {
 		j := c.queue[0]
@@ -467,9 +476,7 @@ func (c *Coordinator) Lease(worker string) (Job, bool) {
 func (c *Coordinator) Complete(id, worker string, sh *core.BankShard, spans ...obs.Span) (status string, err error) {
 	now := c.opts.Clock()
 	c.mu.Lock()
-	if worker != "" {
-		c.workers[worker] = true
-	}
+	c.seeLocked(worker)
 	c.requeueExpiredLocked(now)
 	j, ok := c.jobs[id]
 	if !ok {
@@ -493,7 +500,6 @@ func (c *Coordinator) Complete(id, worker string, sh *core.BankShard, spans ...o
 		if j.state == jobLeased { // give the shard to someone else
 			j.state = jobPending
 			c.queue = append(c.queue, j)
-			c.requeued.Inc()
 		}
 		c.mu.Unlock()
 		c.nudge()
@@ -555,7 +561,7 @@ func (c *Coordinator) selfBuildLoop() {
 			return
 		default:
 		}
-		j, ok := c.Lease("__self__")
+		j, ok := c.Lease(selfWorker)
 		if !ok {
 			select {
 			case <-c.selfStop:
@@ -607,9 +613,9 @@ func (c *Coordinator) selfBuildLoop() {
 			continue
 		}
 		c.selfBuilt.Inc()
-		c.Complete(j.ID, "__self__", sh, obs.Span{
+		c.Complete(j.ID, selfWorker, sh, obs.Span{
 			Name: "shard.train", Start: start, Dur: time.Since(start),
-			Attrs: []string{"worker", "__self__", "range", shardRange(j.Lo, j.Hi)},
+			Attrs: []string{"worker", selfWorker, "range", shardRange(j.Lo, j.Hi)},
 		})
 	}
 }

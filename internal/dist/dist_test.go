@@ -287,6 +287,34 @@ func TestSelfBuildDegradesToLocal(t *testing.T) {
 	}
 }
 
+// TestWorkersSeenLeavesOutSelfBuild: the coordinator's own build loop is no
+// fleet worker, so dist_workers_seen reads 0 after a self-built build and 1
+// once an external worker has leased.
+func TestWorkersSeenLeavesOutSelfBuild(t *testing.T) {
+	coord, ts := newTestCluster(t, CoordinatorOptions{ShardConfigs: 2, SelfBuild: 1})
+	seen := func() int {
+		coord.mu.Lock()
+		defer coord.mu.Unlock()
+		return len(coord.workers)
+	}
+	if _, err := coord.BuildSharded(context.Background(), testPop(t), testOpts(), 9); err != nil {
+		t.Fatal(err)
+	}
+	if got := coord.selfBuilt.Value(); got == 0 {
+		t.Fatal("the self-build loop built no shard")
+	}
+	if got := seen(); got != 0 {
+		t.Fatalf("workers seen after a self-built build = %d, want 0", got)
+	}
+	startWorker(t, ts.URL, "w1")
+	for deadline := time.Now().Add(10 * time.Second); seen() == 0 && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := seen(); got != 1 {
+		t.Fatalf("workers seen with one external worker = %d, want 1", got)
+	}
+}
+
 // TestConcurrentBuildsCoalesce: concurrent BuildSharded calls for one
 // content address share one set of shard jobs.
 func TestConcurrentBuildsCoalesce(t *testing.T) {

@@ -213,7 +213,7 @@ func TestCompleteRejectsCountAboveExamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requeued := coord.requeued.Value()
+	requeued, rejected := coord.requeued.Value(), coord.rejected.Value()
 	q := url.Values{"job": {job.ID}, "worker": {"w"}}
 	resp, err := http.Post(ts.URL+"/v1/work/complete?"+q.Encode(), "application/octet-stream", bytes.NewReader(payload))
 	if err != nil {
@@ -224,8 +224,11 @@ func TestCompleteRejectsCountAboveExamples(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400", resp.StatusCode)
 	}
-	if completed, requeuedNow := coord.completed.Value(), coord.requeued.Value(); completed != 0 || requeuedNow != requeued+1 {
-		t.Fatalf("after the rejected upload: %d completed, %d requeued (was %d)", completed, requeuedNow, requeued)
+	// A rejection is counted once, as a rejection: requeued counts expired
+	// leases only.
+	if completed, requeuedNow, rejectedNow := coord.completed.Value(), coord.requeued.Value(), coord.rejected.Value(); completed != 0 || requeuedNow != requeued || rejectedNow != rejected+1 {
+		t.Fatalf("after the rejected upload: %d completed, %d requeued (was %d), %d rejected (was %d)",
+			completed, requeuedNow, requeued, rejectedNow, rejected)
 	}
 	// The rejected job is leasable again (behind the untouched one) and the
 	// build completes on correct uploads.

@@ -233,7 +233,7 @@ func (e *Evaluator) sampleSubset(errs []float64, g *rng.RNG) []int {
 	n, k := len(errs), e.scheme.Count
 	switch {
 	case e.scheme.Bias != 0:
-		return g.WeightedSampleWithoutReplacement(e.biasWeights(nil, errs), k)
+		return g.WeightedSampleWithoutReplacement(e.biasWeights(make([]float64, n), errs), k)
 	case k >= n:
 		// The full pool in index order: no randomness drawn.
 		idx := make([]int, n)
@@ -246,18 +246,24 @@ func (e *Evaluator) sampleSubset(errs []float64, g *rng.RNG) []int {
 	}
 }
 
-// biasWeights returns buf, grown to the pool size, holding the sampling
-// weight (accuracy + δ)^b of every client of the row.
+// biasWeights writes to buf, the pool's length, the BiasWeight of every
+// client of the row, and returns it.
 func (e *Evaluator) biasWeights(buf, errs []float64) []float64 {
-	buf = grow(buf, len(errs))
 	for i, err := range errs {
-		acc := 1 - err
-		if acc < 0 {
-			acc = 0
-		}
-		buf[i] = math.Pow(acc+e.scheme.BiasDelta, e.scheme.Bias)
+		buf[i] = e.BiasWeight(err)
 	}
 	return buf
+}
+
+// BiasWeight is the sampling weight (accuracy + δ)^b of a client whose error
+// rate is rate: the one weight function behind every biased cohort, so a
+// caller that keeps weights per (client, wrong-count) keeps these bits.
+func (e *Evaluator) BiasWeight(rate float64) float64 {
+	acc := 1 - rate
+	if acc < 0 {
+		acc = 0
+	}
+	return math.Pow(acc+e.scheme.BiasDelta, e.scheme.Bias)
 }
 
 // grow returns b resized to length n, reallocating only on growth.

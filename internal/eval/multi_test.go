@@ -32,9 +32,26 @@ func multiRow(n int, g *rng.RNG) []float64 {
 	return errs
 }
 
+// prepared is the bank oracle's form of a biased row's weights: each
+// BiasWeight with what rng.PrepareWeight derives from it (zero when the
+// scheme is unbiased).
+func prepared(e *Evaluator, errs []float64) rng.Prepared {
+	if e.Scheme().Bias == 0 {
+		return rng.Prepared{}
+	}
+	p := rng.Prepared{W: make([]float64, len(errs)), Inv: make([]float64, len(errs)), Margin: make([]float64, len(errs))}
+	for k, err := range errs {
+		p.W[k] = e.BiasWeight(err)
+		p.Inv[k], p.Margin[k] = rng.PrepareWeight(p.W[k])
+	}
+	return p
+}
+
 // TestEvaluateMultiMatchesEvaluate pins the tentpole parity claim at the
 // kernel level: EvaluateMulti over a seed batch is bit-identical to one
-// Evaluate per seed on a freshly seeded stream, for every sampling scheme.
+// Evaluate per seed on a freshly seeded stream, for every sampling scheme —
+// the first sweep with a biased row's weights prepared, as the bank oracle
+// passes them, the others computing them.
 func TestEvaluateMultiMatchesEvaluate(t *testing.T) {
 	const n = 40
 	cnt := counts(n, 7)
@@ -50,7 +67,7 @@ func TestEvaluateMultiMatchesEvaluate(t *testing.T) {
 				seeds[i] = uint64(1000 + i*i*7919)
 			}
 			var ms MultiScratch
-			got := e.EvaluateMulti(errs, seeds, &ms)
+			got := e.EvaluateMulti(errs, prepared(e, errs), seeds, &ms)
 			if len(got) != len(seeds) {
 				t.Fatalf("got %d results, want %d", len(got), len(seeds))
 			}
@@ -63,7 +80,7 @@ func TestEvaluateMultiMatchesEvaluate(t *testing.T) {
 			}
 			// A second sweep through the same scratch must see the restored
 			// identity permutation, not the residue of the first.
-			again := e.EvaluateMulti(errs, seeds[:5], &ms)
+			again := e.EvaluateMulti(errs, rng.Prepared{}, seeds[:5], &ms)
 			for c := range again {
 				want := e.Evaluate(errs, rng.New(seeds[c]))
 				if again[c].Observed != want.Observed {
@@ -81,7 +98,7 @@ func TestEvaluateMultiMatchesEvaluate(t *testing.T) {
 				}
 				errs := multiRow(m, rng.New(uint64(11+step)))
 				for _, seed := range seeds {
-					one := e.EvaluateMulti(errs, []uint64{seed}, &ms)
+					one := e.EvaluateMulti(errs, rng.Prepared{}, []uint64{seed}, &ms)
 					want := e.Evaluate(errs, rng.New(seed))
 					if len(one) != 1 || one[0].Observed != want.Observed || one[0].Sampled != want.Sampled {
 						t.Fatalf("one-seed sweep (%d clients, seed %d): got %v, want (%v, %v)", m, seed, one, want.Observed, want.Sampled)
@@ -96,7 +113,7 @@ func TestEvaluateMultiMatchesEvaluate(t *testing.T) {
 func TestEvaluateMultiNilScratch(t *testing.T) {
 	e := MustNew(counts(20, 3), Scheme{Count: 5})
 	errs := multiRow(20, rng.New(3))
-	got := e.EvaluateMulti(errs, []uint64{11, 12}, nil)
+	got := e.EvaluateMulti(errs, rng.Prepared{}, []uint64{11, 12}, nil)
 	for c, seed := range []uint64{11, 12} {
 		want := e.Evaluate(errs, rng.New(seed))
 		if got[c].Observed != want.Observed {
@@ -123,9 +140,9 @@ func TestEvaluateMultiAllocationFree(t *testing.T) {
 			e := MustNew(cnt, scheme)
 			errs := multiRow(n, rng.New(9))
 			var ms MultiScratch
-			e.EvaluateMulti(errs, seeds, &ms) // warm the buffers
+			e.EvaluateMulti(errs, rng.Prepared{}, seeds, &ms) // warm the buffers
 			allocs := testing.AllocsPerRun(20, func() {
-				e.EvaluateMulti(errs, seeds, &ms)
+				e.EvaluateMulti(errs, rng.Prepared{}, seeds, &ms)
 			})
 			if allocs != 0 {
 				t.Fatalf("EvaluateMulti allocated %v times per sweep, want 0", allocs)

@@ -2,6 +2,7 @@ package hpo
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -132,8 +133,13 @@ type parzenModel struct {
 	lo, hi [5]float64
 	gamma  float64
 
-	// rows is the feature table: one row per pool member.
-	rows []features
+	// rows is the feature table: one row per pool member. rowsOf and
+	// rowsBatch name the pool (its first member's address; the length is
+	// len(rows)) and the batch sizes it was built for, so a pooled model
+	// keeps it across runs over the same pool and space.
+	rows      []features
+	rowsOf    *fl.HParams
+	rowsBatch []int
 
 	good, bad parzen
 	order     errOrder  // fit scratch: observation indices sorted by error
@@ -172,8 +178,10 @@ func newParzenModel(t TPE, o Oracle, space Space) *parzenModel {
 }
 
 // reset readies m for a run over o's pool, rebuilding every table in m's own
-// buffers where they are large enough. Memo entries an earlier run left
-// carry older stamps than any later fit's.
+// buffers where they are large enough. The feature rows depend only on the
+// pool and the space's batch sizes, so they are kept when both are the last
+// run's: the same backing array and length, the same sizes. Memo entries an
+// earlier run left carry older stamps than any later fit's.
 func (m *parzenModel) reset(t TPE, o Oracle, space Space) {
 	nb := len(space.BatchSizes)
 	m.space, m.pool, m.gamma = space, o.Pool(), t.Gamma
@@ -182,9 +190,14 @@ func (m *parzenModel) reset(t TPE, o Oracle, space Space) {
 	perBatch := resize(m.counts[:cap(m.counts)], 5*nb)
 	m.counts, m.good.logBatch, m.bad.logBatch, m.batchRatio =
 		perBatch[:2*nb], perBatch[2*nb:3*nb], perBatch[3*nb:4*nb], perBatch[4*nb:]
-	m.rows = resize(m.rows, len(m.pool))
-	for i, c := range m.pool {
-		m.rows[i] = m.features(c)
+	if len(m.pool) == 0 || m.rowsOf != &m.pool[0] || len(m.rows) != len(m.pool) || !slices.Equal(m.rowsBatch, space.BatchSizes) {
+		m.rows, m.rowsOf = resize(m.rows, len(m.pool)), nil
+		for i, c := range m.pool {
+			m.rows[i] = m.features(c)
+		}
+		if len(m.pool) > 0 {
+			m.rowsOf, m.rowsBatch = &m.pool[0], append(m.rowsBatch[:0], space.BatchSizes...)
+		}
 	}
 	m.memo = resize(m.memo, len(m.pool))
 	m.draws = resize(m.draws, t.NCandidates)

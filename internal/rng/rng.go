@@ -11,6 +11,7 @@ package rng
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand/v2"
 	"strconv"
 )
@@ -18,6 +19,10 @@ import (
 // RNG is a deterministic random number generator. It wraps a PCG source from
 // math/rand/v2 and supports deriving independent child streams via Split.
 // An RNG is not safe for concurrent use; Split off one stream per goroutine.
+//
+// Float64, IntN, Uint64 and the permutations call src directly, where its
+// step inlines, and reproduce rand/v2's derivations of the same words
+// (TestDirectDrawsMatchRandV2); r serves only NormFloat64 and ExpFloat64.
 type RNG struct {
 	// src and r are embedded by value — one RNG is one allocation, which
 	// matters when the block scheduler creates two streams per trial. r's
@@ -246,18 +251,42 @@ func (g *RNG) Path() string {
 	return g.path
 }
 
-// Float64 returns a uniform sample in [0, 1).
-func (g *RNG) Float64() float64 { return g.r.Float64() }
+// Float64 returns a uniform sample in [0, 1): rand/v2's Float64, the top 53
+// bits of one word over 2^53.
+func (g *RNG) Float64() float64 { return float64(g.src.Uint64()<<11>>11) / (1 << 53) }
 
 // IntN returns a uniform sample in [0, n). It panics if n <= 0.
-func (g *RNG) IntN(n int) int { return g.r.IntN(n) }
+func (g *RNG) IntN(n int) int {
+	if n <= 0 {
+		panic("invalid argument to IntN")
+	}
+	return int(g.uint64n(uint64(n)))
+}
+
+// uint64n is rand/v2's uint64n on a 64-bit machine: a mask for a power of
+// two, otherwise Lemire's multiply with the rejection of lo < -n%n, checked
+// only when lo < n. rand/v2 documents its 32-bit path as giving the same
+// sequence, so this one path serves every architecture.
+func (g *RNG) uint64n(n uint64) uint64 {
+	if n&(n-1) == 0 {
+		return g.src.Uint64() & (n - 1)
+	}
+	hi, lo := bits.Mul64(g.src.Uint64(), n)
+	if lo < n {
+		thresh := -n % n
+		for lo < thresh {
+			hi, lo = bits.Mul64(g.src.Uint64(), n)
+		}
+	}
+	return hi
+}
 
 // Uint64 returns a uniform 64-bit value.
-func (g *RNG) Uint64() uint64 { return g.r.Uint64() }
+func (g *RNG) Uint64() uint64 { return g.src.Uint64() }
 
 // Uniform returns a uniform sample in [lo, hi).
 func (g *RNG) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*g.r.Float64()
+	return lo + (hi-lo)*g.Float64()
 }
 
 // LogUniform returns exp of a uniform sample in [log(lo), log(hi)).
@@ -286,7 +315,7 @@ func (g *RNG) Laplace(mean, scale float64) float64 {
 		return mean
 	}
 	// Inverse CDF: u in (-1/2, 1/2), x = mean - b*sign(u)*ln(1-2|u|).
-	u := g.r.Float64() - 0.5
+	u := g.Float64() - 0.5
 	return mean - scale*sign(u)*math.Log1p(-2*math.Abs(u))
 }
 
@@ -306,7 +335,7 @@ func (g *RNG) Gamma(shape float64) float64 {
 	}
 	if shape < 1 {
 		// Gamma(a) = Gamma(a+1) * U^(1/a).
-		return g.Gamma(shape+1) * math.Pow(g.r.Float64(), 1/shape)
+		return g.Gamma(shape+1) * math.Pow(g.Float64(), 1/shape)
 	}
 	d := shape - 1.0/3.0
 	c := 1.0 / math.Sqrt(9*d)
@@ -317,7 +346,7 @@ func (g *RNG) Gamma(shape float64) float64 {
 			continue
 		}
 		v = v * v * v
-		u := g.r.Float64()
+		u := g.Float64()
 		if u < 1-0.0331*x*x*x*x {
 			return d * v
 		}
@@ -423,8 +452,12 @@ func (g *RNG) Categorical(weights []float64) int {
 	return len(weights) - 1 // float round-off
 }
 
-// Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
+// Perm returns a random permutation of [0, n): rand/v2's Perm.
+func (g *RNG) Perm(n int) []int {
+	p := make([]int, n)
+	g.PermInto(p)
+	return p
+}
 
 // PermInto fills dst with a random permutation of [0, len(dst)). It consumes
 // exactly the randomness Perm(len(dst)) consumes and produces the same
@@ -434,11 +467,22 @@ func (g *RNG) PermInto(dst []int) {
 	for i := range dst {
 		dst[i] = i
 	}
-	g.r.Shuffle(len(dst), func(i, j int) { dst[i], dst[j] = dst[j], dst[i] })
+	for i := len(dst) - 1; i > 0; i-- {
+		j := int(g.uint64n(uint64(i + 1)))
+		dst[i], dst[j] = dst[j], dst[i]
+	}
 }
 
-// Shuffle shuffles the first n indices using swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
+// Shuffle shuffles the first n indices using swap, in rand/v2's
+// Fisher–Yates order. It panics if n < 0.
+func (g *RNG) Shuffle(n int, swap func(i, j int)) {
+	if n < 0 {
+		panic("invalid argument to Shuffle")
+	}
+	for i := n - 1; i > 0; i-- {
+		swap(i, int(g.uint64n(uint64(i+1))))
+	}
+}
 
 // SampleWithoutReplacement returns k distinct indices drawn uniformly from
 // [0, n). It panics if k > n or k < 0. The result is in random order.

@@ -3,6 +3,7 @@ package rng
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // WeightedSampler draws weighted samples without replacement from one weight
@@ -15,18 +16,38 @@ import (
 // zero value is ready to use; buffers grow on first use and are reused, so
 // steady-state draws allocate nothing.
 type WeightedSampler struct {
-	w      []float64 // the caller's weights, aliased until the next Reset
-	inv    []float64 // 1/w[i], the key's exponent
-	margin []float64 // half-width of the bracket around log2 key_i
-	u      []float64 // one uniform per positive weight
-	zero   []int     // the items of zero weight
-	keys   []float64 // upper brackets, then keys, of the current draw
-	lo     []float64 // lower brackets of the current draw
-	idx    []int     // selection buffer; the result is idx[:k]
-	topLo  []float64 // the k largest lower brackets, descending
-	topIdx []int     // and their items
-	normal []int     // surrogates' scratch: the normal items by ascending lower bracket
-	lanes  bool      // useLanes, false only where a test holds the kernel to the Go loop
+	w       []float64             // the weights, aliased until the next Reset
+	inv     []float64             // 1/w[i], the key's exponent (aliased, or own.Inv)
+	margin  []float64             // half-width of the bracket around log2 key_i (aliased, or own.Margin)
+	own     Prepared              // Reset's inverses and margins
+	us      [4][]float64          // one uniform per positive weight, a row per stream of a lockstep group
+	keys    []float64             // upper brackets, then keys, of the current draw
+	lo      []float64             // lower brackets of the current draw
+	idx     []int                 // selection buffer; the result is idx[:k]
+	topLo   []float64             // the k largest lower brackets, descending
+	top     [4 * laneRows]float64 // the lanes' largest lower brackets, laneRows rows of four
+	reached []uint64              // reach's bit mask of the items whose upper bracket reaches the k-th
+	topIdx  []int                 // those items, by descending lower bracket when certain
+	normal  []int                 // surrogates' scratch: the normal items by ascending lower bracket
+	lanes   bool                  // useLanes, false only where a test holds the kernel to the Go loop
+}
+
+// Prepared is a weight vector with what a WeightedSampler derives from it:
+// wherever W[i] > 0, Inv[i] and Margin[i] are PrepareWeight(W[i]); at a zero
+// weight they may hold anything. A caller that meets the same weights again
+// and again (the bank oracle: one weight per client and wrong-count) prepares
+// each once and hands the sampler the row through ResetPrepared.
+type Prepared struct {
+	W, Inv, Margin []float64
+}
+
+// PrepareWeight returns what the sampler derives from a positive weight w:
+// the key's exponent 1/w and the half-width of the bracket around log2 of
+// the key. min keeps the margin finite when 1/w overflows: the bracket is
+// then [-Inf, -Inf], which is where that key (0) lies.
+func PrepareWeight(w float64) (inv, margin float64) {
+	inv = 1 / w
+	return inv, min(inv, 1e300)*(log2TableErr+bracketSlack) + bracketFloor
 }
 
 // A key's logarithm, inv·log2(u), is bracketed without a transcendental
@@ -64,24 +85,36 @@ var log2Mid = func() (t [1 << log2Bits]float64) {
 // positive sum and must not change until the next Reset.
 func (s *WeightedSampler) Reset(weights []float64) {
 	n := len(weights)
-	s.w = weights
-	s.inv, s.margin, s.u, s.keys = grow(s.inv, n), grow(s.margin, n), grow(s.u, n), grow(s.keys, n)
-	s.lo, s.idx, s.zero, s.lanes = grow(s.lo, n), grow(s.idx, n), s.zero[:0], useLanes
-	s.normal = grow(s.normal, n)
-	positive := false
+	s.own.Inv, s.own.Margin = grow(s.own.Inv, n), grow(s.own.Margin, n)
 	for i, w := range weights {
+		if w > 0 {
+			s.own.Inv[i], s.own.Margin[i] = PrepareWeight(w)
+		}
+	}
+	s.ResetPrepared(Prepared{W: weights, Inv: s.own.Inv, Margin: s.own.Margin})
+}
+
+// ResetPrepared is Reset on p.W with its inverses and margins already
+// computed; the sampler reads all three until the next Reset, and none may
+// change before then.
+func (s *WeightedSampler) ResetPrepared(p Prepared) {
+	n := len(p.W)
+	if len(p.Inv) != n || len(p.Margin) != n {
+		panic(fmt.Sprintf("rng: prepared weights of %d items with %d inverses and %d margins", n, len(p.Inv), len(p.Margin)))
+	}
+	s.w, s.inv, s.margin = p.W, p.Inv, p.Margin
+	for c := range s.us {
+		s.us[c] = grow(s.us[c], n)
+	}
+	s.keys, s.lo, s.idx = grow(s.keys, n), grow(s.lo, n), grow(s.idx, n)
+	s.normal, s.topIdx, s.lanes = grow(s.normal, n), grow(s.topIdx, n), useLanes
+	s.reached = grow(s.reached, n/64+1)
+	positive := false
+	for i, w := range p.W {
 		if w < 0 || math.IsNaN(w) {
 			panic(fmt.Sprintf("rng: weight[%d] must be non-negative, got %g", i, w))
 		}
-		if w == 0 {
-			s.zero = append(s.zero, i)
-		} else {
-			positive = true
-			s.inv[i] = 1 / w
-			// min keeps the margin finite when 1/w overflows: the bracket
-			// is then [-Inf, -Inf], which is where that key (0) lies.
-			s.margin[i] = min(s.inv[i], 1e300)*(log2TableErr+bracketSlack) + bracketFloor
-		}
+		positive = positive || w > 0
 	}
 	if !positive {
 		panic("rng: all weights are zero")
@@ -96,12 +129,60 @@ func (s *WeightedSampler) Sample(g *RNG, k int) []int {
 	if k == 0 {
 		return s.idx[:0]
 	}
-	for i, w := range s.w {
-		if w > 0 {
-			s.u[i] = g.Float64()
+	draw(s.w, s.us[0], g)
+	return s.pick(s.us[0], k)
+}
+
+// SampleEach hands yield, for every stream gs[c] in order, c and the sample
+// Sample(gs[c], k) returns; the subset is valid during the call, and gs[c]
+// stands where Sample would leave it. The streams are independent, so four
+// at a time draw their uniforms in lockstep, each its own words in its own
+// order: the four generators' multiply chains overlap instead of queueing.
+func (s *WeightedSampler) SampleEach(gs []*RNG, k int, yield func(c int, subset []int)) {
+	if k == 0 {
+		for c := range gs {
+			yield(c, s.idx[:0])
+		}
+		return
+	}
+	for c0 := 0; c0 < len(gs); c0 += len(s.us) {
+		group := gs[c0:min(c0+len(s.us), len(gs))]
+		if len(group) == len(s.us) {
+			draw4(s.w, &s.us, group[0], group[1], group[2], group[3])
+		} else {
+			for c, g := range group {
+				draw(s.w, s.us[c], g)
+			}
+		}
+		for c := range group {
+			yield(c0+c, s.pick(s.us[c], k))
 		}
 	}
-	return s.pick(s.u, k)
+}
+
+// draw writes one uniform from g for every positive weight, in index order:
+// g.Float64, written out so the PCG step inlines into the loop.
+func draw(w, u []float64, g *RNG) {
+	u = u[:len(w)]
+	for i, wi := range w {
+		if wi > 0 {
+			u[i] = float64(g.src.Uint64()<<11>>11) / (1 << 53)
+		}
+	}
+}
+
+// draw4 is draw for four streams into the four rows of us, in lockstep.
+func draw4(w []float64, us *[4][]float64, g0, g1, g2, g3 *RNG) {
+	n := len(w)
+	u0, u1, u2, u3 := us[0][:n], us[1][:n], us[2][:n], us[3][:n]
+	for i, wi := range w {
+		if wi > 0 {
+			u0[i] = float64(g0.src.Uint64()<<11>>11) / (1 << 53)
+			u1[i] = float64(g1.src.Uint64()<<11>>11) / (1 << 53)
+			u2[i] = float64(g2.src.Uint64()<<11>>11) / (1 << 53)
+			u3[i] = float64(g3.src.Uint64()<<11>>11) / (1 << 53)
+		}
+	}
 }
 
 // pick selects from given uniforms (u[i] in [0, 1) for every positive
@@ -123,7 +204,7 @@ func (s *WeightedSampler) pick(u []float64, k int) []int {
 	if 4*k <= n {
 		var certain bool
 		if kth, certain = s.bracket(u, k); certain {
-			return idx[:copy(idx, s.topIdx)]
+			return idx[:copy(idx, s.topIdx[:k])]
 		}
 	} else {
 		s.bounds(u)
@@ -213,75 +294,138 @@ func (s *WeightedSampler) surrogates() bool {
 	return true
 }
 
-// bracket leaves in s.lo and s.keys what bounds leaves, and in
-// s.topLo/s.topIdx the k largest lower brackets with their items, and
-// returns the k-th of those — -Inf when it is too low to be trusted or fewer
-// than k weights are positive. certain reports that exactly k brackets reach
-// it and they are pairwise disjoint: s.topIdx is then the k largest keys in
-// descending order, with no tie among them.
+// bracket leaves in s.lo and s.keys what bounds leaves and returns the k-th
+// largest lower bracket — -Inf when it is too low to be trusted or fewer than
+// k weights are positive. certain reports that exactly k upper brackets reach
+// it and the k brackets are pairwise disjoint: those k items have the k
+// largest lower brackets, and s.topIdx[:k] holds them in descending order,
+// which is then the order of their keys, with no tie among them.
 func (s *WeightedSampler) bracket(u []float64, k int) (kth float64, certain bool) {
-	s.topLo, s.topIdx = grow(s.topLo, k), grow(s.topIdx, k)
-	topLo, topIdx := s.topLo, s.topIdx
-	for j := range topLo {
-		topLo[j], topIdx[j] = math.Inf(-1), -1
-	}
-	s.bounds(u)
-	lo, keys := s.lo[:len(s.w)], s.keys[:len(s.w)]
-	// Only a lower bracket above the running k-th goes through the insertion,
-	// in index order, so ties keep the earlier item ahead.
-	for i, l := range lo {
-		if l > topLo[k-1] {
-			j := k - 1
-			for ; j > 0 && topLo[j-1] < l; j-- {
-				topLo[j], topIdx[j] = topLo[j-1], topIdx[j-1]
-			}
-			topLo[j], topIdx[j] = l, i
-		}
-	}
-	kth = topLo[k-1]
+	kth = s.kthLower(u, k)
 	if kth < minCertifiedLog2 {
 		return math.Inf(-1), false
 	}
-	reach := 0
-	for _, hi := range keys {
-		if hi >= kth {
-			reach++
+	if s.reach(kth) != k {
+		return kth, false
+	}
+	lo, hi, top := s.lo, s.keys, s.reachedInto()
+	// Insertion by descending lower bracket, ties keeping index order — the
+	// order of the k largest; a tie fails the disjointness check anyway.
+	for j := 1; j < k; j++ {
+		i, m := top[j], j
+		for ; m > 0 && lo[top[m-1]] < lo[i]; m-- {
+			top[m] = top[m-1]
+		}
+		top[m] = i
+	}
+	for j := 1; j < k; j++ {
+		if !(hi[top[j]] < lo[top[j-1]]) {
+			return kth, false
 		}
 	}
-	certain = reach == k
-	for j := 1; j < k && certain; j++ {
-		certain = keys[topIdx[j]] < topLo[j-1]
+	return kth, true
+}
+
+// reach counts the items whose upper bracket reaches kth and marks them in
+// s.reached, bit i%64 of word i/64. No branch depends on the data.
+func (s *WeightedSampler) reach(kth float64) int {
+	n := len(s.w)
+	mask, hi, r, i := s.reached[:n/64+1], s.keys[:n], 0, 0
+	clear(mask)
+	if nvec := n / 4; s.lanes && nvec > 0 {
+		r, i = reachAVX2(&hi[0], kth, &mask[0], nvec), 4*nvec
 	}
-	return kth, certain
+	for ; i < n; i++ {
+		b := 0
+		if hi[i] >= kth {
+			b = 1
+		}
+		mask[i>>6] |= uint64(b) << (i & 63)
+		r += b
+	}
+	return r
+}
+
+// reachedInto writes the items reach marked to s.topIdx, in index order,
+// and returns them.
+func (s *WeightedSampler) reachedInto() []int {
+	top := s.topIdx[:0]
+	for w, m := range s.reached[:len(s.w)/64+1] {
+		for ; m != 0; m &= m - 1 {
+			top = append(top, w<<6+bits.TrailingZeros64(m))
+		}
+	}
+	return top
+}
+
+// laneRows is how many of each lane's largest lower brackets the lanes
+// keep, so the lanes decide the k-th for k up to laneRows.
+const laneRows = 4
+
+// kthLower computes every item's bracket, as bounds does, and returns the
+// k-th largest lower bracket (-Inf when fewer than k are finite), leaving the
+// k largest, descending, in s.topLo. For k up to laneRows the kernel hands
+// back the laneRows largest of the items it covered and only the rest go
+// through the insertion; the k-th is the Go loop's to the bit either way.
+func (s *WeightedSampler) kthLower(u []float64, k int) float64 {
+	j := s.boundsTop(u, k <= laneRows)
+	s.topLo = grow(s.topLo, k)
+	for r := range s.topLo {
+		s.topLo[r] = math.Inf(-1)
+		if j > 0 {
+			s.topLo[r] = s.top[4*r]
+		}
+	}
+	insertTop(s.topLo, s.lo[j:len(s.w)])
+	return s.topLo[k-1]
+}
+
+// insertTop inserts every value of vals above the running k-th into topLo,
+// which holds the k largest so far, descending.
+func insertTop(topLo, vals []float64) {
+	last := len(topLo) - 1
+	for _, l := range vals {
+		if l > topLo[last] {
+			j := last
+			for ; j > 0 && topLo[j-1] < l; j-- {
+				topLo[j] = topLo[j-1]
+			}
+			topLo[j] = l
+		}
+	}
 }
 
 // bounds leaves in s.lo and s.keys the lower and upper brackets on log2 key_i
 // of every item, both -Inf at zero weight.
-func (s *WeightedSampler) bounds(u []float64) {
-	n := len(s.w)
-	lo, hi := s.lo[:n], s.keys[:n]
-	bracketsInto(lo, hi, u[:n], s.inv[:n], s.margin[:n], s.lanes)
-	for _, i := range s.zero {
-		lo[i], hi[i] = math.Inf(-1), math.Inf(-1)
-	}
-}
+func (s *WeightedSampler) bounds(u []float64) { s.boundsTop(u, false) }
 
-// bracketsInto is brackets, through bracketsAVX2 for whole groups of four
-// items when lanes is set.
-func bracketsInto(lo, hi, u, inv, margin []float64, lanes bool) {
-	j := 0
-	if nvec := len(lo) / 4; lanes && nvec > 0 {
-		bracketsAVX2(&lo[0], &hi[0], &u[0], &inv[0], &margin[0], &log2Mid[0], nvec)
-		j = 4 * nvec
+// boundsTop is bounds through bracketsAVX2 for the whole groups of four
+// items when lanes is set, the rest through brackets. With top, the kernel
+// also leaves in every lane of s.top's rows the laneRows largest lower
+// brackets of the items it covered; boundsTop then returns the first item it
+// did not cover, and otherwise 0.
+func (s *WeightedSampler) boundsTop(u []float64, top bool) int {
+	n, j := len(s.w), 0
+	if nvec := n / 4; s.lanes && nvec > 0 {
+		var rows *float64
+		if top {
+			for r := range s.top {
+				s.top[r] = math.Inf(-1)
+			}
+			rows, j = &s.top[0], 4*nvec
+		}
+		bracketsAVX2(&s.lo[0], &s.keys[0], &u[0], &s.w[0], &s.inv[0], &s.margin[0], &log2Mid[0], nvec, rows)
+		brackets(s.lo[4*nvec:n], s.keys[4*nvec:n], u[4*nvec:n], s.w[4*nvec:n], s.inv[4*nvec:n], s.margin[4*nvec:n])
+		return j
 	}
-	brackets(lo[j:], hi[j:], u[j:], inv[j:], margin[j:])
+	brackets(s.lo[:n], s.keys[:n], u[:n], s.w, s.inv, s.margin)
+	return 0
 }
 
 // brackets sets lo[i] and hi[i] to the bracket on log2 u[i]^inv[i]: the
 // exponent of u[i] plus the log2Mid entry of its mantissa, times inv[i],
-// minus and plus margin[i]. An item of zero weight gets whatever its stale
-// inputs give; bracket overwrites it.
-func brackets(lo, hi, u, inv, margin []float64) {
+// minus and plus margin[i]; both are -Inf at a zero weight.
+func brackets(lo, hi, u, w, inv, margin []float64) {
 	for i := range lo {
 		bits := math.Float64bits(u[i])
 		x := float64(int(bits>>52)-1023) + log2Mid[bits>>(52-log2Bits)&(1<<log2Bits-1)]
@@ -289,7 +433,11 @@ func brackets(lo, hi, u, inv, margin []float64) {
 		if bits>>52 == 0 { // zero or subnormal: the exponent field is no logarithm
 			x, l = -1022, math.Inf(-1)
 		}
-		lo[i], hi[i] = l, inv[i]*x+margin[i]
+		h := inv[i]*x + margin[i]
+		if w[i] == 0 {
+			l, h = math.Inf(-1), math.Inf(-1)
+		}
+		lo[i], hi[i] = l, h
 	}
 }
 

@@ -152,8 +152,10 @@ func checkPick(t *testing.T, name string, w, u []float64, maxK int) {
 
 // checkLanes holds the bracket pass with lanes — the AVX2 kernel, on a CPU
 // that has it — to the same pass through the Go loop: every lower and upper
-// bracket identical to the bit, and the same k largest lower brackets, items,
-// k-th and certificate. k outside [1, n] has no bracket pass.
+// bracket identical to the bit, every lane's rows equal to the laneRows
+// largest lower brackets of the items the kernel covered, and the same k
+// largest lower brackets, k-th, certificate, certified items, reach count
+// and reaching items. k outside [1, n] has no bracket pass.
 func checkLanes(t *testing.T, name string, w, u []float64, k int) {
 	t.Helper()
 	if k < 1 || k > len(w) {
@@ -172,11 +174,36 @@ func checkLanes(t *testing.T, name string, w, u []float64, k int) {
 				name, k, i, w[i], u[i], lanes.lo[i], lanes.keys[i], port.lo[i], port.keys[i])
 		}
 	}
-	if !slices.Equal(lanes.topIdx, port.topIdx) || !slices.Equal(lanes.topLo, port.topLo) ||
-		math.Float64bits(kl) != math.Float64bits(kp) || cl != cp {
-		t.Fatalf("%s k=%d: lanes top %v (k-th %v, certain %v), Go loop %v (k-th %v, certain %v)",
-			name, k, lanes.topIdx, kl, cl, port.topIdx, kp, cp)
+	if nvec := len(w) / 4; lanes.lanes && nvec > 0 && k <= laneRows {
+		rows := filled(laneRows, math.Inf(-1))
+		insertTop(rows, port.lo[:4*nvec])
+		for r, want := range rows {
+			for lane := 0; lane < 4; lane++ {
+				if got := lanes.top[4*r+lane]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s k=%d lane %d row %d: lanes top %v, Go loop %v", name, k, lane, r, got, want)
+				}
+			}
+		}
 	}
+	if !slices.Equal(bitsOf(lanes.topLo), bitsOf(port.topLo)) || math.Float64bits(kl) != math.Float64bits(kp) || cl != cp {
+		t.Fatalf("%s k=%d: lanes top %v (k-th %v, certain %v), Go loop %v (k-th %v, certain %v)",
+			name, k, lanes.topLo, kl, cl, port.topLo, kp, cp)
+	}
+	if cl && !slices.Equal(lanes.topIdx[:k], port.topIdx[:k]) {
+		t.Fatalf("%s k=%d: lanes certify %v, Go loop %v", name, k, lanes.topIdx[:k], port.topIdx[:k])
+	}
+	rl, rp := lanes.reach(kl), port.reach(kp)
+	if il, ip := lanes.reachedInto(), port.reachedInto(); rl != rp || len(il) != rl || !slices.Equal(il, ip) {
+		t.Fatalf("%s k=%d: lanes reach %d items %v, Go loop %d items %v", name, k, rl, il, rp, ip)
+	}
+}
+
+func bitsOf(xs []float64) []uint64 {
+	out := make([]uint64, len(xs))
+	for i, x := range xs {
+		out[i] = math.Float64bits(x)
+	}
+	return out
 }
 
 func filled(n int, v float64) []float64 {
@@ -360,9 +387,9 @@ func TestWeightedSampleCertifiedShare(t *testing.T) {
 		s.Reset(w)
 		for d := 0; d < draws; d++ {
 			for i := range w {
-				s.u[i] = g.Float64()
+				s.us[0][i] = g.Float64()
 			}
-			kth, certain := s.bracket(s.u, k)
+			kth, certain := s.bracket(s.us[0], k)
 			total++
 			if certain {
 				certified++
@@ -401,9 +428,9 @@ func TestWeightedSampleCertifiedShare(t *testing.T) {
 				s.Reset(w)
 				for d := 0; d < 100; d++ {
 					for i := range w {
-						s.u[i] = g.Float64()
+						s.us[0][i] = g.Float64()
 					}
-					s.bounds(s.u)
+					s.bounds(s.us[0])
 					if s.surrogates() {
 						decided++
 					}
@@ -441,6 +468,16 @@ func FuzzWeightedSample(f *testing.F) {
 		f.Add(encode(3, w, u))
 	}
 	f.Add(encode(2, filled(12, 1), filled(12, 0.5)))
+	// The bench shape: 50 clients, 3 per cohort, (acc+δ)^1.5 with a fifth of
+	// the clients at accuracy 0; the same pool at k = n; and 50 ties.
+	w, u := make([]float64, 50), make([]float64, 50)
+	weightRegimes[1].fill(g, w)
+	for i := range u {
+		u[i] = g.Float64()
+	}
+	f.Add(encode(3, w, u))
+	f.Add(encode(50, w, u))
+	f.Add(encode(3, filled(50, 1), filled(50, 0.5)))
 	f.Add(encode(1, []float64{1 / 990.0, 1 / 1001.0, 1 / 1100.0, 1 / 1100.0}, filled(4, 0.5)))
 	f.Add(encode(5, []float64{1, 1 / 1070.0, 1 / 1100.0, 1e-4, 0.3}, []float64{0.5, 0.5, 0.5, 0.7, 0.2}))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -522,5 +559,43 @@ func BenchmarkWeightedSampleFullPool(b *testing.B) {
 				g.referenceWeightedSampleInto(w, n, keyBuf, idxBuf)
 			}
 		})
+	}
+}
+
+// TestSampleEachMatchesSample holds the lockstep draws to one Sample per
+// stream: for 1 to 9 streams (whole groups of four and every remainder),
+// each regime and k ∈ {0, 3, n}, the same subset in the same order and the
+// same next word from every stream.
+func TestSampleEachMatchesSample(t *testing.T) {
+	const n = 30
+	g := New(17)
+	w := make([]float64, n)
+	for _, regime := range weightRegimes {
+		regime.fill(g, w)
+		for _, k := range []int{0, 3, n} {
+			for m := 1; m <= 9; m++ {
+				var each, one WeightedSampler
+				each.Reset(w)
+				one.Reset(w)
+				gs := make([]*RNG, m)
+				for c := range gs {
+					gs[c] = New(uint64(100*m + c))
+				}
+				seen := 0
+				each.SampleEach(gs, k, func(c int, subset []int) {
+					ref := New(uint64(100*m + c))
+					if want := one.Sample(ref, k); c != seen || !slices.Equal(subset, want) {
+						t.Fatalf("%s k=%d stream %d of %d (call %d): %v, Sample %v", regime.name, k, c, m, seen, subset, want)
+					}
+					if got, want := gs[c].Uint64(), ref.Uint64(); got != want {
+						t.Fatalf("%s k=%d stream %d of %d: next word %d, after Sample %d", regime.name, k, c, m, got, want)
+					}
+					seen++
+				})
+				if seen != m {
+					t.Fatalf("%s k=%d: %d of %d streams sampled", regime.name, k, seen, m)
+				}
+			}
+		}
 	}
 }
