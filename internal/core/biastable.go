@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"noisyeval/internal/eval"
 	"noisyeval/internal/rng"
@@ -17,24 +18,24 @@ import (
 // met: no oracle calls Pow more often than a weight per client per visit
 // would, and a two-trial run pays for no pair it never sees.
 //
-// Pair (k, c) lives in slot off[k]+c, reduced modulo the table's size, with
-// its tag. The size is Σ(n_k + 1) capped at maxBiasSlots, so below the cap
-// no two pairs of the partition share a slot; above it a pair that finds its
-// slot held by another computes its weight and takes the slot. WithTrial
-// copies and the block scheduler's row workers share one table, and mu
-// covers a visit's gather, fill included.
+// Pair (k, c) lives in slot off[k]+c, inside client k's span [off[k],
+// off[k+1]). WithTrial copies and the block scheduler's row workers share one
+// table: a slot is written once, under mu, and its ready flag is stored after
+// its values, so a visit reads a ready slot without the lock. A pair outside
+// its client's span has no slot, and each visit computes its weight: a count
+// above the client's examples, and every pair of a partition with more than
+// maxBiasSlots pairs, whose spans are all empty.
 type biasTable struct {
 	ev    *eval.Evaluator
 	den   []float64  // the oracle's rate divisors
-	off   []int      // off[k]: client k's first slot, before the reduction
-	size  int        // the slot count
-	mu    sync.Mutex // guards slots
-	slots []biasSlot // allocated by the first gather
+	off   []int      // off[k]: client k's first slot; off[len(den)]: the slot count
+	mu    sync.Mutex // serializes the fills
+	slots []biasSlot
 }
 
 // biasSlot is one (client, wrong-count) pair's prepared weight.
 type biasSlot struct {
-	tag            uint64 // 1 + (k<<32 | c); 0 marks an empty slot
+	ready          atomic.Bool // set once w, inv and margin hold the pair's values
 	w, inv, margin float64
 }
 
@@ -42,15 +43,20 @@ type biasSlot struct {
 const maxBiasSlots = 1 << 16
 
 // newBiasTable sizes the table of a partition whose clients hold
-// exampleCounts examples, with at most maxSlots slots; they wait for the
-// first visit.
-func newBiasTable(ev *eval.Evaluator, exampleCounts []int, den []float64, maxSlots int) *biasTable {
-	t := &biasTable{ev: ev, den: den, off: make([]int, len(exampleCounts))}
-	for k, n := range exampleCounts {
-		t.off[k] = t.size
-		t.size += max(n, 0) + 1
+// exampleCounts examples; the slots wait for the visits that meet them.
+func newBiasTable(ev *eval.Evaluator, exampleCounts []int, den []float64) *biasTable {
+	t := &biasTable{ev: ev, den: den, off: make([]int, len(exampleCounts)+1)}
+	size := 0
+	for _, n := range exampleCounts {
+		size += max(n, 0) + 1
 	}
-	t.size = min(t.size, maxSlots)
+	if size > maxBiasSlots {
+		return t
+	}
+	for k, n := range exampleCounts {
+		t.off[k+1] = t.off[k] + max(n, 0) + 1
+	}
+	t.slots = make([]biasSlot, size)
 	return t
 }
 
@@ -59,22 +65,33 @@ func newBiasTable(ev *eval.Evaluator, exampleCounts []int, den []float64, maxSlo
 func (t *biasTable) gather(p *rng.Prepared, row []uint32) {
 	n := len(row)
 	p.W, p.Inv, p.Margin = grow(p.W, n), grow(p.Inv, n), grow(p.Margin, n)
-	w, inv, margin, off := p.W[:n], p.Inv[:n], p.Margin[:n], t.off[:n]
-	t.mu.Lock()
-	if t.slots == nil {
-		t.slots = make([]biasSlot, t.size)
-	}
+	w, inv, margin, off := p.W[:n], p.Inv[:n], p.Margin[:n], t.off[:n+1]
 	for k, c := range row {
-		i := off[k] + int(c)
-		if i >= len(t.slots) {
-			i %= len(t.slots)
+		if uint(c) >= uint(off[k+1]-off[k]) {
+			w[k], inv[k], margin[k] = t.weight(k, c)
+			continue
 		}
-		sl := &t.slots[i]
-		if tag := uint64(k)<<32 | uint64(c) + 1; sl.tag != tag {
-			sl.tag, sl.w = tag, t.ev.BiasWeight(float64(c)/t.den[k])
-			sl.inv, sl.margin = rng.PrepareWeight(sl.w)
+		sl := &t.slots[off[k]+int(c)]
+		if !sl.ready.Load() {
+			t.fill(sl, k, c)
 		}
 		w[k], inv[k], margin[k] = sl.w, sl.inv, sl.margin
 	}
+}
+
+// fill computes slot sl, pair (k, c), unless another visit did first.
+func (t *biasTable) fill(sl *biasSlot, k int, c uint32) {
+	t.mu.Lock()
+	if !sl.ready.Load() {
+		sl.w, sl.inv, sl.margin = t.weight(k, c)
+		sl.ready.Store(true)
+	}
 	t.mu.Unlock()
+}
+
+// weight is pair (k, c)'s bias weight with what the sampler derives from it.
+func (t *biasTable) weight(k int, c uint32) (w, inv, margin float64) {
+	w = t.ev.BiasWeight(float64(c) / t.den[k])
+	inv, margin = rng.PrepareWeight(w)
+	return w, inv, margin
 }

@@ -14,9 +14,9 @@ import (
 // computes every weight per call: every cohort of every row, with four
 // workers sharing the oracle's table and filling it concurrently, each from
 // its own scratch, as the block scheduler's row workers do. The tables are
-// one of 7 slots, where pairs evict each other, and the oracle's own. Nine
-// cohorts a row make two lockstep groups and a lone cohort. make race runs
-// it with -count=10.
+// the oracle's own, one whose spans are all empty, as a partition above
+// maxBiasSlots gets, where every visit computes its row, and one with a
+// span cut short. make race runs it with -count=10.
 func TestBiasTableSharedByRowWorkers(t *testing.T) {
 	b, _ := tinyBank(t)
 	o, err := NewBankOracle(b, 0, Noise{SampleCount: 3, Bias: 1.5}.Scheme(), 11)
@@ -37,8 +37,23 @@ func TestBiasTableSharedByRowWorkers(t *testing.T) {
 			}
 		}
 	}
-	for _, slots := range []int{7, maxBiasSlots} {
-		o.bias = newBiasTable(o.evaluator, b.ExampleCounts[0], o.den, slots)
+	// short's first client has a span too short for a count its rows hold,
+	// as a count above the client's examples would: that pair is computed
+	// per visit and must not read the next client's slots.
+	c0 := -1
+	for ci := range b.Configs {
+		if c := int(b.Errs.Row(0, ci, 0)[0]); c > c0 {
+			c0 = c
+		}
+	}
+	if c0 < 1 {
+		t.Fatal("client 0 counts no wrong example in any config's first row")
+	}
+	short := newBiasTable(o.evaluator, b.ExampleCounts[0], o.den)
+	short.off[1] = short.off[0] + c0
+	full := o.bias
+	for _, table := range []*biasTable{{ev: o.evaluator, den: o.den, off: make([]int, len(o.den)+1)}, short, full} {
+		o.bias = table
 		var wg sync.WaitGroup
 		for w := 0; w < 4; w++ {
 			wg.Add(1)
@@ -51,7 +66,7 @@ func TestBiasTableSharedByRowWorkers(t *testing.T) {
 					for c, g := range got {
 						if w := want[r][c]; math.Float64bits(g.Observed) != math.Float64bits(w.Observed) ||
 							math.Float64bits(g.Sampled) != math.Float64bits(w.Sampled) {
-							t.Errorf("%d slots, row %v cohort %d: %v, one-shot Evaluate %v", slots, r, c, g, w)
+							t.Errorf("%d slots, row %v cohort %d: %v, one-shot Evaluate %v", len(table.slots), r, c, g, w)
 							return
 						}
 					}
@@ -60,21 +75,24 @@ func TestBiasTableSharedByRowWorkers(t *testing.T) {
 		}
 		wg.Wait()
 	}
-	// Every filled slot of the full table holds its pair's weight.
-	o.bias.mu.Lock()
-	defer o.bias.mu.Unlock()
+	// Every filled slot of the oracle's table holds its pair's weight.
 	filled := 0
-	for i, sl := range o.bias.slots {
-		if sl.tag == 0 {
-			continue
+	for k, n := range b.ExampleCounts[0] {
+		if o.bias.off[k+1]-o.bias.off[k] != n+1 {
+			t.Fatalf("client %d: span of %d slots, want %d", k, o.bias.off[k+1]-o.bias.off[k], n+1)
 		}
-		filled++
-		k, c := int((sl.tag-1)>>32), int(uint32(sl.tag-1))
-		if w := o.evaluator.BiasWeight(float64(c) / o.den[k]); o.bias.off[k]+c != i || math.Float64bits(sl.w) != math.Float64bits(w) {
-			t.Errorf("slot %d holds client %d count %d weight %v, want slot %d weight %v", i, k, c, sl.w, o.bias.off[k]+c, w)
+		for c := 0; c <= n; c++ {
+			sl := &o.bias.slots[o.bias.off[k]+c]
+			if !sl.ready.Load() {
+				continue
+			}
+			filled++
+			if w := o.evaluator.BiasWeight(float64(c) / o.den[k]); math.Float64bits(sl.w) != math.Float64bits(w) {
+				t.Errorf("client %d count %d: weight %v, want %v", k, c, sl.w, w)
+			}
 		}
 	}
-	if filled == 0 || filled > o.bias.size {
-		t.Errorf("%d slots filled of %d", filled, o.bias.size)
+	if filled == 0 {
+		t.Error("no slot filled")
 	}
 }

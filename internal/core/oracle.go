@@ -54,7 +54,7 @@ func NewBankOracle(b *Bank, partition float64, scheme eval.Scheme, seed uint64) 
 	o := &BankOracle{bank: b, partition: partition, pi: pi, den: rateDivisors(b.ExampleCounts[pi]),
 		evaluator: ev, seed: seed}
 	if ev.Scheme().Bias != 0 {
-		o.bias = newBiasTable(ev, b.ExampleCounts[pi], o.den, maxBiasSlots)
+		o.bias = newBiasTable(ev, b.ExampleCounts[pi], o.den)
 	}
 	return o, nil
 }

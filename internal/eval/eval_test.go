@@ -347,7 +347,7 @@ func TestEvaluateScratchMatchesEvaluate(t *testing.T) {
 			for i := 0; i < 10; i++ {
 				seed := uint64(100 + i)
 				a := e.Evaluate(errs, rng.New(seed))
-				b := e.EvaluateMulti(errs, rng.Prepared{}, []uint64{seed}, &s)
+				b := e.EvaluateMulti(errs, prepared(e, errs), []uint64{seed}, &s)
 				if len(b) != 1 {
 					t.Fatalf("iteration %d: one seed gave %d results", i, len(b))
 				}
@@ -378,12 +378,13 @@ func TestEvaluateScratchAllocationFree(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			e := MustNew(counts(30, 2), scheme)
+			bias := prepared(e, errs)
 			var s MultiScratch
 			seed := []uint64{3}
-			e.EvaluateMulti(errs, rng.Prepared{}, seed, &s) // warm buffers
+			e.EvaluateMulti(errs, bias, seed, &s) // warm buffers
 			allocs := testing.AllocsPerRun(100, func() {
 				seed[0]++
-				e.EvaluateMulti(errs, rng.Prepared{}, seed, &s)
+				e.EvaluateMulti(errs, bias, seed, &s)
 			})
 			if allocs != 0 {
 				t.Errorf("warm one-seed EvaluateMulti allocates %.1f objects/op, want 0", allocs)

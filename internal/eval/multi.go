@@ -15,12 +15,10 @@ import (
 // pools one per single ask). The zero value is ready to use.
 type MultiScratch struct {
 	g       *rng.RNG            // reseeded once per cohort
-	streams [4]*rng.RNG         // a lockstep group's cohort streams (biased)
 	results []Result            // returned slice, reused across calls
 	idx     []int               // persistent identity permutation (uniform sampling)
 	idxN    int                 // prefix of idx currently holding the identity
 	undo    []int               // swap partners of the last partial shuffle (uniform)
-	bias    []float64           // per-row bias weights when the caller prepared none (biased)
 	ws      rng.WeightedSampler // per-row sampler state over the bias weights (biased)
 }
 
@@ -49,21 +47,21 @@ func (s *MultiScratch) ensureIdentity(n int) {
 // sampling kernel behind the bank oracle: a block-scheduler wave passes every
 // cohort that shares a row, a single ask passes its one seed. The
 // row-invariant work is hoisted out of the per-cohort loop: full-pool
-// aggregates are computed once and shared (and draw no randomness), bias
-// weights (accuracy+δ)^b are computed once per call when the caller prepared
-// none, and the uniform sampler reuses a persistent identity permutation with
-// undo records instead of refilling a pool-sized buffer per cohort.
+// aggregates are computed once and shared (and draw no randomness), the
+// weighted sampler is reset once per call on the prepared bias weights, and
+// the uniform sampler reuses a persistent identity permutation with undo
+// records instead of refilling a pool-sized buffer per cohort.
 //
 // The returned slice and any buffers it references are owned by the scratch
 // and valid until its next use. Unlike Evaluate, Result.Subset is nil: the
 // oracle only consumes the released scalars, and retaining per-cohort
 // subsets would force a pool-sized allocation per cohort.
 //
-// Under a biased scheme, bias may carry the row's weights prepared: bias.W[k]
+// Under a biased scheme, bias carries the row's weights prepared: bias.W[k]
 // must be BiasWeight(errs[k]) and bias.Inv, bias.Margin what rng.PrepareWeight
-// derives from it. The bank oracle keeps them per (client, wrong-count), so
-// a row visit pays no Pow: every bias weight of a row is one of Σ(n_k + 1)
-// values. A zero bias, or an unbiased scheme, leaves them to this call.
+// derives from it. The bank oracle keeps them per (client, wrong-count), so a
+// row visit computes no weight a visit before it met: every bias weight of a
+// row is one of Σ(n_k + 1) values. An unbiased scheme ignores bias.
 func (e *Evaluator) EvaluateMulti(errs []float64, bias rng.Prepared, seeds []uint64, s *MultiScratch) []Result {
 	if len(errs) != len(e.weights) {
 		panic(fmt.Sprintf("eval: error vector length %d, want %d clients", len(errs), len(e.weights)))
@@ -122,38 +120,22 @@ func (e *Evaluator) EvaluateMulti(errs []float64, bias rng.Prepared, seeds []uin
 	default:
 		// Biased sampling: the (accuracy+δ)^b weights, and what the sampler
 		// derives from them, depend on each client's error and not on the
-		// cohort; for a bank row, on the client's wrong-count alone. The bank
-		// oracle passes them prepared from its (client, count) table, one Pow
-		// per pair it meets; otherwise they are computed here, once per call
-		// for all its cohorts.
-		if bias.W != nil {
-			if len(bias.W) != n {
-				panic(fmt.Sprintf("eval: %d prepared bias weights, want %d clients", len(bias.W), n))
-			}
-			s.ws.ResetPrepared(bias)
-		} else {
-			s.bias = e.biasWeights(grow(s.bias, n), errs)
-			s.ws.Reset(s.bias)
+		// cohort; for a bank row, on the client's wrong-count alone, so the
+		// caller prepares them (the bank oracle from its (client, count)
+		// table, one Pow per pair it meets).
+		if len(bias.W) != n {
+			panic(fmt.Sprintf("eval: %d prepared bias weights, want %d clients", len(bias.W), n))
 		}
-		// The cohorts draw four at a time (SampleEach), each from its own
-		// stream, which then stands where a lone Sample leaves it.
-		for c0 := 0; c0 < len(seeds); c0 += len(s.streams) {
-			group := seeds[c0:min(c0+len(s.streams), len(seeds))]
-			gs := s.streams[:len(group)]
-			for c, seed := range group {
-				if gs[c] == nil {
-					gs[c] = rng.New(0)
-				}
-				gs[c].Reseed(seed)
+		s.ws.ResetPrepared(bias)
+		for c, seed := range seeds {
+			s.g.Reseed(seed)
+			subset := s.ws.Sample(s.g, k)
+			sampled := fl.WeightedError(errs, e.weights, subset)
+			observed := sampled
+			if private {
+				observed = e.scheme.DP.Release(sampled, len(subset), s.g)
 			}
-			s.ws.SampleEach(gs, k, func(c int, subset []int) {
-				sampled := fl.WeightedError(errs, e.weights, subset)
-				observed := sampled
-				if private {
-					observed = e.scheme.DP.Release(sampled, len(subset), gs[c])
-				}
-				out[c0+c] = Result{Observed: observed, Sampled: sampled}
-			})
+			out[c] = Result{Observed: observed, Sampled: sampled}
 		}
 	}
 	return out

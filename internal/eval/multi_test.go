@@ -48,10 +48,9 @@ func prepared(e *Evaluator, errs []float64) rng.Prepared {
 }
 
 // TestEvaluateMultiMatchesEvaluate pins the tentpole parity claim at the
-// kernel level: EvaluateMulti over a seed batch is bit-identical to one
-// Evaluate per seed on a freshly seeded stream, for every sampling scheme —
-// the first sweep with a biased row's weights prepared, as the bank oracle
-// passes them, the others computing them.
+// kernel level: EvaluateMulti over a seed batch, a biased row's weights
+// prepared as the bank oracle passes them, is bit-identical to one Evaluate
+// per seed on a freshly seeded stream, for every sampling scheme.
 func TestEvaluateMultiMatchesEvaluate(t *testing.T) {
 	const n = 40
 	cnt := counts(n, 7)
@@ -80,7 +79,7 @@ func TestEvaluateMultiMatchesEvaluate(t *testing.T) {
 			}
 			// A second sweep through the same scratch must see the restored
 			// identity permutation, not the residue of the first.
-			again := e.EvaluateMulti(errs, rng.Prepared{}, seeds[:5], &ms)
+			again := e.EvaluateMulti(errs, prepared(e, errs), seeds[:5], &ms)
 			for c := range again {
 				want := e.Evaluate(errs, rng.New(seeds[c]))
 				if again[c].Observed != want.Observed {
@@ -97,8 +96,9 @@ func TestEvaluateMultiMatchesEvaluate(t *testing.T) {
 					t.Fatal(err)
 				}
 				errs := multiRow(m, rng.New(uint64(11+step)))
+				bias := prepared(e, errs)
 				for _, seed := range seeds {
-					one := e.EvaluateMulti(errs, rng.Prepared{}, []uint64{seed}, &ms)
+					one := e.EvaluateMulti(errs, bias, []uint64{seed}, &ms)
 					want := e.Evaluate(errs, rng.New(seed))
 					if len(one) != 1 || one[0].Observed != want.Observed || one[0].Sampled != want.Sampled {
 						t.Fatalf("one-seed sweep (%d clients, seed %d): got %v, want (%v, %v)", m, seed, one, want.Observed, want.Sampled)
@@ -113,13 +113,27 @@ func TestEvaluateMultiMatchesEvaluate(t *testing.T) {
 func TestEvaluateMultiNilScratch(t *testing.T) {
 	e := MustNew(counts(20, 3), Scheme{Count: 5})
 	errs := multiRow(20, rng.New(3))
-	got := e.EvaluateMulti(errs, rng.Prepared{}, []uint64{11, 12}, nil)
+	got := e.EvaluateMulti(errs, prepared(e, errs), []uint64{11, 12}, nil)
 	for c, seed := range []uint64{11, 12} {
 		want := e.Evaluate(errs, rng.New(seed))
 		if got[c].Observed != want.Observed {
 			t.Fatalf("cohort %d: got %v, want %v", c, got[c].Observed, want.Observed)
 		}
 	}
+}
+
+// TestEvaluateMultiBiasedNeedsPrepared holds the biased row kernel to its
+// one input form: without the row's prepared weights it panics rather than
+// computing them itself.
+func TestEvaluateMultiBiasedNeedsPrepared(t *testing.T) {
+	e := MustNew(counts(20, 3), Scheme{Count: 5, Bias: 1.5})
+	errs := multiRow(20, rng.New(3))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("biased EvaluateMulti without prepared weights did not panic")
+		}
+	}()
+	e.EvaluateMulti(errs, rng.Prepared{}, []uint64{1}, nil)
 }
 
 // TestEvaluateMultiAllocationFree pins the steady-state allocation contract
@@ -139,10 +153,11 @@ func TestEvaluateMultiAllocationFree(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			e := MustNew(cnt, scheme)
 			errs := multiRow(n, rng.New(9))
+			bias := prepared(e, errs)
 			var ms MultiScratch
-			e.EvaluateMulti(errs, rng.Prepared{}, seeds, &ms) // warm the buffers
+			e.EvaluateMulti(errs, bias, seeds, &ms) // warm the buffers
 			allocs := testing.AllocsPerRun(20, func() {
-				e.EvaluateMulti(errs, rng.Prepared{}, seeds, &ms)
+				e.EvaluateMulti(errs, bias, seeds, &ms)
 			})
 			if allocs != 0 {
 				t.Fatalf("EvaluateMulti allocated %v times per sweep, want 0", allocs)

@@ -20,7 +20,7 @@ type WeightedSampler struct {
 	inv     []float64             // 1/w[i], the key's exponent (aliased, or own.Inv)
 	margin  []float64             // half-width of the bracket around log2 key_i (aliased, or own.Margin)
 	own     Prepared              // Reset's inverses and margins
-	us      [4][]float64          // one uniform per positive weight, a row per stream of a lockstep group
+	u       []float64             // one uniform per positive weight
 	keys    []float64             // upper brackets, then keys, of the current draw
 	lo      []float64             // lower brackets of the current draw
 	idx     []int                 // selection buffer; the result is idx[:k]
@@ -103,10 +103,7 @@ func (s *WeightedSampler) ResetPrepared(p Prepared) {
 		panic(fmt.Sprintf("rng: prepared weights of %d items with %d inverses and %d margins", n, len(p.Inv), len(p.Margin)))
 	}
 	s.w, s.inv, s.margin = p.W, p.Inv, p.Margin
-	for c := range s.us {
-		s.us[c] = grow(s.us[c], n)
-	}
-	s.keys, s.lo, s.idx = grow(s.keys, n), grow(s.lo, n), grow(s.idx, n)
+	s.u, s.keys, s.lo, s.idx = grow(s.u, n), grow(s.keys, n), grow(s.lo, n), grow(s.idx, n)
 	s.normal, s.topIdx, s.lanes = grow(s.normal, n), grow(s.topIdx, n), useLanes
 	s.reached = grow(s.reached, n/64+1)
 	positive := false
@@ -129,60 +126,12 @@ func (s *WeightedSampler) Sample(g *RNG, k int) []int {
 	if k == 0 {
 		return s.idx[:0]
 	}
-	draw(s.w, s.us[0], g)
-	return s.pick(s.us[0], k)
-}
-
-// SampleEach hands yield, for every stream gs[c] in order, c and the sample
-// Sample(gs[c], k) returns; the subset is valid during the call, and gs[c]
-// stands where Sample would leave it. The streams are independent, so four
-// at a time draw their uniforms in lockstep, each its own words in its own
-// order: the four generators' multiply chains overlap instead of queueing.
-func (s *WeightedSampler) SampleEach(gs []*RNG, k int, yield func(c int, subset []int)) {
-	if k == 0 {
-		for c := range gs {
-			yield(c, s.idx[:0])
-		}
-		return
-	}
-	for c0 := 0; c0 < len(gs); c0 += len(s.us) {
-		group := gs[c0:min(c0+len(s.us), len(gs))]
-		if len(group) == len(s.us) {
-			draw4(s.w, &s.us, group[0], group[1], group[2], group[3])
-		} else {
-			for c, g := range group {
-				draw(s.w, s.us[c], g)
-			}
-		}
-		for c := range group {
-			yield(c0+c, s.pick(s.us[c], k))
+	for i, w := range s.w {
+		if w > 0 {
+			s.u[i] = float64(g.src.Uint64()<<11>>11) / (1 << 53) // Float64, inlined
 		}
 	}
-}
-
-// draw writes one uniform from g for every positive weight, in index order:
-// g.Float64, written out so the PCG step inlines into the loop.
-func draw(w, u []float64, g *RNG) {
-	u = u[:len(w)]
-	for i, wi := range w {
-		if wi > 0 {
-			u[i] = float64(g.src.Uint64()<<11>>11) / (1 << 53)
-		}
-	}
-}
-
-// draw4 is draw for four streams into the four rows of us, in lockstep.
-func draw4(w []float64, us *[4][]float64, g0, g1, g2, g3 *RNG) {
-	n := len(w)
-	u0, u1, u2, u3 := us[0][:n], us[1][:n], us[2][:n], us[3][:n]
-	for i, wi := range w {
-		if wi > 0 {
-			u0[i] = float64(g0.src.Uint64()<<11>>11) / (1 << 53)
-			u1[i] = float64(g1.src.Uint64()<<11>>11) / (1 << 53)
-			u2[i] = float64(g2.src.Uint64()<<11>>11) / (1 << 53)
-			u3[i] = float64(g3.src.Uint64()<<11>>11) / (1 << 53)
-		}
-	}
+	return s.pick(s.u, k)
 }
 
 // pick selects from given uniforms (u[i] in [0, 1) for every positive

@@ -387,9 +387,9 @@ func TestWeightedSampleCertifiedShare(t *testing.T) {
 		s.Reset(w)
 		for d := 0; d < draws; d++ {
 			for i := range w {
-				s.us[0][i] = g.Float64()
+				s.u[i] = g.Float64()
 			}
-			kth, certain := s.bracket(s.us[0], k)
+			kth, certain := s.bracket(s.u, k)
 			total++
 			if certain {
 				certified++
@@ -428,9 +428,9 @@ func TestWeightedSampleCertifiedShare(t *testing.T) {
 				s.Reset(w)
 				for d := 0; d < 100; d++ {
 					for i := range w {
-						s.us[0][i] = g.Float64()
+						s.u[i] = g.Float64()
 					}
-					s.bounds(s.us[0])
+					s.bounds(s.u)
 					if s.surrogates() {
 						decided++
 					}
@@ -559,43 +559,5 @@ func BenchmarkWeightedSampleFullPool(b *testing.B) {
 				g.referenceWeightedSampleInto(w, n, keyBuf, idxBuf)
 			}
 		})
-	}
-}
-
-// TestSampleEachMatchesSample holds the lockstep draws to one Sample per
-// stream: for 1 to 9 streams (whole groups of four and every remainder),
-// each regime and k ∈ {0, 3, n}, the same subset in the same order and the
-// same next word from every stream.
-func TestSampleEachMatchesSample(t *testing.T) {
-	const n = 30
-	g := New(17)
-	w := make([]float64, n)
-	for _, regime := range weightRegimes {
-		regime.fill(g, w)
-		for _, k := range []int{0, 3, n} {
-			for m := 1; m <= 9; m++ {
-				var each, one WeightedSampler
-				each.Reset(w)
-				one.Reset(w)
-				gs := make([]*RNG, m)
-				for c := range gs {
-					gs[c] = New(uint64(100*m + c))
-				}
-				seen := 0
-				each.SampleEach(gs, k, func(c int, subset []int) {
-					ref := New(uint64(100*m + c))
-					if want := one.Sample(ref, k); c != seen || !slices.Equal(subset, want) {
-						t.Fatalf("%s k=%d stream %d of %d (call %d): %v, Sample %v", regime.name, k, c, m, seen, subset, want)
-					}
-					if got, want := gs[c].Uint64(), ref.Uint64(); got != want {
-						t.Fatalf("%s k=%d stream %d of %d: next word %d, after Sample %d", regime.name, k, c, m, got, want)
-					}
-					seen++
-				})
-				if seen != m {
-					t.Fatalf("%s k=%d: %d of %d streams sampled", regime.name, k, seen, m)
-				}
-			}
-		}
 	}
 }
