@@ -2,24 +2,13 @@ package rng
 
 import "noisyeval/internal/cpu"
 
-// useLanes selects the AVX2 kernels for the sampler's bracket pass and reach
-// count (DESIGN.md §18). It is the CPU probe and nothing else: the kernels
-// are bit-identical to the Go loops, so only speed depends on it.
+// useLanes selects bracketsAVX2 for the sampler's bracket pass (DESIGN.md
+// §18). It is the CPU probe and nothing else: the kernel's brackets are
+// bit-identical to brackets', so only speed depends on it.
 var useLanes = cpu.AVX2
 
 // bracketsAVX2 is brackets over the first 4·nvec items, with its operations
-// in its order; table is log2Mid. A non-nil top is four rows of four lanes,
-// each lane's column descending: every lower bracket is inserted into its
-// lane's column, then every lane's column takes the other lanes', so each
-// column ends as the four largest of the pass's lower brackets and what the
-// columns held.
+// in its order; table is log2Mid.
 //
 //go:noescape
-func bracketsAVX2(lo, hi, u, w, inv, margin, table *float64, nvec int, top *float64)
-
-// reachAVX2 is reach's loop over the first 4·nvec upper brackets: it sets
-// bit i%64 of word i/64 of mask when hi[i] >= kth, and returns how many
-// items it set.
-//
-//go:noescape
-func reachAVX2(hi *float64, kth float64, mask *uint64, nvec int) int
+func bracketsAVX2(lo, hi, u, inv, margin, table *float64, nvec int)

@@ -3,161 +3,58 @@
 // every lo and hi is brackets', bit for bit. A lane's exponent becomes a
 // float64 through the 2^52 bias (exact below 2^52), and its mantissa's top
 // log2Bits bits index log2Mid through a gather.
-//
-// With a top row block the pass also keeps, in Y12–Y15, each lane's four
-// largest lower brackets by a VMAXPD/VMINPD insertion, then merges the lanes
-// two by two (MERGE): no branch depends on the data. A lower bracket is never NaN and never a signed zero, so the maxima
-// and minima are exact. reachAVX2 is reach's loop on four lanes: one compare
-// per group, whose mask is counted and ORed into the item bit mask.
 
 #include "textflag.h"
 
-#define SPLAT(off, v) DATA bc<>+(off)(SB)/8, v; DATA bc<>+(off+8)(SB)/8, v; DATA bc<>+(off+16)(SB)/8, v; DATA bc<>+(off+24)(SB)/8, v
+DATA bc<>+0(SB)/8, $0x4330000000000000 // 2^52: the exponent field ORed into its mantissa
+DATA bc<>+8(SB)/8, $4503599627371519.0 // 2^52 + 1023
+DATA bc<>+16(SB)/8, $2047              // 1<<log2Bits - 1
+DATA bc<>+24(SB)/8, $-1022.0
+DATA bc<>+32(SB)/8, $0xFFF0000000000000 // -Inf
+GLOBL bc<>(SB), RODATA|NOPTR, $40
 
-SPLAT(0, $0x4330000000000000)  // 2^52: the exponent field ORed into its mantissa
-SPLAT(32, $4503599627371519.0) // 2^52 + 1023
-SPLAT(64, $2047)               // 1<<log2Bits - 1
-SPLAT(96, $-1022.0)
-SPLAT(128, $0xFFF0000000000000) // -Inf
-GLOBL bc<>(SB), RODATA|NOPTR, $160
-
-// INSERT moves x down the four rows Y12 ≥ Y13 ≥ Y14 ≥ Y15 of every lane,
-// each row keeping the larger; it clobbers x and t.
-#define INSERT(x, t) \
-	VMINPD x, Y12, t  \
-	VMAXPD x, Y12, Y12 \
-	VMINPD t, Y13, x  \
-	VMAXPD t, Y13, Y13 \
-	VMINPD x, Y14, t  \
-	VMAXPD x, Y14, Y14 \
-	VMAXPD t, Y15, Y15
-
-// MERGE leaves in every lane's rows the four largest of its own and those
-// of the lane the permutation imm brings to it (a bitonic merge: the larger
-// of each row and the other lane's reversed rows are the four, then two
-// compare-exchange stages sort them).
-#define MERGE(imm) \
-	VPERMPD imm, Y12, Y0 \
-	VPERMPD imm, Y13, Y1 \
-	VPERMPD imm, Y14, Y2 \
-	VPERMPD imm, Y15, Y3 \
-	VMAXPD  Y3, Y12, Y4  \
-	VMAXPD  Y2, Y13, Y5  \
-	VMAXPD  Y1, Y14, Y6  \
-	VMAXPD  Y0, Y15, Y7  \
-	VMAXPD  Y6, Y4, Y8   \
-	VMINPD  Y6, Y4, Y6   \
-	VMAXPD  Y7, Y5, Y9   \
-	VMINPD  Y7, Y5, Y7   \
-	VMAXPD  Y9, Y8, Y12  \
-	VMINPD  Y9, Y8, Y13  \
-	VMAXPD  Y7, Y6, Y14  \
-	VMINPD  Y7, Y6, Y15
-
-// func bracketsAVX2(lo, hi, u, w, inv, margin, table *float64, nvec int, top *float64)
-TEXT ·bracketsAVX2(SB), NOSPLIT, $0-72
+// func bracketsAVX2(lo, hi, u, inv, margin, table *float64, nvec int)
+TEXT ·bracketsAVX2(SB), NOSPLIT, $0-56
 	MOVQ         lo+0(FP), DI
 	MOVQ         hi+8(FP), SI
 	MOVQ         u+16(FP), AX
-	MOVQ         w+24(FP), R11
-	MOVQ         inv+32(FP), BX
-	MOVQ         margin+40(FP), DX
-	MOVQ         table+48(FP), R8
-	MOVQ         nvec+56(FP), CX
-	MOVQ         top+64(FP), R10
-	VBROADCASTSD bc<>+128(SB), Y11
+	MOVQ         inv+24(FP), BX
+	MOVQ         margin+32(FP), DX
+	MOVQ         table+40(FP), R8
+	MOVQ         nvec+48(FP), CX
+	VBROADCASTSD bc<>+0(SB), Y15
+	VBROADCASTSD bc<>+8(SB), Y14
+	VBROADCASTSD bc<>+16(SB), Y13
+	VBROADCASTSD bc<>+24(SB), Y12
+	VBROADCASTSD bc<>+32(SB), Y11
 	VPXOR        Y10, Y10, Y10
-	TESTQ        R10, R10
-	JZ           loop
-	VMOVUPD      (R10), Y12
-	VMOVUPD      32(R10), Y13
-	VMOVUPD      64(R10), Y14
-	VMOVUPD      96(R10), Y15
 
 loop:
-	VMOVDQU    (AX), Y0                // bits of u
-	VPSRLQ     $52, Y0, Y1             // the exponent field
+	VMOVDQU    (AX), Y0               // bits of u
+	VPSRLQ     $52, Y0, Y1            // the exponent field
 	VPSRLQ     $41, Y0, Y2
-	VPAND      bc<>+64(SB), Y2, Y2     // the mantissa's top log2Bits bits
-	VPCMPEQQ   Y3, Y3, Y3              // the gather consumes its mask
-	VGATHERQPD Y3, (R8)(Y2*8), Y4      // log2Mid[…]
-	VPOR       bc<>+0(SB), Y1, Y5
-	VSUBPD     bc<>+32(SB), Y5, Y5     // float64(exponent - 1023)
-	VADDPD     Y4, Y5, Y5              // x
-	VPCMPEQQ   Y10, Y1, Y6             // zero or subnormal
-	VBLENDVPD  Y6, bc<>+96(SB), Y5, Y5 // x = -1022 there
+	VPAND      Y13, Y2, Y2            // the mantissa's top log2Bits bits
+	VPCMPEQQ   Y3, Y3, Y3             // the gather consumes its mask
+	VGATHERQPD Y3, (R8)(Y2*8), Y4     // log2Mid[…]
+	VPOR       Y15, Y1, Y5
+	VSUBPD     Y14, Y5, Y5            // float64(exponent - 1023)
+	VADDPD     Y4, Y5, Y5             // x
+	VPCMPEQQ   Y10, Y1, Y6            // zero or subnormal
+	VBLENDVPD  Y6, Y12, Y5, Y5        // x = -1022 there
 	VMOVUPD    (BX), Y7
-	VMULPD     Y5, Y7, Y7              // inv·x
+	VMULPD     Y5, Y7, Y7             // inv·x
 	VMOVUPD    (DX), Y8
-	VSUBPD     Y8, Y7, Y9              // lo = inv·x - margin
-	VBLENDVPD  Y6, Y11, Y9, Y9         // lo = -Inf there
-	VADDPD     Y8, Y7, Y7              // hi = inv·x + margin
-	VMOVUPD    (R11), Y0
-	VCMPPD     $0, Y10, Y0, Y0         // w == 0
-	VBLENDVPD  Y0, Y11, Y9, Y9         // lo = -Inf there
-	VBLENDVPD  Y0, Y11, Y7, Y7         // hi = -Inf there
+	VSUBPD     Y8, Y7, Y9             // lo = inv·x - margin
+	VBLENDVPD  Y6, Y11, Y9, Y9        // lo = -Inf there
+	VADDPD     Y8, Y7, Y7             // hi = inv·x + margin
 	VMOVUPD    Y9, (DI)
 	VMOVUPD    Y7, (SI)
-	TESTQ      R10, R10
-	JZ         next
-	INSERT(Y9, Y1)
-
-next:
-	ADDQ $32, AX
-	ADDQ $32, R11
-	ADDQ $32, BX
-	ADDQ $32, DX
-	ADDQ $32, DI
-	ADDQ $32, SI
-	DECQ CX
-	JNZ  loop
-	TESTQ R10, R10
-	JZ    done
-
-	// Every lane takes the other lanes' rows: merged with the adjacent lane's,
-	// then with the pair's two lanes over.
-	MERGE($0xB1)
-	MERGE($0x4E)
-	VMOVUPD Y12, (R10)
-	VMOVUPD Y13, 32(R10)
-	VMOVUPD Y14, 64(R10)
-	VMOVUPD Y15, 96(R10)
-
-done:
+	ADDQ       $32, AX
+	ADDQ       $32, BX
+	ADDQ       $32, DX
+	ADDQ       $32, DI
+	ADDQ       $32, SI
+	DECQ       CX
+	JNZ        loop
 	VZEROUPPER
-	RET
-
-// func reachAVX2(hi *float64, kth float64, mask *uint64, nvec int) int
-TEXT ·reachAVX2(SB), NOSPLIT, $0-40
-	MOVQ         hi+0(FP), SI
-	VBROADCASTSD kth+8(FP), Y0
-	MOVQ         mask+16(FP), DI
-	MOVQ         nvec+24(FP), R11
-	XORQ         AX, AX   // the count
-	XORQ         R10, R10 // the mask word being filled
-	XORQ         CX, CX   // its next bit
-
-reach:
-	VMOVUPD   (SI), Y1
-	VCMPPD    $0x1D, Y0, Y1, Y2 // hi >= kth
-	VMOVMSKPD Y2, DX
-	POPCNTQ   DX, R8
-	ADDQ      R8, AX
-	SHLQ      CX, DX
-	ORQ       DX, R10
-	ADDQ      $4, CX
-	CMPQ      CX, $64
-	JNE       more
-	ORQ       R10, (DI)
-	ADDQ      $8, DI
-	XORQ      R10, R10
-	XORQ      CX, CX
-
-more:
-	ADDQ $32, SI
-	DECQ R11
-	JNZ  reach
-	ORQ  R10, (DI)
-	VZEROUPPER
-	MOVQ AX, ret+32(FP)
 	RET

@@ -2,9 +2,7 @@
 
 package rng
 
-// No assembly off amd64: the Go loops are the only path.
+// No assembly off amd64: brackets is the only path.
 const useLanes = false
 
-func bracketsAVX2(lo, hi, u, w, inv, margin, table *float64, nvec int, top *float64) {}
-
-func reachAVX2(hi *float64, kth float64, mask *uint64, nvec int) int { return 0 }
+func bracketsAVX2(lo, hi, u, inv, margin, table *float64, nvec int) {}

@@ -3,7 +3,6 @@ package rng
 import (
 	"fmt"
 	"math"
-	"math/bits"
 )
 
 // WeightedSampler draws weighted samples without replacement from one weight
@@ -16,20 +15,19 @@ import (
 // zero value is ready to use; buffers grow on first use and are reused, so
 // steady-state draws allocate nothing.
 type WeightedSampler struct {
-	w       []float64             // the weights, aliased until the next Reset
-	inv     []float64             // 1/w[i], the key's exponent (aliased, or own.Inv)
-	margin  []float64             // half-width of the bracket around log2 key_i (aliased, or own.Margin)
-	own     Prepared              // Reset's inverses and margins
-	u       []float64             // one uniform per positive weight
-	keys    []float64             // upper brackets, then keys, of the current draw
-	lo      []float64             // lower brackets of the current draw
-	idx     []int                 // selection buffer; the result is idx[:k]
-	topLo   []float64             // the k largest lower brackets, descending
-	top     [4 * laneRows]float64 // the lanes' largest lower brackets, laneRows rows of four
-	reached []uint64              // reach's bit mask of the items whose upper bracket reaches the k-th
-	topIdx  []int                 // those items, by descending lower bracket when certain
-	normal  []int                 // surrogates' scratch: the normal items by ascending lower bracket
-	lanes   bool                  // useLanes, false only where a test holds the kernel to the Go loop
+	w      []float64 // the weights, aliased until the next Reset
+	inv    []float64 // 1/w[i], the key's exponent (aliased, or own.Inv)
+	margin []float64 // half-width of the bracket around log2 key_i (aliased, or own.Margin)
+	own    Prepared  // Reset's inverses and margins
+	u      []float64 // one uniform per positive weight
+	zero   []int     // the items of zero weight
+	keys   []float64 // upper brackets, then keys, of the current draw
+	lo     []float64 // lower brackets of the current draw
+	idx    []int     // selection buffer; the result is idx[:k]
+	topLo  []float64 // the k largest lower brackets, descending
+	topIdx []int     // and their items
+	normal []int     // surrogates' scratch: the normal items by ascending lower bracket
+	lanes  bool      // useLanes, false only where a test holds the kernel to the Go loop
 }
 
 // Prepared is a weight vector with what a WeightedSampler derives from it:
@@ -104,12 +102,14 @@ func (s *WeightedSampler) ResetPrepared(p Prepared) {
 	}
 	s.w, s.inv, s.margin = p.W, p.Inv, p.Margin
 	s.u, s.keys, s.lo, s.idx = grow(s.u, n), grow(s.keys, n), grow(s.lo, n), grow(s.idx, n)
-	s.normal, s.topIdx, s.lanes = grow(s.normal, n), grow(s.topIdx, n), useLanes
-	s.reached = grow(s.reached, n/64+1)
+	s.zero, s.normal, s.lanes = s.zero[:0], grow(s.normal, n), useLanes
 	positive := false
 	for i, w := range p.W {
 		if w < 0 || math.IsNaN(w) {
 			panic(fmt.Sprintf("rng: weight[%d] must be non-negative, got %g", i, w))
+		}
+		if w == 0 {
+			s.zero = append(s.zero, i)
 		}
 		positive = positive || w > 0
 	}
@@ -153,7 +153,7 @@ func (s *WeightedSampler) pick(u []float64, k int) []int {
 	if 4*k <= n {
 		var certain bool
 		if kth, certain = s.bracket(u, k); certain {
-			return idx[:copy(idx, s.topIdx[:k])]
+			return idx[:copy(idx, s.topIdx)]
 		}
 	} else {
 		s.bounds(u)
@@ -243,138 +243,75 @@ func (s *WeightedSampler) surrogates() bool {
 	return true
 }
 
-// bracket leaves in s.lo and s.keys what bounds leaves and returns the k-th
-// largest lower bracket — -Inf when it is too low to be trusted or fewer than
-// k weights are positive. certain reports that exactly k upper brackets reach
-// it and the k brackets are pairwise disjoint: those k items have the k
-// largest lower brackets, and s.topIdx[:k] holds them in descending order,
-// which is then the order of their keys, with no tie among them.
+// bracket leaves in s.lo and s.keys what bounds leaves, and in
+// s.topLo/s.topIdx the k largest lower brackets with their items, and
+// returns the k-th of those — -Inf when it is too low to be trusted or fewer
+// than k weights are positive. certain reports that exactly k brackets reach
+// it and they are pairwise disjoint: s.topIdx is then the k largest keys in
+// descending order, with no tie among them.
 func (s *WeightedSampler) bracket(u []float64, k int) (kth float64, certain bool) {
-	kth = s.kthLower(u, k)
+	s.topLo, s.topIdx = grow(s.topLo, k), grow(s.topIdx, k)
+	topLo, topIdx := s.topLo, s.topIdx
+	for j := range topLo {
+		topLo[j], topIdx[j] = math.Inf(-1), -1
+	}
+	s.bounds(u)
+	lo, keys := s.lo[:len(s.w)], s.keys[:len(s.w)]
+	// Only a lower bracket above the running k-th goes through the insertion,
+	// in index order, so ties keep the earlier item ahead.
+	for i, l := range lo {
+		if l > topLo[k-1] {
+			j := k - 1
+			for ; j > 0 && topLo[j-1] < l; j-- {
+				topLo[j], topIdx[j] = topLo[j-1], topIdx[j-1]
+			}
+			topLo[j], topIdx[j] = l, i
+		}
+	}
+	kth = topLo[k-1]
 	if kth < minCertifiedLog2 {
 		return math.Inf(-1), false
 	}
-	if s.reach(kth) != k {
-		return kth, false
-	}
-	lo, hi, top := s.lo, s.keys, s.reachedInto()
-	// Insertion by descending lower bracket, ties keeping index order — the
-	// order of the k largest; a tie fails the disjointness check anyway.
-	for j := 1; j < k; j++ {
-		i, m := top[j], j
-		for ; m > 0 && lo[top[m-1]] < lo[i]; m-- {
-			top[m] = top[m-1]
-		}
-		top[m] = i
-	}
-	for j := 1; j < k; j++ {
-		if !(hi[top[j]] < lo[top[j-1]]) {
-			return kth, false
+	reach := 0
+	for _, hi := range keys {
+		if hi >= kth {
+			reach++
 		}
 	}
-	return kth, true
-}
-
-// reach counts the items whose upper bracket reaches kth and marks them in
-// s.reached, bit i%64 of word i/64. No branch depends on the data.
-func (s *WeightedSampler) reach(kth float64) int {
-	n := len(s.w)
-	mask, hi, r, i := s.reached[:n/64+1], s.keys[:n], 0, 0
-	clear(mask)
-	if nvec := n / 4; s.lanes && nvec > 0 {
-		r, i = reachAVX2(&hi[0], kth, &mask[0], nvec), 4*nvec
+	certain = reach == k
+	for j := 1; j < k && certain; j++ {
+		certain = keys[topIdx[j]] < topLo[j-1]
 	}
-	for ; i < n; i++ {
-		b := 0
-		if hi[i] >= kth {
-			b = 1
-		}
-		mask[i>>6] |= uint64(b) << (i & 63)
-		r += b
-	}
-	return r
-}
-
-// reachedInto writes the items reach marked to s.topIdx, in index order,
-// and returns them.
-func (s *WeightedSampler) reachedInto() []int {
-	top := s.topIdx[:0]
-	for w, m := range s.reached[:len(s.w)/64+1] {
-		for ; m != 0; m &= m - 1 {
-			top = append(top, w<<6+bits.TrailingZeros64(m))
-		}
-	}
-	return top
-}
-
-// laneRows is how many of each lane's largest lower brackets the lanes
-// keep, so the lanes decide the k-th for k up to laneRows.
-const laneRows = 4
-
-// kthLower computes every item's bracket, as bounds does, and returns the
-// k-th largest lower bracket (-Inf when fewer than k are finite), leaving the
-// k largest, descending, in s.topLo. For k up to laneRows the kernel hands
-// back the laneRows largest of the items it covered and only the rest go
-// through the insertion; the k-th is the Go loop's to the bit either way.
-func (s *WeightedSampler) kthLower(u []float64, k int) float64 {
-	j := s.boundsTop(u, k <= laneRows)
-	s.topLo = grow(s.topLo, k)
-	for r := range s.topLo {
-		s.topLo[r] = math.Inf(-1)
-		if j > 0 {
-			s.topLo[r] = s.top[4*r]
-		}
-	}
-	insertTop(s.topLo, s.lo[j:len(s.w)])
-	return s.topLo[k-1]
-}
-
-// insertTop inserts every value of vals above the running k-th into topLo,
-// which holds the k largest so far, descending.
-func insertTop(topLo, vals []float64) {
-	last := len(topLo) - 1
-	for _, l := range vals {
-		if l > topLo[last] {
-			j := last
-			for ; j > 0 && topLo[j-1] < l; j-- {
-				topLo[j] = topLo[j-1]
-			}
-			topLo[j] = l
-		}
-	}
+	return kth, certain
 }
 
 // bounds leaves in s.lo and s.keys the lower and upper brackets on log2 key_i
 // of every item, both -Inf at zero weight.
-func (s *WeightedSampler) bounds(u []float64) { s.boundsTop(u, false) }
-
-// boundsTop is bounds through bracketsAVX2 for the whole groups of four
-// items when lanes is set, the rest through brackets. With top, the kernel
-// also leaves in every lane of s.top's rows the laneRows largest lower
-// brackets of the items it covered; boundsTop then returns the first item it
-// did not cover, and otherwise 0.
-func (s *WeightedSampler) boundsTop(u []float64, top bool) int {
-	n, j := len(s.w), 0
-	if nvec := n / 4; s.lanes && nvec > 0 {
-		var rows *float64
-		if top {
-			for r := range s.top {
-				s.top[r] = math.Inf(-1)
-			}
-			rows, j = &s.top[0], 4*nvec
-		}
-		bracketsAVX2(&s.lo[0], &s.keys[0], &u[0], &s.w[0], &s.inv[0], &s.margin[0], &log2Mid[0], nvec, rows)
-		brackets(s.lo[4*nvec:n], s.keys[4*nvec:n], u[4*nvec:n], s.w[4*nvec:n], s.inv[4*nvec:n], s.margin[4*nvec:n])
-		return j
+func (s *WeightedSampler) bounds(u []float64) {
+	n := len(s.w)
+	lo, hi := s.lo[:n], s.keys[:n]
+	bracketsInto(lo, hi, u[:n], s.inv[:n], s.margin[:n], s.lanes)
+	for _, i := range s.zero {
+		lo[i], hi[i] = math.Inf(-1), math.Inf(-1)
 	}
-	brackets(s.lo[:n], s.keys[:n], u[:n], s.w, s.inv, s.margin)
-	return 0
+}
+
+// bracketsInto is brackets, through bracketsAVX2 for whole groups of four
+// items when lanes is set.
+func bracketsInto(lo, hi, u, inv, margin []float64, lanes bool) {
+	j := 0
+	if nvec := len(lo) / 4; lanes && nvec > 0 {
+		bracketsAVX2(&lo[0], &hi[0], &u[0], &inv[0], &margin[0], &log2Mid[0], nvec)
+		j = 4 * nvec
+	}
+	brackets(lo[j:], hi[j:], u[j:], inv[j:], margin[j:])
 }
 
 // brackets sets lo[i] and hi[i] to the bracket on log2 u[i]^inv[i]: the
 // exponent of u[i] plus the log2Mid entry of its mantissa, times inv[i],
-// minus and plus margin[i]; both are -Inf at a zero weight.
-func brackets(lo, hi, u, w, inv, margin []float64) {
+// minus and plus margin[i]. An item of zero weight gets whatever its stale
+// inputs give; bracket overwrites it.
+func brackets(lo, hi, u, inv, margin []float64) {
 	for i := range lo {
 		bits := math.Float64bits(u[i])
 		x := float64(int(bits>>52)-1023) + log2Mid[bits>>(52-log2Bits)&(1<<log2Bits-1)]
@@ -382,11 +319,7 @@ func brackets(lo, hi, u, w, inv, margin []float64) {
 		if bits>>52 == 0 { // zero or subnormal: the exponent field is no logarithm
 			x, l = -1022, math.Inf(-1)
 		}
-		h := inv[i]*x + margin[i]
-		if w[i] == 0 {
-			l, h = math.Inf(-1), math.Inf(-1)
-		}
-		lo[i], hi[i] = l, h
+		lo[i], hi[i] = l, inv[i]*x+margin[i]
 	}
 }
 
