@@ -118,7 +118,10 @@ bench-harness:
 # the selection loop's over the reference model's scores, its AVX2 ratios
 # the Go loop's to the bit; and FuzzExpLanes: bytes become a row of float64
 # bit patterns and the lane-wise exp must return what a math.Exp loop
-# returns (it skips on a machine without AVX2+FMA). -fuzzminimizetime caps
+# returns (it skips on a machine without AVX2+FMA); and FuzzSplitChain:
+# bytes become a chain of up to six RNG splits and reseeds, and every stream
+# must be the one the same chain of Splitf calls derives, its seed hash/fnv
+# over the parent's seed and path and the label. -fuzzminimizetime caps
 # the minimization of each new interesting input (default 60 s), so the 15 s
 # go to fuzzing. A crash writes its input to testdata/fuzz for triage.
 fuzz:
@@ -130,6 +133,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzTraceSpans$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/obs
 	$(GO) test -run '^$$' -fuzz 'FuzzClientEvents$$' -fuzztime 15s -fuzzminimizetime 1s ./pkg/client
 	$(GO) test -run '^$$' -fuzz 'FuzzWeightedSample$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/rng
+	$(GO) test -run '^$$' -fuzz 'FuzzSplitChain$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/rng
 	$(GO) test -run '^$$' -fuzz 'FuzzProposeCertified$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/hpo
 	$(GO) test -run '^$$' -fuzz 'FuzzExpLanes$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/tensor
 

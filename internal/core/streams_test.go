@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -264,15 +265,20 @@ func TestRunTrialsAllocsPerTrial(t *testing.T) {
 				t.Errorf("%s: warm RunTrials allocates %.2f objects per trial, bound %v", name, perTrial, c.bound)
 			}
 			// Bytes, so that a History cannot silently regrow: most of them
-			// are its records, 32 bytes an observation.
-			const runs = 20
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			for r := 0; r < runs; r++ {
-				tn.RunTrials(o, n, g)
-			}
-			runtime.ReadMemStats(&after)
-			bytesPerTrial := float64(after.TotalAlloc-before.TotalAlloc) / (runs * n)
+			// are its records, 32 bytes an observation. The collector is off
+			// while they are counted, as in TestBenchmarkAllocs, so a GC that
+			// empties the methods' sync.Pools mid-loop adds no refills.
+			bytesPerTrial := func() float64 {
+				defer debug.SetGCPercent(debug.SetGCPercent(-1))
+				const runs = 20
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for r := 0; r < runs; r++ {
+					tn.RunTrials(o, n, g)
+				}
+				runtime.ReadMemStats(&after)
+				return float64(after.TotalAlloc-before.TotalAlloc) / (runs * n)
+			}()
 			t.Logf("%s: %.0f bytes per trial (bound %v)", name, bytesPerTrial, c.bytesBound)
 			if bytesPerTrial > c.bytesBound {
 				t.Errorf("%s: warm RunTrials allocates %.0f bytes per trial, bound %v", name, bytesPerTrial, c.bytesBound)

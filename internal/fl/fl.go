@@ -120,11 +120,11 @@ type Trainer struct {
 	cohortBuf []int    // scratch for cohort sampling (len == #train clients)
 	permBuf   []int    // scratch for per-client example permutations
 
-	xBatch   tensor.Mat // minibatch feature assembly (dense tasks)
-	ctxBatch [][]int    // minibatch token contexts (text tasks)
-	labelBuf []int      // minibatch labels
-	predBuf  []int      // batched evaluation predictions
-	flagBuf  []uint8    // pooled evaluation: one wrong flag per pooled example
+	xBatch      tensor.Mat // minibatch feature assembly (dense tasks)
+	ctxBatch    [][]int    // minibatch token contexts (text tasks)
+	batchLabels []int      // minibatch labels
+	predBuf     []int      // batched evaluation predictions
+	flagBuf     []uint8    // pooled evaluation: one wrong flag per pooled example
 }
 
 // NewTrainer initialises a trainer with model weights drawn from g's
@@ -165,7 +165,6 @@ func NewTrainer(pop *data.Population, hp HParams, opts Options, g *rng.RNG) (*Tr
 		cohortBuf: make([]int, len(pop.Train)),
 		permBuf:   make([]int, maxExamples),
 	}
-	t.rng.Path() // materialize once so hot-path splits stay allocation-free
 	model.FlattenParams(t.weights)
 	return t, nil
 }
@@ -253,10 +252,10 @@ func (t *Trainer) localTrain(client *data.Client) {
 // and runs a single batched forward/backward over it.
 func (t *Trainer) trainStepBatched(client *data.Client, idxs []int) {
 	bsz := len(idxs)
-	if cap(t.labelBuf) < bsz {
-		t.labelBuf = make([]int, bsz)
+	if cap(t.batchLabels) < bsz {
+		t.batchLabels = make([]int, bsz)
 	}
-	labels := t.labelBuf[:bsz]
+	labels := t.batchLabels[:bsz]
 	if t.model.Embed != nil {
 		if cap(t.ctxBatch) < bsz {
 			t.ctxBatch = make([][]int, bsz)

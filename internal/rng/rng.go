@@ -31,23 +31,23 @@ type RNG struct {
 	src  rand.PCG
 	r    rand.Rand
 	seed uint64
-	path string
 
-	// Deferred path representation, used by the allocation-free SplitInto
-	// helpers: when deferred is true the logical path is
-	// parentPath + "/" + labelBuf and path is materialized lazily by Path().
-	// labelBuf aliases labelArr until a label outgrows it, so the first
-	// SplitInto against a fresh stream allocates nothing.
-	parentPath string
-	labelBuf   []byte
-	labelArr   [32]byte
-	deferred   bool
+	// path is the split path, the "/"-joined labels from the root ("" for a
+	// root stream). It starts on pathArr and every split rewrites it in the
+	// child's own buffer, so a split whose path fits allocates nothing and a
+	// longer one grows the buffer once per stream. The longest paths measured
+	// are 36 bytes in federated training, 48 in bench's tune_heavy trials and
+	// 87 in Figure 15's trials, whose cell labels carry the noise setting;
+	// 88 bytes keep an RNG in the 160-byte size class.
+	path    []byte
+	pathArr [88]byte
 
 	// prefixHash caches the label-independent FNV prefix of deriveSeed
-	// (hex seed, '/', path, '/'): it changes only when the stream is
-	// reseeded, while hot loops derive many sibling labels from one parent.
-	prefixHash uint64
-	prefixOK   bool
+	// (hex seed, '/', path, '/'), or is 0 until the first split after New
+	// or a reseed: it changes only then, while hot loops derive many sibling
+	// labels from one parent. A prefix that hashes to 0 is recomputed on
+	// every split, which costs time and changes no seed.
+	prefixHash FNV64a
 }
 
 // New returns an RNG seeded with seed. The second PCG word is a fixed
@@ -56,7 +56,7 @@ func New(seed uint64) *RNG {
 	g := &RNG{seed: seed}
 	g.src.Seed(seed, seed^0x9e3779b97f4a7c15)
 	g.r = *rand.New(&g.src)
-	g.labelBuf = g.labelArr[:0]
+	g.path = g.pathArr[:0]
 	return g
 }
 
@@ -65,8 +65,8 @@ func New(seed uint64) *RNG {
 // same (seed, path) always yields the same stream and different labels yield
 // decorrelated streams. Split does not consume randomness from the parent.
 func (g *RNG) Split(label string) *RNG {
-	child := New(g.deriveSeed([]byte(label)))
-	child.path = g.Path() + "/" + label
+	child := New(0)
+	g.SplitInto(child, label)
 	return child
 }
 
@@ -75,86 +75,56 @@ func (g *RNG) Splitf(format string, args ...any) *RNG {
 	return g.Split(fmt.Sprintf(format, args...))
 }
 
-// Split and the in-place split helpers below derive a child seed the same
-// way, through deriveSeed; the helpers do it without any heap allocation: the
-// federated hot loop derives two child streams per round ("round-N" and
-// "client-K-round-N"), and the fmt.Sprintf + child-RNG allocations of Splitf
-// dominated its allocation profile. TestSplitIntoMatchesSplitf pins stream
-// equality.
-
-// fnv64a constants (hash/fnv), inlined so key derivation needs no hash.Hash
-// allocation. A child seed is the FNV-1a hash of the bytes
-// fmt.Sprintf("%016x/%s/%s", seed, path, label) writes;
-// TestSplitSeedIsFNVOfPath holds deriveSeed to hash/fnv over them.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
-
-func fnvBytes(h uint64, bs []byte) uint64 {
-	for _, b := range bs {
-		h = fnvByte(h, b)
-	}
-	return h
-}
-
-func fnvString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = fnvByte(h, s[i])
-	}
-	return h
-}
-
 // FNV64a is the incremental FNV-1a state this package derives split seeds
 // with, exported so other hot paths (the bank oracle's evaluation-stream
-// seeds) share one canonical implementation instead of re-inlining the
-// constants — and fold bytes without allocating a hash.Hash.
+// seeds) share one canonical implementation — and fold bytes without
+// allocating a hash.Hash. A child seed is the FNV-1a hash of the bytes
+// fmt.Sprintf("%016x/%s/%s", seed, path, label) writes;
+// TestSplitSeedIsFNVOfPath holds deriveSeed to hash/fnv over them.
 type FNV64a uint64
 
 // NewFNV64a returns the FNV-1a offset basis.
-func NewFNV64a() FNV64a { return fnvOffset64 }
+func NewFNV64a() FNV64a { return 14695981039346656037 }
 
 // Byte folds one byte.
-func (h FNV64a) Byte(b byte) FNV64a { return FNV64a(fnvByte(uint64(h), b)) }
+func (h FNV64a) Byte(b byte) FNV64a { return (h ^ FNV64a(b)) * 1099511628211 }
+
+// Bytes folds bs.
+func (h FNV64a) Bytes(bs []byte) FNV64a {
+	for _, b := range bs {
+		h = h.Byte(b)
+	}
+	return h
+}
 
 // String folds s's bytes.
-func (h FNV64a) String(s string) FNV64a { return FNV64a(fnvString(uint64(h), s)) }
+func (h FNV64a) String(s string) FNV64a {
+	for i := 0; i < len(s); i++ {
+		h = h.Byte(s[i])
+	}
+	return h
+}
 
 // Uint64Decimal folds v's base-10 digits — the bytes fmt's %d would write.
 func (h FNV64a) Uint64Decimal(v uint64) FNV64a {
 	var buf [20]byte
-	return FNV64a(fnvBytes(uint64(h), strconv.AppendUint(buf[:0], v, 10)))
+	return h.Bytes(strconv.AppendUint(buf[:0], v, 10))
 }
 
 // Sum returns the current hash value.
 func (h FNV64a) Sum() uint64 { return uint64(h) }
 
-// deriveSeed returns the child seed Split(string(label)) computes.
+// deriveSeed returns the seed of g's child labelled label.
 func (g *RNG) deriveSeed(label []byte) uint64 {
-	if !g.prefixOK {
+	if g.prefixHash == 0 {
 		const hexDigits = "0123456789abcdef"
-		h := uint64(fnvOffset64)
+		h := NewFNV64a()
 		for shift := 60; shift >= 0; shift -= 4 {
-			h = fnvByte(h, hexDigits[(g.seed>>uint(shift))&0xf])
+			h = h.Byte(hexDigits[(g.seed>>uint(shift))&0xf])
 		}
-		h = fnvByte(h, '/')
-		h = g.hashPath(h)
-		g.prefixHash, g.prefixOK = fnvByte(h, '/'), true
+		g.prefixHash = h.Byte('/').Bytes(g.path).Byte('/')
 	}
-	return fnvBytes(g.prefixHash, label)
-}
-
-// hashPath folds this stream's split-path into h without materializing it:
-// a deferred path hashes as parentPath + "/" + labelBuf.
-func (g *RNG) hashPath(h uint64) uint64 {
-	if !g.deferred {
-		return fnvString(h, g.path)
-	}
-	h = fnvString(h, g.parentPath)
-	h = fnvByte(h, '/')
-	return fnvBytes(h, g.labelBuf)
+	return g.prefixHash.Bytes(label).Sum()
 }
 
 // reseed points g at the stream New(seed) would produce, reusing g's
@@ -162,7 +132,7 @@ func (g *RNG) hashPath(h uint64) uint64 {
 // resulting stream is byte-identical to a freshly constructed RNG.
 func (g *RNG) reseed(seed uint64) {
 	g.seed = seed
-	g.prefixOK = false
+	g.prefixHash = 0
 	g.src.Seed(seed, seed^0x9e3779b97f4a7c15)
 }
 
@@ -172,40 +142,26 @@ func (g *RNG) reseed(seed uint64) {
 // by the bank oracle: one RNG per trial, reseeded per evaluation call.
 func (g *RNG) Reseed(seed uint64) {
 	g.reseed(seed)
-	g.path = ""
-	g.parentPath = ""
-	g.deferred = false
+	g.path = g.path[:0]
 }
 
-// startLabel begins a child label in dst's buffer. When g's own path is still
-// deferred the buffer starts with g's pending label and a '/', so the child
-// defers both levels against g's parent path and g.Path() is never
-// materialized — a scratch stream split off another scratch stream (BOHB's
-// per-proposal "tpe" stream under "bracket-B-cfg-I") costs no allocation.
-// The child label proper starts at the returned offset.
-func (g *RNG) startLabel(dst *RNG) (buf []byte, at int) {
-	buf = dst.labelBuf[:0]
-	if g.deferred {
-		buf = append(append(buf, g.labelBuf...), '/')
-	}
-	return buf, len(buf)
+// The in-place split helpers below derive the stream Split would, without
+// any heap allocation once dst's path buffer holds the path: the federated
+// hot loop derives two child streams per round ("round-N" and
+// "client-K-round-N"), and the fmt.Sprintf + child-RNG allocations of Splitf
+// dominated its allocation profile. TestSplitIntoMatchesSplitf pins stream
+// equality.
+
+// childPath starts a child's path in dst's buffer: g's path and '/'. The
+// split helpers append the label and hand the result to splitTo.
+func (g *RNG) childPath(dst *RNG) []byte {
+	return append(append(dst.path[:0], g.path...), '/')
 }
 
-// splitLabelInto reseeds dst to the stream g.Split(string(buf[at:])) returns,
-// with dst's path kept in deferred (unmaterialized) form so the call is
-// allocation-free once dst's label buffer is warm. buf was started by
-// startLabel and aliases dst.labelBuf.
-func (g *RNG) splitLabelInto(dst *RNG, buf []byte, at int) {
-	seed := g.deriveSeed(buf[at:])
-	if g.deferred {
-		dst.parentPath = g.parentPath
-	} else {
-		dst.parentPath = g.path
-	}
-	dst.labelBuf = buf
-	dst.deferred = true
-	dst.path = ""
-	dst.reseed(seed)
+// splitTo reseeds dst to g's child whose path is p, which childPath started.
+func (g *RNG) splitTo(dst *RNG, p []byte) {
+	dst.path = p
+	dst.reseed(g.deriveSeed(p[len(g.path)+1:]))
 }
 
 // SplitInto reseeds dst in place to the exact stream g.Split(label) returns
@@ -213,43 +169,27 @@ func (g *RNG) splitLabelInto(dst *RNG, buf []byte, at int) {
 // have been created by New and must not be g itself; its previous stream is
 // abandoned.
 func (g *RNG) SplitInto(dst *RNG, label string) {
-	buf, at := g.startLabel(dst)
-	g.splitLabelInto(dst, append(buf, label...), at)
+	g.splitTo(dst, append(g.childPath(dst), label...))
 }
 
 // SplitIntInto is SplitInto with label prefix+itoa(n): it reseeds dst to the
 // stream g.Splitf(prefix+"%d", n) returns, without the fmt allocations.
 func (g *RNG) SplitIntInto(dst *RNG, prefix string, n int) {
-	buf, at := g.startLabel(dst)
-	g.splitLabelInto(dst, appendDecimal(append(buf, prefix...), n), at)
+	g.splitTo(dst, strconv.AppendInt(append(g.childPath(dst), prefix...), int64(n), 10))
 }
 
 // SplitInt2Into is SplitInto with label p1+itoa(a)+p2+itoa(b): it reseeds dst
 // to the stream g.Splitf(p1+"%d"+p2+"%d", a, b) returns.
 func (g *RNG) SplitInt2Into(dst *RNG, p1 string, a int, p2 string, b int) {
-	buf, at := g.startLabel(dst)
-	buf = appendDecimal(append(buf, p1...), a)
-	g.splitLabelInto(dst, appendDecimal(append(buf, p2...), b), at)
-}
-
-// appendDecimal appends the base-10 representation of n (matching %d);
-// allocation-free when buf has capacity.
-func appendDecimal(buf []byte, n int) []byte {
-	return strconv.AppendInt(buf, int64(n), 10)
+	p := strconv.AppendInt(append(g.childPath(dst), p1...), int64(a), 10)
+	g.splitTo(dst, strconv.AppendInt(append(p, p2...), int64(b), 10))
 }
 
 // Seed returns the seed this stream was created with.
 func (g *RNG) Seed() uint64 { return g.seed }
 
-// Path returns the split-path of this stream ("" for a root stream),
-// materializing a deferred path left by SplitInto and friends.
-func (g *RNG) Path() string {
-	if g.deferred {
-		g.path = g.parentPath + "/" + string(g.labelBuf)
-		g.deferred = false
-	}
-	return g.path
-}
+// Path returns the split-path of this stream ("" for a root stream).
+func (g *RNG) Path() string { return string(g.path) }
 
 // Float64 returns a uniform sample in [0, 1): rand/v2's Float64, the top 53
 // bits of one word over 2^53.

@@ -472,7 +472,7 @@ func TestReseedMatchesNew(t *testing.T) {
 	g.Float64() // advance
 	_ = g.Split("child")
 	sub := New(0)
-	g.SplitInto(sub, "x") // leave a deferred path behind
+	g.SplitInto(sub, "x") // leave a split path behind
 	sub.Reseed(42)
 	fresh := New(42)
 	for i := 0; i < 16; i++ {

@@ -29,7 +29,8 @@ func assertSameStream(t *testing.T, want, got *RNG, ctx string) {
 // TestSplitSeedIsFNVOfPath pins what every split derives a child seed from:
 // the FNV-1a hash of "%016x/%s/%s" over the parent's seed, the parent's path
 // and the label, computed here with hash/fnv and fmt. Parents include a
-// deferred-path stream and labels one longer than the in-place label buffer.
+// stream reseeded in place by SplitIntInto; labels run from empty to 40
+// bytes.
 func TestSplitSeedIsFNVOfPath(t *testing.T) {
 	parents := []func() *RNG{
 		func() *RNG { return New(0) },
@@ -86,8 +87,8 @@ func TestSplitIntoMatchesSplitf(t *testing.T) {
 }
 
 // TestSplitIntoChildSplits verifies a reseeded child derives the same
-// grandchildren as a freshly allocated one (the deferred path materializes
-// correctly).
+// grandchildren as a freshly allocated one (the path SplitIntInto wrote in
+// the child's buffer is the one its own splits hash).
 func TestSplitIntoChildSplits(t *testing.T) {
 	parent := New(11).Split("train")
 	dst := New(0)
@@ -157,7 +158,6 @@ func TestSampleWithoutReplacementIntoMatches(t *testing.T) {
 // heap allocations once buffers are warm.
 func TestSplitIntoAllocationFree(t *testing.T) {
 	parent := New(1).Split("train")
-	parent.Path() // materialize once
 	dst := New(0)
 	perm := make([]int, 40)
 	buf := make([]int, 40)
@@ -175,10 +175,9 @@ func TestSplitIntoAllocationFree(t *testing.T) {
 }
 
 // TestSplitIntoNestedScratch chains scratch streams — each split off the
-// previous one while that one's path is still deferred — against the same
-// chain of Splitf calls, past the inline label buffer, and asserts the chain
-// allocates nothing once the buffers are warm: a deferred parent contributes
-// its pending label to the child instead of materializing its path.
+// previous one — against the same chain of Splitf calls, to a 79-byte path,
+// and asserts the chain allocates nothing once the buffers are warm: each
+// child rewrites its parent's path and its label in its own buffer.
 func TestSplitIntoNestedScratch(t *testing.T) {
 	root := New(8).Split("fedtune")
 	a, b, c := New(0), New(0), New(0)
@@ -189,7 +188,6 @@ func TestSplitIntoNestedScratch(t *testing.T) {
 		wantA := root.Splitf("bracket-%d-cfg-%d", i%5, i)
 		wantB := wantA.Split("tpe")
 		wantC := wantB.Splitf("a-label-long-enough-to-leave-the-inline-buffer-%d", i)
-		// Deepest first: checking a stream materializes its path.
 		assertSameStream(t, wantC, c, fmt.Sprintf("depth 3, i=%d", i))
 		assertSameStream(t, wantB, b, fmt.Sprintf("depth 2, i=%d", i))
 		assertSameStream(t, wantA, a, fmt.Sprintf("depth 1, i=%d", i))
@@ -205,4 +203,87 @@ func TestSplitIntoNestedScratch(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("nested scratch splits allocate %.1f/op, want 0", allocs)
 	}
+}
+
+// FuzzSplitChain reads a chain of up to six steps from the input, each one
+// of Split, Splitf, SplitInto, SplitIntInto, SplitInt2Into or Reseed, with
+// labels from empty to longer than the inline path buffer, and holds every
+// stream to the one the same chain of Splitf calls (New for a Reseed)
+// derives: seed, path and the next 16 draws. Each split's seed must also be
+// hash/fnv over "%016x/%s/%s" of its parent's seed and path and the label.
+// The chain runs twice over the same scratch streams, shifted by one, so the
+// second pass reseeds and rewrites streams the first one left with another
+// seed, path and cached prefix, in an inline or a grown buffer.
+func FuzzSplitChain(f *testing.F) {
+	f.Add(uint64(0), []byte{})
+	f.Add(uint64(8), []byte{0, 7, 'f', 'e', 'd', 't', 'u', 'n', 'e', 4, 6, 't', 'r', 'i', 'a', 'l', '-', 0, 3})
+	f.Add(uint64(1), append([]byte{2, 99}, strings.Repeat("x", 99)...))
+	f.Add(^uint64(0), []byte{3, 13, 'b', 'r', 'a', 'c', 'k', 'e', 't', '-', '-', 'c', 'f', 'g', '-', 0x80, 1, 0xff, 0xfe, 5, 0, 1, 2, 1, 'a', 0, 9})
+	f.Fuzz(func(t *testing.T, seed uint64, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		const steps = 6
+		var scratch [steps]*RNG
+		for i := range scratch {
+			scratch[i] = New(0)
+		}
+		chain := func(pass int) {
+			want, got := New(seed), New(seed)
+			for i := 0; i < steps && len(data) > 0; i++ {
+				op := next() % 6
+				n := min(int(next())%100, len(data))
+				label := string(data[:n])
+				data = data[n:]
+				a := int(int16(uint16(next())<<8 | uint16(next())))
+				b := int(int16(uint16(next())<<8 | uint16(next())))
+				p1, p2 := label[:n/2], label[n/2:]
+				parent, dst := got, scratch[(i+pass)%steps]
+				var lbl string
+				switch op {
+				case 0:
+					lbl = label
+					want, got = want.Split(lbl), got.Split(lbl)
+				case 1:
+					lbl = fmt.Sprintf("%s%d", label, a)
+					want, got = want.Splitf("%s%d", label, a), got.Splitf("%s%d", label, a)
+				case 2:
+					lbl = label
+					parent.SplitInto(dst, label)
+					want, got = want.Splitf("%s", label), dst
+				case 3:
+					lbl = fmt.Sprintf("%s%d", label, a)
+					parent.SplitIntInto(dst, label, a)
+					want, got = want.Splitf("%s%d", label, a), dst
+				case 4:
+					lbl = fmt.Sprintf("%s%d%s%d", p1, a, p2, b)
+					parent.SplitInt2Into(dst, p1, a, p2, b)
+					want, got = want.Splitf("%s%d%s%d", p1, a, p2, b), dst
+				case 5:
+					s := seed ^ uint64(a)<<16 ^ uint64(b)
+					dst.Reseed(s)
+					want, got = New(s), dst
+				}
+				ctx := fmt.Sprintf("pass %d step %d op %d label %q", pass, i, op, label)
+				if op != 5 {
+					h := fnv.New64a()
+					fmt.Fprintf(h, "%016x/%s/%s", parent.Seed(), parent.Path(), lbl)
+					if got.Seed() != h.Sum64() {
+						t.Fatalf("%s: seed %#x, FNV-1a of the path %#x", ctx, got.Seed(), h.Sum64())
+					}
+				}
+				assertSameStream(t, want, got, ctx)
+			}
+		}
+		input := data
+		for pass := 0; pass < 2; pass++ {
+			data = input
+			chain(pass)
+		}
+	})
 }

@@ -87,15 +87,15 @@ type Options struct {
 
 	// Log receives run-lifecycle events as structured lines (nil = silent).
 	Log *slog.Logger
-	// TraceCap bounds how many finished-run traces the manager retains for
-	// GET /v1/runs/{id}/trace (0 = 1024).
-	TraceCap int
 
 	// execGate, when set, is called by a worker immediately before a run
 	// executes. Test hook: lets shutdown tests hold a run in-flight
 	// deterministically.
 	execGate func(*Run)
 }
+
+// traceCap is how many finished-run traces a manager retains.
+const traceCap = 1024
 
 // Manager owns the run lifecycle: it validates and keys submissions,
 // deduplicates them through the registry, and executes them on a bounded
@@ -121,7 +121,7 @@ type Manager struct {
 	queueWaitSec, execSec, journalSec               *obs.Histogram
 
 	// traces retains run timelines for GET /v1/runs/{id}/trace, keyed by
-	// run ID, bounded FIFO.
+	// run ID, bounded FIFO at traceCap.
 	traces *obs.TraceStore
 
 	queue chan *Run
@@ -164,7 +164,7 @@ func NewManager(opts Options) *Manager {
 		sessions:    NewSessionRegistry(opts.SessionIdleTTL, opts.MaxSessions),
 		log:         opts.Log.With("component", "serve"),
 		metrics:     obs.NewRegistry(),
-		traces:      obs.NewTraceStore(opts.TraceCap),
+		traces:      obs.NewTraceStore(traceCap),
 		suites:      map[string]*exper.Suite{},
 		janitorStop: make(chan struct{}),
 	}

@@ -408,45 +408,57 @@ func TestRegistryIDsPastOneMillion(t *testing.T) {
 // 20-row page over 10 000 retained runs allocates what it does over 100 —
 // the same count (exact without the race detector, whose sync.Pool sheds the
 // JSON encoder's buffers at random) and the same bytes — and takes no more
-// than twice as long.
+// than twice as long. Both registries are built before any timing and the
+// two pages are timed alternately, so a slow phase of a shared host lands
+// on both medians rather than on one.
 func TestListCostIndependentOfHistory(t *testing.T) {
-	page := func(n int) (allocs, bytes float64, median time.Duration) {
+	type page struct {
+		get           func()
+		allocs, bytes float64
+		ds            []time.Duration
+	}
+	const reps = 301
+	newPage := func(n int) *page {
 		m := newRegistryModel(t, 1)
 		req, treq := testReq(1)
 		for i := 0; i < n; i++ {
 			r, _ := m.reg.GetOrCreate(m.nextKey(), req, treq)
 			r.finish(StateDone, nil, "", m.clk.now())
 		}
-		get := func() {
+		p := &page{ds: make([]time.Duration, reps)}
+		p.get = func() {
 			rec := httptest.NewRecorder()
 			m.srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/runs?state=done&limit=20", nil))
 			if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "next_cursor") {
 				t.Fatalf("list over %d runs: status %d", n, rec.Code)
 			}
 		}
-		const reps = 301
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		allocs = testing.AllocsPerRun(reps-1, get) // one warm-up call + reps-1 measured
+		p.allocs = testing.AllocsPerRun(reps-1, p.get) // one warm-up call + reps-1 measured
 		runtime.ReadMemStats(&after)
-		ds := make([]time.Duration, reps)
-		for i := range ds {
+		p.bytes = float64(after.TotalAlloc-before.TotalAlloc) / reps
+		return p
+	}
+	small, big := newPage(100), newPage(10000)
+	for i := 0; i < reps; i++ {
+		for _, p := range []*page{small, big} {
 			start := time.Now()
-			get()
-			ds[i] = time.Since(start)
+			p.get()
+			p.ds[i] = time.Since(start)
 		}
+	}
+	median := func(ds []time.Duration) time.Duration {
 		slices.Sort(ds)
-		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / reps, ds[reps/2]
+		return ds[len(ds)/2]
 	}
-	smallAllocs, smallBytes, small := page(100)
-	bigAllocs, bigBytes, big := page(10000)
-	if bigAllocs != smallAllocs && !raceEnabled {
-		t.Errorf("allocs/page: %v over 100 runs, %v over 10 000", smallAllocs, bigAllocs)
+	if big.allocs != small.allocs && !raceEnabled {
+		t.Errorf("allocs/page: %v over 100 runs, %v over 10 000", small.allocs, big.allocs)
 	}
-	if bigBytes > 1.1*smallBytes {
-		t.Errorf("bytes/page: %.0f over 100 runs, %.0f over 10 000", smallBytes, bigBytes)
+	if big.bytes > 1.1*small.bytes {
+		t.Errorf("bytes/page: %.0f over 100 runs, %.0f over 10 000", small.bytes, big.bytes)
 	}
-	if big > 2*small {
-		t.Errorf("page over 10 000 runs took %v, over 100 took %v (> 2×)", big, small)
+	if b, s := median(big.ds), median(small.ds); b > 2*s {
+		t.Errorf("page over 10 000 runs took %v, over 100 took %v (> 2×)", b, s)
 	}
 }
