@@ -32,7 +32,8 @@
 #                    loopback (BenchmarkServeVisit at -cpu 1) in $(PROFILE_DIR)
 #   make serve       run the noisyevald tuning daemon on $(SERVE_ADDR)
 #   make serve-smoke boot noisyevald, drive runs + an ask/tell session via pkg/client
-#                    end to end, shut down gracefully (used by CI)
+#                    end to end, shut down gracefully, then boot again over the
+#                    same cache and serve a quick run from the store (used by CI)
 #   make cluster-smoke boot a coordinator + two noisyworker processes, build
 #                    quick banks cold through sharded fleet leases (both
 #                    workers must train shards), re-run warm with 0 builds
@@ -92,10 +93,12 @@ bench-harness:
 # Coverage-guided fuzzing of the decoders that face disk and the wire, 15s
 # each: the bankfmt/v5 bank image (FuzzBankV5, seeded with torn-segment /
 # CRC-flip / duplicate-segment corpora, a grown file of two arena segments
-# and two commits, plus the retired generations — a whole v4 file among
+# and two commits, the same file with one bit flipped in its second arena,
+# plus the retired generations — a whole v4 file among
 # them — which must classify as stale; every image it accepts must
-# fingerprint the same after SaveBankV4 + DecodeBank and, written to a file,
-# through OpenBankMapped whenever that opens it), the dist shard
+# fingerprint the same after SaveBankV4 + DecodeBank, and written to a file
+# it must open through OpenBankMapped exactly when DecodeBank accepts it,
+# with an equal fingerprint), the dist shard
 # upload (FuzzShardDecode, seeded with every hostile payload the complete
 # endpoint refuses) and the run journal (FuzzJournalReplay: decoding any
 # byte string, torn tails and flipped CRCs included, never panics, consumes
@@ -173,7 +176,9 @@ serve:
 # tools/servesmoke exerciser over pkg/client — one quick run streamed to
 # completion with a dedup hit, the /v1/methods catalogue, and an ask/tell
 # session whose best must match the server-driven run exactly — then drain
-# on SIGTERM. Identical locally and in CI's serve job.
+# on SIGTERM, boot again over the same cache and journal, and check a quick
+# run there opens its bank from the store instead of training it. Identical
+# locally and in CI's serve job.
 serve-smoke: build
 	./tools/serve_smoke.sh $(SERVE_ADDR) $(CACHE_DIR)
 

@@ -59,6 +59,8 @@ func TestBenchmarkAllocs(t *testing.T) {
 			return func() { build(1) }
 		}},
 		{"BankOpenMmap", 200, 17, func(t *testing.T) func() { return openMapped(t) }},
+		{"MethodTrials/hb", 20, 136, func(t *testing.T) func() { return seeded(methodTrials(t, "hb")) }},
+		{"MethodTrials/bohb", 20, 136, func(t *testing.T) func() { return seeded(methodTrials(t, "bohb")) }},
 		{"ServeRun", 200, 116, func(t *testing.T) func() { return dedupPost(t, serveBenchManager(t)) }},
 		// The page's cost does not depend on how many runs the registry
 		// retains (TestListCostIndependentOfHistory), so 100 stand in for
@@ -84,9 +86,15 @@ func allocsPerRun(runs int, f func()) float64 {
 // rowSweeps adapts a row-kernel step to AllocsPerRun, walking the rows as the
 // benchmark does.
 func rowSweeps(sweep func(i int) float64) func() {
+	return seeded(func(i int) { sweep(i) })
+}
+
+// seeded adapts a step indexed by the iteration, as its benchmark runs it,
+// to AllocsPerRun.
+func seeded(step func(i int)) func() {
 	i := 0
 	return func() {
-		sweep(i)
+		step(i)
 		i++
 	}
 }

@@ -834,10 +834,9 @@ func instrumentedEvaluate(tb testing.TB) func() float64 {
 }
 
 // BenchmarkBankOpenMmap measures opening a bankfmt/v5 bank for zero-copy
-// serving (header + segment-directory walk, no payload reads) — the
-// mmap-mode cache-hit path. Open cost is O(segment count), independent of
-// arena size; a heap load (LoadBank) instead checksums and copies every
-// count.
+// serving — the store's first Get of an entry: the segment walk, every
+// payload CRC and every count checked, no copy. A heap load (LoadBank)
+// checks the same and copies every count as well.
 func BenchmarkBankOpenMmap(b *testing.B) {
 	open := openMapped(b)
 	b.ResetTimer()
@@ -869,14 +868,14 @@ func openMapped(tb testing.TB) func() {
 // count block is a view of an mmap'd bankfmt/v5 file: the oracle reads rows
 // straight out of the page cache. Same workload as the
 // heap benchmark so the numbers compare directly; the read path itself adds
-// no allocations over heap. The warm open (madvise + page pre-touch, the
-// -mmap-warm path) keeps first-touch page faults out of the timed region.
+// no allocations over heap. The open's CRC pass touches every page, which
+// keeps first-touch page faults out of the timed region.
 func BenchmarkOracleTrialsMapped(b *testing.B) {
 	path := b.TempDir() + "/bench.bank"
 	if err := core.SaveBankV4(codecBenchBank, path); err != nil {
 		b.Fatal(err)
 	}
-	bank, closer, err := core.OpenBankMappedWarm(path)
+	bank, closer, err := core.OpenBankMapped(path)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -909,29 +908,41 @@ func BenchmarkOracleTrialsMapped(b *testing.B) {
 // this is the before/after number for the Parzen engine (DESIGN.md §15),
 // whose allocations TestRunTrialsAllocsPerTrial pins. HB shares BOHB's
 // brackets and evaluations but has no model: bohb − hb is the engine's cost.
+// Its allocs/op moves by one or two between identical runs: every GC cycle
+// empties the trial scratch pools (sync.Pool), and how many cycles fall in
+// the timed region depends on the pacer. TestBenchmarkAllocs measures the
+// same step with the GC off, where the count is exact.
 func BenchmarkMethodTrials(b *testing.B) {
-	oracle, err := core.NewBankOracle(codecBenchBank, 0, noisyeval.SchemeWithCount(10), 1)
-	if err != nil {
-		b.Fatal(err)
-	}
 	for _, name := range []string{"tpe", "hb", "bohb"} {
 		b.Run(name, func(b *testing.B) {
-			m, err := hpo.MethodByName(name)
-			if err != nil {
-				b.Fatal(err)
-			}
-			tn := core.Tuner{Method: m, Space: hpo.DefaultSpace(), Settings: hpo.DefaultSettings()}
+			trials := methodTrials(b, name)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				results := tn.RunTrials(oracle, 64, rng.New(uint64(i)).Split("bench-methods"))
-				if len(results) != 64 {
-					b.Fatal("short trial batch")
-				}
+				trials(i)
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(64*b.N)/b.Elapsed().Seconds(), "trials/s")
 		})
+	}
+}
+
+// methodTrials returns BenchmarkMethodTrials' timed step for one method: 64
+// bootstrap trials against the bench bank, seeded by the iteration.
+func methodTrials(tb testing.TB, name string) func(i int) {
+	oracle, err := core.NewBankOracle(codecBenchBank, 0, noisyeval.SchemeWithCount(10), 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m, err := hpo.MethodByName(name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tn := core.Tuner{Method: m, Space: hpo.DefaultSpace(), Settings: hpo.DefaultSettings()}
+	return func(i int) {
+		if results := tn.RunTrials(oracle, 64, rng.New(uint64(i)).Split("bench-methods")); len(results) != 64 {
+			tb.Fatal("short trial batch")
+		}
 	}
 }
 

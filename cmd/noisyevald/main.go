@@ -68,8 +68,6 @@ func main() {
 		journalComp   = flag.Int64("journal-compact-bytes", 0, "WAL size that triggers background compaction into a snapshot (0 = budget/4)")
 		shedThreshold = flag.Float64("shed-threshold", 0, "shed cold-bank submissions once the queue holds this fraction of -queue (e.g. 0.5; <= 0 disables shedding)")
 		execDelay     = flag.Duration("exec-delay", 0, "fault injection: pad every run's execution by this duration so crash/load harnesses can catch runs in flight (0 = off)")
-		mmapBanks     = flag.Bool("mmap-banks", false, "serve cached banks zero-copy from mmap'd files instead of decoding to heap (requires -cache-dir)")
-		mmapWarm      = flag.Bool("mmap-warm", false, "pre-touch each mapped bank at open (madvise + page walk) so first-sweep reads pay no major faults (requires -mmap-banks)")
 		pprofAddr     = flag.String("pprof-addr", "", "listen address for net/http/pprof profiling endpoints (empty = disabled)")
 	)
 	var logLevel slog.Level
@@ -98,20 +96,7 @@ func main() {
 		store.Log = logger.With("component", "bankstore")
 		logger.Info("bank cache", "dir", store.Dir(), "max_bytes", *cacheMaxBytes)
 		core.BoundCache(store, *cacheMaxBytes)
-		if *mmapBanks {
-			store.SetMapped(true)
-			store.SetMappedWarm(*mmapWarm)
-			logger.Info("bank cache mmap mode: banks served zero-copy", "warm", *mmapWarm)
-		} else if *mmapWarm {
-			fatal("-mmap-warm requires -mmap-banks")
-		}
 	} else {
-		if *mmapBanks {
-			fatal("-mmap-banks requires -cache-dir")
-		}
-		if *mmapWarm {
-			fatal("-mmap-warm requires -mmap-banks")
-		}
 		logger.Info("no -cache-dir: banks rebuilt per daemon lifetime (in-memory suite cache only)")
 	}
 

@@ -56,7 +56,7 @@ func v4Image(t testing.TB) []byte {
 }
 
 // TestStaleGenerationsSelfHeal plants files of every retired encoding under
-// a live key, in both open modes: each is evicted, counted as a stale format
+// a live key of a (mapped) store: each is evicted, counted as a stale format
 // (not as corruption), rebuilt, and re-read as bankfmt/v5 — and reading the
 // same bytes as a file names the generation and the fix.
 func TestStaleGenerationsSelfHeal(t *testing.T) {
@@ -68,74 +68,67 @@ func TestStaleGenerationsSelfHeal(t *testing.T) {
 		"gob+gzip":   gobGzipMember(t),
 	}
 	for generation, planted := range stale {
-		for _, mapped := range []bool{false, true} {
-			name := generation + "/heap"
-			if mapped {
-				name = generation + "/mapped"
+		t.Run(generation+"/mapped", func(t *testing.T) {
+			store, err := NewBankStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
 			}
-			t.Run(name, func(t *testing.T) {
-				store, err := NewBankStore(t.TempDir())
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer store.Close()
-				store.SetMapped(mapped)
-				var logBuf bytes.Buffer
-				store.Log = slog.New(slog.NewTextHandler(&logBuf, nil)).With("component", "bankstore")
+			defer store.Close()
+			var logBuf bytes.Buffer
+			store.Log = slog.New(slog.NewTextHandler(&logBuf, nil)).With("component", "bankstore")
 
-				if err := os.WriteFile(store.Path(key), planted, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				if got, err := store.Get(key); err != nil || got != nil {
-					t.Fatalf("stale-format Get = %v, %v; want clean miss", got, err)
-				}
-				if _, err := os.Stat(store.Path(key)); !os.IsNotExist(err) {
-					t.Error("stale-format entry not evicted")
-				}
-				if st := store.Stats(); st.StaleFormat != 1 || st.Evicted != 1 || st.CorruptSegment != 0 {
-					t.Errorf("stats = %+v, want StaleFormat=1 Evicted=1 CorruptSegment=0", st)
-				}
-				if line := logBuf.String(); strings.Count(line, "event=bank_evict") != 1 ||
-					!strings.Contains(line, "reason=stale_format") {
-					t.Errorf("stale eviction not logged: %q", line)
-				}
+			if err := os.WriteFile(store.Path(key), planted, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := store.Get(key); err != nil || got != nil {
+				t.Fatalf("stale-format Get = %v, %v; want clean miss", got, err)
+			}
+			if _, err := os.Stat(store.Path(key)); !os.IsNotExist(err) {
+				t.Error("stale-format entry not evicted")
+			}
+			if st := store.Stats(); st.StaleFormat != 1 || st.Evicted != 1 || st.CorruptSegment != 0 {
+				t.Errorf("stats = %+v, want StaleFormat=1 Evicted=1 CorruptSegment=0", st)
+			}
+			if line := logBuf.String(); strings.Count(line, "event=bank_evict") != 1 ||
+				!strings.Contains(line, "reason=stale_format") {
+				t.Errorf("stale eviction not logged: %q", line)
+			}
 
-				builds := 0
-				got, err := store.GetOrBuild(key, func() (*Bank, error) {
-					builds++
-					return b, nil
-				})
-				if err != nil || got == nil || builds != 1 {
-					t.Fatalf("rebuild after stale format: bank=%v err=%v builds=%d", got != nil, err, builds)
-				}
-				raw, err := os.ReadFile(store.Path(key))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bankseg.Sniff(raw) {
-					t.Error("rebuilt entry is not bankfmt/v5")
-				}
-				again, err := store.Get(key)
-				if err != nil || again == nil || hashBankContent(again) != hashBankContent(b) {
-					t.Fatalf("re-read of the rebuilt entry: bank=%v err=%v", again != nil, err)
-				}
-				if st := store.Stats(); st.Hits != 1 || st.StaleFormat != 1 {
-					t.Errorf("stats after re-read = %+v, want Hits=1 StaleFormat=1", st)
-				}
-
-				// A genuinely corrupt entry still evicts without the stale stat moving.
-				store.Close() // drop the mapping before clobbering the file under it
-				if err := os.WriteFile(store.Path(key), []byte("garbage"), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				if got, err := store.Get(key); err != nil || got != nil {
-					t.Fatalf("corrupt Get = %v, %v; want clean miss", got, err)
-				}
-				if st := store.Stats(); st.StaleFormat != 1 || st.Evicted != 2 || st.CorruptSegment != 1 {
-					t.Errorf("stats after corruption = %+v, want StaleFormat=1 Evicted=2 CorruptSegment=1", st)
-				}
+			builds := 0
+			got, err := store.GetOrBuild(key, func() (*Bank, error) {
+				builds++
+				return b, nil
 			})
-		}
+			if err != nil || got == nil || builds != 1 {
+				t.Fatalf("rebuild after stale format: bank=%v err=%v builds=%d", got != nil, err, builds)
+			}
+			raw, err := os.ReadFile(store.Path(key))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bankseg.Sniff(raw) {
+				t.Error("rebuilt entry is not bankfmt/v5")
+			}
+			again, err := store.Get(key)
+			if err != nil || again == nil || hashBankContent(again) != hashBankContent(b) {
+				t.Fatalf("re-read of the rebuilt entry: bank=%v err=%v", again != nil, err)
+			}
+			if st := store.Stats(); st.Hits != 1 || st.StaleFormat != 1 {
+				t.Errorf("stats after re-read = %+v, want Hits=1 StaleFormat=1", st)
+			}
+
+			// A genuinely corrupt entry still evicts without the stale stat moving.
+			store.Close() // drop the mapping before clobbering the file under it
+			if err := os.WriteFile(store.Path(key), []byte("garbage"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := store.Get(key); err != nil || got != nil {
+				t.Fatalf("corrupt Get = %v, %v; want clean miss", got, err)
+			}
+			if st := store.Stats(); st.StaleFormat != 1 || st.Evicted != 2 || st.CorruptSegment != 1 {
+				t.Errorf("stats after corruption = %+v, want StaleFormat=1 Evicted=2 CorruptSegment=1", st)
+			}
+		})
 
 		// The same bytes as a file: every reader names the generation and the
 		// fix instead of decoding or calling it corrupt.

@@ -107,9 +107,9 @@ type Segment struct {
 	payloadCRC uint32
 }
 
-// VerifyPayload checks the payload against its recorded CRC. Mapped opens
-// skip this (open cost must stay O(header count)); heap loads and repair
-// paths call it per segment.
+// VerifyPayload checks the payload against its recorded CRC. Open and Parse
+// leave it to the caller: every bank read and repair path calls it per
+// segment.
 func (s *Segment) VerifyPayload() error {
 	if got := crc32.Checksum(s.Payload, castagnoli); got != s.payloadCRC {
 		return &CorruptError{
@@ -204,9 +204,9 @@ type File struct {
 	torn   *CorruptError // where the walk stopped early, if it did
 }
 
-// Open maps path read-only and walks its segment headers (payloads are not
-// checksummed — open cost is proportional to the segment count, not the
-// file size). On platforms without mmap it falls back to a heap read.
+// Open maps path read-only and walks its segment headers (payloads are
+// checksummed by the caller, VerifyPayload). On platforms without mmap it
+// falls back to a heap read.
 func Open(path string) (*File, error) { return open(path, true) }
 
 // OpenHeap reads path fully onto the heap and walks its segment headers.
@@ -339,35 +339,8 @@ func (f *File) Torn() *CorruptError { return f.torn }
 // are zero-copy file pages) rather than a heap buffer.
 func (f *File) Mapped() bool { return f.mapped }
 
-// Size returns the byte length of the file image.
-func (f *File) Size() int64 { return int64(len(f.data)) }
-
 // Path returns the file path ("" for Parse'd images).
 func (f *File) Path() string { return f.path }
-
-// Warm prepares a mapped file image for latency-sensitive serving: it
-// advises the kernel the whole mapping will be needed and then touches one
-// byte per page, so first-sweep reads hit resident pages instead of paying
-// major faults mid-evaluation. Returns the number of bytes warmed — 0 for
-// heap-backed images, which are resident by construction. Warming is purely
-// a page-cache hint; the image bytes are unchanged.
-func (f *File) Warm() int64 {
-	if !f.mapped || len(f.data) == 0 {
-		return 0
-	}
-	_ = advise(f.data) // best-effort: a failed hint only slows the touch walk
-	const page = 4096
-	var sink byte
-	for i := 0; i < len(f.data); i += page {
-		sink ^= f.data[i]
-	}
-	sink ^= f.data[len(f.data)-1]
-	warmSink = sink // defeat dead-code elimination of the touch loop
-	return int64(len(f.data))
-}
-
-// warmSink keeps the Warm page-touch loop observable to the compiler.
-var warmSink byte
 
 // Close releases the mapping. For heap-backed files it is a no-op (views
 // stay valid under GC). Close is not idempotent-safe against concurrent

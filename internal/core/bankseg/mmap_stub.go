@@ -16,5 +16,3 @@ func mmapFile(f *os.File, size int64) ([]byte, error) {
 }
 
 func munmap(data []byte) error { return nil }
-
-func advise(data []byte) error { return nil }

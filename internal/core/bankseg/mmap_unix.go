@@ -21,10 +21,3 @@ func mmapFile(f *os.File, size int64) ([]byte, error) {
 }
 
 func munmap(data []byte) error { return syscall.Munmap(data) }
-
-// advise hints the kernel to read the mapping ahead (madvise WILLNEED), so
-// a following pre-touch walk faults pages in batched readahead order rather
-// than one synchronous major fault at a time.
-func advise(data []byte) error {
-	return syscall.Madvise(data, syscall.MADV_WILLNEED)
-}

@@ -165,10 +165,6 @@ type BankStore struct {
 
 	maxBytes atomic.Int64 // size bound enforced after each Put (0 = unlimited)
 
-	// mapMode makes Get serve entries through mmap (SetMapped).
-	mapMode atomic.Bool
-	// mapWarm pre-touches each mapping at open (SetMappedWarm, -mmap-warm).
-	mapWarm atomic.Bool
 	// mapMu guards the mapped-entry table and the retired mappings.
 	mapMu  sync.Mutex
 	mapped map[string]*mappedBank
@@ -233,33 +229,44 @@ func (s *BankStore) Has(key string) bool {
 	return err == nil && fi.Size() > 0
 }
 
-// Get returns the cached bank for key, or (nil, nil) on a miss. A corrupt
-// entry is evicted and reported as a miss, never as an error: the caller can
-// always rebuild. An entry that merely fails to open (transient fd/permission
+// Get returns the cached bank for key, or (nil, nil) on a miss. The first
+// Get of a key opens its entry through OpenBankMapped — mmap'd, zero-copy,
+// every payload CRC and every count checked — and pins the bank in the
+// store until Close: oracle readers hold views into the mapping, so Prune
+// never unlinks an opened entry and later Gets serve the same bank.
+// Platforms without mmap pin a heap copy instead. A corrupt entry is
+// evicted and reported as a miss, never as an error: the caller can always
+// rebuild. An entry that merely fails to stat (transient fd/permission
 // trouble) is a plain miss — content that can't be read is not evidence of
 // corruption, and eviction would destroy an expensive valid artifact.
 func (s *BankStore) Get(key string) (*Bank, error) {
 	if s == nil {
 		return nil, nil
 	}
-	if s.mapMode.Load() {
-		return s.getMapped(key)
-	}
+	s.mapMu.Lock()
+	defer s.mapMu.Unlock()
 	path := s.Path(key)
-	data, err := os.ReadFile(path)
-	if err != nil {
+	// Touching the entry keeps Prune's LRU-by-mtime ordering about use, not
+	// just creation (a hot bank must outlive colder, newer ones).
+	now := time.Now()
+	if e, ok := s.mapped[key]; ok {
+		s.hits.Add(1)
+		os.Chtimes(path, now, now)
+		return e.bank, nil
+	}
+	fi, err := os.Stat(path)
+	if err != nil || fi.Size() == 0 {
 		s.misses.Add(1)
 		return nil, nil
 	}
-	b, err := DecodeBank(data)
+	b, closer, err := OpenBankMapped(path)
 	if err != nil {
 		s.evictBroken(key, path, err)
 		return nil, nil
 	}
+	_, heapBacked := closer.(nopCloser)
+	s.mapped[key] = &mappedBank{bank: b, closer: closer, bytes: fi.Size(), zero: !heapBacked}
 	s.hits.Add(1)
-	// Touch the entry so Prune's LRU-by-mtime ordering reflects use, not
-	// just creation (a hot bank must outlive colder, newer ones).
-	now := time.Now()
 	os.Chtimes(path, now, now)
 	return b, nil
 }
@@ -286,29 +293,13 @@ func (s *BankStore) evictBroken(key, path string, err error) {
 	}
 }
 
-// SetMapped selects how Get opens an entry. Off (the default), every Get
-// reads the file, verifies every segment CRC and decodes onto the heap
-// (DecodeBank). On, Get serves through OpenBankMapped — mmap'd, zero-copy,
-// open cost O(segment count) — and mapped entries stay resident (Prune never
-// unlinks them) until Close; platforms without mmap degrade to the heap
-// decode transparently. The bytes on disk are the same either way. Flip the
-// mode before concurrent use.
-func (s *BankStore) SetMapped(on bool) {
-	if s == nil {
-		return
-	}
-	s.mapMode.Store(on)
-}
+// SetMapped does nothing: every Get opens through OpenBankMapped. It stays
+// for the benchmark harness (bench/), its only caller.
+func (s *BankStore) SetMapped(bool) {}
 
-// SetMappedWarm makes mapped opens pre-touch the whole mapping
-// (OpenBankMappedWarm) so a bank's first row sweep pays no major faults.
-// Only meaningful in mapped mode.
-func (s *BankStore) SetMappedWarm(on bool) {
-	if s == nil {
-		return
-	}
-	s.mapWarm.Store(on)
-}
+// SetMappedWarm does nothing: the open's CRC pass touches every page. It
+// stays for the benchmark harness (bench/), its only caller.
+func (s *BankStore) SetMappedWarm(bool) {}
 
 // MappedStats reports the live mmap-served entries (heap-fallback entries
 // are excluded from both counters).
@@ -332,42 +323,6 @@ func (s *BankStore) Mapped() MappedStats {
 		}
 	}
 	return st
-}
-
-// getMapped serves key from the mapped-entry table, opening (and mapping)
-// the on-disk entry on first use. The table pins each opened bank for the
-// store's lifetime: oracle readers hold views into the mapping, so the only
-// safe unmap point is Close, after all readers are gone.
-func (s *BankStore) getMapped(key string) (*Bank, error) {
-	s.mapMu.Lock()
-	defer s.mapMu.Unlock()
-	path := s.Path(key)
-	if e, ok := s.mapped[key]; ok {
-		s.hits.Add(1)
-		now := time.Now()
-		os.Chtimes(path, now, now)
-		return e.bank, nil
-	}
-	fi, err := os.Stat(path)
-	if err != nil || fi.Size() == 0 {
-		s.misses.Add(1)
-		return nil, nil
-	}
-	open := OpenBankMapped
-	if s.mapWarm.Load() {
-		open = OpenBankMappedWarm
-	}
-	b, closer, err := open(path)
-	if err != nil {
-		s.evictBroken(key, path, err)
-		return nil, nil
-	}
-	_, heapBacked := closer.(nopCloser)
-	s.mapped[key] = &mappedBank{bank: b, closer: closer, bytes: fi.Size(), zero: !heapBacked}
-	s.hits.Add(1)
-	now := time.Now()
-	os.Chtimes(path, now, now)
-	return b, nil
 }
 
 // Close releases every mapping the store holds (live and retired). Call it
@@ -474,9 +429,9 @@ func (s *BankStore) Prune(maxBytes int64) (evicted int, freed int64, err error) 
 		}
 		return entries[i].path < entries[j].path
 	})
-	// Mapped entries are pinned: a reader may hold zero-copy views into the
+	// Opened entries are pinned: a reader may hold zero-copy views into the
 	// file's pages, so the pruner never unlinks them. The bound can
-	// therefore overshoot while many banks are mapped; it re-applies once
+	// therefore overshoot while many banks are open; it re-applies once
 	// the store is reopened without them.
 	pinned := map[string]bool{}
 	s.mapMu.Lock()

@@ -325,7 +325,6 @@ func TestBankStoreMappedMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	st.SetMapped(true)
 
 	if err := st.Put("aaaa", b); err != nil {
 		t.Fatal(err)

@@ -23,8 +23,9 @@ package core
 // then one new commit, and a crash anywhere in between leaves the previous
 // commit as the authoritative state (OpenAppend truncates the debris).
 // Because arena payloads are raw aligned LE uint32s, a bank file opens via
-// mmap and serves oracle reads zero-copy; open cost is O(segment count),
-// not O(file size), since mapped opens verify only the header chain.
+// mmap and serves oracle reads zero-copy. Every open checks every payload
+// CRC, so it reads every page once: the mapping is resident when the open
+// returns.
 //
 // A shard on the wire (MarshalShardV4) is the same container holding the
 // arena segment a grow would append for its range, followed by a flags
@@ -175,28 +176,23 @@ func SaveBankV4(b *Bank, path string) error {
 
 // assembleBankV4 turns a parsed segment container into a Bank. The bank is
 // defined by the LAST intact commit segment — anything after it is crash
-// debris from an interrupted grow and is ignored. Each arena segment the
-// commit names becomes one count block, and this is the one place where
-// the bytes came from matters. A mapped file (f.Mapped) is served zero-copy:
-// only the commit payload is checksummed, so open cost stays O(segment
-// count), and the blocks are views of the mapping (the caller must then
-// keep f open). Otherwise — a heap read, a peer's image — every payload is
-// checksummed, every count checked against its client's example count, and
-// the blocks are copies. The returned refs reports whether the bank
-// references f's image.
+// debris from an interrupted grow and is ignored. Every image, mapped or
+// not, is checked the same way: every payload CRC (a bad payload bounds the
+// intact prefix) and every count against its client's example count. Where
+// the bytes came from decides only what the count blocks are: views of a
+// mapped file (f.Mapped; the caller must then keep f open), copies of
+// anything else (a heap read, a peer's image). The returned refs reports
+// whether the bank references f's image.
 func assembleBankV4(f *bankseg.File) (b *Bank, refs bool, err error) {
 	path := f.Path()
 	segs := f.Segments()
-	mapped := f.Mapped()
+	// A payload CRC failure bounds the intact prefix exactly like a
+	// structural failure: nothing at or after it can be trusted.
 	limit := len(segs)
-	if !mapped {
-		// A payload CRC failure bounds the intact prefix exactly like a
-		// structural failure: nothing at or after it can be trusted.
-		for i := range segs {
-			if segs[i].VerifyPayload() != nil {
-				limit = i
-				break
-			}
+	for i := range segs {
+		if segs[i].VerifyPayload() != nil {
+			limit = i
+			break
 		}
 	}
 	commitIdx := -1
@@ -216,13 +212,6 @@ func assembleBankV4(f *bankseg.File) (b *Bank, refs bool, err error) {
 		return nil, false, v4Corrupt(path, 0, bankseg.FileHeaderLen, "no intact commit segment")
 	}
 	commit := &segs[commitIdx]
-	if mapped {
-		// Even a mapped open must not trust an unchecksummed commit payload:
-		// it is one small segment, so verifying it keeps open cost O(header).
-		if commit.VerifyPayload() != nil {
-			return nil, false, v4Corrupt(path, commitIdx, commit.Offset, "commit segment payload CRC mismatch")
-		}
-	}
 	dir, bank, err := parseV4Commit(commit.Payload)
 	if err != nil {
 		return nil, false, v4Corrupt(path, commitIdx, commit.Offset, "commit segment: %w", err)
@@ -258,7 +247,7 @@ func assembleBankV4(f *bankseg.File) (b *Bank, refs bool, err error) {
 		}
 		var counts []uint32
 		viewed := false
-		if mapped {
+		if f.Mapped() {
 			counts, viewed = bankseg.Uint32s(s.Payload)
 		}
 		if !viewed {
@@ -272,10 +261,8 @@ func assembleBankV4(f *bankseg.File) (b *Bank, refs bool, err error) {
 	if err := bank.Validate(); err != nil {
 		return nil, false, v4Corrupt(path, commitIdx, commit.Offset, "%w", err)
 	}
-	if !mapped {
-		if err := bank.Errs.checkCounts(bank.ExampleCounts); err != nil {
-			return nil, false, v4Corrupt(path, commitIdx, commit.Offset, "%w", err)
-		}
+	if err := bank.Errs.checkCounts(bank.ExampleCounts); err != nil {
+		return nil, false, v4Corrupt(path, commitIdx, commit.Offset, "%w", err)
 	}
 	return bank, refs, nil
 }
@@ -288,26 +275,15 @@ func (nopCloser) Close() error { return nil }
 
 // OpenBankMapped opens a bank file for zero-copy serving: a bankfmt/v5 file
 // is mmap'd and its error matrix backed directly by the mapped arena
-// segments, so open cost is O(segment count) regardless of bank size. The
-// returned Closer owns the mapping — Close only after every reader of the
-// bank is done; oracle reads through a closed mapping fault. Platforms
-// without mmap degrade to a fully verified heap load with a no-op Closer, so
-// call sites need no platform branches. Errors classify exactly as
-// LoadBank's do.
+// segments. The open checks what every read of a bank file checks — every
+// payload CRC, every count — so it reads each page once, leaving the mapping
+// resident for the first row sweep; CRC-32C runs at several GB/s, well
+// under a millisecond for a quick bank. The returned Closer owns the
+// mapping — Close only after every reader of the bank is done; oracle reads
+// through a closed mapping fault. Platforms without mmap degrade to a heap
+// load with a no-op Closer, so call sites need no platform branches. Errors
+// classify exactly as LoadBank's do.
 func OpenBankMapped(path string) (*Bank, io.Closer, error) {
-	return openBankMapped(path, false)
-}
-
-// OpenBankMappedWarm is OpenBankMapped with the mapping pre-touched
-// (bankseg.File.Warm: madvise WILLNEED + one read per page) before the bank
-// is returned, so the first row sweep pays no major faults. The trade is
-// open latency proportional to file size — daemons opt in with -mmap-warm.
-// Each warmed mapping increments bank_mapped_warm_total.
-func OpenBankMappedWarm(path string) (*Bank, io.Closer, error) {
-	return openBankMapped(path, true)
-}
-
-func openBankMapped(path string, warm bool) (*Bank, io.Closer, error) {
 	f, err := bankseg.Open(path)
 	if err != nil {
 		// What the segment layer rejects may be a valid artifact of a retired
@@ -328,11 +304,12 @@ func openBankMapped(path string, warm bool) (*Bank, io.Closer, error) {
 		f.Close()
 		return b, nopCloser{}, nil
 	}
-	if warm && f.Warm() > 0 {
-		metricsInstruments().MappedWarmTotal.Inc()
-	}
 	return b, f, nil
 }
+
+// OpenBankMappedWarm is OpenBankMapped, whose CRC pass already touches
+// every page. It stays for the benchmark harness (bench/), its only caller.
+func OpenBankMappedWarm(path string) (*Bank, io.Closer, error) { return OpenBankMapped(path) }
 
 // bankFilePrefix returns the first (up to) 8 bytes of the file at path, the
 // input of sniffBankGeneration.

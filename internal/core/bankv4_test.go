@@ -225,10 +225,10 @@ func TestAssemblyAndGrowthCopyNoCounts(t *testing.T) {
 }
 
 // TestCountsAboveExamplesRejected: a count above its client's example count
-// (an error rate above 1) is refused wherever counts arrive whole — a shard
-// (BankShard.Validate, so AssembleBank and a dist upload) and a heap decode
-// (DecodeBank, so LoadBank and peer transfers, as a *CorruptError). A
-// mapped open reads no counts and so still opens such a file.
+// (an error rate above 1) is refused wherever counts arrive — a shard
+// (BankShard.Validate, so AssembleBank and a dist upload), a decode
+// (DecodeBank, so LoadBank and peer transfers) and a mapped open
+// (OpenBankMapped, so the store), the last two as a *CorruptError.
 func TestCountsAboveExamplesRejected(t *testing.T) {
 	pop, opts, seed := shardTestInputs(t)
 	plan, err := NewBuildPlan(pop, opts, seed)
@@ -275,13 +275,8 @@ func TestCountsAboveExamplesRejected(t *testing.T) {
 	if _, err := DecodeBank(good); err != nil {
 		t.Fatalf("DecodeBank of the intact image: %v", err)
 	}
-	mapped, closer, err := OpenBankMapped(path)
-	if err != nil {
-		t.Fatalf("mapped open: %v", err)
-	}
-	defer closer.Close()
-	if got := mapped.Errs.Row(pi, ci, ri)[k]; got != row[k] {
-		t.Fatalf("mapped count = %d, want %d", got, row[k])
+	if _, _, err := OpenBankMapped(path); !errors.As(err, &ce) || IsStaleBankFormat(err) {
+		t.Fatalf("OpenBankMapped of a count above its example count: err = %v, want *CorruptError", err)
 	}
 }
 
@@ -452,9 +447,12 @@ func TestLoadBankCorruptionIsLocated(t *testing.T) {
 
 // FuzzBankV5 asserts the one bank decoder — it faces disk and the wire —
 // never panics, only ever returns validated banks, and fails in exactly two
-// ways: a stale-format classification or a located *CorruptError. Seeds
-// cover the corpus the crash and corruption tests exercise (a valid file, a
-// torn segment, a payload CRC flip, a duplicated segment); testdata adds the
+// ways: a stale-format classification or a located *CorruptError — and that
+// OpenBankMapped, the store's read path, accepts the same bytes written to
+// a file exactly when it does, serving the same bank. Seeds cover the
+// corpus the crash and corruption tests exercise (a valid file, a torn
+// segment, a payload CRC flip, a duplicated segment, a grown file whole and
+// with a flipped bit in its second arena); testdata adds the
 // retired generations (a whole v4 file with its float64 arena, v3 frames
 // whole, truncated and bit-flipped, a gzip magic), which must classify as
 // stale without being decoded.
@@ -496,9 +494,32 @@ func FuzzBankV5(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(grown)
+	// One bit flipped in the grown file's second arena: the decoder stops at
+	// that payload and serves the first commit's bank.
+	sf, err := bankseg.Parse(grown)
+	if err != nil {
+		f.Fatal(err)
+	}
+	grownFlip := append([]byte(nil), grown...)
+	grownFlip[sf.Segments()[2].Offset+bankseg.SegmentHeaderLen+8] ^= 1
+	f.Add(grownFlip)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := DecodeBank(data)
+		// The same bytes as a file open mapped exactly when they decode, and
+		// serve the same bank: both read paths check every payload.
+		dir := t.TempDir()
+		in := filepath.Join(dir, "in.bank")
+		if werr := os.WriteFile(in, data, 0o644); werr != nil {
+			t.Fatal(werr)
+		}
+		mapped, closer, merr := OpenBankMapped(in)
+		if (merr == nil) != (err == nil) {
+			t.Fatalf("DecodeBank error %v, OpenBankMapped error %v", err, merr)
+		}
 		if err != nil {
+			if IsStaleBankFormat(err) != IsStaleBankFormat(merr) {
+				t.Fatalf("DecodeBank and OpenBankMapped classify differently: %v / %v", err, merr)
+			}
 			var ce *CorruptError
 			if !IsStaleBankFormat(err) && !errors.As(err, &ce) {
 				t.Fatalf("error is neither stale-format nor *CorruptError: %v", err)
@@ -516,11 +537,15 @@ func FuzzBankV5(f *testing.F) {
 			t.Fatalf("decoded bank fails validation: %v", verr)
 		}
 
+		defer closer.Close()
+		fp := BankFingerprint(b)
+		if BankFingerprint(mapped) != fp {
+			t.Fatal("mapped open serves a different bank than DecodeBank")
+		}
+
 		// What the decoder accepts round-trips: re-saved and decoded again
 		// it reads the same rows and fingerprints the same, however its
 		// count blocks were split.
-		fp := BankFingerprint(b)
-		dir := t.TempDir()
 		resaved := filepath.Join(dir, "resaved.bank")
 		if err := SaveBankV4(b, resaved); err != nil {
 			t.Fatalf("re-save: %v", err)
@@ -535,116 +560,47 @@ func FuzzBankV5(f *testing.F) {
 		if BankFingerprint(again) != fp {
 			t.Fatal("re-saved bank fingerprints differently")
 		}
-		// The same bytes mapped serve the same bank whenever the mapped open
-		// accepts them — unless an arena payload fails its CRC: the mapped
-		// open does not read payloads, so it may then serve a later commit
-		// than the decoder, which stops at the first bad payload.
-		in := filepath.Join(dir, "in.bank")
-		if err := os.WriteFile(in, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		mapped, closer, err := OpenBankMapped(in)
-		if err != nil {
-			return
-		}
-		defer closer.Close()
-		if BankFingerprint(mapped) != fp && payloadsIntact(data) {
-			t.Fatal("mapped open serves a different bank than DecodeBank")
-		}
 	})
 }
 
-// payloadsIntact reports whether every segment payload of a bank image
-// passes its CRC.
-func payloadsIntact(data []byte) bool {
-	sf, err := bankseg.Parse(data)
-	if err != nil {
-		return false
-	}
-	for i := range sf.Segments() {
-		if sf.Segments()[i].VerifyPayload() != nil {
-			return false
-		}
-	}
-	return true
-}
-
-// TestOpenBankMappedWarm covers the -mmap-warm open path: the warm open
-// must serve identical content to the plain mapped open, bump the
-// bank_mapped_warm_total counter, and pre-touch only real mappings
-// (bankseg.File.Warm reports 0 for an unmapped file).
-func TestOpenBankMappedWarm(t *testing.T) {
+// TestBankStoreGetRejectsFlippedArena: one bit flipped in a stored bank's
+// arena makes a plain store's Get a miss that evicts the entry and counts a
+// located corruption — the mapped read path checks every payload CRC, as
+// the decoder does.
+func TestBankStoreGetRejectsFlippedArena(t *testing.T) {
 	b, _ := tinyBank(t)
-	path := filepath.Join(t.TempDir(), "warm.bank")
-	if err := SaveBankV4(b, path); err != nil {
-		t.Fatal(err)
-	}
-
-	before := metricsInstruments().MappedWarmTotal.Value()
-	warm, closer, err := OpenBankMappedWarm(path)
+	store, err := NewBankStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer closer.Close()
-	if hashBankContent(warm) != hashBankContent(b) {
-		t.Fatal("warm-mapped bank differs from the original")
-	}
-	if got := metricsInstruments().MappedWarmTotal.Value(); got != before+1 {
-		t.Fatalf("bank_mapped_warm_total = %d after warm open, want %d", got, before+1)
-	}
-
-	// A plain mapped open must not pre-touch (counter unchanged).
-	plain, closer2, err := OpenBankMapped(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closer2.Close()
-	if hashBankContent(plain) != hashBankContent(b) {
-		t.Fatal("plain mapped bank differs from the original")
-	}
-	if got := metricsInstruments().MappedWarmTotal.Value(); got != before+1 {
-		t.Fatalf("bank_mapped_warm_total = %d after plain open, want %d", got, before+1)
-	}
-
-	// Warm on an unmapped (read-into-heap) segment file is a no-op.
-	f, err := bankseg.OpenHeap(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if n := f.Warm(); n != 0 {
-		t.Fatalf("Warm on unmapped file pre-touched %d bytes, want 0", n)
-	}
-}
-
-// TestBankStoreMappedWarm verifies the store-level knob: with
-// SetMappedWarm(true) a mapped cache hit goes through the warm open.
-func TestBankStoreMappedWarm(t *testing.T) {
-	b, _ := tinyBank(t)
-	dir := t.TempDir()
-	store, err := NewBankStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store.SetMapped(true)
-	store.SetMappedWarm(true)
-	key := "warmtest"
+	defer store.Close()
+	const key = "flipped"
 	if err := store.Put(key, b); err != nil {
 		t.Fatal(err)
 	}
-	before := metricsInstruments().MappedWarmTotal.Value()
-	got, err := store.Get(key)
+	raw, err := os.ReadFile(store.Path(key))
 	if err != nil {
-		t.Fatalf("Get(%q): %v", key, err)
+		t.Fatal(err)
 	}
-	if got == nil {
-		t.Fatalf("Get(%q) missed a bank just Put", key)
+	sf, err := bankseg.Parse(raw)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if hashBankContent(got) != hashBankContent(b) {
-		t.Fatal("warm store hit differs from the stored bank")
+	arena := sf.Segments()[0]
+	if arena.Kind != segKindArena {
+		t.Fatalf("first segment kind %d, want the arena", arena.Kind)
 	}
-	if after := metricsInstruments().MappedWarmTotal.Value(); after != before+1 {
-		t.Fatalf("bank_mapped_warm_total = %d after warm store hit, want %d", after, before+1)
+	raw[arena.Offset+bankseg.SegmentHeaderLen+int64(len(arena.Payload))/2] ^= 1
+	if err := os.WriteFile(store.Path(key), raw, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	store.Close()
+	if got, err := store.Get(key); err != nil || got != nil {
+		t.Fatalf("Get of a flipped arena = %v, %v; want a miss", got != nil, err)
+	}
+	if _, err := os.Stat(store.Path(key)); !os.IsNotExist(err) {
+		t.Error("corrupt entry not removed")
+	}
+	if st := store.Stats(); st.CorruptSegment != 1 || st.Evicted != 1 || st.Hits != 0 {
+		t.Errorf("stats = %+v, want CorruptSegment=1 Evicted=1 Hits=0", st)
+	}
 }

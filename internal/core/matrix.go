@@ -137,9 +137,8 @@ func (m *ErrMatrix) CheckShape(parts, configs, checkpoints, clients int) error {
 }
 
 // checkCounts rejects a count above its client's example count,
-// exampleCounts[p][k] — an error rate above 1, which no build produces. It
-// reads every count, so it guards what arrives whole (shard uploads, heap
-// decodes), not mapped opens, which stay O(segment count).
+// exampleCounts[p][k] — an error rate above 1, which no build produces.
+// Every bank read and shard upload runs it.
 func (m *ErrMatrix) checkCounts(exampleCounts [][]int) error {
 	i := 0
 	for run := range m.runs() {

@@ -18,11 +18,6 @@ type coreInstruments struct {
 	TrialSeconds *obs.Histogram
 	// TrialsTotal counts completed bootstrap trials.
 	TrialsTotal *obs.Counter
-	// MappedWarmTotal counts mapped bank images pre-touched at open
-	// (-mmap-warm): each warm trades open latency for fault-free first
-	// sweeps, so operators can see whether slow first runs line up with
-	// cold (unwarmed) mappings.
-	MappedWarmTotal *obs.Counter
 }
 
 var (
@@ -38,8 +33,6 @@ func initMetrics() {
 			"Wall-clock seconds per bootstrap trial of a tuning run.", nil),
 		TrialsTotal: metricsReg.Counter("oracle_trials_total",
 			"Bootstrap trials completed."),
-		MappedWarmTotal: metricsReg.Counter("bank_mapped_warm_total",
-			"Mapped bank images pre-touched (madvise + page walk) at open."),
 	}
 }
 

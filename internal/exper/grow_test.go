@@ -106,19 +106,18 @@ func TestSuiteGrowBank(t *testing.T) {
 // union pool, all before the store, which owns the mapping, is closed.
 func TestSuiteGrowBankOverMappedStore(t *testing.T) {
 	dir := t.TempDir()
-	heapStore, err := core.NewBankStore(dir)
+	first, err := core.NewBankStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	warm := NewSuite(tinyConfig())
-	warm.SetStore(heapStore)
+	warm.SetStore(first)
 	warm.Bank("cifar10") // builds and persists the parent
 
 	st, err := core.NewBankStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.SetMapped(true)
 	s := NewSuite(tinyConfig())
 	s.SetStore(st)
 	parent := s.Bank("cifar10")

@@ -127,9 +127,11 @@ func (s *Suite) invalidateBankKeyLocked(name string) {
 	s.keyGen++
 }
 
-// BankKeyFor exposes the bank content address a run against name records —
-// the serve layer's session API reports it so external drivers can correlate
-// a session with /v1/runs results and /v1/banks entries for the same bank.
+// BankKeyFor exposes the bank content address a run against name records:
+// the bank_key of a served run's result and of an ask/tell session, and the
+// key POST /v1/banks/{key}/grow takes. It is not a store key — GET
+// /v1/banks lists entries under core.BankKeyForPopulation, which also
+// hashes the population's content — so it names none of those entries.
 func (s *Suite) BankKeyFor(name string) string { return s.bankKeyFor(name) }
 
 // methodKey renders a method for run-key hashing: the display name plus the

@@ -400,13 +400,19 @@ func (m *Manager) TraceFor(runID string) (*obs.Trace, bool) { return m.traces.Ge
 
 // coldBank reports whether executing a run against dataset would require
 // training a bank: not yet resolved in the suite and not present in the
-// shared store. Both probes are cheap (a map lookup and a stat) — neither
-// triggers a build.
+// shared store under the key the suite's builds file it by
+// (core.BankKeyForPopulation). Neither probe triggers a build; the store
+// probe hashes the dataset's population, so only the shedding branch of
+// Submit asks.
 func (m *Manager) coldBank(suite *exper.Suite, dataset string) bool {
 	if suite.BankReady(dataset) {
 		return false
 	}
-	return !m.opts.Store.Has(suite.BankKeyFor(dataset))
+	if m.opts.Store == nil {
+		return true
+	}
+	_, opts, seed := suite.BankBuildInputs(dataset)
+	return !m.opts.Store.Has(core.BankKeyForPopulation(suite.Population(dataset), opts, seed))
 }
 
 // worker executes queued runs until the queue closes. During shutdown the

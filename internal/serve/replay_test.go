@@ -433,6 +433,75 @@ func TestShedColdBankUnderPressure(t *testing.T) {
 	}
 }
 
+// TestShedAdmitsStoreWarmAfterRestart: a manager booted over a store a
+// previous manager filled treats the stored bank as warm before any of its
+// own runs resolved it, so a submission for it under pressure is admitted,
+// not shed as cold.
+func TestShedAdmitsStoreWarmAfterRestart(t *testing.T) {
+	dir := t.TempDir()
+	scales := map[string]exper.Config{"quick": tinyConfig()}
+	req := client.RunRequest{Dataset: "cifar10", Method: "rs", Trials: 2, Seed: 1}
+	first, err := core.NewBankStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	referenceResult(t, first, scales, req) // trains the bank into the store
+
+	store, err := core.NewBankStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	entered := make(chan struct{}, 1)
+	mgr := NewManager(Options{
+		Workers: 1, QueueDepth: 4, Store: store, Scales: scales,
+		ShedColdFraction: 0.5,
+		execGate: func(r *Run) {
+			if r.Req.Seed == 99 {
+				entered <- struct{}{}
+				<-gate
+			}
+		},
+	})
+	t.Cleanup(func() {
+		close(gate)
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		mgr.Shutdown(ctx)
+		store.Close()
+	})
+	submit := func(seed uint64) error {
+		r := req
+		r.Seed = seed
+		_, _, err := mgr.Submit(r)
+		return err
+	}
+	// Wedge the only worker before it resolves a bank, then fill the queue
+	// to the shed threshold (0.5 × 4 = 2 queued).
+	if err := submit(99); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	for seed := uint64(2); seed <= 3; seed++ {
+		if err := submit(seed); err != nil {
+			t.Fatalf("submit below threshold: %v", err)
+		}
+	}
+	suite, err := mgr.suiteFor(DefaultScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if suite.BankReady("cifar10") {
+		t.Fatal("the restarted manager resolved the bank before the pressure check")
+	}
+	if err := submit(4); err != nil {
+		t.Errorf("store-warm submit under pressure after a restart: %v", err)
+	}
+	if got := mgr.shed.Value(); got != 0 {
+		t.Errorf("RunsShedCold = %d, want 0", got)
+	}
+}
+
 // waitState polls a run until it reaches want (or fails the test after 30s).
 func waitState(t *testing.T, r *Run, want State) {
 	t.Helper()

@@ -16,6 +16,7 @@ import (
 	"strings"
 	"testing"
 
+	"noisyeval/internal/core"
 	"noisyeval/internal/exper"
 
 	"noisyeval/pkg/client"
@@ -234,9 +235,14 @@ func TestUnencodableBodyAnswers500(t *testing.T) {
 // both off) and a bank grow. Each literal is the map-built body recorded for
 // the same calls (bank dir and uptime masked); the struct-built body may
 // order keys differently and drop zero omitempty fields, but must decode
-// through pkg/client to the same values.
+// through pkg/client to the same values. The store is the test's own: a
+// store maps the entries it opens, so a bank found in a shared cache would
+// move the health body's mapped_* counts.
 func TestListHealthGrowDecodeAsBefore(t *testing.T) {
-	store := testStore(t)
+	store, err := core.NewBankStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 	jr, err := OpenRunJournal(JournalOptions{Dir: t.TempDir(), NoSync: true})
 	if err != nil {
 		t.Fatal(err)

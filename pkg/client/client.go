@@ -567,42 +567,14 @@ func (c *Client) ListRuns(ctx context.Context, opts ListRunsOptions) (RunPage, e
 // expires. afterSeq > -1 resumes after that sequence number via
 // Last-Event-ID, exactly as a reconnecting SSE client would.
 func (c *Client) StreamEvents(ctx context.Context, id string, afterSeq int, fn func(Event) error) error {
-	// Only the connect phase retries: before the first byte of the stream,
-	// reconnecting cannot duplicate events. Mid-stream failures return to
-	// the caller, who resumes with afterSeq (Last-Event-ID) exactly as a
-	// reconnecting SSE client would.
-	pol := c.retry()
-	var resp *http.Response
-	for attempt := 0; ; attempt++ {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/runs/"+url.PathEscape(id)+"/events", nil)
-		if err != nil {
-			return err
-		}
-		if afterSeq > -1 {
-			req.Header.Set("Last-Event-ID", strconv.Itoa(afterSeq))
-		}
-		var connErr error
-		resp, connErr = c.httpClient().Do(req)
-		if connErr == nil && resp.StatusCode != http.StatusOK {
-			raw, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			connErr = apiErrorFrom(resp, raw)
-		}
-		if connErr == nil {
-			break
-		}
-		delay, retry := pol.shouldRetry(ctx, connErr, attempt, true)
-		if !retry {
-			return connErr
-		}
-		if serr := sleepCtx(ctx, delay); serr != nil {
-			return connErr
-		}
+	body, err := c.openEvents(ctx, id, afterSeq)
+	if err != nil {
+		return err
 	}
-	defer resp.Body.Close()
+	defer body.Close()
 	// The scanner starts at 4 KiB and grows to the longest line, up to 1 MiB:
 	// a run's events are a few lines of about 150 bytes each.
-	sc := bufio.NewScanner(resp.Body)
+	sc := bufio.NewScanner(body)
 	sc.Buffer(nil, 1<<20)
 	for sc.Scan() {
 		var e Event
@@ -616,10 +588,50 @@ func (c *Client) StreamEvents(ctx context.Context, id string, afterSeq int, fn f
 	return sc.Err()
 }
 
-// WaitRun streams events until the run reaches a terminal state, then
-// returns the final status.
+// openEvents connects to a run's event stream and returns its body.
+func (c *Client) openEvents(ctx context.Context, id string, afterSeq int) (io.ReadCloser, error) {
+	// Only the connect phase retries: before the first byte of the stream,
+	// reconnecting cannot duplicate events. Mid-stream failures return to
+	// the caller, who resumes with afterSeq (Last-Event-ID) exactly as a
+	// reconnecting SSE client would.
+	pol := c.retry()
+	for attempt := 0; ; attempt++ {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/runs/"+url.PathEscape(id)+"/events", nil)
+		if err != nil {
+			return nil, err
+		}
+		if afterSeq > -1 {
+			req.Header.Set("Last-Event-ID", strconv.Itoa(afterSeq))
+		}
+		resp, connErr := c.httpClient().Do(req)
+		if connErr == nil && resp.StatusCode != http.StatusOK {
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			connErr = apiErrorFrom(resp, raw)
+		}
+		if connErr == nil {
+			return resp.Body, nil
+		}
+		delay, retry := pol.shouldRetry(ctx, connErr, attempt, true)
+		if !retry {
+			return nil, connErr
+		}
+		if serr := sleepCtx(ctx, delay); serr != nil {
+			return nil, connErr
+		}
+	}
+}
+
+// WaitRun waits for the run to reach a terminal state, then returns the
+// final status. It reads the event stream to its end without decoding it:
+// the status GetRun returns carries everything the events would.
 func (c *Client) WaitRun(ctx context.Context, id string) (RunStatus, error) {
-	if err := c.StreamEvents(ctx, id, -1, func(Event) error { return nil }); err != nil {
+	body, err := c.openEvents(ctx, id, -1)
+	if err == nil {
+		_, err = io.Copy(io.Discard, body)
+		body.Close()
+	}
+	if err != nil {
 		return RunStatus{}, err
 	}
 	return c.GetRun(ctx, id)

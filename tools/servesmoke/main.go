@@ -9,10 +9,15 @@
 // /v1/runs/{id}/trace must hold the expected phases, and a /metrics scrape
 // after the e2e traffic must show non-zero admission and oracle-trial series.
 //
-// Usage: servesmoke -base http://127.0.0.1:8723
+// With -restarted it checks a daemon booted again over the cache a previous
+// boot filled instead: one quick run must be served from the store — its
+// trace holds no bank.build span, and /metrics counts a bank cache hit.
+//
+// Usage: servesmoke -base http://127.0.0.1:8723 [-restarted]
 //
 // Exits 0 on success; prints the first failure and exits 1 otherwise.
-// tools/serve_smoke.sh boots a daemon and runs this against it.
+// tools/serve_smoke.sh boots a daemon and runs this against it, then boots
+// it again and runs this with -restarted.
 package main
 
 import (
@@ -34,11 +39,16 @@ func main() {
 	log.SetPrefix("servesmoke: ")
 	base := flag.String("base", "http://127.0.0.1:8723", "noisyevald base URL")
 	timeout := flag.Duration("timeout", 5*time.Minute, "overall budget")
+	restarted := flag.Bool("restarted", false, "check a daemon restarted over a filled cache: a quick run must be served from the store")
 	flag.Parse()
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
-	if err := run(ctx, client.New(*base)); err != nil {
+	check := run
+	if *restarted {
+		check = runRestarted
+	}
+	if err := check(ctx, client.New(*base)); err != nil {
 		log.Print(err)
 		os.Exit(1)
 	}
@@ -46,24 +56,9 @@ func main() {
 }
 
 func run(ctx context.Context, c *client.Client) error {
-	// Health must come up before anything else is meaningful.
-	var health client.Health
-	for {
-		h, err := c.GetHealth(ctx)
-		if err == nil {
-			health = h
-			break
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("daemon never became healthy: %w", err)
-		case <-time.After(200 * time.Millisecond):
-		}
+	if err := waitHealthy(ctx, c); err != nil {
+		return err
 	}
-	if health.Status != "ok" {
-		return fmt.Errorf("health status %q", health.Status)
-	}
-	log.Print("healthz ok")
 
 	// Method catalogue: fedpop must be discoverable.
 	methods, err := c.Methods(ctx)
@@ -191,6 +186,55 @@ func run(ctx context.Context, c *client.Client) error {
 		}
 	}
 	log.Print("metrics ok")
+	return nil
+}
+
+// runRestarted checks a daemon booted over the cache an earlier boot filled:
+// a quick run no earlier boot ran must open its bank from the store, not
+// train it.
+func runRestarted(ctx context.Context, c *client.Client) error {
+	if err := waitHealthy(ctx, c); err != nil {
+		return err
+	}
+	st, err := c.SubmitRun(ctx, client.RunRequest{Dataset: "cifar10", Method: "rs", Trials: 3, Seed: 12, Noise: client.Noise{SampleCount: 2}})
+	if err == nil {
+		st, err = c.WaitRun(ctx, st.ID)
+	}
+	if err != nil || st.State != "done" {
+		return fmt.Errorf("quick run after a restart: state %q, err %v", st.State, err)
+	}
+	trace, err := c.Trace(ctx, st.ID)
+	if err != nil || trace.Span("bank.build") != nil {
+		return fmt.Errorf("run %s trained its bank after a restart over a filled cache (trace err %v)", st.ID, err)
+	}
+	metrics, err := c.Metrics(ctx)
+	if err != nil || !seriesNonZero(metrics, "bank_cache_hits_total") {
+		return fmt.Errorf("/metrics counts no bank cache hit after a restart over a filled cache (err %v)", err)
+	}
+	log.Print("restarted daemon served the bank from the store")
+	return nil
+}
+
+// waitHealthy polls /healthz until the daemon answers ok.
+func waitHealthy(ctx context.Context, c *client.Client) error {
+	// Health must come up before anything else is meaningful.
+	var health client.Health
+	for {
+		h, err := c.GetHealth(ctx)
+		if err == nil {
+			health = h
+			break
+		}
+		select {
+		case <-ctx.Done():
+			return fmt.Errorf("daemon never became healthy: %w", err)
+		case <-time.After(200 * time.Millisecond):
+		}
+	}
+	if health.Status != "ok" {
+		return fmt.Errorf("health status %q", health.Status)
+	}
+	log.Print("healthz ok")
 	return nil
 }
 
