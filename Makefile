@@ -92,8 +92,9 @@ bench-harness:
 
 # Coverage-guided fuzzing of the decoders that face disk and the wire, 15s
 # each: the bankfmt/v5 bank image (FuzzBankV5, seeded with torn-segment /
-# CRC-flip / duplicate-segment corpora, a grown file of two arena segments
-# and two commits, the same file with one bit flipped in its second arena,
+# CRC-flip / duplicate-segment corpora, the committed grown-in-place file
+# internal/core/testdata/grown-in-place.bank (two arena segments and two
+# commits), the same file with one bit flipped in its second arena,
 # plus the retired generations — a whole v4 file among
 # them — which must classify as stale; every image it accepts must
 # fingerprint the same after SaveBankV4 + DecodeBank, and written to a file

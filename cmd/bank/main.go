@@ -2,8 +2,8 @@
 // artifact) for one dataset and writes it to disk for cmd/figures and
 // cmd/fedtune to reuse (bankfmt/v5, the one format banks take). It can also
 // inspect a bank file — a file in a retired format is named, with the
-// rebuild that replaces it — and grow an existing bank in place with freshly
-// trained configs.
+// rebuild that replaces it — and grow an existing bank with freshly trained
+// configs, rewriting the file whole.
 //
 // Usage:
 //
@@ -91,8 +91,8 @@ func main() {
 	opts.Workers = *workers
 
 	if *grow > 0 {
-		// An interrupt stops the training before anything is appended, so
-		// the file keeps its last commit.
+		// An interrupt stops the training before anything is written, so
+		// the file stays as it was.
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 		err := growBank(ctx, path, pop, opts, *seed, *grow, *workers)
 		stop()
@@ -184,12 +184,13 @@ func printInfo(path string) error {
 }
 
 // growBank extends the bank at path by add freshly trained configs: exactly
-// the new index range is trained, then appended in place as bankfmt/v5
-// segments. The extra configs derive deterministically from the bank's own
-// seed, spec, and pool size, so a retried grow converges to the same bytes
-// and the grown bank matches a cold build over the union pool. The remaining
-// flags must repeat the original build's inputs — Extend verifies them
-// against the bank.
+// the new index range is trained, and the grown bank replaces the file
+// whole through SaveBankV4 (temp file, fsync, atomic rename), so a reader
+// sees the old file or the grown one, never a mix. The extra configs derive
+// deterministically from the bank's own seed, spec, and pool size, so the
+// grown file is byte-identical to a cold build over the union pool. The
+// remaining flags must repeat the original build's inputs — Extend verifies
+// them against the bank.
 func growBank(ctx context.Context, path string, pop *data.Population, opts core.BuildOptions, seed uint64, add, workers int) error {
 	old, err := core.LoadBank(path)
 	if err != nil {
@@ -209,8 +210,11 @@ func growBank(ctx context.Context, path string, pop *data.Population, opts core.
 	if err != nil {
 		return err
 	}
-	grown, err := core.ExtendBankV4(path, plan, []*core.BankShard{shard})
+	grown, err := old.Extend(plan, []*core.BankShard{shard})
 	if err != nil {
+		return err
+	}
+	if err := core.SaveBankV4(grown, path); err != nil {
 		return err
 	}
 	fi, _ := os.Stat(path)

@@ -1,9 +1,9 @@
-// Package bankseg implements the segment layer of bankfmt/v5: an
-// append-oriented on-disk container of CRC-framed, 64-byte-aligned segments
-// behind a fixed file header. The layer is deliberately bank-agnostic — it
-// knows headers, framing, checksums, mmap, append, and torn-tail recovery;
-// the bank semantics (which segment kinds exist, what their payloads mean,
-// which segment is a commit point) live in internal/core.
+// Package bankseg implements the segment layer of bankfmt/v5: an on-disk
+// container of CRC-framed, 64-byte-aligned segments behind a fixed file
+// header. The layer is deliberately bank-agnostic — it knows headers,
+// framing, checksums, mmap, and where a torn walk stops; the bank semantics
+// (which segment kinds exist, what their payloads mean, which segment is a
+// commit point) live in internal/core.
 //
 // Layout (all integers little-endian, CRC-32C/Castagnoli):
 //
@@ -17,12 +17,11 @@
 // payload can be reinterpreted in place as a []uint32 on little-endian
 // hosts — the zero-copy mmap serving path.
 //
-// Durability discipline: fresh files are written to a temp name, fsynced,
-// and renamed into place; growth appends in place and fsyncs before
-// reporting success. A reader treats everything after the last segment the
-// caller recognizes as a commit point as crash debris, and an appending
-// writer physically truncates that debris before adding new segments — so a
-// crash mid-grow rolls the file back to its last intact commit.
+// Durability discipline: every file is written whole to a temp name,
+// fsynced, and renamed into place, so a reader sees a complete file or none.
+// Files grown in place by earlier writers may end in debris past their last
+// commit point; a reader stops at the segment the caller recognizes as the
+// last intact commit and ignores the rest.
 package bankseg
 
 import (
@@ -207,13 +206,7 @@ type File struct {
 // Open maps path read-only and walks its segment headers (payloads are
 // checksummed by the caller, VerifyPayload). On platforms without mmap it
 // falls back to a heap read.
-func Open(path string) (*File, error) { return open(path, true) }
-
-// OpenHeap reads path fully onto the heap and walks its segment headers.
-// The returned File's payload views are heap-owned and survive Close.
-func OpenHeap(path string) (*File, error) { return open(path, false) }
-
-func open(path string, tryMap bool) (*File, error) {
+func Open(path string) (*File, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -229,7 +222,7 @@ func open(path string, tryMap bool) (*File, error) {
 	}
 	var data []byte
 	mapped := false
-	if tryMap && mmapSupported && size >= FileHeaderLen {
+	if mmapSupported && size >= FileHeaderLen {
 		if m, merr := mmapFile(f, size); merr == nil {
 			data, mapped = m, true
 		}
@@ -357,15 +350,13 @@ func (f *File) Close() error {
 
 // --- writing ---
 
-// Writer appends segments to a container. Two construction modes share
-// it: Create builds a fresh file behind a temp name (Commit fsyncs and
-// renames it into place), OpenAppend extends an existing file in place
-// after truncating crash debris (Commit fsyncs).
+// Writer builds a fresh container behind a temp name: Create starts it,
+// Append adds segments, and Commit fsyncs and renames it into place (Abort
+// removes it).
 type Writer struct {
 	f       *os.File
 	path    string
-	tmp     string // non-empty in Create mode until Commit renames
-	off     int64
+	tmp     string // the temp file's name, until Commit renames or Abort removes it
 	nextSeq uint64
 }
 
@@ -383,60 +374,12 @@ func Create(path string) (*Writer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bankseg: create %s: %w", path, err)
 	}
-	w := &Writer{f: f, path: path, tmp: f.Name(), off: FileHeaderLen, nextSeq: 1}
+	w := &Writer{f: f, path: path, tmp: f.Name(), nextSeq: 1}
 	if _, err := f.Write(encodeFileHeader()); err != nil {
 		w.Abort()
 		return nil, fmt.Errorf("bankseg: create %s: %w", path, err)
 	}
 	return w, nil
-}
-
-// OpenAppend opens an existing file for growth. It re-verifies every
-// segment (headers and payload CRCs), finds the last segment isCommit
-// recognizes as a commit point, and physically truncates everything after
-// it — crash debris from an interrupted previous append. It returns the
-// surviving segments (heap-owned; they outlive the writer) alongside the
-// writer, whose next sequence number continues the surviving chain, so a
-// retried append after a crash converges to the same bytes.
-func OpenAppend(path string, isCommit func(*Segment) bool) (*Writer, []Segment, error) {
-	img, err := OpenHeap(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	keep := -1
-	for i := range img.segs {
-		s := &img.segs[i]
-		if err := s.VerifyPayload(); err != nil {
-			// A payload CRC failure bounds the intact prefix exactly like a
-			// header failure: nothing at or after it survives.
-			break
-		}
-		if isCommit(s) {
-			keep = i
-		}
-	}
-	if keep < 0 {
-		torn := img.torn
-		if torn == nil {
-			torn = &CorruptError{Path: path, Segment: 0, Offset: FileHeaderLen, Reason: "no intact commit segment"}
-		}
-		return nil, nil, torn
-	}
-	kept := img.segs[:keep+1]
-	end := kept[keep].End
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return nil, nil, fmt.Errorf("bankseg: append %s: %w", path, err)
-	}
-	if err := f.Truncate(end); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("bankseg: append %s: truncate debris: %w", path, err)
-	}
-	if _, err := f.Seek(end, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("bankseg: append %s: %w", path, err)
-	}
-	return &Writer{f: f, path: path, off: end, nextSeq: kept[keep].Seq + 1}, kept, nil
 }
 
 // Append writes one segment (header, payload, zero padding to the next
@@ -454,60 +397,42 @@ func (w *Writer) Append(kind uint32, tag [16]byte, payload []byte) (uint64, erro
 	if _, err := w.f.Write(payload); err != nil {
 		return 0, fmt.Errorf("bankseg: append segment: %w", err)
 	}
-	end := w.off + SegmentHeaderLen + int64(len(payload))
-	if pad := alignUp(end) - end; pad > 0 {
+	// Every segment starts aligned and its header is Align bytes, so the
+	// padding depends on the payload length alone.
+	if pad := alignUp(int64(len(payload))) - int64(len(payload)); pad > 0 {
 		if _, err := w.f.Write(make([]byte, pad)); err != nil {
 			return 0, fmt.Errorf("bankseg: append segment: %w", err)
 		}
-		end += pad
 	}
-	w.off = end
 	w.nextSeq = seq + 1
 	return seq, nil
 }
 
-// Offset returns the file offset where the next segment header would land.
-func (w *Writer) Offset() int64 { return w.off }
-
-// Sync flushes written segments to stable storage without finishing the
-// writer. Growth protocols sync data segments before writing the commit
-// segment so the commit can never be durable ahead of its data.
-func (w *Writer) Sync() error { return w.f.Sync() }
-
-// Commit makes everything written durable and, in Create mode, atomically
-// renames the temp file into place. The writer is spent afterwards.
+// Commit makes everything written durable and atomically renames the temp
+// file into place. The writer is spent afterwards.
 func (w *Writer) Commit() error {
-	if err := w.f.Sync(); err != nil {
+	err := w.f.Sync()
+	if cerr := w.f.Close(); err == nil {
+		err = cerr
+	}
+	w.f = nil
+	if err == nil {
+		err = os.Rename(w.tmp, w.path)
+	}
+	if err != nil {
 		w.Abort()
 		return fmt.Errorf("bankseg: commit %s: %w", w.path, err)
 	}
-	if err := w.f.Close(); err != nil {
-		w.cleanup()
-		return fmt.Errorf("bankseg: commit %s: %w", w.path, err)
-	}
-	w.f = nil
-	if w.tmp != "" {
-		if err := os.Rename(w.tmp, w.path); err != nil {
-			os.Remove(w.tmp)
-			return fmt.Errorf("bankseg: commit %s: %w", w.path, err)
-		}
-		w.tmp = ""
-	}
+	w.tmp = ""
 	return nil
 }
 
-// Abort discards the writer. In Create mode the temp file is removed; in
-// append mode the file keeps whatever was written (un-synced, past the
-// last commit — exactly the debris OpenAppend truncates on the next open).
+// Abort discards the writer and removes its temp file.
 func (w *Writer) Abort() {
 	if w.f != nil {
 		w.f.Close()
 		w.f = nil
 	}
-	w.cleanup()
-}
-
-func (w *Writer) cleanup() {
 	if w.tmp != "" {
 		os.Remove(w.tmp)
 		w.tmp = ""

@@ -10,10 +10,8 @@ import (
 
 const kindCommit = 9 // arbitrary commit kind for these tests
 
-func isCommit(s *Segment) bool { return s.Kind == kindCommit }
-
 // writeTestFile creates a committed segmented file with the given payloads; every
-// odd segment index gets kindCommit so append tests have commit points.
+// odd segment index gets kindCommit.
 func writeTestFile(t *testing.T, path string, payloads ...[]byte) {
 	t.Helper()
 	w, err := Create(path)
@@ -49,7 +47,13 @@ func TestCreateOpenRoundTrip(t *testing.T) {
 	for _, open := range []struct {
 		name string
 		fn   func(string) (*File, error)
-	}{{"mapped", Open}, {"heap", OpenHeap}} {
+	}{{"mapped", Open}, {"parsed", func(p string) (*File, error) {
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			return nil, err
+		}
+		return Parse(raw)
+	}}} {
 		f, err := open.fn(path)
 		if err != nil {
 			t.Fatalf("%s: %v", open.name, err)
@@ -174,70 +178,6 @@ func TestDuplicateSequenceRejected(t *testing.T) {
 	}
 	if len(f.Segments()) != 1 || f.Torn() == nil {
 		t.Fatalf("duplicate seq: segs=%d torn=%v", len(f.Segments()), f.Torn())
-	}
-}
-
-func TestOpenAppendTruncatesDebris(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "seg.bank")
-	writeTestFile(t, path, []byte("data"), []byte("commit")) // seg 1 is the commit
-	committed, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Append debris past the commit: a data segment with no commit after it
-	// (exactly what a crash between data and commit leaves behind).
-	w, kept, err := OpenAppend(path, isCommit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(kept) != 2 || kept[1].Kind != kindCommit {
-		t.Fatalf("kept = %d segments", len(kept))
-	}
-	if _, err := w.Append(1, [16]byte{}, []byte("debris")); err != nil {
-		t.Fatal(err)
-	}
-	w.Abort()
-	if fi, _ := os.Stat(path); fi.Size() <= int64(len(committed)) {
-		t.Fatal("debris did not land on disk")
-	}
-
-	// Reopening truncates back to the commit and continues the sequence.
-	w, kept, err = OpenAppend(path, isCommit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := w.Offset(); got != int64(len(committed)) {
-		t.Fatalf("append offset = %d, want %d", got, len(committed))
-	}
-	seq, err := w.Append(kindCommit, [16]byte{}, []byte("next"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := kept[1].Seq + 1; seq != want {
-		t.Fatalf("next seq = %d, want %d", seq, want)
-	}
-	if err := w.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	f, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if n := len(f.Segments()); n != 3 {
-		t.Fatalf("after retry: %d segments, want 3", n)
-	}
-	if f.Torn() != nil {
-		t.Fatalf("after retry: torn = %v", f.Torn())
-	}
-}
-
-func TestOpenAppendRequiresCommit(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "seg.bank")
-	writeTestFile(t, path, []byte("only-data")) // kind 1, never a commit
-	if _, _, err := OpenAppend(path, isCommit); err == nil {
-		t.Fatal("OpenAppend succeeded with no commit point")
 	}
 }
 

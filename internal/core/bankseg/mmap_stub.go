@@ -8,7 +8,7 @@ import (
 )
 
 // mmapSupported gates the zero-copy open path; platforms without mmap fall
-// back to heap reads (Open degrades to OpenHeap).
+// back to heap reads.
 const mmapSupported = false
 
 func mmapFile(f *os.File, size int64) ([]byte, error) {

@@ -574,68 +574,6 @@ func (s *BankStore) Stats() StoreStats {
 	}
 }
 
-// WriteAlias records oldKey as an alias of newKey, so lookups that resolve
-// aliases (Resolve) find a grown bank under its pre-growth content address.
-// Alias files live next to entries as <key>.alias (outside the *.bank entry
-// glob) and are written atomically.
-func (s *BankStore) WriteAlias(oldKey, newKey string) error {
-	if s == nil {
-		return fmt.Errorf("core: WriteAlias on nil bank store")
-	}
-	if oldKey == newKey {
-		return nil
-	}
-	path := filepath.Join(s.dir, oldKey+".alias")
-	tmp, err := os.CreateTemp(s.dir, ".aliastmp-*")
-	if err != nil {
-		return fmt.Errorf("core: bank store alias: %w", err)
-	}
-	if _, err := tmp.WriteString(newKey + "\n"); err == nil {
-		err = tmp.Sync()
-	}
-	if err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("core: bank store alias: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("core: bank store alias: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("core: bank store alias: %w", err)
-	}
-	return nil
-}
-
-// Resolve follows alias links from key until it reaches a key with a
-// concrete entry (bounded hops guard against cycles). Content-addressed
-// build paths (GetOrBuild, BuildBankCached) deliberately do NOT resolve:
-// an alias points at a superset bank whose content differs from what the
-// old address promises. Resolution is for serving paths — peers and clients
-// holding a pre-growth key still find the bank.
-func (s *BankStore) Resolve(key string) string {
-	if s == nil {
-		return key
-	}
-	for hops := 0; hops < 8; hops++ {
-		if s.Has(key) {
-			return key
-		}
-		data, err := os.ReadFile(filepath.Join(s.dir, key+".alias"))
-		if err != nil {
-			return key
-		}
-		next := strings.TrimSpace(string(data))
-		if next == "" || next == key {
-			return key
-		}
-		key = next
-	}
-	return key
-}
-
 // BuildBankCached is BuildBank with a write-through cache: it returns the
 // stored bank when the content address (BankKeyForPopulation) hits, and
 // builds + stores it otherwise. The returned bool reports a cache hit. A nil

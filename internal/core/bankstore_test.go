@@ -450,38 +450,3 @@ func TestBankStoreSilentByDefault(t *testing.T) {
 		t.Error("BoundCache kept an entry over a 1-byte bound")
 	}
 }
-
-func TestBankStoreAliasResolve(t *testing.T) {
-	b := storeBank(t)
-	st, err := NewBankStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Put("newkey", b); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.WriteAlias("oldkey", "newkey"); err != nil {
-		t.Fatal(err)
-	}
-	if got := st.Resolve("oldkey"); got != "newkey" {
-		t.Fatalf("Resolve(old) = %q", got)
-	}
-	// A concrete entry resolves to itself even if an alias also exists.
-	if err := st.WriteAlias("newkey", "elsewhere"); err != nil {
-		t.Fatal(err)
-	}
-	if got := st.Resolve("newkey"); got != "newkey" {
-		t.Fatalf("Resolve(new) = %q", got)
-	}
-	// Chains follow: older -> oldkey -> newkey.
-	if err := st.WriteAlias("older", "oldkey"); err != nil {
-		t.Fatal(err)
-	}
-	if got := st.Resolve("older"); got != "newkey" {
-		t.Fatalf("Resolve(older) = %q", got)
-	}
-	// Unknown keys resolve to themselves.
-	if got := st.Resolve("nope"); got != "nope" {
-		t.Fatalf("Resolve(nope) = %q", got)
-	}
-}

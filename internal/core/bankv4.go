@@ -19,9 +19,10 @@ package core
 // The functions keep the V4 names of the segmented container they write.
 //
 // The commit segment is written last and names, by sequence number, exactly
-// the arena segments that constitute the bank — so growth appends arenas
-// then one new commit, and a crash anywhere in between leaves the previous
-// commit as the authoritative state (OpenAppend truncates the debris).
+// the arena segments that constitute the bank. This build writes one arena
+// and one commit per file (a grown bank is saved whole, like a cold build);
+// files grown in place by earlier builds carry further arenas, each followed
+// by a commit naming the union, and read as their last intact commit.
 // Because arena payloads are raw aligned LE uint32s, a bank file opens via
 // mmap and serves oracle reads zero-copy. Every open checks every payload
 // CRC, so it reads every page once: the mapping is resident when the open
@@ -174,20 +175,16 @@ func SaveBankV4(b *Bank, path string) error {
 	return nil
 }
 
-// assembleBankV4 turns a parsed segment container into a Bank. The bank is
-// defined by the LAST intact commit segment — anything after it is crash
-// debris from an interrupted grow and is ignored. Every image, mapped or
-// not, is checked the same way: every payload CRC (a bad payload bounds the
-// intact prefix) and every count against its client's example count. Where
-// the bytes came from decides only what the count blocks are: views of a
-// mapped file (f.Mapped; the caller must then keep f open), copies of
-// anything else (a heap read, a peer's image). The returned refs reports
-// whether the bank references f's image.
-func assembleBankV4(f *bankseg.File) (b *Bank, refs bool, err error) {
+// liveCommit returns the index of the commit segment that defines the bank
+// in f: the last commit before the first payload that fails its CRC. A bad
+// payload bounds the intact prefix exactly like a structural failure —
+// nothing at or after it can be trusted — and anything after the chosen
+// commit is ignored. Every reader of a bank file (assembleBankV4, so every
+// load and open, and InspectBank) picks its commit here, so they all name
+// the same bank.
+func liveCommit(f *bankseg.File) (int, error) {
 	path := f.Path()
 	segs := f.Segments()
-	// A payload CRC failure bounds the intact prefix exactly like a
-	// structural failure: nothing at or after it can be trusted.
 	limit := len(segs)
 	for i := range segs {
 		if segs[i].VerifyPayload() != nil {
@@ -195,21 +192,33 @@ func assembleBankV4(f *bankseg.File) (b *Bank, refs bool, err error) {
 			break
 		}
 	}
-	commitIdx := -1
 	for i := limit - 1; i >= 0; i-- {
 		if segs[i].Kind == segKindCommit {
-			commitIdx = i
-			break
+			return i, nil
 		}
 	}
-	if commitIdx < 0 {
-		if torn := f.Torn(); torn != nil && limit == len(segs) {
-			return nil, false, wrapSegmentErr(path, torn)
-		}
-		if limit < len(segs) {
-			return nil, false, v4Corrupt(path, limit, segs[limit].Offset, "payload CRC mismatch and no earlier commit segment")
-		}
-		return nil, false, v4Corrupt(path, 0, bankseg.FileHeaderLen, "no intact commit segment")
+	if torn := f.Torn(); torn != nil && limit == len(segs) {
+		return -1, wrapSegmentErr(path, torn)
+	}
+	if limit < len(segs) {
+		return -1, v4Corrupt(path, limit, segs[limit].Offset, "payload CRC mismatch and no earlier commit segment")
+	}
+	return -1, v4Corrupt(path, 0, bankseg.FileHeaderLen, "no intact commit segment")
+}
+
+// assembleBankV4 turns a parsed segment container into the bank its live
+// commit (liveCommit) names. Every image, mapped or not, is checked the
+// same way: every payload CRC and every count against its client's example
+// count. Where the bytes came from decides only what the count blocks are:
+// views of a mapped file (f.Mapped; the caller must then keep f open),
+// copies of anything else (a heap read, a peer's image). The returned refs
+// reports whether the bank references f's image.
+func assembleBankV4(f *bankseg.File) (b *Bank, refs bool, err error) {
+	path := f.Path()
+	segs := f.Segments()
+	commitIdx, err := liveCommit(f)
+	if err != nil {
+		return nil, false, err
 	}
 	commit := &segs[commitIdx]
 	dir, bank, err := parseV4Commit(commit.Payload)
@@ -325,7 +334,7 @@ func bankFilePrefix(path string) ([]byte, error) {
 }
 
 // MarshalShardV4 renders a shard as a bankfmt/v5 image, the bytes a dist
-// worker uploads: the arena segment ExtendBankV4 would append for [Lo, Hi),
+// worker uploads: an arena segment tagged [Lo, Hi),
 // then a flags segment under the same tag carrying the tensor dimensions
 // and the per-config divergence flags. Deterministic in the shard's content.
 func MarshalShardV4(sh *BankShard) ([]byte, error) {
@@ -441,71 +450,4 @@ func (b *Bank) Extend(p *BuildPlan, shards []*BankShard) (*Bank, error) {
 	}
 	prefix := &BankShard{Lo: 0, Hi: n, Errs: b.Errs, Diverged: b.Diverged}
 	return AssembleBank(p, append([]*BankShard{prefix}, shards...))
-}
-
-// extendAbortStage, when non-empty, makes ExtendBankV4 abandon the file
-// right after the named append stage without syncing — simulating a crash
-// mid-grow. Stages: "arena" (after arena segments, before the commit),
-// "commit" (after the commit segment, before fsync). Always empty outside
-// tests.
-var extendAbortStage string
-
-// ExtendBankV4 grows a bank file in place: it loads the current bank,
-// assembles the grown bank in memory (Extend), then appends one arena
-// segment per shard followed by a new commit segment naming the union, with
-// an fsync between data and commit so the commit is never durable ahead of
-// its arenas. Opening for append first truncates any crash debris past the
-// last intact commit, so a retried grow after a crash converges to the same
-// file bytes. Returns the grown bank.
-func ExtendBankV4(path string, p *BuildPlan, shards []*BankShard) (*Bank, error) {
-	old, err := LoadBank(path)
-	if err != nil {
-		return nil, fmt.Errorf("core: extend bank: %w", err)
-	}
-	grown, err := old.Extend(p, shards)
-	if err != nil {
-		return nil, err
-	}
-	w, kept, err := bankseg.OpenAppend(path, func(s *bankseg.Segment) bool { return s.Kind == segKindCommit })
-	if err != nil {
-		return nil, wrapSegmentErr(path, err)
-	}
-	// The surviving commit's directory seeds the union directory.
-	dir, _, err := parseV4Commit(kept[len(kept)-1].Payload)
-	if err != nil {
-		w.Abort()
-		return nil, v4Corrupt(path, len(kept)-1, kept[len(kept)-1].Offset, "commit segment: %w", err)
-	}
-	sorted := append([]*BankShard(nil), shards...)
-	slices.SortFunc(sorted, func(a, b *BankShard) int { return a.Lo - b.Lo })
-	for _, sh := range sorted {
-		seq, err := w.Append(segKindArena, arenaTag(sh.Lo, sh.Hi), appendCounts(nil, &sh.Errs))
-		if err != nil {
-			w.Abort()
-			return nil, fmt.Errorf("core: extend bank: %w", err)
-		}
-		dir = append(dir, v4DirEntry{seq: seq, lo: sh.Lo, hi: sh.Hi})
-	}
-	if extendAbortStage == "arena" {
-		w.Abort()
-		return nil, fmt.Errorf("core: extend bank: aborted after arena append (test hook)")
-	}
-	// Sync the arenas before the commit lands: a commit segment must never
-	// become durable while the data it names could still vanish.
-	if err := w.Sync(); err != nil {
-		w.Abort()
-		return nil, fmt.Errorf("core: extend bank: %w", err)
-	}
-	if _, err := w.Append(segKindCommit, [16]byte{}, appendV4Commit(nil, dir, grown)); err != nil {
-		w.Abort()
-		return nil, fmt.Errorf("core: extend bank: %w", err)
-	}
-	if extendAbortStage == "commit" {
-		w.Abort()
-		return nil, fmt.Errorf("core: extend bank: aborted before commit sync (test hook)")
-	}
-	if err := w.Commit(); err != nil {
-		return nil, fmt.Errorf("core: extend bank: %w", err)
-	}
-	return grown, nil
 }

@@ -133,42 +133,48 @@ func growFixture(t testing.TB) (base, cold *Bank, plan *BuildPlan, shard *BankSh
 }
 
 // TestGrownBankMatchesColdBuild is the golden growth test: extending a bank
-// with freshly trained configs must reproduce, content-hash-identical, a
-// cold build over the union pool with the same seed.
+// with freshly trained configs must reproduce a cold build over the union
+// pool with the same seed — the same content, and saved, the same file
+// bytes. The grown bank is built over a mapped parent, as a store serves it.
 func TestGrownBankMatchesColdBuild(t *testing.T) {
 	base, cold, plan, shard := growFixture(t)
-	grown, err := base.Extend(plan, []*BankShard{shard})
+	dir := t.TempDir()
+	basePath := filepath.Join(dir, "base.bank")
+	if err := SaveBankV4(base, basePath); err != nil {
+		t.Fatal(err)
+	}
+	parent, closer, err := OpenBankMapped(basePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer.Close()
+	grown, err := parent.Extend(plan, []*BankShard{shard})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hashBankContent(grown) != hashBankContent(cold) {
 		t.Fatal("grown bank content differs from cold build over the union pool")
 	}
-	if len(base.Configs) != 4 {
+	if len(parent.Configs) != 4 {
 		t.Fatal("Extend mutated its receiver")
 	}
-	// And the on-disk grow path reproduces it too, through both load paths.
-	path := filepath.Join(t.TempDir(), "grow.bank")
-	if err := SaveBankV4(base, path); err != nil {
+	grownPath, coldPath := filepath.Join(dir, "grown.bank"), filepath.Join(dir, "cold.bank")
+	if err := SaveBankV4(grown, grownPath); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExtendBankV4(path, plan, []*BankShard{shard}); err != nil {
+	if err := SaveBankV4(cold, coldPath); err != nil {
 		t.Fatal(err)
 	}
-	reloaded, err := LoadBank(path)
+	got, err := os.ReadFile(grownPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hashBankContent(reloaded) != hashBankContent(cold) {
-		t.Fatal("reloaded grown file differs from cold build")
-	}
-	mapped, closer, err := OpenBankMapped(path)
+	want, err := os.ReadFile(coldPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer closer.Close()
-	if hashBankContent(mapped) != hashBankContent(cold) {
-		t.Fatal("mapped grown file differs from cold build")
+	if !bytes.Equal(got, want) {
+		t.Fatalf("saved grown bank (%d B) differs from the saved cold build (%d B)", len(got), len(want))
 	}
 }
 
@@ -294,103 +300,128 @@ func TestExtendValidatesPlan(t *testing.T) {
 	}
 }
 
-// TestExtendBankV4CrashMidGrow pins the crash-consistency contract: a grow
-// interrupted before its commit segment rolls back to the pre-grow bank on
-// the next open, and retrying the grow converges to byte-identical file
-// content.
-func TestExtendBankV4CrashMidGrow(t *testing.T) {
-	base, cold, plan, shard := growFixture(t)
-	dir := t.TempDir()
+// legacyGrownFile is a bank grown in place by an earlier build, which
+// appended an arena and a second commit to growFixture's saved base bank:
+// arena [0,4), commit, arena [4,6), commit naming both. This build writes
+// no such file, but it is valid bankfmt/v5 and must read as it always did.
+const legacyGrownFile = "testdata/grown-in-place.bank"
 
-	write := func(name string) string {
-		p := filepath.Join(dir, name)
-		if err := SaveBankV4(base, p); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-
-	// Control: an uninterrupted grow, the bytes every retry must converge to.
-	control := write("control.bank")
-	if _, err := ExtendBankV4(control, plan, []*BankShard{shard}); err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(control)
+// readAllWays reads the bank file at path through every reader of stored
+// bank bytes — LoadBank, OpenBankMapped, a BankStore's Get and InspectBank —
+// and fails unless each names the bank whose fingerprint is want, of
+// configs configs: InspectBank's dims are that bank's, and the segments it
+// marks live are one commit and intact arenas covering exactly its configs.
+func readAllWays(t *testing.T, path, want string, configs int) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	preGrow, err := os.ReadFile(write("pre.bank"))
+	loaded, err := LoadBank(path)
+	if err != nil {
+		t.Fatalf("LoadBank: %v", err)
+	}
+	if got := BankFingerprint(loaded); got != want {
+		t.Errorf("LoadBank serves %s (%d configs), want %s", got, len(loaded.Configs), want)
+	}
+	mapped, closer, err := OpenBankMapped(path)
+	if err != nil {
+		t.Fatalf("OpenBankMapped: %v", err)
+	}
+	defer closer.Close()
+	if got := BankFingerprint(mapped); got != want {
+		t.Errorf("OpenBankMapped serves %s (%d configs), want %s", got, len(mapped.Configs), want)
+	}
+	store, err := NewBankStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Crash after the arena segments, before the commit: the debris is
-	// invisible to readers and a retry converges.
-	p := write("arena-crash.bank")
-	extendAbortStage = "arena"
-	if _, err := ExtendBankV4(p, plan, []*BankShard{shard}); err == nil {
-		t.Fatal("aborted grow reported success")
+	defer store.Close()
+	if err := os.WriteFile(store.Path("legacy"), raw, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	extendAbortStage = ""
-	got, err := LoadBank(p)
+	stored, err := store.Get("legacy")
+	if err != nil || stored == nil {
+		t.Fatalf("BankStore.Get = %v, %v; want a hit", stored != nil, err)
+	}
+	if got := BankFingerprint(stored); got != want {
+		t.Errorf("BankStore.Get serves %s (%d configs), want %s", got, len(stored.Configs), want)
+	}
+	info, err := InspectBank(path)
 	if err != nil {
-		t.Fatalf("reopen after arena crash: %v", err)
+		t.Fatalf("InspectBank: %v", err)
 	}
-	if hashBankContent(got) != hashBankContent(base) {
-		t.Fatal("arena crash leaked partial growth to readers")
+	if wantDims := [4]int{len(loaded.Partitions), configs, len(loaded.Rounds), len(loaded.ExampleCounts[0])}; info.Dims != wantDims {
+		t.Errorf("InspectBank dims %v, want %v", info.Dims, wantDims)
 	}
-	if _, err := ExtendBankV4(p, plan, []*BankShard{shard}); err != nil {
-		t.Fatalf("retried grow: %v", err)
+	commits, covered := 0, 0
+	for _, si := range info.Segments {
+		if !si.Live {
+			continue
+		}
+		if !si.CRCOK {
+			t.Errorf("InspectBank marks segment %d (%s) live with a bad CRC", si.Index, si.Kind)
+		}
+		if si.Kind == "commit" {
+			commits++
+		} else {
+			covered += si.Hi - si.Lo
+		}
 	}
-	if after, _ := os.ReadFile(p); !bytes.Equal(after, want) {
-		t.Fatal("retried grow did not converge to the control bytes")
+	if commits != 1 || covered != configs {
+		t.Errorf("InspectBank marks %d commits and arenas of %d configs live, want 1 and %d", commits, covered, configs)
 	}
+}
 
-	// Crash with the commit fully written but not yet fsynced: the file
-	// content already equals the committed grow, so readers see the grown
-	// bank (fsync only narrows the window where the OS could lose it).
-	p = write("commit-crash.bank")
-	extendAbortStage = "commit"
-	if _, err := ExtendBankV4(p, plan, []*BankShard{shard}); err == nil {
-		t.Fatal("aborted grow reported success")
-	}
-	extendAbortStage = ""
-	if got, err := LoadBank(p); err != nil || hashBankContent(got) != hashBankContent(cold) {
-		t.Fatalf("commit-written crash: err=%v", err)
-	}
-
-	// Torn writes at arbitrary points inside the appended region (the OS
-	// persisted a prefix): the bank rolls back to pre-grow, and a retried
-	// grow converges to the control bytes. The last cut lands inside the
-	// union commit's payload — a cut in the trailing alignment padding
-	// would leave the commit intact, which is not a torn write.
-	sf, err := bankseg.Parse(want)
+// TestLegacyGrownFileReads: a file grown in place reads, through every
+// reader, as the cold build over the union pool; cut anywhere inside the
+// appended region, or with one bit flipped in its second arena, it reads
+// as the pre-grow bank (its first commit) — cmd/bank -info included, which
+// once reported the flipped file as the union bank the loader refuses.
+func TestLegacyGrownFileReads(t *testing.T) {
+	base, cold, _, _ := growFixture(t)
+	grown, err := os.ReadFile(legacyGrownFile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lastSeg := sf.Segments()[len(sf.Segments())-1]
-	for _, cut := range []int64{
-		int64(len(preGrow)) + 1,
-		int64(len(preGrow)) + bankseg.SegmentHeaderLen + 16,
-		lastSeg.Offset + bankseg.SegmentHeaderLen + int64(len(lastSeg.Payload)) - 1,
-	} {
-		p := filepath.Join(dir, "torn.bank")
-		if err := os.WriteFile(p, want[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		got, err := LoadBank(p)
-		if err != nil {
-			t.Fatalf("cut %d: reopen: %v", cut, err)
-		}
-		if hashBankContent(got) != hashBankContent(base) {
-			t.Fatalf("cut %d: torn grow leaked partial state", cut)
-		}
-		if _, err := ExtendBankV4(p, plan, []*BankShard{shard}); err != nil {
-			t.Fatalf("cut %d: retried grow: %v", cut, err)
-		}
-		if after, _ := os.ReadFile(p); !bytes.Equal(after, want) {
-			t.Fatalf("cut %d: retry did not converge", cut)
-		}
+	readAllWays(t, legacyGrownFile, BankFingerprint(cold), len(cold.Configs))
+
+	sf, err := bankseg.Parse(grown)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs := sf.Segments()
+	if len(segs) != 4 || segs[1].Kind != segKindCommit || segs[2].Kind != segKindArena || segs[3].Kind != segKindCommit {
+		t.Fatalf("fixture is not arena, commit, arena, commit: %d segments", len(segs))
+	}
+	preGrow := segs[1].End // the base file ends after its commit
+	// The writer still writes the bytes the earlier build grew from.
+	basePath := filepath.Join(t.TempDir(), "base.bank")
+	if err := SaveBankV4(base, basePath); err != nil {
+		t.Fatal(err)
+	}
+	if saved, err := os.ReadFile(basePath); err != nil || !bytes.Equal(saved, grown[:preGrow]) {
+		t.Fatalf("SaveBankV4 of the base bank is not the fixture's first %d bytes (err %v)", preGrow, err)
+	}
+	flip := append([]byte(nil), grown...)
+	flip[segs[2].Offset+bankseg.SegmentHeaderLen+8] ^= 1
+	variants := map[string][]byte{
+		// The cuts a crash mid-grow left: inside the appended arena's
+		// header, inside its payload, and inside the union commit's payload
+		// (a cut in the trailing padding would leave that commit intact).
+		"cut-arena-header":  grown[:preGrow+1],
+		"cut-arena-payload": grown[:preGrow+bankseg.SegmentHeaderLen+16],
+		"cut-union-commit":  grown[:segs[3].Offset+bankseg.SegmentHeaderLen+int64(len(segs[3].Payload))-1],
+		"flip-second-arena": flip,
+	}
+	for name, img := range variants {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), name+".bank")
+			if err := os.WriteFile(path, img, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			readAllWays(t, path, BankFingerprint(base), len(base.Configs))
+		})
 	}
 }
 
@@ -451,8 +482,9 @@ func TestLoadBankCorruptionIsLocated(t *testing.T) {
 // OpenBankMapped, the store's read path, accepts the same bytes written to
 // a file exactly when it does, serving the same bank. Seeds cover the
 // corpus the crash and corruption tests exercise (a valid file, a torn
-// segment, a payload CRC flip, a duplicated segment, a grown file whole and
-// with a flipped bit in its second arena); testdata adds the
+// segment, a payload CRC flip, a duplicated segment, and the committed
+// grown-in-place file whole and with a flipped bit in its second arena);
+// testdata adds the
 // retired generations (a whole v4 file with its float64 arena, v3 frames
 // whole, truncated and bit-flipped, a gzip magic), which must classify as
 // stale without being decoded.
@@ -480,16 +512,9 @@ func FuzzBankV5(f *testing.F) {
 	f.Add(flip)                                                                // payload CRC flip
 	f.Add(append(append([]byte(nil), raw...), raw[bankseg.FileHeaderLen:]...)) // duplicate segments
 	f.Add([]byte{})
-	// A grown file: two arena segments, two commits — the multi-block path.
-	base, _, plan, shard := growFixture(f)
-	grownPath := filepath.Join(f.TempDir(), "grown.bank")
-	if err := SaveBankV4(base, grownPath); err != nil {
-		f.Fatal(err)
-	}
-	if _, err := ExtendBankV4(grownPath, plan, []*BankShard{shard}); err != nil {
-		f.Fatal(err)
-	}
-	grown, err := os.ReadFile(grownPath)
+	// A file grown in place: two arena segments, two commits — the
+	// multi-block path.
+	grown, err := os.ReadFile(legacyGrownFile)
 	if err != nil {
 		f.Fatal(err)
 	}

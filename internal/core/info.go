@@ -71,7 +71,6 @@ func inspectSegments(info *BankInfo) (*BankInfo, error) {
 		info.Torn = torn.Error()
 	}
 	segs := sf.Segments()
-	commitIdx := -1
 	for i := range segs {
 		s := &segs[i]
 		si := SegmentInfo{
@@ -87,16 +86,15 @@ func inspectSegments(info *BankInfo) (*BankInfo, error) {
 			si.Lo, si.Hi = arenaTagRange(s.Tag)
 		case segKindCommit:
 			si.Kind = "commit"
-			if si.CRCOK {
-				commitIdx = i
-			}
 		default:
 			si.Kind = fmt.Sprintf("unknown(%d)", s.Kind)
 		}
 		info.Segments = append(info.Segments, si)
 	}
-	if commitIdx < 0 {
-		return info, v4Corrupt(info.Path, 0, bankseg.FileHeaderLen, "no intact commit segment")
+	// The loader's commit, so the report names the bank a load serves.
+	commitIdx, err := liveCommit(sf)
+	if err != nil {
+		return info, err
 	}
 	dir, b, err := parseV4Commit(segs[commitIdx].Payload)
 	if err != nil {

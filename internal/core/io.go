@@ -8,8 +8,8 @@ import (
 	"noisyeval/internal/core/bankseg"
 )
 
-// LoadBank reads a bank file written by SaveBankV4 (or grown by
-// ExtendBankV4), verifies every segment CRC and every count, and copies
+// LoadBank reads a bank file written by SaveBankV4 (or grown in place by
+// an earlier build), verifies every segment CRC and every count, and copies
 // each arena segment onto the heap as one count block — the fully-checked
 // counterpart of OpenBankMapped. Corruption
 // surfaces as a *CorruptError naming the failing segment and its offset; a

@@ -74,7 +74,7 @@ func (m *ErrMatrix) Row(pi, ci, ri int) []uint32 {
 
 // runs yields the counts in canonical [partition][config][checkpoint][client]
 // order as contiguous runs: for each partition, each block's slab of it.
-// Every writer of counts (SaveBankV4, MarshalShardV4, ExtendBankV4) and
+// Every writer of counts (SaveBankV4, MarshalShardV4) and
 // BankFingerprint walk this, so a bank encodes and hashes the same however
 // its blocks are split.
 func (m *ErrMatrix) runs() iter.Seq[[]uint32] {

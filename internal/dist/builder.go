@@ -118,12 +118,6 @@ func fetchBank(client *http.Client, peer, key string, limit int64) (*core.Bank, 
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("dist: peer %s: %s", peer, resp.Status)
 	}
-	// A peer serves grown banks through store aliases; a moved key means the
-	// peer no longer holds the exact pool this build's content address
-	// promises, so it is a miss here, not a substitute.
-	if got := resp.Header.Get("X-Bank-Key"); got != "" && got != key {
-		return nil, fmt.Errorf("dist: peer %s: bank %s grown into %s", peer, key, got)
-	}
 	// The wire bytes are the store's file, gzipped; DecodeBank verifies every
 	// segment before the bank is trusted or persisted.
 	img, err := inflateBytes(resp.Body, limit)

@@ -740,11 +740,8 @@ func safeKey(key string) bool {
 
 // handleBank serves a cached bank — the file exactly as the store persisted
 // it, streamed through gzip without decoding — so warm peers can seed cold
-// ones (the read-through tier of dist.Builder). A key whose bank has been
-// grown resolves through its store alias; the X-Bank-Key header names the
-// entry actually served, so callers that need the exact requested content
-// (the builder does — its cache key promises a specific config pool) can
-// tell a moved bank from a hit.
+// ones (the read-through tier of dist.Builder). A key is a content address:
+// it serves exactly the entry stored under it, or 404.
 func (c *Coordinator) handleBank(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if !safeKey(key) {
@@ -756,12 +753,7 @@ func (c *Coordinator) handleBank(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no bank store")
 		return
 	}
-	resolved := store.Resolve(key)
-	if !safeKey(resolved) {
-		writeError(w, http.StatusNotFound, "no bank %s", key)
-		return
-	}
-	f, err := os.Open(store.Path(resolved))
+	f, err := os.Open(store.Path(key))
 	if err != nil {
 		writeError(w, http.StatusNotFound, "no bank %s", key)
 		return
@@ -769,7 +761,6 @@ func (c *Coordinator) handleBank(w http.ResponseWriter, r *http.Request) {
 	defer f.Close()
 	c.bankFetches.Inc()
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Bank-Key", resolved)
 	zw := gzip.NewWriter(w)
 	// A failed copy leaves the member without its trailer, which the
 	// fetcher's inflate rejects; nothing more can be said on this connection.

@@ -182,11 +182,10 @@ func TestPeerReadThrough(t *testing.T) {
 	}
 }
 
-// TestPeerBankAliasMiss: growth moves a bank to a new content address on
-// the warm peer, leaving a store alias behind. GET /v1/banks/{key} serves
-// through the alias and names the entry actually served (X-Bank-Key); the
-// builder's read-through tier must treat the moved bank as a miss — its
-// cache key promises an exact config pool — and build the real pool locally.
+// TestPeerBankAliasMiss: growth writes a bank under a new content address
+// on the warm peer, and no key redirects to another entry. With the old
+// entry pruned, GET /v1/banks/{key} answers 404, and the builder's
+// read-through tier counts a miss and builds the exact pool locally.
 func TestPeerBankAliasMiss(t *testing.T) {
 	pop, opts, seed := testPop(t), testOpts(), uint64(13)
 	store, err := core.NewBankStore(t.TempDir())
@@ -198,8 +197,8 @@ func TestPeerBankAliasMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Simulate growth on the peer: a different bank under a new address, an
-	// alias at the old address, the old entry pruned.
+	// Simulate growth on the peer: a different bank under a new address, the
+	// old entry pruned.
 	key := core.BankKeyForPopulation(pop, opts, seed)
 	moved, err := core.BuildBank(pop, opts, seed+1)
 	if err != nil {
@@ -212,35 +211,21 @@ func TestPeerBankAliasMiss(t *testing.T) {
 	if err := os.Remove(store.Path(key)); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.WriteAlias(key, newKey); err != nil {
-		t.Fatal(err)
-	}
-
-	// A raw GET through the old key serves the moved bank and says so.
+	// The old key names no entry; the new one serves the moved bank.
 	resp, err := http.Get(ts.URL + "/v1/banks/" + key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("alias GET status = %d", resp.StatusCode)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET of the pruned key: status %d, want 404", resp.StatusCode)
 	}
-	if got := resp.Header.Get("X-Bank-Key"); got != newKey {
-		t.Fatalf("X-Bank-Key = %q, want %q", got, newKey)
-	}
-	img, err := inflateBytes(resp.Body, core.MaxBankImageBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	served, err := core.DecodeBank(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if core.BankFingerprint(served) != core.BankFingerprint(moved) {
-		t.Error("alias GET served the wrong bank")
+	if served, err := fetchBank(http.DefaultClient, ts.URL, newKey, core.MaxBankImageBytes); err != nil ||
+		core.BankFingerprint(served) != core.BankFingerprint(moved) {
+		t.Fatalf("GET of the new key did not serve the moved bank: %v", err)
 	}
 
-	// The builder refuses the substitute and produces the exact pool.
+	// The builder misses on the peer and produces the exact pool.
 	coldStore, err := core.NewBankStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +236,7 @@ func TestPeerBankAliasMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cached {
-		t.Error("moved peer bank was accepted as a cache hit")
+		t.Error("a pruned peer key was reported as a cache hit")
 	}
 	local, err := core.BuildBank(pop, opts, seed)
 	if err != nil {

@@ -35,11 +35,9 @@ type Scheme struct {
 	// default) or p_val,k = 1 (false; required under DP, footnote 1).
 	Weighted bool
 	// Bias is the systems-heterogeneity exponent b >= 0: clients are sampled
-	// with probability proportional to (accuracy + BiasDelta)^Bias.
+	// with probability proportional to (accuracy + DefaultBiasDelta)^Bias.
 	// Zero means uniform sampling.
 	Bias float64
-	// BiasDelta is δ; zero defaults to DefaultBiasDelta.
-	BiasDelta float64
 	// DP configures Laplace perturbation of released evaluations.
 	// A zero value (Epsilon == 0) is treated as non-private.
 	DP dp.Params
@@ -58,9 +56,6 @@ func (s Scheme) Normalize(nClients int) (Scheme, error) {
 	}
 	if s.DP.Epsilon == 0 {
 		s.DP.Epsilon = dp.InfEpsilon
-	}
-	if s.BiasDelta == 0 {
-		s.BiasDelta = DefaultBiasDelta
 	}
 	if s.Bias < 0 {
 		return s, fmt.Errorf("eval: bias exponent %g must be non-negative", s.Bias)
@@ -263,7 +258,7 @@ func (e *Evaluator) BiasWeight(rate float64) float64 {
 	if acc < 0 {
 		acc = 0
 	}
-	return math.Pow(acc+e.scheme.BiasDelta, e.scheme.Bias)
+	return math.Pow(acc+DefaultBiasDelta, e.scheme.Bias)
 }
 
 // grow returns b resized to length n, reallocating only on growth.

@@ -11,12 +11,12 @@ import (
 )
 
 // GrowResult reports one bank growth: the dataset, the serve-visible
-// content addresses before and after (BankKeyFor — the address runs and
-// sessions record), and the pool sizes.
+// content addresses before and after (BankKeyFor — the bank_key runs and
+// sessions record, not a store key), and the pool sizes.
 type GrowResult struct {
 	Dataset string
-	OldKey  string // content address before growth (kept as a store alias)
-	NewKey  string // content address after growth
+	OldKey  string // bank_key before growth: runs recorded under it keep it, nothing new resolves it
+	NewKey  string // bank_key after growth: every later run, session and grow uses it
 	Added   int    // configs trained by this growth
 	Total   int    // pool size after growth
 }
@@ -31,11 +31,11 @@ type GrowResult struct {
 // current pool size), making the grown bank byte-identical to a cold build
 // over the union pool with the same seed.
 //
-// With a store attached, the grown bank is persisted under its new
-// population-level content address and the old address is kept as an alias
-// (BankStore.WriteAlias), so peers and clients holding the pre-growth key
-// still resolve the bank. Growths are serialized per suite; in-flight
-// readers of the old bank keep their consistent (smaller) view.
+// With a store attached, the grown bank is written whole (BankStore.Put)
+// under its new population-level content address; the pre-growth entry
+// stays where it was, holding exactly the pool its address promises.
+// Growths are serialized per suite; in-flight readers of the old bank keep
+// their consistent (smaller) view.
 //
 // Banks installed via SetBank cannot grow: their build inputs are unknown,
 // so there is no plan to extend against.
@@ -85,12 +85,7 @@ func (s *Suite) GrowBankCtx(ctx context.Context, name string, add int) (*core.Ba
 	s.builds.Add(1)
 
 	if st := s.Store(); st != nil {
-		oldPopKey := core.BankKeyForPopulation(pop, oldOpts, seed)
-		newPopKey := core.BankKeyForPopulation(pop, opts, seed)
-		if err := st.Put(newPopKey, grown); err != nil {
-			return nil, GrowResult{}, fmt.Errorf("exper: grow bank %s: %w", name, err)
-		}
-		if err := st.WriteAlias(oldPopKey, newPopKey); err != nil {
+		if err := st.Put(core.BankKeyForPopulation(pop, opts, seed), grown); err != nil {
 			return nil, GrowResult{}, fmt.Errorf("exper: grow bank %s: %w", name, err)
 		}
 	}

@@ -2,6 +2,7 @@ package exper
 
 import (
 	"os"
+	"path/filepath"
 	"slices"
 	"sync"
 	"testing"
@@ -61,24 +62,25 @@ func TestSuiteGrowBank(t *testing.T) {
 		t.Fatal("growth of cifar10 changed femnist's address")
 	}
 
-	// Persistence: the grown bank landed under its new population-level
-	// address, and the old address aliases to it.
+	// Persistence: the grown bank landed whole under its new population-level
+	// address, the old entry stays under its own, and the store holds bank
+	// entries only — no file links one address to another.
 	_, newOpts, _ := s.BankBuildInputs("cifar10")
 	newPopKey := core.BankKeyForPopulation(pop, newOpts, seed)
 	if !st.Has(newPopKey) {
 		t.Fatal("grown bank not persisted under its new address")
 	}
-	// While the old entry survives, the old address still serves the exact
-	// bank it promises (concrete beats alias); once it is evicted, the alias
-	// forwards readers to the grown superset.
-	if got := st.Resolve(oldPopKey); got != oldPopKey {
-		t.Fatalf("old address with live entry resolves to %s, want itself", got)
+	if !st.Has(oldPopKey) {
+		t.Fatal("growth removed the pre-growth entry")
 	}
-	if err := os.Remove(st.Path(oldPopKey)); err != nil {
+	ents, err := os.ReadDir(st.Dir())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := st.Resolve(oldPopKey); got != newPopKey {
-		t.Fatalf("evicted old address resolves to %s, want %s", got, newPopKey)
+	for _, e := range ents {
+		if filepath.Ext(e.Name()) != ".bank" {
+			t.Fatalf("growth left %s in the store, which is no bank entry", e.Name())
+		}
 	}
 
 	// Validation.

@@ -33,9 +33,9 @@ import (
 //	POST   /v1/sessions/{id}/tell  answer asks / evaluate caller-chosen configs
 //	DELETE /v1/sessions/{id}       close a session
 //	GET    /v1/banks               cached banks in the shared store
-//	POST   /v1/banks/{key}/grow    extend a served bank with freshly trained
-//	                               configs; the content address advances and
-//	                               the old key stays valid as a store alias
+//	POST   /v1/banks/{key}/grow    extend the served bank a run's bank_key
+//	                               names with freshly trained configs; the
+//	                               key advances to new_key
 //	GET    /v1/runs/{id}/trace     per-run span timeline (trace ID, queue wait,
 //	                               bank tiers, worker shards, trials, encode)
 //	GET    /metrics                Prometheus text exposition (counters, gauges,
@@ -486,11 +486,12 @@ func (s *Server) handleBanks(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleBankGrow implements POST /v1/banks/{key}/grow: extend the served
-// bank addressed by key with {"add": n} freshly sampled configs. The grown
-// bank's content address advances (returned as new_key); the old key keeps
-// resolving through a store alias, so peers and clients holding it are
-// unaffected. Answers 404 when no suite serves a bank under that key —
-// growth never cold-builds.
+// bank whose bank_key (the address a run records, not a /v1/banks entry)
+// is key with {"add": n} freshly sampled configs. The bank's address
+// advances (returned as new_key): later runs record it and a further grow
+// must name it, while runs recorded under the old key keep theirs. Answers
+// 404 when no suite serves a bank under that key — the old key after a
+// grow included — since growth never cold-builds.
 func (s *Server) handleBankGrow(w http.ResponseWriter, r *http.Request) {
 	var req client.GrowBankRequest
 	dec := json.NewDecoder(io.LimitReader(r.Body, s.maxBody))

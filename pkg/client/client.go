@@ -758,10 +758,11 @@ func (c *Client) GetHealth(ctx context.Context) (Health, error) {
 	return h, err
 }
 
-// GrowBank asks the daemon to extend the bank addressed by key with add
-// freshly trained configs (POST /v1/banks/{key}/grow). On success the
-// bank's content address has advanced to NewKey; the old key keeps
-// resolving through a store alias.
+// GrowBank asks the daemon to extend the bank whose bank_key (as a run or
+// session result reports it) is key with add freshly trained configs (POST
+// /v1/banks/{key}/grow). On success the bank's address has advanced to
+// NewKey: later runs report it, and a further grow must name it — the old
+// key then answers 404.
 func (c *Client) GrowBank(ctx context.Context, key string, add int) (GrowBankResult, error) {
 	var res GrowBankResult
 	err := c.do(ctx, http.MethodPost, "/v1/banks/"+url.PathEscape(key)+"/grow", GrowBankRequest{Add: add}, &res)
