@@ -1,6 +1,9 @@
 package noisyeval_test
 
 import (
+	"os"
+	"path/filepath"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -75,6 +78,61 @@ func TestBenchmarkAllocs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestBankRenderBytes pins the bytes rendering a bank container allocates
+// against the bytes it renders, on the benchmark's bank: MarshalShardV4 and
+// SaveBankV4 append the arena straight into the one image they build, so
+// neither holds it twice (a second copy reads about 2x). What remains is
+// the image's size-class rounding and, for a file, the commit segment's
+// metadata, rendered before the image is sized.
+func TestBankRenderBytes(t *testing.T) {
+	b := codecBenchBank
+	shard := &core.BankShard{Lo: 0, Hi: len(b.Configs), Errs: b.Errs, Diverged: b.Diverged}
+	img, err := core.MarshalShardV4(shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "bench.bank")
+	if err := core.SaveBankV4(b, path); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		size int64
+		step func() error
+	}{
+		{"MarshalShardV4", int64(len(img)), func() error { _, err := core.MarshalShardV4(shard); return err }},
+		{"SaveBankV4", fi.Size(), func() error { return core.SaveBankV4(b, path) }},
+	} {
+		const runs, bound = 5, 1.05
+		per, err := bytesPerRun(runs, c.step)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ratio := per / float64(c.size); ratio > bound {
+			t.Errorf("%s allocates %.3fx the %d bytes it renders, bound %v", c.name, ratio, c.size, bound)
+		}
+	}
+}
+
+// bytesPerRun is the mean of the bytes f allocates over runs calls, with the
+// garbage collector off.
+func bytesPerRun(runs int, f func() error) (float64, error) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if err := f(); err != nil {
+			return 0, err
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs), nil
 }
 
 // allocsPerRun is testing.AllocsPerRun with the garbage collector off.

@@ -239,7 +239,7 @@ func TestShardImageRoundTripAndRobustness(t *testing.T) {
 		"arena payload CRC flip":  flip(bankseg.FileHeaderLen + bankseg.SegmentHeaderLen + 3),
 		"flags payload CRC flip":  flip(flagsStart + bankseg.SegmentHeaderLen + 13),
 		"other shard's flags":     append(append([]byte(nil), img[:flagsStart]...), otherImg[len(otherImg)-(len(img)-int(flagsStart)):]...),
-		"trailing third segment":  bankseg.AppendSegment(append([]byte(nil), img...), segKindArena, 3, arenaTag(1, 4), nil),
+		"trailing third segment":  bankseg.AppendSegment(append([]byte(nil), img...), segKindArena, 3, arenaTag(1, 4), func(p []byte) []byte { return p }),
 		"bank file, not a shard":  bankImage(t, plan),
 		"v3 NESHRD frame":         append([]byte("NESHRD\x03\x00"), make([]byte, 120)...),
 		"not a container at all":  []byte("garbage"),

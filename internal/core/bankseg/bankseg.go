@@ -17,11 +17,13 @@
 // payload can be reinterpreted in place as a []uint32 on little-endian
 // hosts — the zero-copy mmap serving path.
 //
-// Durability discipline: every file is written whole to a temp name,
-// fsynced, and renamed into place, so a reader sees a complete file or none.
-// Files grown in place by earlier writers may end in debris past their last
-// commit point; a reader stops at the segment the caller recognizes as the
-// last intact commit and ignores the rest.
+// There is one way to render a container and one way to publish it: NewImage
+// and AppendSegment build the whole image in memory, each payload rendered
+// in place, and WriteFile writes it to a temp name (TempPattern), fsyncs it,
+// renames it into place and fsyncs the directory, so a reader sees a
+// complete file or none. Files grown in place by earlier writers may end in
+// debris past their last commit point; a reader stops at the segment the
+// caller recognizes as the last intact commit and ignores the rest.
 package bankseg
 
 import (
@@ -33,7 +35,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 )
 
 const (
@@ -51,6 +52,11 @@ const (
 	// v5 changed only the arena element (uint32 wrong-counts where v4 stored
 	// float64 rates); the framing is v4's.
 	Version = 5
+
+	// TempPattern names a file WriteFile has not published yet (an
+	// os.CreateTemp pattern). It can never be mistaken for a complete store
+	// entry; one left behind is the debris of a killed writer.
+	TempPattern = ".banktmp-*"
 
 	// maxSegmentBytes caps a single segment's payload, bounding allocation
 	// from hostile headers (mirrors core's arena cap).
@@ -122,18 +128,6 @@ func (s *Segment) VerifyPayload() error {
 // alignUp rounds n up to the next Align boundary.
 func alignUp(n int64) int64 { return (n + Align - 1) &^ (Align - 1) }
 
-// --- file header ---
-
-func encodeFileHeader() []byte {
-	h := make([]byte, FileHeaderLen)
-	copy(h[0:6], fileMagic)
-	binary.LittleEndian.PutUint16(h[6:8], Version)
-	binary.LittleEndian.PutUint32(h[8:12], 0) // flags: none defined
-	binary.LittleEndian.PutUint32(h[12:16], Align)
-	binary.LittleEndian.PutUint32(h[60:64], crc32.Checksum(h[:60], castagnoli))
-	return h
-}
-
 func parseFileHeader(path string, data []byte) error {
 	if len(data) < FileHeaderLen {
 		return &CorruptError{Path: path, Segment: -1, Offset: 0, Reason: "file shorter than header"}
@@ -157,36 +151,81 @@ func parseFileHeader(path string, data []byte) error {
 	return nil
 }
 
-// --- segment framing ---
+// --- writing ---
 
-func encodeSegmentHeader(kind uint32, seq uint64, tag [16]byte, payload []byte) []byte {
-	h := make([]byte, SegmentHeaderLen)
-	copy(h[0:4], segMagic)
-	binary.LittleEndian.PutUint32(h[4:8], kind)
-	binary.LittleEndian.PutUint64(h[8:16], seq)
-	binary.LittleEndian.PutUint64(h[16:24], uint64(len(payload)))
-	copy(h[24:40], tag[:])
-	binary.LittleEndian.PutUint32(h[40:44], crc32.Checksum(payload, castagnoli))
+// NewImage starts a container image — the file header alone — with room for
+// segments of the given payload lengths, so the AppendSegments that render
+// them never reallocate. Parse reads the result back; WriteFile publishes it.
+func NewImage(payloadLens ...int) []byte {
+	size := FileHeaderLen
+	for _, n := range payloadLens {
+		size += SegmentHeaderLen + int(alignUp(int64(n)))
+	}
+	h := make([]byte, FileHeaderLen, size)
+	copy(h[0:6], fileMagic)
+	binary.LittleEndian.PutUint16(h[6:8], Version)
+	binary.LittleEndian.PutUint32(h[8:12], 0) // flags: none defined
+	binary.LittleEndian.PutUint32(h[12:16], Align)
 	binary.LittleEndian.PutUint32(h[60:64], crc32.Checksum(h[:60], castagnoli))
 	return h
 }
 
-// NewImage starts an in-memory container (the file header alone) for
-// AppendSegment to extend — how a container is rendered for the wire, where
-// there is no file to append to. Parse reads the result back.
-func NewImage() []byte { return encodeFileHeader() }
-
-// AppendSegment appends one framed segment — header, payload, zero padding
-// to the next aligned boundary, the bytes Writer.Append puts in a file — to
-// img, which must end on an aligned boundary (a NewImage, or the result of
-// earlier AppendSegments). Sequence numbers must increase strictly from one
-// segment to the next. (Writer.Append does not render through this: a bank
-// arena is large, and a file needs no second copy of it.)
-func AppendSegment(img []byte, kind uint32, seq uint64, tag [16]byte, payload []byte) []byte {
-	img = slices.Grow(img, SegmentHeaderLen+len(payload)+Align)
-	img = append(img, encodeSegmentHeader(kind, seq, tag, payload)...)
-	img = append(img, payload...)
+// AppendSegment appends one framed segment to img, which must end on an
+// aligned boundary (a NewImage, or the result of earlier AppendSegments): a
+// header, the payload that payload appends to the image it is handed, and
+// zero padding to the next aligned boundary. The payload is rendered in
+// place, so a bank arena exists once in memory; the header is filled in
+// once the payload's length and CRC are known. Sequence numbers must
+// increase strictly from one segment to the next.
+func AppendSegment(img []byte, kind uint32, seq uint64, tag [16]byte, payload func([]byte) []byte) []byte {
+	at := len(img)
+	img = payload(append(img, make([]byte, SegmentHeaderLen)...))
+	h, p := img[at:at+SegmentHeaderLen], img[at+SegmentHeaderLen:]
+	copy(h[0:4], segMagic)
+	binary.LittleEndian.PutUint32(h[4:8], kind)
+	binary.LittleEndian.PutUint64(h[8:16], seq)
+	binary.LittleEndian.PutUint64(h[16:24], uint64(len(p)))
+	copy(h[24:40], tag[:])
+	binary.LittleEndian.PutUint32(h[40:44], crc32.Checksum(p, castagnoli))
+	binary.LittleEndian.PutUint32(h[60:64], crc32.Checksum(h[:60], castagnoli))
 	return append(img, make([]byte, alignUp(int64(len(img)))-int64(len(img)))...)
+}
+
+// WriteFile publishes img at path, creating path's directory if need be: it
+// writes a TempPattern file beside path, fsyncs it, renames it into place
+// and fsyncs the directory, so a reader sees the whole image or none of it.
+// On failure the temp file is removed and whatever was at path is left as
+// it was.
+func WriteFile(path string, img []byte) error {
+	dir := filepath.Dir(path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("bankseg: write %s: %w", path, err)
+	}
+	f, err := os.CreateTemp(dir, TempPattern)
+	if err != nil {
+		return fmt.Errorf("bankseg: write %s: %w", path, err)
+	}
+	_, err = f.Write(img)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+		return fmt.Errorf("bankseg: write %s: %w", path, err)
+	}
+	// The rename is durable once the directory is. Best effort: some
+	// filesystems refuse a directory fsync.
+	if d, err := os.Open(dir); err == nil {
+		d.Sync()
+		d.Close()
+	}
+	return nil
 }
 
 // --- reading ---
@@ -346,95 +385,4 @@ func (f *File) Close() error {
 	data := f.data
 	f.data, f.segs, f.mapped = nil, nil, false
 	return munmap(data)
-}
-
-// --- writing ---
-
-// Writer builds a fresh container behind a temp name: Create starts it,
-// Append adds segments, and Commit fsyncs and renames it into place (Abort
-// removes it).
-type Writer struct {
-	f       *os.File
-	path    string
-	tmp     string // the temp file's name, until Commit renames or Abort removes it
-	nextSeq uint64
-}
-
-// Create starts a fresh file that will land at path on Commit. The
-// in-progress file uses a ".banktmp-" prefixed name so it can never be
-// mistaken for a complete store entry.
-func Create(path string) (*Writer, error) {
-	dir := filepath.Dir(path)
-	if dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("bankseg: create %s: %w", path, err)
-		}
-	}
-	f, err := os.CreateTemp(dir, ".banktmp-*")
-	if err != nil {
-		return nil, fmt.Errorf("bankseg: create %s: %w", path, err)
-	}
-	w := &Writer{f: f, path: path, tmp: f.Name(), nextSeq: 1}
-	if _, err := f.Write(encodeFileHeader()); err != nil {
-		w.Abort()
-		return nil, fmt.Errorf("bankseg: create %s: %w", path, err)
-	}
-	return w, nil
-}
-
-// Append writes one segment (header, payload, zero padding to the next
-// aligned boundary) and returns its sequence number. Nothing is durable
-// until Commit.
-func (w *Writer) Append(kind uint32, tag [16]byte, payload []byte) (uint64, error) {
-	if int64(len(payload)) > maxSegmentBytes {
-		return 0, fmt.Errorf("bankseg: segment payload %d bytes exceeds cap", len(payload))
-	}
-	seq := w.nextSeq
-	h := encodeSegmentHeader(kind, seq, tag, payload)
-	if _, err := w.f.Write(h); err != nil {
-		return 0, fmt.Errorf("bankseg: append segment: %w", err)
-	}
-	if _, err := w.f.Write(payload); err != nil {
-		return 0, fmt.Errorf("bankseg: append segment: %w", err)
-	}
-	// Every segment starts aligned and its header is Align bytes, so the
-	// padding depends on the payload length alone.
-	if pad := alignUp(int64(len(payload))) - int64(len(payload)); pad > 0 {
-		if _, err := w.f.Write(make([]byte, pad)); err != nil {
-			return 0, fmt.Errorf("bankseg: append segment: %w", err)
-		}
-	}
-	w.nextSeq = seq + 1
-	return seq, nil
-}
-
-// Commit makes everything written durable and atomically renames the temp
-// file into place. The writer is spent afterwards.
-func (w *Writer) Commit() error {
-	err := w.f.Sync()
-	if cerr := w.f.Close(); err == nil {
-		err = cerr
-	}
-	w.f = nil
-	if err == nil {
-		err = os.Rename(w.tmp, w.path)
-	}
-	if err != nil {
-		w.Abort()
-		return fmt.Errorf("bankseg: commit %s: %w", w.path, err)
-	}
-	w.tmp = ""
-	return nil
-}
-
-// Abort discards the writer and removes its temp file.
-func (w *Writer) Abort() {
-	if w.f != nil {
-		w.f.Close()
-		w.f = nil
-	}
-	if w.tmp != "" {
-		os.Remove(w.tmp)
-		w.tmp = ""
-	}
 }

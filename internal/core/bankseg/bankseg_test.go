@@ -10,14 +10,11 @@ import (
 
 const kindCommit = 9 // arbitrary commit kind for these tests
 
-// writeTestFile creates a committed segmented file with the given payloads; every
-// odd segment index gets kindCommit.
+// writeTestFile renders a container with the given payloads and publishes it
+// at path; every odd segment index gets kindCommit.
 func writeTestFile(t *testing.T, path string, payloads ...[]byte) {
 	t.Helper()
-	w, err := Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	img := NewImage()
 	for i, p := range payloads {
 		kind := uint32(1)
 		if i%2 == 1 {
@@ -25,17 +22,15 @@ func writeTestFile(t *testing.T, path string, payloads ...[]byte) {
 		}
 		var tag [16]byte
 		tag[0] = byte(i)
-		if _, err := w.Append(kind, tag, p); err != nil {
-			t.Fatal(err)
-		}
+		img = AppendSegment(img, kind, uint64(i+1), tag, func(dst []byte) []byte { return append(dst, p...) })
 	}
-	if err := w.Commit(); err != nil {
+	if err := WriteFile(path, img); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestCreateOpenRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "seg.bank")
+func TestWriteFileOpenRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sub", "seg.bank") // WriteFile makes the directory
 	payloads := [][]byte{
 		bytes.Repeat([]byte{0xAB}, 7),   // forces padding
 		bytes.Repeat([]byte{0xCD}, 128), // exactly aligned
@@ -181,23 +176,30 @@ func TestDuplicateSequenceRejected(t *testing.T) {
 	}
 }
 
-func TestAbortCreateLeavesNothing(t *testing.T) {
+func TestFailedWriteFileLeavesNothing(t *testing.T) {
 	dir := t.TempDir()
+	// A rename onto a directory fails after the temp file is written.
 	path := filepath.Join(dir, "seg.bank")
-	w, err := Create(path)
-	if err != nil {
+	old := filepath.Join(path, "old")
+	if err := os.Mkdir(path, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Append(1, [16]byte{}, []byte("x")); err != nil {
+	if err := os.WriteFile(old, []byte("old"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w.Abort()
+	img := AppendSegment(NewImage(1), 1, 1, [16]byte{}, func(dst []byte) []byte { return append(dst, 'x') })
+	if err := WriteFile(path, img); err == nil {
+		t.Fatal("WriteFile onto a directory succeeded")
+	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ents) != 0 {
-		t.Fatalf("abort left %d files behind", len(ents))
+	if len(ents) != 1 || ents[0].Name() != "seg.bank" {
+		t.Fatalf("a failed write left %v behind", ents)
+	}
+	if raw, err := os.ReadFile(old); err != nil || string(raw) != "old" {
+		t.Fatalf("what was at the path changed: %q, %v", raw, err)
 	}
 }
 

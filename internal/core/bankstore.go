@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"noisyeval/internal/core/bankseg"
 	"noisyeval/internal/data"
 	"noisyeval/internal/obs"
 )
@@ -389,15 +390,30 @@ func (s *BankStore) SetMaxBytes(max int64) {
 	s.maxBytes.Store(max)
 }
 
+// staleTempAge is how old an unpublished temp file (bankseg.TempPattern) in
+// the store must be before Prune takes it for a killed writer's debris: far
+// longer than any bank write takes.
+const staleTempAge = time.Hour
+
 // Prune evicts least-recently-used entries (by mtime; Get refreshes it) until
 // the cache's total size is at most maxBytes, returning how many entries were
 // removed and how many bytes were freed. maxBytes <= 0 removes everything.
+// It also removes temp files older than staleTempAge, which no entry names
+// and no count includes.
 // Evictions count into the store's Evicted stat. Concurrent readers are safe:
 // an evicted entry simply misses and rebuilds — the usual content-addressed
 // guarantee that pruning can never corrupt, only cool, the cache.
 func (s *BankStore) Prune(maxBytes int64) (evicted int, freed int64, err error) {
 	if s == nil {
 		return 0, 0, nil
+	}
+	// Glob fails only on a malformed pattern, and the sweep is best effort:
+	// a temp that cannot go now is tried again on the next Prune.
+	temps, _ := filepath.Glob(filepath.Join(s.dir, bankseg.TempPattern))
+	for _, name := range temps {
+		if info, err := os.Stat(name); err == nil && time.Since(info.ModTime()) > staleTempAge {
+			_ = os.Remove(name)
+		}
 	}
 	// Recency needs full-resolution mtimes: StoreEntry rounds to seconds,
 	// which would tie a bank written moments ago with colder same-second

@@ -28,9 +28,9 @@ package core
 // CRC, so it reads every page once: the mapping is resident when the open
 // returns.
 //
-// A shard on the wire (MarshalShardV4) is the same container holding the
-// arena segment a grow would append for its range, followed by a flags
-// segment (dimensions + divergence flags) in place of a commit.
+// A shard on the wire (MarshalShardV4) is the same container, rendered the
+// same way: an arena segment for its range, followed by a flags segment
+// (dimensions + divergence flags) in place of a commit.
 
 import (
 	"errors"
@@ -148,28 +148,26 @@ func parseV4Commit(payload []byte) ([]v4DirEntry, *Bank, error) {
 }
 
 // SaveBankV4 writes the bank to path in bankfmt/v5 (the name predates v5):
-// one full-range arena segment plus one commit segment, built behind a temp
-// file and published with fsync + atomic rename, so readers only ever see
-// complete, durable files. The write is deterministic — equal bank content
-// yields equal file bytes.
+// one full-range arena segment plus one commit segment, rendered into one
+// image and published by bankseg.WriteFile (temp file, fsync, atomic
+// rename), so readers only ever see complete, durable files. It refuses an
+// arena the readers would refuse (dimsProduct's cap). The write is
+// deterministic — equal bank content yields equal file bytes.
 func SaveBankV4(b *Bank, path string) error {
 	if err := b.Validate(); err != nil {
 		return fmt.Errorf("core: refusing to save invalid bank: %w", err)
 	}
-	w, err := bankseg.Create(path)
+	m := &b.Errs
+	cells, err := dimsProduct(m.Parts, m.Configs, m.Checkpoints, m.Clients)
 	if err != nil {
-		return fmt.Errorf("core: save bank: %w", err)
+		return fmt.Errorf("core: refusing to save bank: %w", err)
 	}
 	n := len(b.Configs)
-	arenaSeq, err := w.Append(segKindArena, arenaTag(0, n), appendCounts(nil, &b.Errs))
-	if err == nil {
-		_, err = w.Append(segKindCommit, [16]byte{}, appendV4Commit(nil, []v4DirEntry{{seq: arenaSeq, lo: 0, hi: n}}, b))
-	}
-	if err != nil {
-		w.Abort()
-		return fmt.Errorf("core: save bank: %w", err)
-	}
-	if err := w.Commit(); err != nil {
+	commit := appendV4Commit(nil, []v4DirEntry{{seq: 1, lo: 0, hi: n}}, b)
+	img := bankseg.NewImage(cells*arenaElemBytes, len(commit))
+	img = bankseg.AppendSegment(img, segKindArena, 1, arenaTag(0, n), func(p []byte) []byte { return appendCounts(p, m) })
+	img = bankseg.AppendSegment(img, segKindCommit, 2, [16]byte{}, func(p []byte) []byte { return append(p, commit...) })
+	if err := bankseg.WriteFile(path, img); err != nil {
 		return fmt.Errorf("core: save bank: %w", err)
 	}
 	return nil
@@ -346,13 +344,17 @@ func MarshalShardV4(sh *BankShard) ([]byte, error) {
 	if err := sh.Errs.Validate(); err != nil {
 		return nil, fmt.Errorf("core: marshal shard: %w", err)
 	}
+	m := &sh.Errs
 	tag := arenaTag(sh.Lo, sh.Hi)
-	flags := appendU32(nil, uint32(sh.Errs.Parts))
-	flags = appendU32(flags, uint32(sh.Errs.Checkpoints))
-	flags = appendU32(flags, uint32(sh.Errs.Clients))
-	flags = appendBools(flags, sh.Diverged)
-	img := bankseg.AppendSegment(bankseg.NewImage(), segKindArena, 1, tag, appendCounts(nil, &sh.Errs))
-	return bankseg.AppendSegment(img, segKindShardFlags, 2, tag, flags), nil
+	// The flags payload is three uint32 dimensions and a byte per config.
+	img := bankseg.NewImage(m.Parts*n*m.Checkpoints*m.Clients*arenaElemBytes, 12+n)
+	img = bankseg.AppendSegment(img, segKindArena, 1, tag, func(p []byte) []byte { return appendCounts(p, m) })
+	return bankseg.AppendSegment(img, segKindShardFlags, 2, tag, func(p []byte) []byte {
+		p = appendU32(p, uint32(m.Parts))
+		p = appendU32(p, uint32(m.Checkpoints))
+		p = appendU32(p, uint32(m.Clients))
+		return appendBools(p, sh.Diverged)
+	}), nil
 }
 
 // UnmarshalShardV4 reads one MarshalShardV4 image. The bytes come off the

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -110,6 +111,34 @@ func TestPruneUnderBoundIsNoop(t *testing.T) {
 	}
 	if evicted != 0 || freed != 0 {
 		t.Fatalf("Prune over budget evicted %d entries (%d bytes)", evicted, freed)
+	}
+}
+
+// TestPruneRemovesStaleTemps: a writer killed between creating its temp file
+// and renaming it leaves the temp behind, outside every entry count. Prune
+// removes one older than an hour and leaves a fresh one, which may be a
+// write in flight.
+func TestPruneRemovesStaleTemps(t *testing.T) {
+	store, _ := pruneStore(t, 1)
+	stale := filepath.Join(store.Dir(), ".banktmp-stale")
+	fresh := filepath.Join(store.Dir(), ".banktmp-fresh")
+	for _, name := range []string{stale, fresh} {
+		if err := os.WriteFile(name, []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := time.Now().Add(-2 * time.Hour)
+	if err := os.Chtimes(stale, old, old); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := store.Prune(storeSize(t, store) + 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Error("a temp file two hours old survived Prune")
+	}
+	if _, err := os.Stat(fresh); err != nil {
+		t.Errorf("Prune removed a fresh temp file: %v", err)
 	}
 }
 

@@ -67,7 +67,7 @@ func hostileShardPayloads(t testing.TB, plan *core.BuildPlan, lo, hi int) (valid
 	otherTag := arena.Tag
 	otherTag[0]++
 	otherTag[4]++
-	retagged = bankseg.AppendSegment(retagged, flags.Kind, flags.Seq, otherTag, flags.Payload)
+	retagged = bankseg.AppendSegment(retagged, flags.Kind, flags.Seq, otherTag, func(p []byte) []byte { return append(p, flags.Payload...) })
 
 	crcFlip := append([]byte(nil), img...)
 	crcFlip[arena.Offset+bankseg.SegmentHeaderLen+5] ^= 0x20

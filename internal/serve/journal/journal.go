@@ -4,8 +4,9 @@
 // pairs, and the serve layer owns their semantics (internal/serve's
 // RunJournal folds them into run lifecycle state).
 //
-// Durability discipline matches core.SaveBank: snapshots are written to a
-// temp file in the destination directory, fsynced, and atomically renamed;
+// Durability discipline matches bankseg.WriteFile, which publishes every bank
+// file: snapshots are written to a temp file in the destination directory,
+// fsynced, atomically renamed, and the directory fsynced;
 // WAL appends are fsynced before returning (disable with Options.NoSync in
 // tests). Every record frame carries a CRC-32C over its content, so a torn
 // tail — a crash mid-append — is detected on open, truncated away, and

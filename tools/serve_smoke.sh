@@ -9,7 +9,9 @@
 # captured, and the drained log must hold the run's "run admitted" and "run
 # done" events from the serve component and the start-up "run journal" line
 # with its replay count: the -log-level flag and the slog handler, wired end
-# to end, carry every line the daemon writes. The daemon then boots a second
+# to end, carry every line the daemon writes. No bank temp file
+# (.banktmp-*) written since the boot may be left in the cache dir: every
+# bank the daemon built was published whole. The daemon then boots a second
 # time over the same cache and journal, and `servesmoke -restarted` checks
 # that a quick run there opens its bank from the store (no bank.build span,
 # a bank cache hit on /metrics) — the restart the first boot's in-process
@@ -53,6 +55,8 @@ for msg in "run admitted" "run done"; do
 done
 grep -F 'msg="run journal"' "$LOG" | grep -q ' replayed=0 ' ||
 	{ echo "daemon log has no msg=\"run journal\" line with replayed=0"; exit 1; }
+TEMPS="$(find "$CACHE" -maxdepth 1 -name '.banktmp-*' -newer "$WORK/noisyevald" 2>/dev/null || true)"
+[ -z "$TEMPS" ] || { echo "cache dir holds unpublished bank temp files after a graceful shutdown: $TEMPS"; exit 1; }
 
 LOG="$WORK/noisyevald-restarted.log"
 boot
