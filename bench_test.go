@@ -865,7 +865,7 @@ func openMapped(tb testing.TB) func() {
 }
 
 // BenchmarkOracleTrialsMapped is BenchmarkOracleTrials against a bank whose
-// count block is a view of an mmap'd bankfmt/v5 file: the oracle reads rows
+// counts are a view of an mmap'd bankfmt/v5 file: the oracle reads rows
 // straight out of the page cache. Same workload as the
 // heap benchmark so the numbers compare directly; the read path itself adds
 // no allocations over heap. The open's CRC pass touches every page, which

@@ -38,7 +38,7 @@ type Bank struct {
 	Partitions []float64
 	// Errs is the dense error tensor: Errs.Row(p, c, r) is the per-client
 	// wrong-count vector of config c at checkpoint r under partition p, a
-	// view into the count block holding config c (see ErrMatrix).
+	// view into the matrix's counts (see ErrMatrix).
 	Errs ErrMatrix
 	// ExampleCounts[p][k] is validation client k's example count under
 	// partition p: the divisor of its error rates and its weight in Eq. 2

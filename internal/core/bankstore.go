@@ -193,7 +193,8 @@ type storeCall struct {
 	err  error
 }
 
-// NewBankStore opens (creating if needed) a bank cache rooted at dir.
+// NewBankStore opens (creating if needed) a bank cache rooted at dir, and
+// sweeps its stale temp files as Prune does.
 func NewBankStore(dir string) (*BankStore, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("core: bank store needs a directory")
@@ -201,8 +202,10 @@ func NewBankStore(dir string) (*BankStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("core: bank store: %w", err)
 	}
-	return &BankStore{dir: dir, Log: slog.New(slog.DiscardHandler),
-		inflight: map[string]*storeCall{}, mapped: map[string]*mappedBank{}}, nil
+	s := &BankStore{dir: dir, Log: slog.New(slog.DiscardHandler),
+		inflight: map[string]*storeCall{}, mapped: map[string]*mappedBank{}}
+	s.sweepTemps()
+	return s, nil
 }
 
 // Dir returns the cache root.
@@ -391,9 +394,22 @@ func (s *BankStore) SetMaxBytes(max int64) {
 }
 
 // staleTempAge is how old an unpublished temp file (bankseg.TempPattern) in
-// the store must be before Prune takes it for a killed writer's debris: far
+// the store must be before it is taken for a killed writer's debris: far
 // longer than any bank write takes.
 const staleTempAge = time.Hour
+
+// sweepTemps removes temp files older than staleTempAge. NewBankStore and
+// Prune run it, so an unbounded store sheds such debris too. It is best
+// effort: Glob fails only on a malformed pattern, and a temp that cannot go
+// now is tried again on the next sweep.
+func (s *BankStore) sweepTemps() {
+	temps, _ := filepath.Glob(filepath.Join(s.dir, bankseg.TempPattern))
+	for _, name := range temps {
+		if info, err := os.Stat(name); err == nil && time.Since(info.ModTime()) > staleTempAge {
+			_ = os.Remove(name)
+		}
+	}
+}
 
 // Prune evicts least-recently-used entries (by mtime; Get refreshes it) until
 // the cache's total size is at most maxBytes, returning how many entries were
@@ -407,14 +423,7 @@ func (s *BankStore) Prune(maxBytes int64) (evicted int, freed int64, err error) 
 	if s == nil {
 		return 0, 0, nil
 	}
-	// Glob fails only on a malformed pattern, and the sweep is best effort:
-	// a temp that cannot go now is tried again on the next Prune.
-	temps, _ := filepath.Glob(filepath.Join(s.dir, bankseg.TempPattern))
-	for _, name := range temps {
-		if info, err := os.Stat(name); err == nil && time.Since(info.ModTime()) > staleTempAge {
-			_ = os.Remove(name)
-		}
-	}
+	s.sweepTemps()
 	// Recency needs full-resolution mtimes: StoreEntry rounds to seconds,
 	// which would tie a bank written moments ago with colder same-second
 	// neighbors — and Put's write-through prune must never evict the entry

@@ -165,7 +165,7 @@ func SaveBankV4(b *Bank, path string) error {
 	n := len(b.Configs)
 	commit := appendV4Commit(nil, []v4DirEntry{{seq: 1, lo: 0, hi: n}}, b)
 	img := bankseg.NewImage(cells*arenaElemBytes, len(commit))
-	img = bankseg.AppendSegment(img, segKindArena, 1, arenaTag(0, n), func(p []byte) []byte { return appendCounts(p, m) })
+	img = bankseg.AppendSegment(img, segKindArena, 1, arenaTag(0, n), func(p []byte) []byte { return bankseg.AppendUint32s(p, m.counts) })
 	img = bankseg.AppendSegment(img, segKindCommit, 2, [16]byte{}, func(p []byte) []byte { return append(p, commit...) })
 	if err := bankseg.WriteFile(path, img); err != nil {
 		return fmt.Errorf("core: save bank: %w", err)
@@ -207,10 +207,11 @@ func liveCommit(f *bankseg.File) (int, error) {
 // assembleBankV4 turns a parsed segment container into the bank its live
 // commit (liveCommit) names. Every image, mapped or not, is checked the
 // same way: every payload CRC and every count against its client's example
-// count. Where the bytes came from decides only what the count blocks are:
-// views of a mapped file (f.Mapped; the caller must then keep f open),
-// copies of anything else (a heap read, a peer's image). The returned refs
-// reports whether the bank references f's image.
+// count. Where the bytes came from decides only where the counts live: one
+// arena of a mapped file (f.Mapped; every SaveBankV4 file) is viewed in
+// place, and the caller must then keep f open; anything else (a heap read,
+// a peer's image, a legacy file grown in place with several arenas) is
+// copied. The returned refs reports whether the bank references f's image.
 func assembleBankV4(f *bankseg.File) (b *Bank, refs bool, err error) {
 	path := f.Path()
 	segs := f.Segments()
@@ -236,7 +237,9 @@ func assembleBankV4(f *bankseg.File) (b *Bank, refs bool, err error) {
 	for i := 0; i < commitIdx; i++ {
 		bySeq[segs[i].Seq] = &segs[i]
 	}
-	blocks := make([]countBlock, 0, len(dir))
+	slices.SortFunc(dir, func(a, b v4DirEntry) int { return a.lo - b.lo })
+	pieces := make([]ErrMatrix, 0, len(dir))
+	next := 0
 	for _, e := range dir {
 		s := bySeq[e.seq]
 		if s == nil || s.Kind != segKindArena {
@@ -245,9 +248,10 @@ func assembleBankV4(f *bankseg.File) (b *Bank, refs bool, err error) {
 		if lo, hi := arenaTagRange(s.Tag); lo != e.lo || hi != e.hi {
 			return nil, false, v4Corrupt(path, commitIdx, s.Offset, "arena segment seq %d tagged [%d,%d), directory says [%d,%d)", e.seq, lo, hi, e.lo, e.hi)
 		}
-		if e.lo < 0 || e.hi > nConfigs || e.lo >= e.hi {
-			return nil, false, v4Corrupt(path, commitIdx, s.Offset, "arena range [%d,%d) invalid for %d configs", e.lo, e.hi, nConfigs)
+		if e.lo != next || e.hi > nConfigs || e.lo >= e.hi {
+			return nil, false, v4Corrupt(path, commitIdx, s.Offset, "arena range [%d,%d) invalid for %d configs after config %d", e.lo, e.hi, nConfigs, next)
 		}
+		next = e.hi
 		wantCounts := parts * (e.hi - e.lo) * ckpts * clients
 		if len(s.Payload) != wantCounts*arenaElemBytes {
 			return nil, false, v4Corrupt(path, commitIdx, s.Offset, "arena segment seq %d has %d payload bytes, want %d", e.seq, len(s.Payload), wantCounts*arenaElemBytes)
@@ -260,11 +264,13 @@ func assembleBankV4(f *bankseg.File) (b *Bank, refs bool, err error) {
 		if !viewed {
 			counts = bankseg.CopyUint32s(s.Payload)
 		}
-		refs = refs || viewed
-		blocks = append(blocks, countBlock{lo: e.lo, hi: e.hi, counts: counts})
+		refs = viewed && len(dir) == 1
+		pieces = append(pieces, ErrMatrix{Parts: parts, Configs: e.hi - e.lo, Checkpoints: ckpts, Clients: clients, counts: counts})
 	}
-	slices.SortFunc(blocks, func(a, b countBlock) int { return a.lo - b.lo })
-	bank.Errs = ErrMatrix{Parts: parts, Configs: nConfigs, Checkpoints: ckpts, Clients: clients, blocks: blocks}
+	if next != nConfigs {
+		return nil, false, v4Corrupt(path, commitIdx, commit.Offset, "arenas cover %d of %d configs", next, nConfigs)
+	}
+	bank.Errs = joinCounts(pieces)
 	if err := bank.Validate(); err != nil {
 		return nil, false, v4Corrupt(path, commitIdx, commit.Offset, "%w", err)
 	}
@@ -281,8 +287,9 @@ type nopCloser struct{}
 func (nopCloser) Close() error { return nil }
 
 // OpenBankMapped opens a bank file for zero-copy serving: a bankfmt/v5 file
-// is mmap'd and its error matrix backed directly by the mapped arena
-// segments. The open checks what every read of a bank file checks — every
+// is mmap'd and its error matrix backed directly by its mapped arena
+// segment (a legacy file with several arenas is joined into a heap copy).
+// The open checks what every read of a bank file checks — every
 // payload CRC, every count — so it reads each page once, leaving the mapping
 // resident for the first row sweep; CRC-32C runs at several GB/s, well
 // under a millisecond for a quick bank. The returned Closer owns the
@@ -348,7 +355,7 @@ func MarshalShardV4(sh *BankShard) ([]byte, error) {
 	tag := arenaTag(sh.Lo, sh.Hi)
 	// The flags payload is three uint32 dimensions and a byte per config.
 	img := bankseg.NewImage(m.Parts*n*m.Checkpoints*m.Clients*arenaElemBytes, 12+n)
-	img = bankseg.AppendSegment(img, segKindArena, 1, tag, func(p []byte) []byte { return appendCounts(p, m) })
+	img = bankseg.AppendSegment(img, segKindArena, 1, tag, func(p []byte) []byte { return bankseg.AppendUint32s(p, m.counts) })
 	return bankseg.AppendSegment(img, segKindShardFlags, 2, tag, func(p []byte) []byte {
 		p = appendU32(p, uint32(m.Parts))
 		p = appendU32(p, uint32(m.Checkpoints))
@@ -410,10 +417,7 @@ func UnmarshalShardV4(img []byte) (*BankShard, error) {
 	}
 	return &BankShard{
 		Lo: lo, Hi: hi,
-		Errs: ErrMatrix{
-			Parts: parts, Configs: hi - lo, Checkpoints: ckpts, Clients: clients,
-			blocks: []countBlock{{lo: 0, hi: hi - lo, counts: counts}},
-		},
+		Errs:     ErrMatrix{Parts: parts, Configs: hi - lo, Checkpoints: ckpts, Clients: clients, counts: counts},
 		Diverged: diverged,
 	}, nil
 }
@@ -425,9 +429,8 @@ func UnmarshalShardV4(img []byte) (*BankShard, error) {
 // (seed, "config-i") alone, the result is byte-identical to a cold build
 // over the union pool with the same seed — pinned by TestGrownBankMatchesColdBuild.
 // The receiver is unchanged (in-flight readers keep a consistent view), and
-// the result adopts its count blocks and the shards' without copying: the
-// grown bank reads the receiver's memory, so a mapped receiver's mapping
-// must outlive the grown bank as well.
+// the result holds its own copy of the receiver's counts and the shards':
+// it does not read a mapped receiver's mapping, which may be closed first.
 func (b *Bank) Extend(p *BuildPlan, shards []*BankShard) (*Bank, error) {
 	n := len(b.Configs)
 	if p.NumConfigs() <= n {

@@ -178,37 +178,28 @@ func TestGrownBankMatchesColdBuild(t *testing.T) {
 	}
 }
 
-// TestAssemblyAndGrowthCopyNoCounts pins the aliasing contract: a bank
-// assembled from shards reads the shards' memory, and a grown bank reads its
-// parent's for the prefix and the new shard's for the rest — no count is
-// copied on either path.
-func TestAssemblyAndGrowthCopyNoCounts(t *testing.T) {
-	base, _, plan, shard := growFixture(t)
-	grown, err := base.Extend(plan, []*BankShard{shard})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pi := range grown.Partitions {
-		for ci := range grown.Configs {
-			for ri := range grown.Rounds {
-				var want *uint32
-				if ci < shard.Lo {
-					want = &base.Errs.Row(pi, ci, ri)[0]
-				} else {
-					want = &shard.Errs.Row(pi, ci-shard.Lo, ri)[0]
-				}
-				if &grown.Errs.Row(pi, ci, ri)[0] != want {
-					t.Fatalf("grown row (%d,%d,%d) is a copy, not its source's memory", pi, ci, ri)
-				}
-			}
-		}
-	}
-
+// TestAssemblyAdoptsOneShardCopiesSeveral pins how assembly lays out
+// counts. One shard covering every config — the cold build — is adopted: the
+// bank's rows are the shard's memory. Several shards, and growth, are joined
+// into one canonical slab that reads row for row like a cold build.
+func TestAssemblyAdoptsOneShardCopiesSeveral(t *testing.T) {
 	pop, opts, seed := shardTestInputs(t)
 	sp, err := NewBuildPlan(pop, opts, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
+	whole, err := sp.TrainRange(0, sp.NumConfigs(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := AssembleBank(sp, []*BankShard{whole})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &cold.Errs.Row(1, sp.NumConfigs()-1, 2)[0] != &whole.Errs.Row(1, sp.NumConfigs()-1, 2)[0] {
+		t.Fatal("a one-shard assembly copied the shard's counts")
+	}
+
 	var shards []*BankShard
 	for _, r := range ShardRanges(sp.NumConfigs(), 2) {
 		sh, err := sp.TrainRange(r[0], r[1], 0)
@@ -221,12 +212,17 @@ func TestAssemblyAndGrowthCopyNoCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sh := range shards {
-		for ci := sh.Lo; ci < sh.Hi; ci++ {
-			if &assembled.Errs.Row(1, ci, 2)[0] != &sh.Errs.Row(1, ci-sh.Lo, 2)[0] {
-				t.Fatalf("assembled row of config %d is a copy, not its shard's memory", ci)
-			}
-		}
+	if d := countDiff(&assembled.Errs, &cold.Errs); d != "" {
+		t.Fatalf("assembly of %d shards differs from a cold build: %s", len(shards), d)
+	}
+
+	base, coldU, plan, shard := growFixture(t)
+	grown, err := base.Extend(plan, []*BankShard{shard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := countDiff(&grown.Errs, &coldU.Errs); d != "" {
+		t.Fatalf("grown bank differs from a cold build over the union pool: %s", d)
 	}
 }
 
@@ -569,8 +565,8 @@ func FuzzBankV5(f *testing.F) {
 		}
 
 		// What the decoder accepts round-trips: re-saved and decoded again
-		// it reads the same rows and fingerprints the same, however its
-		// count blocks were split.
+		// it reads the same rows and fingerprints the same, however many
+		// arenas it was read from.
 		resaved := filepath.Join(dir, "resaved.bank")
 		if err := SaveBankV4(b, resaved); err != nil {
 			t.Fatalf("re-save: %v", err)

@@ -71,8 +71,7 @@ func hashBankContent(b *Bank) string {
 	// The rates materialised from the counts, row-major
 	// [partition][config][checkpoint][client] — the exact values and order
 	// the pre-arena nested loops and the float64 arena hashed — so the
-	// golden constants recorded against float banks still apply, however
-	// the bank's count blocks are split.
+	// golden constants recorded against float banks still apply.
 	var rates []float64
 	for pi := range b.Partitions {
 		den := rateDivisors(b.ExampleCounts[pi])

@@ -10,8 +10,8 @@ import (
 
 // LoadBank reads a bank file written by SaveBankV4 (or grown in place by
 // an earlier build), verifies every segment CRC and every count, and copies
-// each arena segment onto the heap as one count block — the fully-checked
-// counterpart of OpenBankMapped. Corruption
+// the counts onto the heap as one canonical slab (see ErrMatrix) — the
+// fully-checked counterpart of OpenBankMapped. Corruption
 // surfaces as a *CorruptError naming the failing segment and its offset; a
 // file in a retired encoding (bankfmt/v4, v3, gob+gzip) fails with an error
 // satisfying IsStaleBankFormat that names the generation and the fix.

@@ -181,3 +181,23 @@ func TestRatesDivideByExampleCounts(t *testing.T) {
 		t.Errorf("empty client rate = %v, want +0", got[2])
 	}
 }
+
+// TestRowPanicsOutsideConfigs: a config index outside [0, Configs) panics
+// rather than reading a neighbouring row. Partition 0 of a multi-partition
+// bank is where one slab would otherwise serve the next partition's row.
+func TestRowPanicsOutsideConfigs(t *testing.T) {
+	b, _ := tinyBank(t)
+	if b.Errs.Parts < 2 {
+		t.Fatalf("fixture has %d partitions, want several", b.Errs.Parts)
+	}
+	for _, ci := range []int{-1, b.Errs.Configs} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Row(0, %d, 0) of a %d-config matrix did not panic", ci, b.Errs.Configs)
+				}
+			}()
+			b.Errs.Row(0, ci, 0)
+		}()
+	}
+}

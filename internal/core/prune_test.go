@@ -142,6 +142,33 @@ func TestPruneRemovesStaleTemps(t *testing.T) {
 	}
 }
 
+// TestOpenRemovesStaleTemps: a store with no size bound never prunes, so
+// opening it sweeps a killed writer's temp files: the two-hour-old one goes,
+// the fresh one stays.
+func TestOpenRemovesStaleTemps(t *testing.T) {
+	dir := t.TempDir()
+	stale := filepath.Join(dir, ".banktmp-stale")
+	fresh := filepath.Join(dir, ".banktmp-fresh")
+	for _, name := range []string{stale, fresh} {
+		if err := os.WriteFile(name, []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := time.Now().Add(-2 * time.Hour)
+	if err := os.Chtimes(stale, old, old); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewBankStore(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Error("a temp file two hours old survived NewBankStore")
+	}
+	if _, err := os.Stat(fresh); err != nil {
+		t.Errorf("NewBankStore removed a fresh temp file: %v", err)
+	}
+}
+
 // TestGetRefreshesLRU: reading an old entry must move it to the back of the
 // eviction order — that is what makes mtime order an LRU, not a FIFO.
 func TestGetRefreshesLRU(t *testing.T) {

@@ -46,13 +46,12 @@ func RunKey(bankKey, method string, noise Noise, settings hpo.Settings, trials i
 // BankFingerprint hashes a bank's content — every field SaveBankV4 persists
 // (the unexported lookup index is derived state) — as explicit
 // little-endian bytes: the commit segment's metadata encoding, the tensor
-// dimensions, then the counts in canonical order (ErrMatrix.runs, the walk
-// SaveBankV4 writes). It gives external artifacts loaded via LoadBank a
+// dimensions, then the counts in canonical order (the arena SaveBankV4
+// writes). It gives external artifacts loaded via LoadBank a
 // content address even though their build inputs are unknown, so runs
 // against an installed bank key on what the bank actually records rather
 // than on what the suite would have built. A bank fingerprints the same
-// however its count blocks are split and wherever they live, in every
-// process.
+// wherever its counts live, in every process.
 func BankFingerprint(b *Bank) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s\nbank-content\n", runKeyVersion)
@@ -62,13 +61,11 @@ func BankFingerprint(b *Bank) string {
 		buf = appendU64(buf, uint64(d))
 	}
 	h.Write(buf)
-	for run := range m.runs() {
-		for len(run) > 0 {
-			n := min(len(run), 4096)
-			buf = bankseg.AppendUint32s(buf[:0], run[:n])
-			h.Write(buf)
-			run = run[n:]
-		}
+	for run := m.counts; len(run) > 0; {
+		n := min(len(run), 4096)
+		buf = bankseg.AppendUint32s(buf[:0], run[:n])
+		h.Write(buf)
+		run = run[n:]
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -94,8 +94,8 @@ func (p *BuildPlan) NumConfigs() int { return len(p.configs) }
 // BankShard holds the training output for one contiguous config index range
 // [Lo, Hi) of a bank build: a dense error tensor over the shard's configs
 // (shard-local index) plus divergence flags. Shards are the unit of work the
-// dist coordinator leases to workers; assembly adopts each shard's count
-// block into the final bank without copying it.
+// dist coordinator leases to workers; AssembleBank joins their counts into
+// the bank's.
 type BankShard struct {
 	// Lo and Hi bound the config index range [Lo, Hi).
 	Lo, Hi int
@@ -226,10 +226,10 @@ func ShardRanges(n, size int) [][2]int {
 // validated bank. Every config index must be covered by exactly one shard;
 // gaps, overlaps, and shape mismatches are errors. Because shard content
 // depends only on (pop, opts, seed, range), the assembled bank is
-// byte-identical to a single-process BuildBank of the same inputs. The bank
-// adopts each shard's count blocks, in config order, without copying them:
-// its rows are views of the shards' memory, so a shard must not be written
-// after assembly.
+// byte-identical to a single-process BuildBank of the same inputs. One
+// shard covering every config (a cold build) is adopted as it is: the bank's
+// rows are views of the shard's memory, so that shard must not be written
+// after assembly. Several shards are copied once into the bank's counts.
 func AssembleBank(p *BuildPlan, shards []*BankShard) (*Bank, error) {
 	b := &Bank{
 		SpecName:      p.pop.Spec.Name,
@@ -238,12 +238,12 @@ func AssembleBank(p *BuildPlan, shards []*BankShard) (*Bank, error) {
 		Rounds:        p.rounds,
 		Partitions:    p.parts,
 		ExampleCounts: p.counts,
-		Errs:          ErrMatrix{Parts: len(p.parts), Configs: len(p.configs), Checkpoints: len(p.rounds), Clients: len(p.counts[0])},
 		Diverged:      make([]bool, len(p.configs)),
 	}
 
 	sorted := append([]*BankShard(nil), shards...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Lo < sorted[j].Lo })
+	slices.SortFunc(sorted, func(a, b *BankShard) int { return a.Lo - b.Lo })
+	pieces := make([]ErrMatrix, 0, len(sorted))
 	next := 0
 	for _, sh := range sorted {
 		if sh.Lo != next {
@@ -255,15 +255,14 @@ func AssembleBank(p *BuildPlan, shards []*BankShard) (*Bank, error) {
 		if err := sh.Validate(p); err != nil {
 			return nil, fmt.Errorf("core: assemble: %w", err)
 		}
-		for _, blk := range sh.Errs.blocks {
-			b.Errs.blocks = append(b.Errs.blocks, countBlock{lo: sh.Lo + blk.lo, hi: sh.Lo + blk.hi, counts: blk.counts})
-		}
+		pieces = append(pieces, sh.Errs)
 		copy(b.Diverged[sh.Lo:sh.Hi], sh.Diverged)
 		next = sh.Hi
 	}
 	if next != len(p.configs) {
 		return nil, fmt.Errorf("core: assemble: configs [%d, %d) uncovered", next, len(p.configs))
 	}
+	b.Errs = joinCounts(pieces)
 	if err := b.Validate(); err != nil {
 		return nil, fmt.Errorf("core: assemble: %w", err)
 	}

@@ -102,10 +102,9 @@ func TestSuiteGrowBank(t *testing.T) {
 }
 
 // TestSuiteGrowBankOverMappedStore: a bank the store serves mapped grows
-// without a copy — the grown bank's prefix rows are views of the parent's
-// mapping — so the mapping must outlive the grown bank. Every row of the
-// grown bank reads back, and it fingerprints like a cold build over the
-// union pool, all before the store, which owns the mapping, is closed.
+// into a bank that holds its own counts. The store, which owns the parent's
+// mapping, is closed first; every row of the grown bank still reads back,
+// and it fingerprints like a cold build over the union pool.
 func TestSuiteGrowBankOverMappedStore(t *testing.T) {
 	dir := t.TempDir()
 	first, err := core.NewBankStore(dir)
@@ -122,12 +121,15 @@ func TestSuiteGrowBankOverMappedStore(t *testing.T) {
 	}
 	s := NewSuite(tinyConfig())
 	s.SetStore(st)
-	parent := s.Bank("cifar10")
+	s.Bank("cifar10")
 	if st.Mapped().Files == 0 {
 		t.Skip("no mmap on this platform: the store served the parent from the heap")
 	}
 	grown, _, err := s.GrowBank("cifar10", 2)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 	var sum uint64
@@ -143,9 +145,6 @@ func TestSuiteGrowBankOverMappedStore(t *testing.T) {
 	if sum == 0 {
 		t.Fatal("grown bank reads no errors at all")
 	}
-	if &grown.Errs.Row(0, 0, 0)[0] != &parent.Errs.Row(0, 0, 0)[0] {
-		t.Fatal("grown bank copied the mapped parent's counts")
-	}
 	pop := s.Population("cifar10")
 	_, opts, bankSeed := s.BankBuildInputs("cifar10")
 	cold, err := core.BuildBank(pop, opts, bankSeed)
@@ -154,9 +153,6 @@ func TestSuiteGrowBankOverMappedStore(t *testing.T) {
 	}
 	if core.BankFingerprint(grown) != core.BankFingerprint(cold) {
 		t.Fatal("bank grown over a mapped parent differs from a cold build over the union pool")
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 

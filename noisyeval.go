@@ -138,10 +138,9 @@ type (
 	BuildPlan = core.BuildPlan
 	// BankShard is the training output for one config index range.
 	BankShard = core.BankShard
-	// ErrMatrix is the bank's dense error tensor of uint32 wrong-counts,
-	// indexed [partition][config][checkpoint][client]: an ordered list of
-	// config-range blocks (one for a cold build, one per shard or growth
-	// step otherwise) read through zero-allocation row views.
+	// ErrMatrix is the bank's dense error tensor of uint32 wrong-counts:
+	// one slice in [partition][config][checkpoint][client] order, read
+	// through zero-allocation row views.
 	ErrMatrix = core.ErrMatrix
 	// Tuner couples a method, space, and settings.
 	Tuner = core.Tuner
